@@ -1,48 +1,26 @@
-//! Filter-kernel microbench (DESIGN.md "Filter kernels").
+//! Secondary-filter microbench (DESIGN.md "Filter kernels").
 //!
 //! ```sh
-//! cargo run --release -p sdo-bench --bin exp_filter -- all
-//! cargo run --release -p sdo-bench --bin exp_filter -- primary
 //! cargo run --release -p sdo-bench --bin exp_filter -- secondary
-//! cargo run --release -p sdo-bench --bin exp_filter -- --quick
 //! ```
 //!
-//! * `primary` — scalar vs batch (SoA chunk scans + plane-sweep) vs
-//!   simd (runtime-dispatched vector scans + vectorized sweep) MBR
-//!   candidate generation through [`JoinCursor`] on bulk-loaded trees
-//!   with a large fanout, so internal node pairs cross
-//!   `SWEEP_THRESHOLD` and leaf scans exercise the chunked kernels.
-//! * `--quick` — a small CI smoke: asserts `kernel=simd` beats
-//!   `kernel=batch` by ≥1.2× on a large-node join when a vector ISA
-//!   is dispatched, or prints a waiver note on hosts stuck on the
-//!   scalar fallback (no AVX2/NEON, or `SDO_FORCE_SCALAR_KERNEL`).
-//! * `secondary` — naive per-call `relate`/`within_distance` vs
-//!   [`PreparedGeometry`] (decoded-once edges + segment index + cached
-//!   interior point) over bbox-overlapping candidate pairs on point,
-//!   linestring and polygon workloads.
-//!
-//! Both halves assert the fast path returns exactly the baseline's
-//! result counts before reporting a speedup.
+//! Naive per-call `relate`/`within_distance` vs [`PreparedGeometry`]
+//! (decoded-once edges + segment index + cached interior point) over
+//! bbox-overlapping candidate pairs on point, linestring and polygon
+//! workloads. Asserts the prepared path returns exactly the naive
+//! path's hit counts before reporting a speedup.
 
 use sdo_bench::*;
-use sdo_datagen::{block_groups, stars, SKY_EXTENT, US_EXTENT};
 use sdo_geom::{
     relate, Geometry, LineString, Point, Polygon, PreparedGeometry, Rect, RelateMask, Ring,
 };
-use sdo_rtree::{JoinCursor, JoinPredicate, KernelMode, RTree, RTreeParams};
+use sdo_rtree::{JoinCursor, JoinPredicate, RTree, RTreeParams};
 use std::time::Duration;
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    match which.as_str() {
-        "primary" => primary(),
-        "secondary" => secondary(),
-        "all" => {
-            primary();
-            secondary();
-        }
-        "--quick" | "quick" => quick(),
-        other => {
+    match std::env::args().nth(1).as_deref() {
+        None | Some("all" | "secondary") => secondary(),
+        Some(other) => {
             eprintln!("unknown experiment '{other}'");
             std::process::exit(2);
         }
@@ -62,135 +40,11 @@ fn best_of<T: Eq + std::fmt::Debug>(reps: usize, mut f: impl FnMut() -> T) -> (T
     (out, best)
 }
 
-// ---------------------------------------------------------------- primary
-
-/// Drain a join cursor, counting candidate pairs without buffering
-/// them all.
-fn drain_join(
-    left: &RTree<u32>,
-    right: &RTree<u32>,
-    pred: JoinPredicate,
-    mode: KernelMode,
-) -> usize {
-    let mut cursor = JoinCursor::new(left, right, pred).with_kernel(mode);
-    let mut n = 0usize;
-    loop {
-        let batch = cursor.next_batch(8192);
-        if batch.is_empty() {
-            break;
-        }
-        n += batch.len();
-    }
-    n
-}
-
 fn bulk_tree(geoms: &[Geometry], fanout: usize) -> RTree<u32> {
     let items: Vec<(Rect, u32)> =
         geoms.iter().enumerate().map(|(i, g)| (g.bbox(), i as u32)).collect();
     RTree::bulk_load(items, RTreeParams::with_fanout(fanout))
 }
-
-/// Long-thin horizontal strips (roads/hydrology-style MBRs): high
-/// x-overlap but rare true overlap, so the filter kernels — not result
-/// emission — dominate the join.
-fn thin_strips(n: usize, seed: u64) -> Vec<Geometry> {
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    (0..n)
-        .map(|_| {
-            let (x, y) = (next() * 340.0, next() * 85.0);
-            let w = 2.0 + next() * 6.0;
-            let h = 0.002 + next() * 0.01;
-            Geometry::Polygon(Polygon::from_rect(&Rect::new(x, y, x + w, y + h)))
-        })
-        .collect()
-}
-
-fn primary() {
-    println!("== exp_filter: primary filter, scalar vs batch vs simd MBR kernels ==");
-    println!("(simd dispatch: {})", sdo_rtree::dispatched().name());
-    let fanout = 128;
-    let workloads: Vec<(&str, Vec<Geometry>, JoinPredicate)> = vec![
-        (
-            "stars/intersect",
-            stars::generate(scaled(250_000, 20_000), &SKY_EXTENT, 21),
-            JoinPredicate::Intersects,
-        ),
-        (
-            "stars/within-dist",
-            stars::generate(scaled(250_000, 20_000), &SKY_EXTENT, 22),
-            JoinPredicate::WithinDistance(SKY_EXTENT.width() * 2e-4),
-        ),
-        (
-            "blockgroups/intersect",
-            block_groups::generate(scaled(230_000, 20_000), &US_EXTENT, 23),
-            JoinPredicate::Intersects,
-        ),
-        (
-            "strips/intersect",
-            thin_strips(scaled(230_000, 20_000), 0x243F_6A88_85A3_08D3),
-            JoinPredicate::Intersects,
-        ),
-    ];
-    println!(
-        "{:>22} {:>9} {:>11} {:>10} {:>10} {:>10} {:>9} {:>9}",
-        "workload", "n", "cand pairs", "scalar", "batch", "simd", "b/scalar", "simd/b"
-    );
-    for (name, geoms, pred) in workloads {
-        let tree = bulk_tree(&geoms, fanout);
-        let (c_scalar, t_scalar) =
-            best_of(3, || drain_join(&tree, &tree, pred, KernelMode::Scalar));
-        let (c_batch, t_batch) = best_of(3, || drain_join(&tree, &tree, pred, KernelMode::Batch));
-        let (c_simd, t_simd) = best_of(3, || drain_join(&tree, &tree, pred, KernelMode::Simd));
-        assert_eq!(c_scalar, c_batch, "kernel modes disagree on {name}");
-        assert_eq!(c_scalar, c_simd, "kernel modes disagree on {name}");
-        println!(
-            "{:>22} {:>9} {:>11} {:>10} {:>10} {:>10} {:>9} {:>9}",
-            name,
-            geoms.len(),
-            c_batch,
-            secs(t_scalar),
-            secs(t_batch),
-            secs(t_simd),
-            speedup(t_scalar, t_batch),
-            speedup(t_batch, t_simd)
-        );
-    }
-    println!("(fanout {fanout}: node pairs cross SWEEP_THRESHOLD, leaves use chunk scans)\n");
-}
-
-/// CI smoke: one large-node self-join, batch vs simd, small enough to
-/// finish in seconds. Exits non-zero when a vector ISA is dispatched
-/// but the simd kernel fails to clear 1.2× over batch.
-fn quick() {
-    let isa = sdo_rtree::dispatched();
-    println!("== exp_filter --quick: simd vs batch smoke (dispatch: {}) ==", isa.name());
-    let geoms = thin_strips(60_000, 0x243F_6A88_85A3_08D3);
-    let tree = bulk_tree(&geoms, 128);
-    let pred = JoinPredicate::Intersects;
-    let (c_batch, t_batch) = best_of(5, || drain_join(&tree, &tree, pred, KernelMode::Batch));
-    let (c_simd, t_simd) = best_of(5, || drain_join(&tree, &tree, pred, KernelMode::Simd));
-    assert_eq!(c_batch, c_simd, "kernel modes disagree");
-    let ratio = t_batch.as_secs_f64() / t_simd.as_secs_f64().max(1e-12);
-    println!(
-        "pairs {} batch {} simd {} speedup {:.2}x",
-        c_batch,
-        secs(t_batch),
-        secs(t_simd),
-        ratio
-    );
-    if isa == sdo_rtree::SimdIsa::Scalar {
-        println!("WAIVED: scalar dispatch (no vector ISA or SDO_FORCE_SCALAR_KERNEL set)");
-        return;
-    }
-    assert!(ratio >= 1.2, "simd kernel must beat batch by >=1.2x on vector hosts, got {ratio:.2}x");
-    println!("OK: simd >= 1.2x over batch");
-}
-
-// -------------------------------------------------------------- secondary
 
 /// A simple 64-vertex wobbled-circle polygon centred at `(cx, cy)`.
 fn wobbly_polygon(cx: f64, cy: f64, r: f64, verts: usize, phase: f64) -> Geometry {
@@ -230,8 +84,8 @@ fn grid_layout(n: usize, mut make: impl FnMut(f64, f64, f64, f64) -> Geometry) -
         .collect()
 }
 
-/// Bbox-overlapping unordered pairs `(i, j)` with `i < j`, found via a
-/// batch R-tree self-join (the primary filter's output).
+/// Bbox-overlapping unordered pairs `(i, j)` with `i < j`, found via an
+/// R-tree self-join (the primary filter's output).
 fn candidate_pairs(geoms: &[Geometry]) -> Vec<(usize, usize)> {
     let tree = bulk_tree(geoms, 32);
     let mut cursor = JoinCursor::new(&tree, &tree, JoinPredicate::Intersects);

@@ -28,14 +28,12 @@ use std::sync::Arc;
 ///   has no NULL literal, so `-1` is the explicit don't-care).
 ///   `interaction` is `'intersect'`/`'mask=...'`/`'distance=d'`;
 ///   `options` is `'fetch_order=arrival, candidates=N, cache=N,
-///   schedule=steal|static, split=N, method=rtree|partition|auto,
-///   sweep_threshold=N'` (`schedule` picks work-stealing vs. the
-///   paper's static task split; `split` is the work-stealing
-///   task-split threshold; `method` selects the tree traversal, the
-///   two-layer grid partition join — which needs no index — or a
-///   stats-driven automatic choice; `sweep_threshold` tunes when MBR
-///   kernels switch from scans to plane sweeps, `0` forcing sweeps
-///   and `max` forcing scans).
+///   schedule=steal|static, split=N, method=rtree|partition|auto'`
+///   (`schedule` picks work-stealing vs. the paper's static task
+///   split; `split` is the work-stealing task-split threshold;
+///   `method` selects the tree traversal, the two-layer grid
+///   partition join — which needs no index — or a stats-driven
+///   automatic choice).
 ///   A leading `CURSOR(SELECT * FROM TABLE(SUBTREE_PAIRS(...)))`
 ///   argument supplies explicit subtree-pair tasks, matching the
 ///   paper's cursor-driven form,
@@ -112,15 +110,7 @@ fn parse_join_options(s: &str) -> Result<SpatialJoinConfig, DbError> {
     for (k, _) in &pairs {
         if !matches!(
             k.as_str(),
-            "fetch_order"
-                | "candidates"
-                | "cache"
-                | "schedule"
-                | "split"
-                | "kernel"
-                | "prepare"
-                | "method"
-                | "sweep_threshold"
+            "fetch_order" | "candidates" | "cache" | "schedule" | "split" | "method"
         ) {
             return Err(DbError::Plan(format!("unknown SPATIAL_JOIN option '{k}'")));
         }
@@ -150,27 +140,9 @@ fn parse_join_options(s: &str) -> Result<SpatialJoinConfig, DbError> {
         cfg.split_threshold =
             v.parse::<u64>().map_err(|_| DbError::Plan(format!("bad split '{v}'")))?.max(1);
     }
-    if let Some(v) = param(&pairs, "kernel") {
-        cfg.kernel = sdo_rtree::KernelMode::parse(v)
-            .ok_or_else(|| DbError::Plan(format!("unknown kernel '{v}' (scalar|batch|simd)")))?;
-    }
-    if let Some(v) = param(&pairs, "prepare") {
-        cfg.prepare = match v.to_ascii_lowercase().as_str() {
-            "on" | "true" | "1" => true,
-            "off" | "false" | "0" => false,
-            other => return Err(DbError::Plan(format!("unknown prepare '{other}' (on|off)"))),
-        };
-    }
     if let Some(v) = param(&pairs, "method") {
         cfg.method = JoinMethod::parse(v)
             .ok_or_else(|| DbError::Plan(format!("unknown method '{v}' (rtree|partition|auto)")))?;
-    }
-    if let Some(v) = param(&pairs, "sweep_threshold") {
-        cfg.sweep_threshold = if v.eq_ignore_ascii_case("max") {
-            usize::MAX
-        } else {
-            v.parse::<usize>().map_err(|_| DbError::Plan(format!("bad sweep_threshold '{v}'")))?
-        };
     }
     Ok(cfg)
 }

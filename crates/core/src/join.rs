@@ -25,7 +25,7 @@ use parking_lot::RwLock;
 use sdo_geom::{PreparedGeometry, RelateMask};
 use sdo_obs::ProfileNode;
 use sdo_rtree::join::{subtree_pair_tasks, CandidatePair};
-use sdo_rtree::{JoinCursor, JoinPredicate, KernelMode, KernelStats, NodeId, RTree};
+use sdo_rtree::{JoinCursor, JoinPredicate, KernelStats, NodeId, RTree};
 use sdo_storage::{Counters, RowId, Snapshot, Table, Value};
 use sdo_tablefunc::{Row, TableFunction, TfError};
 use std::collections::VecDeque;
@@ -184,22 +184,9 @@ pub struct SpatialJoinConfig {
     /// one level and re-queued, so a single dense subtree pair cannot
     /// pin one slave.
     pub split_threshold: u64,
-    /// Primary-filter MBR kernel: batched SoA scans and plane sweeps
-    /// (`batch`, the default) or the entry-by-entry scalar loops
-    /// (`scalar`, kept for ablation).
-    pub kernel: KernelMode,
-    /// Secondary filter on [`PreparedGeometry`] fast paths (`true`,
-    /// the default) or the naive allocating `relate` family (`false`,
-    /// kept for ablation).
-    pub prepare: bool,
     /// Join engine: synchronized R-tree traversal, grid partition, or
     /// planner's choice (`method=rtree|partition|auto`).
     pub method: JoinMethod,
-    /// Pair-product cutoff above which batch-mode node/tile matching
-    /// switches from per-probe scans to the plane-sweep
-    /// (`sweep_threshold=N`; default [`sdo_rtree::SWEEP_THRESHOLD`]).
-    /// `0` forces the sweep everywhere, `usize::MAX` forces scans.
-    pub sweep_threshold: usize,
     /// MVCC read view for geometry fetches and partition scans. The
     /// SQL layer pins this at pipeline instantiation so a streaming
     /// join never mixes rows from before and after a concurrent
@@ -219,10 +206,7 @@ impl Default for SpatialJoinConfig {
             // enough that splitting stays rare on uniform data, fine
             // enough that a hot cluster spreads across slaves.
             split_threshold: 32_768,
-            kernel: KernelMode::default(),
-            prepare: true,
             method: JoinMethod::default(),
-            sweep_threshold: sdo_rtree::SWEEP_THRESHOLD,
             snapshot: Snapshot::LATEST,
         }
     }
@@ -251,8 +235,8 @@ pub struct JoinSide {
 /// and segment index a prepared predicate builds on first use stay
 /// cached with the geometry, so a hot geometry is prepared once no
 /// matter how many candidate pairs it appears in. The wrapper itself
-/// is lazy — with `prepare=off` nothing beyond the naive `Arc` clone
-/// is ever built.
+/// is lazy: nothing beyond the `Arc` clone is built until a predicate
+/// needs it.
 pub(crate) struct GeomCache {
     cap: usize,
     map: std::collections::HashMap<RowId, Arc<PreparedGeometry>>,
@@ -338,7 +322,6 @@ pub(crate) struct SecondaryFilter<'a> {
     pub(crate) right_table: &'a Arc<RwLock<Table>>,
     pub(crate) right_column: usize,
     pub(crate) exact: &'a ExactPredicate,
-    pub(crate) prepare: bool,
     pub(crate) fetch_order: FetchOrder,
 }
 
@@ -397,16 +380,10 @@ impl SecondaryFilter<'_> {
             }
             Counters::bump(&counters.exact_tests);
             let t_filter = phases.map(|_| Instant::now());
-            let keep = match (self.exact, self.prepare) {
-                (ExactPredicate::Masks(masks), true) => lg.relate_any(&rg, masks),
-                (ExactPredicate::Masks(masks), false) => {
-                    sdo_geom::relate::relate_any(lg.geometry(), rg.geometry(), masks)
-                }
-                (ExactPredicate::Distance(d), true) => lg.within_distance(&rg, *d),
-                (ExactPredicate::Distance(d), false) => {
-                    sdo_geom::within_distance(lg.geometry(), rg.geometry(), *d)
-                }
-                (ExactPredicate::PrimaryOnly, _) => unreachable!(),
+            let keep = match self.exact {
+                ExactPredicate::Masks(masks) => lg.relate_any(&rg, masks),
+                ExactPredicate::Distance(d) => lg.within_distance(&rg, *d),
+                ExactPredicate::PrimaryOnly => unreachable!(),
             };
             if let (Some(p), Some(t0)) = (phases, t_filter) {
                 p.filter.add_wall(t0.elapsed());
@@ -610,18 +587,19 @@ impl SpatialJoin {
             self.exact.join_predicate(),
             std::mem::take(&mut self.stack),
             std::mem::take(&mut self.carry),
-        )
-        .with_kernel(self.config.kernel)
-        .with_sweep_threshold(self.config.sweep_threshold);
+        );
         let t_mbr = self.phases.as_ref().map(|_| Instant::now());
         let candidates = cursor.next_batch(self.config.candidate_array);
-        self.kernel_stats.merge(&cursor.kernel_stats());
+        let stats = cursor.kernel_stats();
+        self.kernel_stats.merge(&stats);
         if let (Some(p), Some(t0)) = (&self.phases, t_mbr) {
             p.mbr.add_wall(t0.elapsed());
             p.mbr.add_batches(1);
             p.mbr.add_rows(candidates.len() as u64);
         }
-        Counters::add(&self.counters.mbr_tests, candidates.len() as u64);
+        // The cursor is fresh per call, so its stats are this array's
+        // delta: one atomic add per candidate array.
+        Counters::add(&self.counters.mbr_tests, stats.tests);
         let (stack, carry) = cursor.into_parts();
         self.stack = stack;
         self.carry = carry;
@@ -642,7 +620,6 @@ impl SpatialJoin {
             right_table: &self.right.table,
             right_column: self.right.column,
             exact: &self.exact,
-            prepare: self.config.prepare,
             fetch_order: self.config.fetch_order,
         };
         filter.run(
@@ -700,17 +677,11 @@ impl TableFunction for SpatialJoin {
             p.filter.set_metric("cache_hits", self.lcache.hits + self.rcache.hits);
             p.filter.set_metric("cache_misses", self.lcache.misses + self.rcache.misses);
             p.node.add_metric("peak_candidates", self.peak_candidates as u64);
-            p.node.add_metric("kernel_sweeps", self.kernel_stats.sweeps);
-            p.node.add_metric("kernel_scans", self.kernel_stats.scans);
-            p.node.add_metric("kernel_tests", self.kernel_stats.tests);
-            if self.config.kernel == KernelMode::Simd {
-                // set_metric: zeros must render so a plan that never
-                // took the quantized/packet path is visible as such.
-                p.node.set_attr("kernel_isa", sdo_rtree::dispatched().name());
-                p.node.set_metric("quantized_hits", self.kernel_stats.quantized_hits);
-                p.node.set_metric("exact_rejects", self.kernel_stats.exact_rejects);
-                p.node.set_metric("packet_descents", self.kernel_stats.packet_descents);
-            }
+            // set_metric: a join that never swept (or never scanned)
+            // still renders its zero.
+            p.node.set_metric("kernel_sweeps", self.kernel_stats.sweeps);
+            p.node.set_metric("kernel_scans", self.kernel_stats.scans);
+            p.node.set_metric("kernel_tests", self.kernel_stats.tests);
             if let Some(ts) = &self.tasks {
                 // set_metric: zeros must render — a slave at 0 tasks
                 // is the imbalance EXPLAIN ANALYZE exists to expose.
@@ -856,12 +827,7 @@ impl QuadtreeJoin {
                 };
                 Counters::bump(&self.counters.exact_tests);
                 match &self.exact {
-                    ExactPredicate::Masks(masks) if self.config.prepare => {
-                        lg.relate_any(&rg, masks)
-                    }
-                    ExactPredicate::Masks(masks) => {
-                        sdo_geom::relate::relate_any(lg.geometry(), rg.geometry(), masks)
-                    }
+                    ExactPredicate::Masks(masks) => lg.relate_any(&rg, masks),
                     _ => unreachable!("distance rejected at construction"),
                 }
             };

@@ -50,8 +50,9 @@
 //! exceeds `split_threshold` is halved over its left-entry range and
 //! re-queued, so one hot tile spreads across slaves (skew handling
 //! beyond what static tile assignment could do). Each slave matches
-//! class runs with the SoA batch kernels — the plane sweep above
-//! `sweep_threshold`, chunked scans below — into a candidate array
+//! class runs with the tree join's batch kernels
+//! ([`sdo_rtree::join::match_pairs`]: the plane sweep at or above
+//! `SWEEP_THRESHOLD`, chunked scans below) into a candidate array
 //! that funnels through the *same* [`SecondaryFilter`] (rowid-sorted
 //! fetches, per-side [`GeomCache`]) as the tree join, and streams
 //! rowid pairs out of the ordinary `start`/`fetch`/`close` protocol,
@@ -61,13 +62,9 @@ use crate::join::{ExactPredicate, GeomCache, JoinPhases, SecondaryFilter, Spatia
 use parking_lot::RwLock;
 use sdo_geom::Rect;
 use sdo_obs::ProfileNode;
-use sdo_rtree::join::CandidatePair;
-use sdo_rtree::kernel::simd::QUANT_SWEEP_SCALE;
-use sdo_rtree::kernel::{sweep_pairs, SoaMbrs, SweepScratch};
-use sdo_rtree::{
-    dispatched, scan_pred_quantized, sweep_pairs_simd, JoinPredicate, KernelMode, KernelStats,
-    QuantCounters, QuantizedMbrs, SweepScratchSimd,
-};
+use sdo_rtree::join::{match_pairs, CandidatePair};
+use sdo_rtree::kernel::{SoaMbrs, SweepScratch};
+use sdo_rtree::{JoinPredicate, KernelStats};
 use sdo_storage::{Counters, RowId, Snapshot, SpatialSample, Table};
 use sdo_tablefunc::{Row, TableFunction, TaskQueue, TfError};
 use std::collections::VecDeque;
@@ -393,8 +390,6 @@ pub struct PartitionJoin {
     soa_left: SoaMbrs,
     soa_right: SoaMbrs,
     sweep: SweepScratch,
-    sweep_simd: SweepScratchSimd,
-    quant_right: QuantizedMbrs,
     carry: VecDeque<CandidatePair<RowId, RowId>>,
     out: VecDeque<Row>,
     lcache: GeomCache,
@@ -439,8 +434,6 @@ impl PartitionJoin {
             soa_left: SoaMbrs::new(),
             soa_right: SoaMbrs::new(),
             sweep: SweepScratch::new(),
-            sweep_simd: SweepScratchSimd::new(),
-            quant_right: QuantizedMbrs::new(),
             carry: VecDeque::new(),
             out: VecDeque::new(),
             lcache: GeomCache::new(cache).at_snapshot(snap),
@@ -525,84 +518,20 @@ impl PartitionJoin {
             // set, cache-friendly order. Task splitting already
             // bounds the left range the same way.
             let block = (self.config.cache_size / 2).clamp(128, 2048);
-            let carry = &mut self.carry;
+            self.soa_left.fill(lrects.iter());
             for b0 in (0..rrects_all.len()).step_by(block) {
                 let b1 = (b0 + block).min(rrects_all.len());
                 let (rrects, rrids) = (&rrects_all[b0..b1], &rrids_all[b0..b1]);
-                match self.config.kernel {
-                    KernelMode::Scalar => {
-                        for (i, a) in lrects.iter().enumerate() {
-                            for (j, b) in rrects.iter().enumerate() {
-                                if pred.matches(a, b) {
-                                    carry.push_back((*a, lrids[i], *b, rrids[j]));
-                                }
-                            }
-                        }
-                    }
-                    KernelMode::Batch => {
-                        self.soa_right.fill(rrects.iter());
-                        if lrects.len() * rrects.len() >= self.config.sweep_threshold {
-                            self.soa_left.fill(lrects.iter());
-                            let tests = sweep_pairs(
-                                &self.soa_left,
-                                &self.soa_right,
-                                pred,
-                                &mut self.sweep,
-                                |i, j| carry.push_back((lrects[i], lrids[i], rrects[j], rrids[j])),
-                            );
-                            self.kernel_stats.sweeps += 1;
-                            self.kernel_stats.tests += tests;
-                        } else {
-                            let mut tests = 0;
-                            for (i, a) in lrects.iter().enumerate() {
-                                tests += self.soa_right.scan_pred(pred, a, |j| {
-                                    carry.push_back((*a, lrids[i], rrects[j], rrids[j]))
-                                });
-                            }
-                            self.kernel_stats.scans += 1;
-                            self.kernel_stats.tests += tests;
-                        }
-                    }
-                    KernelMode::Simd => {
-                        self.soa_right.fill(rrects.iter());
-                        // Quantized scans move the sweep crossover up
-                        // (see QUANT_SWEEP_SCALE in sdo-rtree).
-                        let cutoff = self.config.sweep_threshold.saturating_mul(QUANT_SWEEP_SCALE);
-                        if lrects.len() * rrects.len() >= cutoff {
-                            self.soa_left.fill(lrects.iter());
-                            let tests = sweep_pairs_simd(
-                                &self.soa_left,
-                                &self.soa_right,
-                                pred,
-                                &mut self.sweep_simd,
-                                |i, j| carry.push_back((lrects[i], lrids[i], rrects[j], rrids[j])),
-                            );
-                            self.kernel_stats.sweeps += 1;
-                            self.kernel_stats.tests += tests;
-                        } else {
-                            // Quantized right-side scan: one u16 encode
-                            // of the block amortized over every left
-                            // probe, exact f64 recheck on hit.
-                            self.quant_right.fill_from_soa(&self.soa_right);
-                            let mut qc = QuantCounters::default();
-                            let mut tests = 0;
-                            for (i, a) in lrects.iter().enumerate() {
-                                tests += scan_pred_quantized(
-                                    &self.quant_right,
-                                    &self.soa_right,
-                                    pred,
-                                    a,
-                                    &mut qc,
-                                    |j| carry.push_back((*a, lrids[i], rrects[j], rrids[j])),
-                                );
-                            }
-                            self.kernel_stats.scans += 1;
-                            self.kernel_stats.tests += tests;
-                            self.kernel_stats.quantized_hits += qc.quantized_hits;
-                            self.kernel_stats.exact_rejects += qc.exact_rejects;
-                        }
-                    }
-                }
+                self.soa_right.fill(rrects.iter());
+                let carry = &mut self.carry;
+                match_pairs(
+                    &self.soa_left,
+                    &self.soa_right,
+                    pred,
+                    &mut self.sweep,
+                    &mut self.kernel_stats,
+                    |i, j| carry.push_back((lrects[i], lrids[i], rrects[j], rrids[j])),
+                );
             }
         }
     }
@@ -616,6 +545,7 @@ impl PartitionJoin {
             return;
         };
         let t_mbr = self.phases.as_ref().map(|_| Instant::now());
+        let tests_before = self.kernel_stats.tests;
         self.join_tile(task);
         let produced = self.carry.len();
         if let (Some(p), Some(t0)) = (&self.phases, t_mbr) {
@@ -623,7 +553,7 @@ impl PartitionJoin {
             p.mbr.add_batches(1);
             p.mbr.add_rows(produced as u64);
         }
-        Counters::add(&self.counters.mbr_tests, produced as u64);
+        Counters::add(&self.counters.mbr_tests, self.kernel_stats.tests - tests_before);
         while !self.carry.is_empty() {
             let n = self.carry.len().min(self.config.candidate_array);
             self.peak_candidates = self.peak_candidates.max(n);
@@ -634,7 +564,6 @@ impl PartitionJoin {
                 right_table: &self.right_table,
                 right_column: self.right_column,
                 exact: &self.exact,
-                prepare: self.config.prepare,
                 fetch_order: self.config.fetch_order,
             };
             filter.run(
@@ -684,18 +613,12 @@ impl TableFunction for PartitionJoin {
             p.filter.set_metric("cache_hits", self.lcache.hits + self.rcache.hits);
             p.filter.set_metric("cache_misses", self.lcache.misses + self.rcache.misses);
             p.node.add_metric("peak_candidates", self.peak_candidates as u64);
-            p.node.add_metric("kernel_sweeps", self.kernel_stats.sweeps);
-            p.node.add_metric("kernel_scans", self.kernel_stats.scans);
-            p.node.add_metric("kernel_tests", self.kernel_stats.tests);
-            if self.config.kernel == KernelMode::Simd {
-                // set_metric: zeros must render so a plan that never
-                // took the quantized path is visible as such.
-                p.node.set_attr("kernel_isa", dispatched().name());
-                p.node.set_metric("quantized_hits", self.kernel_stats.quantized_hits);
-                p.node.set_metric("exact_rejects", self.kernel_stats.exact_rejects);
-            }
-            // set_metric: a slave at 0 tasks must still render — that
-            // imbalance is what EXPLAIN ANALYZE exists to expose.
+            // set_metric: a slave at 0 tasks (or a join that never
+            // swept) must still render — that imbalance is what
+            // EXPLAIN ANALYZE exists to expose.
+            p.node.set_metric("kernel_sweeps", self.kernel_stats.sweeps);
+            p.node.set_metric("kernel_scans", self.kernel_stats.scans);
+            p.node.set_metric("kernel_tests", self.kernel_stats.tests);
             p.node.set_metric("tasks_executed", self.executed);
             p.node.set_metric("tasks_stolen", self.stolen);
         }
@@ -739,9 +662,10 @@ mod tests {
         exact: ExactPredicate,
         dop: usize,
         config: SpatialJoinConfig,
-    ) -> Vec<(u64, u64)> {
+    ) -> (Vec<(u64, u64)>, KernelStats) {
         let state = PartitionState::build(left, 0, right, 0, &exact, dop, &Snapshot::LATEST);
         let mut pairs = Vec::new();
+        let mut stats = KernelStats::default();
         for worker in 0..dop {
             let mut f = PartitionJoin::new(
                 Arc::clone(&state),
@@ -760,8 +684,9 @@ mod tests {
                     row[1].as_rowid().unwrap().as_u64(),
                 ));
             }
+            stats.merge(&f.kernel_stats());
         }
-        pairs
+        (pairs, stats)
     }
 
     fn brute(a: &[Rect], b: &[Rect], pred: JoinPredicate) -> Vec<(u64, u64)> {
@@ -784,7 +709,8 @@ mod tests {
         for exact in [ExactPredicate::PrimaryOnly, ExactPredicate::Distance(3.0)] {
             let want = brute(&ra, &rb, exact.join_predicate());
             for dop in [1usize, 3] {
-                let mut got = run_join(&ta, &tb, exact.clone(), dop, SpatialJoinConfig::default());
+                let (mut got, _) =
+                    run_join(&ta, &tb, exact.clone(), dop, SpatialJoinConfig::default());
                 let n = got.len();
                 got.sort_unstable();
                 got.dedup();
@@ -799,25 +725,17 @@ mod tests {
         let (ra, rb) = (rects(0.0, 500), rects(10.0, 500));
         let (ta, tb) = (geom_table("a", &ra), geom_table("b", &rb));
         let want = brute(&ra, &rb, JoinPredicate::Intersects);
-        for (split, threshold, kernel) in [
-            (8u64, 0usize, KernelMode::Batch),
-            (8, usize::MAX, KernelMode::Batch),
-            (u64::MAX, 256, KernelMode::Scalar),
-            (8, 0, KernelMode::Simd),
-            (8, usize::MAX, KernelMode::Simd),
-        ] {
-            let config = SpatialJoinConfig {
-                split_threshold: split,
-                sweep_threshold: threshold,
-                kernel,
-                ..SpatialJoinConfig::default()
-            };
-            let mut got = run_join(&ta, &tb, ExactPredicate::PrimaryOnly, 4, config);
+        for split in [8u64, 1024, u64::MAX] {
+            let config =
+                SpatialJoinConfig { split_threshold: split, ..SpatialJoinConfig::default() };
+            let (mut got, stats) = run_join(&ta, &tb, ExactPredicate::PrimaryOnly, 4, config);
             let n = got.len();
             got.sort_unstable();
             got.dedup();
-            assert_eq!(n, got.len(), "split={split} threshold={threshold}");
-            assert_eq!(got, want, "split={split} threshold={threshold}");
+            assert_eq!(n, got.len(), "split={split}");
+            assert_eq!(got, want, "split={split}");
+            // Tile blocks land on both sides of SWEEP_THRESHOLD.
+            assert!(stats.sweeps > 0 && stats.scans > 0, "split={split}: {stats:?}");
         }
     }
 

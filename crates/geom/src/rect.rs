@@ -14,11 +14,9 @@ use std::fmt;
 /// otherwise.
 ///
 /// This single `max(·, 0)` form is the per-axis building block of
-/// [`Rect::mindist`] and is shared verbatim by the batch and SIMD
-/// filter kernels in `sdo-rtree::kernel`, so rect-distance results are
-/// bit-identical across every code path (including the `sqrt` that
-/// follows: IEEE 754 square root is correctly rounded, scalar and
-/// vector alike).
+/// [`Rect::mindist`] and is shared verbatim by the batch filter kernels
+/// in `sdo-rtree::kernel`, so rect-distance results are bit-identical
+/// across every code path.
 #[inline]
 pub fn axis_mindist(lo_a: f64, hi_a: f64, lo_b: f64, hi_b: f64) -> f64 {
     (lo_b - hi_a).max(lo_a - hi_b).max(0.0)

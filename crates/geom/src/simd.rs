@@ -1,10 +1,9 @@
-//! Runtime SIMD instruction-set detection shared by the vectorized
-//! filter kernels.
+//! Runtime SIMD instruction-set detection for the exact filter's
+//! vectorized loops.
 //!
-//! The explicit SIMD kernels in `sdo-rtree::kernel::simd` and the
-//! prepared-geometry prefilters in [`crate::prepared`] all dispatch on
-//! the same detected ISA so a query profile can report one coherent
-//! `kernel_isa` value. Detection runs once per process
+//! The prepared-geometry point-in-polygon kernels in
+//! [`crate::prepared`] dispatch on the detected ISA (the AVX2 edge
+//! loop runs on every exact filter). Detection runs once per process
 //! ([`dispatched`]) and honours the [`FORCE_SCALAR_ENV`] environment
 //! variable, which pins every kernel to the portable scalar path —
 //! CI uses it to cover the fallback code on AVX2 hosts.
@@ -34,7 +33,7 @@ pub enum SimdIsa {
 }
 
 impl SimdIsa {
-    /// Lower-case name as recorded in `EXPLAIN ANALYZE` (`kernel_isa`).
+    /// Lower-case name, as benchmark host records report it.
     pub fn name(self) -> &'static str {
         match self {
             SimdIsa::Scalar => "scalar",
@@ -66,9 +65,6 @@ impl SimdIsa {
     }
 
     /// True when this machine can execute kernels compiled for `self`.
-    /// Explicit-ISA kernel entry points check this and fall back to
-    /// scalar rather than fault, which keeps them safe to call with
-    /// any requested ISA (the equivalence proptests rely on that).
     pub fn available(self) -> bool {
         match self {
             SimdIsa::Scalar => true,

@@ -11,12 +11,8 @@
 //! roots for a serial join, or with a single subtree-root pair per
 //! parallel slave for the paper's parallel decomposition (Figure 1).
 
-use crate::kernel::simd::{
-    scan_pred_quantized, scan_pred_simd, sweep_pairs_simd, QuantCounters, QuantizedMbrs,
-    SweepScratchSimd, QUANT_SWEEP_SCALE,
-};
 use crate::kernel::{sweep_pairs, SoaMbrs, SweepScratch, SWEEP_THRESHOLD};
-use crate::node::{Entry, Node, NodeId};
+use crate::node::NodeId;
 use crate::tree::RTree;
 use sdo_geom::Rect;
 use sdo_storage::Counters;
@@ -33,70 +29,18 @@ fn obs_kernel_scans() -> &'static Arc<sdo_obs::Counter> {
     HANDLE.get_or_init(|| sdo_obs::global().counter("rtree.kernel.scans"))
 }
 
-fn obs_kernel_quantized_hits() -> &'static Arc<sdo_obs::Counter> {
-    static HANDLE: std::sync::OnceLock<Arc<sdo_obs::Counter>> = std::sync::OnceLock::new();
-    HANDLE.get_or_init(|| sdo_obs::global().counter("rtree.kernel.quantized_hits"))
-}
-
-fn obs_kernel_exact_rejects() -> &'static Arc<sdo_obs::Counter> {
-    static HANDLE: std::sync::OnceLock<Arc<sdo_obs::Counter>> = std::sync::OnceLock::new();
-    HANDLE.get_or_init(|| sdo_obs::global().counter("rtree.kernel.exact_rejects"))
-}
-
-fn obs_kernel_packet_descents() -> &'static Arc<sdo_obs::Counter> {
-    static HANDLE: std::sync::OnceLock<Arc<sdo_obs::Counter>> = std::sync::OnceLock::new();
-    HANDLE.get_or_init(|| sdo_obs::global().counter("rtree.kernel.packet_descents"))
-}
-
-/// Which node-pair matching implementation the join runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Entry-by-entry nested loops over the AoS node layout — the
-    /// pre-kernel code path, kept for ablation (`kernel=scalar`).
-    Scalar,
-    /// SoA batch kernels: chunked branch-free scans for small node
-    /// pairs, sort + forward plane-sweep above [`SWEEP_THRESHOLD`].
-    #[default]
-    Batch,
-    /// Explicit SIMD kernels (`kernel=simd`): runtime-dispatched vector
-    /// scans ([`crate::kernel::simd`]), the quantized u16 node layout
-    /// for sub-threshold pairs, the vectorized plane-sweep above it,
-    /// and packet descent for leaf-vs-subtree pairs.
-    Simd,
-}
-
-impl KernelMode {
-    /// Parse the SQL option value (`scalar` | `batch` | `simd`).
-    pub fn parse(s: &str) -> Option<KernelMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Some(KernelMode::Scalar),
-            "batch" => Some(KernelMode::Batch),
-            "simd" => Some(KernelMode::Simd),
-            _ => None,
-        }
-    }
-}
-
 /// Per-cursor kernel accounting: how many node pairs went through the
 /// plane-sweep vs the batch scan, and how many pair tests each ran.
-/// Surfaced as `kernel_sweeps` / `kernel_scans` metrics in
-/// `EXPLAIN ANALYZE`.
+/// Surfaced as `kernel_sweeps` / `kernel_scans` / `kernel_tests`
+/// metrics in `EXPLAIN ANALYZE`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Node pairs matched with the plane-sweep.
     pub sweeps: u64,
     /// Node pairs (or single-rect probes) matched with batch scans.
     pub scans: u64,
-    /// Pair tests actually executed by the batch kernels.
+    /// Pair tests actually executed by the kernels.
     pub tests: u64,
-    /// Candidates that passed the quantized u16 prefilter
-    /// ([`KernelMode::Simd`] only).
-    pub quantized_hits: u64,
-    /// Quantized candidates the exact f64 re-check then rejected.
-    pub exact_rejects: u64,
-    /// Nodes visited by packet descents (a node loaded once for a
-    /// whole probe packet counts once).
-    pub packet_descents: u64,
 }
 
 impl KernelStats {
@@ -105,9 +49,20 @@ impl KernelStats {
         self.sweeps += other.sweeps;
         self.scans += other.scans;
         self.tests += other.tests;
-        self.quantized_hits += other.quantized_hits;
-        self.exact_rejects += other.exact_rejects;
-        self.packet_descents += other.packet_descents;
+    }
+
+    /// Count one kernel call: a plane-sweep (`sweep`) or a batch scan
+    /// that ran `tests` pair tests.
+    pub(crate) fn record(&mut self, sweep: bool, tests: u64) {
+        if sweep {
+            self.sweeps += 1;
+        } else {
+            self.scans += 1;
+        }
+        self.tests += tests;
+        if sdo_obs::profiling() {
+            if sweep { obs_kernel_sweeps() } else { obs_kernel_scans() }.add(1);
+        }
     }
 }
 
@@ -133,6 +88,32 @@ impl JoinPredicate {
     }
 }
 
+/// Match two SoA rectangle sets pairwise with the batch kernels: the
+/// plane-sweep when the pair product reaches [`SWEEP_THRESHOLD`] (the
+/// sort pays for itself), one chunked scan of `right` per `left`
+/// rectangle otherwise. `emit` receives every matching index pair;
+/// the call is charged to `stats`. Shared by the tree join's node
+/// pairs and the partitioned join's tile blocks.
+pub fn match_pairs(
+    left: &SoaMbrs,
+    right: &SoaMbrs,
+    pred: JoinPredicate,
+    sweep: &mut SweepScratch,
+    stats: &mut KernelStats,
+    mut emit: impl FnMut(usize, usize),
+) {
+    if left.len() * right.len() >= SWEEP_THRESHOLD {
+        let tests = sweep_pairs(left, right, pred, sweep, emit);
+        stats.record(true, tests);
+    } else {
+        let mut tests = 0;
+        for i in 0..left.len() {
+            tests += right.scan_pred(pred, &left.get(i), |j| emit(i, j));
+        }
+        stats.record(false, tests);
+    }
+}
+
 /// A candidate pair produced by the MBR join: both items plus their
 /// MBRs (the secondary filter uses the items — rowids — to fetch exact
 /// geometries).
@@ -152,21 +133,11 @@ pub struct JoinCursor<'a, A: Clone, B: Clone> {
     /// Candidate pairs produced but not yet handed out.
     buf: VecDeque<CandidatePair<A, B>>,
     counters: Option<Arc<Counters>>,
-    kernel: KernelMode,
-    /// Pair-product cutoff above which [`match_pairwise`] switches from
-    /// per-probe scans to the plane-sweep (default [`SWEEP_THRESHOLD`]).
-    sweep_threshold: usize,
     /// SoA scratch views + sweep order buffers, reused across node
     /// pairs so the steady-state join loop does not allocate.
     soa_left: SoaMbrs,
     soa_right: SoaMbrs,
     sweep: SweepScratch,
-    /// Simd-mode scratch: quantized right-node keys, gathered sweep
-    /// buffers, the probe packet's SoA view, and the packet stack.
-    quant_right: QuantizedMbrs,
-    sweep_simd: SweepScratchSimd,
-    probes_soa: SoaMbrs,
-    packet_stack: Vec<(NodeId, u8)>,
     stats: KernelStats,
 }
 
@@ -177,34 +148,7 @@ impl<'a, A: Clone, B: Clone> JoinCursor<'a, A, B> {
         if !left.is_empty() && !right.is_empty() {
             stack.push((left.root_id(), right.root_id()));
         }
-        Self::build(left, right, pred, stack, VecDeque::new())
-    }
-
-    fn build(
-        left: &'a RTree<A>,
-        right: &'a RTree<B>,
-        pred: JoinPredicate,
-        stack: Vec<(NodeId, NodeId)>,
-        buf: VecDeque<CandidatePair<A, B>>,
-    ) -> Self {
-        JoinCursor {
-            left,
-            right,
-            pred,
-            stack,
-            buf,
-            counters: None,
-            kernel: KernelMode::default(),
-            sweep_threshold: SWEEP_THRESHOLD,
-            soa_left: SoaMbrs::new(),
-            soa_right: SoaMbrs::new(),
-            sweep: SweepScratch::new(),
-            quant_right: QuantizedMbrs::new(),
-            sweep_simd: SweepScratchSimd::new(),
-            probes_soa: SoaMbrs::new(),
-            packet_stack: Vec::new(),
-            stats: KernelStats::default(),
-        }
+        Self::from_parts(left, right, pred, stack, VecDeque::new())
     }
 
     /// Join specific subtree pairs — the parallel decomposition: each
@@ -215,28 +159,13 @@ impl<'a, A: Clone, B: Clone> JoinCursor<'a, A, B> {
         pred: JoinPredicate,
         pairs: Vec<(NodeId, NodeId)>,
     ) -> Self {
-        Self::build(left, right, pred, pairs, VecDeque::new())
+        Self::from_parts(left, right, pred, pairs, VecDeque::new())
     }
 
-    /// Charge MBR tests to shared counters.
+    /// Charge MBR tests to shared counters (one add per
+    /// [`JoinCursor::next_batch`] call).
     pub fn with_counters(mut self, counters: Arc<Counters>) -> Self {
         self.counters = Some(counters);
-        self
-    }
-
-    /// Select the node-pair matching kernel (default [`KernelMode::Batch`]).
-    pub fn with_kernel(mut self, kernel: KernelMode) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Override the pair-product cutoff for the plane-sweep (default
-    /// [`SWEEP_THRESHOLD`]). `0` makes every node pair take the sweep;
-    /// `usize::MAX` forces the scan paths throughout. Under
-    /// [`KernelMode::Simd`] the effective cutoff is this value scaled
-    /// by [`QUANT_SWEEP_SCALE`] — quantized scans move the crossover.
-    pub fn with_sweep_threshold(mut self, threshold: usize) -> Self {
-        self.sweep_threshold = threshold;
         self
     }
 
@@ -266,13 +195,17 @@ impl<'a, A: Clone, B: Clone> JoinCursor<'a, A, B> {
         stack: Vec<(NodeId, NodeId)>,
         buf: VecDeque<CandidatePair<A, B>>,
     ) -> Self {
-        Self::build(left, right, pred, stack, buf)
-    }
-
-    #[inline]
-    fn charge_mbr_tests(&self, n: u64) {
-        if let Some(c) = &self.counters {
-            Counters::add(&c.mbr_tests, n);
+        JoinCursor {
+            left,
+            right,
+            pred,
+            stack,
+            buf,
+            counters: None,
+            soa_left: SoaMbrs::new(),
+            soa_right: SoaMbrs::new(),
+            sweep: SweepScratch::new(),
+            stats: KernelStats::default(),
         }
     }
 
@@ -280,9 +213,13 @@ impl<'a, A: Clone, B: Clone> JoinCursor<'a, A, B> {
     /// the body of the table function's `fetch`. Returns an empty vec
     /// when the join is complete.
     pub fn next_batch(&mut self, max: usize) -> Vec<CandidatePair<A, B>> {
+        let tests_before = self.stats.tests;
         while self.buf.len() < max {
             let Some((l, r)) = self.stack.pop() else { break };
             self.expand(l, r);
+        }
+        if let Some(c) = &self.counters {
+            Counters::add(&c.mbr_tests, self.stats.tests - tests_before);
         }
         let n = self.buf.len().min(max);
         self.buf.drain(..n).collect()
@@ -300,342 +237,40 @@ impl<'a, A: Clone, B: Clone> JoinCursor<'a, A, B> {
         }
     }
 
-    /// Expand one node pair: emit candidates for leaf/leaf, descend the
-    /// deeper side otherwise. Under [`KernelMode::Batch`] the pairwise
-    /// cases run the SoA kernels: plane-sweep above
-    /// [`SWEEP_THRESHOLD`], chunked batch scans below it.
+    /// Expand one node pair: emit candidates for leaf/leaf, push child
+    /// pairs for equal-level internal nodes (both via [`match_pairs`]),
+    /// and otherwise descend whichever node sits higher by scanning its
+    /// entries against the lower node's MBR.
     fn expand(&mut self, l: NodeId, r: NodeId) {
-        let ln = self.left.node(l);
-        let rn = self.right.node(r);
-        match (ln.is_leaf(), rn.is_leaf()) {
-            (true, true) => match self.kernel {
-                KernelMode::Scalar => {
-                    self.charge_mbr_tests((ln.len() * rn.len()) as u64);
-                    for le in &ln.entries {
-                        for re in &rn.entries {
-                            if self.pred.matches(&le.mbr, &re.mbr) {
-                                self.buf.push_back((
-                                    le.mbr,
-                                    le.item_ref().clone(),
-                                    re.mbr,
-                                    re.item_ref().clone(),
-                                ));
-                            }
-                        }
-                    }
-                }
-                KernelMode::Batch | KernelMode::Simd => {
-                    let tests = self.match_pairwise(ln, rn, |ln, rn, buf, _, i, j| {
-                        let (le, re) = (&ln.entries[i], &rn.entries[j]);
-                        buf.push_back((
-                            le.mbr,
-                            le.item_ref().clone(),
-                            re.mbr,
-                            re.item_ref().clone(),
-                        ));
-                    });
-                    self.charge_mbr_tests(tests);
-                }
-            },
-            (false, false) if ln.level == rn.level => match self.kernel {
-                KernelMode::Scalar => {
-                    // Same level: pairwise child matching.
-                    self.charge_mbr_tests((ln.len() * rn.len()) as u64);
-                    for le in &ln.entries {
-                        for re in &rn.entries {
-                            if self.pred.matches(&le.mbr, &re.mbr) {
-                                self.stack.push((le.child_id(), re.child_id()));
-                            }
-                        }
-                    }
-                }
-                KernelMode::Batch | KernelMode::Simd => {
-                    let tests = self.match_pairwise(ln, rn, |ln, rn, _, stack, i, j| {
-                        stack.push((ln.entries[i].child_id(), rn.entries[j].child_id()));
-                    });
-                    self.charge_mbr_tests(tests);
-                }
-            },
-            _ => {
-                // Unequal heights: descend whichever node sits higher.
-                if ln.level > rn.level {
-                    let rmbr = rn.mbr();
-                    match self.kernel {
-                        KernelMode::Scalar => {
-                            self.charge_mbr_tests(ln.len() as u64);
-                            for le in &ln.entries {
-                                if self.pred.matches(&le.mbr, &rmbr) {
-                                    self.stack.push((le.child_id(), r));
-                                }
-                            }
-                        }
-                        KernelMode::Batch => {
-                            self.charge_mbr_tests(ln.len() as u64);
-                            self.soa_left.fill_from_entries(&ln.entries);
-                            let stack = &mut self.stack;
-                            let tests = self.soa_left.scan_pred(self.pred, &rmbr, |i| {
-                                stack.push((ln.entries[i].child_id(), r));
-                            });
-                            self.stats.scans += 1;
-                            self.stats.tests += tests;
-                            if sdo_obs::profiling() {
-                                obs_kernel_scans().add(1);
-                            }
-                        }
-                        KernelMode::Simd if rn.is_leaf() => {
-                            // The right node is a whole leaf of probes:
-                            // descend the packet through the left
-                            // subtree together, loading each node once.
-                            let buf = &mut self.buf;
-                            let (tests, descents) = packet_probe_subtree(
-                                &rn.entries,
-                                self.left,
-                                l,
-                                self.pred,
-                                &mut self.probes_soa,
-                                &mut self.packet_stack,
-                                |p, le| {
-                                    let re = &rn.entries[p];
-                                    buf.push_back((
-                                        le.mbr,
-                                        le.item_ref().clone(),
-                                        re.mbr,
-                                        re.item_ref().clone(),
-                                    ));
-                                },
-                            );
-                            self.stats.packet_descents += descents;
-                            self.stats.tests += tests;
-                            self.charge_mbr_tests(tests);
-                            if sdo_obs::profiling() {
-                                obs_kernel_packet_descents().add(descents);
-                            }
-                        }
-                        KernelMode::Simd => {
-                            self.charge_mbr_tests(ln.len() as u64);
-                            self.soa_left.fill_from_entries(&ln.entries);
-                            let stack = &mut self.stack;
-                            let tests = scan_pred_simd(&self.soa_left, self.pred, &rmbr, |i| {
-                                stack.push((ln.entries[i].child_id(), r));
-                            });
-                            self.stats.scans += 1;
-                            self.stats.tests += tests;
-                            if sdo_obs::profiling() {
-                                obs_kernel_scans().add(1);
-                            }
-                        }
-                    }
-                } else {
-                    let lmbr = ln.mbr();
-                    match self.kernel {
-                        KernelMode::Scalar => {
-                            self.charge_mbr_tests(rn.len() as u64);
-                            for re in &rn.entries {
-                                if self.pred.matches(&lmbr, &re.mbr) {
-                                    self.stack.push((l, re.child_id()));
-                                }
-                            }
-                        }
-                        KernelMode::Batch => {
-                            self.charge_mbr_tests(rn.len() as u64);
-                            self.soa_right.fill_from_entries(&rn.entries);
-                            let stack = &mut self.stack;
-                            let tests = self.soa_right.scan_pred(self.pred, &lmbr, |j| {
-                                stack.push((l, rn.entries[j].child_id()));
-                            });
-                            self.stats.scans += 1;
-                            self.stats.tests += tests;
-                            if sdo_obs::profiling() {
-                                obs_kernel_scans().add(1);
-                            }
-                        }
-                        KernelMode::Simd if ln.is_leaf() => {
-                            let buf = &mut self.buf;
-                            let (tests, descents) = packet_probe_subtree(
-                                &ln.entries,
-                                self.right,
-                                r,
-                                self.pred,
-                                &mut self.probes_soa,
-                                &mut self.packet_stack,
-                                |p, re| {
-                                    let le = &ln.entries[p];
-                                    buf.push_back((
-                                        le.mbr,
-                                        le.item_ref().clone(),
-                                        re.mbr,
-                                        re.item_ref().clone(),
-                                    ));
-                                },
-                            );
-                            self.stats.packet_descents += descents;
-                            self.stats.tests += tests;
-                            self.charge_mbr_tests(tests);
-                            if sdo_obs::profiling() {
-                                obs_kernel_packet_descents().add(descents);
-                            }
-                        }
-                        KernelMode::Simd => {
-                            self.charge_mbr_tests(rn.len() as u64);
-                            self.soa_right.fill_from_entries(&rn.entries);
-                            let stack = &mut self.stack;
-                            let tests = scan_pred_simd(&self.soa_right, self.pred, &lmbr, |j| {
-                                stack.push((l, rn.entries[j].child_id()));
-                            });
-                            self.stats.scans += 1;
-                            self.stats.tests += tests;
-                            if sdo_obs::profiling() {
-                                obs_kernel_scans().add(1);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batch/Simd-mode pairwise matching of two nodes' entry lists: the
-    /// plane-sweep when the pair product is large enough to amortize
-    /// the sort, per-probe scans otherwise. Under [`KernelMode::Simd`]
-    /// the sweep is the vectorized [`sweep_pairs_simd`] and the scans
-    /// go through the quantized u16 node layout
-    /// ([`scan_pred_quantized`]). `emit` receives the two nodes, the
-    /// candidate buffer, the traversal stack, and the matching entry
-    /// index pair; returns pair tests executed.
-    fn match_pairwise(
-        &mut self,
-        ln: &Node<A>,
-        rn: &Node<B>,
-        mut emit: impl FnMut(
-            &Node<A>,
-            &Node<B>,
-            &mut VecDeque<CandidatePair<A, B>>,
-            &mut Vec<(NodeId, NodeId)>,
-            usize,
-            usize,
-        ),
-    ) -> u64 {
-        self.soa_right.fill_from_entries(&rn.entries);
-        let simd = self.kernel == KernelMode::Simd;
-        let buf = &mut self.buf;
-        let stack = &mut self.stack;
-        // Quantized scans move the sweep crossover far up: sorting only
-        // pays for itself against 16-keys-per-op branchless scans once
-        // node products reach ~512² (see QUANT_SWEEP_SCALE).
-        let cutoff = if simd {
-            self.sweep_threshold.saturating_mul(QUANT_SWEEP_SCALE)
-        } else {
-            self.sweep_threshold
-        };
-        let tests;
-        if ln.len() * rn.len() >= cutoff {
-            self.soa_left.fill_from_entries(&ln.entries);
-            tests = if simd {
-                sweep_pairs_simd(
-                    &self.soa_left,
-                    &self.soa_right,
-                    self.pred,
-                    &mut self.sweep_simd,
-                    |i, j| emit(ln, rn, buf, stack, i, j),
-                )
+        let (ln, rn) = (self.left.node(l), self.right.node(r));
+        let JoinCursor { pred, stack, buf, soa_left, soa_right, sweep, stats, .. } = self;
+        if ln.level == rn.level {
+            soa_left.fill_from_entries(&ln.entries);
+            soa_right.fill_from_entries(&rn.entries);
+            if ln.is_leaf() {
+                match_pairs(soa_left, soa_right, *pred, sweep, stats, |i, j| {
+                    let (le, re) = (&ln.entries[i], &rn.entries[j]);
+                    buf.push_back((le.mbr, le.item_ref().clone(), re.mbr, re.item_ref().clone()));
+                });
             } else {
-                sweep_pairs(&self.soa_left, &self.soa_right, self.pred, &mut self.sweep, |i, j| {
-                    emit(ln, rn, buf, stack, i, j)
-                })
-            };
-            self.stats.sweeps += 1;
-            if sdo_obs::profiling() {
-                obs_kernel_sweeps().add(1);
+                match_pairs(soa_left, soa_right, *pred, sweep, stats, |i, j| {
+                    stack.push((ln.entries[i].child_id(), rn.entries[j].child_id()));
+                });
             }
+        } else if ln.level > rn.level {
+            soa_left.fill_from_entries(&ln.entries);
+            let tests = soa_left.scan_pred(*pred, &rn.mbr(), |i| {
+                stack.push((ln.entries[i].child_id(), r));
+            });
+            stats.record(false, tests);
         } else {
-            let mut n = 0;
-            if simd {
-                self.quant_right.fill_from_soa(&self.soa_right);
-                let mut counters = QuantCounters::default();
-                for (i, le) in ln.entries.iter().enumerate() {
-                    n += scan_pred_quantized(
-                        &self.quant_right,
-                        &self.soa_right,
-                        self.pred,
-                        &le.mbr,
-                        &mut counters,
-                        |j| emit(ln, rn, buf, stack, i, j),
-                    );
-                }
-                self.stats.quantized_hits += counters.quantized_hits;
-                self.stats.exact_rejects += counters.exact_rejects;
-                if sdo_obs::profiling() {
-                    obs_kernel_quantized_hits().add(counters.quantized_hits);
-                    obs_kernel_exact_rejects().add(counters.exact_rejects);
-                }
-            } else {
-                for (i, le) in ln.entries.iter().enumerate() {
-                    n += self
-                        .soa_right
-                        .scan_pred(self.pred, &le.mbr, |j| emit(ln, rn, buf, stack, i, j));
-                }
-            }
-            tests = n;
-            self.stats.scans += 1;
-            if sdo_obs::profiling() {
-                obs_kernel_scans().add(1);
-            }
-        }
-        self.stats.tests += tests;
-        tests
-    }
-}
-
-/// Ray-packet-style multi-query descent: push a packet of up to 8
-/// probe rectangles through `tree` from `root` together, loading each
-/// visited node once for the whole packet (the "shared node loads" of
-/// packet traversal). Each node entry is tested against the packet
-/// with one SoA vector scan; the resulting hit mask, ANDed with the
-/// packet's active mask, decides which lanes descend. At the leaves,
-/// `emit(probe_index, entry)` fires for every surviving (probe, item)
-/// hit. Returns `(pair_tests, nodes_descended)`.
-fn packet_probe_subtree<P: Clone, S: Clone>(
-    probes: &[Entry<P>],
-    tree: &RTree<S>,
-    root: NodeId,
-    pred: JoinPredicate,
-    probes_soa: &mut SoaMbrs,
-    stack: &mut Vec<(NodeId, u8)>,
-    mut emit: impl FnMut(usize, &Entry<S>),
-) -> (u64, u64) {
-    let mut tests = 0u64;
-    let mut descents = 0u64;
-    for (chunk, group) in probes.chunks(8).enumerate() {
-        let base = chunk * 8;
-        probes_soa.fill(group.iter().map(|e| &e.mbr));
-        let full = ((1u16 << group.len()) - 1) as u8;
-        stack.clear();
-        stack.push((root, full));
-        while let Some((id, mask)) = stack.pop() {
-            descents += 1;
-            let node = tree.node(id);
-            for e in &node.entries {
-                let mut bits = 0u8;
-                // Both join predicates are symmetric, so probing the
-                // packet with the entry MBR tests the same pairs.
-                tests += scan_pred_simd(probes_soa, pred, &e.mbr, |p| bits |= 1 << p);
-                let active = bits & mask;
-                if active == 0 {
-                    continue;
-                }
-                if node.is_leaf() {
-                    let mut lanes = active;
-                    while lanes != 0 {
-                        emit(base + lanes.trailing_zeros() as usize, e);
-                        lanes &= lanes - 1;
-                    }
-                } else {
-                    stack.push((e.child_id(), active));
-                }
-            }
+            soa_right.fill_from_entries(&rn.entries);
+            let tests = soa_right.scan_pred(*pred, &ln.mbr(), |j| {
+                stack.push((l, rn.entries[j].child_id()));
+            });
+            stats.record(false, tests);
         }
     }
-    (tests, descents)
 }
 
 /// Build the subtree-pair work list for a parallel join: descend both
@@ -898,19 +533,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_kernel_matches_scalar_kernel() {
-        // Fanout 32 makes leaf pairs cross SWEEP_THRESHOLD, so both
-        // the plane-sweep and the scan fallback paths run.
-        let (ta, _) = tree(0.0, 500, 32);
-        let (tb, _) = tree(25.0, 400, 32);
+    fn batch_kernel_matches_brute_force() {
+        // Fanout 32 makes leaf pairs cross SWEEP_THRESHOLD, so the
+        // plane-sweep runs beside the scans that descend unequal pairs.
+        let (ta, ra) = tree(0.0, 500, 32);
+        let (tb, rb) = tree(25.0, 400, 32);
         for pred in [JoinPredicate::Intersects, JoinPredicate::WithinDistance(4.0)] {
-            let mut scalar = JoinCursor::new(&ta, &tb, pred).with_kernel(KernelMode::Scalar);
-            let want = sorted_pairs(scalar.collect_all());
-            assert_eq!(scalar.kernel_stats(), KernelStats::default());
-            let mut batch = JoinCursor::new(&ta, &tb, pred).with_kernel(KernelMode::Batch);
-            let got = sorted_pairs(batch.collect_all());
-            assert_eq!(got, want, "{pred:?}");
-            let stats = batch.kernel_stats();
+            let mut c = JoinCursor::new(&ta, &tb, pred);
+            assert_eq!(sorted_pairs(c.collect_all()), brute_force(&ra, &rb, pred), "{pred:?}");
+            let stats = c.kernel_stats();
             assert!(stats.sweeps > 0, "{pred:?}: expected plane-sweep invocations");
             assert!(stats.tests > 0);
         }
@@ -928,106 +559,29 @@ mod tests {
     }
 
     #[test]
-    fn sweep_threshold_zero_forces_sweep_and_max_forces_scan() {
-        let (ta, ra) = tree(0.0, 200, 8); // 8*8 pairs sit below the default cutoff
-        let (tb, rb) = tree(10.0, 200, 8);
-        let want = brute_force(&ra, &rb, JoinPredicate::Intersects);
-
-        let mut sweep_all =
-            JoinCursor::new(&ta, &tb, JoinPredicate::Intersects).with_sweep_threshold(0);
-        assert_eq!(sorted_pairs(sweep_all.collect_all()), want);
-        let stats = sweep_all.kernel_stats();
-        assert!(stats.sweeps > 0 && stats.scans == 0, "threshold 0 must sweep every pair");
-
-        // Fanout 32 crosses the default cutoff, yet MAX must still scan.
-        let (ta, ra) = tree(0.0, 500, 32);
-        let (tb, rb) = tree(25.0, 400, 32);
-        let want = brute_force(&ra, &rb, JoinPredicate::Intersects);
-        let mut scan_all =
-            JoinCursor::new(&ta, &tb, JoinPredicate::Intersects).with_sweep_threshold(usize::MAX);
-        assert_eq!(sorted_pairs(scan_all.collect_all()), want);
-        let stats = scan_all.kernel_stats();
-        assert!(stats.scans > 0 && stats.sweeps == 0, "threshold MAX must never sweep");
-    }
-
-    #[test]
-    fn simd_kernel_matches_scalar_kernel() {
-        // Fanout 32 exercises the vectorized sweep; fanout 4 below
-        // keeps pairs under SWEEP_THRESHOLD for the quantized scans.
-        for (fa, fb) in [(32, 32), (4, 4)] {
-            let (ta, _) = tree(0.0, 500, fa);
-            let (tb, _) = tree(25.0, 400, fb);
-            for pred in [JoinPredicate::Intersects, JoinPredicate::WithinDistance(4.0)] {
-                let mut scalar = JoinCursor::new(&ta, &tb, pred).with_kernel(KernelMode::Scalar);
-                let want = sorted_pairs(scalar.collect_all());
-                let mut simd = JoinCursor::new(&ta, &tb, pred).with_kernel(KernelMode::Simd);
-                let got = sorted_pairs(simd.collect_all());
-                assert_eq!(got, want, "fanout=({fa},{fb}) {pred:?}");
-                let stats = simd.kernel_stats();
-                assert!(stats.tests > 0);
-                if fa == 4 {
-                    // Quantized scans run at every level, so the funnel
-                    // passes at least one hit per emitted result pair
-                    // (conservative: no true hit is ever rejected).
-                    assert!(
-                        stats.quantized_hits - stats.exact_rejects >= want.len() as u64,
-                        "quantized funnel must pass every true hit"
-                    );
-                    assert!(stats.exact_rejects > 0, "u16 rounding must cause some rejects");
-                }
-            }
+    fn node_pair_size_picks_sweep_or_scan() {
+        // 32*32 leaf pairs sit above SWEEP_THRESHOLD, 8*8 below it: the
+        // input's shape alone decides which kernel runs.
+        for (fanout, sweeps) in [(32, true), (8, false)] {
+            let (ta, ra) = tree(0.0, 500, fanout);
+            let (tb, rb) = tree(25.0, 400, fanout);
+            let mut c = JoinCursor::new(&ta, &tb, JoinPredicate::Intersects);
+            let want = brute_force(&ra, &rb, JoinPredicate::Intersects);
+            assert_eq!(sorted_pairs(c.collect_all()), want, "fanout={fanout}");
+            let stats = c.kernel_stats();
+            assert_eq!(stats.sweeps > 0, sweeps, "fanout={fanout}");
+            assert_eq!(stats.scans > 0, !sweeps, "fanout={fanout}");
         }
-    }
-
-    #[test]
-    fn simd_packet_path_matches_scalar_on_unequal_heights() {
-        // A single-leaf right tree against a tall left tree: the whole
-        // join is one leaf of probes descending an internal subtree,
-        // which is exactly the packet case.
-        let (ta, ra) = tree(0.0, 600, 4);
-        let (tb, rb) = tree(10.0, 24, 32);
-        for pred in [JoinPredicate::Intersects, JoinPredicate::WithinDistance(3.0)] {
-            let want = brute_force(&ra, &rb, pred);
-            let mut simd = JoinCursor::new(&ta, &tb, pred).with_kernel(KernelMode::Simd);
-            let got = sorted_pairs(simd.collect_all());
-            assert_eq!(got, want, "{pred:?}");
-            assert!(
-                simd.kernel_stats().packet_descents > 0,
-                "{pred:?}: unequal-height leaf pairs must take the packet path"
-            );
-        }
-    }
-
-    #[test]
-    fn kernel_mode_parses_all_values() {
-        assert_eq!(KernelMode::parse("scalar"), Some(KernelMode::Scalar));
-        assert_eq!(KernelMode::parse("Batch"), Some(KernelMode::Batch));
-        assert_eq!(KernelMode::parse("SIMD"), Some(KernelMode::Simd));
-        assert_eq!(KernelMode::parse("avx2"), None);
     }
 
     #[test]
     fn kernel_stats_merge_covers_all_fields() {
-        let mut a = KernelStats {
-            sweeps: 1,
-            scans: 2,
-            tests: 3,
-            quantized_hits: 4,
-            exact_rejects: 5,
-            packet_descents: 6,
-        };
+        let mut a = KernelStats { sweeps: 1, scans: 2, tests: 3 };
         a.merge(&a.clone());
-        assert_eq!(
-            a,
-            KernelStats {
-                sweeps: 2,
-                scans: 4,
-                tests: 6,
-                quantized_hits: 8,
-                exact_rejects: 10,
-                packet_descents: 12,
-            }
-        );
+        assert_eq!(a, KernelStats { sweeps: 2, scans: 4, tests: 6 });
+        a.record(true, 5);
+        a.record(false, 1);
+        assert_eq!(a, KernelStats { sweeps: 3, scans: 5, tests: 12 });
     }
 
     #[test]
@@ -1039,5 +593,6 @@ mod tests {
             JoinCursor::new(&ta, &tb, JoinPredicate::Intersects).with_counters(Arc::clone(&c));
         cursor.collect_all();
         assert!(Counters::get(&c.mbr_tests) > 0);
+        assert_eq!(Counters::get(&c.mbr_tests), cursor.kernel_stats().tests);
     }
 }

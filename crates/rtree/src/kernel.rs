@@ -22,16 +22,15 @@
 //! All kernels treat a rectangle as *valid* only when
 //! `min_x <= max_x && min_y <= max_y`. [`Rect::EMPTY`]
 //! (`+inf..-inf`) and any rectangle with a NaN coordinate fail that
-//! test and never match — including under `WithinDistance`, where the
-//! scalar `mindist` would launder NaN into `0.0` via `f64::max`. The
-//! batch kernels are therefore strictly *stricter* than the scalar
-//! path on garbage input and identical on valid input.
+//! test and never match — including under `WithinDistance`, where
+//! `Rect::mindist` would launder NaN into `0.0` via `f64::max`. The
+//! kernels are therefore strictly *stricter* than the per-pair
+//! [`JoinPredicate::matches`] on garbage input and identical on valid
+//! input; `tests/proptest_kernel.rs` checks exactly that rule.
 
 use crate::join::JoinPredicate;
 use crate::node::Entry;
 use sdo_geom::{axis_mindist, Rect};
-
-pub mod simd;
 
 /// Entry-count product above which a node-pair join uses the
 /// plane-sweep instead of the chunked scan. Below it the sort overhead
@@ -162,7 +161,7 @@ impl SoaMbrs {
             for j in 0..chunk {
                 let i = base + j;
                 // `Rect::mindist` via the shared `axis_mindist` clamp,
-                // so the kernel is bit-identical to the scalar path.
+                // so the kernel is bit-identical to the per-rect test.
                 // The validity term rejects EMPTY/NaN entries that the
                 // `max` chain would otherwise launder to 0.
                 let dx = axis_mindist(q.min_x, q.max_x, self.min_x[i], self.max_x[i]);
@@ -259,19 +258,27 @@ pub fn sweep_pairs(
             d
         }
     };
-    sweep_sort_orders(a, b, &mut scratch.left, &mut scratch.right);
+    // Sorted index orders: valid rectangles only (EMPTY and NaN entries
+    // are dropped here and can never pair), ascending by `min_x`.
+    let SweepScratch { left, right } = scratch;
+    left.clear();
+    right.clear();
+    left.extend((0..a.len() as u32).filter(|&i| a.valid(i as usize)));
+    right.extend((0..b.len() as u32).filter(|&j| b.valid(j as usize)));
+    left.sort_unstable_by(|&x, &y| a.min_x[x as usize].total_cmp(&a.min_x[y as usize]));
+    right.sort_unstable_by(|&x, &y| b.min_x[x as usize].total_cmp(&b.min_x[y as usize]));
 
-    let (la, lb) = (scratch.left.len(), scratch.right.len());
+    let (la, lb) = (left.len(), right.len());
     let mut tests = 0u64;
     let (mut i, mut j) = (0usize, 0usize);
     while i < la && j < lb {
-        let ai = scratch.left[i] as usize;
-        let bj = scratch.right[j] as usize;
+        let ai = left[i] as usize;
+        let bj = right[j] as usize;
         if a.min_x[ai] <= b.min_x[bj] {
             // `a[ai]` opens first: run forward over the right side
             // while its x-interval (grown by `reach`) still overlaps.
             let stop = a.max_x[ai] + reach;
-            for &jj in &scratch.right[j..] {
+            for &jj in &right[j..] {
                 let bj = jj as usize;
                 if b.min_x[bj] > stop {
                     break;
@@ -284,7 +291,7 @@ pub fn sweep_pairs(
             i += 1;
         } else {
             let stop = b.max_x[bj] + reach;
-            for &ii in &scratch.left[i..] {
+            for &ii in &left[i..] {
                 let ai = ii as usize;
                 if a.min_x[ai] > stop {
                     break;
@@ -300,30 +307,11 @@ pub fn sweep_pairs(
     tests
 }
 
-/// Build the sweep's sorted index orders: valid rectangles only (EMPTY
-/// and NaN entries are dropped here and can never pair), ascending by
-/// `min_x` under `total_cmp`. Shared by [`sweep_pairs`] and the
-/// vectorized [`simd::sweep_pairs_simd`] so both sweeps visit pairs in
-/// the identical order.
-pub(crate) fn sweep_sort_orders(
-    a: &SoaMbrs,
-    b: &SoaMbrs,
-    left: &mut Vec<u32>,
-    right: &mut Vec<u32>,
-) {
-    left.clear();
-    right.clear();
-    left.extend((0..a.len() as u32).filter(|&i| a.valid(i as usize)));
-    right.extend((0..b.len() as u32).filter(|&j| b.valid(j as usize)));
-    left.sort_unstable_by(|&x, &y| a.min_x[x as usize].total_cmp(&a.min_x[y as usize]));
-    right.sort_unstable_by(|&x, &y| b.min_x[x as usize].total_cmp(&b.min_x[y as usize]));
-}
-
 /// The sweep's inner test. X-overlap is implied by the sweep invariant
 /// for `Intersects` (both rectangles are valid and the later `min_x`
 /// falls inside the earlier interval), so only y remains; distance
-/// pairs recompute the full `Rect::mindist` formula so results are
-/// bit-identical to the scalar path.
+/// pairs recompute the full `Rect::mindist` formula, so results are
+/// bit-identical to it.
 #[inline]
 fn pair_matches(a: &SoaMbrs, i: usize, b: &SoaMbrs, j: usize, pred: JoinPredicate) -> bool {
     match pred {

@@ -16,11 +16,11 @@
 //!   the "build subtrees in parallel, merge at the end" primitive the
 //!   paper's parallel index creation uses,
 //! * [`query`] — window, within-distance and k-nearest-neighbour scans,
-//!   plus packet traversal (up to 8 window/kNN probes descending
-//!   together, sharing node loads),
-//! * [`kernel::simd`] — explicit SIMD filter kernels with runtime ISA
-//!   dispatch (AVX2/SSE2/NEON/scalar), a quantized u16 node layout
-//!   with conservative rounding, and a vectorized plane-sweep,
+//! * [`kernel`] — the primary filter's MBR kernels: branch-free
+//!   64-wide chunk scans over a structure-of-arrays node view
+//!   ([`SoaMbrs`]) and a sort + forward plane-sweep for node pairs
+//!   whose entry-count product reaches [`SWEEP_THRESHOLD`]; node-pair
+//!   size alone picks between the two,
 //! * [`join::JoinCursor`] — a *restartable* synchronized traversal of
 //!   two R-trees producing candidate pairs in batches, built to sit
 //!   inside a pipelined table function's `fetch` loop (the paper's §4.2
@@ -38,16 +38,15 @@ pub mod split;
 pub mod tree;
 pub mod validate;
 
-pub use join::{JoinCursor, JoinPredicate, KernelMode, KernelStats};
-pub use kernel::simd::{
-    dispatched, scan_pred_quantized, scan_pred_simd, sweep_pairs_simd, QuantCounters,
-    QuantizedMbrs, SimdIsa, SweepScratchSimd, FORCE_SCALAR_ENV,
-};
+pub use join::{JoinCursor, JoinPredicate, KernelStats};
 pub use kernel::{SoaMbrs, SWEEP_THRESHOLD};
 pub use node::{Entry, Node, NodeId};
-pub use query::PacketStats;
 pub use split::SplitStrategy;
 pub use tree::{RTree, RTreeParams, SubtreeRef};
+
+/// The ISA the geometry kernels dispatch on, re-exported for
+/// benchmark host records.
+pub use sdo_geom::simd::dispatched;
 
 /// Default maximum entries per node (Oracle's default R-tree fanout is
 /// in the mid-tens; 32 keeps trees shallow at paper-scale cardinality).

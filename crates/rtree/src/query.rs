@@ -1,34 +1,11 @@
-//! R-tree queries: window, within-distance, nearest-neighbour, and
-//! packet (multi-query) traversal.
+//! R-tree queries: window, within-distance, and nearest-neighbour.
 
-use crate::join::JoinPredicate;
-use crate::kernel::simd::scan_pred_simd;
 use crate::kernel::SoaMbrs;
 use crate::node::Payload;
 use crate::tree::RTree;
 use sdo_geom::{Point, Rect};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Accounting from a packet traversal: how many nodes were loaded
-/// (once per packet, not once per probe) and how many probe-vs-MBR
-/// tests ran.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PacketStats {
-    /// Nodes visited; with `p` probes sharing a node this counts 1
-    /// where `p` independent traversals would count up to `p`.
-    pub descents: u64,
-    /// Probe-vs-entry MBR tests executed.
-    pub tests: u64,
-}
-
-impl PacketStats {
-    /// Accumulate another traversal's stats.
-    pub fn merge(&mut self, other: &PacketStats) {
-        self.descents += other.descents;
-        self.tests += other.tests;
-    }
-}
 
 impl<T: Clone> RTree<T> {
     /// Items whose MBRs intersect `window` (the primary filter for
@@ -126,162 +103,6 @@ impl<T: Clone> RTree<T> {
             }
         }
         out
-    }
-}
-
-impl<T: Clone> RTree<T> {
-    /// Ray-packet-style multi-window query: descend up to 8 windows at
-    /// a time through the tree together, loading each node once for
-    /// the whole packet and testing its entries against all windows
-    /// with one SIMD SoA scan per entry. `visit` receives
-    /// `(window_index, item_mbr, item)` for every window/item hit —
-    /// exactly the hits `query_window_visit` would produce per window.
-    ///
-    /// Packets shine when the windows are spatially correlated (tile
-    /// sweeps, batched point probes): lanes share upper-level node
-    /// loads that independent traversals would repeat.
-    pub fn query_windows_packet(
-        &self,
-        windows: &[Rect],
-        visit: &mut impl FnMut(usize, Rect, &T),
-    ) -> PacketStats {
-        let mut stats = PacketStats::default();
-        if self.is_empty() {
-            return stats;
-        }
-        let mut probes = SoaMbrs::new();
-        let mut stack: Vec<(crate::node::NodeId, u8)> = Vec::new();
-        for (chunk, group) in windows.chunks(8).enumerate() {
-            let base = chunk * 8;
-            probes.fill(group.iter());
-            let full = ((1u16 << group.len()) - 1) as u8;
-            stack.clear();
-            stack.push((self.root_id(), full));
-            while let Some((id, mask)) = stack.pop() {
-                stats.descents += 1;
-                let n = self.node(id);
-                for e in &n.entries {
-                    let mut bits = 0u8;
-                    stats.tests +=
-                        scan_pred_simd(&probes, JoinPredicate::Intersects, &e.mbr, |p| {
-                            bits |= 1 << p
-                        });
-                    let active = bits & mask;
-                    if active == 0 {
-                        continue;
-                    }
-                    match &e.payload {
-                        Payload::Item(t) => {
-                            let mut lanes = active;
-                            while lanes != 0 {
-                                visit(base + lanes.trailing_zeros() as usize, e.mbr, t);
-                                lanes &= lanes - 1;
-                            }
-                        }
-                        Payload::Node(c) => stack.push((*c, active)),
-                    }
-                }
-            }
-        }
-        stats
-    }
-
-    /// Packet k-nearest-neighbour: answer up to 8 point queries per
-    /// descent, sharing node loads. Each lane keeps its own best-`k`
-    /// max-heap; a subtree is descended for a lane only while the
-    /// lane's heap is not full or the subtree's `mindist` beats the
-    /// lane's current k-th distance (the packet analogue of best-first
-    /// pruning). Results per query are sorted by ascending distance
-    /// and match [`RTree::query_knn`]'s distance multiset.
-    #[allow(clippy::type_complexity)]
-    pub fn query_knn_packet(
-        &self,
-        queries: &[Point],
-        k: usize,
-    ) -> (Vec<Vec<(f64, Rect, T)>>, PacketStats) {
-        let mut stats = PacketStats::default();
-        let mut results: Vec<Vec<(f64, Rect, T)>> = vec![Vec::new(); queries.len()];
-        if k == 0 || self.is_empty() {
-            return (results, stats);
-        }
-        let mut stack: Vec<(crate::node::NodeId, u8)> = Vec::new();
-        for (chunk, group) in queries.chunks(8).enumerate() {
-            let base = chunk * 8;
-            // One bounded max-heap per lane: the root is the current
-            // k-th (worst kept) distance, the lane's pruning bound.
-            let mut heaps: Vec<BinaryHeap<KnnCand<T>>> =
-                (0..group.len()).map(|_| BinaryHeap::new()).collect();
-            let full = ((1u16 << group.len()) - 1) as u8;
-            stack.clear();
-            stack.push((self.root_id(), full));
-            while let Some((id, mask)) = stack.pop() {
-                stats.descents += 1;
-                let n = self.node(id);
-                for e in &n.entries {
-                    let mut active = 0u8;
-                    let mut lanes = mask;
-                    while lanes != 0 {
-                        let p = lanes.trailing_zeros() as usize;
-                        lanes &= lanes - 1;
-                        stats.tests += 1;
-                        let d = e.mbr.mindist_point(&group[p]);
-                        let heap = &mut heaps[p];
-                        let tau = heap.peek().map(|c| c.dist);
-                        if heap.len() < k || tau.is_some_and(|t| d <= t) {
-                            match &e.payload {
-                                Payload::Item(t) => {
-                                    heap.push(KnnCand { dist: d, mbr: e.mbr, item: t.clone() });
-                                    if heap.len() > k {
-                                        heap.pop();
-                                    }
-                                }
-                                Payload::Node(_) => active |= 1 << p,
-                            }
-                        }
-                    }
-                    if active != 0 {
-                        if let Payload::Node(c) = &e.payload {
-                            stack.push((*c, active));
-                        }
-                    }
-                }
-            }
-            for (p, heap) in heaps.into_iter().enumerate() {
-                let mut lane: Vec<(f64, Rect, T)> =
-                    heap.into_iter().map(|c| (c.dist, c.mbr, c.item)).collect();
-                lane.sort_by(|a, b| a.0.total_cmp(&b.0));
-                results[base + p] = lane;
-            }
-        }
-        (results, stats)
-    }
-}
-
-/// A kept nearest-neighbour candidate; ordered max-first by distance
-/// so `BinaryHeap::peek` exposes the lane's pruning bound.
-struct KnnCand<T> {
-    dist: f64,
-    mbr: Rect,
-    item: T,
-}
-
-impl<T> PartialEq for KnnCand<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist
-    }
-}
-
-impl<T> Eq for KnnCand<T> {}
-
-impl<T> PartialOrd for KnnCand<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for KnnCand<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.dist.total_cmp(&other.dist)
     }
 }
 
@@ -454,72 +275,6 @@ mod tests {
     fn knn_k_zero() {
         let (t, _) = grid_tree(10);
         assert!(t.query_knn(&Point::new(0.0, 0.0), 0).is_empty());
-    }
-
-    #[test]
-    fn packet_windows_match_single_window_queries() {
-        let (t, _) = grid_tree(900);
-        // 11 windows: two packets (8 + 3), mixing hits, misses, and a
-        // degenerate window.
-        let windows: Vec<Rect> = (0..11)
-            .map(|i| {
-                let x = (i * 13 % 40) as f64 * 3.0;
-                let y = (i * 7 % 15) as f64 * 3.0;
-                match i {
-                    4 => Rect::new(-50.0, -50.0, -40.0, -40.0),
-                    9 => Rect::new(x, y, x, y),
-                    _ => Rect::new(x, y, x + 8.0, y + 5.0),
-                }
-            })
-            .collect();
-        let mut got: Vec<Vec<usize>> = vec![Vec::new(); windows.len()];
-        let stats = t.query_windows_packet(&windows, &mut |w, _, &i| got[w].push(i));
-        assert!(stats.descents > 0 && stats.tests > 0);
-        for (w, window) in windows.iter().enumerate() {
-            let mut lane = got[w].clone();
-            lane.sort_unstable();
-            let mut want: Vec<usize> = t.query_window(window).into_iter().map(|(_, i)| i).collect();
-            want.sort_unstable();
-            assert_eq!(lane, want, "window {w}");
-        }
-    }
-
-    #[test]
-    fn packet_knn_matches_best_first_knn() {
-        let (t, rects) = grid_tree(640);
-        let queries: Vec<Point> =
-            (0..9).map(|i| Point::new((i * 17 % 150) as f64, (i * 29 % 40) as f64)).collect();
-        for k in [1usize, 7, 33] {
-            let (got, stats) = t.query_knn_packet(&queries, k);
-            assert!(stats.descents > 0);
-            assert_eq!(got.len(), queries.len());
-            for (qi, lane) in got.iter().enumerate() {
-                assert_eq!(lane.len(), k.min(rects.len()), "q{qi} k={k}");
-                assert!(lane.windows(2).all(|w| w[0].0 <= w[1].0));
-                let mut want: Vec<f64> =
-                    rects.iter().map(|r| r.mindist_point(&queries[qi])).collect();
-                want.sort_by(f64::total_cmp);
-                for (i, (d, _, _)) in lane.iter().enumerate() {
-                    assert!((d - want[i]).abs() < 1e-9, "q{qi} k={k} i={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packet_queries_on_empty_input() {
-        let (t, _) = grid_tree(50);
-        let stats = t.query_windows_packet(&[], &mut |_, _, _| panic!("no windows"));
-        assert_eq!(stats, PacketStats::default());
-        let (res, _) = t.query_knn_packet(&[], 5);
-        assert!(res.is_empty());
-        let (res, _) = t.query_knn_packet(&[Point::new(0.0, 0.0)], 0);
-        assert_eq!(res, vec![Vec::new()]);
-        let empty: RTree<usize> = RTree::new(RTreeParams::with_fanout(8));
-        let stats = empty.query_windows_packet(&[Rect::new(0.0, 0.0, 1.0, 1.0)], &mut |_, _, _| {
-            panic!("empty tree")
-        });
-        assert_eq!(stats, PacketStats::default());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use sdo_geom::{Point, Rect};
 use sdo_rtree::join::subtree_pair_tasks;
-use sdo_rtree::{JoinCursor, JoinPredicate, KernelMode, RTree, RTreeParams, SplitStrategy};
+use sdo_rtree::{JoinCursor, JoinPredicate, RTree, RTreeParams, SplitStrategy};
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
     ((-100.0f64..100.0), (-100.0f64..100.0), (0.1f64..20.0), (0.1f64..20.0))
@@ -133,19 +133,25 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
+    /// Fanouts 4..40 on each side put node pairs on both sides of
+    /// `SWEEP_THRESHOLD` and give the trees unequal heights, so every
+    /// kernel path (chunk scans, plane-sweep, unequal-level descent)
+    /// is checked against the nested loop.
     #[test]
     fn join_matches_nested_loop(
-        left in proptest::collection::vec(arb_rect(), 0..120),
-        right in proptest::collection::vec(arb_rect(), 0..120),
-        d in 0.0f64..20.0,
+        left in proptest::collection::vec(arb_rect(), 0..250),
+        right in proptest::collection::vec(arb_rect(), 0..250),
+        lfanout in 4usize..40,
+        rfanout in 4usize..40,
+        d in 0.0f64..30.0,
     ) {
         let lt = RTree::bulk_load(
             left.iter().cloned().zip(0..).collect(),
-            RTreeParams::with_fanout(6),
+            RTreeParams::with_fanout(lfanout),
         );
         let rt = RTree::bulk_load(
             right.iter().cloned().zip(0..).collect(),
-            RTreeParams::with_fanout(10),
+            RTreeParams::with_fanout(rfanout),
         );
         for pred in [JoinPredicate::Intersects, JoinPredicate::WithinDistance(d)] {
             let mut got: Vec<(usize, usize)> = JoinCursor::new(&lt, &rt, pred)
@@ -194,37 +200,6 @@ proptest! {
         }
         parallel.sort_unstable();
         prop_assert_eq!(parallel, serial);
-    }
-
-    #[test]
-    fn batch_join_equals_scalar_join(
-        ra in proptest::collection::vec(arb_rect(), 0..250),
-        rb in proptest::collection::vec(arb_rect(), 0..250),
-        fanout in 4usize..40,
-        use_dist in any::<bool>(),
-        d in 0.0f64..30.0,
-    ) {
-        let pred =
-            if use_dist { JoinPredicate::WithinDistance(d) } else { JoinPredicate::Intersects };
-        let ta = RTree::bulk_load(
-            ra.iter().cloned().zip(0..).collect(),
-            RTreeParams::with_fanout(fanout),
-        );
-        let tb = RTree::bulk_load(
-            rb.iter().cloned().zip(0..).collect(),
-            RTreeParams::with_fanout(fanout),
-        );
-        let run = |mode: KernelMode| {
-            let mut pairs: Vec<(usize, usize)> = JoinCursor::new(&ta, &tb, pred)
-                .with_kernel(mode)
-                .collect_all()
-                .into_iter()
-                .map(|(_, a, _, b)| (a, b))
-                .collect();
-            pairs.sort_unstable();
-            pairs
-        };
-        prop_assert_eq!(run(KernelMode::Batch), run(KernelMode::Scalar));
     }
 
     #[test]

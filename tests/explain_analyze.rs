@@ -171,74 +171,50 @@ fn partition_primary_only_join_touches_no_geometry_cache() {
 }
 
 #[test]
-fn simd_kernel_metrics_surface_in_explain_analyze() {
+fn kernel_metrics_surface_in_explain_analyze() {
     let db = session_with_tables();
-
-    // sweep_threshold=max keeps every node pair under the sweep cutoff,
-    // forcing the quantized scan path so its funnel counters move.
-    db.execute(
-        "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN( \
-         'city_table', 'geom', 'river_table', 'geom', 'intersect', \
-         2, -1, 'kernel=simd,sweep_threshold=max'))",
-    )
-    .unwrap();
-    let profile = db.last_profile().unwrap();
-    let op = profile.root.find("PIPELINED COUNT").unwrap();
-    let slaves: Vec<_> = op.children.iter().filter(|c| c.name.starts_with("slave")).collect();
-    assert_eq!(slaves.len(), 2, "dop=2 must report two slave operators");
-    let isa = sdo_rtree::dispatched().name();
-    let mut quantized_hits = 0;
-    for s in &slaves {
-        assert!(
-            s.attrs.iter().any(|(k, v)| k == "kernel_isa" && v == isa),
-            "each slave records the dispatched ISA ({isa}): {:?}",
-            s.attrs
-        );
-        // set_metric: the counters must render even when zero.
-        quantized_hits += s.metric("quantized_hits").expect("quantized_hits renders");
-        s.metric("exact_rejects").expect("exact_rejects renders");
-        s.metric("packet_descents").expect("packet_descents renders");
+    for method in ["rtree", "partition"] {
+        db.execute(&format!(
+            "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN( \
+             'city_table', 'geom', 'river_table', 'geom', 'intersect', \
+             2, -1, 'method={method}'))"
+        ))
+        .unwrap();
+        let profile = db.last_profile().unwrap();
+        let op = profile.root.find("PIPELINED COUNT").unwrap();
+        let slaves: Vec<_> = op.children.iter().filter(|c| c.name.starts_with("slave")).collect();
+        assert_eq!(slaves.len(), 2, "{method}: dop=2 must report two slave operators");
+        for s in &slaves {
+            // set_metric: the counters render even when zero.
+            for metric in ["kernel_sweeps", "kernel_scans", "kernel_tests"] {
+                assert!(s.metric(metric).is_some(), "{method}: {metric} must render on {}", s.name);
+            }
+        }
+        assert!(op.metric_sum("kernel_tests") > 0, "{method}: the join ran MBR tests");
     }
-    assert!(quantized_hits > 0, "forced quantized scans must record hits");
+}
 
-    // A scalar-kernel join must NOT carry the SIMD metrics — they are
-    // meaningful only when the simd kernel was requested.
-    db.execute(
-        "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN( \
-         'city_table', 'geom', 'river_table', 'geom', 'intersect', \
-         2, -1, 'kernel=scalar'))",
-    )
-    .unwrap();
-    let profile = db.last_profile().unwrap();
-    let op = profile.root.find("PIPELINED COUNT").unwrap();
-    for s in op.children.iter().filter(|c| c.name.starts_with("slave")) {
-        assert!(
-            !s.attrs.iter().any(|(k, _)| k == "kernel_isa"),
-            "scalar kernel must not report an ISA"
-        );
-        assert_eq!(s.metric("quantized_hits"), None);
+#[test]
+fn mbr_tests_counter_matches_kernel_tests() {
+    // `Counters::mbr_tests` counts MBR-vs-MBR tests, so a join's delta
+    // must equal the kernel tests its profile reports — not the number
+    // of candidates, and not zero for the partition method.
+    let db = session_with_tables();
+    for method in ["rtree", "partition"] {
+        for dop in [1, 2] {
+            let before = db.counters().snapshot();
+            db.execute(&format!(
+                "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN( \
+                 'city_table', 'geom', 'river_table', 'geom', 'intersect', \
+                 {dop}, -1, 'method={method}'))"
+            ))
+            .unwrap();
+            let delta = db.counters().diff(&before).get("mbr_tests").unwrap_or(0);
+            let kernel_tests = db.last_profile().unwrap().root.metric_sum("kernel_tests");
+            assert!(kernel_tests > 0, "{method} dop={dop}: the join ran MBR tests");
+            assert_eq!(delta, kernel_tests, "{method} dop={dop}");
+        }
     }
-
-    // The partition method records the same ISA and funnel metrics.
-    db.execute(
-        "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN( \
-         'city_table', 'geom', 'river_table', 'geom', 'intersect', \
-         2, -1, 'kernel=simd,sweep_threshold=max,method=partition'))",
-    )
-    .unwrap();
-    let profile = db.last_profile().unwrap();
-    let op = profile.root.find("PIPELINED COUNT").unwrap();
-    let mut part_hits = 0;
-    for s in op.children.iter().filter(|c| c.name.starts_with("slave")) {
-        assert!(
-            s.attrs.iter().any(|(k, v)| k == "kernel_isa" && v == isa),
-            "partition slaves record the dispatched ISA: {:?}",
-            s.attrs
-        );
-        part_hits += s.metric("quantized_hits").expect("quantized_hits renders");
-        s.metric("exact_rejects").expect("exact_rejects renders");
-    }
-    assert!(part_hits > 0, "partition tiles under the sweep cutoff take the quantized path");
 }
 
 #[test]

@@ -146,10 +146,9 @@ fn filter_interaction_returns_mbr_candidates() {
 }
 
 #[test]
-fn kernel_and_prepare_options_preserve_join_results() {
-    // The batched MBR kernels and the prepared-geometry secondary
-    // filter are pure optimizations: every combination of
-    // kernel=scalar|batch x prepare=on|off must return the same pairs.
+fn join_options_preserve_join_results() {
+    // Every SPATIAL_JOIN option tunes how the join runs, never what it
+    // returns: each must give the default's pairs at dop 1 and 2.
     let a = counties::generate(60, &US_EXTENT, 300);
     let db = session_with("k", &a);
     db.execute("CREATE INDEX k_x ON k(geom) INDEXTYPE IS SPATIAL_INDEX").unwrap();
@@ -159,49 +158,52 @@ fn kernel_and_prepare_options_preserve_join_results() {
             &format!("SELECT rid1, rid2 FROM TABLE(SPATIAL_JOIN('k','geom','k','geom','{pred}'))"),
         );
         assert!(!base.is_empty(), "{pred} join must produce pairs");
-        for opts in [
-            "kernel=scalar",
-            "prepare=off",
-            "kernel=scalar,prepare=off",
-            "kernel=batch,prepare=on",
-            "kernel=simd",
-            "kernel=simd,prepare=on",
-            // sweep_threshold=max forces the quantized scan path;
-            // sweep_threshold=0 forces the vectorized plane sweep.
-            "kernel=simd,sweep_threshold=max",
-            "kernel=simd,sweep_threshold=0",
-            "kernel=simd,method=partition",
-        ] {
-            let got = pair_set(
-                &db,
-                &format!(
-                    "SELECT rid1, rid2 FROM TABLE( \
-                     SPATIAL_JOIN('k','geom','k','geom','{pred}', 1, -1, '{opts}'))"
-                ),
-            );
-            assert_eq!(got, base, "pred={pred} opts={opts}");
+        for dop in [1, 2] {
+            for opts in [
+                "fetch_order=arrival",
+                "candidates=5",
+                "cache=0",
+                "schedule=static",
+                "schedule=steal,split=1",
+                "method=partition",
+                "method=auto",
+            ] {
+                let got = pair_set(
+                    &db,
+                    &format!(
+                        "SELECT rid1, rid2 FROM TABLE( \
+                         SPATIAL_JOIN('k','geom','k','geom','{pred}', {dop}, -1, '{opts}'))"
+                    ),
+                );
+                assert_eq!(got, base, "pred={pred} dop={dop} opts={opts}");
+            }
         }
     }
 }
 
 #[test]
-fn unknown_kernel_value_is_rejected_at_parse_time() {
-    // Option validation must fail the query before any join work
-    // starts, and the error must name the offending option and the
-    // accepted values.
+fn removed_join_options_are_rejected_at_parse_time() {
+    // The kernel tiers, the naive secondary filter, and the sweep
+    // cutoff are gone; naming them fails the query before any join
+    // work starts, with an error naming the option.
     let a = counties::generate(4, &US_EXTENT, 301);
     let db = session_with("k", &a);
     db.execute("CREATE INDEX k_x ON k(geom) INDEXTYPE IS SPATIAL_INDEX").unwrap();
-    for bad in ["avx512", "vector", "batch2", ""] {
+    for (name, opt) in [
+        ("kernel", "kernel=simd"),
+        ("prepare", "prepare=off"),
+        ("sweep_threshold", "sweep_threshold=0"),
+    ] {
         let err = db
             .execute(&format!(
                 "SELECT rid1, rid2 FROM TABLE( \
-                 SPATIAL_JOIN('k','geom','k','geom','intersect', 1, -1, 'kernel={bad}'))"
+                 SPATIAL_JOIN('k','geom','k','geom','intersect', 1, -1, '{opt}'))"
             ))
-            .expect_err("bad kernel value must be rejected");
+            .expect_err("removed option must be rejected");
         let msg = err.to_string();
-        assert!(msg.contains("kernel"), "error must name the option: {msg}");
-        assert!(msg.contains("scalar|batch|simd"), "error must list accepted values: {msg}");
-        assert!(msg.contains(bad), "error must echo the rejected value: {msg}");
+        assert!(
+            msg.contains(&format!("unknown SPATIAL_JOIN option '{name}'")),
+            "error must name the option: {msg}"
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! exact rowid-pair set of the R-tree traversal and of a nested-loop
 //! oracle — with **zero duplicates and no dedup pass** (the two-layer
 //! tile classes route every qualifying pair to exactly one tile), at
-//! any DOP, under every kernel/prepare/sweep_threshold combination.
+//! any DOP, under every combination of the streaming options.
 
 use proptest::prelude::*;
 use sdo_datagen::{counties, hotspot, US_EXTENT};
@@ -153,24 +153,25 @@ fn auto_matches_fixed_methods_when_indexed() {
 }
 
 #[test]
-fn kernel_prepare_and_sweep_threshold_combos_preserve_results() {
+fn option_combos_preserve_results() {
     let a = counties::generate(60, &US_EXTENT, 940);
     let b = counties::generate(60, &US_EXTENT, 941);
     let db = session(&a, &b, true);
     for pred in ["intersect", "mask=touch+overlap", "distance=2.5"] {
         let oracle = brute(&a, &b, pred);
         for method in ["rtree", "partition"] {
-            for opts in [
-                "kernel=scalar",
-                "kernel=batch,prepare=on",
-                "kernel=scalar,prepare=off",
-                "kernel=batch,sweep_threshold=0",
-                "kernel=batch,sweep_threshold=max",
-                "kernel=batch,sweep_threshold=64,prepare=on",
-            ] {
-                let got = pairs(&db, &join_sql(pred, 2, &format!("method={method},{opts}")));
-                assert_no_duplicates(&got, &format!("{method} {opts} {pred}"));
-                assert_eq!(got, oracle, "pred={pred} method={method} opts={opts}");
+            for dop in [1, 2] {
+                for opts in [
+                    "fetch_order=arrival",
+                    "candidates=7,cache=0",
+                    "schedule=static",
+                    "split=64,cache=4",
+                ] {
+                    let got = pairs(&db, &join_sql(pred, dop, &format!("method={method},{opts}")));
+                    let ctx = format!("pred={pred} method={method} dop={dop} opts={opts}");
+                    assert_no_duplicates(&got, &ctx);
+                    assert_eq!(got, oracle, "{ctx}");
+                }
             }
         }
     }
@@ -212,7 +213,7 @@ fn bad_method_and_threshold_are_plan_errors() {
     let a = counties::generate(10, &US_EXTENT, 970);
     let db = session(&a, &a, false);
     assert!(db.execute(&join_sql("intersect", 1, "method=bogus")).is_err());
-    assert!(db.execute(&join_sql("intersect", 1, "sweep_threshold=many")).is_err());
+    assert!(db.execute(&join_sql("intersect", 1, "split=many")).is_err());
 }
 
 fn arb_rect_poly() -> impl Strategy<Value = Geometry> {
@@ -224,7 +225,7 @@ fn arb_rect_poly() -> impl Strategy<Value = Geometry> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For arbitrary rectangle sets, predicates, DOPs and kernels, the
+    /// For arbitrary rectangle sets, predicates and DOPs, the
     /// partition join equals the nested-loop oracle with zero
     /// duplicates — the exactly-once tile-class argument, empirically.
     #[test]
@@ -237,11 +238,10 @@ proptest! {
             Just("FILTER"),
         ],
         dop in prop_oneof![Just(1usize), Just(2), Just(4)],
-        kernel in prop_oneof![Just("scalar"), Just("batch")],
     ) {
         let db = session(&a, &b, false);
         let oracle = brute(&a, &b, pred);
-        let got = pairs(&db, &join_sql(pred, dop, &format!("method=partition,kernel={kernel}")));
+        let got = pairs(&db, &join_sql(pred, dop, "method=partition"));
         prop_assert!(got.windows(2).all(|w| w[0] != w[1]), "duplicate pair emitted");
         prop_assert_eq!(got, oracle);
     }
