@@ -147,10 +147,6 @@ pub enum Durability {
 /// Per-session executor options, set via `ALTER SESSION SET ...`.
 #[derive(Debug, Clone)]
 pub struct SessionOptions {
-    /// `materialize = on` routes SELECTs through the legacy
-    /// materialize-everything executor (compatibility / benchmarking);
-    /// the default is the streaming batch pipeline.
-    pub materialize: bool,
     /// Resident-row budget per statement, enforced by the executor's
     /// [`sdo_obs::MemoryGauge`]. Exceeding it fails the query, naming
     /// the operator that tipped it over.
@@ -173,7 +169,6 @@ impl Default for SessionOptions {
     fn default() -> Self {
         let dop = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).clamp(1, 16);
         SessionOptions {
-            materialize: false,
             max_resident_rows: 5_000_000,
             durability: Durability::Fsync,
             parallel_dop: dop,
@@ -182,22 +177,12 @@ impl Default for SessionOptions {
 }
 
 impl SessionOptions {
-    /// Set an option by name. Recognised options: `materialize`
-    /// (`on`/`off`), `max_resident_rows` (a positive row count, full
-    /// `u64` range), `durability` (`fsync`/`buffered`), and
-    /// `parallel_dop` (1..=64). Unknown options and unknown values
-    /// both fail, naming the option.
+    /// Set an option by name. Recognised options: `max_resident_rows`
+    /// (a positive row count, full `u64` range), `durability`
+    /// (`fsync`/`buffered`), and `parallel_dop` (1..=64). Unknown
+    /// options and unknown values both fail, naming the option.
     pub fn set(&mut self, name: &str, value: &str) -> Result<(), DbError> {
         match name.to_ascii_lowercase().as_str() {
-            "materialize" => match value.to_ascii_lowercase().as_str() {
-                "on" | "true" | "1" => self.materialize = true,
-                "off" | "false" | "0" => self.materialize = false,
-                other => {
-                    return Err(DbError::Plan(format!(
-                        "invalid value '{other}' for MATERIALIZE (expected on/off)"
-                    )))
-                }
-            },
             "max_resident_rows" => {
                 // u64, not i64: the budget is a row *count*, and legal
                 // values above i64::MAX must not be rejected.

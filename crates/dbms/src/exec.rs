@@ -1,25 +1,20 @@
 //! Statement execution.
 //!
-//! A deliberately small planner specialized to the query shapes in the
-//! paper:
-//!
-//! * single-table selects with spatial operators → domain-index scan
-//!   (primary + secondary filter inside the index) or functional
-//!   evaluation when no index exists,
-//! * two-table selects with a spatial operator over both geometry
-//!   columns → **nested-loop join**: iterate the outer table, probe the
-//!   inner table's domain index per outer geometry (the paper's
-//!   baseline join strategy),
-//! * selects with `(a.rowid, b.rowid) IN (SELECT ... FROM TABLE(...))`
-//!   → evaluate the table function, then fetch the paired rows — the
-//!   paper's **table-function join** strategy,
-//! * table-function scans with scalar and `CURSOR(SELECT ...)`
-//!   arguments.
+//! * Statement dispatch: DDL, DML, transaction control, `ALTER SESSION`,
+//!   `PREPARE`/`EXECUTE`, `ANALYZE` and `EXPLAIN [ANALYZE]`, each under
+//!   a profile session.
+//! * SELECT entry: the pipelined `COUNT(*) FROM TABLE(...)` fast path,
+//!   else the streaming operator pipeline ([`crate::operators`]), whose
+//!   join and access-path strategies the cost-based planner
+//!   ([`crate::planner`]) chooses. DELETE and UPDATE find their rows
+//!   through the same scan + filter operators.
+//! * Expression evaluation shared by the planner and the operators:
+//!   constants, scalar `SDO_*` functions, the exact form of spatial
+//!   operators, predicates, column resolution and projection.
 
 use crate::db::{Database, QueryResult, TfArg};
 use crate::error::DbError;
-use crate::extensible::OperatorCall;
-use crate::operators::{self, ExecCtx, Resident};
+use crate::operators::{self, ExecCtx};
 use crate::session::SessionState;
 use crate::sql::ast::*;
 use parking_lot::RwLock;
@@ -27,7 +22,6 @@ use sdo_geom::{Geometry, RelateMask};
 use sdo_obs::ProfileSession;
 use sdo_storage::{ColumnDef, CountersSnapshot, RowId, Schema, Table, Value};
 use sdo_tablefunc::Row;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -310,20 +304,8 @@ fn explain_result(lines: Vec<String>) -> QueryResult {
 // Relations
 // ---------------------------------------------------------------------------
 
-/// A bound FROM item with materialized rows.
-struct Relation {
-    binding: String,
-    columns: Vec<String>,
-    /// `(rowid, values)`; table functions have no rowids.
-    rows: Vec<(Option<RowId>, Row)>,
-    /// Set for base tables (used for index lookup and rowid fetch).
-    table: Option<Arc<RwLock<Table>>>,
-    table_name: Option<String>,
-}
-
-/// Schema view of a relation used during predicate evaluation and by
-/// the streaming operators (which never materialize rows and so have
-/// no [`Relation`]).
+/// Schema view of one bound FROM item, shared by the planner, the
+/// streaming operators and predicate/expression evaluation.
 #[derive(Clone)]
 pub(crate) struct RelMeta {
     pub(crate) binding: String,
@@ -333,96 +315,11 @@ pub(crate) struct RelMeta {
     pub(crate) table_name: Option<String>,
 }
 
-impl Relation {
-    fn clone_meta(&self) -> RelMeta {
-        RelMeta {
-            binding: self.binding.clone(),
-            columns: self.columns.clone(),
-            table: self.table.clone(),
-            table_name: self.table_name.clone(),
-        }
-    }
-}
-
 /// One relation's contribution to a joined row.
 #[derive(Clone)]
 pub(crate) struct RelRow {
     pub(crate) rid: Option<RowId>,
     pub(crate) values: Row,
-}
-
-fn materialize_table(
-    db: &Database,
-    name: &str,
-    binding: &str,
-    snap: sdo_storage::Snapshot,
-) -> Result<Relation, DbError> {
-    let table = db.table(name)?;
-    let guard = table.read();
-    let columns: Vec<String> = guard.schema().columns().iter().map(|c| c.name.clone()).collect();
-    let rows: Vec<(Option<RowId>, Row)> =
-        guard.scan_at(snap).map(|(rid, values)| (Some(rid), values.to_vec())).collect();
-    drop(guard);
-    Ok(Relation {
-        binding: binding.to_ascii_uppercase(),
-        columns,
-        rows,
-        table: Some(table),
-        table_name: Some(name.to_ascii_uppercase()),
-    })
-}
-
-fn bind_from_item(ctx: &ExecCtx<'_>, item: &FromItem) -> Result<Relation, DbError> {
-    let db = ctx.db;
-    match item {
-        FromItem::Table { name, .. } => {
-            let parent = sdo_obs::current();
-            let t0 = parent.as_ref().map(|_| Instant::now());
-            let before = parent.as_ref().map(|_| db.counters().snapshot());
-            let rel = materialize_table(db, name, item.binding(), ctx.snap)?;
-            if let (Some(p), Some(t0), Some(b)) = (&parent, t0, &before) {
-                let node = p.child(format!("TABLE SCAN {}", name.to_ascii_uppercase()));
-                node.add_rows(rel.rows.len() as u64);
-                node.add_batches(1);
-                node.add_wall(t0.elapsed());
-                node.add_metric_deltas(&db.counters().diff(b).pairs());
-            }
-            Ok(rel)
-        }
-        FromItem::TableFunction { name, args, .. } => {
-            let mut tf_args = Vec::with_capacity(args.len());
-            for a in args {
-                match a {
-                    TfArgAst::Expr(e) => tf_args.push(TfArg::Scalar(eval_const(e)?)),
-                    TfArgAst::Cursor(sub) => {
-                        let res = run_subselect(ctx, sub)?;
-                        tf_args.push(TfArg::Cursor(res.rows));
-                    }
-                }
-            }
-            let node = sdo_obs::current()
-                .map(|p| p.child(format!("TABLE FUNCTION SCAN {}", name.to_ascii_uppercase())));
-            let t0 = node.as_ref().map(|_| Instant::now());
-            let before = node.as_ref().map(|_| db.counters().snapshot());
-            let mut inst = db.make_table_function(name, tf_args)?;
-            if let Some(n) = &node {
-                inst.func.attach_profile(n);
-            }
-            let rows = sdo_tablefunc::collect_all(inst.func.as_mut(), 1024)?;
-            if let (Some(n), Some(t0), Some(b)) = (&node, t0, &before) {
-                n.add_rows(rows.len() as u64);
-                n.add_wall(t0.elapsed());
-                n.add_metric_deltas(&db.counters().diff(b).pairs());
-            }
-            Ok(Relation {
-                binding: item.binding().to_ascii_uppercase(),
-                columns: inst.columns.iter().map(|c| c.to_ascii_uppercase()).collect(),
-                rows: rows.into_iter().map(|r| (None, r)).collect(),
-                table: None,
-                table_name: None,
-            })
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -443,11 +340,16 @@ fn run_select_top(
     res
 }
 
-/// Run a nested SELECT (cursor argument, semijoin subquery) in the
-/// enclosing statement's context, honoring its execution mode and
-/// sharing its resident-row gauge.
-pub(crate) fn run_subselect(ctx: &ExecCtx<'_>, sel: &Select) -> Result<QueryResult, DbError> {
-    run_select(ctx, sel)
+/// Evaluate table-function arguments: scalars as constants,
+/// `CURSOR(SELECT ...)` arguments by running the subquery in the
+/// enclosing statement's context, sharing its resident-row gauge.
+pub(crate) fn eval_tf_args(ctx: &ExecCtx<'_>, args: &[TfArgAst]) -> Result<Vec<TfArg>, DbError> {
+    args.iter()
+        .map(|a| match a {
+            TfArgAst::Expr(e) => Ok(TfArg::Scalar(eval_const(e)?)),
+            TfArgAst::Cursor(sub) => Ok(TfArg::Cursor(run_select(ctx, sub)?.rows)),
+        })
+        .collect()
 }
 
 pub(crate) fn run_select(ctx: &ExecCtx<'_>, sel: &Select) -> Result<QueryResult, DbError> {
@@ -465,16 +367,7 @@ pub(crate) fn run_select(ctx: &ExecCtx<'_>, sel: &Select) -> Result<QueryResult,
         && sel.from.len() == 1
     {
         if let FromItem::TableFunction { name, args, .. } = &sel.from[0] {
-            let mut tf_args = Vec::with_capacity(args.len());
-            for a in args {
-                match a {
-                    TfArgAst::Expr(e) => tf_args.push(TfArg::Scalar(eval_const(e)?)),
-                    TfArgAst::Cursor(sub) => {
-                        tf_args.push(TfArg::Cursor(run_subselect(ctx, sub)?.rows))
-                    }
-                }
-            }
-            let mut inst = db.make_table_function(name, tf_args)?;
+            let mut inst = db.make_table_function(name, eval_tf_args(ctx, args)?)?;
             let op = sdo_obs::current().map(|c| c.child(format!("PIPELINED COUNT TABLE({name})")));
             let before = op.as_ref().map(|_| db.counters().snapshot());
             let t0 = op.as_ref().map(|_| Instant::now());
@@ -521,153 +414,7 @@ pub(crate) fn run_select(ctx: &ExecCtx<'_>, sel: &Select) -> Result<QueryResult,
         }
     }
 
-    if ctx.materialize {
-        run_select_materialized(ctx, sel)
-    } else {
-        operators::run_select_streaming(ctx, sel)
-    }
-}
-
-/// The legacy materialize-then-filter executor, kept behind
-/// `ALTER SESSION SET materialize = on` as an equivalence oracle for
-/// the streaming pipeline. Its buffers are charged against the shared
-/// resident-row gauge, so `max_resident_rows` bounds it too.
-fn run_select_materialized(ctx: &ExecCtx<'_>, sel: &Select) -> Result<QueryResult, DbError> {
-    let db = ctx.db;
-    let relations: Vec<Relation> =
-        sel.from.iter().map(|f| bind_from_item(ctx, f)).collect::<Result<Vec<_>, _>>()?;
-    let mut rel_resident = ctx.resident("MATERIALIZED SCAN");
-    for r in &relations {
-        rel_resident.add(r.rows.len() as u64)?;
-    }
-    let metas: Vec<RelMeta> = relations.iter().map(|r| r.clone_meta()).collect();
-
-    // Classify conjuncts.
-    let op_names = db.operator_names();
-    let mut rowid_pairs: Vec<&Predicate> = Vec::new();
-    let mut spatial: Vec<SpatialPred> = Vec::new();
-    let mut residual: Vec<&Predicate> = Vec::new();
-    for p in &sel.where_clause {
-        match p {
-            Predicate::RowidPairIn { .. } => rowid_pairs.push(p),
-            Predicate::Compare { left: Expr::FnCall { name, args }, op: CmpOp::Eq, right }
-                if op_names.iter().any(|o| o.eq_ignore_ascii_case(name))
-                    && matches!(right, Expr::Literal(v) if v.as_text() == Some("TRUE")) =>
-            {
-                spatial.push(classify_spatial(&metas, name, args)?)
-            }
-            other => residual.push(other),
-        }
-    }
-
-    // Choose a join strategy and produce joined rows. Each strategy
-    // gets an operator node; nodes created while it runs (table
-    // function scans inside the semijoin subquery, say) nest under it.
-    let profile = sdo_obs::current();
-    let mut joined_resident = ctx.resident("MATERIALIZED JOIN");
-    let mut joined: Vec<Vec<RelRow>>;
-    if let Some(Predicate::RowidPairIn { left, right, subquery }) = rowid_pairs.first() {
-        let node = profile.as_ref().map(|p| p.child("ROWID-PAIR SEMIJOIN"));
-        let t0 = node.as_ref().map(|_| Instant::now());
-        let before = node.as_ref().map(|_| db.counters().snapshot());
-        {
-            let _scope = node.clone().map(sdo_obs::enter);
-            joined = rowid_pair_join(ctx, &relations, &metas, left, right, subquery)?;
-        }
-        if let (Some(n), Some(t0), Some(b)) = (&node, t0, &before) {
-            n.add_rows(joined.len() as u64);
-            n.add_wall(t0.elapsed());
-            n.add_metric_deltas(&db.counters().diff(b).pairs());
-        }
-        joined_resident.set(joined.len() as u64)?;
-        // Any spatial predicates left over apply as filters.
-        joined = apply_spatial_filters(db, &relations, joined, &spatial, ctx.snap)?;
-    } else if let Some(join_pred) = spatial.iter().position(|s| s.is_join()) {
-        let mut jp = spatial.remove(join_pred);
-        // Same orientation as the streaming executor: the planner's
-        // costed choice of which side drives the loop.
-        // The materializing executor never parallelizes, so plan with
-        // a serial environment.
-        if let Ok(plan) = crate::planner::plan_select(db, sel, &crate::planner::PlanEnv::serial()) {
-            if plan.join.as_ref().map(|j| j.swap).unwrap_or(false) {
-                jp = crate::planner::transpose_pred(jp)?;
-            }
-        }
-        let node = profile.as_ref().map(|p| p.child(format!("NESTED LOOP JOIN ({})", jp.name)));
-        let t0 = node.as_ref().map(|_| Instant::now());
-        let before = node.as_ref().map(|_| db.counters().snapshot());
-        {
-            let _scope = node.clone().map(sdo_obs::enter);
-            joined = nested_loop_join(db, &relations, &jp, ctx.snap)?;
-        }
-        if let (Some(n), Some(t0), Some(b)) = (&node, t0, &before) {
-            n.add_rows(joined.len() as u64);
-            n.add_wall(t0.elapsed());
-            n.add_metric_deltas(&db.counters().diff(b).pairs());
-        }
-        joined_resident.set(joined.len() as u64)?;
-        joined = apply_spatial_filters(db, &relations, joined, &spatial, ctx.snap)?;
-    } else {
-        let node = (relations.len() > 1)
-            .then(|| profile.as_ref().map(|p| p.child("CARTESIAN PRODUCT")))
-            .flatten();
-        let t0 = node.as_ref().map(|_| Instant::now());
-        joined = cross_product(&relations, &mut joined_resident)?;
-        if let (Some(n), Some(t0)) = (&node, t0) {
-            n.add_rows(joined.len() as u64);
-            n.add_wall(t0.elapsed());
-        }
-        joined = apply_spatial_filters(db, &relations, joined, &spatial, ctx.snap)?;
-    }
-    joined_resident.set(joined.len() as u64)?;
-
-    // Residual filters.
-    if !residual.is_empty() {
-        let mut kept = Vec::with_capacity(joined.len());
-        for row in joined {
-            let mut ok = true;
-            for p in &residual {
-                if !eval_predicate(&metas, &row, p)? {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                kept.push(row);
-            }
-        }
-        joined = kept;
-    }
-
-    // ORDER BY (evaluated over joined rows, so keys may reference
-    // unprojected columns), then LIMIT.
-    if !sel.order_by.is_empty() {
-        let mut keyed: Vec<(Vec<Value>, Vec<RelRow>)> = Vec::with_capacity(joined.len());
-        for row in joined {
-            let keys = sel
-                .order_by
-                .iter()
-                .map(|k| eval_expr(&metas, &row, &k.expr))
-                .collect::<Result<Vec<_>, _>>()?;
-            keyed.push((keys, row));
-        }
-        keyed.sort_by(|(a, _), (b, _)| {
-            for (i, key) in sel.order_by.iter().enumerate() {
-                let ord = a[i].sql_cmp(&b[i]);
-                let ord = if key.descending { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        joined = keyed.into_iter().map(|(_, r)| r).collect();
-    }
-    if let Some(n) = sel.limit {
-        joined.truncate(n);
-    }
-
-    project(&metas, joined, &sel.projection)
+    operators::run_select_streaming(ctx, sel)
 }
 
 // ---------------------------------------------------------------------------
@@ -723,237 +470,6 @@ pub(crate) fn classify_spatial(
     };
     let extra = args[2..].iter().map(eval_const).collect::<Result<Vec<_>, _>>()?;
     Ok(SpatialPred { name: name.to_ascii_uppercase(), target, other, extra })
-}
-
-// ---------------------------------------------------------------------------
-// Join strategies
-// ---------------------------------------------------------------------------
-
-/// The paper's table-function join: evaluate the subquery (typically a
-/// `TABLE(SPATIAL_JOIN(...))` scan) into rowid pairs, then fetch the
-/// paired base rows.
-fn rowid_pair_join(
-    ctx: &ExecCtx<'_>,
-    relations: &[Relation],
-    metas: &[RelMeta],
-    left: &ColumnRef,
-    right: &ColumnRef,
-    subquery: &Select,
-) -> Result<Vec<Vec<RelRow>>, DbError> {
-    if relations.len() != 2 {
-        return Err(DbError::Plan("rowid-pair IN requires exactly two tables".into()));
-    }
-    let (l_rel, l_col) = resolve_column_meta(metas, left)?;
-    let (r_rel, r_col) = resolve_column_meta(metas, right)?;
-    if l_col != usize::MAX || r_col != usize::MAX {
-        return Err(DbError::Plan("rowid-pair IN requires ROWID references".into()));
-    }
-    if l_rel == r_rel {
-        return Err(DbError::Plan("rowid pair must reference two distinct tables".into()));
-    }
-    let sub = run_subselect(ctx, subquery)?;
-    if sub.columns.len() < 2 {
-        return Err(DbError::Plan("rowid-pair subquery must project two rowid columns".into()));
-    }
-    // The pair buffer is an intermediate, not the client result: charge it.
-    let mut sub_resident = ctx.resident("ROWID-PAIR SEMIJOIN");
-    sub_resident.add(sub.rows.len() as u64)?;
-    // Fetch the paired rows. Using Table::get here (not the already
-    // materialized scan) deliberately charges the per-pair fetch I/O,
-    // mirroring the semijoin's real cost profile.
-    let lt = relations[l_rel]
-        .table
-        .as_ref()
-        .ok_or_else(|| DbError::Plan("rowid pair over non-table".into()))?;
-    let rt = relations[r_rel]
-        .table
-        .as_ref()
-        .ok_or_else(|| DbError::Plan("rowid pair over non-table".into()))?;
-    let mut out = Vec::with_capacity(sub.rows.len());
-    let mut seen = std::collections::HashSet::with_capacity(sub.rows.len());
-    for row in &sub.rows {
-        let (Some(lrid), Some(rrid)) = (row[0].as_rowid(), row[1].as_rowid()) else {
-            return Err(DbError::Plan("rowid-pair subquery produced non-rowid values".into()));
-        };
-        if !seen.insert((lrid, rrid)) {
-            continue; // IN semantics deduplicate
-        }
-        // Snapshot-aware fetch: a pair whose row is not visible under
-        // the statement snapshot (e.g. produced by a table function
-        // pinned at a slightly newer view) is skipped, not an error.
-        let lvals = match lt.read().get_at(lrid, &ctx.snap) {
-            Ok(v) => v,
-            Err(_) => continue,
-        };
-        let rvals = match rt.read().get_at(rrid, &ctx.snap) {
-            Ok(v) => v,
-            Err(_) => continue,
-        };
-        let mut jr = vec![RelRow { rid: None, values: Vec::new() }; relations.len()];
-        jr[l_rel] = RelRow { rid: Some(lrid), values: lvals.to_vec() };
-        jr[r_rel] = RelRow { rid: Some(rrid), values: rvals.to_vec() };
-        out.push(jr);
-    }
-    Ok(out)
-}
-
-/// Nested-loop spatial join: iterate the outer relation, probe the
-/// inner relation's domain index (or fall back to a scan) per row.
-fn nested_loop_join(
-    db: &Database,
-    relations: &[Relation],
-    pred: &SpatialPred,
-    snap: sdo_storage::Snapshot,
-) -> Result<Vec<Vec<RelRow>>, DbError> {
-    let (outer_rel, outer_col) = pred.target;
-    let SpatialOperand::Column(inner_rel, inner_col) = pred.other else {
-        unreachable!("is_join checked by caller")
-    };
-    if outer_rel == inner_rel {
-        return Err(DbError::Plan("spatial join requires two distinct tables".into()));
-    }
-    // Index available on the inner column?
-    let inner = &relations[inner_rel];
-    let index = inner.table_name.as_deref().and_then(|t| db.index_on(t, &inner.columns[inner_col]));
-    // Rowid -> position map for index probes.
-    let rid_pos: HashMap<RowId, usize> =
-        inner.rows.iter().enumerate().filter_map(|(i, (rid, _))| rid.map(|r| (r, i))).collect();
-
-    let mut out = Vec::new();
-    for (orid, ovals) in &relations[outer_rel].rows {
-        let Some(g) = ovals[outer_col].as_geometry() else { continue };
-        let matches: Vec<usize> = if let Some((_, inst)) = &index {
-            // The SQL predicate is OP(outer, inner, extra); the index
-            // evaluates OP(inner_data, query, extra), so asymmetric
-            // SDO_RELATE masks must be transposed for the probe.
-            let mut args = vec![Value::Geometry(Arc::clone(g))];
-            args.extend(transpose_spatial_extra(&pred.name, &pred.extra)?);
-            let call = OperatorCall { name: pred.name.clone(), args, snap };
-            inst.read()
-                .evaluate(&call)?
-                .into_iter()
-                .filter_map(|rid| rid_pos.get(&rid).copied())
-                .collect()
-        } else {
-            // Functional fallback: exact predicate against every row.
-            inner
-                .rows
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, ivals))| {
-                    ivals[inner_col]
-                        .as_geometry()
-                        .map(|ig| eval_spatial_fn(&pred.name, g, ig, &pred.extra).unwrap_or(false))
-                        .unwrap_or(false)
-                })
-                .map(|(i, _)| i)
-                .collect()
-        };
-        for i in matches {
-            let (irid, ivals) = &inner.rows[i];
-            let mut jr = vec![RelRow { rid: None, values: Vec::new() }; relations.len()];
-            jr[outer_rel] = RelRow { rid: *orid, values: ovals.clone() };
-            jr[inner_rel] = RelRow { rid: *irid, values: ivals.clone() };
-            out.push(jr);
-        }
-    }
-    Ok(out)
-}
-
-/// Cartesian product, guarded by the resident-row gauge: every
-/// expansion stage is charged, so a runaway product fails with the
-/// session's `max_resident_rows` budget instead of a hard-coded cap.
-fn cross_product(
-    relations: &[Relation],
-    resident: &mut Resident,
-) -> Result<Vec<Vec<RelRow>>, DbError> {
-    let mut acc: Vec<Vec<RelRow>> = vec![Vec::new()];
-    for rel in relations {
-        let mut next = Vec::with_capacity(acc.len() * rel.rows.len());
-        for prefix in &acc {
-            for (rid, vals) in &rel.rows {
-                let mut row = prefix.clone();
-                row.push(RelRow { rid: *rid, values: vals.clone() });
-                next.push(row);
-            }
-        }
-        acc = next;
-        resident.set(acc.len() as u64)?;
-    }
-    Ok(acc)
-}
-
-/// Apply non-join spatial predicates (window queries) to joined rows,
-/// using domain indexes when a whole-relation prefilter is possible.
-fn apply_spatial_filters(
-    db: &Database,
-    relations: &[Relation],
-    joined: Vec<Vec<RelRow>>,
-    preds: &[SpatialPred],
-    snap: sdo_storage::Snapshot,
-) -> Result<Vec<Vec<RelRow>>, DbError> {
-    let mut rows = joined;
-    for p in preds {
-        if p.is_join() {
-            // A second join predicate: evaluate functionally per row.
-            let SpatialOperand::Column(ir, ic) = p.other else { unreachable!() };
-            let (or, oc) = p.target;
-            rows.retain(|jr| match (jr[or].values.get(oc), jr[ir].values.get(ic)) {
-                (Some(a), Some(b)) => match (a.as_geometry(), b.as_geometry()) {
-                    (Some(ga), Some(gb)) => {
-                        eval_spatial_fn(&p.name, ga, gb, &p.extra).unwrap_or(false)
-                    }
-                    _ => false,
-                },
-                _ => false,
-            });
-            continue;
-        }
-        let SpatialOperand::Const(qg) = &p.other else { unreachable!() };
-        let (ri, ci) = p.target;
-        // Index prefilter: compute the satisfying rowid set once.
-        let rel = &relations[ri];
-        let index = rel.table_name.as_deref().and_then(|t| db.index_on(t, &rel.columns[ci]));
-        if let Some((_, inst)) = index {
-            let mut args = vec![Value::Geometry(Arc::clone(qg))];
-            args.extend(p.extra.iter().cloned());
-            let call = OperatorCall { name: p.name.clone(), args, snap };
-            let ok: std::collections::HashSet<RowId> =
-                inst.read().evaluate(&call)?.into_iter().collect();
-            rows.retain(|jr| jr[ri].rid.map(|r| ok.contains(&r)).unwrap_or(false));
-        } else if p.name.eq_ignore_ascii_case("SDO_NN") {
-            // Functional k-NN without an index: rank the relation's rows
-            // by exact distance and keep the top k.
-            let k = p
-                .extra
-                .first()
-                .and_then(|v| v.as_integer())
-                .filter(|&k| k >= 1)
-                .ok_or_else(|| DbError::Plan("SDO_NN needs a result count".into()))?
-                as usize;
-            let mut ranked: Vec<(f64, RowId)> = rel
-                .rows
-                .iter()
-                .filter_map(|(rid, vals)| {
-                    let g = vals.get(ci)?.as_geometry()?;
-                    Some((sdo_geom::distance(g, qg), (*rid)?))
-                })
-                .collect();
-            ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let keep: std::collections::HashSet<RowId> =
-                ranked.into_iter().take(k).map(|(_, r)| r).collect();
-            rows.retain(|jr| jr[ri].rid.map(|r| keep.contains(&r)).unwrap_or(false));
-        } else {
-            rows.retain(|jr| {
-                jr[ri]
-                    .values
-                    .get(ci)
-                    .and_then(|v| v.as_geometry())
-                    .is_some_and(|g| eval_spatial_fn(&p.name, g, qg, &p.extra).unwrap_or(false))
-            });
-        }
-    }
-    Ok(rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -1036,6 +552,10 @@ pub fn apply_scalar_fn(name: &str, vals: &[Value]) -> Result<Value, DbError> {
         other => Err(DbError::Plan(format!("unknown function {other}"))),
     }
 }
+
+/// The operators [`eval_spatial_fn`] evaluates; every other `SDO_*`
+/// call is a scalar function.
+const SPATIAL_OPERATORS: [&str; 4] = ["SDO_RELATE", "SDO_WITHIN_DISTANCE", "SDO_FILTER", "SDO_NN"];
 
 /// Evaluate the exact (functional) form of a spatial operator.
 pub fn eval_spatial_fn(
@@ -1177,7 +697,8 @@ pub(crate) fn eval_predicate(
             // Spatial operators compared to 'TRUE' evaluate functionally
             // here (used as residuals after a join).
             if let Expr::FnCall { name, args } = left {
-                if name.starts_with("SDO_") && args.len() >= 2 {
+                if SPATIAL_OPERATORS.iter().any(|o| o.eq_ignore_ascii_case(name)) && args.len() >= 2
+                {
                     let a = eval_expr(metas, joined, &args[0])?;
                     let b = eval_expr(metas, joined, &args[1])?;
                     if let (Some(ga), Some(gb)) = (a.as_geometry(), b.as_geometry()) {
@@ -1269,18 +790,4 @@ pub(crate) fn project_row(
         out.push(eval_expr(metas, jr, expr)?);
     }
     Ok(out)
-}
-
-fn project(
-    metas: &[RelMeta],
-    joined: Vec<Vec<RelRow>>,
-    items: &[SelectItem],
-) -> Result<QueryResult, DbError> {
-    let columns = projection_columns(metas, items)?;
-    if items.len() == 1 && items[0] == SelectItem::CountStar {
-        return Ok(QueryResult { columns, rows: vec![vec![Value::Integer(joined.len() as i64)]] });
-    }
-    let rows =
-        joined.iter().map(|jr| project_row(metas, jr, items)).collect::<Result<Vec<_>, _>>()?;
-    Ok(QueryResult { columns, rows })
 }

@@ -32,14 +32,14 @@
 //! `peak_resident_rows` and the `max_resident_rows` session option has
 //! a single enforcement point that names the offending operator.
 
-use crate::db::{Database, IndexHandle, QueryResult, TfArg};
+use crate::db::{Database, IndexHandle, QueryResult};
 use crate::error::DbError;
 use crate::exec::{
-    classify_spatial, eval_predicate, eval_spatial_fn, project_row, projection_columns,
-    resolve_column_meta, run_subselect, RelMeta, RelRow, SpatialOperand, SpatialPred,
+    classify_spatial, eval_predicate, eval_spatial_fn, eval_tf_args, project_row,
+    projection_columns, resolve_column_meta, RelMeta, RelRow, SpatialOperand, SpatialPred,
 };
 use crate::extensible::OperatorCall;
-use crate::sql::ast::{FromItem, OrderKey, Predicate, Select, SelectItem, TfArgAst};
+use crate::sql::ast::{FromItem, OrderKey, Predicate, Select, SelectItem};
 use parking_lot::RwLock;
 use sdo_obs::{MemoryGauge, ProfileNode};
 use sdo_storage::{RowId, Snapshot, Table, Value};
@@ -64,8 +64,6 @@ pub(crate) struct ExecCtx<'a> {
     pub gauge: MemoryGauge,
     /// Resident-row budget from `ALTER SESSION SET max_resident_rows`.
     pub max_resident_rows: u64,
-    /// Route SELECTs through the legacy materializing executor.
-    pub materialize: bool,
     /// Intra-query parallelism ceiling from `ALTER SESSION SET
     /// parallel_dop`; read at execution time, so prepared statements
     /// re-resolve it on every EXECUTE.
@@ -82,7 +80,6 @@ impl<'a> ExecCtx<'a> {
             db,
             gauge: MemoryGauge::new(),
             max_resident_rows: opts.max_resident_rows,
-            materialize: opts.materialize,
             parallel_dop: opts.parallel_dop,
             snap: db.read_snapshot_in(sess),
         }
@@ -1086,8 +1083,7 @@ impl<'a> CrossJoinExec<'a> {
 
     fn expand(&mut self, jr: Vec<RelRow>) -> Result<(), DbError> {
         // Depth-first over the materialized relations, rightmost
-        // innermost — the same order the materializing executor
-        // produced.
+        // innermost.
         let mut acc: Vec<Vec<RelRow>> = vec![jr];
         for (slot, rows) in &self.mats {
             let mut next = Vec::with_capacity(acc.len() * rows.len());
@@ -1397,18 +1393,7 @@ pub(crate) fn build_select_stream<'a>(
                 sources.push(SourceSlot::Table { name: name.clone(), table });
             }
             FromItem::TableFunction { name, args, .. } => {
-                let mut tf_args = Vec::with_capacity(args.len());
-                for a in args {
-                    match a {
-                        TfArgAst::Expr(e) => {
-                            tf_args.push(TfArg::Scalar(crate::exec::eval_const(e)?))
-                        }
-                        TfArgAst::Cursor(sub) => {
-                            tf_args.push(TfArg::Cursor(run_subselect(ctx, sub)?.rows))
-                        }
-                    }
-                }
-                let inst = db.make_table_function(name, tf_args)?;
+                let inst = db.make_table_function(name, eval_tf_args(ctx, args)?)?;
                 metas_v.push(RelMeta {
                     binding: item.binding().to_ascii_uppercase(),
                     columns: inst.columns.iter().map(|c| c.to_ascii_uppercase()).collect(),

@@ -1189,7 +1189,6 @@ mod tests {
             db,
             gauge: MemoryGauge::new(),
             max_resident_rows: budget,
-            materialize: false,
             parallel_dop: dop,
             snap: db.read_snapshot(),
         }

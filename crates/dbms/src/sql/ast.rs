@@ -80,7 +80,7 @@ pub enum Statement {
     /// `ROLLBACK [WORK]` — abort the session's open transaction.
     Rollback,
     /// `ALTER SESSION SET name = value` — set a session option
-    /// (`materialize`, `max_resident_rows`, `durability`).
+    /// (`max_resident_rows`, `durability`, `parallel_dop`).
     AlterSession {
         /// Option name (case-insensitive).
         name: String,

@@ -3,7 +3,7 @@
 //! transactions, `EXPLAIN ANALYZE` profiles, or prepared statements —
 //! all of which used to live in Database-global slots.
 
-use sdo_dbms::{Database, Durability};
+use sdo_dbms::{Database, Durability, SessionOptions};
 use sdo_storage::Value;
 use std::sync::{Arc, Barrier};
 
@@ -23,21 +23,22 @@ fn session_options_do_not_leak_between_sessions() {
     let s2 = db.session();
     assert_ne!(s1.id(), s2.id());
 
-    s1.execute("ALTER SESSION SET materialize = on").unwrap();
+    let default_rows = SessionOptions::default().max_resident_rows;
+    s1.execute("ALTER SESSION SET max_resident_rows = 1234").unwrap();
     s1.execute("ALTER SESSION SET durability = buffered").unwrap();
-    assert!(s1.options().materialize);
+    assert_eq!(s1.options().max_resident_rows, 1234);
     assert_eq!(s1.options().durability, Durability::Buffered);
 
     // s2 and the embedded default session keep their defaults.
-    assert!(!s2.options().materialize);
+    assert_eq!(s2.options().max_resident_rows, default_rows);
     assert_eq!(s2.options().durability, Durability::Fsync);
-    assert!(!db.options().materialize);
+    assert_eq!(db.options().max_resident_rows, default_rows);
 
     // Engine-level defaults seed *new* sessions without touching
     // existing ones.
-    db.set_default_option("materialize", "on").unwrap();
-    assert!(!s2.options().materialize, "existing session must not change");
-    assert!(db.session().options().materialize, "new session inherits the default");
+    db.set_default_option("max_resident_rows", "1234").unwrap();
+    assert_eq!(s2.options().max_resident_rows, default_rows, "existing session must not change");
+    assert_eq!(db.session().options().max_resident_rows, 1234, "new session inherits the default");
 }
 
 #[test]

@@ -1,29 +1,45 @@
 //! Streaming executor regression suite.
 //!
-//! The streaming batch pipeline must (1) return exactly the rows the
-//! legacy materializing executor returns, (2) keep pipeline memory
-//! bounded by batches in flight rather than result cardinality, and
-//! (3) make `LIMIT` terminate the producing spatial join early.
+//! The streaming batch pipeline must (1) return exactly the rows a
+//! brute-force evaluation over the loaded geometries gives, (2) keep
+//! pipeline memory bounded by batches in flight rather than result
+//! cardinality, and (3) make `LIMIT` terminate the producing spatial
+//! join early.
 
 use proptest::prelude::*;
 use sdo_datagen::{counties, US_EXTENT};
 use sdo_dbms::Database;
+use sdo_geom::{Geometry, Point, RelateMask};
 use sdo_storage::Value;
+
+/// The `(id, geometry)` rows a county table is loaded from.
+fn county_rows(n: usize, seed: u64) -> Vec<(i64, Geometry)> {
+    counties::generate(n, &US_EXTENT, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, g)| (i as i64, g))
+        .collect()
+}
 
 fn load_counties(db: &Database, table: &str, n: usize, seed: u64) {
     db.execute(&format!("CREATE TABLE {table} (id NUMBER, geom SDO_GEOMETRY)")).unwrap();
-    for (i, g) in counties::generate(n, &US_EXTENT, seed).into_iter().enumerate() {
-        db.insert_row(table, vec![Value::Integer(i as i64), Value::geometry(g)]).unwrap();
+    for (id, g) in county_rows(n, seed) {
+        db.insert_row(table, vec![Value::Integer(id), Value::geometry(g)]).unwrap();
     }
 }
+
+/// `(table, rows, seed)`; `plain_table` is deliberately unindexed.
+const CITY: (&str, usize, u64) = ("city_table", 60, 1);
+const RIVER: (&str, usize, u64) = ("river_table", 60, 2);
+const PLAIN: (&str, usize, u64) = ("plain_table", 40, 3);
 
 fn session_with_tables() -> Database {
     let db = Database::new();
     sdo_core::register_spatial(&db);
-    load_counties(&db, "city_table", 60, 1);
-    load_counties(&db, "river_table", 60, 2);
-    load_counties(&db, "plain_table", 40, 3); // deliberately unindexed
-    for (idx, table) in [("city_sidx", "city_table"), ("river_sidx", "river_table")] {
+    for (table, n, seed) in [CITY, RIVER, PLAIN] {
+        load_counties(&db, table, n, seed);
+    }
+    for (idx, table) in [("city_sidx", CITY.0), ("river_sidx", RIVER.0)] {
         db.execute(&format!(
             "CREATE INDEX {idx} ON {table}(geom) INDEXTYPE IS SPATIAL_INDEX \
              PARAMETERS ('tree_fanout=8')"
@@ -37,117 +53,201 @@ fn row_keys(rows: &[Vec<Value>]) -> Vec<String> {
     rows.iter().map(|r| format!("{r:?}")).collect()
 }
 
-/// Every query shape the planner knows: (sql, order_sensitive).
-fn corpus() -> Vec<(String, bool)> {
+/// One corpus query: its SQL, whether row order is part of the answer,
+/// and the answer computed by brute force from the loaded rows with
+/// `sdo_geom` alone — no index, planner or `sdo-dbms` evaluator.
+struct Case {
+    sql: String,
+    ordered: bool,
+    want: Vec<Vec<Value>>,
+}
+
+fn case(sql: &str, ordered: bool, want: Vec<Vec<Value>>) -> Case {
+    Case { sql: sql.into(), ordered, want }
+}
+
+/// One-column `id` rows for the rows that pass `keep`.
+fn ids_where(rows: &[(i64, Geometry)], keep: impl Fn(i64, &Geometry) -> bool) -> Vec<Vec<Value>> {
+    rows.iter().filter(|(id, g)| keep(*id, g)).map(|(id, _)| vec![Value::Integer(*id)]).collect()
+}
+
+fn count(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
+    vec![vec![Value::Integer(rows.len() as i64)]]
+}
+
+/// Ids ranked by distance to `q`, ties broken by id.
+fn by_distance(rows: &[(i64, Geometry)], q: &Geometry) -> Vec<i64> {
+    let mut ranked: Vec<(f64, i64)> =
+        rows.iter().map(|(id, g)| (sdo_geom::distance(g, q), *id)).collect();
+    ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    ranked.into_iter().map(|(_, id)| id).collect()
+}
+
+fn id_rows(ids: impl IntoIterator<Item = i64>) -> Vec<Vec<Value>> {
+    ids.into_iter().map(|id| vec![Value::Integer(id)]).collect()
+}
+
+/// Every query shape the planner knows, with its brute-force answer.
+fn corpus() -> Vec<Case> {
+    let city = county_rows(CITY.1, CITY.2);
+    let river = county_rows(RIVER.1, RIVER.2);
+    let plain = county_rows(PLAIN.1, PLAIN.2);
+    let window =
+        sdo_geom::wkt::parse_wkt("POLYGON ((-100 30, -90 30, -90 40, -100 40, -100 30))").unwrap();
+    let point = Geometry::Point(Point::new(-95.0, 35.0));
+    let intersects =
+        |a: &Geometry, b: &Geometry| sdo_geom::relate::relate_any(a, b, &[RelateMask::AnyInteract]);
+    let join_pairs: Vec<Vec<Value>> = city
+        .iter()
+        .flat_map(|(a, ga)| {
+            river
+                .iter()
+                .filter(move |(_, gb)| intersects(ga, gb))
+                .map(move |(b, _)| vec![Value::Integer(*a), Value::Integer(*b)])
+        })
+        .collect();
+    let in_window = |_: i64, g: &Geometry| intersects(g, &window);
+    let near = |_: i64, g: &Geometry| sdo_geom::within_distance(g, &point, 5.0);
     vec![
         // Nested-loop spatial join via the inner index.
-        (
+        case(
             "SELECT a.id, b.id FROM city_table a, river_table b \
-             WHERE SDO_RELATE(a.geom, b.geom, 'intersect') = 'TRUE'"
-                .into(),
+             WHERE SDO_RELATE(a.geom, b.geom, 'intersect') = 'TRUE'",
             false,
+            join_pairs.clone(),
         ),
         // Table-function join (rowid-pair semijoin), serial and dop 2.
-        (
+        case(
             "SELECT a.id, b.id FROM city_table a, river_table b \
              WHERE (a.rowid, b.rowid) IN \
              (SELECT rid1, rid2 FROM TABLE(SPATIAL_JOIN( \
-              'city_table', 'geom', 'river_table', 'geom', 'intersect')))"
-                .into(),
+              'city_table', 'geom', 'river_table', 'geom', 'intersect')))",
             false,
+            join_pairs.clone(),
         ),
-        (
+        case(
             "SELECT a.id, b.id FROM city_table a, river_table b \
              WHERE (a.rowid, b.rowid) IN \
              (SELECT rid1, rid2 FROM TABLE(SPATIAL_JOIN( \
-              'city_table', 'geom', 'river_table', 'geom', 'intersect', 2)))"
-                .into(),
+              'city_table', 'geom', 'river_table', 'geom', 'intersect', 2)))",
             false,
+            join_pairs.clone(),
         ),
         // Indexed window query.
-        (
+        case(
             "SELECT id FROM city_table WHERE SDO_RELATE(geom, \
              SDO_GEOMETRY('POLYGON ((-100 30, -90 30, -90 40, -100 40, -100 30))'), \
-             'intersect') = 'TRUE'"
-                .into(),
+             'intersect') = 'TRUE'",
             false,
+            ids_where(&city, in_window),
         ),
         // Unindexed window query (functional evaluation).
-        (
+        case(
             "SELECT id FROM plain_table WHERE SDO_RELATE(geom, \
              SDO_GEOMETRY('POLYGON ((-100 30, -90 30, -90 40, -100 40, -100 30))'), \
-             'intersect') = 'TRUE'"
-                .into(),
+             'intersect') = 'TRUE'",
             false,
+            ids_where(&plain, in_window),
+        ),
+        // A spatial operator compared to 'FALSE' is a residual filter.
+        case(
+            "SELECT id FROM city_table WHERE SDO_RELATE(geom, \
+             SDO_GEOMETRY('POLYGON ((-100 30, -90 30, -90 40, -100 40, -100 30))'), \
+             'intersect') = 'FALSE'",
+            false,
+            ids_where(&city, |id, g| !in_window(id, g)),
         ),
         // Within-distance, indexed and unindexed.
-        (
+        case(
             "SELECT COUNT(*) FROM city_table \
-             WHERE SDO_WITHIN_DISTANCE(geom, SDO_POINT(-95, 35), 5) = 'TRUE'"
-                .into(),
+             WHERE SDO_WITHIN_DISTANCE(geom, SDO_POINT(-95, 35), 5) = 'TRUE'",
             false,
+            count(&ids_where(&city, near)),
         ),
-        (
+        case(
             "SELECT COUNT(*) FROM plain_table \
-             WHERE SDO_WITHIN_DISTANCE(geom, SDO_POINT(-95, 35), 5) = 'TRUE'"
-                .into(),
+             WHERE SDO_WITHIN_DISTANCE(geom, SDO_POINT(-95, 35), 5) = 'TRUE'",
             false,
+            count(&ids_where(&plain, near)),
+        ),
+        // A scalar SDO_* function compared in WHERE is an ordinary
+        // comparison, not a spatial operator.
+        case(
+            "SELECT id FROM city_table WHERE SDO_DISTANCE(geom, SDO_POINT(-95, 35)) < 5",
+            false,
+            ids_where(&city, |_, g| sdo_geom::distance(g, &point) < 5.0),
         ),
         // k-NN ranking, indexed and unindexed.
-        (
-            "SELECT id FROM city_table WHERE SDO_NN(geom, SDO_POINT(-95, 35), 7) = 'TRUE'".into(),
+        case(
+            "SELECT id FROM city_table WHERE SDO_NN(geom, SDO_POINT(-95, 35), 7) = 'TRUE'",
             false,
+            id_rows(by_distance(&city, &point).into_iter().take(7)),
         ),
-        (
-            "SELECT id FROM plain_table WHERE SDO_NN(geom, SDO_POINT(-95, 35), 5) = 'TRUE'".into(),
+        case(
+            "SELECT id FROM plain_table WHERE SDO_NN(geom, SDO_POINT(-95, 35), 5) = 'TRUE'",
             false,
+            id_rows(by_distance(&plain, &point).into_iter().take(5)),
         ),
         // ORDER BY + LIMIT over an expression key.
-        (
+        case(
             "SELECT id FROM city_table \
-             ORDER BY SDO_DISTANCE(geom, SDO_POINT(-95, 35)) LIMIT 5"
-                .into(),
+             ORDER BY SDO_DISTANCE(geom, SDO_POINT(-95, 35)) LIMIT 5",
             true,
+            id_rows(by_distance(&city, &point).into_iter().take(5)),
         ),
-        ("SELECT id FROM city_table WHERE id < 20 ORDER BY id DESC".into(), true),
+        case(
+            "SELECT id FROM city_table WHERE id < 20 ORDER BY id DESC",
+            true,
+            id_rows((0..20).rev()),
+        ),
         // Residual comparisons, equi-style cross join, star projection.
-        ("SELECT id FROM city_table WHERE id > 30".into(), false),
-        ("SELECT a.id, b.id FROM city_table a, river_table b WHERE a.id = b.id".into(), false),
-        ("SELECT * FROM river_table WHERE id < 5".into(), false),
-        // Table-function scan with a residual (defeats the COUNT fast
-        // path, so both executors drive the scan + filter pipeline).
-        (
-            "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN( \
-             'city_table', 'geom', 'river_table', 'geom', 'intersect')) WHERE 1 = 1"
-                .into(),
+        case("SELECT id FROM city_table WHERE id > 30", false, ids_where(&city, |id, _| id > 30)),
+        case(
+            "SELECT a.id, b.id FROM city_table a, river_table b WHERE a.id = b.id",
             false,
+            (0..CITY.1.min(RIVER.1) as i64)
+                .map(|id| vec![Value::Integer(id), Value::Integer(id)])
+                .collect(),
+        ),
+        case(
+            "SELECT * FROM river_table WHERE id < 5",
+            false,
+            river[..5]
+                .iter()
+                .map(|(id, g)| vec![Value::Integer(*id), Value::geometry(g.clone())])
+                .collect(),
+        ),
+        // Table-function scan with a residual (defeats the COUNT fast
+        // path, so the scan + filter pipeline drives it).
+        case(
+            "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN( \
+             'city_table', 'geom', 'river_table', 'geom', 'intersect')) WHERE 1 = 1",
+            false,
+            count(&join_pairs),
         ),
         // Scalar-function projection.
-        ("SELECT SDO_AREA(geom) shape_area FROM city_table WHERE id < 10 ORDER BY id".into(), true),
+        case(
+            "SELECT SDO_AREA(geom) shape_area FROM city_table WHERE id < 10 ORDER BY id",
+            true,
+            city[..10].iter().map(|(_, g)| vec![Value::Double(g.area())]).collect(),
+        ),
     ]
 }
 
-/// The corpus, answered identically by the streaming pipeline
-/// (default) and by `ALTER SESSION SET materialize = on`. Row order is
-/// compared exactly for ORDER BY queries and as a multiset otherwise.
+/// The corpus, answered by the streaming pipeline exactly as brute
+/// force answers it. Row order is compared exactly for ORDER BY
+/// queries and as a multiset otherwise.
 #[test]
-fn corpus_matches_materialized_executor() {
+fn corpus_matches_brute_force() {
     let db = session_with_tables();
-    let corpus = corpus();
-    let mut streaming = Vec::new();
-    for (sql, _) in &corpus {
-        streaming.push(db.execute(sql).unwrap());
-    }
-    db.execute("ALTER SESSION SET materialize = on").unwrap();
-    for (i, (sql, order_sensitive)) in corpus.iter().enumerate() {
-        let mat = db.execute(sql).unwrap();
-        let s = &streaming[i];
-        assert_eq!(s.columns, mat.columns, "columns diverge for {sql}");
-        assert!(!(*order_sensitive && s.rows != mat.rows), "ordered rows diverge for {sql}");
-        let (mut sk, mut mk) = (row_keys(&s.rows), row_keys(&mat.rows));
-        sk.sort();
-        mk.sort();
-        assert_eq!(sk, mk, "row multiset diverges for {sql}");
+    for Case { sql, ordered, want } in corpus() {
+        let got = db.execute(&sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows;
+        let (mut gk, mut wk) = (row_keys(&got), row_keys(&want));
+        if !ordered {
+            gk.sort();
+            wk.sort();
+        }
+        assert_eq!(gk, wk, "rows diverge from brute force for {sql}");
     }
 }
 
@@ -215,7 +315,7 @@ fn limit_terminates_semijoin_cleanly() {
 
 /// The `max_resident_rows` budget replaces the old hard-coded cross
 /// product cap: exceeding it fails with the operator's name, raising it
-/// lets the query through — in both executors.
+/// lets the query through.
 #[test]
 fn max_resident_rows_budget_is_enforced() {
     let db = Database::new();
@@ -226,18 +326,12 @@ fn max_resident_rows_budget_is_enforced() {
         db.insert_row("a", vec![Value::Integer(i)]).unwrap();
         db.insert_row("b", vec![Value::Integer(i)]).unwrap();
     }
-    for mode in ["off", "on"] {
-        db.execute(&format!("ALTER SESSION SET materialize = {mode}")).unwrap();
-        db.execute("ALTER SESSION SET max_resident_rows = 5000").unwrap();
-        let err = db.execute("SELECT COUNT(*) FROM a, b").unwrap_err().to_string();
-        assert!(
-            err.contains("MAX_RESIDENT_ROWS"),
-            "materialize={mode}: budget error should name the option, got: {err}"
-        );
-        db.execute("ALTER SESSION SET max_resident_rows = 100000").unwrap();
-        let n = db.execute("SELECT COUNT(*) FROM a, b").unwrap().count().unwrap();
-        assert_eq!(n, 200 * 200, "materialize={mode}");
-    }
+    db.execute("ALTER SESSION SET max_resident_rows = 5000").unwrap();
+    let err = db.execute("SELECT COUNT(*) FROM a, b").unwrap_err().to_string();
+    assert!(err.contains("MAX_RESIDENT_ROWS"), "budget error should name the option, got: {err}");
+    db.execute("ALTER SESSION SET max_resident_rows = 100000").unwrap();
+    let n = db.execute("SELECT COUNT(*) FROM a, b").unwrap().count().unwrap();
+    assert_eq!(n, 200 * 200);
 }
 
 #[test]
@@ -250,20 +344,17 @@ fn session_options_and_limit_validation() {
     }
 
     // Option round-trips.
-    assert!(!db.options().materialize);
-    db.execute("ALTER SESSION SET materialize = on").unwrap();
-    assert!(db.options().materialize);
-    db.execute("ALTER SESSION SET materialize = off").unwrap();
-    assert!(!db.options().materialize);
     db.execute("ALTER SESSION SET max_resident_rows = 1234").unwrap();
     assert_eq!(db.options().max_resident_rows, 1234);
 
-    // Rejected values.
+    // Rejected values and options; there is one SELECT executor, so
+    // the old `materialize` switch is unknown.
     assert!(db.execute("ALTER SESSION SET max_resident_rows = 0").is_err());
     assert!(db.execute("ALTER SESSION SET max_resident_rows = banana").is_err());
-    assert!(db.execute("ALTER SESSION SET materialize = sideways").is_err());
-    let err = db.execute("ALTER SESSION SET no_such_option = 1").unwrap_err().to_string();
-    assert!(err.contains("unknown session option"), "{err}");
+    for opt in ["materialize = on", "no_such_option = 1"] {
+        let err = db.execute(&format!("ALTER SESSION SET {opt}")).unwrap_err().to_string();
+        assert!(err.contains("unknown session option"), "{opt}: {err}");
+    }
 
     // LIMIT wiring: negative rejected at parse, 0 and n honored.
     assert!(db.execute("SELECT id FROM t LIMIT -1").is_err());
@@ -287,10 +378,10 @@ fn corpus_is_dop_invariant() {
     let db = session_with_tables();
     db.execute("ALTER SESSION SET parallel_dop = 1").unwrap();
     let corpus = corpus();
-    let baseline: Vec<_> = corpus.iter().map(|(sql, _)| db.execute(sql).unwrap()).collect();
+    let baseline: Vec<_> = corpus.iter().map(|c| db.execute(&c.sql).unwrap()).collect();
     for dop in [2usize, 4] {
         db.execute(&format!("ALTER SESSION SET parallel_dop = {dop}")).unwrap();
-        for ((sql, _), base) in corpus.iter().zip(&baseline) {
+        for (Case { sql, .. }, base) in corpus.iter().zip(&baseline) {
             let res = db.execute(sql).unwrap();
             assert_eq!(res.columns, base.columns, "columns diverge at dop {dop} for {sql}");
             if sql.contains("'intersect', 2") {

@@ -392,8 +392,8 @@ fn alter_session_durability_and_value_validation() {
     // Unknown values are rejected with the option named.
     let e = db.execute("ALTER SESSION SET durability = sometimes").unwrap_err().to_string();
     assert!(e.contains("DURABILITY") && e.contains("sometimes"), "bad error: {e}");
-    let e = db.execute("ALTER SESSION SET materialize = maybe").unwrap_err().to_string();
-    assert!(e.contains("MATERIALIZE") && e.contains("maybe"), "bad error: {e}");
+    let e = db.execute("ALTER SESSION SET parallel_dop = maybe").unwrap_err().to_string();
+    assert!(e.contains("PARALLEL_DOP") && e.to_lowercase().contains("maybe"), "bad error: {e}");
     let e = db.execute("ALTER SESSION SET frobnicate = on").unwrap_err().to_string();
     assert!(e.contains("frobnicate"), "bad error: {e}");
 
