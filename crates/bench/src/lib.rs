@@ -1,4 +1,4 @@
-//! Shared harness for the experiment binaries and criterion benches.
+//! Shared harness for the experiment binaries.
 //!
 //! Every table and figure of the paper has a binary here that
 //! regenerates it (see DESIGN.md §4 for the index):
@@ -20,7 +20,7 @@ use sdo_dbms::Database;
 use sdo_geom::{Geometry, RelateMask};
 use sdo_rtree::{RTree, RTreeParams};
 use sdo_storage::{Counters, DataType, RowId, Schema, Table, Value};
-use sdo_tablefunc::{collect_all, execute_parallel, TableFunction, TaskQueue};
+use sdo_tablefunc::{execute_parallel, TableFunction, TaskQueue};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -114,52 +114,13 @@ fn self_join_side(geoms: &[Geometry]) -> (Arc<RwLock<Table>>, Arc<RTree<RowId>>)
     (Arc::new(RwLock::new(t)), Arc::new(RTree::bulk_load(items, RTreeParams::with_fanout(32))))
 }
 
-/// Work-partition speedup model for a DOP-`dop` self-join: run each
-/// slave's share of the subtree-pair decomposition with private
-/// counters and compare total work against the maximum slave's work
-/// (the parallel critical path).
+/// Work-partition speedup model for a DOP-`dop` self-join: the slaves
+/// share one [`TaskQueue`] through the real parallel executor, each
+/// with private counters, and total work (MBR plus exact tests) is
+/// compared against the busiest slave's work (the parallel critical
+/// path). Per-slave work reflects the dynamic balance — splits and
+/// steals — so the model varies slightly from run to run.
 pub fn modeled_join_speedup(geoms: &[Geometry], dop: usize) -> f64 {
-    let (table, tree) = self_join_side(geoms);
-    let exact = ExactPredicate::Masks(vec![RelateMask::AnyInteract]);
-    let (_, tasks) = sdo_core::functions::choose_descent_level(&tree, &tree, &exact, dop);
-    if tasks.is_empty() {
-        return 1.0;
-    }
-    let mut slave_work = vec![0u64; dop];
-    for (slot, chunk) in tasks
-        .iter()
-        .enumerate()
-        .fold(vec![Vec::new(); dop], |mut acc, (i, t)| {
-            acc[i % dop].push(*t);
-            acc
-        })
-        .into_iter()
-        .enumerate()
-    {
-        let counters = Arc::new(Counters::new());
-        let mut join = SpatialJoin::with_stack(
-            JoinSide { table: Arc::clone(&table), column: 1, tree: Arc::clone(&tree) },
-            JoinSide { table: Arc::clone(&table), column: 1, tree: Arc::clone(&tree) },
-            exact.clone(),
-            SpatialJoinConfig::default(),
-            Arc::clone(&counters),
-            chunk,
-        );
-        let _ = collect_all(&mut join, 4096).unwrap();
-        // Secondary-filter exact tests dominate join cost.
-        slave_work[slot] =
-            Counters::get(&counters.exact_tests) + Counters::get(&counters.mbr_tests);
-    }
-    let total: u64 = slave_work.iter().sum();
-    let max = *slave_work.iter().max().unwrap_or(&1);
-    total as f64 / max.max(1) as f64
-}
-
-/// The same critical-path model under the work-stealing scheduler: the
-/// slaves share one [`TaskQueue`] through the real parallel executor,
-/// each with private counters, so per-slave work reflects the dynamic
-/// balance (splits + steals) rather than the static task assignment.
-pub fn modeled_steal_join_speedup(geoms: &[Geometry], dop: usize) -> f64 {
     let (table, tree) = self_join_side(geoms);
     let exact = ExactPredicate::Masks(vec![RelateMask::AnyInteract]);
     let (_, tasks) = sdo_core::functions::choose_descent_level(&tree, &tree, &exact, dop);

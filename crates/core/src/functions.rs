@@ -2,20 +2,18 @@
 
 use crate::index::{QuadtreeSpatialIndex, RTreeSpatialIndex, SpatialIndexType};
 use crate::join::{
-    ExactPredicate, JoinMethod, JoinSchedule, JoinSide, QtJoinSide, QuadtreeJoin, SpatialJoin,
-    SpatialJoinConfig,
+    ExactPredicate, JoinMethod, JoinSide, QtJoinSide, QuadtreeJoin, SpatialJoin, SpatialJoinConfig,
 };
 use crate::partjoin::{PartitionJoin, PartitionState};
 use crate::FetchOrder;
-use sdo_dbms::db::TfInstance;
+use sdo_dbms::db::{TfInstance, MAX_PARALLEL_DOP};
 use sdo_dbms::extensible::{param, parse_params};
 use sdo_dbms::{Database, DbError, TfArg};
 use sdo_rtree::{NodeId, RTree};
 use sdo_storage::{RowId, Value};
 use sdo_tablefunc::parallel::ParallelTableFunction;
-use sdo_tablefunc::partition::{partition_rows, PartitionMethod};
 use sdo_tablefunc::table_function::BufferedFn;
-use sdo_tablefunc::TableFunction;
+use sdo_tablefunc::{TableFunction, TaskQueue};
 use std::sync::Arc;
 
 /// Register everything the paper's SQL uses into a session:
@@ -24,16 +22,15 @@ use std::sync::Arc;
 /// * `SPATIAL_JOIN(left_table, left_col, right_table, right_col,
 ///   interaction [, dop [, level [, options]]])` — the pipelined
 ///   (and, with `dop > 1`, parallel) spatial join table function.
+///   Parallel slaves pull subtree-pair tasks from one shared
+///   work-stealing queue; `dop` is capped at [`MAX_PARALLEL_DOP`].
 ///   A negative `level` means "choose automatically" (the SQL dialect
 ///   has no NULL literal, so `-1` is the explicit don't-care).
 ///   `interaction` is `'intersect'`/`'mask=...'`/`'distance=d'`;
 ///   `options` is `'fetch_order=arrival, candidates=N, cache=N,
-///   schedule=steal|static, split=N, method=rtree|partition|auto'`
-///   (`schedule` picks work-stealing vs. the paper's static task
-///   split; `split` is the work-stealing task-split threshold;
-///   `method` selects the tree traversal, the two-layer grid
-///   partition join — which needs no index — or a stats-driven
-///   automatic choice).
+///   method=rtree|partition|auto'` (`method` selects the tree
+///   traversal, the two-layer grid partition join — which needs no
+///   index — or a stats-driven automatic choice).
 ///   A leading `CURSOR(SELECT * FROM TABLE(SUBTREE_PAIRS(...)))`
 ///   argument supplies explicit subtree-pair tasks, matching the
 ///   paper's cursor-driven form,
@@ -108,10 +105,7 @@ fn parse_join_options(s: &str) -> Result<SpatialJoinConfig, DbError> {
     let mut cfg = SpatialJoinConfig::default();
     let pairs = parse_params(s);
     for (k, _) in &pairs {
-        if !matches!(
-            k.as_str(),
-            "fetch_order" | "candidates" | "cache" | "schedule" | "split" | "method"
-        ) {
+        if !matches!(k.as_str(), "fetch_order" | "candidates" | "cache" | "method") {
             return Err(DbError::Plan(format!("unknown SPATIAL_JOIN option '{k}'")));
         }
     }
@@ -128,17 +122,6 @@ fn parse_join_options(s: &str) -> Result<SpatialJoinConfig, DbError> {
     }
     if let Some(v) = param(&pairs, "cache") {
         cfg.cache_size = v.parse().map_err(|_| DbError::Plan(format!("bad cache '{v}'")))?;
-    }
-    if let Some(v) = param(&pairs, "schedule") {
-        cfg.schedule = match v.to_ascii_lowercase().as_str() {
-            "steal" | "dynamic" => JoinSchedule::Steal,
-            "static" => JoinSchedule::Static,
-            other => return Err(DbError::Plan(format!("unknown schedule '{other}'"))),
-        };
-    }
-    if let Some(v) = param(&pairs, "split") {
-        cfg.split_threshold =
-            v.parse::<u64>().map_err(|_| DbError::Plan(format!("bad split '{v}'")))?.max(1);
     }
     if let Some(v) = param(&pairs, "method") {
         cfg.method = JoinMethod::parse(v)
@@ -171,8 +154,9 @@ pub fn choose_descent_level(
 
 fn spatial_join_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, DbError> {
     let columns = vec!["RID1".to_string(), "RID2".to_string()];
-    // Optional leading cursor of (lnode, rnode) subtree pairs.
-    type TaskSplit<'a> = (Option<Vec<(NodeId, NodeId)>>, &'a [TfArg]);
+    // Optional leading cursor of (lnode, rnode) subtree pairs. The ids
+    // are client input: `rtree_join_func` checks them against the trees.
+    type TaskSplit<'a> = (Option<Vec<(i64, i64)>>, &'a [TfArg]);
     let (explicit_tasks, rest): TaskSplit<'_> = match args.first() {
         Some(TfArg::Cursor(rows)) => {
             let pairs = rows
@@ -181,7 +165,7 @@ fn spatial_join_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, D
                     let l = r.first().and_then(|v| v.as_integer());
                     let rr = r.get(1).and_then(|v| v.as_integer());
                     match (l, rr) {
-                        (Some(l), Some(rr)) => Ok((l as NodeId, rr as NodeId)),
+                        (Some(l), Some(rr)) => Ok((l, rr)),
                         _ => Err(DbError::Plan(
                             "SPATIAL_JOIN cursor must supply (lnode, rnode) pairs".into(),
                         )),
@@ -202,7 +186,13 @@ fn spatial_join_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, D
     let rt = rest[2].text()?;
     let rc = rest[3].text()?;
     let exact = ExactPredicate::parse(rest[4].text()?).map_err(DbError::from)?;
-    let dop = rest.get(5).map(|a| a.integer()).transpose()?.unwrap_or(1).max(1) as usize;
+    let dop = rest.get(5).map(|a| a.integer()).transpose()?.unwrap_or(1).max(1);
+    if dop > MAX_PARALLEL_DOP as i64 {
+        return Err(DbError::Plan(format!(
+            "SPATIAL_JOIN degree of parallelism {dop} exceeds the maximum of {MAX_PARALLEL_DOP}"
+        )));
+    }
+    let dop = dop as usize;
     // Negative level = auto (lets SQL callers reach the options
     // argument without forcing a descent level).
     let forced_level = rest.get(6).map(|a| a.integer()).transpose()?.filter(|&l| l >= 0);
@@ -421,8 +411,8 @@ fn partition_join_func(
     Ok((func, state))
 }
 
-/// The paper's engines: the synchronized R-tree traversal (serial,
-/// static-parallel, or work-stealing) with the quadtree merge join as
+/// The paper's engines: the synchronized R-tree traversal (serial, or
+/// work-stealing slaves at `dop > 1`) with the quadtree merge join as
 /// fallback when the left index is a quadtree. Returns the function
 /// plus the engine name recorded as `method_chosen`.
 #[allow(clippy::too_many_arguments)]
@@ -434,7 +424,7 @@ fn rtree_join_func(
     rc: &str,
     exact: ExactPredicate,
     dop: usize,
-    explicit_tasks: Option<Vec<(NodeId, NodeId)>>,
+    explicit_tasks: Option<Vec<(i64, i64)>>,
     forced_level: Option<i64>,
     config: SpatialJoinConfig,
     counters: Arc<sdo_storage::Counters>,
@@ -461,7 +451,16 @@ fn rtree_join_func(
     })?;
 
     let tasks: Vec<(NodeId, NodeId)> = match (explicit_tasks, forced_level) {
-        (Some(t), _) => t,
+        (Some(t), _) => {
+            let node = |tree: &RTree<RowId>, id: i64| {
+                NodeId::try_from(id).ok().filter(|&n| tree.has_node(n)).ok_or_else(|| {
+                    DbError::Plan(format!("SPATIAL_JOIN cursor node id {id} is not in the index"))
+                })
+            };
+            t.into_iter()
+                .map(|(l, r)| Ok((node(&left.tree, l)?, node(&right.tree, r)?)))
+                .collect::<Result<_, DbError>>()?
+        }
         (None, Some(level)) => {
             SpatialJoin::parallel_tasks(&left.tree, &right.tree, &exact, level.max(0) as u32)
         }
@@ -478,74 +477,31 @@ fn rtree_join_func(
         return Ok((Box::new(func), "rtree"));
     }
 
-    // Parallel: distribute the subtree-pair tasks across dop slave
-    // instances of the join function. The default work-stealing
-    // schedule shares one task queue — slaves pull on demand and steal
-    // across shards, so a dense cluster cannot pin a single slave. The
-    // static schedule reproduces the paper's fixed cursor partitioning
-    // (kept for the skew ablation and regression comparison).
-    let instances: Vec<Box<dyn TableFunction>> = match config.schedule {
-        JoinSchedule::Steal => {
-            let queue = sdo_tablefunc::TaskQueue::seed_round_robin(tasks, dop);
-            (0..dop)
-                .map(|worker| {
-                    Box::new(SpatialJoin::with_shared_tasks(
-                        JoinSide {
-                            table: Arc::clone(&left.table),
-                            column: left.column,
-                            tree: Arc::clone(&left.tree),
-                        },
-                        JoinSide {
-                            table: Arc::clone(&right.table),
-                            column: right.column,
-                            tree: Arc::clone(&right.tree),
-                        },
-                        exact.clone(),
-                        config.clone(),
-                        Arc::clone(&counters),
-                        Arc::clone(&queue),
-                        worker,
-                    )) as Box<dyn TableFunction>
-                })
-                .collect()
-        }
-        JoinSchedule::Static => {
-            let task_rows: Vec<sdo_tablefunc::Row> = tasks
-                .iter()
-                .map(|&(l, r)| vec![Value::Integer(l as i64), Value::Integer(r as i64)])
-                .collect();
-            partition_rows(task_rows, PartitionMethod::Any, dop)
-                .into_iter()
-                .map(|rows| {
-                    let stack: Vec<(NodeId, NodeId)> = rows
-                        .iter()
-                        .map(|r| {
-                            (
-                                r[0].as_integer().unwrap() as NodeId,
-                                r[1].as_integer().unwrap() as NodeId,
-                            )
-                        })
-                        .collect();
-                    Box::new(SpatialJoin::with_stack(
-                        JoinSide {
-                            table: Arc::clone(&left.table),
-                            column: left.column,
-                            tree: Arc::clone(&left.tree),
-                        },
-                        JoinSide {
-                            table: Arc::clone(&right.table),
-                            column: right.column,
-                            tree: Arc::clone(&right.tree),
-                        },
-                        exact.clone(),
-                        config.clone(),
-                        Arc::clone(&counters),
-                        stack,
-                    )) as Box<dyn TableFunction>
-                })
-                .collect()
-        }
-    };
+    // Parallel: dop slave instances share one work-stealing task queue —
+    // slaves pull on demand and steal across shards, so a dense cluster
+    // cannot pin a single slave.
+    let queue = TaskQueue::seed_round_robin(tasks, dop);
+    let instances: Vec<Box<dyn TableFunction>> = (0..dop)
+        .map(|worker| {
+            Box::new(SpatialJoin::with_shared_tasks(
+                JoinSide {
+                    table: Arc::clone(&left.table),
+                    column: left.column,
+                    tree: Arc::clone(&left.tree),
+                },
+                JoinSide {
+                    table: Arc::clone(&right.table),
+                    column: right.column,
+                    tree: Arc::clone(&right.tree),
+                },
+                exact.clone(),
+                config.clone(),
+                Arc::clone(&counters),
+                Arc::clone(&queue),
+                worker,
+            )) as Box<dyn TableFunction>
+        })
+        .collect();
     Ok((Box::new(ParallelTableFunction::new(instances)), "rtree"))
 }
 

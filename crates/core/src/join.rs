@@ -124,20 +124,6 @@ impl ExactPredicate {
     }
 }
 
-/// How subtree-pair tasks are distributed across parallel slaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinSchedule {
-    /// Work-stealing: slaves share a [`sdo_tablefunc::TaskQueue`] and
-    /// pull tasks on demand, stealing from busy siblings when their own
-    /// share runs dry. Robust to skewed data — the default.
-    #[default]
-    Steal,
-    /// Oracle's static split: tasks are dealt round-robin up front and
-    /// each slave owns its list. Kept for the ablation bench and as the
-    /// faithful reproduction of the paper's cursor partitioning.
-    Static,
-}
-
 /// Which join engine evaluates `SPATIAL_JOIN`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinMethod {
@@ -177,8 +163,6 @@ pub struct SpatialJoinConfig {
     pub fetch_order: FetchOrder,
     /// Geometry buffer-cache entries per side (0 disables caching).
     pub cache_size: usize,
-    /// Parallel task distribution policy (ignored when serial).
-    pub schedule: JoinSchedule,
     /// Work-stealing granularity: a pulled task whose estimated work
     /// ([`sdo_rtree::join::estimate_pair_work`]) exceeds this is split
     /// one level and re-queued, so a single dense subtree pair cannot
@@ -201,7 +185,6 @@ impl Default for SpatialJoinConfig {
             candidate_array: 4096,
             fetch_order: FetchOrder::default(),
             cache_size: 512,
-            schedule: JoinSchedule::default(),
             // One fanout^2 descent below the default task size: coarse
             // enough that splitting stays rare on uniform data, fine
             // enough that a hot cluster spreads across slaves.
@@ -451,8 +434,8 @@ impl SpatialJoin {
         Self::with_stack(left, right, exact, config, counters, stack)
     }
 
-    /// Parallel-slave join: seeded with assigned subtree-root pairs
-    /// (the paper's Figure 1 decomposition).
+    /// Serial join seeded with explicit subtree-root pairs (the paper's
+    /// Figure 1 decomposition, e.g. from a `SUBTREE_PAIRS` cursor).
     pub fn with_stack(
         left: JoinSide,
         right: JoinSide,
@@ -507,8 +490,8 @@ impl SpatialJoin {
 
     /// Pull the next task from the shared queue onto the private stack,
     /// splitting oversized tasks into re-queued children first. Returns
-    /// `false` when the queue is dry (or in static/serial mode, where
-    /// there is no queue).
+    /// `false` when the queue is dry (or in serial mode, where there is
+    /// no queue).
     fn pull_task(&mut self) -> bool {
         let Some(ts) = &mut self.tasks else { return false };
         let pred = self.exact.join_predicate();
@@ -1094,6 +1077,55 @@ mod tests {
             }
             got.sort_unstable();
             assert_eq!(got, want, "dop={dop}");
+        }
+
+        // One root-pair task at dop 4, fetched round-robin on one
+        // thread: the root's split children must spread by stealing, so
+        // every slave runs work and slaves 1..4 only get it by stealing.
+        let dop = 4;
+        let root = vec![(l.tree.root_id(), r.tree.root_id())];
+        let queue = sdo_tablefunc::TaskQueue::seed_round_robin(root, dop);
+        let config = SpatialJoinConfig { split_threshold: 4, ..Default::default() };
+        let mut slaves: Vec<SpatialJoin> = (0..dop)
+            .map(|worker| {
+                SpatialJoin::with_shared_tasks(
+                    JoinSide { table: Arc::clone(&l.table), column: 1, tree: Arc::clone(&l.tree) },
+                    JoinSide { table: Arc::clone(&r.table), column: 1, tree: Arc::clone(&r.tree) },
+                    exact.clone(),
+                    config.clone(),
+                    Arc::new(Counters::new()),
+                    Arc::clone(&queue),
+                    worker,
+                )
+            })
+            .collect();
+        let mut got = Vec::new();
+        for s in &mut slaves {
+            s.start().unwrap();
+        }
+        loop {
+            let mut delivered = 0;
+            for s in &mut slaves {
+                let batch = s.fetch(8).unwrap();
+                delivered += batch.len();
+                got.extend(batch.iter().map(|r| {
+                    (r[0].as_rowid().unwrap().as_u64(), r[1].as_rowid().unwrap().as_u64())
+                }));
+            }
+            if delivered == 0 {
+                break;
+            }
+        }
+        for s in &mut slaves {
+            s.close();
+        }
+        got.sort_unstable();
+        assert_eq!(got, want, "round-robin dop=4");
+        for w in 0..dop {
+            assert!(queue.executed(w) >= 1, "worker {w} ran no task");
+        }
+        for w in 1..dop {
+            assert!(queue.stolen(w) >= 1, "worker {w} never stole");
         }
     }
 

@@ -161,9 +161,11 @@ pub struct SessionOptions {
     pub parallel_dop: usize,
 }
 
-/// Hard ceiling for `ALTER SESSION SET parallel_dop` — more workers
-/// than this never helps and only fragments morsels.
-pub(crate) const MAX_PARALLEL_DOP: usize = 64;
+/// Hard ceiling for every SQL degree of parallelism: `ALTER SESSION
+/// SET parallel_dop`, `CREATE INDEX … PARALLEL n` and the `dop`
+/// argument of `SPATIAL_JOIN`. More workers than this never helps, and
+/// each one costs a pool thread plus per-slave state allocated up front.
+pub const MAX_PARALLEL_DOP: usize = 64;
 
 impl Default for SessionOptions {
     fn default() -> Self {
@@ -992,6 +994,11 @@ impl Database {
         dop: usize,
     ) -> Result<(), DbError> {
         Self::reject_in_txn(sess, "CREATE INDEX")?;
+        if dop > MAX_PARALLEL_DOP {
+            return Err(DbError::Plan(format!(
+                "CREATE INDEX degree of parallelism {dop} exceeds the maximum of {MAX_PARALLEL_DOP}"
+            )));
+        }
         self.create_domain_index_unlogged(index_name, table, column, indextype, params, dop)?;
         self.log_ddl(
             &WalRecord::CreateIndex {

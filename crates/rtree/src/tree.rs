@@ -192,6 +192,13 @@ impl<T: Clone> RTree<T> {
         &self.nodes[id]
     }
 
+    /// True when `id` is a node slot of this tree, so [`RTree::node`]
+    /// will not panic on it (checks ids that arrive from outside).
+    #[inline]
+    pub fn has_node(&self, id: NodeId) -> bool {
+        id < self.nodes.len()
+    }
+
     /// Borrow a node without charging I/O (structural traversals).
     #[inline]
     pub(crate) fn node_quiet(&self, id: NodeId) -> &Node<T> {
@@ -318,7 +325,7 @@ impl<T: Clone> RTree<T> {
         self.maybe_split(node).map(|(mbr, id)| Overflow::Split(mbr, id))
     }
 
-    /// Guttman's ChooseLeaf criterion: least enlargement, ties by least
+    /// Guttman's ChooseLeaf rule: least enlargement, ties by least
     /// area.
     fn choose_subtree(&self, node: NodeId, mbr: &Rect) -> usize {
         let entries = &self.nodes[node].entries;

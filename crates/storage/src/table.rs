@@ -422,8 +422,8 @@ impl<'a> Iterator for BoundedScan<'a> {
 
 impl Table {
     /// Scan restricted to a contiguous slot range `[from, to)` — the
-    /// primitive that RANGE-partitioned parallel table functions use to
-    /// split an input cursor.
+    /// primitive parallel table-function slaves use to read the chunk of
+    /// an input cursor they pulled from the work-stealing queue.
     pub fn scan_slots(&self, from: usize, to: usize) -> BoundedScan<'_> {
         self.scan_slots_at(from, to, Snapshot::LATEST)
     }

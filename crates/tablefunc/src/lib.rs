@@ -14,15 +14,16 @@
 //!   set of rows (a cursor)" and the runtime *partitions the input
 //!   cursor across multiple instances* of the function
 //!   ([`parallel::ParallelTableFunction`]). The degree of parallelism
-//!   (DOP) picks the slave count; each slave runs its own instance over
-//!   its partition and result rows funnel through a bounded channel to
-//!   the consumer, preserving pipelining end to end.
+//!   (DOP) picks the slave count; each slave runs its own instance and
+//!   result rows funnel through a bounded channel to the consumer,
+//!   preserving pipelining end to end.
 //!
-//! Input cursors are modeled by [`RowSource`]; partitioning strategies
-//! (`ANY`, `HASH(col)`, `RANGE`) live in [`partition`].
+//! Input cursors are modeled by [`RowSource`]. Where the paper splits
+//! the cursor once up front (`PARTITION BY ANY`), slaves here pull
+//! chunks of it on demand from a shared work-stealing [`TaskQueue`]
+//! ([`scheduler`]), so a dense chunk cannot pin one slave.
 
 pub mod parallel;
-pub mod partition;
 pub mod pipeline;
 pub mod pool;
 pub mod row;
@@ -31,7 +32,6 @@ pub mod source;
 pub mod table_function;
 
 pub use parallel::{execute_parallel, ParallelTableFunction};
-pub use partition::PartitionMethod;
 pub use pool::{PoolStats, SlavePool};
 pub use row::Row;
 pub use scheduler::{TaskQueue, WorkStealingFn};

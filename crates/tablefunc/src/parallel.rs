@@ -1,8 +1,9 @@
 //! The parallel table-function executor.
 //!
 //! Reproduces Oracle9i's parallel execution of a table function: the
-//! caller partitions the input cursor (see [`crate::partition`]),
-//! builds one function *instance per slave*, and this executor runs the
+//! caller builds one function *instance per slave* — typically
+//! [`crate::scheduler::WorkStealingFn`]s sharing one task queue over
+//! chunks of the input cursor — and this executor runs the
 //! instances on worker threads. Each slave drives its instance through
 //! the pipelined `start`/`fetch`/`close` protocol and funnels result
 //! batches into a bounded channel, so production and consumption

@@ -10,9 +10,10 @@ use crate::TfError;
 ///
 /// This is the shape of the paper's tessellation function (§5, Fig. 2):
 /// "a table function that takes as input a cursor for fetching the
-/// geometries and tessellates these geometries". Build one instance per
-/// partition of the input cursor and hand them to
-/// [`crate::parallel::ParallelTableFunction`] for the parallel path.
+/// geometries and tessellates these geometries". The parallel path runs
+/// the same body in [`crate::scheduler::WorkStealingFn`] slaves that
+/// pull chunks of the cursor from a shared
+/// [`crate::scheduler::TaskQueue`].
 pub struct CursorFn<S, F> {
     input: S,
     f: F,
@@ -249,14 +250,16 @@ mod tests {
     #[test]
     fn parallel_cursor_fn_equals_serial() {
         use crate::parallel::execute_parallel;
-        use crate::partition::{partition_sources, PartitionMethod};
+        use crate::scheduler::{TaskQueue, WorkStealingFn};
+        use std::sync::Arc;
 
+        let square = |r: &Row| {
+            let v = r[0].as_integer().unwrap();
+            vec![Value::Integer(v * v)]
+        };
         let rows: Vec<Row> = (0..200).map(|i| vec![Value::Integer(i)]).collect();
         // serial
-        let mut serial = CursorFn::new(VecSource::new(rows.clone()), |r| {
-            let v = r[0].as_integer().unwrap();
-            Ok(vec![vec![Value::Integer(v * v)]])
-        });
+        let mut serial = CursorFn::new(VecSource::new(rows.clone()), |r| Ok(vec![square(&r)]));
         let mut expect: Vec<i64> = collect_all(&mut serial, 64)
             .unwrap()
             .iter()
@@ -264,14 +267,16 @@ mod tests {
             .collect();
         expect.sort_unstable();
 
-        // parallel over 4 partitions
-        let parts = partition_sources(rows, PartitionMethod::Any, 4);
-        let instances: Vec<Box<dyn TableFunction>> = parts
-            .into_iter()
-            .map(|p| {
-                Box::new(CursorFn::new(p, |r: Row| {
-                    let v = r[0].as_integer().unwrap();
-                    Ok(vec![vec![Value::Integer(v * v)]])
+        // parallel: 4 slaves pull 16-row chunks of the cursor
+        let rows = Arc::new(rows);
+        let chunks: Vec<(usize, usize)> =
+            (0..rows.len()).step_by(16).map(|lo| (lo, (lo + 16).min(rows.len()))).collect();
+        let queue = TaskQueue::seed_round_robin(chunks, 4);
+        let instances: Vec<Box<dyn TableFunction>> = (0..4)
+            .map(|worker| {
+                let rows = Arc::clone(&rows);
+                Box::new(WorkStealingFn::new(Arc::clone(&queue), worker, move |(lo, hi)| {
+                    Ok(rows[lo..hi].iter().map(square).collect())
                 })) as Box<dyn TableFunction>
             })
             .collect();

@@ -1,13 +1,13 @@
 //! Dynamic work-stealing task scheduling for parallel table functions.
 //!
 //! Oracle distributes a parallel table function's input statically: the
-//! cursor is partitioned once and each slave owns its slice (see
-//! [`crate::partition`]). That reproduces the paper's setup but
-//! inherits its weakness — on skewed data one slave drains a dense
-//! partition while the rest idle. [`TaskQueue`] is the dynamic
-//! alternative: all slaves share one queue, each pulls its next task on
-//! demand, and a slave that runs dry *steals* from a busy sibling, so
-//! no slave idles while tasks remain anywhere.
+//! cursor is partitioned once and each slave owns its slice. On skewed
+//! data one slave then drains a dense partition while the rest idle.
+//! [`TaskQueue`] is the one way slaves get work here instead: all
+//! slaves share one queue, each pulls its next task on demand, and a
+//! slave that runs dry *steals* from a busy sibling, so no slave idles
+//! while tasks remain anywhere. The paper's `PARTITION BY ANY` split is
+//! the queue's round-robin seed ([`TaskQueue::seed_round_robin`]).
 //!
 //! Structure: one small deque shard per worker. A worker pushes and
 //! pops its own shard LIFO (cache-warm, no contention in the common
@@ -139,8 +139,9 @@ impl<T> TaskQueue<T> {
 }
 
 /// A table function that pulls tasks from a shared [`TaskQueue`] and
-/// maps each through a body closure — the work-stealing counterpart of
-/// running [`crate::pipeline::CursorFn`] over a static partition.
+/// maps each through a body closure — the parallel form of
+/// [`crate::pipeline::CursorFn`]: with tasks that are chunks of an
+/// input cursor, the slaves together map every input row exactly once.
 ///
 /// Build one instance per slave (same queue, distinct `worker` ids) and
 /// run them under [`crate::parallel::ParallelTableFunction`]. Each

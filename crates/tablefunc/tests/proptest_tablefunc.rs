@@ -1,28 +1,20 @@
-//! Property-based table-function testing: partitioners cover the input
-//! exactly once, and parallel execution returns the serial multiset at
-//! any DOP and fetch size.
+//! Property-based table-function testing: the work-stealing queue hands
+//! out every task exactly once, and parallel execution returns the
+//! serial multiset at any DOP and fetch size.
 
 use proptest::prelude::*;
 use sdo_storage::Value;
 use sdo_tablefunc::parallel::execute_parallel;
-use sdo_tablefunc::partition::{partition_rows, partition_sources, PartitionMethod};
 use sdo_tablefunc::pipeline::CursorFn;
 use sdo_tablefunc::source::VecSource;
 use sdo_tablefunc::table_function::collect_all;
-use sdo_tablefunc::{Row, TableFunction};
+use sdo_tablefunc::{Row, TableFunction, TaskQueue, WorkStealingFn};
+use std::sync::Arc;
 
 fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec((0i64..50, any::<i64>()), 0..300).prop_map(|pairs| {
         pairs.into_iter().map(|(k, v)| vec![Value::Integer(k), Value::Integer(v)]).collect()
     })
-}
-
-fn arb_method() -> impl Strategy<Value = PartitionMethod> {
-    prop_oneof![
-        Just(PartitionMethod::Any),
-        Just(PartitionMethod::Hash(0)),
-        Just(PartitionMethod::Range),
-    ]
 }
 
 fn multiset(rows: &[Row]) -> Vec<(i64, i64)> {
@@ -32,58 +24,64 @@ fn multiset(rows: &[Row]) -> Vec<(i64, i64)> {
     v
 }
 
+/// Chunk `0..n` into `(lo, hi)` slot ranges of at most `chunk` rows.
+fn slot_chunks(n: usize, chunk: usize) -> Vec<(usize, usize)> {
+    (0..n).step_by(chunk).map(|lo| (lo, (lo + chunk).min(n))).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn partitions_cover_exactly_once(
-        rows in arb_rows(),
-        method in arb_method(),
+        n in 0usize..300,
         dop in 1usize..9,
+        pops in proptest::collection::vec(0usize..9, 0..400),
     ) {
-        let want = multiset(&rows);
-        let parts = partition_rows(rows, method, dop);
-        prop_assert_eq!(parts.len(), dop);
-        let got = multiset(&parts.into_iter().flatten().collect::<Vec<_>>());
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn hash_partitioning_groups_keys(rows in arb_rows(), dop in 1usize..9) {
-        let parts = partition_rows(rows, PartitionMethod::Hash(0), dop);
-        for key in 0i64..50 {
-            let holders = parts
-                .iter()
-                .filter(|p| p.iter().any(|r| r[0].as_integer() == Some(key)))
-                .count();
-            prop_assert!(holders <= 1, "key {key} split across {holders} partitions");
+        // Workers pop in an arbitrary order, then worker 0 drains the
+        // rest by stealing: the seeded tasks come back exactly once.
+        let queue = TaskQueue::seed_round_robin((0..n).collect(), dop);
+        let mut got: Vec<usize> =
+            pops.into_iter().filter_map(|w| queue.pop(w % dop)).map(|p| p.task).collect();
+        while let Some(p) = queue.pop(0) {
+            got.push(p.task);
         }
+        got.sort_unstable();
+        prop_assert_eq!(got, (0..n).collect::<Vec<_>>());
+        prop_assert_eq!(queue.total_executed(), n as u64);
+        prop_assert_eq!(queue.remaining(), 0);
     }
 
     #[test]
     fn parallel_cursor_fn_equals_serial(
         rows in arb_rows(),
-        method in arb_method(),
         dop in 1usize..6,
+        chunk in 1usize..40,
         fetch in 1usize..64,
     ) {
         // the function: emit (k, v+1) for even k, drop odd k
-        let body = |r: Row| {
+        let body = |r: &Row| {
             let k = r[0].as_integer().unwrap();
             let v = r[1].as_integer().unwrap();
-            Ok(if k % 2 == 0 {
+            if k % 2 == 0 {
                 vec![vec![Value::Integer(k), Value::Integer(v.wrapping_add(1))]]
             } else {
                 vec![]
-            })
+            }
         };
-        let mut serial = CursorFn::new(VecSource::new(rows.clone()), body);
+        let mut serial = CursorFn::new(VecSource::new(rows.clone()), |r: Row| Ok(body(&r)));
         let want = multiset(&collect_all(&mut serial, 128).unwrap());
 
-        let parts = partition_sources(rows, method, dop);
-        let instances: Vec<Box<dyn TableFunction>> = parts
-            .into_iter()
-            .map(|p| Box::new(CursorFn::new(p, body)) as Box<dyn TableFunction>)
+        // Slaves pull slot-range chunks of the cursor on demand.
+        let queue = TaskQueue::seed_round_robin(slot_chunks(rows.len(), chunk), dop);
+        let rows = Arc::new(rows);
+        let instances: Vec<Box<dyn TableFunction>> = (0..dop)
+            .map(|worker| {
+                let rows = Arc::clone(&rows);
+                Box::new(WorkStealingFn::new(Arc::clone(&queue), worker, move |(lo, hi)| {
+                    Ok(rows[lo..hi].iter().flat_map(body).collect())
+                })) as Box<dyn TableFunction>
+            })
             .collect();
         let got = multiset(&execute_parallel(instances, fetch).unwrap());
         prop_assert_eq!(got, want);

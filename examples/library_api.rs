@@ -14,9 +14,8 @@ use sdo_quadtree::QuadtreeIndex;
 use sdo_rtree::{RTree, RTreeParams};
 use sdo_storage::{Counters, DataType, RowId, Schema, Table, Value};
 use sdo_tablefunc::parallel::execute_parallel;
-use sdo_tablefunc::partition::{partition_sources, PartitionMethod};
 use sdo_tablefunc::pipeline::CursorFn;
-use sdo_tablefunc::{collect_all, Row, TableFunction};
+use sdo_tablefunc::{collect_all, Row, TableFunction, TaskQueue, WorkStealingFn};
 use std::sync::Arc;
 
 fn main() {
@@ -88,16 +87,17 @@ fn main() {
     println!("TOUCH self-join (pipelined, 256-row fetches): {touching_pairs} pairs");
 
     // --- a parallel table function from scratch --------------------------
-    // Compute polygon areas in 4 parallel slaves over an ANY-partitioned
-    // cursor, then sum them.
-    let rows: Vec<Row> = geoms.iter().map(|g| vec![Value::geometry(g.clone())]).collect();
-    let parts = partition_sources(rows, PartitionMethod::Any, 4);
-    let instances: Vec<Box<dyn TableFunction>> = parts
-        .into_iter()
-        .map(|p| {
-            Box::new(CursorFn::new(p, |row: Row| {
-                let g = row[0].as_geometry().unwrap();
-                Ok(vec![vec![Value::Double(g.area())]])
+    // Compute polygon areas in 4 parallel slaves that pull 32-county
+    // chunks from a shared work-stealing queue, then sum them.
+    let shared = Arc::new(geoms);
+    let chunks: Vec<(usize, usize)> =
+        (0..shared.len()).step_by(32).map(|lo| (lo, (lo + 32).min(shared.len()))).collect();
+    let queue = TaskQueue::seed_round_robin(chunks, 4);
+    let instances: Vec<Box<dyn TableFunction>> = (0..4)
+        .map(|worker| {
+            let geoms = Arc::clone(&shared);
+            Box::new(WorkStealingFn::new(Arc::clone(&queue), worker, move |(lo, hi)| {
+                Ok(geoms[lo..hi].iter().map(|g| vec![Value::Double(g.area())]).collect())
             })) as Box<dyn TableFunction>
         })
         .collect();
@@ -110,8 +110,8 @@ fn main() {
     );
 
     // single-instance sanity check through collect_all
-    let rows2: Vec<Row> = geoms.iter().map(|g| vec![Value::geometry(g.clone())]).collect();
-    let mut serial = CursorFn::new(sdo_tablefunc::VecSource::new(rows2), |row: Row| {
+    let rows: Vec<Row> = shared.iter().map(|g| vec![Value::geometry(g.clone())]).collect();
+    let mut serial = CursorFn::new(sdo_tablefunc::VecSource::new(rows), |row: Row| {
         let g = row[0].as_geometry().unwrap();
         Ok(vec![vec![Value::Double(g.area())]])
     });

@@ -103,6 +103,59 @@ fn cursor_driven_parallel_join_matches() {
 }
 
 #[test]
+fn cursor_node_ids_outside_the_index_are_rejected() {
+    let db = session();
+    load_counties(&db, "t1", 20, 3);
+    load_counties(&db, "t2", 20, 4);
+    db.execute("CREATE INDEX t1_sidx ON t1(geom) INDEXTYPE IS SPATIAL_INDEX").unwrap();
+    db.execute("CREATE INDEX t2_sidx ON t2(geom) INDEXTYPE IS SPATIAL_INDEX").unwrap();
+    // Node ids come from the client: out of range, negative, and out
+    // of range on the right side only.
+    for (i, (bad, l, r)) in
+        [(100_049, 100_049, 0), (-1, -1, 0), (100_050, 0, 100_050)].into_iter().enumerate()
+    {
+        let pairs = format!("pairs{i}");
+        db.execute(&format!("CREATE TABLE {pairs} (lnode NUMBER, rnode NUMBER)")).unwrap();
+        db.insert_row(&pairs, vec![Value::Integer(0), Value::Integer(0)]).unwrap();
+        db.insert_row(&pairs, vec![Value::Integer(l), Value::Integer(r)]).unwrap();
+        for dop in [1, 2] {
+            let err = db
+                .execute(&format!(
+                    "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN( \
+                       CURSOR(SELECT lnode, rnode FROM {pairs}), \
+                       't1','geom','t2','geom','intersect', {dop}))"
+                ))
+                .expect_err("a node id outside the index must be rejected");
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("node id {bad}")), "dop={dop}: {msg}");
+        }
+    }
+}
+
+#[test]
+fn sql_degree_of_parallelism_is_capped() {
+    let db = session();
+    load_counties(&db, "t", 20, 5);
+    // CREATE INDEX … PARALLEL n: the bound is named, and the bound
+    // itself is accepted.
+    let err = db
+        .execute("CREATE INDEX t_sidx ON t(geom) INDEXTYPE IS SPATIAL_INDEX PARALLEL 65")
+        .expect_err("PARALLEL 65 must be rejected");
+    assert!(err.to_string().contains("maximum of 64"), "{err}");
+    db.execute("CREATE INDEX t_sidx ON t(geom) INDEXTYPE IS SPATIAL_INDEX PARALLEL 64").unwrap();
+
+    // SPATIAL_JOIN's dop argument.
+    let join = |dop: i64| {
+        db.execute(&format!(
+            "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN('t','geom','t','geom','intersect', {dop}))"
+        ))
+    };
+    let err = join(65).expect_err("dop 65 must be rejected");
+    assert!(err.to_string().contains("maximum of 64"), "{err}");
+    assert_eq!(join(64).unwrap().count(), join(1).unwrap().count());
+}
+
+#[test]
 fn subtree_root_function_exposes_index_structure() {
     let db = session();
     load_counties(&db, "t", 120, 5);

@@ -163,8 +163,6 @@ fn join_options_preserve_join_results() {
                 "fetch_order=arrival",
                 "candidates=5",
                 "cache=0",
-                "schedule=static",
-                "schedule=steal,split=1",
                 "method=partition",
                 "method=auto",
             ] {
@@ -183,9 +181,10 @@ fn join_options_preserve_join_results() {
 
 #[test]
 fn removed_join_options_are_rejected_at_parse_time() {
-    // The kernel tiers, the naive secondary filter, and the sweep
-    // cutoff are gone; naming them fails the query before any join
-    // work starts, with an error naming the option.
+    // The kernel tiers, the naive secondary filter, the sweep cutoff,
+    // the static slave schedule and the task-split threshold are gone;
+    // naming them fails the query before any join work starts, with an
+    // error naming the option.
     let a = counties::generate(4, &US_EXTENT, 301);
     let db = session_with("k", &a);
     db.execute("CREATE INDEX k_x ON k(geom) INDEXTYPE IS SPATIAL_INDEX").unwrap();
@@ -193,6 +192,8 @@ fn removed_join_options_are_rejected_at_parse_time() {
         ("kernel", "kernel=simd"),
         ("prepare", "prepare=off"),
         ("sweep_threshold", "sweep_threshold=0"),
+        ("schedule", "schedule=static"),
+        ("split", "split=64"),
     ] {
         let err = db
             .execute(&format!(

@@ -115,15 +115,10 @@ fn partition_handles_hotspot_skew() {
     let b = hotspot::generate(300, &US_EXTENT, 0.7, 43);
     let db = session(&a, &b, false);
     let oracle = brute(&a, &b, "intersect");
-    for (dop, split) in [(1, ""), (4, "split=4"), (4, "split=1000000")] {
-        let opts = if split.is_empty() {
-            "method=partition".into()
-        } else {
-            format!("method=partition,{split}")
-        };
-        let got = pairs(&db, &join_sql("intersect", dop, &opts));
-        assert_no_duplicates(&got, &format!("dop={dop} {split}"));
-        assert_eq!(got, oracle, "dop={dop} {split}");
+    for dop in [1, 4] {
+        let got = pairs(&db, &join_sql("intersect", dop, "method=partition"));
+        assert_no_duplicates(&got, &format!("dop={dop}"));
+        assert_eq!(got, oracle, "dop={dop}");
     }
 }
 
@@ -161,12 +156,7 @@ fn option_combos_preserve_results() {
         let oracle = brute(&a, &b, pred);
         for method in ["rtree", "partition"] {
             for dop in [1, 2] {
-                for opts in [
-                    "fetch_order=arrival",
-                    "candidates=7,cache=0",
-                    "schedule=static",
-                    "split=64,cache=4",
-                ] {
+                for opts in ["fetch_order=arrival", "candidates=7,cache=0", "cache=4"] {
                     let got = pairs(&db, &join_sql(pred, dop, &format!("method={method},{opts}")));
                     let ctx = format!("pred={pred} method={method} dop={dop} opts={opts}");
                     assert_no_duplicates(&got, &ctx);
