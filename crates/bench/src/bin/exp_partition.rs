@@ -5,8 +5,9 @@
 //! the tree join is CREATE INDEX on both sides **plus** the query. The
 //! two-layer grid partition join needs no index: it samples, tiles,
 //! and joins directly, so its time-to-first-result wins whenever index
-//! builds can't be amortized. `method=auto` should track the better
-//! choice on both indexed and unindexed inputs.
+//! builds can't be amortized. `SPATIAL_JOIN` picks the engine from the
+//! indexes: the unindexed tables below run the partition join, and the
+//! same statement after CREATE INDEX runs the tree join.
 //!
 //! ```sh
 //! cargo run --release -p sdo-bench --bin exp_partition
@@ -15,7 +16,7 @@
 
 use sdo_bench::*;
 use sdo_datagen::{counties, hotspot, US_EXTENT};
-use std::time::Duration;
+use sdo_dbms::Database;
 
 fn main() {
     let n = scaled(150_000, 400);
@@ -37,55 +38,13 @@ fn main() {
         load_table(&db, "a", &geoms);
         load_table(&db, "b", &geoms);
 
-        println!(
-            "{:>4} {:>14} {:>20} {:>14} {:>10}",
-            "dop", "partition", "rtree (build+join)", "auto", "speedup"
-        );
-        let mut expect: Option<i64> = None;
-        let mut check = |method: &str, c: i64| {
-            let e = *expect.get_or_insert(c);
-            assert_eq!(e, c, "{method} changed the result cardinality");
-        };
+        println!("{:>4} {:>14} {:>20} {:>10}", "dop", "partition", "rtree (build+join)", "speedup");
         for dop in [1usize, 2, 4, 8] {
-            let (cp, tp) = timed(|| count(&db, &join_sql("partition", dop)));
-            check("partition", cp);
-
+            let (cp, tp) = timed(|| count(&db, &join_sql("intersect", dop)));
             // Tree join from cold: index both sides, query, drop.
-            let (cr, tr) = timed(|| {
-                for t in ["a", "b"] {
-                    db.execute(&format!(
-                        "CREATE INDEX {t}_x ON {t}(geom) INDEXTYPE IS SPATIAL_INDEX \
-                         PARAMETERS ('tree_fanout=32')"
-                    ))
-                    .unwrap();
-                }
-                count(&db, &join_sql("rtree", dop))
-            });
-            check("rtree", cr);
-            for t in ["a", "b"] {
-                db.execute(&format!("DROP INDEX {t}_x")).unwrap();
-            }
-
-            let (ca, ta) = timed(|| count(&db, &join_sql("auto", dop)));
-            check("auto", ca);
-            // Auto picks one of the two fixed methods, so its time
-            // should track that method's — but leave 2x headroom, as
-            // wall-clock throughput on a shared host swings that much
-            // between back-to-back runs of identical work.
-            let worse = tr.max(tp);
-            assert!(
-                ta <= worse * 2 + Duration::from_millis(100),
-                "auto ({ta:?}) must not lose badly to the worse fixed method ({worse:?})"
-            );
-
-            println!(
-                "{:>4} {:>14} {:>20} {:>14} {:>10}",
-                dop,
-                secs(tp),
-                secs(tr),
-                secs(ta),
-                speedup(tr, tp)
-            );
+            let (cr, tr) = timed(|| build_and_join(&db, "intersect", dop));
+            assert_eq!(cp, cr, "the engines disagree");
+            println!("{:>4} {:>14} {:>20} {:>10}", dop, secs(tp), secs(tr), speedup(tr, tp));
         }
     }
 
@@ -101,28 +60,10 @@ fn main() {
     load_table(&db, "a", &geoms);
     load_table(&db, "b", &geoms);
     println!("{:>4} {:>14} {:>20} {:>10}", "dop", "partition", "rtree (build+join)", "speedup");
-    let sql = |method: &str, dop: usize| {
-        format!(
-            "SELECT COUNT(*) FROM TABLE( \
-             SPATIAL_JOIN('a','geom','b','geom','FILTER', {dop}, -1, 'method={method}'))"
-        )
-    };
     for dop in [1usize, 4, 8] {
-        let (cp, tp) = timed(|| count(&db, &sql("partition", dop)));
-        let (cr, tr) = timed(|| {
-            for t in ["a", "b"] {
-                db.execute(&format!(
-                    "CREATE INDEX {t}_x ON {t}(geom) INDEXTYPE IS SPATIAL_INDEX \
-                     PARAMETERS ('tree_fanout=32')"
-                ))
-                .unwrap();
-            }
-            count(&db, &sql("rtree", dop))
-        });
+        let (cp, tp) = timed(|| count(&db, &join_sql("FILTER", dop)));
+        let (cr, tr) = timed(|| build_and_join(&db, "FILTER", dop));
         assert_eq!(cp, cr, "primary-only cardinality must match");
-        for t in ["a", "b"] {
-            db.execute(&format!("DROP INDEX {t}_x")).unwrap();
-        }
         println!("{:>4} {:>14} {:>20} {:>10}", dop, secs(tp), secs(tr), speedup(tr, tp));
     }
 
@@ -132,13 +73,30 @@ fn main() {
     let geoms = counties::generate(scaled(20_000, 300), &US_EXTENT, 13);
     load_table(&db, "a", &geoms);
     load_table(&db, "b", &geoms);
-    count(&db, &join_sql("partition", 4));
+    count(&db, &join_sql("intersect", 4));
     report_last_profile(&db);
 }
 
-fn join_sql(method: &str, dop: usize) -> String {
+fn join_sql(interaction: &str, dop: usize) -> String {
     format!(
         "SELECT COUNT(*) FROM TABLE( \
-         SPATIAL_JOIN('a','geom','b','geom','intersect', {dop}, -1, 'method={method}'))"
+         SPATIAL_JOIN('a','geom','b','geom','{interaction}', {dop}))"
     )
+}
+
+/// The tree join from cold: index both sides, join, drop the indexes
+/// again so the next statement sees unindexed tables.
+fn build_and_join(db: &Database, interaction: &str, dop: usize) -> i64 {
+    for t in ["a", "b"] {
+        db.execute(&format!(
+            "CREATE INDEX {t}_x ON {t}(geom) INDEXTYPE IS SPATIAL_INDEX \
+             PARAMETERS ('tree_fanout=32')"
+        ))
+        .unwrap();
+    }
+    let n = count(db, &join_sql(interaction, dop));
+    for t in ["a", "b"] {
+        db.execute(&format!("DROP INDEX {t}_x")).unwrap();
+    }
+    n
 }

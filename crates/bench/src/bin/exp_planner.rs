@@ -1,4 +1,5 @@
-//! Cost-based planner: does `auto` track the best static plan?
+//! Cost-based planner: does the planner's pick track the best static
+//! plan?
 //!
 //! ```sh
 //! cargo run --release -p sdo-bench --bin exp_planner
@@ -6,21 +7,16 @@
 //! SDO_SCALE=0.002 cargo run -p sdo-bench --bin exp_planner        # tiny
 //! ```
 //!
-//! Four workloads, each with every static alternative timed next to
+//! Three workloads, each with its static alternative timed next to
 //! the planner's pick (DESIGN.md "Cost-based planning"):
 //!
-//! * **uniform join, indexed** — both sides carry R-trees and, at
-//!   dop=1, a serial partition build can never pay off: `method=auto`
-//!   must keep the tree join.
-//! * **unindexed primary-filter join** — no indexes exist, so the
-//!   honest tree-join cost is CREATE INDEX on both sides plus the
-//!   query; `auto` must go straight to the grid partition (the
-//!   `'FILTER'` interaction isolates the engines — no shared exact
-//!   secondary filter to dilute the gap).
-//! * **hotspot-skew join, indexed** — 70% of the rows in one Gaussian
-//!   cluster make the pair count quadratic; the engines land near
-//!   parity here (both are output-bound), so the planner's job is to
-//!   stay within noise of the best static pick.
+//! * **unindexed primary-filter join** — no indexes exist, so
+//!   `SPATIAL_JOIN` runs the grid partition join; the static
+//!   alternative is the honest tree-join cost, CREATE INDEX on both
+//!   sides plus the query (the `'FILTER'` interaction isolates the
+//!   engines — no shared exact secondary filter to dilute the gap).
+//!   On indexed inputs there is no choice left to measure: two R-trees
+//!   always run the tree join.
 //! * **window filter, selective** — a small window on an analyzed,
 //!   indexed table: the planner routes through the domain-index
 //!   prefilter; the static alternative (functional scan, timed on an
@@ -33,7 +29,7 @@
 //! Every comparison first asserts the plans return identical results.
 
 use sdo_bench::*;
-use sdo_datagen::{counties, hotspot, US_EXTENT};
+use sdo_datagen::{counties, US_EXTENT};
 use sdo_dbms::Database;
 use std::time::Duration;
 
@@ -41,9 +37,9 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick" || a == "quick");
     if quick {
         // CI smoke: fixed tiny sizes regardless of SDO_SCALE.
-        run(2_000, 1_500, 2_000, true);
+        run(2_000, 2_000, true);
     } else {
-        run(scaled(60_000, 2_000), scaled(15_000, 1_500), scaled(60_000, 2_000), false);
+        run(scaled(60_000, 2_000), scaled(60_000, 2_000), false);
     }
 }
 
@@ -59,10 +55,10 @@ fn best3<T: Eq + std::fmt::Debug>(mut f: impl FnMut() -> T) -> (T, Duration) {
     (out, best)
 }
 
-fn join_sql(method: &str, interaction: &str, dop: usize) -> String {
+fn join_sql(interaction: &str, dop: usize) -> String {
     format!(
         "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN( \
-         'a', 'geom', 'b', 'geom', '{interaction}', {dop}, -1, 'method={method}'))"
+         'a', 'geom', 'b', 'geom', '{interaction}', {dop}))"
     )
 }
 
@@ -81,58 +77,36 @@ fn peak_resident(db: &Database) -> u64 {
     db.last_profile().and_then(|p| p.root.metric("peak_resident_rows")).unwrap_or(0)
 }
 
-fn report(label: &str, auto_t: Duration, statics: &[(&str, Duration)], quick: bool) {
+fn report(label: &str, picked_t: Duration, statics: &[(&str, Duration)], quick: bool) {
     let best = statics.iter().map(|(_, t)| *t).min().unwrap();
     let worst = statics.iter().map(|(_, t)| *t).max().unwrap();
-    let vs_best = auto_t.as_secs_f64() / best.as_secs_f64().max(1e-12);
-    let vs_worst = worst.as_secs_f64() / auto_t.as_secs_f64().max(1e-12);
+    let vs_best = picked_t.as_secs_f64() / best.as_secs_f64().max(1e-12);
+    let vs_worst = worst.as_secs_f64() / picked_t.as_secs_f64().max(1e-12);
     println!(
-        "   auto {} | vs best static {:.2}x | {:.2}x faster than worst",
-        secs(auto_t),
+        "   planner {} | vs best static {:.2}x | {:.2}x faster than worst",
+        secs(picked_t),
         vs_best,
         vs_worst
     );
     if !quick {
         assert!(
             vs_best <= 1.15,
-            "{label}: auto ({auto_t:?}) must stay within 15% of the best static ({best:?})"
+            "{label}: the planner ({picked_t:?}) must stay within 15% of the best static ({best:?})"
         );
     }
 }
 
-fn run(n_uniform: usize, n_hot: usize, n_topk: usize, quick: bool) {
+fn run(n_uniform: usize, n_topk: usize, quick: bool) {
     println!("== exp_planner: cost-picked plans vs static alternatives ==");
 
-    // -- workload 1: uniform self-join, both sides indexed ------------------
-    println!();
-    println!("-- uniform join, indexed ({n_uniform} x {n_uniform}, dop=1) --");
-    let geoms = counties::generate(n_uniform, &US_EXTENT, 31);
-    let db = session();
-    load_table(&db, "a", &geoms);
-    load_table(&db, "b", &geoms);
-    for t in ["a", "b"] {
-        db.execute(&format!("CREATE INDEX {t}_x ON {t}(geom) INDEXTYPE IS SPATIAL_INDEX")).unwrap();
-        db.execute(&format!("ANALYZE TABLE {t}")).unwrap();
-    }
-    let (c_rt, t_rt) = best3(|| count(&db, &join_sql("rtree", "intersect", 1)));
-    let (c_pt, t_pt) = best3(|| count(&db, &join_sql("partition", "intersect", 1)));
-    let (c_auto, t_auto) = best3(|| count(&db, &join_sql("auto", "intersect", 1)));
-    assert_eq!(c_rt, c_pt, "engines disagree");
-    assert_eq!(c_rt, c_auto, "auto changed the result");
-    let pick = chosen(&db);
-    println!("   rtree {}  partition {}  auto picked '{pick}'", secs(t_rt), secs(t_pt));
-    report("uniform-indexed", t_auto, &[("rtree", t_rt), ("partition", t_pt)], quick);
-    assert_eq!(pick, "rtree", "few predicted pairs on built trees must keep the tree join");
-
-    // -- workload 2: unindexed primary-filter join --------------------------
+    // -- workload 1: unindexed primary-filter join --------------------------
     println!();
     println!("-- unindexed primary-filter join ({n_uniform} x {n_uniform}, 'FILTER', dop=4) --");
     let geoms = counties::generate(n_uniform, &US_EXTENT, 32);
     let db = session();
     load_table(&db, "a", &geoms);
     load_table(&db, "b", &geoms);
-    let (c_pt, t_pt) = best3(|| count(&db, &join_sql("partition", "FILTER", 4)));
-    let (c_auto, t_auto) = best3(|| count(&db, &join_sql("auto", "FILTER", 4)));
+    let (c_pt, t_pt) = best3(|| count(&db, &join_sql("FILTER", 4)));
     let pick = chosen(&db);
     // The honest static tree-join cost on unindexed inputs: build both
     // indexes, query, drop the session. One shot (index builds are not
@@ -145,35 +119,14 @@ fn run(n_uniform: usize, n_hot: usize, n_topk: usize, quick: bool) {
             db2.execute(&format!("CREATE INDEX {t}_x ON {t}(geom) INDEXTYPE IS SPATIAL_INDEX"))
                 .unwrap();
         }
-        count(&db2, &join_sql("rtree", "FILTER", 4))
+        count(&db2, &join_sql("FILTER", 4))
     });
-    assert_eq!(c_pt, c_auto, "auto changed the result");
     assert_eq!(c_pt, c_ix, "engines disagree");
-    println!("   partition {}  rtree(build+join) {}  auto picked '{pick}'", secs(t_pt), secs(t_ix));
-    report("unindexed-filter", t_auto, &[("partition", t_pt), ("rtree+build", t_ix)], quick);
+    println!("   partition {}  rtree(build+join) {}  picked '{pick}'", secs(t_pt), secs(t_ix));
+    report("unindexed-filter", t_pt, &[("partition", t_pt), ("rtree+build", t_ix)], quick);
     assert_eq!(pick, "partition", "unindexed inputs must go straight to the grid partition");
 
-    // -- workload 3: hotspot-skew join, indexed -----------------------------
-    println!();
-    println!("-- hotspot join, indexed ({n_hot} x {n_hot}, 70% cluster, dop=4) --");
-    let geoms = hotspot::generate(n_hot, &US_EXTENT, 0.7, 35);
-    let db = session();
-    load_table(&db, "a", &geoms);
-    load_table(&db, "b", &geoms);
-    for t in ["a", "b"] {
-        db.execute(&format!("CREATE INDEX {t}_x ON {t}(geom) INDEXTYPE IS SPATIAL_INDEX")).unwrap();
-        db.execute(&format!("ANALYZE TABLE {t}")).unwrap();
-    }
-    let (c_rt, t_rt) = best3(|| count(&db, &join_sql("rtree", "intersect", 4)));
-    let (c_pt, t_pt) = best3(|| count(&db, &join_sql("partition", "intersect", 4)));
-    let (c_auto, t_auto) = best3(|| count(&db, &join_sql("auto", "intersect", 4)));
-    assert_eq!(c_rt, c_pt, "engines disagree");
-    assert_eq!(c_rt, c_auto, "auto changed the result");
-    let pick = chosen(&db);
-    println!("   rtree {}  partition {}  auto picked '{pick}'", secs(t_rt), secs(t_pt));
-    report("hotspot-indexed", t_auto, &[("rtree", t_rt), ("partition", t_pt)], quick);
-
-    // -- workload 4: selective window, index vs functional ------------------
+    // -- workload 2: selective window, index vs functional ------------------
     println!();
     println!("-- selective window filter, indexed vs functional ({n_uniform} rows) --");
     let geoms = counties::generate(n_uniform, &US_EXTENT, 33);
@@ -190,10 +143,10 @@ fn run(n_uniform: usize, n_hot: usize, n_topk: usize, quick: bool) {
     let (c_auto, t_auto) = best3(|| count(&db, window));
     let (c_fn, t_fn) = best3(|| count(&twin, window));
     assert_eq!(c_auto, c_fn, "filter paths disagree");
-    println!("   index prefilter (auto) {}  functional scan {}", secs(t_auto), secs(t_fn));
+    println!("   index prefilter (planner) {}  functional scan {}", secs(t_auto), secs(t_fn));
     report("selective-window", t_auto, &[("index", t_auto), ("functional", t_fn)], quick);
 
-    // -- workload 5: top-k by distance --------------------------------------
+    // -- workload 3: top-k by distance --------------------------------------
     println!();
     println!("-- top-k by distance, kNN pushdown vs full sort ({n_topk} rows, k=10) --");
     let geoms = counties::generate(n_topk, &US_EXTENT, 34);
@@ -225,5 +178,5 @@ fn run(n_uniform: usize, n_hot: usize, n_topk: usize, quick: bool) {
     );
 
     println!();
-    println!("OK: auto tracked the best static plan on all workloads");
+    println!("OK: the planner tracked the best static plan on all workloads");
 }

@@ -2,12 +2,10 @@
 
 use crate::index::{QuadtreeSpatialIndex, RTreeSpatialIndex, SpatialIndexType};
 use crate::join::{
-    ExactPredicate, JoinMethod, JoinSide, QtJoinSide, QuadtreeJoin, SpatialJoin, SpatialJoinConfig,
+    ExactPredicate, JoinSide, QtJoinSide, QuadtreeJoin, SpatialJoin, SpatialJoinConfig,
 };
 use crate::partjoin::{PartitionJoin, PartitionState};
-use crate::FetchOrder;
-use sdo_dbms::db::{TfInstance, MAX_PARALLEL_DOP};
-use sdo_dbms::extensible::{param, parse_params};
+use sdo_dbms::db::{IndexHandle, TfInstance, MAX_PARALLEL_DOP};
 use sdo_dbms::{Database, DbError, TfArg};
 use sdo_rtree::{NodeId, RTree};
 use sdo_storage::{RowId, Value};
@@ -20,20 +18,19 @@ use std::sync::Arc;
 ///
 /// * the `SPATIAL_INDEX` indextype,
 /// * `SPATIAL_JOIN(left_table, left_col, right_table, right_col,
-///   interaction [, dop [, level [, options]]])` — the pipelined
-///   (and, with `dop > 1`, parallel) spatial join table function.
-///   Parallel slaves pull subtree-pair tasks from one shared
-///   work-stealing queue; `dop` is capped at [`MAX_PARALLEL_DOP`].
-///   A negative `level` means "choose automatically" (the SQL dialect
-///   has no NULL literal, so `-1` is the explicit don't-care).
-///   `interaction` is `'intersect'`/`'mask=...'`/`'distance=d'`;
-///   `options` is `'fetch_order=arrival, candidates=N, cache=N,
-///   method=rtree|partition|auto'` (`method` selects the tree
-///   traversal, the two-layer grid partition join — which needs no
-///   index — or a stats-driven automatic choice).
-///   A leading `CURSOR(SELECT * FROM TABLE(SUBTREE_PAIRS(...)))`
-///   argument supplies explicit subtree-pair tasks, matching the
-///   paper's cursor-driven form,
+///   interaction [, dop [, level]])` — the pipelined (and, with
+///   `dop > 1`, parallel) spatial join table function. The indexes on
+///   the two inputs pick the engine: two R-trees run the paper's tree
+///   join, two quadtrees at dop 1 the tile merge join, and anything
+///   else the grid partition join, which needs no index. Parallel
+///   slaves pull tasks from one shared work-stealing queue; `dop` is
+///   capped at [`MAX_PARALLEL_DOP`]. A negative `level` means "choose
+///   automatically" (the SQL dialect has no NULL literal, so `-1` is
+///   the explicit don't-care). `interaction` is
+///   `'intersect'`/`'mask=...'`/`'distance=d'`. A leading
+///   `CURSOR(SELECT * FROM TABLE(SUBTREE_PAIRS(...)))` argument
+///   supplies explicit subtree-pair tasks, matching the paper's
+///   cursor-driven form; it and a `level >= 0` need two R-trees,
 /// * `SUBTREE_ROOT(index_name, levels_down)` — subtree roots of an
 ///   R-tree index at a level,
 /// * `SUBTREE_PAIRS(left_index, right_index, levels_down,
@@ -51,83 +48,6 @@ pub fn register_spatial(db: &Database) {
     db.register_table_function("SUBTREE_ROOT", subtree_root_factory);
     db.register_table_function("SUBTREE_PAIRS", subtree_pairs_factory);
     db.register_table_function("TESSELLATE", tessellate_factory);
-}
-
-/// Look up the R-tree spatial index on `(table, column)` and snapshot
-/// its side of a join.
-fn rtree_side(db: &Database, table: &str, column: &str) -> Result<Option<JoinSide>, DbError> {
-    let Some((_, inst)) = db.index_on(table, column) else {
-        return Err(DbError::Index(format!(
-            "SPATIAL_JOIN requires a spatial index on {table}.{column}"
-        )));
-    };
-    let guard = inst.read();
-    let Some(rt) = guard.as_any().downcast_ref::<RTreeSpatialIndex>() else {
-        return Ok(None);
-    };
-    Ok(Some(JoinSide {
-        table: Arc::clone(rt.table()),
-        column: rt.geometry_column(),
-        tree: rt.tree_snapshot(),
-    }))
-}
-
-/// Like [`rtree_side`] but quiet: `None` when the side has no index
-/// at all or a non-R-tree one — the `method=auto` availability probe.
-fn try_rtree_side(db: &Database, table: &str, column: &str) -> Option<JoinSide> {
-    let (_, inst) = db.index_on(table, column)?;
-    let guard = inst.read();
-    let rt = guard.as_any().downcast_ref::<RTreeSpatialIndex>()?;
-    Some(JoinSide {
-        table: Arc::clone(rt.table()),
-        column: rt.geometry_column(),
-        tree: rt.tree_snapshot(),
-    })
-}
-
-fn quadtree_side(db: &Database, table: &str, column: &str) -> Result<QtJoinSide, DbError> {
-    let (_, inst) = db
-        .index_on(table, column)
-        .ok_or_else(|| DbError::Index(format!("no spatial index on {table}.{column}")))?;
-    let guard = inst.read();
-    let qt = guard
-        .as_any()
-        .downcast_ref::<QuadtreeSpatialIndex>()
-        .ok_or_else(|| DbError::Index(format!("index on {table}.{column} is not a quadtree")))?;
-    Ok(QtJoinSide {
-        table: Arc::clone(qt.table()),
-        column: qt.geometry_column(),
-        index: qt.index_snapshot(),
-    })
-}
-
-fn parse_join_options(s: &str) -> Result<SpatialJoinConfig, DbError> {
-    let mut cfg = SpatialJoinConfig::default();
-    let pairs = parse_params(s);
-    for (k, _) in &pairs {
-        if !matches!(k.as_str(), "fetch_order" | "candidates" | "cache" | "method") {
-            return Err(DbError::Plan(format!("unknown SPATIAL_JOIN option '{k}'")));
-        }
-    }
-    if let Some(v) = param(&pairs, "fetch_order") {
-        cfg.fetch_order = match v.to_ascii_lowercase().as_str() {
-            "sorted" | "rowid" | "rowid_sorted" => FetchOrder::RowidSorted,
-            "arrival" => FetchOrder::Arrival,
-            other => return Err(DbError::Plan(format!("unknown fetch order '{other}'"))),
-        };
-    }
-    if let Some(v) = param(&pairs, "candidates") {
-        cfg.candidate_array =
-            v.parse::<usize>().map_err(|_| DbError::Plan(format!("bad candidates '{v}'")))?.max(1);
-    }
-    if let Some(v) = param(&pairs, "cache") {
-        cfg.cache_size = v.parse().map_err(|_| DbError::Plan(format!("bad cache '{v}'")))?;
-    }
-    if let Some(v) = param(&pairs, "method") {
-        cfg.method = JoinMethod::parse(v)
-            .ok_or_else(|| DbError::Plan(format!("unknown method '{v}' (rtree|partition|auto)")))?;
-    }
-    Ok(cfg)
 }
 
 /// Pick the subtree descent depth: "we descend both trees as far below
@@ -152,10 +72,85 @@ pub fn choose_descent_level(
     best
 }
 
+/// A SQL descent-level argument as a tree level count: negatives mean
+/// zero, and values past `u32::MAX` saturate instead of wrapping.
+fn levels_down(level: i64) -> u32 {
+    u32::try_from(level.max(0)).unwrap_or(u32::MAX)
+}
+
+/// The engine one `SPATIAL_JOIN` runs on, with the index snapshots it
+/// reads already taken.
+enum Engine {
+    /// Both inputs carry R-trees: the paper's synchronized traversal.
+    Tree(JoinSide, JoinSide),
+    /// Both inputs carry quadtrees and the join is serial: the tile
+    /// merge join.
+    Quadtree(QtJoinSide, QtJoinSide),
+    /// Anything else: the grid partition join, which needs no index.
+    Partition,
+}
+
+fn is_index<I: 'static>(inst: &IndexHandle) -> bool {
+    inst.read().as_any().is::<I>()
+}
+
+/// Snapshot a side already classified as R-tree-indexed.
+fn rtree_side(inst: &IndexHandle) -> JoinSide {
+    let guard = inst.read();
+    let rt = guard.as_any().downcast_ref::<RTreeSpatialIndex>().expect("an R-tree index");
+    JoinSide {
+        table: Arc::clone(rt.table()),
+        column: rt.geometry_column(),
+        tree: rt.tree_snapshot(),
+    }
+}
+
+/// Snapshot a side already classified as quadtree-indexed.
+fn quadtree_side(inst: &IndexHandle) -> QtJoinSide {
+    let guard = inst.read();
+    let qt = guard.as_any().downcast_ref::<QuadtreeSpatialIndex>().expect("a quadtree index");
+    QtJoinSide {
+        table: Arc::clone(qt.table()),
+        column: qt.geometry_column(),
+        index: qt.index_snapshot(),
+    }
+}
+
+/// Pick the join engine from the indexes that exist, snapshotting each
+/// index the engine reads exactly once. Returns the engine and the rule
+/// that fired, which `EXPLAIN ANALYZE` shows as `method_reason`:
+///
+/// * two R-trees → the tree join,
+/// * two quadtrees at dop 1 → the quadtree merge join,
+/// * anything else → the partition join.
+fn resolve_engine(
+    db: &Database,
+    lt: &str,
+    lc: &str,
+    rt: &str,
+    rc: &str,
+    dop: usize,
+) -> (Engine, &'static str) {
+    let index = |table: &str, column: &str| db.index_on(table, column).map(|(_, inst)| inst);
+    let (Some(left), Some(right)) = (index(lt, lc), index(rt, rc)) else {
+        return (Engine::Partition, "an input has no spatial index");
+    };
+    if is_index::<RTreeSpatialIndex>(&left) && is_index::<RTreeSpatialIndex>(&right) {
+        return (Engine::Tree(rtree_side(&left), rtree_side(&right)), "two R-tree indexes");
+    }
+    if !(is_index::<QuadtreeSpatialIndex>(&left) && is_index::<QuadtreeSpatialIndex>(&right)) {
+        return (Engine::Partition, "the inputs' index kinds differ");
+    }
+    if dop > 1 {
+        return (Engine::Partition, "the quadtree merge join is serial");
+    }
+    (Engine::Quadtree(quadtree_side(&left), quadtree_side(&right)), "two quadtree indexes at dop 1")
+}
+
 fn spatial_join_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, DbError> {
     let columns = vec!["RID1".to_string(), "RID2".to_string()];
     // Optional leading cursor of (lnode, rnode) subtree pairs. The ids
-    // are client input: `rtree_join_func` checks them against the trees.
+    // are client input: `tree_join_func` checks them against the trees.
     type TaskSplit<'a> = (Option<Vec<(i64, i64)>>, &'a [TfArg]);
     let (explicit_tasks, rest): TaskSplit<'_> = match args.first() {
         Some(TfArg::Cursor(rows)) => {
@@ -181,6 +176,13 @@ fn spatial_join_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, D
             "SPATIAL_JOIN(left_table, left_col, right_table, right_col, interaction, ...)".into(),
         ));
     }
+    if rest.len() > 7 {
+        return Err(DbError::Plan(
+            "SPATIAL_JOIN's options argument was removed; \
+             the inputs' indexes pick the join engine"
+                .into(),
+        ));
+    }
     let lt = rest[0].text()?;
     let lc = rest[1].text()?;
     let rt = rest[2].text()?;
@@ -193,66 +195,28 @@ fn spatial_join_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, D
         )));
     }
     let dop = dop as usize;
-    // Negative level = auto (lets SQL callers reach the options
-    // argument without forcing a descent level).
+    // A negative level means "choose automatically": the SQL dialect
+    // has no NULL literal, so `-1` is the explicit don't-care.
     let forced_level = rest.get(6).map(|a| a.integer()).transpose()?.filter(|&l| l >= 0);
-    let mut config = match rest.get(7) {
-        Some(a) => parse_join_options(a.text()?)?,
-        None => SpatialJoinConfig::default(),
-    };
+    let forced_level = forced_level.map(levels_down);
     // Pin the MVCC read view at pipeline instantiation: a streaming
     // join delivers one consistent snapshot no matter what commits
     // while it runs (inside a transaction, the session's own view).
-    // The commit fence makes the snapshot and the tree clones below
-    // one atomic capture — without it a DELETE could commit in
+    // The commit fence makes the snapshot and the index snapshots
+    // below one atomic capture — without it a DELETE could commit in
     // between and its post-commit index maintenance would prune
     // entries this snapshot still needs.
     let _fence = db.txn_manager().commit_fence();
-    config.snapshot = db.read_snapshot();
+    let config = SpatialJoinConfig { snapshot: db.read_snapshot(), ..Default::default() };
     let counters = Arc::clone(db.counters());
 
-    // Resolve the join engine. The default (`rtree`) preserves the
-    // paper's behavior exactly — index required, quadtree fallback.
-    // `auto` consults index availability and table stats; its verdict
-    // and reason land on the operator's profile node so EXPLAIN
-    // ANALYZE shows why a plan was picked.
-    let mut attrs: Vec<(&'static str, String)> = Vec::new();
+    let (engine, reason) = resolve_engine(db, lt, lc, rt, rc, dop);
     let mut metrics: Vec<(&'static str, u64)> = Vec::new();
-    let method = match config.method {
-        JoinMethod::Auto => {
-            if explicit_tasks.is_some() || forced_level.is_some() {
-                attrs.push(("method_reason", "explicit subtree tasks pin the tree join".into()));
-                JoinMethod::Rtree
-            } else {
-                let (m, why) = choose_method(db, lt, lc, rt, rc, dop)?;
-                attrs.push(("method_reason", why));
-                m
-            }
-        }
-        m => m,
-    };
-
-    let func: Box<dyn TableFunction> = match method {
-        JoinMethod::Partition => {
-            if explicit_tasks.is_some() || forced_level.is_some() {
-                return Err(DbError::Plan(
-                    "explicit subtree tasks/levels apply to method=rtree only".into(),
-                ));
-            }
-            attrs.push(("method_chosen", "partition".into()));
-            let (func, state) =
-                partition_join_func(db, lt, lc, rt, rc, &exact, dop, &config, &counters)?;
-            metrics.push(("partition_tiles", state.partition_tiles));
-            metrics.push(("tile_max_occupancy", state.tile_max_occupancy));
-            func
-        }
-        _ => {
-            let (func, engine) = rtree_join_func(
-                db,
-                lt,
-                lc,
-                rt,
-                rc,
+    let (func, chosen): (Box<dyn TableFunction>, &str) = match engine {
+        Engine::Tree(left, right) => {
+            let func = tree_join_func(
+                left,
+                right,
                 exact,
                 dop,
                 explicit_tasks,
@@ -260,105 +224,32 @@ fn spatial_join_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, D
                 config,
                 counters,
             )?;
-            attrs.push(("method_chosen", engine.into()));
-            func
+            (func, "rtree")
+        }
+        _ if explicit_tasks.is_some() || forced_level.is_some() => {
+            return Err(DbError::Plan(format!(
+                "SPATIAL_JOIN subtree tasks and descent levels need R-tree indexes on \
+                 both inputs ({reason})"
+            )));
+        }
+        Engine::Quadtree(left, right) => {
+            let func =
+                QuadtreeJoin::new(left, right, exact, config, counters).map_err(DbError::from)?;
+            (Box::new(func), "quadtree")
+        }
+        Engine::Partition => {
+            let (func, state) =
+                partition_join_func(db, lt, lc, rt, rc, &exact, dop, &config, &counters)?;
+            metrics.push(("partition_tiles", state.partition_tiles));
+            metrics.push(("tile_max_occupancy", state.tile_max_occupancy));
+            (func, "partition")
         }
     };
+    let attrs = vec![("method_chosen", chosen.to_string()), ("method_reason", reason.to_string())];
     Ok(TfInstance {
         func: Box::new(TaggedJoin { inner: func, attrs, metrics, node: None }),
         columns,
     })
-}
-
-/// `method=auto`: rank the engines numerically. Any unindexed side
-/// forces partition (the tree join cannot run without built trees).
-/// Otherwise both candidates are costed from persisted ANALYZE
-/// statistics when available:
-///
-/// * tree join — synchronized descent touches every node once and the
-///   candidate pairs dominate the leaves; parallel speedup is sublinear
-///   (root contention, work-stealing): `(2·total + 1.2·pairs) / √dop`,
-/// * partition join — pays a serial grid build over all rows, then
-///   per-tile sweeps scale near-linearly with dop:
-///   `1.6·total + (total + 1.2·pairs) / dop`.
-///
-/// The estimated pair count comes from overlaying the two tables'
-/// spatial histograms ([`sdo_storage::TableStats`]); without ANALYZE
-/// the estimate degrades to one match per row of the larger input,
-/// and stale statistics (heavy DML since ANALYZE) are flagged in the
-/// reason string but still used. The reason records every number so
-/// `EXPLAIN ANALYZE` shows why the flip happened.
-fn choose_method(
-    db: &Database,
-    lt: &str,
-    lc: &str,
-    rt: &str,
-    rc: &str,
-    dop: usize,
-) -> Result<(JoinMethod, String), DbError> {
-    let indexed = try_rtree_side(db, lt, lc).is_some() && try_rtree_side(db, rt, rc).is_some();
-    let lrows = db.table(lt)?.read().len() as u64;
-    let rrows = db.table(rt)?.read().len() as u64;
-    let total = lrows + rrows;
-    if !indexed {
-        return Ok((
-            JoinMethod::Partition,
-            format!("unindexed input ({total} rows): grid partition needs no index build"),
-        ));
-    }
-
-    // Estimated join pairs from persisted spatial histograms.
-    let side = |table: &str, column: &str| -> Result<_, DbError> {
-        let t = db.table(table)?;
-        let col = t.read().schema().column_index(column);
-        let mods = t.read().mod_count();
-        let stats = db.catalog().table_stats(table);
-        Ok((col, mods, stats))
-    };
-    let (lcol_ix, lmods, lstats) = side(lt, lc)?;
-    let (rcol_ix, rmods, rstats) = side(rt, rc)?;
-    let mut stale = false;
-    let hist = |col: Option<usize>,
-                stats: &Option<std::sync::Arc<sdo_storage::TableStats>>,
-                mods: u64,
-                stale: &mut bool| {
-        let s = stats.as_ref()?;
-        if s.is_stale(mods) {
-            *stale = true;
-        }
-        s.spatial_histogram(col?).cloned()
-    };
-    let lhist = hist(lcol_ix, &lstats, lmods, &mut stale);
-    let rhist = hist(rcol_ix, &rstats, rmods, &mut stale);
-    let (pairs, pairs_src) = match (&lhist, &rhist) {
-        (Some(lh), Some(rh)) => (lh.estimate_join_pairs(lrows, rh, rrows), "histogram overlay"),
-        _ => (lrows.max(rrows) as f64, "default 1 match/row (no stats; run ANALYZE)"),
-    };
-
-    // Tile count the partition join would size itself to (mirrors
-    // GridSpec::from_samples: ~32 rows/tile, ≥4 tiles/worker).
-    let dop = dop.max(1);
-    let want_tiles = (total as usize / 32).max(4 * dop).max(1);
-    let axis = (want_tiles as f64).sqrt().ceil().clamp(1.0, 256.0) as u64;
-    let tiles = axis * axis;
-
-    let totf = total as f64;
-    let dopf = dop as f64;
-    let tree_cost = (2.0 * totf + 1.2 * pairs) / dopf.sqrt();
-    let part_cost = 1.6 * totf + (totf + 1.2 * pairs) / dopf;
-    let method = if part_cost < tree_cost { JoinMethod::Partition } else { JoinMethod::Rtree };
-    let picked = match method {
-        JoinMethod::Partition => format!("partition ({part_cost:.0} < tree {tree_cost:.0})"),
-        _ => format!("rtree ({tree_cost:.0} <= partition {part_cost:.0})"),
-    };
-    let mut why = format!(
-        "est {pairs:.0} pairs ({pairs_src}); {lrows}+{rrows} rows, dop={dop}, \
-         ~{tiles} tiles; picked {picked}"
-    );
-    if stale {
-        why.push_str("; STALE stats — estimates degraded, re-run ANALYZE");
-    }
-    Ok((method, why))
 }
 
 /// Build the partitioned join: resolve base tables and geometry
@@ -411,45 +302,20 @@ fn partition_join_func(
     Ok((func, state))
 }
 
-/// The paper's engines: the synchronized R-tree traversal (serial, or
-/// work-stealing slaves at `dop > 1`) with the quadtree merge join as
-/// fallback when the left index is a quadtree. Returns the function
-/// plus the engine name recorded as `method_chosen`.
+/// The paper's synchronized R-tree traversal: serial from the root
+/// pair (or from explicit subtree tasks), or `dop` work-stealing
+/// slaves over the subtree pairs at the chosen descent level.
 #[allow(clippy::too_many_arguments)]
-fn rtree_join_func(
-    db: &Database,
-    lt: &str,
-    lc: &str,
-    rt: &str,
-    rc: &str,
+fn tree_join_func(
+    left: JoinSide,
+    right: JoinSide,
     exact: ExactPredicate,
     dop: usize,
     explicit_tasks: Option<Vec<(i64, i64)>>,
-    forced_level: Option<i64>,
+    forced_level: Option<u32>,
     config: SpatialJoinConfig,
     counters: Arc<sdo_storage::Counters>,
-) -> Result<(Box<dyn TableFunction>, &'static str), DbError> {
-    // Quadtree pairing: both sides must be quadtrees.
-    if rtree_side(db, lt, lc)?.is_none() {
-        let left = quadtree_side(db, lt, lc)?;
-        let right = quadtree_side(db, rt, rc)?;
-        if dop > 1 {
-            return Err(DbError::Plan(
-                "parallel SPATIAL_JOIN is implemented for R-tree indexes \
-                 (quadtree joins are a single merge pass)"
-                    .into(),
-            ));
-        }
-        let func =
-            QuadtreeJoin::new(left, right, exact, config, counters).map_err(DbError::from)?;
-        return Ok((Box::new(func), "quadtree"));
-    }
-
-    let left = rtree_side(db, lt, lc)?.expect("checked above");
-    let right = rtree_side(db, rt, rc)?.ok_or_else(|| {
-        DbError::Index("SPATIAL_JOIN requires both indexes to be the same kind".into())
-    })?;
-
+) -> Result<Box<dyn TableFunction>, DbError> {
     let tasks: Vec<(NodeId, NodeId)> = match (explicit_tasks, forced_level) {
         (Some(t), _) => {
             let node = |tree: &RTree<RowId>, id: i64| {
@@ -461,20 +327,16 @@ fn rtree_join_func(
                 .map(|(l, r)| Ok((node(&left.tree, l)?, node(&right.tree, r)?)))
                 .collect::<Result<_, DbError>>()?
         }
-        (None, Some(level)) => {
-            SpatialJoin::parallel_tasks(&left.tree, &right.tree, &exact, level.max(0) as u32)
-        }
+        (None, Some(level)) => SpatialJoin::parallel_tasks(&left.tree, &right.tree, &exact, level),
         (None, None) if dop > 1 => choose_descent_level(&left.tree, &right.tree, &exact, dop).1,
+        // Serial: single root pair.
         (None, None) => {
-            // Serial: single root pair.
-            let func = SpatialJoin::new(left, right, exact, config, counters);
-            return Ok((Box::new(func), "rtree"));
+            return Ok(Box::new(SpatialJoin::new(left, right, exact, config, counters)))
         }
     };
 
     if dop <= 1 {
-        let func = SpatialJoin::with_stack(left, right, exact, config, counters, tasks);
-        return Ok((Box::new(func), "rtree"));
+        return Ok(Box::new(SpatialJoin::with_stack(left, right, exact, config, counters, tasks)));
     }
 
     // Parallel: dop slave instances share one work-stealing task queue —
@@ -484,16 +346,8 @@ fn rtree_join_func(
     let instances: Vec<Box<dyn TableFunction>> = (0..dop)
         .map(|worker| {
             Box::new(SpatialJoin::with_shared_tasks(
-                JoinSide {
-                    table: Arc::clone(&left.table),
-                    column: left.column,
-                    tree: Arc::clone(&left.tree),
-                },
-                JoinSide {
-                    table: Arc::clone(&right.table),
-                    column: right.column,
-                    tree: Arc::clone(&right.tree),
-                },
+                left.clone(),
+                right.clone(),
                 exact.clone(),
                 config.clone(),
                 Arc::clone(&counters),
@@ -502,7 +356,7 @@ fn rtree_join_func(
             )) as Box<dyn TableFunction>
         })
         .collect();
-    Ok((Box::new(ParallelTableFunction::new(instances)), "rtree"))
+    Ok(Box::new(ParallelTableFunction::new(instances)))
 }
 
 /// Wraps a join engine to stamp planner verdicts (`method_chosen`,
@@ -551,7 +405,7 @@ fn subtree_root_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, D
         return Err(DbError::Plan("SUBTREE_ROOT(index_name, levels_down)".into()));
     }
     let index_name = args[0].text()?.to_string();
-    let levels = args[1].integer()?.max(0) as u32;
+    let levels = levels_down(args[1].integer()?);
     let inst = db
         .index_instance(&index_name)
         .ok_or_else(|| DbError::Index(format!("no such index {index_name}")))?;
@@ -595,7 +449,7 @@ fn subtree_pairs_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, 
         ));
     }
     let exact = ExactPredicate::parse(args[3].text()?).map_err(DbError::from)?;
-    let levels = args[2].integer()?.max(0) as u32;
+    let levels = levels_down(args[2].integer()?);
     let mut trees = Vec::new();
     for a in &args[..2] {
         let name = a.text()?;
@@ -626,7 +480,12 @@ fn tessellate_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, DbE
     }
     let table = db.table(args[0].text()?)?;
     let column = args[1].text()?.to_string();
-    let level = args[2].integer()?.max(1) as u32;
+    let level = u32::try_from(args[2].integer()?)
+        .ok()
+        .filter(|l| (1..=sdo_quadtree::MAX_LEVEL).contains(l))
+        .ok_or_else(|| {
+            DbError::Plan(format!("sdo_level must be in 1..={}", sdo_quadtree::MAX_LEVEL))
+        })?;
     let col = table
         .read()
         .schema()

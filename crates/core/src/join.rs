@@ -38,7 +38,7 @@ use std::time::Instant;
 /// so the un-profiled path pays nothing. Shared with the partitioned
 /// join (`partjoin`), whose "mbr join" phase is the per-tile kernel
 /// pass instead of a tree traversal — the names stay identical so
-/// profiles compare across `method=` settings.
+/// profiles compare across engines.
 pub(crate) struct JoinPhases {
     pub(crate) node: ProfileNode,
     pub(crate) mbr: ProfileNode,
@@ -124,35 +124,9 @@ impl ExactPredicate {
     }
 }
 
-/// Which join engine evaluates `SPATIAL_JOIN`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinMethod {
-    /// The paper's synchronized R-tree traversal (requires spatial
-    /// indexes on both sides) — the default.
-    #[default]
-    Rtree,
-    /// Grid-partitioned join with two-layer duplicate avoidance
-    /// (`partjoin`): no index required, per-tile plane sweeps fanned
-    /// out over the work-stealing scheduler.
-    Partition,
-    /// Let the planner pick per query from table stats and index
-    /// availability; the decision lands in `EXPLAIN ANALYZE`.
-    Auto,
-}
-
-impl JoinMethod {
-    /// Parse the SQL option value (`rtree` | `partition` | `auto`).
-    pub fn parse(s: &str) -> Option<JoinMethod> {
-        match s.to_ascii_lowercase().as_str() {
-            "rtree" | "tree" => Some(JoinMethod::Rtree),
-            "partition" | "grid" => Some(JoinMethod::Partition),
-            "auto" => Some(JoinMethod::Auto),
-            _ => None,
-        }
-    }
-}
-
-/// Tuning for the join function.
+/// Tuning for the join function. SQL callers always run the defaults
+/// (the paper's rowid-sorted, memory-bounded candidate array); the
+/// fields exist for the ablation benches and property tests.
 #[derive(Debug, Clone)]
 pub struct SpatialJoinConfig {
     /// Maximum candidate pairs held between primary and secondary
@@ -168,9 +142,6 @@ pub struct SpatialJoinConfig {
     /// one level and re-queued, so a single dense subtree pair cannot
     /// pin one slave.
     pub split_threshold: u64,
-    /// Join engine: synchronized R-tree traversal, grid partition, or
-    /// planner's choice (`method=rtree|partition|auto`).
-    pub method: JoinMethod,
     /// MVCC read view for geometry fetches and partition scans. The
     /// SQL layer pins this at pipeline instantiation so a streaming
     /// join never mixes rows from before and after a concurrent
@@ -189,13 +160,14 @@ impl Default for SpatialJoinConfig {
             // enough that splitting stays rare on uniform data, fine
             // enough that a hot cluster spreads across slaves.
             split_threshold: 32_768,
-            method: JoinMethod::default(),
             snapshot: Snapshot::LATEST,
         }
     }
 }
 
 /// One side of the join: table + geometry column + R-tree snapshot.
+/// Cloning shares the snapshot; it never copies the tree.
+#[derive(Clone)]
 pub struct JoinSide {
     /// The side's base table (geometries fetched by rowid).
     pub table: Arc<RwLock<Table>>,
@@ -298,7 +270,7 @@ impl GeomCache {
 /// engines ([`SpatialJoin`]'s tree traversal and the partitioned join
 /// in [`crate::partjoin`]) funnel their MBR candidates through here,
 /// so fetch-order behavior, exact-test counting, and cache accounting
-/// stay identical across `method=` settings.
+/// stay identical across engines.
 pub(crate) struct SecondaryFilter<'a> {
     pub(crate) left_table: &'a Arc<RwLock<Table>>,
     pub(crate) left_column: usize,
@@ -940,8 +912,8 @@ mod tests {
             ExactPredicate::PrimaryOnly,
         ] {
             let mut join = SpatialJoin::new(
-                JoinSide { table: Arc::clone(&l.table), column: 1, tree: Arc::clone(&l.tree) },
-                JoinSide { table: Arc::clone(&r.table), column: 1, tree: Arc::clone(&r.tree) },
+                l.clone(),
+                r.clone(),
                 exact.clone(),
                 SpatialJoinConfig::default(),
                 Arc::new(Counters::new()),
@@ -962,8 +934,8 @@ mod tests {
             (17, 4096, FetchOrder::Arrival),
         ] {
             let mut join = SpatialJoin::new(
-                JoinSide { table: Arc::clone(&l.table), column: 1, tree: Arc::clone(&l.tree) },
-                JoinSide { table: Arc::clone(&r.table), column: 1, tree: Arc::clone(&r.tree) },
+                l.clone(),
+                r.clone(),
                 ExactPredicate::Masks(vec![RelateMask::AnyInteract]),
                 SpatialJoinConfig {
                     candidate_array: cap,
@@ -991,8 +963,8 @@ mod tests {
             let mut got = Vec::new();
             for chunk in tasks.chunks(tasks.len().div_ceil(3).max(1)) {
                 let mut join = SpatialJoin::with_stack(
-                    JoinSide { table: Arc::clone(&l.table), column: 1, tree: Arc::clone(&l.tree) },
-                    JoinSide { table: Arc::clone(&r.table), column: 1, tree: Arc::clone(&r.tree) },
+                    l.clone(),
+                    r.clone(),
                     exact.clone(),
                     SpatialJoinConfig::default(),
                     Arc::new(Counters::new()),
@@ -1011,8 +983,8 @@ mod tests {
         let (r, _) = make_side(3.0, 500);
         let hits = |order: FetchOrder| {
             let mut join = SpatialJoin::new(
-                JoinSide { table: Arc::clone(&l.table), column: 1, tree: Arc::clone(&l.tree) },
-                JoinSide { table: Arc::clone(&r.table), column: 1, tree: Arc::clone(&r.tree) },
+                l.clone(),
+                r.clone(),
                 ExactPredicate::Masks(vec![RelateMask::AnyInteract]),
                 SpatialJoinConfig {
                     candidate_array: 4096,
@@ -1065,8 +1037,8 @@ mod tests {
             let mut got = Vec::new();
             for worker in 0..dop {
                 let mut join = SpatialJoin::with_shared_tasks(
-                    JoinSide { table: Arc::clone(&l.table), column: 1, tree: Arc::clone(&l.tree) },
-                    JoinSide { table: Arc::clone(&r.table), column: 1, tree: Arc::clone(&r.tree) },
+                    l.clone(),
+                    r.clone(),
                     exact.clone(),
                     config.clone(),
                     Arc::new(Counters::new()),
@@ -1089,8 +1061,8 @@ mod tests {
         let mut slaves: Vec<SpatialJoin> = (0..dop)
             .map(|worker| {
                 SpatialJoin::with_shared_tasks(
-                    JoinSide { table: Arc::clone(&l.table), column: 1, tree: Arc::clone(&l.tree) },
-                    JoinSide { table: Arc::clone(&r.table), column: 1, tree: Arc::clone(&r.tree) },
+                    l.clone(),
+                    r.clone(),
                     exact.clone(),
                     config.clone(),
                     Arc::new(Counters::new()),
@@ -1191,16 +1163,8 @@ mod tests {
         let session = sdo_obs::ProfileSession::begin("qt join");
         let node = session.root().child("QUADTREE JOIN");
         let mut join = QuadtreeJoin::new(
-            QtJoinSide {
-                table: Arc::clone(&left.table),
-                column: 1,
-                index: Arc::clone(&left.index),
-            },
-            QtJoinSide {
-                table: Arc::clone(&right.table),
-                column: 1,
-                index: Arc::clone(&right.index),
-            },
+            left,
+            right,
             // OVERLAP is never tile-provable, so every surviving
             // candidate passes through the geometry filter.
             ExactPredicate::Masks(vec![RelateMask::Overlap, RelateMask::Equal]),

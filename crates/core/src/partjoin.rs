@@ -2,8 +2,9 @@
 //!
 //! The paper parallelizes its join by descending both R-trees and
 //! fanning out subtree pairs (Figure 1) — which presumes both inputs
-//! *have* R-trees. This module is the second join engine
-//! (`SPATIAL_JOIN(... 'method=partition')`): a space-oriented grid
+//! *have* R-trees. This module is the second join engine, which
+//! `SPATIAL_JOIN` runs whenever the inputs lack a matching pair of
+//! indexes: a space-oriented grid
 //! partition join in the style of Tsitsigkos & Mamoulis (arXiv
 //! 1908.11740), needing no index at all, with the two-layer class
 //! scheme of arXiv 2307.09256 so results need **no dedup or sort
@@ -634,6 +635,7 @@ impl TableFunction for PartitionJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FetchOrder;
     use sdo_geom::{Geometry, Polygon};
     use sdo_storage::{DataType, Schema, Value};
     use sdo_tablefunc::table_function::collect_all;
@@ -706,16 +708,32 @@ mod tests {
     fn partition_join_matches_nested_loop_with_zero_duplicates() {
         let (ra, rb) = (rects(0.0, 400), rects(50.0, 300));
         let (ta, tb) = (geom_table("a", &ra), geom_table("b", &rb));
+        // Tiny candidate arrays, caches and every fetch order drive the
+        // carry / secondary-filter streaming path.
+        let config = |candidate_array, cache_size, fetch_order| SpatialJoinConfig {
+            candidate_array,
+            cache_size,
+            fetch_order,
+            ..SpatialJoinConfig::default()
+        };
+        let configs = [
+            SpatialJoinConfig::default(),
+            config(3, 512, FetchOrder::RowidSorted),
+            config(4096, 0, FetchOrder::RowidSorted),
+            config(7, 2, FetchOrder::Arrival),
+            config(1, 2, FetchOrder::Random),
+        ];
         for exact in [ExactPredicate::PrimaryOnly, ExactPredicate::Distance(3.0)] {
             let want = brute(&ra, &rb, exact.join_predicate());
             for dop in [1usize, 3] {
-                let (mut got, _) =
-                    run_join(&ta, &tb, exact.clone(), dop, SpatialJoinConfig::default());
-                let n = got.len();
-                got.sort_unstable();
-                got.dedup();
-                assert_eq!(n, got.len(), "duplicates emitted at dop={dop} {exact:?}");
-                assert_eq!(got, want, "dop={dop} {exact:?}");
+                for cfg in &configs {
+                    let (mut got, _) = run_join(&ta, &tb, exact.clone(), dop, cfg.clone());
+                    let n = got.len();
+                    got.sort_unstable();
+                    got.dedup();
+                    assert_eq!(n, got.len(), "duplicates emitted at dop={dop} {exact:?} {cfg:?}");
+                    assert_eq!(got, want, "dop={dop} {exact:?} {cfg:?}");
+                }
             }
         }
     }

@@ -146,65 +146,32 @@ fn filter_interaction_returns_mbr_candidates() {
 }
 
 #[test]
-fn join_options_preserve_join_results() {
-    // Every SPATIAL_JOIN option tunes how the join runs, never what it
-    // returns: each must give the default's pairs at dop 1 and 2.
-    let a = counties::generate(60, &US_EXTENT, 300);
-    let db = session_with("k", &a);
-    db.execute("CREATE INDEX k_x ON k(geom) INDEXTYPE IS SPATIAL_INDEX").unwrap();
-    for pred in ["intersect", "mask=touch+overlap", "distance=1.5"] {
-        let base = pair_set(
-            &db,
-            &format!("SELECT rid1, rid2 FROM TABLE(SPATIAL_JOIN('k','geom','k','geom','{pred}'))"),
-        );
-        assert!(!base.is_empty(), "{pred} join must produce pairs");
-        for dop in [1, 2] {
-            for opts in [
-                "fetch_order=arrival",
-                "candidates=5",
-                "cache=0",
-                "method=partition",
-                "method=auto",
-            ] {
-                let got = pair_set(
-                    &db,
-                    &format!(
-                        "SELECT rid1, rid2 FROM TABLE( \
-                         SPATIAL_JOIN('k','geom','k','geom','{pred}', {dop}, -1, '{opts}'))"
-                    ),
-                );
-                assert_eq!(got, base, "pred={pred} dop={dop} opts={opts}");
-            }
-        }
-    }
-}
-
-#[test]
 fn removed_join_options_are_rejected_at_parse_time() {
-    // The kernel tiers, the naive secondary filter, the sweep cutoff,
-    // the static slave schedule and the task-split threshold are gone;
-    // naming them fails the query before any join work starts, with an
-    // error naming the option.
+    // SPATIAL_JOIN takes no options argument: the inputs' indexes pick
+    // the engine and SQL always runs the paper's fetch order and
+    // candidate array. Any 8th argument fails the query before any
+    // join work starts, with an error naming the removed argument.
     let a = counties::generate(4, &US_EXTENT, 301);
     let db = session_with("k", &a);
     db.execute("CREATE INDEX k_x ON k(geom) INDEXTYPE IS SPATIAL_INDEX").unwrap();
-    for (name, opt) in [
-        ("kernel", "kernel=simd"),
-        ("prepare", "prepare=off"),
-        ("sweep_threshold", "sweep_threshold=0"),
-        ("schedule", "schedule=static"),
-        ("split", "split=64"),
+    for opt in [
+        "kernel=simd",
+        "prepare=off",
+        "sweep_threshold=0",
+        "schedule=static",
+        "split=64",
+        "method=partition",
+        "fetch_order=arrival",
+        "candidates=5",
+        "cache=0",
     ] {
         let err = db
             .execute(&format!(
                 "SELECT rid1, rid2 FROM TABLE( \
                  SPATIAL_JOIN('k','geom','k','geom','intersect', 1, -1, '{opt}'))"
             ))
-            .expect_err("removed option must be rejected");
+            .expect_err("an options argument must be rejected");
         let msg = err.to_string();
-        assert!(
-            msg.contains(&format!("unknown SPATIAL_JOIN option '{name}'")),
-            "error must name the option: {msg}"
-        );
+        assert!(msg.contains("options argument was removed"), "{opt}: {msg}");
     }
 }

@@ -72,28 +72,6 @@ fn descent_level_sweep_preserves_results() {
 }
 
 #[test]
-fn options_do_not_change_results() {
-    let db = session(200);
-    let baseline =
-        pairs(&db, "SELECT rid1, rid2 FROM TABLE(SPATIAL_JOIN('a','geom','b','geom','intersect'))");
-    for opts in [
-        "fetch_order=arrival",
-        "candidates=3",
-        "cache=0",
-        "fetch_order=arrival, candidates=10, cache=4",
-    ] {
-        let got = pairs(
-            &db,
-            &format!(
-                "SELECT rid1, rid2 FROM TABLE( \
-                 SPATIAL_JOIN('a','geom','b','geom','intersect', 2, 1, '{opts}'))"
-            ),
-        );
-        assert_eq!(got, baseline, "opts={opts}");
-    }
-}
-
-#[test]
 fn distance_join_parallel_equivalence() {
     let db = session(200);
     let serial = pairs(

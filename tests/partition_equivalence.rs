@@ -1,8 +1,9 @@
-//! Partitioned-join equivalence: `method=partition` must return the
-//! exact rowid-pair set of the R-tree traversal and of a nested-loop
-//! oracle — with **zero duplicates and no dedup pass** (the two-layer
-//! tile classes route every qualifying pair to exactly one tile), at
-//! any DOP, under every combination of the streaming options.
+//! Partitioned-join equivalence: whenever the two inputs do not both
+//! carry R-trees, `SPATIAL_JOIN` runs the grid partition join, which
+//! must return the exact rowid-pair set of the R-tree traversal and of
+//! a nested-loop oracle — with **zero duplicates and no dedup pass**
+//! (the two-layer tile classes route every qualifying pair to exactly
+//! one tile), at any DOP.
 
 use proptest::prelude::*;
 use sdo_datagen::{counties, hotspot, US_EXTENT};
@@ -49,6 +50,15 @@ fn pairs(db: &Database, sql: &str) -> Vec<(u64, u64)> {
     out
 }
 
+/// The engine the last statement's `SPATIAL_JOIN` ran on.
+fn engine(db: &Database) -> String {
+    let profile = db.last_profile().unwrap();
+    let chosen = profile.root.walk().into_iter().find_map(|(_, n)| {
+        n.attrs.iter().find(|(k, _)| k == "method_chosen").map(|(_, v)| v.clone())
+    });
+    chosen.unwrap_or_default()
+}
+
 fn assert_no_duplicates(set: &[(u64, u64)], ctx: &str) {
     assert!(set.windows(2).all(|w| w[0] != w[1]), "duplicate pair emitted: {ctx}");
 }
@@ -82,10 +92,10 @@ fn brute(a: &[Geometry], b: &[Geometry], pred: &str) -> Vec<(u64, u64)> {
     out
 }
 
-fn join_sql(pred: &str, dop: usize, opts: &str) -> String {
+fn join_sql(pred: &str, dop: usize) -> String {
     format!(
         "SELECT rid1, rid2 FROM TABLE( \
-         SPATIAL_JOIN('ta','geom','tb','geom','{pred}', {dop}, -1, '{opts}'))"
+         SPATIAL_JOIN('ta','geom','tb','geom','{pred}', {dop}))"
     )
 }
 
@@ -93,14 +103,18 @@ fn join_sql(pred: &str, dop: usize, opts: &str) -> String {
 fn partition_equals_rtree_and_nested_loop_across_dops() {
     let a = counties::generate(70, &US_EXTENT, 910);
     let b = counties::generate(70, &US_EXTENT, 911);
-    let db = session(&a, &b, true);
+    let indexed = session(&a, &b, true);
+    // Unindexed twins of the same tables run the partition join.
+    let twins = session(&a, &b, false);
     for pred in ["intersect", "mask=touch+overlap", "distance=2.5", "FILTER"] {
         let oracle = brute(&a, &b, pred);
         assert!(!oracle.is_empty(), "{pred} must produce pairs");
-        let rtree = pairs(&db, &join_sql(pred, 1, "method=rtree"));
+        let rtree = pairs(&indexed, &join_sql(pred, 1));
+        assert_eq!(engine(&indexed), "rtree");
         assert_eq!(rtree, oracle, "rtree vs oracle, pred={pred}");
         for dop in [1, 2, 4] {
-            let part = pairs(&db, &join_sql(pred, dop, "method=partition"));
+            let part = pairs(&twins, &join_sql(pred, dop));
+            assert_eq!(engine(&twins), "partition");
             assert_no_duplicates(&part, &format!("pred={pred} dop={dop}"));
             assert_eq!(part, oracle, "partition vs oracle, pred={pred} dop={dop}");
         }
@@ -116,7 +130,7 @@ fn partition_handles_hotspot_skew() {
     let db = session(&a, &b, false);
     let oracle = brute(&a, &b, "intersect");
     for dop in [1, 4] {
-        let got = pairs(&db, &join_sql("intersect", dop, "method=partition"));
+        let got = pairs(&db, &join_sql("intersect", dop));
         assert_no_duplicates(&got, &format!("dop={dop}"));
         assert_eq!(got, oracle, "dop={dop}");
     }
@@ -129,81 +143,53 @@ fn partition_needs_no_index_and_rtree_does() {
     let db = session(&a, &b, false);
     let oracle = brute(&a, &b, "intersect");
 
-    // The paper's tree join cannot run without indexes…
-    assert!(db.execute(&join_sql("intersect", 2, "method=rtree")).is_err());
-    // …the grid partition join can, and auto routes around the gap.
-    assert_eq!(pairs(&db, &join_sql("intersect", 2, "method=partition")), oracle);
-    assert_eq!(pairs(&db, &join_sql("intersect", 2, "method=auto")), oracle);
-}
-
-#[test]
-fn auto_matches_fixed_methods_when_indexed() {
-    let a = counties::generate(60, &US_EXTENT, 930);
-    let b = counties::generate(60, &US_EXTENT, 931);
-    let db = session(&a, &b, true);
-    let oracle = brute(&a, &b, "distance=2.5");
-    for dop in [1, 4] {
-        assert_eq!(pairs(&db, &join_sql("distance=2.5", dop, "method=auto")), oracle, "dop={dop}");
+    // Without indexes the grid partition join answers…
+    assert_eq!(pairs(&db, &join_sql("intersect", 2)), oracle);
+    assert_eq!(engine(&db), "partition");
+    // …and only the tree join, which needs both R-trees, can take
+    // an explicit descent level.
+    let level = "SELECT rid1, rid2 FROM TABLE( \
+                 SPATIAL_JOIN('ta','geom','tb','geom','intersect', 2, 0))";
+    assert!(db.execute(level).is_err());
+    for t in ["ta", "tb"] {
+        db.execute(&format!("CREATE INDEX {t}_x ON {t}(geom) INDEXTYPE IS SPATIAL_INDEX")).unwrap();
     }
-}
-
-#[test]
-fn option_combos_preserve_results() {
-    let a = counties::generate(60, &US_EXTENT, 940);
-    let b = counties::generate(60, &US_EXTENT, 941);
-    let db = session(&a, &b, true);
-    for pred in ["intersect", "mask=touch+overlap", "distance=2.5"] {
-        let oracle = brute(&a, &b, pred);
-        for method in ["rtree", "partition"] {
-            for dop in [1, 2] {
-                for opts in ["fetch_order=arrival", "candidates=7,cache=0", "cache=4"] {
-                    let got = pairs(&db, &join_sql(pred, dop, &format!("method={method},{opts}")));
-                    let ctx = format!("pred={pred} method={method} dop={dop} opts={opts}");
-                    assert_no_duplicates(&got, &ctx);
-                    assert_eq!(got, oracle, "{ctx}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn streaming_options_preserve_partition_results() {
-    // Tiny candidate arrays, caches, and fetch orders exercise the
-    // carry/secondary-filter streaming path of the partition join.
-    let a = counties::generate(55, &US_EXTENT, 950);
-    let b = counties::generate(55, &US_EXTENT, 951);
-    let db = session(&a, &b, false);
-    let oracle = brute(&a, &b, "intersect");
-    for opts in [
-        "method=partition,candidates=3",
-        "method=partition,cache=0",
-        "method=partition,fetch_order=arrival,candidates=7,cache=2",
-        "method=partition,fetch_order=sorted,candidates=1",
-    ] {
-        assert_eq!(pairs(&db, &join_sql("intersect", 3, opts)), oracle, "opts={opts}");
-    }
+    assert_eq!(pairs(&db, level), oracle);
+    assert_eq!(engine(&db), "rtree");
 }
 
 #[test]
 fn partition_rejects_explicit_descent_level() {
     let a = counties::generate(20, &US_EXTENT, 960);
     let db = session(&a, &a, true);
+    // A quadtree on one side routes to the partition join, which has no
+    // subtree levels to descend.
+    db.execute("DROP INDEX tb_x").unwrap();
+    db.execute(
+        "CREATE INDEX tb_q ON tb(geom) INDEXTYPE IS SPATIAL_INDEX PARAMETERS ('sdo_level=6')",
+    )
+    .unwrap();
     let err = db
         .execute(
             "SELECT rid1, rid2 FROM TABLE( \
-             SPATIAL_JOIN('ta','geom','tb','geom','intersect', 2, 1, 'method=partition'))",
+             SPATIAL_JOIN('ta','geom','tb','geom','intersect', 2, 1))",
         )
         .unwrap_err();
-    assert!(format!("{err}").contains("method=rtree"), "unexpected error: {err}");
+    assert!(format!("{err}").contains("need R-tree indexes"), "unexpected error: {err}");
 }
 
 #[test]
 fn bad_method_and_threshold_are_plan_errors() {
     let a = counties::generate(10, &US_EXTENT, 970);
     let db = session(&a, &a, false);
-    assert!(db.execute(&join_sql("intersect", 1, "method=bogus")).is_err());
-    assert!(db.execute(&join_sql("intersect", 1, "split=many")).is_err());
+    for opt in ["method=bogus", "split=many"] {
+        let sql = format!(
+            "SELECT rid1, rid2 FROM TABLE( \
+             SPATIAL_JOIN('ta','geom','tb','geom','intersect', 1, -1, '{opt}'))"
+        );
+        let err = db.execute(&sql).unwrap_err();
+        assert!(err.to_string().contains("options argument was removed"), "{opt}: {err}");
+    }
 }
 
 fn arb_rect_poly() -> impl Strategy<Value = Geometry> {
@@ -231,7 +217,7 @@ proptest! {
     ) {
         let db = session(&a, &b, false);
         let oracle = brute(&a, &b, pred);
-        let got = pairs(&db, &join_sql(pred, dop, "method=partition"));
+        let got = pairs(&db, &join_sql(pred, dop));
         prop_assert!(got.windows(2).all(|w| w[0] != w[1]), "duplicate pair emitted");
         prop_assert_eq!(got, oracle);
     }

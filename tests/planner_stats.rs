@@ -1,8 +1,8 @@
 //! The cost-based planner end to end: ANALYZE statistics persisted
 //! through checkpoint/WAL and reopen, plain EXPLAIN without execution,
-//! plan-choice equivalence across access paths, the stats-driven
-//! `method=auto` flip, kNN/ORDER-BY pushdown, and the EXPLAIN output
-//! contract the CI golden check relies on.
+//! plan-choice equivalence across access paths, kNN/ORDER-BY
+//! pushdown, and the EXPLAIN output contract the CI golden check
+//! relies on.
 
 use proptest::prelude::*;
 use sdo_datagen::{counties, US_EXTENT};
@@ -129,16 +129,16 @@ fn dml_churn_marks_stats_stale() {
 // -- plain EXPLAIN ----------------------------------------------------------
 
 /// `EXPLAIN` costs the statement without instantiating table functions
-/// or opening CURSOR arguments: a join that cannot execute (forced
-/// tree join, no index) still EXPLAINs.
+/// or opening CURSOR arguments: a join that cannot execute (a forced
+/// descent level, no index) still EXPLAINs.
 #[test]
 fn explain_does_not_instantiate_table_functions() {
     let db = session();
     load_counties(&db, "a", 30, 11);
     load_counties(&db, "b", 30, 12);
     let sql = "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN( \
-               'a', 'geom', 'b', 'geom', 'intersect', 1, -1, 'method=rtree'))";
-    assert!(db.execute(sql).is_err(), "forced tree join without indexes cannot run");
+               'a', 'geom', 'b', 'geom', 'intersect', 1, 0))";
+    assert!(db.execute(sql).is_err(), "a descent level without indexes cannot run");
     let p = explain(&db, sql);
     assert!(p.contains("TABLE FUNCTION SCAN"), "{p}");
     assert!(p.contains("cost="), "{p}");
@@ -198,59 +198,6 @@ fn all_access_paths_agree() {
             }
         }
     }
-}
-
-// -- method=auto flip -------------------------------------------------------
-
-/// On dense self-overlapping data at dop=4, `method=auto` picks the
-/// tree join under the default one-match-per-row guess but flips to
-/// the partition join once ANALYZE reveals the quadratic pair count —
-/// and the reason string carries the numbers.
-#[test]
-fn auto_flips_to_partition_after_analyze() {
-    let db = session();
-    db.execute("CREATE TABLE dense (id NUMBER, geom SDO_GEOMETRY)").unwrap();
-    // 200 near-identical overlapping squares: every pair intersects.
-    for i in 0..200 {
-        let d = (i % 10) as f64 * 0.01;
-        let (x0, y0, x1, y1) = (d, d, 10.0 + d, 10.0 + d);
-        db.insert_row(
-            "dense",
-            vec![
-                Value::Integer(i),
-                Value::geometry(
-                    sdo_geom::wkt::parse_wkt(&format!(
-                        "POLYGON (({x0} {y0}, {x1} {y0}, {x1} {y1}, {x0} {y1}, {x0} {y0}))"
-                    ))
-                    .unwrap(),
-                ),
-            ],
-        )
-        .unwrap();
-    }
-    db.execute("CREATE INDEX dense_x ON dense(geom) INDEXTYPE IS SPATIAL_INDEX").unwrap();
-    let sql = "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN( \
-               'dense', 'geom', 'dense', 'geom', 'intersect', 4, -1, 'method=auto'))";
-    let run = |db: &Database| -> (String, String) {
-        db.execute(sql).unwrap();
-        let profile = db.last_profile().unwrap();
-        let op = profile.root.find("PIPELINED COUNT").unwrap();
-        let get = |k: &str| {
-            op.attrs.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone()).unwrap_or_default()
-        };
-        (get("method_chosen"), get("method_reason"))
-    };
-
-    let (chosen, reason) = run(&db);
-    assert_eq!(chosen, "rtree", "default estimate keeps the tree join: {reason}");
-    assert!(reason.contains("no stats"), "{reason}");
-
-    db.execute("ANALYZE TABLE dense").unwrap();
-    let (chosen, reason) = run(&db);
-    assert_eq!(chosen, "partition", "quadratic pair estimate flips the engine: {reason}");
-    assert!(reason.contains("histogram overlay"), "{reason}");
-    assert!(reason.contains("pairs"), "{reason}");
-    assert!(reason.contains("tiles"), "{reason}");
 }
 
 // -- kNN pushdown -----------------------------------------------------------
