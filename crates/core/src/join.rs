@@ -352,13 +352,11 @@ impl SecondaryFilter<'_> {
 }
 
 /// A parallel slave's handle on the shared work-stealing task queue:
-/// where to pull the next subtree-pair task from, plus per-slave
-/// scheduling statistics for `EXPLAIN ANALYZE`.
+/// where to pull the next subtree-pair task from. The queue keeps the
+/// slave's scheduling tallies for `EXPLAIN ANALYZE`.
 struct SharedTasks {
     queue: Arc<sdo_tablefunc::TaskQueue<(NodeId, NodeId)>>,
     worker: usize,
-    executed: u64,
-    stolen: u64,
 }
 
 /// The pipelined spatial join over two R-tree-indexed tables.
@@ -456,7 +454,7 @@ impl SpatialJoin {
         worker: usize,
     ) -> Self {
         let mut join = Self::with_stack(left, right, exact, config, counters, Vec::new());
-        join.tasks = Some(SharedTasks { queue, worker, executed: 0, stolen: 0 });
+        join.tasks = Some(SharedTasks { queue, worker });
         join
     }
 
@@ -465,13 +463,10 @@ impl SpatialJoin {
     /// `false` when the queue is dry (or in serial mode, where there is
     /// no queue).
     fn pull_task(&mut self) -> bool {
-        let Some(ts) = &mut self.tasks else { return false };
+        let Some(ts) = &self.tasks else { return false };
         let pred = self.exact.join_predicate();
         loop {
-            let Some(pulled) = ts.queue.pop(ts.worker) else { return false };
-            ts.executed += 1;
-            ts.stolen += u64::from(pulled.stolen);
-            let (l, r) = pulled.task;
+            let Some((l, r)) = ts.queue.pop(ts.worker) else { return false };
             let work = sdo_rtree::join::estimate_pair_work(&self.left.tree, &self.right.tree, l, r);
             if work > self.config.split_threshold {
                 if let Some(children) =
@@ -640,8 +635,8 @@ impl TableFunction for SpatialJoin {
             if let Some(ts) = &self.tasks {
                 // set_metric: zeros must render — a slave at 0 tasks
                 // is the imbalance EXPLAIN ANALYZE exists to expose.
-                p.node.set_metric("tasks_executed", ts.executed);
-                p.node.set_metric("tasks_stolen", ts.stolen);
+                p.node.set_metric("tasks_executed", ts.queue.executed(ts.worker));
+                p.node.set_metric("tasks_stolen", ts.queue.stolen(ts.worker));
             }
         }
         self.lcache.clear();

@@ -386,8 +386,6 @@ pub struct PartitionJoin {
     config: SpatialJoinConfig,
     counters: Arc<Counters>,
     worker: usize,
-    executed: u64,
-    stolen: u64,
     soa_left: SoaMbrs,
     soa_right: SoaMbrs,
     sweep: SweepScratch,
@@ -430,8 +428,6 @@ impl PartitionJoin {
             config,
             counters,
             worker,
-            executed: 0,
-            stolen: 0,
             soa_left: SoaMbrs::new(),
             soa_right: SoaMbrs::new(),
             sweep: SweepScratch::new(),
@@ -473,10 +469,7 @@ impl PartitionJoin {
     /// emission in [`Self::join_tile`].
     fn pull_task(&mut self) -> Option<TileTask> {
         loop {
-            let pulled = self.state.queue.pop(self.worker)?;
-            self.executed += 1;
-            self.stolen += u64::from(pulled.stolen);
-            let t = pulled.task;
+            let t = self.state.queue.pop(self.worker)?;
             let rlen = self.state.right.tiles[t.tile as usize].len() as u64;
             let work = u64::from(t.hi - t.lo).saturating_mul(rlen);
             if work > self.config.split_threshold && t.hi - t.lo >= 2 * MIN_SPLIT_LEFTS {
@@ -620,8 +613,8 @@ impl TableFunction for PartitionJoin {
             p.node.set_metric("kernel_sweeps", self.kernel_stats.sweeps);
             p.node.set_metric("kernel_scans", self.kernel_stats.scans);
             p.node.set_metric("kernel_tests", self.kernel_stats.tests);
-            p.node.set_metric("tasks_executed", self.executed);
-            p.node.set_metric("tasks_stolen", self.stolen);
+            p.node.set_metric("tasks_executed", self.state.queue.executed(self.worker));
+            p.node.set_metric("tasks_stolen", self.state.queue.stolen(self.worker));
         }
         self.lcache.clear();
         self.rcache.clear();

@@ -1560,10 +1560,7 @@ pub(crate) fn build_select_stream<'a>(
                 lt,
                 rt,
                 width,
-                Arc::clone(&metas),
-                spatial,
-                residual,
-                hints,
+                (Arc::clone(&metas), spatial, residual, hints),
                 x.dop,
                 node,
             )?);
@@ -1653,31 +1650,15 @@ pub(crate) fn build_select_stream<'a>(
         };
         let hints =
             plan.as_ref().map(|p| p.filter_hints.clone()).filter(|h| h.len() == spatial.len());
-        if par_sort {
-            root = Box::new(crate::parallel::ParallelSortExec::new(
-                ctx,
-                table,
-                Arc::clone(&metas),
-                spatial,
-                residual,
-                hints,
-                sel.order_by.clone(),
-                sel.limit,
-                x.dop,
-                node,
-            ));
+        let inputs = (Arc::clone(&metas), spatial, residual, hints);
+        root = if par_sort {
+            let (keys, limit) = (sel.order_by.clone(), sel.limit);
+            Box::new(crate::parallel::ParallelSortExec::new(
+                ctx, table, inputs, keys, limit, x.dop, node,
+            ))
         } else {
-            root = Box::new(crate::parallel::ParallelScanFilterExec::new(
-                ctx,
-                table,
-                Arc::clone(&metas),
-                spatial,
-                residual,
-                hints,
-                x.dop,
-                node,
-            ));
-        }
+            Box::new(crate::parallel::ParallelScanFilterExec::new(ctx, table, inputs, x.dop, node))
+        };
     } else {
         let has_filter_stage = !spatial.is_empty() || !residual.is_empty();
         let filter_node =

@@ -1,17 +1,18 @@
 //! Morsel-driven intra-query parallelism: exchange operators over the
-//! shared slave pool.
+//! engine's one fan-out runtime.
 //!
 //! The serial executor in [`crate::operators`] pulls one batch at a
 //! time through a single thread. This module adds the classic
 //! morsel-driven design on top of it: an exchange cuts its input into
 //! *morsels* (slot ranges of a heap table, or probe blocks of a rowid
 //! pair stream), seeds them into the work-stealing [`TaskQueue`] from
-//! `sdo-tablefunc`, and fans them out to workers on the elastic
-//! [`SlavePool`](sdo_tablefunc::SlavePool) — the same pool the paper's
-//! parallel table functions use, so one knob governs all slave
-//! threads. Each worker filters (and for ORDER BY, partially sorts)
-//! its morsels against a shared database-free [`FilterEval`], then
-//! ships results back over a bounded channel.
+//! `sdo-tablefunc`, and runs one worker body per degree of parallelism
+//! on [`Fanout`] — the same core (and slave pool) the paper's parallel
+//! table functions use, so one runtime spawns, streams, cancels and
+//! joins every slave thread. Each worker filters (and for ORDER BY,
+//! partially sorts) its morsels against a shared database-free
+//! [`FilterEval`] and sends its results over the fan-out's bounded
+//! channel; a panicking worker arrives as an error naming it.
 //!
 //! Determinism: every emitted row is tagged by its morsel index (and,
 //! for sorts, its position within the morsel), and the coordinator
@@ -29,22 +30,20 @@
 
 use crate::db::Database;
 use crate::error::DbError;
-use crate::exec::{RelMeta, RelRow, SpatialPred};
+use crate::exec::RelRow;
 use crate::operators::{
     empty_joined, note_batch, BatchOp, ExecCtx, FilterEval, FilterInputs, JoinedBatch, Resident,
     SelectStream, BATCH_ROWS,
 };
-use crate::sql::ast::{OrderKey, Predicate};
+use crate::sql::ast::OrderKey;
 use parking_lot::{Mutex, RwLock};
 use sdo_obs::{GaugeCharge, MemoryGauge, ProfileNode};
 use sdo_storage::{RowId, Snapshot, Table, Value};
-use sdo_tablefunc::pool::{self, PoolJoinHandle};
 use sdo_tablefunc::scheduler::TaskQueue;
 use sdo_tablefunc::source::TableCursor;
-use sdo_tablefunc::RowSource;
+use sdo_tablefunc::{Fanout, Outbox, RowSource};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -107,17 +106,31 @@ fn charge_rows(
     Ok(())
 }
 
-/// One finished morsel travelling worker → coordinator. The
-/// [`GaugeCharge`] inside carries the gauge liability for `rows`, so
-/// dropping the message anywhere (channel teardown, error path)
+/// One worker result travelling worker → coordinator: its place in
+/// stream order (morsel or block index; a sorted run's is unused), its
+/// rows, and the [`GaugeCharge`] carrying the gauge liability for them,
+/// so dropping the message anywhere (channel teardown, error path)
 /// releases the charge.
-struct MorselOut {
+struct Charged<T> {
     idx: usize,
-    rows: JoinedBatch,
+    rows: Vec<T>,
     charge: GaugeCharge,
 }
 
-type WorkerMsg = Result<MorselOut, DbError>;
+impl<T> Charged<T> {
+    /// Transfer the liability: release the worker's charge and
+    /// re-charge the coordinator's account, which re-checks the budget
+    /// including everything already buffered.
+    fn transfer(self, resident: &mut Resident, held: &mut u64) -> Result<(usize, Vec<T>), DbError> {
+        let Charged { idx, rows, charge } = self;
+        drop(charge);
+        resident.add(rows.len() as u64)?;
+        *held += rows.len() as u64;
+        Ok((idx, rows))
+    }
+}
+
+type Msg<T> = Result<Charged<T>, DbError>;
 
 /// Per-worker profile nodes (`worker 0` … `worker N-1`) under the
 /// EXCHANGE node, present only when profiling.
@@ -127,7 +140,7 @@ fn worker_nodes(node: &Option<ProfileNode>, dop: usize) -> Vec<Option<ProfileNod
 
 /// Stamp the scheduler's per-worker tallies onto the profile tree.
 /// `set_metric` (not `add`) so a zero — no steals — still renders.
-fn stamp_worker_metrics(nodes: &[Option<ProfileNode>], queue: &TaskQueue<Morsel>) {
+fn stamp_worker_metrics<T>(nodes: &[Option<ProfileNode>], queue: &TaskQueue<T>) {
     for (i, wn) in nodes.iter().enumerate() {
         if let Some(n) = wn {
             n.set_metric("morsels_executed", queue.executed(i));
@@ -136,60 +149,219 @@ fn stamp_worker_metrics(nodes: &[Option<ProfileNode>], queue: &TaskQueue<Morsel>
     }
 }
 
-/// Scan one morsel through the shared filter, returning surviving
-/// rows charged against `charge`.
-fn scan_morsel(
-    table: &Arc<RwLock<Table>>,
+/// Run `body(worker, queue, outbox)` for `eff` workers sharing
+/// `queue`, on the fan-out core.
+fn fan_out<T, R>(
+    queue: &Arc<TaskQueue<T>>,
+    eff: usize,
+    depth: usize,
+    body: impl Fn(usize, &TaskQueue<T>, &Outbox<Msg<R>>) + Send + Sync + 'static,
+) -> Fanout<Msg<R>>
+where
+    T: Send + 'static,
+    R: Send + 'static,
+{
+    let body = Arc::new(body);
+    let bodies = (0..eff).map(|w| {
+        let (queue, body) = (Arc::clone(queue), Arc::clone(&body));
+        move |out: &Outbox<Msg<R>>| body(w, &queue, out)
+    });
+    Fanout::spawn(depth, bodies, |w| Err(DbError::Plan(format!("exchange worker {w} panicked"))))
+}
+
+/// The scan and probe worker loop: pop tasks until the queue runs dry
+/// or the exchange cancels, run each under a fresh charge, and send its
+/// rows as one message tagged with the index `run` returns. Stops after
+/// the first error.
+fn run_tasks<T>(
+    w: usize,
+    queue: &TaskQueue<T>,
+    out: &Outbox<Msg<Vec<RelRow>>>,
+    gauge: &MemoryGauge,
+    node: &Option<ProfileNode>,
+    mut run: impl FnMut(T, &mut GaugeCharge) -> (usize, Result<JoinedBatch, DbError>),
+) {
+    while !out.cancelled() {
+        let Some(task) = queue.pop(w) else { break };
+        let t0 = node.as_ref().map(|_| Instant::now());
+        let mut charge = gauge.charge();
+        let (idx, rows) = run(task, &mut charge);
+        // On error the charge drops here, releasing mid-task work
+        // before the error is reported.
+        let msg = rows.map(|rows| {
+            note_batch(node, rows.len(), t0);
+            Charged { idx, rows, charge }
+        });
+        let failed = msg.is_err();
+        if !out.send(msg) || failed {
+            break; // coordinator closed early (e.g. LIMIT), or done
+        }
+    }
+}
+
+/// Receive every message of a fan-out that runs to completion, moving
+/// each result's charge into the coordinator's account. The first
+/// failure wins: it cancels the remaining workers, and whatever they
+/// still send is dropped, releasing its charge.
+fn gather<T>(
+    fanout: Fanout<Msg<T>>,
+    resident: &mut Resident,
+    held: &mut u64,
+) -> Result<Vec<(usize, Vec<T>)>, DbError> {
+    let mut parts = Vec::new();
+    let mut failure = None;
+    while let Some(msg) = fanout.recv() {
+        if failure.is_some() {
+            continue;
+        }
+        match msg.and_then(|c| c.transfer(resident, held)) {
+            Ok(part) => parts.push(part),
+            Err(e) => {
+                fanout.cancel();
+                failure = Some(e);
+            }
+        }
+    }
+    failure.map_or(Ok(parts), Err)
+}
+
+/// What a worker needs to scan and filter morsels of one table, and
+/// each worker's profile node.
+struct MorselScan {
+    table: Arc<RwLock<Table>>,
     snap: Snapshot,
     width: usize,
-    eval: &FilterEval,
-    m: Morsel,
-    charge: &mut GaugeCharge,
-    limit: u64,
-) -> Result<JoinedBatch, DbError> {
-    let mut cursor = TableCursor::slice(Arc::clone(table), m.from, m.to).at_snapshot(snap);
-    let mut out = Vec::new();
-    loop {
-        let rows = cursor.next_batch(BATCH_ROWS);
-        if rows.is_empty() {
-            break;
-        }
-        let mut kept = 0u64;
-        for row in rows {
-            let mut it = row.into_iter();
-            let rid = it.next().and_then(|v| v.as_rowid());
-            let mut jr = empty_joined(width);
-            jr[0] = RelRow { rid, values: it.collect() };
-            if !eval.is_empty() && !eval.row_passes(&jr)? {
-                continue;
+    eval: FilterEval,
+    gauge: MemoryGauge,
+    budget: u64,
+    nodes: Vec<Option<ProfileNode>>,
+}
+
+impl MorselScan {
+    /// Scan one morsel through the shared filter, returning surviving
+    /// rows charged against `charge`.
+    fn scan(&self, m: Morsel, charge: &mut GaugeCharge) -> Result<JoinedBatch, DbError> {
+        let mut cursor =
+            TableCursor::slice(Arc::clone(&self.table), m.from, m.to).at_snapshot(self.snap);
+        let mut out = Vec::new();
+        loop {
+            let rows = cursor.next_batch(BATCH_ROWS);
+            if rows.is_empty() {
+                break;
             }
-            out.push(jr);
-            kept += 1;
+            let mut kept = 0u64;
+            for row in rows {
+                let mut it = row.into_iter();
+                let rid = it.next().and_then(|v| v.as_rowid());
+                let mut jr = empty_joined(self.width);
+                jr[0] = RelRow { rid, values: it.collect() };
+                if !self.eval.is_empty() && !self.eval.row_passes(&jr)? {
+                    continue;
+                }
+                out.push(jr);
+                kept += 1;
+            }
+            charge_rows(charge, self.budget, kept, "EXCHANGE")?;
         }
-        charge_rows(charge, limit, kept, "EXCHANGE")?;
+        Ok(out)
     }
-    Ok(out)
+}
+
+/// The coordinator state the scan and sort exchanges share: the table
+/// and filter inputs their fan-out starts from, and the resident
+/// account for rows the coordinator holds.
+struct TableSite<'a> {
+    db: &'a Database,
+    table: Arc<RwLock<Table>>,
+    inputs: Option<FilterInputs>,
+    dop: usize,
+    node: Option<ProfileNode>,
+    resident: Resident,
+    held: u64,
+    gauge: MemoryGauge,
+    budget: u64,
+    snap: Snapshot,
+}
+
+impl<'a> TableSite<'a> {
+    fn new(
+        ctx: &ExecCtx<'a>,
+        table: Arc<RwLock<Table>>,
+        inputs: FilterInputs,
+        dop: usize,
+        node: Option<ProfileNode>,
+    ) -> Self {
+        TableSite {
+            db: ctx.db,
+            table,
+            inputs: Some(inputs),
+            dop: dop.max(1),
+            node,
+            resident: ctx.resident("EXCHANGE"),
+            held: 0,
+            gauge: ctx.gauge.clone(),
+            budget: ctx.max_resident_rows,
+            snap: ctx.snap,
+        }
+    }
+
+    /// Build the filter and cut the table into morsels for
+    /// `min(dop, morsels)` workers — one profile node each, and that
+    /// count stamped as the exchange's `dop`. `None` when the table has
+    /// no slots.
+    fn prepare(&mut self) -> Result<Option<(MorselScan, Vec<Morsel>)>, DbError> {
+        let (metas, spatial, residual, hints) = self.inputs.take().expect("exchange inputs");
+        let width = metas.len();
+        let eval =
+            FilterEval::build(self.db, metas, spatial, residual, hints.as_deref(), self.snap)?;
+        let morsels = make_morsels(self.table.read().high_water_mark());
+        if morsels.is_empty() {
+            return Ok(None);
+        }
+        let eff = self.dop.min(morsels.len());
+        if let Some(n) = &self.node {
+            n.set_attr("dop", eff.to_string());
+        }
+        let scan = MorselScan {
+            table: Arc::clone(&self.table),
+            snap: self.snap,
+            width,
+            eval,
+            gauge: self.gauge.clone(),
+            budget: self.budget,
+            nodes: worker_nodes(&self.node, eff),
+        };
+        Ok(Some((scan, morsels)))
+    }
+
+    /// Hand `n` held rows downstream.
+    fn emit(&mut self, n: usize) -> Result<(), DbError> {
+        self.held -= n as u64;
+        self.resident.set(self.held)
+    }
+
+    /// Zero the coordinator's resident account.
+    fn release(&mut self) {
+        self.held = 0;
+        let _ = self.resident.set(0);
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Parallel scan + filter
 // ---------------------------------------------------------------------------
 
-/// Running exchange state: the channel, scheduler, worker handles and
-/// the morsel-ordered reorder buffer.
+/// Running exchange state: the fan-out, scheduler, and the
+/// morsel-ordered reorder buffer.
 struct ScanState {
-    rx: Receiver<WorkerMsg>,
+    fanout: Fanout<Msg<Vec<RelRow>>>,
     queue: Arc<TaskQueue<Morsel>>,
-    handles: Vec<PoolJoinHandle>,
-    cancel: Arc<AtomicBool>,
     nodes: Vec<Option<ProfileNode>>,
     /// Morsels received out of order, keyed by morsel index.
     pending: BTreeMap<usize, JoinedBatch>,
     /// In-order rows awaiting batch emission.
     out: VecDeque<Vec<RelRow>>,
     next_idx: usize,
-    total: usize,
-    delivered: usize,
 }
 
 /// Morsel-parallel `TableScanExec` + `FilterExec` fusion: the
@@ -198,103 +370,39 @@ struct ScanState {
 /// coordinator merges morsels back in slot order — emitting the exact
 /// row stream the serial scan+filter would.
 pub(crate) struct ParallelScanFilterExec<'a> {
-    db: &'a Database,
-    table: Arc<RwLock<Table>>,
-    inputs: Option<FilterInputs>,
-    width: usize,
-    dop: usize,
+    site: TableSite<'a>,
     state: Option<ScanState>,
-    node: Option<ProfileNode>,
-    resident: Resident,
-    held: u64,
-    gauge: MemoryGauge,
-    budget: u64,
-    snap: Snapshot,
     done: bool,
 }
 
 impl<'a> ParallelScanFilterExec<'a> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         ctx: &ExecCtx<'a>,
         table: Arc<RwLock<Table>>,
-        metas: Arc<Vec<RelMeta>>,
-        spatial: Vec<SpatialPred>,
-        residual: Vec<Predicate>,
-        hints: Option<Vec<bool>>,
+        inputs: FilterInputs,
         dop: usize,
         node: Option<ProfileNode>,
     ) -> Self {
-        let resident = ctx.resident("EXCHANGE");
-        let width = metas.len();
-        ParallelScanFilterExec {
-            db: ctx.db,
-            table,
-            inputs: Some((metas, spatial, residual, hints)),
-            width,
-            dop: dop.max(1),
-            state: None,
-            node,
-            resident,
-            held: 0,
-            gauge: ctx.gauge.clone(),
-            budget: ctx.max_resident_rows,
-            snap: ctx.snap,
-            done: false,
-        }
+        let site = TableSite::new(ctx, table, inputs, dop, node);
+        ParallelScanFilterExec { site, state: None, done: false }
     }
 
     fn start(&mut self) -> Result<(), DbError> {
-        let (metas, spatial, residual, hints) = self.inputs.take().expect("exchange inputs");
-        let eval = Arc::new(FilterEval::build(
-            self.db,
-            metas,
-            spatial,
-            residual,
-            hints.as_deref(),
-            self.snap,
-        )?);
-        let hwm = self.table.read().high_water_mark();
-        let morsels = make_morsels(hwm);
-        if morsels.is_empty() {
-            self.done = true;
-            return Ok(());
-        }
-        let total = morsels.len();
-        let eff = self.dop.min(total);
-        if let Some(n) = &self.node {
-            n.set_attr("dop", eff.to_string());
-        }
+        let Some((scan, morsels)) = self.site.prepare()? else { return Ok(()) };
+        let (eff, nodes) = (scan.nodes.len(), scan.nodes.clone());
         let queue = TaskQueue::seed_round_robin(morsels, eff);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::sync_channel::<WorkerMsg>(eff * 2);
-        let nodes = worker_nodes(&self.node, eff);
-        let mut handles = Vec::with_capacity(eff);
-        for (w, wnode) in nodes.iter().enumerate() {
-            let queue = Arc::clone(&queue);
-            let cancel = Arc::clone(&cancel);
-            let tx = tx.clone();
-            let table = Arc::clone(&self.table);
-            let eval = Arc::clone(&eval);
-            let gauge = self.gauge.clone();
-            let wnode = wnode.clone();
-            let (snap, width, budget) = (self.snap, self.width, self.budget);
-            handles.push(pool::global().submit(move || {
-                scan_worker(w, queue, cancel, tx, table, snap, width, eval, gauge, budget, wnode)
-            }));
-        }
-        drop(tx);
+        let fanout = fan_out(&queue, eff, 2 * eff, move |w, queue, out| {
+            run_tasks(w, queue, out, &scan.gauge, &scan.nodes[w], |m: Morsel, charge| {
+                (m.idx, scan.scan(m, charge))
+            })
+        });
         self.state = Some(ScanState {
-            rx,
+            fanout,
             queue,
-            handles,
-            cancel,
             nodes,
             pending: BTreeMap::new(),
             out: VecDeque::new(),
             next_idx: 0,
-            total,
-            delivered: 0,
         });
         Ok(())
     }
@@ -303,92 +411,35 @@ impl<'a> ParallelScanFilterExec<'a> {
     /// tree, and zero the coordinator's resident account. Safe on
     /// every exit path: success, error, early `close()`.
     fn finish(&mut self) {
-        if let Some(st) = self.state.take() {
-            let ScanState { rx, queue, handles, cancel, nodes, .. } = st;
-            cancel.store(true, Ordering::Relaxed);
-            // Drop the receiver first so workers blocked on a full
-            // channel fail their send and exit instead of deadlocking
-            // against the joins below. In-flight messages release
-            // their charges as the channel drops them.
-            drop(rx);
-            for h in handles {
-                h.join();
-            }
-            stamp_worker_metrics(&nodes, &queue);
+        self.done = true;
+        if let Some(mut st) = self.state.take() {
+            st.fanout.close();
+            stamp_worker_metrics(&st.nodes, &st.queue);
         }
-        self.held = 0;
-        let _ = self.resident.set(0);
+        self.site.release();
     }
-}
 
-/// Refill the reorder buffer until a full batch is in order or every
-/// morsel has been delivered.
-fn fill_in_order(
-    st: &mut ScanState,
-    resident: &mut Resident,
-    held: &mut u64,
-) -> Result<(), DbError> {
-    loop {
-        while let Some(rows) = st.pending.remove(&st.next_idx) {
-            st.next_idx += 1;
-            st.delivered += 1;
-            st.out.extend(rows);
+    /// Start the fan-out on first use, then refill the reorder buffer
+    /// until a full batch is in order or every worker has finished.
+    fn fill_in_order(&mut self) -> Result<(), DbError> {
+        if self.state.is_none() {
+            self.start()?;
         }
-        if st.out.len() >= BATCH_ROWS || st.delivered == st.total {
-            return Ok(());
-        }
-        match st.rx.recv() {
-            Ok(Ok(mo)) => {
-                // Transfer the liability: release the worker's charge,
-                // re-charge the coordinator's account (which re-checks
-                // the budget including everything already buffered).
-                let n = mo.rows.len() as u64;
-                drop(mo.charge);
-                resident.add(n)?;
-                *held += n;
-                st.pending.insert(mo.idx, mo.rows);
+        let Some(st) = &mut self.state else { return Ok(()) }; // no slots
+        loop {
+            while let Some(rows) = st.pending.remove(&st.next_idx) {
+                st.next_idx += 1;
+                st.out.extend(rows);
             }
-            Ok(Err(e)) => return Err(e),
-            Err(_) => {
-                // All senders gone before every morsel arrived: a
-                // worker died without reporting (the pool swallows
-                // panics into the join).
-                return Err(DbError::Plan("parallel scan worker terminated unexpectedly".into()));
+            if st.out.len() >= BATCH_ROWS {
+                return Ok(());
             }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scan_worker(
-    w: usize,
-    queue: Arc<TaskQueue<Morsel>>,
-    cancel: Arc<AtomicBool>,
-    tx: SyncSender<WorkerMsg>,
-    table: Arc<RwLock<Table>>,
-    snap: Snapshot,
-    width: usize,
-    eval: Arc<FilterEval>,
-    gauge: MemoryGauge,
-    budget: u64,
-    node: Option<ProfileNode>,
-) {
-    while !cancel.load(Ordering::Relaxed) {
-        let Some(pulled) = queue.pop(w) else { break };
-        let t0 = node.as_ref().map(|_| Instant::now());
-        let mut charge = gauge.charge();
-        match scan_morsel(&table, snap, width, &eval, pulled.task, &mut charge, budget) {
-            Ok(rows) => {
-                note_batch(&node, rows.len(), t0);
-                if tx.send(Ok(MorselOut { idx: pulled.task.idx, rows, charge })).is_err() {
-                    break; // coordinator closed early (e.g. LIMIT)
-                }
-            }
-            Err(e) => {
-                drop(charge); // release mid-morsel work before reporting
-                let _ = tx.send(Err(e));
-                break;
-            }
+            // A worker exits only after reporting every morsel it took
+            // (as rows, an error or a panic), so once all have exited
+            // every morsel has arrived.
+            let Some(msg) = st.fanout.recv() else { return Ok(()) };
+            let (idx, rows) = msg?.transfer(&mut self.site.resident, &mut self.site.held)?;
+            st.pending.insert(idx, rows);
         }
     }
 }
@@ -398,46 +449,29 @@ impl BatchOp for ParallelScanFilterExec<'_> {
         if self.done {
             return Ok(Vec::new());
         }
-        let before = self.node.as_ref().map(|_| self.db.counters().snapshot());
-        if self.state.is_none() {
-            if let Err(e) = self.start() {
-                self.done = true;
-                self.finish();
-                return Err(e);
-            }
-            if self.done {
-                return Ok(Vec::new());
-            }
-        }
-        let res = fill_in_order(
-            self.state.as_mut().expect("exchange state"),
-            &mut self.resident,
-            &mut self.held,
-        );
-        if let (Some(n), Some(b)) = (&self.node, &before) {
-            n.add_metric_deltas(&self.db.counters().diff(b).pairs());
+        let before = self.site.node.as_ref().map(|_| self.site.db.counters().snapshot());
+        let res = self.fill_in_order();
+        if let (Some(n), Some(b)) = (&self.site.node, &before) {
+            n.add_metric_deltas(&self.site.db.counters().diff(b).pairs());
         }
         if let Err(e) = res {
-            self.done = true;
             self.finish();
             return Err(e);
         }
-        let st = self.state.as_mut().expect("exchange state");
-        let n = st.out.len().min(BATCH_ROWS);
-        let batch: JoinedBatch = st.out.drain(..n).collect();
-        self.held -= n as u64;
-        self.resident.set(self.held)?;
+        let batch: JoinedBatch = match &mut self.state {
+            Some(st) => st.out.drain(..st.out.len().min(BATCH_ROWS)).collect(),
+            None => Vec::new(),
+        };
+        self.site.emit(batch.len())?;
         if batch.is_empty() {
-            self.done = true;
             self.finish();
         } else {
-            note_batch(&self.node, batch.len(), None);
+            note_batch(&self.site.node, batch.len(), None);
         }
         Ok(batch)
     }
 
     fn close(&mut self) {
-        self.done = true;
         self.finish();
     }
 }
@@ -449,12 +483,6 @@ impl BatchOp for ParallelScanFilterExec<'_> {
 /// A row ready to merge: evaluated ORDER BY keys, the serial-order
 /// sequence tag `(morsel_idx << 32) | pos_in_morsel`, and the row.
 type SortedRow = (Vec<Value>, u64, Vec<RelRow>);
-
-/// One worker's fully sorted (and, under LIMIT k, truncated) run.
-struct SortRun {
-    rows: Vec<SortedRow>,
-    charge: GaugeCharge,
-}
 
 /// Total order on keyed rows: the ORDER BY keys (honoring per-key
 /// direction), then the sequence tag. Because the tag is the row's
@@ -478,239 +506,82 @@ fn cmp_sorted(keys: &[OrderKey], a: &SortedRow, b: &SortedRow) -> std::cmp::Orde
 /// under a LIMIT, amortized at 2k), and ship one sorted run each; the
 /// coordinator merges the ≤ dop runs head-to-head.
 pub(crate) struct ParallelSortExec<'a> {
-    db: &'a Database,
-    table: Arc<RwLock<Table>>,
-    inputs: Option<FilterInputs>,
+    site: TableSite<'a>,
     keys: Vec<OrderKey>,
     limit: Option<usize>,
-    width: usize,
-    dop: usize,
     runs: Option<Vec<VecDeque<SortedRow>>>,
-    node: Option<ProfileNode>,
-    resident: Resident,
-    held: u64,
-    gauge: MemoryGauge,
-    budget: u64,
-    snap: Snapshot,
     done: bool,
 }
 
 impl<'a> ParallelSortExec<'a> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         ctx: &ExecCtx<'a>,
         table: Arc<RwLock<Table>>,
-        metas: Arc<Vec<RelMeta>>,
-        spatial: Vec<SpatialPred>,
-        residual: Vec<Predicate>,
-        hints: Option<Vec<bool>>,
+        inputs: FilterInputs,
         keys: Vec<OrderKey>,
         limit: Option<usize>,
         dop: usize,
         node: Option<ProfileNode>,
     ) -> Self {
-        let resident = ctx.resident("EXCHANGE");
-        let width = metas.len();
-        ParallelSortExec {
-            db: ctx.db,
-            table,
-            inputs: Some((metas, spatial, residual, hints)),
-            keys,
-            limit,
-            width,
-            dop: dop.max(1),
-            runs: None,
-            node,
-            resident,
-            held: 0,
-            gauge: ctx.gauge.clone(),
-            budget: ctx.max_resident_rows,
-            snap: ctx.snap,
-            done: false,
-        }
+        let site = TableSite::new(ctx, table, inputs, dop, node);
+        ParallelSortExec { site, keys, limit, runs: None, done: false }
     }
 
     /// Fan out, block until every worker delivers its sorted run, and
     /// account the runs to the coordinator. Blocking here mirrors the
     /// serial `SortExec`, which is equally a pipeline breaker.
     fn ensure_runs(&mut self) -> Result<(), DbError> {
-        if self.runs.is_some() {
-            return Ok(());
-        }
-        let (metas, spatial, residual, hints) = self.inputs.take().expect("sort exchange inputs");
-        let eval = Arc::new(FilterEval::build(
-            self.db,
-            Arc::clone(&metas),
-            spatial,
-            residual,
-            hints.as_deref(),
-            self.snap,
-        )?);
-        let hwm = self.table.read().high_water_mark();
-        let morsels = make_morsels(hwm);
-        if morsels.is_empty() {
+        let metas = Arc::clone(&self.site.inputs.as_ref().expect("sort exchange inputs").0);
+        let Some((scan, morsels)) = self.site.prepare()? else {
             self.runs = Some(Vec::new());
             return Ok(());
-        }
-        let eff = self.dop.min(morsels.len());
-        if let Some(n) = &self.node {
-            n.set_attr("dop", eff.to_string());
-        }
+        };
+        let (eff, nodes) = (scan.nodes.len(), scan.nodes.clone());
+        let (keys, limit) = (self.keys.clone(), self.limit);
         let queue = TaskQueue::seed_round_robin(morsels, eff);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Result<SortRun, DbError>>(eff);
-        let nodes = worker_nodes(&self.node, eff);
-        let keys = Arc::new(self.keys.clone());
-        let mut handles = Vec::with_capacity(eff);
-        for (w, wnode) in nodes.iter().enumerate() {
-            let queue = Arc::clone(&queue);
-            let cancel = Arc::clone(&cancel);
-            let tx = tx.clone();
-            let table = Arc::clone(&self.table);
-            let metas = Arc::clone(&metas);
-            let eval = Arc::clone(&eval);
-            let keys = Arc::clone(&keys);
-            let gauge = self.gauge.clone();
-            let wnode = wnode.clone();
-            let (snap, width, budget, limit) = (self.snap, self.width, self.budget, self.limit);
-            handles.push(pool::global().submit(move || {
-                sort_worker(
-                    w, queue, cancel, tx, table, snap, width, metas, eval, keys, limit, gauge,
-                    budget, wnode,
-                )
-            }));
-        }
-        drop(tx);
-        let mut runs: Vec<VecDeque<SortedRow>> = Vec::with_capacity(eff);
-        let mut failure: Option<DbError> = None;
-        for _ in 0..eff {
-            match rx.recv() {
-                Ok(Ok(run)) => {
-                    if failure.is_none() {
-                        let n = run.rows.len() as u64;
-                        drop(run.charge);
-                        match self.resident.add(n) {
-                            Ok(()) => {
-                                self.held += n;
-                                runs.push(run.rows.into());
-                            }
-                            Err(e) => {
-                                cancel.store(true, Ordering::Relaxed);
-                                failure = Some(e);
-                            }
+        let fanout = fan_out(&queue, eff, eff, move |w, queue, out| {
+            let t0 = scan.nodes[w].as_ref().map(|_| Instant::now());
+            let mut charge = scan.gauge.charge();
+            let mut buf: Vec<SortedRow> = Vec::new();
+            let mut run = || -> Result<(), DbError> {
+                while !out.cancelled() {
+                    let Some(m) = queue.pop(w) else { break };
+                    for (pos, jr) in scan.scan(m, &mut charge)?.into_iter().enumerate() {
+                        let ks = keys
+                            .iter()
+                            .map(|k| crate::exec::eval_expr(&metas, &jr, &k.expr))
+                            .collect::<Result<Vec<_>, _>>()?;
+                        // Serial scan order: morsel index, then surviving
+                        // row position within the morsel.
+                        buf.push((ks, ((m.idx as u64) << 32) | pos as u64, jr));
+                    }
+                    // Top-k: never hold more than 2k rows per worker;
+                    // sort and cut back to k, releasing the difference.
+                    if let Some(k) = limit {
+                        if buf.len() >= 2 * k.max(1) {
+                            buf.sort_by(|a, b| cmp_sorted(&keys, a, b));
+                            buf.truncate(k);
+                            charge.set(buf.len() as u64);
                         }
                     }
                 }
-                Ok(Err(e)) => {
-                    cancel.store(true, Ordering::Relaxed);
-                    if failure.is_none() {
-                        failure = Some(e);
-                    }
-                }
-                Err(_) => {
-                    if failure.is_none() {
-                        failure = Some(DbError::Plan(
-                            "parallel sort worker terminated unexpectedly".into(),
-                        ));
-                    }
-                    break;
-                }
-            }
-        }
-        drop(rx);
-        for h in handles {
-            h.join();
-        }
-        stamp_worker_metrics(&nodes, &queue);
-        if let Some(e) = failure {
-            self.held = 0;
-            let _ = self.resident.set(0);
-            return Err(e);
-        }
-        self.runs = Some(runs);
-        Ok(())
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sort_worker(
-    w: usize,
-    queue: Arc<TaskQueue<Morsel>>,
-    cancel: Arc<AtomicBool>,
-    tx: SyncSender<Result<SortRun, DbError>>,
-    table: Arc<RwLock<Table>>,
-    snap: Snapshot,
-    width: usize,
-    metas: Arc<Vec<RelMeta>>,
-    eval: Arc<FilterEval>,
-    keys: Arc<Vec<OrderKey>>,
-    limit: Option<usize>,
-    gauge: MemoryGauge,
-    budget: u64,
-    node: Option<ProfileNode>,
-) {
-    let t0 = node.as_ref().map(|_| Instant::now());
-    let mut charge = gauge.charge();
-    let mut buf: Vec<SortedRow> = Vec::new();
-    let result = (|| -> Result<(), DbError> {
-        while !cancel.load(Ordering::Relaxed) {
-            let Some(pulled) = queue.pop(w) else { break };
-            let m = pulled.task;
-            let mut cursor = TableCursor::slice(Arc::clone(&table), m.from, m.to).at_snapshot(snap);
-            let mut pos: u64 = 0;
-            loop {
-                let rows = cursor.next_batch(BATCH_ROWS);
-                if rows.is_empty() {
-                    break;
-                }
-                let mut kept = 0u64;
-                for row in rows {
-                    let mut it = row.into_iter();
-                    let rid = it.next().and_then(|v| v.as_rowid());
-                    let mut jr = empty_joined(width);
-                    jr[0] = RelRow { rid, values: it.collect() };
-                    if !eval.is_empty() && !eval.row_passes(&jr)? {
-                        continue;
-                    }
-                    let ks = keys
-                        .iter()
-                        .map(|k| crate::exec::eval_expr(&metas, &jr, &k.expr))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    // Serial scan order: morsel index, then surviving
-                    // row position within the morsel.
-                    let seq = ((m.idx as u64) << 32) | pos;
-                    pos += 1;
-                    buf.push((ks, seq, jr));
-                    kept += 1;
-                }
-                charge_rows(&mut charge, budget, kept, "EXCHANGE")?;
-            }
-            // Top-k: never hold more than 2k rows per worker; sort and
-            // cut back to k, releasing the difference.
-            if let Some(k) = limit {
-                if buf.len() >= 2 * k.max(1) {
-                    buf.sort_by(|a, b| cmp_sorted(&keys, a, b));
+                Ok(())
+            };
+            let msg = run().map(|()| {
+                buf.sort_by(|a, b| cmp_sorted(&keys, a, b));
+                if let Some(k) = limit {
                     buf.truncate(k);
                     charge.set(buf.len() as u64);
                 }
-            }
-        }
+                note_batch(&scan.nodes[w], buf.len(), t0);
+                Charged { idx: w, rows: buf, charge }
+            });
+            out.send(msg);
+        });
+        let runs = gather(fanout, &mut self.site.resident, &mut self.site.held);
+        stamp_worker_metrics(&nodes, &queue);
+        self.runs = Some(runs?.into_iter().map(|(_, rows)| rows.into()).collect());
         Ok(())
-    })();
-    match result {
-        Ok(()) => {
-            buf.sort_by(|a, b| cmp_sorted(&keys, a, b));
-            if let Some(k) = limit {
-                buf.truncate(k);
-                charge.set(buf.len() as u64);
-            }
-            note_batch(&node, buf.len(), t0);
-            let _ = tx.send(Ok(SortRun { rows: buf, charge }));
-        }
-        Err(e) => {
-            drop(charge);
-            let _ = tx.send(Err(e));
-        }
     }
 }
 
@@ -719,21 +590,20 @@ impl BatchOp for ParallelSortExec<'_> {
         if self.done {
             return Ok(Vec::new());
         }
-        let before = self.node.as_ref().map(|_| self.db.counters().snapshot());
-        let started = self.runs.is_none();
-        if started {
+        if self.runs.is_none() {
+            let before = self.site.node.as_ref().map(|_| self.site.db.counters().snapshot());
             let res = self.ensure_runs();
-            if let (Some(n), Some(b)) = (&self.node, &before) {
-                n.add_metric_deltas(&self.db.counters().diff(b).pairs());
+            if let (Some(n), Some(b)) = (&self.site.node, &before) {
+                n.add_metric_deltas(&self.site.db.counters().diff(b).pairs());
             }
             if let Err(e) = res {
-                self.done = true;
+                self.close();
                 return Err(e);
             }
         }
         let keys = &self.keys;
         let runs = self.runs.as_mut().expect("sorted runs");
-        let mut out: JoinedBatch = Vec::with_capacity(BATCH_ROWS.min(self.held as usize));
+        let mut out: JoinedBatch = Vec::with_capacity(BATCH_ROWS.min(self.site.held as usize));
         while out.len() < BATCH_ROWS {
             // Tournament over the ≤ dop run heads (dop is capped at
             // 64, so a linear scan beats a merge tree's bookkeeping).
@@ -756,13 +626,12 @@ impl BatchOp for ParallelSortExec<'_> {
             let (_, _, jr) = runs[b].pop_front().expect("non-empty best run");
             out.push(jr);
         }
-        self.held -= out.len() as u64;
-        self.resident.set(self.held)?;
+        self.site.emit(out.len())?;
         if out.is_empty() {
             self.done = true;
             self.runs = None;
         } else {
-            note_batch(&self.node, out.len(), None);
+            note_batch(&self.site.node, out.len(), None);
         }
         Ok(out)
     }
@@ -770,8 +639,7 @@ impl BatchOp for ParallelSortExec<'_> {
     fn close(&mut self) {
         self.done = true;
         self.runs = None;
-        self.held = 0;
-        let _ = self.resident.set(0);
+        self.site.release();
     }
 }
 
@@ -824,6 +692,54 @@ struct Block {
     pairs: Vec<(RowId, RowId)>,
 }
 
+/// What a worker needs to probe blocks of rowid pairs: both base tables
+/// and the relation slots their rows fill, the secondary filter, and
+/// the gauge and budget to charge.
+struct PairProbe {
+    lt: Arc<RwLock<Table>>,
+    rt: Arc<RwLock<Table>>,
+    l_rel: usize,
+    r_rel: usize,
+    width: usize,
+    snap: Snapshot,
+    eval: FilterEval,
+    filter: bool,
+    gauge: MemoryGauge,
+    budget: u64,
+}
+
+impl PairProbe {
+    /// Fetch both rows of every pair in `b` through `cache`, keep the
+    /// pairs that pass the filter, and charge them against `charge`.
+    fn probe(
+        &self,
+        b: &Block,
+        cache: &mut ProbeCache,
+        charge: &mut GaugeCharge,
+    ) -> Result<JoinedBatch, DbError> {
+        let mut rows = Vec::with_capacity(b.pairs.len());
+        for &(lrid, rrid) in &b.pairs {
+            // Probe both sides unconditionally so the cache accounting
+            // identity (hits + misses == 2 × pairs) holds exactly; pairs
+            // with a row invisible under the snapshot are skipped,
+            // matching the serial join.
+            let lv = cache.fetch(true, lrid, &self.lt, &self.snap);
+            let rv = cache.fetch(false, rrid, &self.rt, &self.snap);
+            cache.probed += 1;
+            let (Some(lv), Some(rv)) = (lv, rv) else { continue };
+            let mut jr = empty_joined(self.width);
+            jr[self.l_rel] = RelRow { rid: Some(lrid), values: lv.to_vec() };
+            jr[self.r_rel] = RelRow { rid: Some(rrid), values: rv.to_vec() };
+            if self.filter && !self.eval.row_passes(&jr)? {
+                continue;
+            }
+            rows.push(jr);
+        }
+        charge_rows(charge, self.budget, rows.len() as u64, "EXCHANGE")?;
+        Ok(rows)
+    }
+}
+
 /// Morsel-parallel rowid-pair semijoin: the planner's Probe-site
 /// exchange, replacing serial `RowidSemiJoinExec` + `FilterExec`.
 /// The coordinator drains the table-function subquery and
@@ -835,29 +751,20 @@ struct Block {
 pub(crate) struct ParallelSemiJoinExec<'a> {
     db: &'a Database,
     sub: SelectStream<'a>,
-    l_rel: usize,
-    r_rel: usize,
-    lt: Arc<RwLock<Table>>,
-    rt: Arc<RwLock<Table>>,
-    width: usize,
-    eval: Arc<FilterEval>,
-    filter_active: bool,
+    probe: Arc<PairProbe>,
     seen: std::collections::HashSet<(RowId, RowId)>,
     dop: usize,
     node: Option<ProfileNode>,
     nodes: Vec<Option<ProfileNode>>,
     caches: Vec<Arc<Mutex<ProbeCache>>>,
-    executed: Vec<u64>,
-    stolen: Vec<u64>,
+    /// One queue across every wave, so its per-worker tallies are the
+    /// exchange's.
+    queue: Arc<TaskQueue<Block>>,
     out: VecDeque<Vec<RelRow>>,
     resident: Resident,
     held: u64,
-    gauge: MemoryGauge,
-    budget: u64,
-    snap: Snapshot,
     sub_done: bool,
     done: bool,
-    stamped: bool,
 }
 
 impl<'a> ParallelSemiJoinExec<'a> {
@@ -870,59 +777,39 @@ impl<'a> ParallelSemiJoinExec<'a> {
         lt: Arc<RwLock<Table>>,
         rt: Arc<RwLock<Table>>,
         width: usize,
-        metas: Arc<Vec<RelMeta>>,
-        spatial: Vec<SpatialPred>,
-        residual: Vec<Predicate>,
-        hints: Option<Vec<bool>>,
+        (metas, spatial, residual, hints): FilterInputs,
         dop: usize,
         node: Option<ProfileNode>,
     ) -> Result<Self, DbError> {
         if sub.columns.len() < 2 {
             return Err(DbError::Plan("rowid-pair subquery must project two rowid columns".into()));
         }
-        let filter_active = !spatial.is_empty() || !residual.is_empty();
-        let eval = Arc::new(FilterEval::build(
-            ctx.db,
-            metas,
-            spatial,
-            residual,
-            hints.as_deref(),
-            ctx.snap,
-        )?);
+        let filter = !spatial.is_empty() || !residual.is_empty();
+        let eval = FilterEval::build(ctx.db, metas, spatial, residual, hints.as_deref(), ctx.snap)?;
+        let (snap, gauge, budget) = (ctx.snap, ctx.gauge.clone(), ctx.max_resident_rows);
+        let probe =
+            Arc::new(PairProbe { lt, rt, l_rel, r_rel, width, snap, eval, filter, gauge, budget });
         let dop = dop.max(1);
         if let Some(n) = &node {
             n.set_attr("dop", dop.to_string());
         }
-        let nodes = worker_nodes(&node, dop);
-        let caches =
-            (0..dop).map(|_| Arc::new(Mutex::new(ProbeCache::new(PROBE_CACHE_ROWS)))).collect();
-        let resident = ctx.resident("EXCHANGE");
         Ok(ParallelSemiJoinExec {
             db: ctx.db,
             sub,
-            l_rel,
-            r_rel,
-            lt,
-            rt,
-            width,
-            eval,
-            filter_active,
+            probe,
             seen: std::collections::HashSet::new(),
             dop,
+            nodes: worker_nodes(&node, dop),
             node,
-            nodes,
-            caches,
-            executed: vec![0; dop],
-            stolen: vec![0; dop],
+            caches: (0..dop)
+                .map(|_| Arc::new(Mutex::new(ProbeCache::new(PROBE_CACHE_ROWS))))
+                .collect(),
+            queue: Arc::new(TaskQueue::new(dop)),
             out: VecDeque::new(),
-            resident,
+            resident: ctx.resident("EXCHANGE"),
             held: 0,
-            gauge: ctx.gauge.clone(),
-            budget: ctx.max_resident_rows,
-            snap: ctx.snap,
             sub_done: false,
             done: false,
-            stamped: false,
         })
     }
 
@@ -954,180 +841,43 @@ impl<'a> ParallelSemiJoinExec<'a> {
         if pairs.is_empty() {
             return Ok(());
         }
-        let blocks: Vec<Block> = pairs
-            .chunks(block)
-            .enumerate()
-            .map(|(idx, c)| Block { idx, pairs: c.to_vec() })
-            .collect();
-        let total = blocks.len();
-        let eff = self.dop.min(total);
-        let queue = TaskQueue::seed_round_robin(blocks, eff);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::sync_channel::<WorkerMsg>(eff * 2);
-        let mut handles = Vec::with_capacity(eff);
-        for w in 0..eff {
-            let queue = Arc::clone(&queue);
-            let cancel = Arc::clone(&cancel);
-            let tx = tx.clone();
-            let (lt, rt) = (Arc::clone(&self.lt), Arc::clone(&self.rt));
-            let eval = Arc::clone(&self.eval);
-            let cache = Arc::clone(&self.caches[w]);
-            let gauge = self.gauge.clone();
-            let wnode = self.nodes[w].clone();
-            let (snap, width, budget) = (self.snap, self.width, self.budget);
-            let (l_rel, r_rel, filter) = (self.l_rel, self.r_rel, self.filter_active);
-            handles.push(pool::global().submit(move || {
-                probe_worker(
-                    w, queue, cancel, tx, lt, rt, snap, width, l_rel, r_rel, eval, filter, cache,
-                    gauge, budget, wnode,
-                )
-            }));
+        let eff = self.dop.min(pairs.len().div_ceil(block));
+        for (idx, c) in pairs.chunks(block).enumerate() {
+            self.queue.push(idx % eff, Block { idx, pairs: c.to_vec() });
         }
-        drop(tx);
-        let mut pending: BTreeMap<usize, JoinedBatch> = BTreeMap::new();
-        let mut failure: Option<DbError> = None;
-        let mut received = 0usize;
-        while received < total {
-            match rx.recv() {
-                Ok(Ok(bo)) => {
-                    received += 1;
-                    if failure.is_none() {
-                        let n = bo.rows.len() as u64;
-                        drop(bo.charge);
-                        match self.resident.add(n) {
-                            Ok(()) => {
-                                self.held += n;
-                                pending.insert(bo.idx, bo.rows);
-                            }
-                            Err(e) => {
-                                cancel.store(true, Ordering::Relaxed);
-                                failure = Some(e);
-                            }
-                        }
-                    }
-                }
-                Ok(Err(e)) => {
-                    received += 1;
-                    cancel.store(true, Ordering::Relaxed);
-                    if failure.is_none() {
-                        failure = Some(e);
-                    }
-                }
-                Err(_) => {
-                    if failure.is_none() {
-                        failure = Some(DbError::Plan(
-                            "parallel probe worker terminated unexpectedly".into(),
-                        ));
-                    }
-                    break;
-                }
-            }
-        }
-        drop(rx);
-        for h in handles {
-            h.join();
-        }
-        for w in 0..eff {
-            self.executed[w] += queue.executed(w);
-            self.stolen[w] += queue.stolen(w);
-        }
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        for (_, rows) in pending {
+        let (probe, caches, nodes) =
+            (Arc::clone(&self.probe), self.caches.clone(), self.nodes.clone());
+        let fanout = fan_out(&self.queue, eff, 2 * eff, move |w, queue, out| {
+            run_tasks(w, queue, out, &probe.gauge, &nodes[w], |b: Block, charge| {
+                (b.idx, probe.probe(&b, &mut caches[w].lock(), charge))
+            })
+        });
+        let parts = gather(fanout, &mut self.resident, &mut self.held);
+        let mut parts = parts?;
+        parts.sort_unstable_by_key(|&(idx, _)| idx);
+        for (_, rows) in parts {
             self.out.extend(rows);
         }
         Ok(())
     }
 
-    fn stamp(&mut self) {
-        if self.stamped {
-            return;
-        }
-        self.stamped = true;
-        for (i, wn) in self.nodes.iter().enumerate() {
+    /// Stamp the per-worker tallies (set, so a repeat call is harmless),
+    /// close the subquery, and zero the resident account.
+    fn finish(&mut self) {
+        self.done = true;
+        stamp_worker_metrics(&self.nodes, &self.queue);
+        for (wn, cache) in self.nodes.iter().zip(&self.caches) {
             if let Some(n) = wn {
-                n.set_metric("morsels_executed", self.executed[i]);
-                n.set_metric("morsels_stolen", self.stolen[i]);
-                let c = self.caches[i].lock();
+                let c = cache.lock();
                 n.set_metric("pairs_probed", c.probed);
                 n.set_metric("geom_cache_hits", c.hits);
                 n.set_metric("geom_cache_misses", c.misses);
             }
         }
-    }
-
-    fn finish(&mut self) {
-        self.done = true;
-        self.stamp();
         self.sub.close();
         self.out.clear();
         self.held = 0;
         let _ = self.resident.set(0);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn probe_worker(
-    w: usize,
-    queue: Arc<TaskQueue<Block>>,
-    cancel: Arc<AtomicBool>,
-    tx: SyncSender<WorkerMsg>,
-    lt: Arc<RwLock<Table>>,
-    rt: Arc<RwLock<Table>>,
-    snap: Snapshot,
-    width: usize,
-    l_rel: usize,
-    r_rel: usize,
-    eval: Arc<FilterEval>,
-    filter: bool,
-    cache: Arc<Mutex<ProbeCache>>,
-    gauge: MemoryGauge,
-    budget: u64,
-    node: Option<ProfileNode>,
-) {
-    while !cancel.load(Ordering::Relaxed) {
-        let Some(pulled) = queue.pop(w) else { break };
-        let b = pulled.task;
-        let t0 = node.as_ref().map(|_| Instant::now());
-        let mut charge = gauge.charge();
-        let mut cache = cache.lock();
-        let run = (|| -> Result<JoinedBatch, DbError> {
-            let mut out = Vec::with_capacity(b.pairs.len());
-            for &(lrid, rrid) in &b.pairs {
-                // Probe both sides unconditionally so the cache
-                // accounting identity (hits + misses == 2 × pairs)
-                // holds exactly; pairs with a row invisible under the
-                // snapshot are skipped, matching the serial join.
-                let lv = cache.fetch(true, lrid, &lt, &snap);
-                let rv = cache.fetch(false, rrid, &rt, &snap);
-                cache.probed += 1;
-                let (Some(lv), Some(rv)) = (lv, rv) else { continue };
-                let mut jr = empty_joined(width);
-                jr[l_rel] = RelRow { rid: Some(lrid), values: lv.to_vec() };
-                jr[r_rel] = RelRow { rid: Some(rrid), values: rv.to_vec() };
-                if filter && !eval.row_passes(&jr)? {
-                    continue;
-                }
-                out.push(jr);
-            }
-            charge_rows(&mut charge, budget, out.len() as u64, "EXCHANGE")?;
-            Ok(out)
-        })();
-        drop(cache);
-        match run {
-            Ok(rows) => {
-                note_batch(&node, rows.len(), t0);
-                if tx.send(Ok(MorselOut { idx: b.idx, rows, charge })).is_err() {
-                    break;
-                }
-            }
-            Err(e) => {
-                drop(charge);
-                let _ = tx.send(Err(e));
-                break;
-            }
-        }
     }
 }
 
@@ -1138,17 +888,16 @@ impl BatchOp for ParallelSemiJoinExec<'_> {
         }
         let t0 = self.node.as_ref().map(|_| Instant::now());
         let before = self.node.as_ref().map(|_| self.db.counters().snapshot());
-        while self.out.len() < BATCH_ROWS && !self.sub_done {
-            if let Err(e) = self.run_wave() {
-                if let (Some(n), Some(b)) = (&self.node, &before) {
-                    n.add_metric_deltas(&self.db.counters().diff(b).pairs());
-                }
-                self.finish();
-                return Err(e);
-            }
+        let mut res = Ok(());
+        while res.is_ok() && self.out.len() < BATCH_ROWS && !self.sub_done {
+            res = self.run_wave();
         }
         if let (Some(n), Some(b)) = (&self.node, &before) {
             n.add_metric_deltas(&self.db.counters().diff(b).pairs());
+        }
+        if let Err(e) = res {
+            self.finish();
+            return Err(e);
         }
         let n = self.out.len().min(BATCH_ROWS);
         let batch: JoinedBatch = self.out.drain(..n).collect();
@@ -1171,7 +920,8 @@ impl BatchOp for ParallelSemiJoinExec<'_> {
 mod tests {
     use super::*;
     use crate::db::Database;
-    use crate::sql::ast::{CmpOp, ColumnRef, Expr};
+    use crate::exec::RelMeta;
+    use crate::sql::ast::{CmpOp, ColumnRef, Expr, Predicate};
     use sdo_storage::{DataType, Schema};
 
     fn test_db(rows: i64) -> Database {
@@ -1225,26 +975,35 @@ mod tests {
         }
     }
 
+    /// The scan exchange and the sort exchange (ORDER BY X) over `t`
+    /// at dop 4, both filtering with `residual`.
+    fn exchanges<'a>(
+        ctx: &ExecCtx<'a>,
+        db: &Database,
+        residual: Vec<Predicate>,
+    ) -> Vec<(&'static str, Box<dyn BatchOp + 'a>)> {
+        let table = db.table("t").unwrap();
+        let by_x = OrderKey {
+            expr: Expr::Column(ColumnRef { qualifier: None, column: "X".into() }),
+            descending: false,
+        };
+        let inputs = || (test_metas(db), Vec::new(), residual.clone(), None);
+        let scan = ParallelScanFilterExec::new(ctx, Arc::clone(&table), inputs(), 4, None);
+        let sort = ParallelSortExec::new(ctx, table, inputs(), vec![by_x], None, 4, None);
+        vec![("scan", Box::new(scan)), ("sort", Box::new(sort))]
+    }
+
     #[test]
     fn failing_filter_at_dop_4_releases_every_charge() {
         set_morsel_rows(64);
         let db = test_db(1000);
         let ctx = test_ctx(&db, u64::MAX, 4);
-        let gauge = ctx.gauge.clone();
-        let mut exec = ParallelScanFilterExec::new(
-            &ctx,
-            db.table("t").unwrap(),
-            test_metas(&db),
-            Vec::new(),
-            vec![failing_predicate()],
-            None,
-            4,
-            None,
-        );
-        let err = drain(&mut exec).expect_err("failing filter must fail the query");
-        assert!(format!("{err:?}").contains("NO_SUCH_COLUMN"), "unexpected error: {err:?}");
-        drop(exec);
-        assert_eq!(gauge.current(), 0, "worker charges must be released after a failure");
+        for (site, mut exec) in exchanges(&ctx, &db, vec![failing_predicate()]) {
+            let err = drain(exec.as_mut()).expect_err("failing filter must fail the query");
+            assert!(format!("{err:?}").contains("NO_SUCH_COLUMN"), "{site}: {err:?}");
+            drop(exec);
+            assert_eq!(ctx.gauge.current(), 0, "{site}: charges must be released after a failure");
+        }
     }
 
     #[test]
@@ -1254,24 +1013,16 @@ mod tests {
         // Budget below one morsel: some worker errors mid-morsel on
         // its own charge account.
         let ctx = test_ctx(&db, 40, 4);
-        let gauge = ctx.gauge.clone();
-        let mut exec = ParallelScanFilterExec::new(
-            &ctx,
-            db.table("t").unwrap(),
-            test_metas(&db),
-            Vec::new(),
-            Vec::new(),
-            None,
-            4,
-            None,
-        );
-        let err = drain(&mut exec).expect_err("budget breach must fail the query");
-        assert!(
-            format!("{err:?}").contains("MAX_RESIDENT_ROWS"),
-            "breach must name the budget: {err:?}"
-        );
-        drop(exec);
-        assert_eq!(gauge.current(), 0, "charges must return to zero after a breach");
+        for (site, mut exec) in exchanges(&ctx, &db, Vec::new()) {
+            let err = drain(exec.as_mut()).expect_err("budget breach must fail the query");
+            assert!(format!("{err:?}").contains("MAX_RESIDENT_ROWS"), "{site}: {err:?}");
+            drop(exec);
+            assert_eq!(
+                ctx.gauge.current(),
+                0,
+                "{site}: charges must return to zero after a breach"
+            );
+        }
     }
 
     #[test]
@@ -1280,16 +1031,8 @@ mod tests {
         let db = test_db(1000);
         let ctx = test_ctx(&db, u64::MAX, 4);
         let gauge = ctx.gauge.clone();
-        let mut exec = ParallelScanFilterExec::new(
-            &ctx,
-            db.table("t").unwrap(),
-            test_metas(&db),
-            Vec::new(),
-            Vec::new(),
-            None,
-            4,
-            None,
-        );
+        let inputs = (test_metas(&db), Vec::new(), Vec::new(), None);
+        let mut exec = ParallelScanFilterExec::new(&ctx, db.table("t").unwrap(), inputs, 4, None);
         let mut ids = Vec::new();
         loop {
             let b = exec.next_batch().unwrap();

@@ -18,6 +18,11 @@
 //!   result rows funnel through a bounded channel to the consumer,
 //!   preserving pipelining end to end.
 //!
+//! The slaves run on [`parallel::Fanout`], the engine's one fan-out
+//! runtime: one pool job per worker body, one bounded channel, one
+//! cancel flag, and a panic reported as a message naming the worker. The
+//! SQL exchanges in `sdo-dbms` use the same core.
+//!
 //! Input cursors are modeled by [`RowSource`]. Where the paper splits
 //! the cursor once up front (`PARTITION BY ANY`), slaves here pull
 //! chunks of it on demand from a shared work-stealing [`TaskQueue`]
@@ -31,12 +36,12 @@ pub mod scheduler;
 pub mod source;
 pub mod table_function;
 
-pub use parallel::{execute_parallel, ParallelTableFunction};
+pub use parallel::{execute_parallel, Fanout, Outbox, ParallelTableFunction};
 pub use pool::{PoolStats, SlavePool};
 pub use row::Row;
 pub use scheduler::{TaskQueue, WorkStealingFn};
 pub use source::{RowSource, VecSource};
-pub use table_function::{collect_all, FetchIter, TableFunction};
+pub use table_function::{collect_all, TableFunction};
 
 /// Errors surfaced by table function execution.
 #[derive(Debug, Clone, PartialEq)]

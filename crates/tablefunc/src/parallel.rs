@@ -1,16 +1,24 @@
-//! The parallel table-function executor.
+//! The fan-out core and the parallel table-function executor.
 //!
-//! Reproduces Oracle9i's parallel execution of a table function: the
-//! caller builds one function *instance per slave* — typically
-//! [`crate::scheduler::WorkStealingFn`]s sharing one task queue over
-//! chunks of the input cursor — and this executor runs the
-//! instances on worker threads. Each slave drives its instance through
-//! the pipelined `start`/`fetch`/`close` protocol and funnels result
-//! batches into a bounded channel, so production and consumption
-//! overlap (pipelining survives parallelism) and a slow consumer
-//! back-pressures the slaves instead of buffering unboundedly.
+//! [`Fanout`] is the one runtime under every parallel operator in the
+//! engine: it submits one job per worker body to the process-wide
+//! [`pool`], gives each body a send handle ([`Outbox`]) on one bounded
+//! channel plus a shared cancel flag, turns a panicking body into one
+//! message naming the worker, and on close cancels, drops the receiver
+//! and joins every job. It knows nothing about rows, tasks or profiles;
+//! callers pick the message type, the channel depth and the bodies.
+//!
+//! [`ParallelTableFunction`] reproduces Oracle9i's parallel execution of
+//! a table function on top of it: the caller builds one function
+//! *instance per slave* — typically [`crate::scheduler::WorkStealingFn`]s
+//! sharing one task queue over chunks of the input cursor — and each
+//! slave drives its instance through the pipelined `start`/`fetch`/
+//! `close` protocol, sending one message per fetch batch. Production and
+//! consumption overlap (pipelining survives parallelism) and a slow
+//! consumer back-pressures the slaves instead of buffering unboundedly.
+//! The SQL exchanges in `sdo-dbms` run their workers on the same core.
 
-use crate::pool::{self, PoolJoinHandle};
+use crate::pool;
 use crate::row::Row;
 use crate::table_function::TableFunction;
 use crate::TfError;
@@ -18,12 +26,106 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use sdo_obs::ProfileNode;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
+
+/// A worker's end of a [`Fanout`]: the shared bounded channel and the
+/// shared cancel flag.
+pub struct Outbox<M> {
+    tx: Sender<M>,
+    cancel: Arc<AtomicBool>,
+}
+
+impl<M> Outbox<M> {
+    /// Send one message, blocking while the channel is full. `false`
+    /// means the consumer has closed the fan-out: stop producing.
+    pub fn send(&self, msg: M) -> bool {
+        self.tx.send(msg).is_ok()
+    }
+
+    /// Whether the consumer has cancelled. Bodies check it between tasks.
+    pub fn cancelled(&self) -> bool {
+        self.cancel.load(Ordering::Relaxed)
+    }
+}
+
+/// One fan-out of worker bodies over the slave pool, merged into one
+/// bounded channel. Dropping it is [`close`](Self::close).
+pub struct Fanout<M> {
+    rx: Option<Receiver<M>>,
+    jobs: Vec<pool::PoolJoinHandle>,
+    cancel: Arc<AtomicBool>,
+}
+
+impl<M: Send + 'static> Fanout<M> {
+    /// Submit one pool job per body, in order; body `i` is worker `i`.
+    /// A body that panics sends `on_panic(i)` in place of whatever it
+    /// had left to send, so the consumer sees the failure instead of a
+    /// short stream.
+    pub fn spawn<B>(
+        depth: usize,
+        bodies: impl IntoIterator<Item = B>,
+        on_panic: fn(usize) -> M,
+    ) -> Self
+    where
+        B: FnOnce(&Outbox<M>) + Send + 'static,
+    {
+        let (tx, rx) = bounded(depth.max(1));
+        let cancel = Arc::new(AtomicBool::new(false));
+        let jobs = bodies
+            .into_iter()
+            .enumerate()
+            .map(|(worker, body)| {
+                let outbox = Outbox { tx: tx.clone(), cancel: Arc::clone(&cancel) };
+                pool::global().submit(move || {
+                    if catch_unwind(AssertUnwindSafe(|| body(&outbox))).is_err() {
+                        outbox.send(on_panic(worker));
+                    }
+                })
+            })
+            .collect();
+        // The receiver disconnects once every body has finished.
+        Fanout { rx: Some(rx), jobs, cancel }
+    }
+}
+
+impl<M> Fanout<M> {
+    /// The next message, blocking; `None` once every body has finished
+    /// and the channel is drained, or after [`close`](Self::close).
+    pub fn recv(&self) -> Option<M> {
+        self.rx.as_ref()?.recv().ok()
+    }
+
+    /// Ask every body to stop at its next [`Outbox::cancelled`] check.
+    pub fn cancel(&self) {
+        self.cancel.store(true, Ordering::Relaxed);
+    }
+
+    /// Cancel, drop the receiver — bodies blocked on a full channel fail
+    /// their send and exit, and undelivered messages drop with it — then
+    /// join every job. Idempotent.
+    pub fn close(&mut self) {
+        self.cancel();
+        self.rx = None;
+        for job in self.jobs.drain(..) {
+            job.join();
+        }
+    }
+}
+
+impl<M> Drop for Fanout<M> {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
 
 /// How many in-flight batches each executor buffers before slaves
 /// block. Small by design: the paper's pipelining argument is that the
 /// full result set never materializes.
 const CHANNEL_DEPTH: usize = 8;
+
+type SlaveMsg = Result<Vec<Row>, TfError>;
 
 /// A table function that executes `instances` in parallel and merges
 /// their output streams.
@@ -39,8 +141,7 @@ pub struct ParallelTableFunction {
     instances: Vec<Box<dyn TableFunction>>,
     dop: usize,
     slave_fetch_size: usize,
-    rx: Option<Receiver<Result<Vec<Row>, TfError>>>,
-    handles: Vec<PoolJoinHandle>,
+    slaves: Option<Fanout<SlaveMsg>>,
     pending: VecDeque<Row>,
     failed: Option<TfError>,
     profile: Option<ProfileNode>,
@@ -55,8 +156,7 @@ impl ParallelTableFunction {
             dop: instances.len(),
             instances,
             slave_fetch_size: 256,
-            rx: None,
-            handles: Vec::new(),
+            slaves: None,
             pending: VecDeque::new(),
             failed: None,
             profile: None,
@@ -71,72 +171,57 @@ impl ParallelTableFunction {
 
     /// Degree of parallelism. Recorded at construction, so it stays
     /// valid across the whole lifecycle (`start` drains `instances`
-    /// into slave threads and `close` drains `handles`).
+    /// into slave jobs).
     pub fn dop(&self) -> usize {
         self.dop
     }
+}
 
-    fn spawn_slave(
-        id: usize,
-        mut f: Box<dyn TableFunction>,
-        tx: Sender<Result<Vec<Row>, TfError>>,
-        fetch_size: usize,
-        profile: Option<ProfileNode>,
-    ) -> PoolJoinHandle {
-        // Slaves run on the process-wide cached pool rather than a
-        // freshly spawned thread per slave per query, so concurrent
-        // statements in a multi-session server share a stable worker
-        // set (see [`crate::pool`]).
-        pool::global().submit(move || {
-            // Profiling: this slave's node becomes the thread's
-            // current profile, so operators running inside the
-            // instance hang their detail under "slave N". The guard
-            // drops before the worker re-parks, leaving no ambient
-            // profile behind on the reused thread.
-            let _profile_scope = profile.clone().map(sdo_obs::enter);
-            if let Some(node) = &profile {
-                f.attach_profile(node);
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                f.start()?;
-                loop {
-                    let fetch_started = profile.as_ref().map(|_| Instant::now());
-                    let batch = f.fetch(fetch_size)?;
-                    if let (Some(node), Some(t0)) = (&profile, fetch_started) {
-                        node.add_wall(t0.elapsed());
-                        if !batch.is_empty() {
-                            node.add_batches(1);
-                            node.add_rows(batch.len() as u64);
-                        }
-                    }
-                    if batch.is_empty() {
-                        break;
-                    }
-                    if tx.send(Ok(batch)).is_err() {
-                        // Consumer went away (early close): stop
-                        // producing and release resources.
-                        break;
-                    }
-                }
-                f.close();
-                Ok::<(), TfError>(())
-            }));
-            match outcome {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    let _ = tx.send(Err(e));
-                }
-                Err(_) => {
-                    let _ = tx.send(Err(TfError::SlavePanic(id)));
+/// One slave: drive `f` through `start`/`fetch`/`close`, sending each
+/// fetched batch, until it is exhausted or the consumer goes away.
+fn run_slave(
+    mut f: Box<dyn TableFunction>,
+    fetch_size: usize,
+    profile: Option<ProfileNode>,
+    out: &Outbox<SlaveMsg>,
+) {
+    // Profiling: this slave's node becomes the thread's current
+    // profile, so operators running inside the instance hang their
+    // detail under "slave N". The guard drops before the worker
+    // re-parks, leaving no ambient profile behind on the reused thread.
+    let _profile_scope = profile.clone().map(sdo_obs::enter);
+    if let Some(node) = &profile {
+        f.attach_profile(node);
+    }
+    let mut run = || -> Result<(), TfError> {
+        f.start()?;
+        while !out.cancelled() {
+            let fetch_started = profile.as_ref().map(|_| Instant::now());
+            let batch = f.fetch(fetch_size)?;
+            if let (Some(node), Some(t0)) = (&profile, fetch_started) {
+                node.add_wall(t0.elapsed());
+                if !batch.is_empty() {
+                    node.add_batches(1);
+                    node.add_rows(batch.len() as u64);
                 }
             }
-        })
+            // An empty batch is exhaustion; a failed send is the
+            // consumer closing early.
+            if batch.is_empty() || !out.send(Ok(batch)) {
+                break;
+            }
+        }
+        f.close();
+        Ok(())
+    };
+    if let Err(e) = run() {
+        out.send(Err(e));
     }
 }
 
 impl TableFunction for ParallelTableFunction {
     fn start(&mut self) -> Result<(), TfError> {
-        if self.rx.is_some() {
+        if self.slaves.is_some() {
             return Err(TfError::Protocol("start called twice"));
         }
         // If no node was attached explicitly, pick up the ambient
@@ -145,19 +230,14 @@ impl TableFunction for ParallelTableFunction {
         if let Some(p) = &parent {
             p.set_attr("dop", self.dop.to_string());
         }
-        let (tx, rx) = bounded(CHANNEL_DEPTH.max(self.instances.len()));
-        for (id, inst) in self.instances.drain(..).enumerate() {
-            let slave_node = parent.as_ref().map(|p| p.child(format!("slave {id}")));
-            self.handles.push(Self::spawn_slave(
-                id,
-                inst,
-                tx.clone(),
-                self.slave_fetch_size,
-                slave_node,
-            ));
-        }
-        drop(tx); // receiver disconnects once every slave finishes
-        self.rx = Some(rx);
+        let fetch_size = self.slave_fetch_size;
+        let bodies = self.instances.drain(..).enumerate().map(|(id, f)| {
+            let node = parent.as_ref().map(|p| p.child(format!("slave {id}")));
+            move |out: &Outbox<SlaveMsg>| run_slave(f, fetch_size, node, out)
+        });
+        self.slaves = Some(Fanout::spawn(CHANNEL_DEPTH.max(self.dop), bodies, |id| {
+            Err(TfError::SlavePanic(id))
+        }));
         Ok(())
     }
 
@@ -165,16 +245,16 @@ impl TableFunction for ParallelTableFunction {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
-        let rx = self.rx.as_ref().ok_or(TfError::Protocol("fetch before start"))?;
+        let slaves = self.slaves.as_ref().ok_or(TfError::Protocol("fetch before start"))?;
         while self.pending.len() < max_rows {
-            match rx.recv() {
-                Ok(Ok(batch)) => self.pending.extend(batch),
-                Ok(Err(e)) => {
+            match slaves.recv() {
+                Some(Ok(batch)) => self.pending.extend(batch),
+                Some(Err(e)) => {
                     self.failed = Some(e.clone());
                     self.close();
                     return Err(e);
                 }
-                Err(_) => break, // all slaves done
+                None => break, // all slaves done
             }
         }
         let n = self.pending.len().min(max_rows);
@@ -182,21 +262,12 @@ impl TableFunction for ParallelTableFunction {
     }
 
     fn close(&mut self) {
-        self.rx = None; // unblocks slaves waiting on a full channel
-        for h in self.handles.drain(..) {
-            h.join();
-        }
+        self.slaves = None; // cancels, unblocks and joins every slave
         self.pending.clear();
     }
 
     fn attach_profile(&mut self, node: &ProfileNode) {
         self.profile = Some(node.clone());
-    }
-}
-
-impl Drop for ParallelTableFunction {
-    fn drop(&mut self) {
-        self.close();
     }
 }
 
@@ -222,6 +293,7 @@ mod tests {
     use super::*;
     use crate::table_function::BufferedFn;
     use sdo_storage::Value;
+    use std::sync::atomic::AtomicUsize;
 
     fn instance(lo: i64, hi: i64) -> Box<dyn TableFunction> {
         Box::new(BufferedFn::new(move || Ok((lo..hi).map(|i| vec![Value::Integer(i)]).collect())))
@@ -231,6 +303,65 @@ mod tests {
         let mut v: Vec<i64> = rows.iter().map(|r| r[0].as_integer().unwrap()).collect();
         v.sort_unstable();
         v
+    }
+
+    /// Spawn `n` copies of `body` whose exits are counted in the
+    /// returned tally.
+    fn counted(
+        depth: usize,
+        n: usize,
+        body: fn(usize, &Outbox<Result<usize, usize>>),
+    ) -> (Fanout<Result<usize, usize>>, Arc<AtomicUsize>) {
+        let exited = Arc::new(AtomicUsize::new(0));
+        let bodies = (0..n).map(|w| {
+            let exited = Arc::clone(&exited);
+            move |out: &Outbox<Result<usize, usize>>| {
+                body(w, out);
+                exited.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        (Fanout::spawn(depth, bodies, Err), exited)
+    }
+
+    #[test]
+    fn panicking_body_is_one_message_naming_its_worker() {
+        let (mut fanout, exited) = counted(2, 4, |w, out| {
+            if w == 2 {
+                panic!("worker body exploded");
+            }
+            while !out.cancelled() && out.send(Ok(w)) {}
+        });
+        let panicked = std::iter::from_fn(|| fanout.recv()).find_map(Result::err);
+        assert_eq!(panicked, Some(2));
+        // Close joins the three flooding workers without hanging.
+        fanout.close();
+        assert_eq!(exited.load(Ordering::SeqCst), 3);
+        assert!(fanout.recv().is_none(), "a closed fan-out yields nothing");
+    }
+
+    #[test]
+    fn close_joins_bodies_blocked_on_a_full_channel() {
+        // The bodies never check cancel: only the dropped receiver
+        // stops them.
+        let (mut fanout, exited) = counted(1, 4, |w, out| while out.send(Ok(w)) {});
+        assert!(fanout.recv().is_some());
+        fanout.close();
+        assert_eq!(exited.load(Ordering::SeqCst), 4);
+        fanout.close(); // idempotent
+    }
+
+    #[test]
+    fn bodies_observe_cancel_between_tasks() {
+        let (fanout, exited) = counted(1, 3, |_, out| {
+            while !out.cancelled() {
+                std::thread::yield_now();
+            }
+        });
+        fanout.cancel();
+        // The bodies send nothing, so the stream ends only once every
+        // body has seen the flag and returned.
+        assert!(fanout.recv().is_none());
+        assert_eq!(exited.load(Ordering::SeqCst), 3);
     }
 
     #[test]

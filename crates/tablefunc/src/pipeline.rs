@@ -93,92 +93,6 @@ where
     }
 }
 
-/// Boxed per-row body used by [`FilterFn`].
-type BoxedRowFn = Box<dyn FnMut(Row) -> Result<Vec<Row>, TfError> + Send>;
-
-/// A filtering table function: keeps input rows satisfying a predicate.
-pub struct FilterFn<S, P> {
-    inner: CursorFn<S, BoxedRowFn>,
-    _marker: std::marker::PhantomData<P>,
-}
-
-impl<S, P> FilterFn<S, P>
-where
-    S: RowSource,
-    P: FnMut(&Row) -> bool + Send + 'static,
-{
-    /// Wrap an input cursor with a keep-predicate.
-    pub fn new(input: S, mut pred: P) -> Self {
-        let f: BoxedRowFn = Box::new(move |row| Ok(if pred(&row) { vec![row] } else { vec![] }));
-        FilterFn { inner: CursorFn::new(input, f), _marker: std::marker::PhantomData }
-    }
-}
-
-impl<S, P> TableFunction for FilterFn<S, P>
-where
-    S: RowSource,
-    P: FnMut(&Row) -> bool + Send,
-{
-    fn start(&mut self) -> Result<(), TfError> {
-        self.inner.start()
-    }
-
-    fn fetch(&mut self, max_rows: usize) -> Result<Vec<Row>, TfError> {
-        self.inner.fetch(max_rows)
-    }
-
-    fn close(&mut self) {
-        self.inner.close()
-    }
-
-    fn attach_profile(&mut self, node: &sdo_obs::ProfileNode) {
-        self.inner.attach_profile(node)
-    }
-}
-
-/// Adapt a running table function into a [`RowSource`], so pipelined
-/// stages chain: `cursor -> function -> cursor -> function`.
-pub struct FnSource<F: TableFunction> {
-    f: F,
-    started: bool,
-    done: bool,
-}
-
-impl<F: TableFunction> FnSource<F> {
-    /// Adapt a (not yet started) table function into a cursor.
-    pub fn new(f: F) -> Self {
-        FnSource { f, started: false, done: false }
-    }
-}
-
-impl<F: TableFunction> RowSource for FnSource<F> {
-    fn next_batch(&mut self, max: usize) -> Vec<Row> {
-        if self.done {
-            return Vec::new();
-        }
-        if !self.started {
-            self.started = true;
-            if self.f.start().is_err() {
-                self.done = true;
-                return Vec::new();
-            }
-        }
-        match self.f.fetch(max) {
-            Ok(batch) if batch.is_empty() => {
-                self.done = true;
-                self.f.close();
-                Vec::new()
-            }
-            Ok(batch) => batch,
-            Err(_) => {
-                self.done = true;
-                self.f.close();
-                Vec::new()
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,27 +138,6 @@ mod tests {
             }
         }
         assert_eq!(err, Some(TfError::Execution("bad row".into())));
-    }
-
-    #[test]
-    fn filter_fn_keeps_matches() {
-        let mut f = FilterFn::new(ints(10), |r: &Row| r[0].as_integer().unwrap() % 2 == 0);
-        let rows = collect_all(&mut f, 4).unwrap();
-        assert_eq!(rows.len(), 5);
-    }
-
-    #[test]
-    fn fn_source_chains_stages() {
-        // stage 1: double each value; stage 2: keep values > 5
-        let stage1 = CursorFn::new(ints(6), |row| {
-            let v = row[0].as_integer().unwrap();
-            Ok(vec![vec![Value::Integer(v * 2)]])
-        });
-        let chained = FnSource::new(stage1);
-        let mut stage2 = FilterFn::new(chained, |r: &Row| r[0].as_integer().unwrap() > 5);
-        let rows = collect_all(&mut stage2, 2).unwrap();
-        let vals: Vec<i64> = rows.iter().map(|r| r[0].as_integer().unwrap()).collect();
-        assert_eq!(vals, vec![6, 8, 10]);
     }
 
     #[test]

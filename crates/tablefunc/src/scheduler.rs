@@ -30,22 +30,16 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A task handed out by [`TaskQueue::pop`], tagged with whether it was
-/// taken from the worker's own shard or stolen from a sibling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pulled<T> {
-    /// The task itself.
-    pub task: T,
-    /// True when the task came from another worker's shard.
-    pub stolen: bool,
-}
-
 /// A shared work-stealing task queue for `dop` workers.
 ///
 /// Seed it once (round-robin or from pre-built partitions), hand an
 /// `Arc` to every slave, and let each slave `pop(worker_id)` until the
 /// queue is dry. Workers may `push` follow-up tasks (e.g. after
-/// splitting an oversized task) onto their own shard mid-run.
+/// splitting an oversized task) onto their own shard mid-run. The queue
+/// keeps the per-worker tallies ([`executed`](Self::executed),
+/// [`stolen`](Self::stolen)) that slaves report as `tasks_executed` /
+/// `tasks_stolen`; each worker id has one popper, so a worker's tally
+/// is final once it stops popping.
 pub struct TaskQueue<T> {
     shards: Vec<Mutex<VecDeque<T>>>,
     /// Per-worker count of tasks handed out via `pop(worker)`.
@@ -99,19 +93,19 @@ impl<T> TaskQueue<T> {
     /// point this worker is done (a sibling may still push split
     /// children afterwards, but exactly-once execution is preserved:
     /// whoever holds a task runs it).
-    pub fn pop(&self, worker: usize) -> Option<Pulled<T>> {
+    pub fn pop(&self, worker: usize) -> Option<T> {
         let n = self.shards.len();
         let me = worker % n;
         if let Some(task) = self.shards[me].lock().pop_back() {
             self.executed[me].fetch_add(1, Ordering::Relaxed);
-            return Some(Pulled { task, stolen: false });
+            return Some(task);
         }
         for i in 1..n {
             let victim = (me + i) % n;
             if let Some(task) = self.shards[victim].lock().pop_front() {
                 self.executed[me].fetch_add(1, Ordering::Relaxed);
                 self.stolen[me].fetch_add(1, Ordering::Relaxed);
-                return Some(Pulled { task, stolen: true });
+                return Some(task);
             }
         }
         None
@@ -145,16 +139,15 @@ impl<T> TaskQueue<T> {
 ///
 /// Build one instance per slave (same queue, distinct `worker` ids) and
 /// run them under [`crate::parallel::ParallelTableFunction`]. Each
-/// instance reports `tasks_executed` / `tasks_stolen` on its profile
-/// node, so `EXPLAIN ANALYZE` shows how the load actually spread.
+/// instance stamps its worker's queue tallies as `tasks_executed` /
+/// `tasks_stolen` on its profile node at close, so `EXPLAIN ANALYZE`
+/// shows how the load actually spread.
 pub struct WorkStealingFn<T, F> {
     queue: Arc<TaskQueue<T>>,
     worker: usize,
     body: F,
     pending: VecDeque<Row>,
     started: bool,
-    executed: u64,
-    stolen: u64,
     profile: Option<ProfileNode>,
 }
 
@@ -171,8 +164,6 @@ where
             body,
             pending: VecDeque::new(),
             started: false,
-            executed: 0,
-            stolen: 0,
             profile: None,
         }
     }
@@ -196,10 +187,8 @@ where
             return Err(TfError::Protocol("fetch before start"));
         }
         while self.pending.len() < max_rows {
-            let Some(pulled) = self.queue.pop(self.worker) else { break };
-            self.executed += 1;
-            self.stolen += u64::from(pulled.stolen);
-            self.pending.extend((self.body)(pulled.task)?);
+            let Some(task) = self.queue.pop(self.worker) else { break };
+            self.pending.extend((self.body)(task)?);
         }
         let n = self.pending.len().min(max_rows);
         Ok(self.pending.drain(..n).collect())
@@ -211,8 +200,8 @@ where
             // set_metric: a zero must render — a slave that executed
             // nothing is the load-imbalance signal EXPLAIN ANALYZE
             // exists to show.
-            node.set_metric("tasks_executed", self.executed);
-            node.set_metric("tasks_stolen", self.stolen);
+            node.set_metric("tasks_executed", self.queue.executed(self.worker));
+            node.set_metric("tasks_stolen", self.queue.stolen(self.worker));
         }
     }
 
@@ -232,8 +221,8 @@ mod tests {
         let q = TaskQueue::seed_round_robin((0..100i64).collect(), 4);
         let mut got = Vec::new();
         // Single worker drains everything: its own shard, then steals.
-        while let Some(p) = q.pop(2) {
-            got.push(p.task);
+        while let Some(t) = q.pop(2) {
+            got.push(t);
         }
         got.sort_unstable();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
@@ -249,20 +238,22 @@ mod tests {
         q.push(0, 1i64);
         q.push(0, 2);
         q.push(0, 3);
-        assert_eq!(q.pop(0), Some(Pulled { task: 3, stolen: false }), "own shard is LIFO");
-        assert_eq!(q.pop(1), Some(Pulled { task: 1, stolen: true }), "steals take the oldest");
-        assert_eq!(q.pop(1), Some(Pulled { task: 2, stolen: true }));
+        assert_eq!(q.pop(0), Some(3), "own shard is LIFO");
+        assert_eq!(q.stolen(0), 0);
+        assert_eq!(q.pop(1), Some(1), "steals take the oldest");
+        assert_eq!(q.pop(1), Some(2));
+        assert_eq!((q.executed(1), q.stolen(1)), (2, 2), "both of worker 1's tasks were steals");
         assert_eq!(q.pop(0), None);
     }
 
     #[test]
     fn mid_run_pushes_are_executed() {
         let q = TaskQueue::seed_round_robin(vec![10i64], 3);
-        let p = q.pop(0).unwrap();
+        let t = q.pop(0).unwrap();
         // Split the pulled task into two children on the own shard.
-        q.push(0, p.task + 1);
-        q.push(0, p.task + 2);
-        let mut rest: Vec<i64> = std::iter::from_fn(|| q.pop(1).map(|p| p.task)).collect();
+        q.push(0, t + 1);
+        q.push(0, t + 2);
+        let mut rest: Vec<i64> = std::iter::from_fn(|| q.pop(1)).collect();
         rest.sort_unstable();
         assert_eq!(rest, vec![11, 12]);
     }

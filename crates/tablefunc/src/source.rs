@@ -126,36 +126,7 @@ impl RowSource for TableCursor {
                 out.push(r);
             }
         }
-        if self.next_slot >= end && end == self.end_slot {
-            // exhausted
-        }
         out
-    }
-}
-
-/// Chain several sources end to end.
-pub struct ChainSource {
-    sources: Vec<Box<dyn RowSource>>,
-    current: usize,
-}
-
-impl ChainSource {
-    /// Concatenate `sources`, drained left to right.
-    pub fn new(sources: Vec<Box<dyn RowSource>>) -> Self {
-        ChainSource { sources, current: 0 }
-    }
-}
-
-impl RowSource for ChainSource {
-    fn next_batch(&mut self, max: usize) -> Vec<Row> {
-        while self.current < self.sources.len() {
-            let batch = self.sources[self.current].next_batch(max);
-            if !batch.is_empty() {
-                return batch;
-            }
-            self.current += 1;
-        }
-        Vec::new()
     }
 }
 
@@ -230,15 +201,5 @@ mod tests {
         assert_eq!(c.drain().len(), 10, "pinned cursor keeps its read view");
         let mut latest = TableCursor::full(Arc::clone(&t));
         assert_eq!(latest.drain().len(), 11, "unpinned cursor sees the commit");
-    }
-
-    #[test]
-    fn chain_source_concatenates() {
-        let a = VecSource::new(vec![vec![Value::Integer(1)]]);
-        let b = VecSource::new(vec![]);
-        let c = VecSource::new(vec![vec![Value::Integer(2)], vec![Value::Integer(3)]]);
-        let mut chain = ChainSource::new(vec![Box::new(a), Box::new(b), Box::new(c)]);
-        let all: Vec<i64> = chain.drain().iter().map(|r| r[0].as_integer().unwrap()).collect();
-        assert_eq!(all, vec![1, 2, 3]);
     }
 }

@@ -67,78 +67,6 @@ pub fn collect_all(f: &mut dyn TableFunction, fetch_size: usize) -> Result<Vec<R
     Ok(out)
 }
 
-/// Iterator adapter over a started table function.
-///
-/// Calls `start` lazily on first pull and `close` on drop, so a
-/// partially consumed pipeline still releases its resources — the
-/// behaviour Oracle guarantees when a cursor over a pipelined function
-/// is closed early.
-pub struct FetchIter<F: TableFunction> {
-    f: F,
-    buf: std::vec::IntoIter<Row>,
-    fetch_size: usize,
-    state: IterState,
-}
-
-#[derive(PartialEq)]
-enum IterState {
-    Fresh,
-    Running,
-    Finished,
-}
-
-impl<F: TableFunction> FetchIter<F> {
-    /// Iterate `f`, fetching `fetch_size` rows at a time.
-    pub fn new(f: F, fetch_size: usize) -> Self {
-        FetchIter { f, buf: Vec::new().into_iter(), fetch_size, state: IterState::Fresh }
-    }
-}
-
-impl<F: TableFunction> Iterator for FetchIter<F> {
-    type Item = Result<Row, TfError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.state == IterState::Fresh {
-            self.state = IterState::Running;
-            if let Err(e) = self.f.start() {
-                self.state = IterState::Finished;
-                self.f.close();
-                return Some(Err(e));
-            }
-        }
-        if self.state == IterState::Finished {
-            return None;
-        }
-        if let Some(row) = self.buf.next() {
-            return Some(Ok(row));
-        }
-        match self.f.fetch(self.fetch_size) {
-            Ok(batch) if batch.is_empty() => {
-                self.state = IterState::Finished;
-                self.f.close();
-                None
-            }
-            Ok(batch) => {
-                self.buf = batch.into_iter();
-                self.buf.next().map(Ok)
-            }
-            Err(e) => {
-                self.state = IterState::Finished;
-                self.f.close();
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-impl<F: TableFunction> Drop for FetchIter<F> {
-    fn drop(&mut self) {
-        if self.state == IterState::Running {
-            self.f.close();
-        }
-    }
-}
-
 /// A table function defined by a closure producing all rows at `start`
 /// and pipelining them out of an internal buffer. Useful for tests and
 /// for small metadata-producing functions (e.g. `subtree_root`).
@@ -185,8 +113,6 @@ impl<G: FnOnce() -> Result<Vec<Row>, TfError> + Send> TableFunction for Buffered
 mod tests {
     use super::*;
     use sdo_storage::Value;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     fn ints(n: i64) -> BufferedFn<impl FnOnce() -> Result<Vec<Row>, TfError> + Send> {
         BufferedFn::new(move || Ok((0..n).map(|i| vec![Value::Integer(i)]).collect()))
@@ -207,38 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn iterator_streams_rows() {
-        let it = FetchIter::new(ints(25), 4);
-        let vals: Vec<i64> = it.map(|r| r.unwrap()[0].as_integer().unwrap()).collect();
-        assert_eq!(vals, (0..25).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn iterator_closes_on_early_drop() {
-        struct Tracked {
-            closed: Arc<AtomicUsize>,
-        }
-        impl TableFunction for Tracked {
-            fn start(&mut self) -> Result<(), TfError> {
-                Ok(())
-            }
-            fn fetch(&mut self, _max: usize) -> Result<Vec<Row>, TfError> {
-                Ok(vec![vec![Value::Integer(1)]]) // never exhausts
-            }
-            fn close(&mut self) {
-                self.closed.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let closed = Arc::new(AtomicUsize::new(0));
-        {
-            let mut it = FetchIter::new(Tracked { closed: Arc::clone(&closed) }, 2);
-            assert!(it.next().is_some());
-            // dropped early here
-        }
-        assert_eq!(closed.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
     fn error_from_start_is_surfaced_once() {
         struct Failing;
         impl TableFunction for Failing {
@@ -250,9 +144,8 @@ mod tests {
             }
             fn close(&mut self) {}
         }
-        let mut it = FetchIter::new(Failing, 2);
-        assert!(matches!(it.next(), Some(Err(TfError::Execution(_)))));
-        assert!(it.next().is_none());
+        // collect_all returns the start error without ever fetching.
+        assert_eq!(collect_all(&mut Failing, 2), Err(TfError::Execution("boom".into())));
     }
 
     #[test]

@@ -41,10 +41,9 @@ proptest! {
         // Workers pop in an arbitrary order, then worker 0 drains the
         // rest by stealing: the seeded tasks come back exactly once.
         let queue = TaskQueue::seed_round_robin((0..n).collect(), dop);
-        let mut got: Vec<usize> =
-            pops.into_iter().filter_map(|w| queue.pop(w % dop)).map(|p| p.task).collect();
-        while let Some(p) = queue.pop(0) {
-            got.push(p.task);
+        let mut got: Vec<usize> = pops.into_iter().filter_map(|w| queue.pop(w % dop)).collect();
+        while let Some(t) = queue.pop(0) {
+            got.push(t);
         }
         got.sort_unstable();
         prop_assert_eq!(got, (0..n).collect::<Vec<_>>());
