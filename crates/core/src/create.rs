@@ -26,7 +26,7 @@ use sdo_dbms::DbError;
 use sdo_geom::Rect;
 use sdo_quadtree::QuadtreeIndex;
 use sdo_rtree::{RTree, RTreeParams};
-use sdo_storage::{Counters, RowId, Table, Value};
+use sdo_storage::{Counters, RowId, Snapshot, Table, Value};
 use sdo_tablefunc::scheduler::{TaskQueue, WorkStealingFn};
 use sdo_tablefunc::source::{RowSource, TableCursor};
 use sdo_tablefunc::{execute_parallel, Row, TableFunction, TfError};
@@ -114,18 +114,20 @@ fn stealing_cursor_stage(
     (instances, processed)
 }
 
-/// Compute (or adopt) the world extent for a quadtree.
+/// Compute (or adopt) the world extent for a quadtree, over the rows
+/// visible at `snap`.
 pub fn world_extent_of(
     table: &Arc<RwLock<Table>>,
     column: usize,
     params: &SpatialIndexParams,
+    snap: Snapshot,
 ) -> Result<Rect, DbError> {
     if let Some(r) = params.extent {
         return Ok(r);
     }
     let guard = table.read();
     let mut bb = Rect::EMPTY;
-    for (_, row) in guard.scan() {
+    for (_, row) in guard.scan_at(snap) {
         if let Some(g) = row[column].as_geometry() {
             bb = bb.union(&g.bbox());
         }
@@ -155,7 +157,7 @@ pub fn build_quadtree(
 ) -> Result<(QuadtreeIndex, CreationStats), DbError> {
     let dop = dop.max(1);
     let _span = sdo_obs::span("create.quadtree");
-    let world = world_extent_of(table, column, params)?;
+    let world = world_extent_of(table, column, params, Snapshot::LATEST)?;
     let level = params.sdo_level;
     let geometry_count = table.read().len();
     let prof = sdo_obs::current().map(|p| {

@@ -8,7 +8,7 @@ use crate::partjoin::{PartitionJoin, PartitionState};
 use sdo_dbms::db::{IndexHandle, TfInstance, MAX_PARALLEL_DOP};
 use sdo_dbms::{Database, DbError, TfArg};
 use sdo_rtree::{NodeId, RTree};
-use sdo_storage::{RowId, Value};
+use sdo_storage::{RowId, Snapshot, Value};
 use sdo_tablefunc::parallel::ParallelTableFunction;
 use sdo_tablefunc::table_function::BufferedFn;
 use sdo_tablefunc::{TableFunction, TaskQueue};
@@ -147,7 +147,11 @@ fn resolve_engine(
     (Engine::Quadtree(quadtree_side(&left), quadtree_side(&right)), "two quadtree indexes at dop 1")
 }
 
-fn spatial_join_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, DbError> {
+fn spatial_join_factory(
+    db: &Database,
+    snap: Snapshot,
+    args: Vec<TfArg>,
+) -> Result<TfInstance, DbError> {
     let columns = vec!["RID1".to_string(), "RID2".to_string()];
     // Optional leading cursor of (lnode, rnode) subtree pairs. The ids
     // are client input: `tree_join_func` checks them against the trees.
@@ -199,15 +203,13 @@ fn spatial_join_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, D
     // has no NULL literal, so `-1` is the explicit don't-care.
     let forced_level = rest.get(6).map(|a| a.integer()).transpose()?.filter(|&l| l >= 0);
     let forced_level = forced_level.map(levels_down);
-    // Pin the MVCC read view at pipeline instantiation: a streaming
-    // join delivers one consistent snapshot no matter what commits
-    // while it runs (inside a transaction, the session's own view).
-    // The commit fence makes the snapshot and the index snapshots
-    // below one atomic capture — without it a DELETE could commit in
-    // between and its post-commit index maintenance would prune
-    // entries this snapshot still needs.
-    let _fence = db.txn_manager().commit_fence();
-    let config = SpatialJoinConfig { snapshot: db.read_snapshot(), ..Default::default() };
+    // The join reads the heap at the calling statement's snapshot, so
+    // it delivers one consistent view no matter what commits while it
+    // runs (inside a transaction, the session's own view). The index
+    // snapshots taken below hold every entry that view needs: a commit
+    // retires the entries of the versions it superseded only once no
+    // pinned snapshot predates it, and the statement's pin is older.
+    let config = SpatialJoinConfig { snapshot: snap, ..Default::default() };
     let counters = Arc::clone(db.counters());
 
     let (engine, reason) = resolve_engine(db, lt, lc, rt, rc, dop);
@@ -400,7 +402,11 @@ impl TableFunction for TaggedJoin {
     }
 }
 
-fn subtree_root_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, DbError> {
+fn subtree_root_factory(
+    db: &Database,
+    _snap: Snapshot,
+    args: Vec<TfArg>,
+) -> Result<TfInstance, DbError> {
     if args.len() != 2 {
         return Err(DbError::Plan("SUBTREE_ROOT(index_name, levels_down)".into()));
     }
@@ -442,7 +448,11 @@ fn subtree_root_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, D
     })
 }
 
-fn subtree_pairs_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, DbError> {
+fn subtree_pairs_factory(
+    db: &Database,
+    _snap: Snapshot,
+    args: Vec<TfArg>,
+) -> Result<TfInstance, DbError> {
     if args.len() != 4 {
         return Err(DbError::Plan(
             "SUBTREE_PAIRS(left_index, right_index, levels_down, interaction)".into(),
@@ -474,7 +484,11 @@ fn subtree_pairs_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, 
     })
 }
 
-fn tessellate_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, DbError> {
+fn tessellate_factory(
+    db: &Database,
+    snap: Snapshot,
+    args: Vec<TfArg>,
+) -> Result<TfInstance, DbError> {
     if args.len() < 3 {
         return Err(DbError::Plan("TESSELLATE(table, column, level)".into()));
     }
@@ -492,11 +506,11 @@ fn tessellate_factory(db: &Database, args: Vec<TfArg>) -> Result<TfInstance, DbE
         .column_index(&column)
         .ok_or_else(|| DbError::Plan(format!("no column {column}")))?;
     let params = crate::params::SpatialIndexParams { sdo_level: level, ..Default::default() };
-    let world = crate::create::world_extent_of(&table, col, &params)?;
+    let world = crate::create::world_extent_of(&table, col, &params, snap)?;
     let counters = Arc::clone(db.counters());
     let cursor = sdo_tablefunc::source::TableCursor::full(Arc::clone(&table))
         .with_projection(vec![col])
-        .at_snapshot(db.read_snapshot());
+        .at_snapshot(snap);
     let func = sdo_tablefunc::pipeline::CursorFn::new(cursor, move |row| {
         crate::create::tessellate_row(&row, &world, level, &counters)
     });

@@ -12,7 +12,7 @@ use sdo_storage::{
 };
 use sdo_tablefunc::{Row, TableFunction};
 use sdo_txn::recovery::RecoveryReport;
-use sdo_txn::{TxnManager, TxnToken};
+use sdo_txn::{Deferred, TxnManager, TxnToken};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,8 +73,12 @@ pub struct TfInstance {
     pub columns: Vec<String>,
 }
 
-/// Factory signature for registered table functions.
-pub type TfFactory = dyn Fn(&Database, Vec<TfArg>) -> Result<TfInstance, DbError> + Send + Sync;
+/// Factory signature for registered table functions. The snapshot is
+/// the calling statement's read view: the function must read the heap
+/// through it, so it sees what the statement sees (a transaction's own
+/// writes included) under the statement's pin.
+pub type TfFactory =
+    dyn Fn(&Database, Snapshot, Vec<TfArg>) -> Result<TfInstance, DbError> + Send + Sync;
 
 /// Result set of a query: column names plus rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -231,8 +235,10 @@ impl SessionOptions {
 /// DML time (index probes tolerate entries for uncommitted rows —
 /// every candidate funnels through a snapshot-aware heap fetch that
 /// skips invisible rows), recording an undo `on_delete` for abort.
-/// `on_delete` is deferred to after the commit point, so readers on
-/// older snapshots never miss entries for rows they can still see.
+/// `on_delete` is deferred until the horizon passes the commit (see
+/// [`sdo_txn::TxnManager`]), so readers on older snapshots never miss
+/// entries for rows they can still see; the dead heap versions of the
+/// rows it updated or deleted are pruned at the same time.
 pub(crate) struct TxnCtx {
     token: TxnToken,
     /// Commit durability, captured from the owning session's options
@@ -244,10 +250,45 @@ pub(crate) struct TxnCtx {
     began_logged: bool,
     /// `on_delete(rid, row)` undos to run if the transaction aborts.
     abort_index_ops: Vec<(IndexHandle, RowId, Vec<Value>)>,
-    /// `on_delete(rid, row)` to run after the commit point.
+    /// `on_delete(rid, row)` to run once the horizon passes the commit.
     commit_index_ops: Vec<(IndexHandle, RowId, Vec<Value>)>,
-    /// Net live-row delta per (uppercased) table, applied at commit.
-    live_deltas: HashMap<String, i64>,
+    /// What the transaction did to each (uppercased) table.
+    writes: HashMap<String, TableWrites>,
+}
+
+/// One transaction's effects on one table.
+#[derive(Default)]
+struct TableWrites {
+    /// Net live-row delta, applied at commit.
+    live_delta: i64,
+    /// Rows it updated or deleted: their chains hold a dead version
+    /// once the commit is old enough.
+    rewritten: Vec<RowId>,
+    /// Lowest and highest slot it inserted into. Only an abort reads
+    /// this (its inserts are then dead), and pruning the other slots
+    /// in between is harmless, so a range is enough.
+    inserted: Option<(u64, u64)>,
+}
+
+/// The cleanup a finished transaction hands to the transaction
+/// manager: retire the index entries of versions it superseded, then
+/// prune the dead versions from the listed slots. `None` when there is
+/// nothing to do, as for a commit that only inserted.
+fn cleanup(
+    index_deletes: Vec<(IndexHandle, RowId, Vec<Value>)>,
+    slots: Vec<(Arc<RwLock<Table>>, Vec<RowId>)>,
+) -> Option<Deferred> {
+    if index_deletes.is_empty() && slots.is_empty() {
+        return None;
+    }
+    Some(Box::new(move |horizon| {
+        for (idx, rid, row) in index_deletes {
+            let _ = idx.write().on_delete(rid, &row);
+        }
+        for (table, rids) in slots {
+            table.write().prune(rids, horizon);
+        }
+    }))
 }
 
 /// RAII handle for an explicit transaction opened with
@@ -533,20 +574,29 @@ impl Database {
     pub fn register_table_function(
         &self,
         name: &str,
-        factory: impl Fn(&Database, Vec<TfArg>) -> Result<TfInstance, DbError> + Send + Sync + 'static,
+        factory: impl Fn(&Database, Snapshot, Vec<TfArg>) -> Result<TfInstance, DbError>
+            + Send
+            + Sync
+            + 'static,
     ) {
         self.table_functions.write().insert(name.to_ascii_uppercase(), Arc::new(factory));
     }
 
-    /// Instantiate a registered table function.
-    pub fn make_table_function(&self, name: &str, args: Vec<TfArg>) -> Result<TfInstance, DbError> {
+    /// Instantiate a registered table function for a statement reading
+    /// at `snap`.
+    pub fn make_table_function(
+        &self,
+        name: &str,
+        snap: Snapshot,
+        args: Vec<TfArg>,
+    ) -> Result<TfInstance, DbError> {
         let factory = self
             .table_functions
             .read()
             .get(&name.to_ascii_uppercase())
             .cloned()
             .ok_or_else(|| DbError::Plan(format!("unknown table function {name}")))?;
-        factory(self, args)
+        factory(self, snap, args)
     }
 
     /// The operator names every registered indextype implements.
@@ -676,14 +726,11 @@ impl Database {
 
     // -- transactions -------------------------------------------------------
 
-    /// The MVCC read view for a new statement on the default session.
-    pub fn read_snapshot(&self) -> Snapshot {
-        self.read_snapshot_in(&self.default_session)
-    }
-
     /// The MVCC read view for a new statement in `sess`: the session
     /// transaction's snapshot when one is open (own writes + world as
-    /// of `BEGIN`), otherwise the latest committed state.
+    /// of `BEGIN`), otherwise the latest committed state. The caller
+    /// must hold a pin (a statement's, see [`TxnManager::pin`]) taken
+    /// before this is read.
     pub(crate) fn read_snapshot_in(&self, sess: &SessionState) -> Snapshot {
         match sess.txn.lock().as_ref() {
             Some(ctx) => ctx.token.snap,
@@ -764,7 +811,7 @@ impl Database {
             began_logged: false,
             abort_index_ops: Vec::new(),
             commit_index_ops: Vec::new(),
-            live_deltas: HashMap::new(),
+            writes: HashMap::new(),
         }
     }
 
@@ -843,7 +890,10 @@ impl Database {
             idx.write().on_insert(rid, &row)?;
             ctx.abort_index_ops.push((Arc::clone(&idx), rid, row.clone()));
         }
-        *ctx.live_deltas.entry(tname).or_insert(0) += 1;
+        let w = ctx.writes.entry(tname).or_default();
+        w.live_delta += 1;
+        let slot = rid.0;
+        w.inserted = Some(w.inserted.map_or((slot, slot), |(lo, hi)| (lo.min(slot), hi.max(slot))));
         Ok(rid)
     }
 
@@ -862,21 +912,21 @@ impl Database {
         if let Some(w) = self.wal_handle() {
             w.append(&WalRecord::Update {
                 txid: ctx.token.txid,
-                table: tname,
+                table: tname.clone(),
                 rid,
                 row: row.clone(),
             })?;
         }
         // The new entry goes in eagerly (undone on abort); the old
-        // entry stays until after the commit point, because readers on
-        // older snapshots can still see the old version. The transient
-        // duplicate is harmless: index candidates re-check the heap
-        // under the reader's snapshot.
+        // entry stays until no pinned snapshot can see the old version.
+        // The transient duplicate is harmless: index candidates
+        // re-check the heap under the reader's snapshot.
         for idx in self.indexes_on_table(table) {
             idx.write().on_insert(rid, &row)?;
             ctx.abort_index_ops.push((Arc::clone(&idx), rid, row.clone()));
             ctx.commit_index_ops.push((idx, rid, old.clone()));
         }
+        ctx.writes.entry(tname).or_default().rewritten.push(rid);
         Ok(())
     }
 
@@ -894,18 +944,21 @@ impl Database {
         if let Some(w) = self.wal_handle() {
             w.append(&WalRecord::Delete { txid: ctx.token.txid, table: tname.clone(), rid })?;
         }
-        // Deferred: the index entry must outlive the commit point for
-        // old-snapshot readers.
+        // Deferred: the index entry must outlive the commit for as long
+        // as a pinned snapshot can still see the row.
         for idx in self.indexes_on_table(table) {
             ctx.commit_index_ops.push((idx, rid, old.clone()));
         }
-        *ctx.live_deltas.entry(tname).or_insert(0) -= 1;
+        let w = ctx.writes.entry(tname).or_default();
+        w.live_delta -= 1;
+        w.rewritten.push(rid);
         Ok(())
     }
 
     /// The commit protocol: WAL commit record → durability sync →
-    /// status flip (the commit point) → deferred index deletes →
-    /// live-row deltas.
+    /// status flip (the commit point) → live-row deltas. Index deletes
+    /// and version pruning are handed to the transaction manager, which
+    /// runs them once no pinned snapshot predates the commit.
     pub(crate) fn commit_ctx(&self, ctx: TxnCtx) -> Result<(), DbError> {
         if ctx.began_logged {
             if let Some(w) = self.wal_handle() {
@@ -929,30 +982,50 @@ impl Database {
                 }
             }
         }
-        self.txn.commit(ctx.token.txid);
-        for (idx, rid, row) in ctx.commit_index_ops {
-            idx.write().on_delete(rid, &row)?;
-        }
-        for (tname, delta) in ctx.live_deltas {
-            if delta != 0 {
-                self.table(&tname)?.write().apply_live_delta(delta);
+        let TxnCtx { token, commit_index_ops, mut writes, .. } = ctx;
+        // Only the rows it updated or deleted can hold a dead version:
+        // a commit that only inserted builds no cleanup at all.
+        let rewritten: Vec<_> = writes
+            .iter_mut()
+            .filter(|(_, w)| !w.rewritten.is_empty())
+            .filter_map(|(name, w)| {
+                Some((self.table(name).ok()?, std::mem::take(&mut w.rewritten)))
+            })
+            .collect();
+        self.txn.commit(token, cleanup(commit_index_ops, rewritten));
+        for (name, w) in writes {
+            if w.live_delta != 0 {
+                self.table(&name)?.write().apply_live_delta(w.live_delta);
             }
         }
         Ok(())
     }
 
     /// Roll back: flip the status (O(1) — versions become invisible
-    /// immediately and are pruned lazily), then undo eager index
-    /// insertions. The WAL `Abort` record is advisory; a missing
-    /// commit record discards the transaction at recovery anyway.
+    /// immediately), undo eager index insertions, and hand the slots it
+    /// wrote to the transaction manager for pruning. The WAL `Abort`
+    /// record is advisory; a missing commit record discards the
+    /// transaction at recovery anyway.
     pub(crate) fn abort_ctx(&self, ctx: TxnCtx) {
-        if ctx.began_logged {
+        let TxnCtx { token, began_logged, abort_index_ops, writes, .. } = ctx;
+        if began_logged {
             if let Some(w) = self.wal_handle() {
-                let _ = w.append(&WalRecord::Abort { txid: ctx.token.txid });
+                let _ = w.append(&WalRecord::Abort { txid: token.txid });
             }
         }
-        self.txn.abort(ctx.token.txid);
-        for (idx, rid, row) in ctx.abort_index_ops.into_iter().rev() {
+        // Everything it wrote is dead: the rows it rewrote and the
+        // slots it inserted into.
+        let written = writes
+            .into_iter()
+            .filter_map(|(name, w)| {
+                let inserted = w.inserted.into_iter().flat_map(|(lo, hi)| lo..=hi);
+                let mut rids = w.rewritten;
+                rids.extend(inserted.map(RowId::new));
+                Some((self.table(&name).ok()?, rids))
+            })
+            .collect();
+        self.txn.abort(token, cleanup(Vec::new(), written));
+        for (idx, rid, row) in abort_index_ops.into_iter().rev() {
             let _ = idx.write().on_delete(rid, &row);
         }
     }
@@ -1138,7 +1211,7 @@ mod tests {
     #[test]
     fn registry_roundtrips() {
         let db = Database::new();
-        db.register_table_function("NUMS", |_db, args| {
+        db.register_table_function("NUMS", |_db, _snap, args| {
             let n = args[0].integer()?;
             Ok(TfInstance {
                 func: Box::new(sdo_tablefunc::table_function::BufferedFn::new(move || {
@@ -1147,12 +1220,13 @@ mod tests {
                 columns: vec!["N".into()],
             })
         });
-        let mut inst =
-            db.make_table_function("nums", vec![TfArg::Scalar(Value::Integer(3))]).unwrap();
+        let mut inst = db
+            .make_table_function("nums", Snapshot::LATEST, vec![TfArg::Scalar(Value::Integer(3))])
+            .unwrap();
         let rows = sdo_tablefunc::collect_all(inst.func.as_mut(), 10).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(inst.columns, vec!["N".to_string()]);
-        assert!(db.make_table_function("missing", vec![]).is_err());
+        assert!(db.make_table_function("missing", Snapshot::LATEST, vec![]).is_err());
     }
 
     #[test]

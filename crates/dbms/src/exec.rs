@@ -44,7 +44,7 @@ pub(crate) fn execute_in(
     if let Statement::ExplainAnalyze(inner) = stmt {
         let session = ProfileSession::begin(statement_label(inner));
         let before = db.counters().snapshot();
-        let result = execute_inner(db, sess, inner);
+        let result = execute_pinned(db, sess, inner);
         if let Ok(r) = &result {
             session.root().add_rows(r.rows.len() as u64);
         }
@@ -57,11 +57,11 @@ pub(crate) fn execute_in(
     if sdo_obs::current().is_some() {
         // Already inside an enclosing profile node (e.g. a harness that
         // opened its own session): contribute to it, don't nest sessions.
-        return execute_inner(db, sess, stmt);
+        return execute_pinned(db, sess, stmt);
     }
     let session = ProfileSession::begin(statement_label(stmt));
     let before = db.counters().snapshot();
-    let result = execute_inner(db, sess, stmt);
+    let result = execute_pinned(db, sess, stmt);
     if let Ok(r) = &result {
         session.root().add_rows(r.rows.len() as u64);
     }
@@ -70,14 +70,29 @@ pub(crate) fn execute_in(
     result
 }
 
+/// Run one statement under a pin on the current CSN, taken before any
+/// snapshot is read, so no version the statement can see is pruned
+/// while it runs. Releasing the pin at the end runs the cleanup it held
+/// back — this statement's own commit's, typically.
+fn execute_pinned(
+    db: &Database,
+    sess: &SessionState,
+    stmt: &Statement,
+) -> Result<QueryResult, DbError> {
+    let _pin = db.txn_manager().pin();
+    execute_inner(db, sess, stmt)
+}
+
 /// Publish the statement's transaction/WAL work on the profile root:
-/// commits, aborts, log bytes, and log syncs it caused.
+/// commits, aborts, heap versions pruned, log bytes, and log syncs it
+/// caused.
 fn note_txn_counters(db: &Database, root: &sdo_obs::ProfileNode, before: &CountersSnapshot) {
     let diff = db.counters().diff(before);
-    let pairs: Vec<(&str, u64)> = ["txn_commits", "txn_aborts", "wal_bytes_written", "wal_fsyncs"]
-        .iter()
-        .map(|n| (*n, diff.get(n).unwrap_or(0)))
-        .collect();
+    let pairs: Vec<(&str, u64)> =
+        ["txn_commits", "txn_aborts", "heap_versions_pruned", "wal_bytes_written", "wal_fsyncs"]
+            .iter()
+            .map(|n| (*n, diff.get(n).unwrap_or(0)))
+            .collect();
     root.add_metric_deltas(&pairs);
 }
 
@@ -367,7 +382,7 @@ pub(crate) fn run_select(ctx: &ExecCtx<'_>, sel: &Select) -> Result<QueryResult,
         && sel.from.len() == 1
     {
         if let FromItem::TableFunction { name, args, .. } = &sel.from[0] {
-            let mut inst = db.make_table_function(name, eval_tf_args(ctx, args)?)?;
+            let mut inst = db.make_table_function(name, ctx.snap, eval_tf_args(ctx, args)?)?;
             let op = sdo_obs::current().map(|c| c.child(format!("PIPELINED COUNT TABLE({name})")));
             let before = op.as_ref().map(|_| db.counters().snapshot());
             let t0 = op.as_ref().map(|_| Instant::now());

@@ -587,8 +587,11 @@ impl BatchOp for KnnScanExec<'_> {
         let mut out = Vec::new();
         while out.len() < BATCH_ROWS {
             let Some((_, rid)) = buf.pop_front() else { break };
-            // `nearest` already ranked under this snapshot; the fetch
-            // re-check only guards a concurrent vacuum.
+            // `nearest` already ranked under this snapshot, and pruning
+            // cannot take a ranked row away: it drops only versions
+            // whose deleter committed at or below the horizon, the
+            // oldest pinned CSN, and this statement's pin keeps the
+            // horizon at or below `snap`. A miss here is skipped.
             let vals = match self.table.read().get_at(rid, &self.snap) {
                 Ok(v) => v,
                 Err(_) => continue,
@@ -1393,7 +1396,7 @@ pub(crate) fn build_select_stream<'a>(
                 sources.push(SourceSlot::Table { name: name.clone(), table });
             }
             FromItem::TableFunction { name, args, .. } => {
-                let inst = db.make_table_function(name, eval_tf_args(ctx, args)?)?;
+                let inst = db.make_table_function(name, ctx.snap, eval_tf_args(ctx, args)?)?;
                 metas_v.push(RelMeta {
                     binding: item.binding().to_ascii_uppercase(),
                     columns: inst.columns.iter().map(|c| c.to_ascii_uppercase()).collect(),

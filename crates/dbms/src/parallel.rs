@@ -940,7 +940,7 @@ mod tests {
             gauge: MemoryGauge::new(),
             max_resident_rows: budget,
             parallel_dop: dop,
-            snap: db.read_snapshot(),
+            snap: db.txn_manager().snapshot(),
         }
     }
 

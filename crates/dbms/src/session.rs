@@ -16,7 +16,7 @@ use crate::db::{Database, QueryResult, SessionOptions, TxnCtx};
 use crate::error::DbError;
 use crate::sql::{self, Statement};
 use parking_lot::{Mutex, RwLock};
-use sdo_storage::{Snapshot, Value};
+use sdo_storage::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -199,11 +199,6 @@ impl Session {
     /// Whether this session has an open explicit transaction.
     pub fn in_txn(&self) -> bool {
         self.state.txn.lock().is_some()
-    }
-
-    /// The MVCC read view a statement would run under right now.
-    pub fn read_snapshot(&self) -> Snapshot {
-        self.db.read_snapshot_in(&self.state)
     }
 }
 

@@ -230,7 +230,7 @@ fn table_function_scan_and_rowid_pair_join() {
     let db = setup();
     // a table function returning all (rowid, rowid) identity pairs of
     // the squares table
-    db.register_table_function("ID_PAIRS", |db, args| {
+    db.register_table_function("ID_PAIRS", |db, _snap, args| {
         let table = args[0].text()?.to_string();
         let t = db.table(&table)?;
         let rids: Vec<RowId> = t.read().scan().map(|(r, _)| r).collect();
@@ -265,7 +265,7 @@ fn table_function_scan_and_rowid_pair_join() {
 #[test]
 fn cursor_arguments_materialize_subqueries() {
     let db = setup();
-    db.register_table_function("COUNT_CURSOR", |_db, args| {
+    db.register_table_function("COUNT_CURSOR", |_db, _snap, args| {
         let n = args[0].cursor()?.len() as i64;
         Ok(sdo_dbms::db::TfInstance {
             func: Box::new(BufferedFn::new(move || Ok(vec![vec![Value::Integer(n)]]))),

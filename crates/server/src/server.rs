@@ -126,6 +126,10 @@ pub fn serve(db: Arc<Database>, addr: &str, config: ServerConfig) -> io::Result<
                     break;
                 }
                 let Ok(stream) = conn else { continue };
+                // Responses are single frames the client waits for:
+                // send each at once instead of batching it behind
+                // Nagle's algorithm.
+                stream.set_nodelay(true).ok();
                 let db = Arc::clone(&db);
                 let admission = accept_admission.clone();
                 let _ =

@@ -36,7 +36,7 @@
 //! need no geometry codec.
 
 use sdo_storage::{RowId, Value};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::sync::Arc;
 
 /// Largest frame either side accepts (64 MiB). A length prefix past
@@ -130,6 +130,12 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
 /// bytes hit the stream: the peer would reject the frame as corrupt
 /// anyway (and a >4 GiB payload would silently truncate the `u32`
 /// length prefix, desyncing the connection for good).
+///
+/// Length prefix and payload go out in one vectored write (one
+/// `writev` on a socket), without copying the payload. Two writes
+/// would put the payload behind Nagle's algorithm: the prefix leaves
+/// alone, and the payload waits for the peer's delayed ACK of it,
+/// tens of milliseconds on every response.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.is_empty() || payload.len() > MAX_FRAME as usize {
         return Err(io::Error::new(
@@ -137,8 +143,17 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             format!("frame payload of {} bytes outside 1..={MAX_FRAME}", payload.len()),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let len = (payload.len() as u32).to_le_bytes();
+    let mut parts = [IoSlice::new(&len), IoSlice::new(payload)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -397,6 +412,48 @@ mod tests {
         assert!(read_frame(&mut zero.as_slice()).is_err());
         let huge = (MAX_FRAME + 1).to_le_bytes();
         assert!(read_frame(&mut huge.as_slice()).is_err());
+    }
+
+    /// A writer that records each `write_vectored` call and accepts at
+    /// most `limit` bytes per call.
+    struct Recorder {
+        calls: Vec<Vec<u8>>,
+        limit: usize,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let call: Vec<u8> =
+                bufs.iter().flat_map(|b| b.iter().copied()).take(self.limit).collect();
+            let n = call.len();
+            self.calls.push(call);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_survives_short_writes() {
+        let payload = encode_result(&["A".to_string()], &[vec![Value::text("x".repeat(100))]]);
+        let mut one = Recorder { calls: Vec::new(), limit: usize::MAX };
+        write_frame(&mut one, &payload).unwrap();
+        assert_eq!(one.calls.len(), 1, "length prefix and payload in one write");
+        assert_eq!(read_frame(&mut one.calls[0].as_slice()).unwrap(), payload);
+
+        // A writer that takes 3 bytes at a time still gets the whole
+        // frame, in order.
+        let mut short = Recorder { calls: Vec::new(), limit: 3 };
+        write_frame(&mut short, &payload).unwrap();
+        let bytes: Vec<u8> = short.calls.concat();
+        assert_eq!(bytes, one.calls[0]);
+        assert_eq!(short.calls.len(), bytes.len().div_ceil(3));
     }
 
     #[test]

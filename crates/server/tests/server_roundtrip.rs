@@ -7,7 +7,7 @@ use sdo_server::{serve, Client, ClientError, ServerConfig, ServerHandle};
 use sdo_storage::Value;
 use std::io::{Read, Write};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(config: ServerConfig) -> (Arc<Database>, ServerHandle) {
     let db = Arc::new(Database::new());
@@ -188,9 +188,15 @@ fn admission_admits_within_budget_and_frees_on_completion() {
     c.execute("CREATE TABLE x (id NUMBER)").unwrap();
     c.execute("INSERT INTO x VALUES (1)").unwrap();
     c.execute("SELECT COUNT(*) FROM x").unwrap();
-    let stats = handle.admission().stats();
-    assert!(stats.admitted >= 3);
-    assert_eq!(stats.in_use, 0, "completed statements release their slice");
+    assert!(handle.admission().stats().admitted >= 3);
+    // The server keeps a statement's permit until its response frame
+    // is written, so the client can read the answer a moment before
+    // the permit goes back: wait for it, within a deadline.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while handle.admission().stats().in_use != 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(handle.admission().stats().in_use, 0, "completed statements release their slice");
     handle.shutdown();
 }
 

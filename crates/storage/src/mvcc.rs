@@ -16,12 +16,22 @@
 //! * [`Snapshot`] — a read view: "everything committed with a commit
 //!   sequence number ≤ `csn`, plus my own uncommitted writes".
 //!
+//! The status table also keeps the commit clock and the *pins*: the
+//! CSNs of the snapshots still being read. The oldest pin (or the
+//! current CSN when nothing is pinned) is the *horizon*; a version
+//! whose deleter committed at or below it is invisible to every
+//! snapshot anyone can still read. Outcomes, clock and pins share one
+//! lock, so beginning a transaction (id + pinned snapshot) and
+//! committing one (next CSN + flip + publish + unpin) are one atomic
+//! step each.
+//!
 //! Version chains themselves live in [`crate::table::Table`]; rollback
 //! is O(1) in heap terms — aborting flips the status and the aborted
-//! versions are skipped by every reader and pruned lazily by later
-//! writers.
+//! versions are skipped by every reader until they are pruned.
 
 use parking_lot::RwLock;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A transaction identifier (1-based; 0 is [`FROZEN_TXN`]).
 pub type TxnId = u64;
@@ -87,8 +97,49 @@ impl Snapshot {
 /// all-or-nothing.
 #[derive(Debug, Default)]
 pub struct TxnStatusTable {
+    status: RwLock<Status>,
+    /// The latest published CSN. Written only under the write lock,
+    /// read without it by plain snapshots.
+    current: AtomicU64,
+}
+
+#[derive(Debug, Default)]
+struct Status {
     // Indexed by txid - 1; txids are allocated densely by `begin`.
-    states: RwLock<Vec<TxnState>>,
+    states: Vec<TxnState>,
+    /// Pinned snapshot CSNs with their pin counts, ascending. A pin is
+    /// always taken at the current CSN, the largest ever pinned, so it
+    /// appends (or bumps the last entry).
+    pinned: VecDeque<(Csn, usize)>,
+}
+
+impl Status {
+    fn set(&mut self, txid: TxnId, state: TxnState) {
+        assert_ne!(txid, FROZEN_TXN, "frozen pseudo-txn has no state");
+        let slot = self.states.get_mut(txid as usize - 1).expect("txid was allocated by begin()");
+        debug_assert_eq!(*slot, TxnState::InProgress, "double commit/abort of {txid}");
+        *slot = state;
+    }
+
+    fn pin(&mut self, csn: Csn) {
+        match self.pinned.back_mut() {
+            Some((c, n)) if *c == csn => *n += 1,
+            _ => self.pinned.push_back((csn, 1)),
+        }
+    }
+
+    fn unpin(&mut self, csn: Csn) {
+        let i = self.pinned.partition_point(|(c, _)| *c < csn);
+        let entry = self.pinned.get_mut(i).filter(|(c, _)| *c == csn).expect("csn was pinned");
+        entry.1 -= 1;
+        if entry.1 == 0 {
+            self.pinned.remove(i);
+        }
+    }
+
+    fn horizon(&self, current: Csn) -> Csn {
+        self.pinned.front().map_or(current, |(c, _)| *c)
+    }
 }
 
 impl TxnStatusTable {
@@ -99,9 +150,19 @@ impl TxnStatusTable {
 
     /// Allocate and register a new in-progress transaction.
     pub fn begin(&self) -> TxnId {
-        let mut states = self.states.write();
-        states.push(TxnState::InProgress);
-        states.len() as TxnId
+        let mut status = self.status.write();
+        status.states.push(TxnState::InProgress);
+        status.states.len() as TxnId
+    }
+
+    /// [`TxnStatusTable::begin`] plus a pin on the current CSN, which
+    /// is returned: the transaction's snapshot.
+    pub fn begin_pinned(&self) -> (TxnId, Csn) {
+        let mut status = self.status.write();
+        status.states.push(TxnState::InProgress);
+        let csn = self.current.load(Ordering::Relaxed);
+        status.pin(csn);
+        (status.states.len() as TxnId, csn)
     }
 
     /// The current state of `txid`. Unknown ids (never allocated here,
@@ -112,33 +173,70 @@ impl TxnStatusTable {
         if txid == FROZEN_TXN {
             return TxnState::Committed(0);
         }
-        self.states.read().get(txid as usize - 1).copied().unwrap_or(TxnState::Aborted)
+        self.status.read().states.get(txid as usize - 1).copied().unwrap_or(TxnState::Aborted)
     }
 
     /// Flip `txid` to committed at `csn`. This is *the* commit point:
     /// after the flip every reader whose snapshot covers `csn` sees all
     /// of the transaction's rows, and nobody saw any of them before.
+    /// The clock moves up to `csn` if it was behind.
     pub fn commit(&self, txid: TxnId, csn: Csn) {
-        self.set(txid, TxnState::Committed(csn));
+        let mut status = self.status.write();
+        status.set(txid, TxnState::Committed(csn));
+        self.current.fetch_max(csn, Ordering::Release);
+    }
+
+    /// Commit `txid` at the next CSN, publish that CSN, and release the
+    /// pin its snapshot held at `pinned`, in one step. Returns the
+    /// commit CSN and the horizon after it.
+    pub fn commit_next(&self, txid: TxnId, pinned: Csn) -> (Csn, Csn) {
+        let mut status = self.status.write();
+        let csn = self.current.load(Ordering::Relaxed) + 1;
+        status.set(txid, TxnState::Committed(csn));
+        self.current.store(csn, Ordering::Release);
+        status.unpin(pinned);
+        (csn, status.horizon(csn))
     }
 
     /// Flip `txid` to aborted; its versions become permanently
     /// invisible (O(1) heap rollback).
     pub fn abort(&self, txid: TxnId) {
-        self.set(txid, TxnState::Aborted);
+        self.status.write().set(txid, TxnState::Aborted);
+    }
+
+    /// The latest published commit sequence number.
+    #[inline]
+    pub fn current_csn(&self) -> Csn {
+        self.current.load(Ordering::Acquire)
+    }
+
+    /// Pin the current CSN and return it. Every version visible to a
+    /// snapshot at or after it survives pruning until the pin is
+    /// released with [`TxnStatusTable::unpin`].
+    pub fn pin(&self) -> Csn {
+        let mut status = self.status.write();
+        let csn = self.current.load(Ordering::Relaxed);
+        status.pin(csn);
+        csn
+    }
+
+    /// Release one pin at `csn`, returning the horizon after it.
+    pub fn unpin(&self, csn: Csn) -> Csn {
+        let mut status = self.status.write();
+        status.unpin(csn);
+        status.horizon(self.current.load(Ordering::Relaxed))
+    }
+
+    /// The oldest pinned CSN, or the current CSN when nothing is
+    /// pinned. It never moves backwards: new pins are taken at the
+    /// current CSN.
+    pub fn horizon(&self) -> Csn {
+        self.status.read().horizon(self.current.load(Ordering::Acquire))
     }
 
     /// Number of transactions ever begun (capacity bookkeeping).
     pub fn allocated(&self) -> usize {
-        self.states.read().len()
-    }
-
-    fn set(&self, txid: TxnId, state: TxnState) {
-        assert_ne!(txid, FROZEN_TXN, "frozen pseudo-txn has no state");
-        let mut states = self.states.write();
-        let slot = states.get_mut(txid as usize - 1).expect("txid was allocated by begin()");
-        debug_assert_eq!(*slot, TxnState::InProgress, "double commit/abort of {txid}");
-        *slot = state;
+        self.status.read().states.len()
     }
 }
 
@@ -158,6 +256,22 @@ mod tests {
         assert_eq!(st.state(a), TxnState::Committed(7));
         assert_eq!(st.state(b), TxnState::Aborted);
         assert_eq!(st.allocated(), 2);
+    }
+
+    #[test]
+    fn pins_hold_the_horizon_and_commits_advance_the_clock() {
+        let st = TxnStatusTable::new();
+        assert_eq!(st.horizon(), 0);
+        let (a, snap_a) = st.begin_pinned();
+        let (b, snap_b) = st.begin_pinned();
+        assert_eq!((snap_a, snap_b), (0, 0));
+        assert_eq!(st.commit_next(a, snap_a), (1, 0), "b still pins CSN 0");
+        let stmt = st.pin();
+        assert_eq!(stmt, 1);
+        assert_eq!(st.commit_next(b, snap_b), (2, 1), "the statement pins CSN 1");
+        assert_eq!(st.current_csn(), 2);
+        assert_eq!(st.unpin(stmt), 2, "nothing pinned: the current CSN");
+        assert_eq!(st.state(b), TxnState::Committed(2));
     }
 
     #[test]

@@ -44,6 +44,9 @@ pub struct Counters {
     /// Physical `fsync` calls issued by the WAL (group commit makes
     /// this ≤ the number of durable commits).
     pub wal_fsyncs: AtomicU64,
+    /// Dead row versions dropped from heap version chains once no
+    /// pinned snapshot could still see them.
+    pub heap_versions_pruned: AtomicU64,
 }
 
 impl Counters {
@@ -84,6 +87,7 @@ impl Counters {
             &self.txn_aborts,
             &self.wal_bytes_written,
             &self.wal_fsyncs,
+            &self.heap_versions_pruned,
         ] {
             f.store(0, Ordering::Relaxed);
         }
@@ -104,6 +108,7 @@ impl Counters {
                 Counters::get(&self.txn_aborts),
                 Counters::get(&self.wal_bytes_written),
                 Counters::get(&self.wal_fsyncs),
+                Counters::get(&self.heap_versions_pruned),
             ],
         }
     }
@@ -116,7 +121,7 @@ impl Counters {
 }
 
 /// Names of the [`Counters`] fields, in snapshot order.
-pub const COUNTER_NAMES: [&str; 11] = [
+pub const COUNTER_NAMES: [&str; 12] = [
     "row_fetches",
     "rows_scanned",
     "btree_node_visits",
@@ -128,6 +133,7 @@ pub const COUNTER_NAMES: [&str; 11] = [
     "txn_aborts",
     "wal_bytes_written",
     "wal_fsyncs",
+    "heap_versions_pruned",
 ];
 
 /// Immutable copy of all [`Counters`] values, used to report
@@ -136,14 +142,14 @@ pub const COUNTER_NAMES: [&str; 11] = [
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CountersSnapshot {
     /// Values in [`COUNTER_NAMES`] order.
-    pub values: [u64; 11],
+    pub values: [u64; 12],
 }
 
 impl CountersSnapshot {
     /// Element-wise saturating subtraction: the work between `earlier`
     /// and `self`.
     pub fn diff(&self, earlier: &CountersSnapshot) -> CountersSnapshot {
-        let mut values = [0u64; 11];
+        let mut values = [0u64; 12];
         for (i, v) in values.iter_mut().enumerate() {
             *v = self.values[i].saturating_sub(earlier.values[i]);
         }
@@ -695,7 +701,7 @@ mod tests {
         let c = Counters::new();
         Counters::bump(&c.exact_tests);
         let snap = c.snapshot().pairs();
-        assert_eq!(snap.len(), 11);
+        assert_eq!(snap.len(), 12);
         assert_eq!(snap.len(), COUNTER_NAMES.len());
         assert!(snap.contains(&("exact_tests", 1)));
     }

@@ -259,14 +259,9 @@ impl Table {
     fn check_write(&mut self, rid: RowId, txid: TxnId, snap_csn: Csn) -> Result<(), StorageError> {
         let status = Arc::clone(&self.status);
         let chain = self.slots.get_mut(rid.slot()).ok_or(StorageError::NoSuchRow(rid))?;
-        // Lazy rollback cleanup: drop versions created by aborted
-        // transactions, forget deletes by aborted transactions.
-        chain.retain(|v| !matches!(status.state(v.xmin), TxnState::Aborted));
-        for v in chain.iter_mut() {
-            if v.xmax != 0 && matches!(status.state(v.xmax), TxnState::Aborted) {
-                v.xmax = 0;
-            }
-        }
+        // Rollback cleanup the abort's own prune may not have reached
+        // yet: the newest version must not be an aborted write.
+        prune_chain(chain, &status, 0);
         let newest = chain.last().ok_or(StorageError::NoSuchRow(rid))?;
         if newest.xmax != 0 {
             return match status.state(newest.xmax) {
@@ -287,6 +282,31 @@ impl Table {
             TxnState::Committed(c) if c > snap_csn => Err(StorageError::WriteConflict(rid)),
             _ => Ok(()),
         }
+    }
+
+    /// Drop the versions of `rids` that no snapshot at or after
+    /// `horizon` can see, returning how many were dropped.
+    ///
+    /// A version goes when its deleter committed at or below `horizon`
+    /// (every such snapshot sees the delete) or its creator aborted
+    /// (nobody ever sees it); a delete by an aborted transaction is
+    /// forgotten. The caller guarantees that no snapshot older than
+    /// `horizon` is still reading. A slot left with no versions is a
+    /// tombstone and gives its chain's memory back.
+    pub fn prune(&mut self, rids: impl IntoIterator<Item = RowId>, horizon: Csn) -> u64 {
+        let mut dropped = 0;
+        for rid in rids {
+            if let Some(chain) = self.slots.get_mut(rid.slot()) {
+                dropped += prune_chain(chain, &self.status, horizon);
+            }
+        }
+        Counters::add(&self.counters.heap_versions_pruned, dropped);
+        dropped
+    }
+
+    /// Row versions held across all slots, dead ones included.
+    pub fn version_count(&self) -> usize {
+        self.slots.iter().map(Vec::len).sum()
     }
 
     /// Apply a committed transaction's net live-row delta (inserts
@@ -359,6 +379,34 @@ impl Table {
     pub fn scan(&self) -> TableScan<'_> {
         self.scan_at(Snapshot::LATEST)
     }
+}
+
+/// The pruning rule of [`Table::prune`] on one chain: drop versions
+/// whose creator aborted or whose deleter committed at or below
+/// `horizon`, and clear deletes by aborted transactions. Returns the
+/// number of versions dropped.
+fn prune_chain(chain: &mut Vec<Version>, status: &TxnStatusTable, horizon: Csn) -> u64 {
+    let before = chain.len();
+    chain.retain_mut(|v| {
+        if matches!(status.state(v.xmin), TxnState::Aborted) {
+            return false;
+        }
+        if v.xmax == 0 {
+            return true;
+        }
+        match status.state(v.xmax) {
+            TxnState::Committed(c) => c > horizon,
+            TxnState::Aborted => {
+                v.xmax = 0;
+                true
+            }
+            TxnState::InProgress => true,
+        }
+    });
+    if chain.is_empty() {
+        *chain = Vec::new();
+    }
+    (before - chain.len()) as u64
 }
 
 /// Iterator over `(RowId, row)` pairs of rows visible to a snapshot.
@@ -642,6 +690,34 @@ mod tests {
         assert_eq!(t.update_txn(txid, 0, rid, row(4, "d")), Err(StorageError::NoSuchRow(rid)));
         status.commit(txid, 1);
         assert!(!t.exists(rid));
+    }
+
+    #[test]
+    fn prune_drops_what_the_horizon_has_passed() {
+        let mut t = table();
+        let r0 = t.insert(row(0, "v0")).unwrap();
+        let r1 = t.insert(row(1, "gone")).unwrap();
+        let status = Arc::clone(t.status());
+        let w = status.begin();
+        t.update_txn(w, 0, r0, row(0, "v1")).unwrap();
+        t.delete_txn(w, 0, r1).unwrap();
+        status.commit(w, 1);
+        let doomed = status.begin();
+        let r2 = t.insert_txn(doomed, row(2, "aborted")).unwrap();
+        status.abort(doomed);
+        assert_eq!(t.version_count(), 4);
+
+        // A reader at CSN 0 still needs the old versions.
+        assert_eq!(t.prune([r0, r1], 0), 0);
+        assert_eq!(t.get_at(r0, &Snapshot::at(0)).unwrap()[1].as_text(), Some("v0"));
+
+        // Past the commit they are dead, as is the aborted insert.
+        assert_eq!(t.prune([r0, r1, r2], 1), 3);
+        assert_eq!(t.version_count(), 1);
+        assert_eq!(t.get(r0).unwrap()[1].as_text(), Some("v1"));
+        assert!(!t.exists(r1) && !t.exists(r2));
+        assert_eq!(t.slots[r1.slot()].capacity(), 0, "an emptied slot frees its chain");
+        assert_eq!(Counters::get(&t.counters().heap_versions_pruned), 3);
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //!   numbers, hands out read snapshots, and runs the commit protocol
 //!   (serialize CSN allocation, flip the status table, publish the new
 //!   CSN). Rollback is a status flip: aborted versions become
-//!   invisible immediately and are pruned lazily by later writers.
+//!   invisible immediately. The manager also tracks which snapshots
+//!   are still being read — one *pin* per open transaction and per
+//!   running statement — and holds back the cleanup a commit leaves
+//!   (dropping dead row versions, retiring index entries) until no
+//!   pinned snapshot predates that commit.
 //! * [`recovery`] — replays a WAL record prefix over a checkpoint base
 //!   image: DDL applies immediately (it is autocommitted), DML applies
 //!   only for transactions whose `Commit` record made it into the
@@ -23,7 +27,8 @@
 
 use parking_lot::Mutex;
 use sdo_storage::{Counters, Csn, Snapshot, TxnId, TxnStatusTable};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 pub mod recovery;
@@ -32,8 +37,10 @@ pub mod recovery;
 ///
 /// The snapshot's `txid` is the transaction itself, so reads through it
 /// see the transaction's own uncommitted writes on top of the world as
-/// of its begin CSN (snapshot isolation).
-#[derive(Debug, Clone, Copy)]
+/// of its begin CSN (snapshot isolation). The snapshot stays pinned
+/// until the token is passed to [`TxnManager::commit`] or
+/// [`TxnManager::abort`].
+#[derive(Debug)]
 pub struct TxnToken {
     /// The transaction id.
     pub txid: TxnId,
@@ -41,22 +48,53 @@ pub struct TxnToken {
     pub snap: Snapshot,
 }
 
+/// Cleanup a finished transaction leaves behind: run once with the
+/// horizon at which it became safe (see [`TxnManager::horizon`]).
+pub type Deferred = Box<dyn FnOnce(Csn) + Send>;
+
 /// Allocates transaction ids / commit sequence numbers and runs the
 /// commit protocol against a shared [`TxnStatusTable`].
 ///
 /// One manager per database; cheap enough that autocommitted
 /// single-statement transactions go through the same path as explicit
-/// multi-statement ones.
+/// multi-statement ones: a begin and a commit each take the status
+/// table's lock once, and nothing else unless the commit left cleanup.
+///
+/// ## Pins and the horizon
+///
+/// Every snapshot that may still be read is *pinned*: a transaction's
+/// from [`TxnManager::begin`] to its commit or abort, a statement's for
+/// as long as it runs ([`TxnManager::pin`]). The *horizon* is the
+/// oldest pinned CSN, or the current CSN when nothing is pinned. A
+/// version deleted by a commit at or below the horizon is invisible to
+/// every snapshot anyone can still read, so it may go. Commits hand
+/// that cleanup over as [`Deferred`] work, which runs as soon as the
+/// horizon reaches the commit's CSN — at once when nothing older is
+/// pinned, else when the last older pin is released.
 pub struct TxnManager {
     status: Arc<TxnStatusTable>,
     counters: Arc<Counters>,
-    /// Highest published commit sequence number.
-    current_csn: AtomicU64,
-    /// Serializes CSN allocation + status flip + publication, so a
-    /// snapshot taken at CSN `c` sees exactly commits 1..=c.
-    commit_lock: Mutex<()>,
+    /// Cleanup waiting for the horizon, keyed by commit CSN, ascending.
+    deferred: Mutex<VecDeque<(Csn, Deferred)>>,
+    /// Length of `deferred`, so releasing a pin skips the queue's lock
+    /// while nothing waits.
+    waiting: AtomicUsize,
     /// In-flight (begun, not yet resolved) transactions.
     active: AtomicU64,
+}
+
+/// A running statement's pin (see [`TxnManager::pin`]). Dropping it
+/// releases the pin and runs the cleanup that was waiting on it.
+pub struct StatementPin<'a> {
+    manager: &'a TxnManager,
+    csn: Csn,
+}
+
+impl Drop for StatementPin<'_> {
+    fn drop(&mut self) {
+        let horizon = self.manager.status.unpin(self.csn);
+        self.manager.run_ready(horizon);
+    }
 }
 
 impl TxnManager {
@@ -66,8 +104,8 @@ impl TxnManager {
         TxnManager {
             status,
             counters,
-            current_csn: AtomicU64::new(0),
-            commit_lock: Mutex::new(()),
+            deferred: Mutex::new(VecDeque::new()),
+            waiting: AtomicUsize::new(0),
             active: AtomicU64::new(0),
         }
     }
@@ -79,20 +117,35 @@ impl TxnManager {
 
     /// Begin a transaction: allocate an id and pin its read snapshot.
     pub fn begin(&self) -> TxnToken {
-        let txid = self.status.begin();
+        let (txid, csn) = self.status.begin_pinned();
         self.active.fetch_add(1, Ordering::Relaxed);
-        TxnToken { txid, snap: Snapshot { csn: self.current_csn.load(Ordering::Acquire), txid } }
+        TxnToken { txid, snap: Snapshot { csn, txid } }
+    }
+
+    /// Pin the current CSN for one statement. Every snapshot the
+    /// statement reads at or after this CSN keeps all the versions it
+    /// can see until the returned guard is dropped, so take the pin
+    /// before reading any snapshot.
+    pub fn pin(&self) -> StatementPin<'_> {
+        StatementPin { manager: self, csn: self.status.pin() }
     }
 
     /// A plain reader snapshot: the latest published CSN, no
-    /// transaction attached.
+    /// transaction attached. Not pinned by itself: read it under a
+    /// [`TxnManager::pin`] taken first.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot::at(self.current_csn.load(Ordering::Acquire))
+        Snapshot::at(self.status.current_csn())
     }
 
     /// The highest published commit sequence number.
     pub fn current_csn(&self) -> Csn {
-        self.current_csn.load(Ordering::Acquire)
+        self.status.current_csn()
+    }
+
+    /// The oldest pinned CSN, or the current CSN when nothing is
+    /// pinned. It never moves backwards.
+    pub fn horizon(&self) -> Csn {
+        self.status.horizon()
     }
 
     /// Number of in-flight transactions (checkpoints require zero).
@@ -100,37 +153,67 @@ impl TxnManager {
         self.active.load(Ordering::Acquire)
     }
 
-    /// Block commits while the returned guard is held.
-    ///
-    /// Pipeline factories that capture a snapshot *plus* a structural
-    /// clone of an index (e.g. a spatial join cloning both R-trees)
-    /// pin the two under this fence: otherwise a transaction could
-    /// commit between the snapshot read and the clone, and its
-    /// post-commit index maintenance could prune entries for old row
-    /// versions the just-pinned snapshot still needs to find.
-    pub fn commit_fence(&self) -> parking_lot::MutexGuard<'_, ()> {
-        self.commit_lock.lock()
-    }
-
     /// Commit: allocate the next CSN, flip the status table (the
-    /// atomic visibility point), then publish the CSN so new snapshots
-    /// include this transaction.
-    pub fn commit(&self, txid: TxnId) -> Csn {
-        let _guard = self.commit_lock.lock();
-        let csn = self.current_csn.load(Ordering::Acquire) + 1;
-        self.status.commit(txid, csn);
-        self.current_csn.store(csn, Ordering::Release);
+    /// atomic visibility point), publish the CSN so new snapshots
+    /// include this transaction, and release its pin. `cleanup` runs
+    /// once the horizon reaches the new CSN.
+    pub fn commit(&self, token: TxnToken, cleanup: Option<Deferred>) -> Csn {
+        let (csn, horizon) = self.status.commit_next(token.txid, token.snap.csn);
         self.active.fetch_sub(1, Ordering::Relaxed);
         Counters::bump(&self.counters.txn_commits);
+        match cleanup {
+            Some(work) if horizon >= csn => work(horizon),
+            Some(work) => {
+                self.defer(csn, work);
+                // An older pin may have gone between the commit and the
+                // queueing; its release found nothing to run.
+                self.run_ready(self.status.horizon());
+                return csn;
+            }
+            None => {}
+        }
+        self.run_ready(horizon);
         csn
     }
 
     /// Abort: flip the status table; every version the transaction
-    /// wrote becomes permanently invisible (O(1) heap rollback).
-    pub fn abort(&self, txid: TxnId) {
-        self.status.abort(txid);
+    /// wrote becomes permanently invisible (O(1) heap rollback). The
+    /// pin is released and `cleanup` (dropping those versions, which
+    /// no snapshot can see) runs at once.
+    pub fn abort(&self, token: TxnToken, cleanup: Option<Deferred>) {
+        self.status.abort(token.txid);
         self.active.fetch_sub(1, Ordering::Relaxed);
         Counters::bump(&self.counters.txn_aborts);
+        let horizon = self.status.unpin(token.snap.csn);
+        self.run_ready(horizon);
+        if let Some(work) = cleanup {
+            work(horizon);
+        }
+    }
+
+    /// Queue `work` until the horizon reaches `csn`.
+    fn defer(&self, csn: Csn, work: Deferred) {
+        let mut queue = self.deferred.lock();
+        // Commits can queue slightly out of CSN order.
+        let at = queue.partition_point(|(c, _)| *c <= csn);
+        queue.insert(at, (csn, work));
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Run the queued cleanup `horizon` has passed.
+    fn run_ready(&self, horizon: Csn) {
+        if self.waiting.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        let ready: Vec<Deferred> = {
+            let mut queue = self.deferred.lock();
+            let n = queue.partition_point(|(c, _)| *c <= horizon);
+            self.waiting.fetch_sub(n, Ordering::SeqCst);
+            queue.drain(..n).map(|(_, work)| work).collect()
+        };
+        for work in ready {
+            work(horizon);
+        }
     }
 }
 
@@ -159,22 +242,24 @@ mod tests {
         let b = m.begin();
         assert_eq!(m.active_count(), 2);
         assert_eq!(a.snap.csn, 0);
-        let c1 = m.commit(a.txid);
-        let c2 = m.commit(b.txid);
+        let a_id = a.txid;
+        let c1 = m.commit(a, None);
+        let c2 = m.commit(b, None);
         assert_eq!((c1, c2), (1, 2));
         assert_eq!(m.current_csn(), 2);
         assert_eq!(m.active_count(), 0);
-        assert_eq!(m.status().state(a.txid), TxnState::Committed(1));
+        assert_eq!(m.status().state(a_id), TxnState::Committed(1));
     }
 
     #[test]
     fn snapshots_exclude_later_commits() {
         let m = manager();
         let a = m.begin();
+        let a_id = a.txid;
         let snap = m.snapshot();
-        m.commit(a.txid);
-        assert!(!snap.sees(a.txid, m.status()), "pre-commit snapshot stays consistent");
-        assert!(m.snapshot().sees(a.txid, m.status()));
+        m.commit(a, None);
+        assert!(!snap.sees(a_id, m.status()), "pre-commit snapshot stays consistent");
+        assert!(m.snapshot().sees(a_id, m.status()));
     }
 
     #[test]
@@ -182,8 +267,9 @@ mod tests {
         let counters = Arc::new(Counters::new());
         let m = TxnManager::new(Arc::new(TxnStatusTable::new()), Arc::clone(&counters));
         let t = m.begin();
-        m.abort(t.txid);
-        assert_eq!(m.status().state(t.txid), TxnState::Aborted);
+        let t_id = t.txid;
+        m.abort(t, None);
+        assert_eq!(m.status().state(t_id), TxnState::Aborted);
         assert_eq!(Counters::get(&counters.txn_aborts), 1);
         assert_eq!(Counters::get(&counters.txn_commits), 0);
     }
@@ -196,11 +282,87 @@ mod tests {
             .into_iter()
             .map(|t| {
                 let m = Arc::clone(&m);
-                std::thread::spawn(move || m.commit(t.txid))
+                std::thread::spawn(move || m.commit(t, None))
             })
             .collect();
         let mut csns: Vec<Csn> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         csns.sort_unstable();
         assert_eq!(csns, (1..=8).collect::<Vec<_>>(), "dense, unique CSNs");
+    }
+
+    /// Deferred cleanup that records the horizon it ran at.
+    fn recorder(log: &Arc<parking_lot::Mutex<Vec<(u32, Csn)>>>, id: u32) -> Option<Deferred> {
+        let log = Arc::clone(log);
+        Some(Box::new(move |horizon| log.lock().push((id, horizon))))
+    }
+
+    #[test]
+    fn horizon_is_the_oldest_pin_or_the_current_csn() {
+        let m = manager();
+        assert_eq!(m.horizon(), 0);
+        let t = m.begin();
+        m.commit(t, None);
+        assert_eq!(m.horizon(), 1, "nothing pinned: the current CSN");
+        let reader = m.begin();
+        let stmt = m.pin();
+        for _ in 0..3 {
+            let w = m.begin();
+            m.commit(w, None);
+        }
+        assert_eq!(m.horizon(), 1, "the open transaction holds it back");
+        drop(stmt);
+        assert_eq!(m.horizon(), 1);
+        m.abort(reader, None);
+        assert_eq!(m.horizon(), 4);
+    }
+
+    #[test]
+    fn cleanup_waits_for_every_older_pin() {
+        let m = manager();
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+
+        // Nothing older pinned: the cleanup runs inside the commit.
+        let w = m.begin();
+        m.commit(w, recorder(&log, 1));
+        assert_eq!(*log.lock(), vec![(1, 1)]);
+
+        // An older statement pin and an older transaction hold it back.
+        let stmt = m.pin();
+        let reader = m.begin();
+        let w = m.begin();
+        m.commit(w, recorder(&log, 2));
+        let w = m.begin();
+        m.commit(w, None);
+        assert_eq!(log.lock().len(), 1, "readers at CSN 1 may still need the versions");
+        drop(stmt);
+        assert_eq!(log.lock().len(), 1, "the transaction still pins CSN 1");
+        m.abort(reader, recorder(&log, 3));
+        assert_eq!(*log.lock(), vec![(1, 1), (2, 3), (3, 3)], "commit order, at the new horizon");
+    }
+
+    #[test]
+    fn a_read_only_commit_runs_the_cleanup_it_held_back() {
+        let m = manager();
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let reader = m.begin();
+        let w = m.begin();
+        m.commit(w, recorder(&log, 1));
+        assert!(log.lock().is_empty());
+        m.commit(reader, None);
+        assert_eq!(*log.lock(), vec![(1, 2)]);
+    }
+
+    #[test]
+    fn pins_at_one_csn_count_separately() {
+        let m = manager();
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let a = m.pin();
+        let b = m.pin();
+        let w = m.begin();
+        m.commit(w, recorder(&log, 1));
+        drop(a);
+        assert!(log.lock().is_empty(), "the second pin at CSN 0 still holds");
+        drop(b);
+        assert_eq!(*log.lock(), vec![(1, 1)]);
     }
 }

@@ -454,6 +454,25 @@ fn transaction_and_wal_counters_surface_on_the_statement_profile() {
     db.execute("EXPLAIN ANALYZE ROLLBACK").unwrap();
     let rb = db.last_profile().unwrap();
     assert_eq!(rb.root.metric("txn_aborts"), Some(1));
+    assert_eq!(rb.root.metric("heap_versions_pruned"), Some(1), "the aborted insert is pruned");
+
+    // Inserting leaves nothing dead; an UPDATE leaves the old version,
+    // pruned as its statement ends since nothing older is pinned. The
+    // count shows beside the commit.
+    db.execute("EXPLAIN ANALYZE INSERT INTO t VALUES (4)").unwrap();
+    assert_eq!(db.last_profile().unwrap().root.metric("heap_versions_pruned"), None);
+    let rows = db.execute("EXPLAIN ANALYZE UPDATE t SET id = 10 WHERE id = 1").unwrap().rows;
+    let root = rows[0][0].as_text().unwrap().to_string();
+    assert!(root.contains("txn_commits=1"), "{root}");
+    assert!(root.contains("heap_versions_pruned=1"), "{root}");
+
+    // An open transaction holds the pruning back until it ends.
+    let reader = db.begin();
+    db.execute("EXPLAIN ANALYZE DELETE FROM t WHERE id = 2").unwrap();
+    assert_eq!(db.last_profile().unwrap().root.metric("heap_versions_pruned"), None);
+    let before = db.counters().snapshot();
+    reader.commit().unwrap();
+    assert_eq!(db.counters().diff(&before).get("heap_versions_pruned"), Some(1));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

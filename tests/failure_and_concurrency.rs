@@ -36,7 +36,7 @@ impl TableFunction for PanickingFn {
 #[test]
 fn slave_panic_surfaces_as_sql_error() {
     let db = Database::new();
-    db.register_table_function("FLAKY_PARALLEL", |_db, _args| {
+    db.register_table_function("FLAKY_PARALLEL", |_db, _snap, _args| {
         let good: Box<dyn TableFunction> =
             Box::new(BufferedFn::new(|| Ok((0..100).map(|i| vec![Value::Integer(i)]).collect())));
         let bad: Box<dyn TableFunction> = Box::new(PanickingFn);
@@ -59,7 +59,7 @@ fn slave_panic_surfaces_as_sql_error() {
 #[test]
 fn failing_table_function_error_propagates() {
     let db = Database::new();
-    db.register_table_function("FAILS_MIDWAY", |_db, _args| {
+    db.register_table_function("FAILS_MIDWAY", |_db, _snap, _args| {
         struct F(usize);
         impl TableFunction for F {
             fn start(&mut self) -> Result<(), TfError> {

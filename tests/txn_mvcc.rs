@@ -7,7 +7,7 @@ use sdo_dbms::{Database, DbError, Durability};
 use sdo_geom::wkt::parse_wkt;
 use sdo_storage::{RowId, StorageError, Value};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 
 fn session() -> Database {
     let db = Database::new();
@@ -98,6 +98,86 @@ fn session_txn_snapshot_is_repeatable_despite_concurrent_commits() {
     assert_eq!(count(&db, "SELECT COUNT(*) FROM t"), 0, "snapshot must be repeatable");
     db.execute("COMMIT").unwrap();
     assert_eq!(count(&db, "SELECT COUNT(*) FROM t"), 1, "new snapshot sees the commit");
+}
+
+/// Every wire client is a session of its own: a table function called
+/// from one must read that session's snapshot — its transaction's own
+/// uncommitted rows included — not the default session's.
+#[test]
+fn table_functions_read_the_calling_sessions_snapshot() {
+    let db = Arc::new(session());
+    for (table, index) in [("plain", None), ("indexed", Some("indexed_sidx"))] {
+        db.execute(&format!("CREATE TABLE {table} (id NUMBER, geom SDO_GEOMETRY)")).unwrap();
+        db.insert_row(table, vec![Value::Integer(1), pair_poly(1)]).unwrap();
+        if let Some(index) = index {
+            db.execute(&format!(
+                "CREATE INDEX {index} ON {table}(geom) INDEXTYPE IS SPATIAL_INDEX"
+            ))
+            .unwrap();
+        }
+        let join = format!(
+            "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN('{table}','geom','{table}','geom','intersect'))"
+        );
+        let tiles = format!("SELECT rid FROM TABLE(TESSELLATE('{table}','geom',4))");
+        let tiled_rows = |s: &sdo_dbms::Session| {
+            let rows = s.execute(&tiles).unwrap().rows;
+            rows.iter()
+                .map(|r| format!("{:?}", r[0]))
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+        };
+
+        let a = db.session();
+        let other = db.session();
+        a.execute("BEGIN").unwrap();
+        a.execute(&format!("INSERT INTO {table} VALUES (2, {})", wkt_literal(2))).unwrap();
+        let in_a = |sql: &str| a.execute(sql).unwrap().count().unwrap();
+        let in_other = |sql: &str| other.execute(sql).unwrap().count().unwrap();
+        assert_eq!(in_a(&join), 2, "{table}: the session sees its own row");
+        assert_eq!(tiled_rows(&a), 2, "{table}: tessellates its own row too");
+        assert_eq!(tiled_rows(&other), 1, "{table}: others tessellate only the committed row");
+        assert_eq!(in_other(&join), 1, "{table}: others do not see it");
+        assert_eq!(count(&db, &join), 1, "{table}: nor does the default session");
+        a.execute("COMMIT").unwrap();
+        assert_eq!(in_other(&join), 2, "{table}: committed");
+    }
+}
+
+/// A reader's snapshot keeps every version it can see while writers
+/// churn the same rows, and once it ends the dead versions are gone.
+#[test]
+fn pruning_spares_open_snapshots_and_then_frees_dead_versions() {
+    let db = Arc::new(session());
+    db.execute("CREATE TABLE t (id NUMBER, v NUMBER)").unwrap();
+    for id in 0..10 {
+        db.insert_row("t", vec![Value::Integer(id), Value::Integer(0)]).unwrap();
+    }
+    let read_all = |s: &sdo_dbms::Session| s.execute("SELECT id, v FROM t ORDER BY id").unwrap();
+    let a = db.session();
+    a.execute("BEGIN").unwrap();
+    let original = read_all(&a);
+    assert_eq!(original.rows.len(), 10);
+
+    let b = db.session();
+    for i in 1..=500 {
+        b.execute(&format!("UPDATE t SET v = {i} WHERE id < 5")).unwrap();
+        b.execute("DELETE FROM t WHERE id = 9").unwrap();
+        b.execute(&format!("INSERT INTO t VALUES (9, {i})")).unwrap();
+    }
+    let table = db.table("t").unwrap();
+    assert!(table.read().version_count() > 500 * 6, "A's snapshot holds the history back");
+    assert_eq!(read_all(&a), original, "A still sees its original rows");
+    assert_eq!(read_all(&b).rows[0][1], Value::Integer(500));
+
+    a.execute("COMMIT").unwrap();
+    let t = table.read();
+    assert_eq!(t.len(), 10);
+    assert!(
+        t.version_count() <= t.len(),
+        "{} versions for {} live rows and no write in flight",
+        t.version_count(),
+        t.len()
+    );
 }
 
 #[test]
