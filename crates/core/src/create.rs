@@ -23,7 +23,7 @@
 use crate::params::SpatialIndexParams;
 use parking_lot::{Mutex, RwLock};
 use sdo_dbms::DbError;
-use sdo_geom::Rect;
+use sdo_geom::{Geometry, Rect};
 use sdo_quadtree::QuadtreeIndex;
 use sdo_rtree::{RTree, RTreeParams};
 use sdo_storage::{Counters, RowId, Snapshot, Table, Value};
@@ -225,6 +225,9 @@ pub fn tessellate_row(
     let Some(g) = row.get(1).and_then(|v| v.as_geometry()) else {
         return Ok(Vec::new()); // NULL geometry: no tiles
     };
+    if let Some(msg) = outside_extent(g, world) {
+        return Err(TfError::Execution(msg));
+    }
     Counters::bump(&counters.tessellations);
     Ok(sdo_quadtree::tessellate(g, world, level)
         .into_iter()
@@ -236,6 +239,24 @@ pub fn tessellate_row(
             ]
         })
         .collect())
+}
+
+/// The error for a geometry whose MBR leaves a quadtree's world
+/// extent, or `None` when it fits. Tessellation covers only tiles
+/// inside the extent, so such a row would be missing from every query
+/// that reads the index. An overhang of rounding size (a coordinate
+/// computed to lie on the extent's edge can land a few ulps past it)
+/// is let through: it loses only a sliver no real window can select.
+pub(crate) fn outside_extent(g: &Geometry, world: &Rect) -> Option<String> {
+    let bb = g.bbox();
+    let slack = (world.width() + world.height()) * 1e-12;
+    (!bb.is_empty() && !world.expanded(slack).contains_rect(&bb)).then(|| {
+        format!(
+            "geometry MBR {bb} lies outside the quadtree extent {}:{}:{}:{}; \
+             rebuild the index with a larger extent=min_x:min_y:max_x:max_y",
+            world.min_x, world.min_y, world.max_x, world.max_y
+        )
+    })
 }
 
 // ---------------------------------------------------------------------------

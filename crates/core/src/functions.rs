@@ -1,9 +1,7 @@
 //! Registration of the spatial indextype and table functions.
 
 use crate::index::{QuadtreeSpatialIndex, RTreeSpatialIndex, SpatialIndexType};
-use crate::join::{
-    ExactPredicate, JoinSide, QtJoinSide, QuadtreeJoin, SpatialJoin, SpatialJoinConfig,
-};
+use crate::join::{ExactPredicate, JoinSide, SpatialJoin, SpatialJoinConfig};
 use crate::partjoin::{PartitionJoin, PartitionState};
 use sdo_dbms::db::{IndexHandle, TfInstance, MAX_PARALLEL_DOP};
 use sdo_dbms::{Database, DbError, TfArg};
@@ -21,13 +19,12 @@ use std::sync::Arc;
 ///   interaction [, dop [, level]])` — the pipelined (and, with
 ///   `dop > 1`, parallel) spatial join table function. The indexes on
 ///   the two inputs pick the engine: two R-trees run the paper's tree
-///   join, two quadtrees at dop 1 the tile merge join, and anything
-///   else the grid partition join, which needs no index. Parallel
-///   slaves pull tasks from one shared work-stealing queue; `dop` is
-///   capped at [`MAX_PARALLEL_DOP`]. A negative `level` means "choose
-///   automatically" (the SQL dialect has no NULL literal, so `-1` is
-///   the explicit don't-care). `interaction` is
-///   `'intersect'`/`'mask=...'`/`'distance=d'`. A leading
+///   join, and anything else runs the grid partition join, which
+///   needs no index. Parallel slaves pull tasks from one shared
+///   work-stealing queue; `dop` is capped at [`MAX_PARALLEL_DOP`]. A
+///   negative `level` means "choose automatically" (the SQL dialect
+///   has no NULL literal, so `-1` is the explicit don't-care).
+///   `interaction` is `'intersect'`/`'mask=...'`/`'distance=d'`. A leading
 ///   `CURSOR(SELECT * FROM TABLE(SUBTREE_PAIRS(...)))` argument
 ///   supplies explicit subtree-pair tasks, matching the paper's
 ///   cursor-driven form; it and a `level >= 0` need two R-trees,
@@ -83,9 +80,6 @@ fn levels_down(level: i64) -> u32 {
 enum Engine {
     /// Both inputs carry R-trees: the paper's synchronized traversal.
     Tree(JoinSide, JoinSide),
-    /// Both inputs carry quadtrees and the join is serial: the tile
-    /// merge join.
-    Quadtree(QtJoinSide, QtJoinSide),
     /// Anything else: the grid partition join, which needs no index.
     Partition,
 }
@@ -105,32 +99,12 @@ fn rtree_side(inst: &IndexHandle) -> JoinSide {
     }
 }
 
-/// Snapshot a side already classified as quadtree-indexed.
-fn quadtree_side(inst: &IndexHandle) -> QtJoinSide {
-    let guard = inst.read();
-    let qt = guard.as_any().downcast_ref::<QuadtreeSpatialIndex>().expect("a quadtree index");
-    QtJoinSide {
-        table: Arc::clone(qt.table()),
-        column: qt.geometry_column(),
-        index: qt.index_snapshot(),
-    }
-}
-
 /// Pick the join engine from the indexes that exist, snapshotting each
-/// index the engine reads exactly once. Returns the engine and the rule
-/// that fired, which `EXPLAIN ANALYZE` shows as `method_reason`:
-///
-/// * two R-trees → the tree join,
-/// * two quadtrees at dop 1 → the quadtree merge join,
-/// * anything else → the partition join.
-fn resolve_engine(
-    db: &Database,
-    lt: &str,
-    lc: &str,
-    rt: &str,
-    rc: &str,
-    dop: usize,
-) -> (Engine, &'static str) {
+/// index the engine reads exactly once. Two R-trees run the tree join
+/// and anything else runs the partition join. Returns the engine and
+/// the rule that fired, which `EXPLAIN ANALYZE` shows as
+/// `method_reason`.
+fn resolve_engine(db: &Database, lt: &str, lc: &str, rt: &str, rc: &str) -> (Engine, &'static str) {
     let index = |table: &str, column: &str| db.index_on(table, column).map(|(_, inst)| inst);
     let (Some(left), Some(right)) = (index(lt, lc), index(rt, rc)) else {
         return (Engine::Partition, "an input has no spatial index");
@@ -138,13 +112,10 @@ fn resolve_engine(
     if is_index::<RTreeSpatialIndex>(&left) && is_index::<RTreeSpatialIndex>(&right) {
         return (Engine::Tree(rtree_side(&left), rtree_side(&right)), "two R-tree indexes");
     }
-    if !(is_index::<QuadtreeSpatialIndex>(&left) && is_index::<QuadtreeSpatialIndex>(&right)) {
-        return (Engine::Partition, "the inputs' index kinds differ");
+    if is_index::<QuadtreeSpatialIndex>(&left) && is_index::<QuadtreeSpatialIndex>(&right) {
+        return (Engine::Partition, "two quadtree indexes");
     }
-    if dop > 1 {
-        return (Engine::Partition, "the quadtree merge join is serial");
-    }
-    (Engine::Quadtree(quadtree_side(&left), quadtree_side(&right)), "two quadtree indexes at dop 1")
+    (Engine::Partition, "the inputs' index kinds differ")
 }
 
 fn spatial_join_factory(
@@ -212,7 +183,7 @@ fn spatial_join_factory(
     let config = SpatialJoinConfig { snapshot: snap, ..Default::default() };
     let counters = Arc::clone(db.counters());
 
-    let (engine, reason) = resolve_engine(db, lt, lc, rt, rc, dop);
+    let (engine, reason) = resolve_engine(db, lt, lc, rt, rc);
     let mut metrics: Vec<(&'static str, u64)> = Vec::new();
     let (func, chosen): (Box<dyn TableFunction>, &str) = match engine {
         Engine::Tree(left, right) => {
@@ -228,16 +199,11 @@ fn spatial_join_factory(
             )?;
             (func, "rtree")
         }
-        _ if explicit_tasks.is_some() || forced_level.is_some() => {
+        Engine::Partition if explicit_tasks.is_some() || forced_level.is_some() => {
             return Err(DbError::Plan(format!(
                 "SPATIAL_JOIN subtree tasks and descent levels need R-tree indexes on \
                  both inputs ({reason})"
             )));
-        }
-        Engine::Quadtree(left, right) => {
-            let func =
-                QuadtreeJoin::new(left, right, exact, config, counters).map_err(DbError::from)?;
-            (Box::new(func), "quadtree")
         }
         Engine::Partition => {
             let (func, state) =

@@ -392,21 +392,6 @@ impl QuadtreeSpatialIndex {
     pub fn index(&self) -> &Arc<RwLock<QuadtreeIndex>> {
         &self.index
     }
-
-    /// Consistent-read snapshot for joins.
-    pub fn index_snapshot(&self) -> Arc<QuadtreeIndex> {
-        Arc::new(self.index.read().clone())
-    }
-
-    /// The indexed base table.
-    pub fn table(&self) -> &Arc<RwLock<Table>> {
-        &self.table
-    }
-
-    /// Index of the geometry column in the base table.
-    pub fn geometry_column(&self) -> usize {
-        self.column
-    }
 }
 
 impl DomainIndex for QuadtreeSpatialIndex {
@@ -416,8 +401,12 @@ impl DomainIndex for QuadtreeSpatialIndex {
 
     fn on_insert(&mut self, rid: RowId, row: &[Value]) -> Result<(), DbError> {
         if let Some(g) = row.get(self.column).and_then(|v| v.as_geometry()) {
+            let mut index = self.index.write();
+            if let Some(msg) = create::outside_extent(g, index.world()) {
+                return Err(DbError::Index(msg));
+            }
             Counters::bump(&self.counters.tessellations);
-            self.index.write().insert(rid, g);
+            index.insert(rid, g);
         }
         Ok(())
     }

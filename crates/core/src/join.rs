@@ -10,7 +10,7 @@
 //! > geometries are computed using the two indexes. The size of this
 //! > array is determined by existing memory resources. Once the
 //! > candidate array is processed, the array is filled by resuming the
-//! > index-based join ... Each candidate pair ... [is] processed by
+//! > index-based join ... Each candidate pair ... \[is\] processed by
 //! > first fetching the exact geometries from the two tables and then
 //! > comparing them using a secondary (geometry-geometry) filter. ...
 //! > sorting the candidate pair based on the first rowid is much
@@ -648,200 +648,6 @@ impl TableFunction for SpatialJoin {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Quadtree join
-// ---------------------------------------------------------------------------
-
-/// One side of a quadtree join.
-pub struct QtJoinSide {
-    /// The side's base table (geometries fetched by rowid).
-    pub table: Arc<RwLock<Table>>,
-    /// Geometry column index.
-    pub column: usize,
-    /// Snapshot of the side's quadtree index.
-    pub index: Arc<sdo_quadtree::QuadtreeIndex>,
-}
-
-/// Spatial join over two quadtree indexes: a sorted merge over tile
-/// codes (the quadtree counterpart of the R-tree tree-matching join),
-/// followed by the same pipelined secondary filter.
-///
-/// The merge pass materializes the candidate set up front — unlike the
-/// R-tree join it is a single linear pass over both B-trees, so there
-/// is no deep traversal state to suspend; the secondary filter still
-/// streams through `fetch`.
-pub struct QuadtreeJoin {
-    left: QtJoinSide,
-    right: QtJoinSide,
-    exact: ExactPredicate,
-    config: SpatialJoinConfig,
-    counters: Arc<Counters>,
-    candidates: VecDeque<sdo_quadtree::join::JoinCandidate>,
-    out: VecDeque<Row>,
-    lcache: GeomCache,
-    rcache: GeomCache,
-    started: bool,
-    merged: bool,
-    result_rows: usize,
-    attached: Option<ProfileNode>,
-    phases: Option<QtPhases>,
-}
-
-/// Profile nodes for the quadtree join's two phases.
-struct QtPhases {
-    node: ProfileNode,
-    merge: ProfileNode,
-    filter: ProfileNode,
-}
-
-impl QuadtreeJoin {
-    /// A quadtree join over two snapshot sides. Distance predicates
-    /// are rejected (use R-tree indexes for those).
-    pub fn new(
-        left: QtJoinSide,
-        right: QtJoinSide,
-        exact: ExactPredicate,
-        config: SpatialJoinConfig,
-        counters: Arc<Counters>,
-    ) -> Result<Self, TfError> {
-        if matches!(exact, ExactPredicate::Distance(_)) {
-            return Err(TfError::Execution(
-                "quadtree joins support interaction masks, not distances; \
-                 use R-tree indexes for distance joins"
-                    .into(),
-            ));
-        }
-        let cache = config.cache_size;
-        let snap = config.snapshot;
-        Ok(QuadtreeJoin {
-            left,
-            right,
-            exact,
-            config,
-            counters,
-            candidates: VecDeque::new(),
-            out: VecDeque::new(),
-            lcache: GeomCache::new(cache).at_snapshot(snap),
-            rcache: GeomCache::new(cache).at_snapshot(snap),
-            started: false,
-            merged: false,
-            result_rows: 0,
-            attached: None,
-            phases: None,
-        })
-    }
-
-    /// Total result rows delivered so far.
-    pub fn rows_returned(&self) -> usize {
-        self.result_rows
-    }
-
-    fn refill(&mut self) -> Result<(), TfError> {
-        if !self.merged {
-            let t_merge = self.phases.as_ref().map(|_| Instant::now());
-            let cands = sdo_quadtree::join::merge_join(&self.left.index, &self.right.index);
-            if let (Some(p), Some(t0)) = (&self.phases, t_merge) {
-                p.merge.add_wall(t0.elapsed());
-                p.merge.add_batches(1);
-                p.merge.add_rows(cands.len() as u64);
-            }
-            Counters::add(&self.counters.mbr_tests, cands.len() as u64);
-            self.candidates = cands.into();
-            self.merged = true;
-        }
-        // Secondary-filter one candidate-array's worth.
-        let t_filter = self.phases.as_ref().map(|_| Instant::now());
-        let take = self.candidates.len().min(self.config.candidate_array);
-        let mut batch: Vec<_> = self.candidates.drain(..take).collect();
-        if self.config.fetch_order == FetchOrder::RowidSorted {
-            batch.sort_by_key(|c| (c.left, c.right));
-        }
-        let prove_by_tiles =
-            matches!(&self.exact, ExactPredicate::Masks(m) if m == &[RelateMask::AnyInteract]);
-        // Candidates actually filtered; pairs whose row vanished
-        // mid-join are skipped and must not inflate the filter's row
-        // count past the delivered cardinality.
-        let mut processed = 0u64;
-        for c in batch {
-            let keep = if matches!(self.exact, ExactPredicate::PrimaryOnly)
-                || (prove_by_tiles && c.definite)
-            {
-                true
-            } else {
-                let Some(lg) = self.lcache.get(&self.left.table, self.left.column, c.left) else {
-                    continue;
-                };
-                let Some(rg) = self.rcache.get(&self.right.table, self.right.column, c.right)
-                else {
-                    continue;
-                };
-                Counters::bump(&self.counters.exact_tests);
-                match &self.exact {
-                    ExactPredicate::Masks(masks) => lg.relate_any(&rg, masks),
-                    _ => unreachable!("distance rejected at construction"),
-                }
-            };
-            processed += 1;
-            if keep {
-                self.out.push_back(vec![Value::RowId(c.left), Value::RowId(c.right)]);
-            }
-        }
-        if let (Some(p), Some(t0)) = (&self.phases, t_filter) {
-            p.filter.add_wall(t0.elapsed());
-            p.filter.add_rows(processed);
-        }
-        Ok(())
-    }
-}
-
-impl TableFunction for QuadtreeJoin {
-    fn start(&mut self) -> Result<(), TfError> {
-        if self.started {
-            return Err(TfError::Protocol("start called twice"));
-        }
-        self.started = true;
-        if let Some(node) =
-            self.attached.clone().or_else(|| sdo_obs::current().map(|c| c.child("quadtree join")))
-        {
-            self.phases = Some(QtPhases {
-                merge: node.child("tile merge"),
-                filter: node.child("exact filter"),
-                node,
-            });
-        }
-        Ok(())
-    }
-
-    fn fetch(&mut self, max_rows: usize) -> Result<Vec<Row>, TfError> {
-        if !self.started {
-            return Err(TfError::Protocol("fetch before start"));
-        }
-        while self.out.len() < max_rows && (!self.merged || !self.candidates.is_empty()) {
-            self.refill()?;
-        }
-        let n = self.out.len().min(max_rows);
-        self.result_rows += n;
-        Ok(self.out.drain(..n).collect())
-    }
-
-    fn close(&mut self) {
-        self.candidates.clear();
-        self.out.clear();
-        if let Some(p) = self.phases.take() {
-            p.node.add_metric("geom_cache_hits", self.lcache.hits + self.rcache.hits);
-            p.node.add_metric("geom_cache_misses", self.lcache.misses + self.rcache.misses);
-            p.filter.set_metric("cache_hits", self.lcache.hits + self.rcache.hits);
-            p.filter.set_metric("cache_misses", self.lcache.misses + self.rcache.misses);
-        }
-        self.lcache.clear();
-        self.rcache.clear();
-    }
-
-    fn attach_profile(&mut self, node: &ProfileNode) {
-        self.attached = Some(node.clone());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1126,60 +932,6 @@ mod tests {
         assert!(cache.get(&side.table, side.column, RowId::new(0)).is_some());
         assert!(cache.get(&side.table, side.column, victim).is_none());
         assert_eq!((cache.hits, cache.misses), (0, 1), "failed fetch counts as neither");
-    }
-
-    #[test]
-    fn quadtree_join_reports_delivered_cardinality() {
-        // Build two quadtree-indexed sides, delete a right-side row
-        // after indexing, and check that (a) rows_returned matches the
-        // delivered rows and (b) the profiled filter row count excludes
-        // the candidates skipped for the deleted row.
-        let make_qt = |n: usize| {
-            let (side, _) = make_side(0.0, n);
-            let params = crate::params::SpatialIndexParams {
-                kind: crate::params::IndexKindParam::Quadtree,
-                sdo_level: 5,
-                ..Default::default()
-            };
-            let (index, _) = crate::create::build_quadtree(
-                &side.table,
-                1,
-                &params,
-                1,
-                Arc::new(Counters::new()),
-            )
-            .unwrap();
-            QtJoinSide { table: side.table, column: 1, index: Arc::new(index) }
-        };
-        let left = make_qt(40);
-        let right = make_qt(40);
-        right.table.write().delete(RowId::new(7)).unwrap();
-
-        let session = sdo_obs::ProfileSession::begin("qt join");
-        let node = session.root().child("QUADTREE JOIN");
-        let mut join = QuadtreeJoin::new(
-            left,
-            right,
-            // OVERLAP is never tile-provable, so every surviving
-            // candidate passes through the geometry filter.
-            ExactPredicate::Masks(vec![RelateMask::Overlap, RelateMask::Equal]),
-            SpatialJoinConfig::default(),
-            Arc::new(Counters::new()),
-        )
-        .unwrap();
-        join.attach_profile(&node);
-        let rows = collect_all(&mut join, 16).unwrap();
-        assert_eq!(join.rows_returned(), rows.len(), "delivered cardinality is tracked");
-        let profile = session.finish();
-        let op = profile.root.find("QUADTREE JOIN").unwrap();
-        let merged = op.find("tile merge").unwrap().rows;
-        let filtered = op.find("exact filter").unwrap().rows;
-        assert!(
-            filtered < merged,
-            "candidates touching the deleted row must not count as filtered \
-             ({filtered} vs {merged} merged)"
-        );
-        assert!(filtered >= rows.len() as u64);
     }
 
     #[test]

@@ -23,7 +23,8 @@ pub struct SpatialIndexParams {
     pub forced_reinsert: bool,
     /// Optional explicit world extent
     /// (`extent=min_x:min_y:max_x:max_y`); computed from the data when
-    /// absent, like deriving it from `USER_SDO_GEOM_METADATA`.
+    /// absent, like deriving it from `USER_SDO_GEOM_METADATA`. A
+    /// quadtree refuses rows whose MBR leaves its extent.
     pub extent: Option<Rect>,
 }
 

@@ -54,8 +54,8 @@
 //! class runs with the tree join's batch kernels
 //! ([`sdo_rtree::join::match_pairs`]: the plane sweep at or above
 //! `SWEEP_THRESHOLD`, chunked scans below) into a candidate array
-//! that funnels through the *same* [`SecondaryFilter`] (rowid-sorted
-//! fetches, per-side [`GeomCache`]) as the tree join, and streams
+//! that funnels through the *same* `SecondaryFilter` (rowid-sorted
+//! fetches, per-side `GeomCache`) as the tree join, and streams
 //! rowid pairs out of the ordinary `start`/`fetch`/`close` protocol,
 //! so `LIMIT` pushdown and memory accounting work unchanged.
 
@@ -133,7 +133,7 @@ pub struct GridSpec {
 }
 
 impl GridSpec {
-    /// Size a grid from per-side samples: aim for [`TARGET_OCCUPANCY`]
+    /// Size a grid from per-side samples: aim for `TARGET_OCCUPANCY`
     /// entries per tile and at least `4 * dop` tiles for parallel
     /// fan-out, but keep tiles at least twice the typical object
     /// footprint so the expected replication factor stays O(1).
@@ -374,7 +374,7 @@ impl PartitionState {
 /// One slave of the partitioned join — a pipelined table function
 /// pulling [`TileTask`]s from the shared queue, matching class runs
 /// with the SoA kernels, and running candidates through the shared
-/// [`SecondaryFilter`]. Serial joins are just `dop = 1` with a single
+/// `SecondaryFilter`. Serial joins are just `dop = 1` with a single
 /// slave owning every task.
 pub struct PartitionJoin {
     state: Arc<PartitionState>,

@@ -4,9 +4,9 @@
 //!   `PREPARE`/`EXECUTE`, `ANALYZE` and `EXPLAIN [ANALYZE]`, each under
 //!   a profile session.
 //! * SELECT entry: the pipelined `COUNT(*) FROM TABLE(...)` fast path,
-//!   else the streaming operator pipeline ([`crate::operators`]), whose
+//!   else the streaming operator pipeline (`operators`), whose
 //!   join and access-path strategies the cost-based planner
-//!   ([`crate::planner`]) chooses. DELETE and UPDATE find their rows
+//!   (`planner`) chooses. DELETE and UPDATE find their rows
 //!   through the same scan + filter operators.
 //! * Expression evaluation shared by the planner and the operators:
 //!   constants, scalar `SDO_*` functions, the exact form of spatial

@@ -3,7 +3,7 @@
 //!
 //! The slice of the Oracle kernel the paper's techniques live in:
 //!
-//! * a [`Database`](db::Database) façade over the storage catalog with
+//! * a [`Database`] façade over the storage catalog with
 //!   DML that maintains registered domain indexes (Oracle: "inserts and
 //!   updates ... automatically trigger an update of the corresponding
 //!   spatial indexes"),

@@ -5,7 +5,7 @@
 //! stack. It reimplements, from scratch, the parts of Oracle Spatial's
 //! geometry layer that the ICDE 2003 paper depends on:
 //!
-//! * the [`SdoGeometry`](sdo::SdoGeometry) object model (`gtype` +
+//! * the [`SdoGeometry`] object model (`gtype` +
 //!   `elem_info` + `ordinates` arrays) and its conversion to typed
 //!   geometries,
 //! * 2-dimensional simple features: [`Point`], [`LineString`],

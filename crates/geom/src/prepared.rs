@@ -4,7 +4,7 @@
 //! The paper's `SDO_RELATE`/`SDO_WITHIN_DISTANCE` secondary filter
 //! evaluates exact predicates against the *same* stored geometry for
 //! every candidate the primary filter emits. The naive predicates in
-//! [`crate::relate`] re-collect `Vec<Segment>` edge lists on every call
+//! [`crate::relate`](mod@crate::relate) re-collect `Vec<Segment>` edge lists on every call
 //! and test segment pairs quadratically. [`PreparedGeometry`] amortizes
 //! that work:
 //!
@@ -39,7 +39,7 @@
 //!   (`segments_intersect_filtered`, `crosses_out_of_polygon`) query
 //!   with the raw segment bbox and reproduce the identical pair set;
 //! * segment-pair probes that mirror an *unfiltered* naive loop
-//!   (`lines_intersect`) pad the query by [`join_pad`]: the orientation
+//!   (`lines_intersect`) pad the query by `join_pad`: the orientation
 //!   tolerance can let `Segment::intersects` accept pairs whose bboxes
 //!   are disjoint by up to roughly `EPS * extent / min_edge_length`,
 //!   and the pad dominates that band (clamping to the full extent, i.e.

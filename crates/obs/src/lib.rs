@@ -8,7 +8,7 @@
 //!   [`Gauge`]s, and fixed-bucket latency [`Histogram`]s with
 //!   percentile estimation and cross-thread merge. One global registry
 //!   ([`global`]) plus constructible private ones.
-//! * **Span timers** ([`span`]) — RAII guards that record elapsed wall
+//! * **Span timers** ([`span()`]) — RAII guards that record elapsed wall
 //!   time into a registry histogram:
 //!   `let _s = obs::span("rtree.join.fetch");`
 //! * **Query profiles** ([`profile`]) — a structured tree recording,

@@ -404,7 +404,7 @@ pub struct RegistrySnapshot {
     pub histograms: Vec<(String, HistogramSummary)>,
 }
 
-/// The process-wide registry used by [`crate::span`] and the engine's
+/// The process-wide registry used by [`crate::span()`] and the engine's
 /// built-in hooks.
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();

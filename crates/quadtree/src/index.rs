@@ -32,7 +32,6 @@ pub struct Candidate {
 /// The paper's structure exactly: tessellation produces tile rows, a
 /// B-tree indexes the codes. Interior/boundary flags ride in a side map
 /// (in Oracle they are a column of the index table).
-#[derive(Clone)]
 pub struct QuadtreeIndex {
     world: Rect,
     level: u32,
@@ -163,8 +162,7 @@ impl QuadtreeIndex {
         out
     }
 
-    /// Iterate every `(code, rowid, interior)` entry in tile order —
-    /// the input to the quadtree merge join.
+    /// Iterate every `(code, rowid, interior)` entry in tile order.
     pub fn iter_entries(&self) -> impl Iterator<Item = (TileCode, RowId, bool)> + '_ {
         self.btree.iter().map(|&(c, r)| (c, r, *self.interior.get(&(c, r)).unwrap_or(&false)))
     }

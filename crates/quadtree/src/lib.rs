@@ -8,7 +8,7 @@
 //!
 //! * [`tile`] — fixed-level tiles over a world extent, encoded as
 //!   Morton (Z-order) codes so tile order is B-tree order,
-//! * [`tessellate`] — cover a geometry with the level-`L` tiles it
+//! * [`tessellate`](mod@tessellate) — cover a geometry with the level-`L` tiles it
 //!   interacts with, classifying each tile as *interior* (fully inside
 //!   an areal geometry) or *boundary*; tessellation is the expensive
 //!   step the paper parallelizes with table functions (§5, Figure 2),
@@ -17,17 +17,17 @@
 //!   window queries decompose the window into tiles and probe the
 //!   B-tree; interior tiles yield *definite* hits that skip the
 //!   secondary filter (the interior-approximation optimization of the
-//!   authors' companion paper),
-//! * [`join`] — a sorted merge join over two tile B-trees, the
-//!   quadtree counterpart of the R-tree spatial join.
+//!   authors' companion paper).
+//!
+//! The quadtree serves window queries and parallel index creation.
+//! Joins over quadtree-indexed tables run `sdo-core`'s grid partition
+//! join, which reads the base tables and needs no index.
 
 pub mod index;
-pub mod join;
 pub mod tessellate;
 pub mod tile;
 
 pub use index::{Candidate, QuadtreeIndex};
-pub use join::{merge_join, JoinCandidate};
 pub use tessellate::{tessellate, TileApprox};
 pub use tile::{Tile, TileCode};
 

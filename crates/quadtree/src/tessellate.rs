@@ -38,9 +38,11 @@ pub struct TileApprox {
 /// ```
 ///
 /// Every returned tile interacts with `g` exactly (not merely with its
-/// MBR), and tiles marked interior are fully covered by `g`. Geometries
-/// outside the world produce no tiles — callers index only data inside
-/// the declared extent, as Oracle does.
+/// MBR), and tiles marked interior are fully covered by `g`. Only tiles
+/// inside the world are returned, so a geometry outside it gets no
+/// tiles and one straddling its edge loses the part outside. Callers
+/// must index only data inside the declared extent, as Oracle does;
+/// `sdo-core` refuses other rows at insert and index creation.
 pub fn tessellate(g: &Geometry, world: &Rect, level: u32) -> Vec<TileApprox> {
     let mut out = Vec::new();
     let Some((x0, x1, y0, y1)) = Tile::covering_range(level, world, &g.bbox()) else {

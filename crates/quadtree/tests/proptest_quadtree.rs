@@ -1,10 +1,10 @@
 //! Property-based quadtree testing: tessellation soundness, window
-//! query soundness/completeness, merge-join completeness.
+//! query soundness/completeness, bulk-build equivalence.
 
 use proptest::prelude::*;
 use sdo_geom::algorithms::convex_hull;
 use sdo_geom::{Geometry, Point, Polygon, Rect, Ring};
-use sdo_quadtree::{merge_join, tessellate, QuadtreeIndex, Tile};
+use sdo_quadtree::{tessellate, QuadtreeIndex, Tile};
 use sdo_storage::RowId;
 
 const WORLD: Rect = Rect::new(0.0, 0.0, 256.0, 256.0);
@@ -115,43 +115,6 @@ proptest! {
         prop_assert_eq!(idx.tile_entries(), 0);
         prop_assert!(idx.is_empty());
         prop_assert!(entries_full >= geoms.len());
-    }
-
-    #[test]
-    fn merge_join_complete(
-        a in proptest::collection::vec(arb_polygon(), 1..25),
-        b in proptest::collection::vec(arb_polygon(), 1..25),
-        level in 4u32..7,
-    ) {
-        let mut ia = QuadtreeIndex::new(WORLD, level);
-        for (i, g) in a.iter().enumerate() {
-            ia.insert(RowId::new(i as u64), g);
-        }
-        let mut ib = QuadtreeIndex::new(WORLD, level);
-        for (i, g) in b.iter().enumerate() {
-            ib.insert(RowId::new(i as u64), g);
-        }
-        let candidates = merge_join(&ia, &ib);
-        for (i, ga) in a.iter().enumerate() {
-            for (j, gb) in b.iter().enumerate() {
-                if sdo_geom::intersects(ga, gb) {
-                    prop_assert!(
-                        candidates
-                            .iter()
-                            .any(|c| c.left.slot() == i && c.right.slot() == j),
-                        "missing true pair ({i},{j})"
-                    );
-                }
-            }
-        }
-        for c in &candidates {
-            if c.definite {
-                prop_assert!(
-                    sdo_geom::intersects(&a[c.left.slot()], &b[c.right.slot()]),
-                    "false definite pair {c:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct RTreeParams {
     /// R*-style forced reinsertion: on the first overflow of a level
     /// per insert, evict the ~30% entries farthest from the node
     /// center and reinsert them instead of splitting (Beckmann et al.,
-    /// the paper's citation [1]). Improves node clustering for dynamic
+    /// the paper's citation \[1\]). Improves node clustering for dynamic
     /// workloads at some insert cost.
     pub forced_reinsert: bool,
 }

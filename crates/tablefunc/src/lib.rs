@@ -10,7 +10,7 @@
 //!   number of rows; an empty batch signals exhaustion and `close`
 //!   releases resources. Pipelining is what lets a spatial join return
 //!   result sets "that cannot fit in memory".
-//! * **Parallel table functions** — a function "directly accept[s] a
+//! * **Parallel table functions** — a function "directly accept\[s\] a
 //!   set of rows (a cursor)" and the runtime *partitions the input
 //!   cursor across multiple instances* of the function
 //!   ([`parallel::ParallelTableFunction`]). The degree of parallelism

@@ -44,7 +44,7 @@ impl From<RangeInclusive<usize>> for SizeRange {
     }
 }
 
-/// Strategy for `Vec<S::Value>` (output of [`vec`]).
+/// Strategy for `Vec<S::Value>` (output of [`vec()`]).
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

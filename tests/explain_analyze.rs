@@ -259,7 +259,7 @@ fn join_engine_follows_the_indexes() {
         (Some(rtree), Some(rtree), 2, "rtree"),
         (None, None, 2, "partition"),
         (Some(rtree), Some(quadtree), 1, "partition"),
-        (Some(quadtree), Some(quadtree), 1, "quadtree"),
+        (Some(quadtree), Some(quadtree), 1, "partition"),
         (Some(quadtree), Some(quadtree), 2, "partition"),
     ];
     let (a, b) = (counties::generate(40, &US_EXTENT, 5), counties::generate(40, &US_EXTENT, 6));

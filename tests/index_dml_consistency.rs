@@ -145,3 +145,54 @@ fn update_moves_rows_in_both_index_kinds() {
         assert_eq!(window_count(&db), before.max(ids.len() as i64), "params={params}");
     }
 }
+
+/// A quadtree covers only its world extent, so a row outside it would
+/// be missing from every window query. Such a row is refused: an
+/// `INSERT` or `UPDATE` that would put one there fails and changes
+/// nothing, and a `CREATE INDEX` whose explicit extent leaves a row
+/// outside fails and creates no index.
+#[test]
+fn quadtree_refuses_rows_outside_its_extent() {
+    // The default extent is the data's bounding box, padded by 1 %.
+    let db = session("sdo_level=6");
+    let count = |sql: &str| db.execute(sql).unwrap().count().unwrap();
+    let total = count("SELECT COUNT(*) FROM t");
+    let far = "SDO_GEOMETRY('POLYGON ((150 80, 151 80, 151 81, 150 81, 150 80))')";
+    let row_0 = || format!("{:?}", db.execute("SELECT geom FROM t WHERE id = 0").unwrap().rows);
+    // One square outside the data's box, one straddling its west edge.
+    for g in [far, "SDO_GEOMETRY('POLYGON ((-130 35, -120 35, -120 36, -130 36, -130 35))')"] {
+        let err = db.execute(&format!("INSERT INTO t VALUES (999, {g})")).unwrap_err();
+        assert!(err.to_string().contains("outside the quadtree extent"), "{err}");
+        assert_eq!(count("SELECT COUNT(*) FROM t"), total, "{g}");
+        assert_eq!(count("SELECT COUNT(*) FROM t WHERE id = 999"), 0, "{g}");
+    }
+    let (before, old_row) = (window_count(&db), row_0());
+    let err = db.execute(&format!("UPDATE t SET geom = {far} WHERE id = 0")).unwrap_err();
+    assert!(err.to_string().contains("outside the quadtree extent"), "{err}");
+    assert_eq!(count("SELECT COUNT(*) FROM t"), total);
+    assert_eq!(row_0(), old_row, "the failed update changed nothing");
+    assert_eq!(window_count(&db), before);
+
+    // An explicit extent that leaves rows outside fails the build.
+    db.execute("DROP INDEX t_x").unwrap();
+    let err = db
+        .execute(
+            "CREATE INDEX t_x ON t(geom) INDEXTYPE IS SPATIAL_INDEX \
+             PARAMETERS ('sdo_level=6, extent=-100:24:-66:50')",
+        )
+        .unwrap_err();
+    assert!(err.to_string().contains("outside the quadtree extent"), "{err}");
+    assert!(db.index_on("t", "geom").is_none(), "a failed build leaves no index");
+    db.execute(
+        "CREATE INDEX t_x ON t(geom) INDEXTYPE IS SPATIAL_INDEX \
+         PARAMETERS ('sdo_level=6, extent=-125:24:-66:50')",
+    )
+    .unwrap();
+    assert_eq!(window_count(&db), before);
+    // An overhang of rounding size is not refused.
+    db.execute(
+        "INSERT INTO t VALUES (998, SDO_GEOMETRY('POLYGON ((-67 30, \
+         -65.99999999999999 30, -65.99999999999999 31, -67 31, -67 30))'))",
+    )
+    .unwrap();
+}

@@ -1,9 +1,10 @@
 //! Cross-strategy join equivalence: nested-loop, R-tree table-function
-//! join, and quadtree merge join must return identical row-pair sets.
+//! join, and the partition join over quadtree-indexed inputs must
+//! return identical row-pair sets.
 
 use sdo_datagen::{counties, stars, SKY_EXTENT, US_EXTENT};
 use sdo_dbms::Database;
-use sdo_geom::Geometry;
+use sdo_geom::{Geometry, Polygon, Rect};
 use sdo_storage::Value;
 
 fn session_with(table: &str, geoms: &[Geometry]) -> Database {
@@ -102,6 +103,52 @@ fn quadtree_join_equals_rtree_join_stars() {
     );
     assert_eq!(rtree_pairs, quadtree_pairs);
     assert_eq!(rtree_pairs, brute_pairs(&s, &s, 0.0));
+}
+
+/// Two quadtree-indexed inputs at dop 1 equal brute force whatever
+/// their extents, tiling levels or predicate. Each index derives its
+/// extent from its own table's data, so tile codes of the two indexes
+/// name different places and must never be compared.
+#[test]
+fn quadtree_inputs_at_dop_1_equal_brute_force() {
+    let squares = |x0: f64, n: usize| -> Vec<Geometry> {
+        (0..n)
+            .map(|i| {
+                let x = x0 + ((i * 53) % 97) as f64;
+                let y = ((i * 31) % 89) as f64;
+                let s = 2.0 + (i % 5) as f64;
+                Geometry::Polygon(Polygon::from_rect(&Rect::new(x, y, x + s, y + s)))
+            })
+            .collect()
+    };
+    let (a, b) = (squares(0.0, 150), squares(50.0, 150));
+    for (left, right, interaction, d) in [
+        ("sdo_level=6", "sdo_level=6", "intersect", 0.0),
+        ("sdo_level=6", "sdo_level=7", "intersect", 0.0),
+        ("sdo_level=6", "sdo_level=6", "distance=2", 2.0),
+    ] {
+        let db = session_with("qa", &a);
+        db.execute("CREATE TABLE qb (id NUMBER, geom SDO_GEOMETRY)").unwrap();
+        for (i, g) in b.iter().enumerate() {
+            db.insert_row("qb", vec![Value::Integer(i as i64), Value::geometry(g.clone())])
+                .unwrap();
+        }
+        for (t, params) in [("qa", left), ("qb", right)] {
+            db.execute(&format!(
+                "CREATE INDEX {t}_q ON {t}(geom) INDEXTYPE IS SPATIAL_INDEX PARAMETERS ('{params}')"
+            ))
+            .unwrap();
+        }
+        let got = pair_set(
+            &db,
+            &format!(
+                "SELECT rid1, rid2 FROM TABLE(SPATIAL_JOIN('qa','geom','qb','geom','{interaction}', 1))"
+            ),
+        );
+        let want = brute_pairs(&a, &b, d);
+        assert!(!want.is_empty());
+        assert_eq!(got, want, "{left} x {right}, {interaction}");
+    }
 }
 
 #[test]
