@@ -115,55 +115,36 @@ fn decode_op(call: &OperatorCall) -> Result<DecodedOp, DbError> {
         }
         "SDO_FILTER" => Ok(DecodedOp::Filter(q)),
         "SDO_NN" => {
-            let k = parse_num_res(&call.args[1..])?;
+            let k = sdo_dbms::exec::parse_num_res(&call.args[1..])?;
             Ok(DecodedOp::Nn(q, k))
         }
         other => Err(DbError::Index(format!("unsupported operator {other}"))),
     }
 }
 
-/// Parse `SDO_NN`'s result-count argument: a bare integer or Oracle's
-/// `'sdo_num_res=k'` parameter string (default 1).
-pub fn parse_num_res(extra: &[Value]) -> Result<usize, DbError> {
-    let Some(v) = extra.first() else { return Ok(1) };
-    if let Some(k) = v.as_integer() {
-        if k < 1 {
-            return Err(DbError::Index("SDO_NN result count must be >= 1".into()));
-        }
-        return Ok(k as usize);
-    }
-    if let Some(s) = v.as_text() {
-        let params = sdo_dbms::extensible::parse_params(s);
-        if let Some(k) = sdo_dbms::extensible::param(&params, "sdo_num_res") {
-            return k
-                .parse::<usize>()
-                .map_err(|_| DbError::Index(format!("bad sdo_num_res '{k}'")))
-                .and_then(|k| {
-                    if k >= 1 {
-                        Ok(k)
-                    } else {
-                        Err(DbError::Index("sdo_num_res must be >= 1".into()))
-                    }
-                });
-        }
-    }
-    Err(DbError::Index("SDO_NN needs a result count (k or 'sdo_num_res=k')".into()))
-}
-
 /// Exact secondary filter: `relate(data, query, masks)` per candidate,
 /// fetching the data geometry by rowid *under the statement snapshot*.
 /// The index may hold entries for versions the snapshot cannot see
 /// (eager maintenance of in-flight transactions), so the snapshot
-/// fetch is the visibility filter, and the result is deduplicated —
-/// an in-flight UPDATE briefly gives one rowid two entries.
+/// fetch is the visibility filter. An updated row can have two entries
+/// while a snapshot pin defers the old one, so candidates are sorted by
+/// rowid and merged first (paper §1 item 3: sort by rowid before
+/// fetching) — `definite` OR-ed — and each row is fetched and tested
+/// once. The answer comes out in rowid order.
 fn secondary_filter(
     table: &Arc<RwLock<Table>>,
     column: usize,
     counters: &Arc<Counters>,
     snap: &Snapshot,
-    candidates: impl IntoIterator<Item = (RowId, bool)>,
+    mut candidates: Vec<(RowId, bool)>,
     mut keep: impl FnMut(&Geometry) -> bool,
 ) -> Result<Vec<RowId>, DbError> {
+    candidates.sort_unstable();
+    candidates.dedup_by(|later, first| {
+        let same = later.0 == first.0;
+        first.1 |= same && later.1;
+        same
+    });
     let guard = table.read();
     let mut out = Vec::new();
     for (rid, definite) in candidates {
@@ -178,9 +159,28 @@ fn secondary_filter(
             out.push(rid);
         }
     }
-    out.sort_unstable();
-    out.dedup();
     Ok(out)
+}
+
+/// `SDO_FILTER`'s exact answer for one candidate: does the MBR of the
+/// row version `snap` sees intersect `window`?
+fn mbr_intersects(
+    table: &Table,
+    rid: RowId,
+    snap: &Snapshot,
+    column: usize,
+    window: &Rect,
+) -> bool {
+    table
+        .get_at(rid, snap)
+        .is_ok_and(|row| row[column].as_geometry().is_some_and(|g| g.bbox().intersects(window)))
+}
+
+/// Sort candidate rowids and drop repeats, so each is fetched once.
+fn sorted_unique(mut rids: Vec<RowId>) -> Vec<RowId> {
+    rids.sort_unstable();
+    rids.dedup();
+    rids
 }
 
 // ---------------------------------------------------------------------------
@@ -293,21 +293,14 @@ impl DomainIndex for RTreeSpatialIndex {
                 // candidate's MBR test repeats against the version the
                 // snapshot actually sees.
                 let qbb = q.bbox();
-                let tree = self.tree.read();
-                Counters::add(&self.counters.mbr_tests, tree.len() as u64 / 2);
+                let candidates = sorted_unique(
+                    self.tree.read().query_window(&qbb).into_iter().map(|(_, rid)| rid).collect(),
+                );
                 let guard = self.table.read();
-                let mut out: Vec<RowId> = tree
-                    .query_window(&qbb)
+                Ok(candidates
                     .into_iter()
-                    .filter_map(|(_, rid)| {
-                        let row = guard.get_at(rid, &snap).ok()?;
-                        let g = row[self.column].as_geometry()?;
-                        g.bbox().intersects(&qbb).then_some(rid)
-                    })
-                    .collect();
-                out.sort_unstable();
-                out.dedup();
-                Ok(out)
+                    .filter(|&rid| mbr_intersects(&guard, rid, &snap, self.column, &qbb))
+                    .collect())
             }
             DecodedOp::Relate(q, masks) => {
                 if masks.contains(&RelateMask::Disjoint) {
@@ -422,17 +415,17 @@ impl DomainIndex for QuadtreeSpatialIndex {
         let snap = call.snap;
         match decode_op(call)? {
             DecodedOp::Filter(q) => {
-                let idx = self.index.read();
+                // Tiles over-approximate: like the R-tree, answer the MBR
+                // test itself, against the version the snapshot sees.
+                let qbb = q.bbox();
+                let candidates = sorted_unique(
+                    self.index.read().query_window(&q).into_iter().map(|c| c.rowid).collect(),
+                );
                 let guard = self.table.read();
-                let mut out: Vec<RowId> = idx
-                    .query_window(&q)
+                Ok(candidates
                     .into_iter()
-                    .filter(|c| guard.get_at(c.rowid, &snap).is_ok())
-                    .map(|c| c.rowid)
-                    .collect();
-                out.sort_unstable();
-                out.dedup();
-                Ok(out)
+                    .filter(|&rid| mbr_intersects(&guard, rid, &snap, self.column, &qbb))
+                    .collect())
             }
             DecodedOp::Relate(q, masks) => {
                 if masks.contains(&RelateMask::Disjoint) {

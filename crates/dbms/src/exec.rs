@@ -636,6 +636,26 @@ pub fn parse_distance(extra: &[Value]) -> Result<f64, DbError> {
     Err(DbError::Plan("SDO_WITHIN_DISTANCE needs a numeric distance".into()))
 }
 
+/// Parse `SDO_NN`'s result-count argument: a bare integer or Oracle's
+/// `'sdo_num_res=k'` parameter string (default 1).
+pub fn parse_num_res(extra: &[Value]) -> Result<usize, DbError> {
+    let Some(v) = extra.first() else { return Ok(1) };
+    let k = if let Some(k) = v.as_integer() {
+        k
+    } else if let Some(k) = v.as_text().and_then(|s| {
+        crate::extensible::param(&crate::extensible::parse_params(s), "sdo_num_res")
+            .map(str::to_string)
+    }) {
+        k.parse::<i64>().map_err(|_| DbError::Index(format!("bad sdo_num_res '{k}'")))?
+    } else {
+        return Err(DbError::Index("SDO_NN needs a result count (k or 'sdo_num_res=k')".into()));
+    };
+    if k < 1 {
+        return Err(DbError::Index("SDO_NN result count must be >= 1".into()));
+    }
+    Ok(k as usize)
+}
+
 pub(crate) fn eval_expr(metas: &[RelMeta], joined: &[RelRow], e: &Expr) -> Result<Value, DbError> {
     match e {
         Expr::Literal(v) => Ok(v.clone()),

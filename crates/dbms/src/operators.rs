@@ -13,11 +13,15 @@
 //!
 //! * [`TableScanExec`] — snapshot cursor over a base table (per-batch
 //!   locking, high-water-mark bound at open),
+//! * [`IndexScanExec`] — fetches only the rowids a domain index returns
+//!   for a constant spatial predicate (or the k nearest), one table
+//!   lock per batch, in rowid order (ranked order for the kNN
+//!   pushdown),
 //! * [`TableFunctionScanExec`] — wraps an open pipelined table function
 //!   and forwards its `fetch(max_rows)` batches directly,
-//! * [`FilterExec`] — per-batch predicate evaluation with the
-//!   index-assisted fast paths (window prefilter, SDO_NN ranking) as
-//!   open-time rewrites,
+//! * [`FilterExec`] — per-batch predicate evaluation; a predicate no
+//!   index scan consumed may still be answered by its index's rowid
+//!   set, computed once at open,
 //! * [`RowidSemiJoinExec`] — streams rowid pairs from a subquery and
 //!   fetches the paired base rows batch-by-batch,
 //! * [`NestedLoopJoinExec`] — streamed outer side, index-probed (or
@@ -41,6 +45,7 @@ use crate::exec::{
 use crate::extensible::OperatorCall;
 use crate::sql::ast::{FromItem, OrderKey, Predicate, Select, SelectItem};
 use parking_lot::RwLock;
+use sdo_geom::Geometry;
 use sdo_obs::{MemoryGauge, ProfileNode};
 use sdo_storage::{RowId, Snapshot, Table, Value};
 use sdo_tablefunc::source::TableCursor;
@@ -414,8 +419,9 @@ impl FilterEval {
 }
 
 /// Resolve each spatial predicate to its open-time fast path: a rowid
-/// keep-set from a domain-index evaluation (or functional SDO_NN
-/// ranking), else per-row functional evaluation.
+/// keep-set from a domain-index evaluation (or SDO_NN ranking), else
+/// per-row functional evaluation. Only predicates no index scan
+/// consumed get here.
 fn build_prefilters(
     db: &Database,
     metas: &[RelMeta],
@@ -431,177 +437,251 @@ fn build_prefilters(
         };
         let (ri, ci) = p.target;
         let m = &metas[ri];
-        let allow_index = index_hints.and_then(|h| h.get(pi)).copied().unwrap_or(true);
-        let index = m
-            .table_name
-            .as_deref()
-            .and_then(|t| db.index_on(t, &m.columns[ci]))
-            // SDO_NN must keep its index path regardless of the
-            // window-cost hint: the functional fallback below is a
-            // full ranking, never cheaper than the index.
-            .filter(|_| allow_index || p.name.eq_ignore_ascii_case("SDO_NN"));
-        if let Some((_, inst)) = index {
-            let mut args = vec![Value::Geometry(Arc::clone(qg))];
-            args.extend(p.extra.iter().cloned());
-            let call = OperatorCall { name: p.name.clone(), args, snap };
-            let keep: HashSet<RowId> = inst.read().evaluate(&call)?.into_iter().collect();
-            out.push(Prefilter::RowidSet { rel: ri, keep });
-        } else if p.name.eq_ignore_ascii_case("SDO_NN") {
-            // Functional k-NN without an index: rank the relation's
-            // rows by exact distance and keep the top k.
+        let index = m.table_name.as_deref().and_then(|t| db.index_on(t, &m.columns[ci]));
+        if p.name.eq_ignore_ascii_case("SDO_NN") {
+            // SDO_NN has no per-row form: rank the relation, through
+            // its index when it has one.
             let table = m.table.clone().ok_or_else(|| {
                 DbError::Plan("SDO_NN needs a base table or a domain index".into())
             })?;
-            let k = p
-                .extra
-                .first()
-                .and_then(|v| v.as_integer())
-                .filter(|&k| k >= 1)
-                .ok_or_else(|| DbError::Plan("SDO_NN needs a result count".into()))?
-                as usize;
-            let mut ranked: Vec<(f64, RowId)> = Vec::new();
-            let mut cursor = TableCursor::full(table).at_snapshot(snap);
-            loop {
-                let rows = cursor.next_batch(BATCH_ROWS);
-                if rows.is_empty() {
-                    break;
-                }
-                for row in rows {
-                    let Some(rid) = row[0].as_rowid() else { continue };
-                    if let Some(g) = row.get(ci + 1).and_then(|v| v.as_geometry()) {
-                        ranked.push((sdo_geom::distance(g, qg), rid));
-                    }
-                }
-            }
-            ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let keep: HashSet<RowId> = ranked.into_iter().take(k).map(|(_, r)| r).collect();
+            let k = crate::exec::parse_num_res(&p.extra)?;
+            let (ranked, _) =
+                rank_nearest(index.map(|(_, i)| i).as_ref(), &table, ci, qg, k, snap)?;
+            let keep = ranked.into_iter().map(|(_, r)| r).collect();
             out.push(Prefilter::RowidSet { rel: ri, keep });
-        } else {
-            out.push(Prefilter::Functional);
+            continue;
+        }
+        let allow_index = index_hints.and_then(|h| h.get(pi)).copied().unwrap_or(true);
+        match index.filter(|_| allow_index) {
+            Some((_, inst)) => {
+                let call = operator_call(p, qg, snap);
+                let keep: HashSet<RowId> = inst.read().evaluate(&call)?.into_iter().collect();
+                out.push(Prefilter::RowidSet { rel: ri, keep });
+            }
+            None => out.push(Prefilter::Functional),
         }
     }
     Ok(out)
 }
 
-/// Incremental nearest-neighbor scan: the planner's rewrite of
-/// `ORDER BY SDO_DISTANCE(col, const) LIMIT k` over an R-tree-indexed
-/// table. Asks the domain index for the k nearest rowids in
-/// `(distance, rowid)` order — exactly the order a stable full sort
-/// over a rowid-ordered scan produces — and fetches just those rows,
-/// so only k rows are ever resident instead of the whole table.
-pub(crate) struct KnnScanExec<'a> {
-    db: &'a Database,
-    table: Arc<RwLock<Table>>,
-    index: IndexHandle,
-    query: Arc<sdo_geom::Geometry>,
-    k: usize,
+/// The domain-index call for a constant spatial predicate
+/// `OP(col, qg, extra…)` under the statement snapshot.
+fn operator_call(p: &SpatialPred, qg: &Arc<Geometry>, snap: Snapshot) -> OperatorCall {
+    let mut args = vec![Value::Geometry(Arc::clone(qg))];
+    args.extend(p.extra.iter().cloned());
+    OperatorCall { name: p.name.clone(), args, snap }
+}
+
+/// `(distance, rowid)` pairs, ascending.
+type Ranked = Vec<(f64, RowId)>;
+
+/// The `k` rows of `table` nearest to `query` by `(distance, rowid)`,
+/// ascending, plus which path ranked them. The index's best-first
+/// search answers when it has one; otherwise (no index, or an
+/// indextype without `nearest`) every visible row is ranked by exact
+/// distance — the same order.
+fn rank_nearest(
+    index: Option<&IndexHandle>,
+    table: &Arc<RwLock<Table>>,
     col: usize,
+    query: &Geometry,
+    k: usize,
+    snap: Snapshot,
+) -> Result<(Ranked, &'static str), DbError> {
+    if let Some(ranked) = index.map(|i| i.read().nearest(query, k, &snap)).transpose()?.flatten() {
+        return Ok((ranked, "index best-first"));
+    }
+    let mut ranked: Ranked = Vec::new();
+    let mut cursor = TableCursor::full(Arc::clone(table)).at_snapshot(snap);
+    loop {
+        let rows = cursor.next_batch(BATCH_ROWS);
+        if rows.is_empty() {
+            break;
+        }
+        for row in rows {
+            let Some(rid) = row[0].as_rowid() else { continue };
+            if let Some(g) = row.get(col + 1).and_then(|v| v.as_geometry()) {
+                ranked.push((sdo_geom::distance(g, query), rid));
+            }
+        }
+    }
+    ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    ranked.truncate(k);
+    Ok((ranked, "functional ranking fallback"))
+}
+
+/// How an [`IndexScanExec`] (or an index-driven exchange) gets the
+/// rowids it fetches.
+pub(crate) enum IndexAccess {
+    /// A constant operator evaluated by the domain index: its exact
+    /// answer, fetched in rowid order (a table scan's order).
+    Operator { index: IndexHandle, call: OperatorCall },
+    /// The `k` rows nearest to `query` in column `col`: in
+    /// `(distance, rowid)` order when `ranked` (the ORDER BY pushdown),
+    /// else in rowid order (`WHERE SDO_NN(…) = 'TRUE'`).
+    Nearest { index: IndexHandle, query: Arc<Geometry>, k: usize, col: usize, ranked: bool },
+}
+
+impl IndexAccess {
+    /// The access a constant spatial predicate gets through `index`.
+    pub(crate) fn for_predicate(
+        p: &SpatialPred,
+        index: IndexHandle,
+        snap: Snapshot,
+    ) -> Result<Self, DbError> {
+        let SpatialOperand::Const(qg) = &p.other else {
+            return Err(DbError::Plan("an index scan needs a constant operand".into()));
+        };
+        Ok(if p.name.eq_ignore_ascii_case("SDO_NN") {
+            let k = crate::exec::parse_num_res(&p.extra)?;
+            IndexAccess::Nearest { index, query: Arc::clone(qg), k, col: p.target.1, ranked: false }
+        } else {
+            IndexAccess::Operator { index, call: operator_call(p, qg, snap) }
+        })
+    }
+
+    /// Ask the index once: the rowids to fetch, in emission order, and
+    /// for kNN which path ranked them.
+    pub(crate) fn rowids(
+        self,
+        table: &Arc<RwLock<Table>>,
+        snap: Snapshot,
+    ) -> Result<(Vec<RowId>, Option<&'static str>), DbError> {
+        match self {
+            IndexAccess::Operator { index, call } => {
+                let mut rids = index.read().evaluate(&call)?;
+                // Custom indextypes may answer unsorted or repeat a rowid.
+                rids.sort_unstable();
+                rids.dedup();
+                Ok((rids, None))
+            }
+            IndexAccess::Nearest { index, query, k, col, ranked } => {
+                let (list, path) = rank_nearest(Some(&index), table, col, &query, k, snap)?;
+                let mut rids: Vec<RowId> = list.into_iter().map(|(_, r)| r).collect();
+                if !ranked {
+                    rids.sort_unstable();
+                }
+                Ok((rids, Some(path)))
+            }
+        }
+    }
+}
+
+/// Fetch `rids` from `table` under `snap` with one read lock, into
+/// relation slot `slot` of joined rows `width` wide. Rows the snapshot
+/// cannot see are skipped: an index may hold entries for versions the
+/// statement cannot see (in-flight inserts, deferred old entries), and
+/// the heap fetch is the visibility filter.
+pub(crate) fn fetch_rows(
+    table: &RwLock<Table>,
+    rids: &[RowId],
+    snap: &Snapshot,
     slot: usize,
     width: usize,
-    results: Option<VecDeque<(f64, RowId)>>,
+) -> JoinedBatch {
+    let guard = table.read();
+    let mut out = Vec::with_capacity(rids.len());
+    for &rid in rids {
+        let Ok(vals) = guard.get_at(rid, snap) else { continue };
+        let mut jr = empty_joined(width);
+        jr[slot] = RelRow { rid: Some(rid), values: vals.to_vec() };
+        out.push(jr);
+    }
+    out
+}
+
+/// q-error of an estimate against the actual: `max(est/act, act/est)`,
+/// both clamped to at least one row so empty results stay finite.
+fn qerror(est: f64, act: u64) -> f64 {
+    let (e, a) = (est.max(1.0), (act as f64).max(1.0));
+    (e / a).max(a / e)
+}
+
+/// Index scan: the domain index answers once, and only its rowids are
+/// fetched from the heap — sorted and deduplicated, at the statement
+/// snapshot, one table lock per batch. Replaces a table scan whose
+/// filter would keep the same rows, in the same (rowid) order; for the
+/// kNN pushdown the order is the ranking's `(distance, rowid)`, which
+/// is exactly what a stable full sort over a rowid-ordered scan gives.
+pub(crate) struct IndexScanExec<'a> {
+    db: &'a Database,
+    table: Arc<RwLock<Table>>,
+    access: Option<IndexAccess>,
+    rids: Vec<RowId>,
+    next: usize,
+    slot: usize,
+    width: usize,
+    /// The planner's row estimate, stamped beside the actual rows.
+    est_rows: f64,
+    produced: u64,
     node: Option<ProfileNode>,
-    resident: Resident,
     snap: Snapshot,
 }
 
-impl<'a> KnnScanExec<'a> {
-    #[allow(clippy::too_many_arguments)]
+impl<'a> IndexScanExec<'a> {
     pub(crate) fn new(
         ctx: &ExecCtx<'a>,
         table: Arc<RwLock<Table>>,
-        index: IndexHandle,
-        query: Arc<sdo_geom::Geometry>,
-        k: usize,
-        col: usize,
+        access: IndexAccess,
         slot: usize,
         width: usize,
+        est_rows: f64,
         node: Option<ProfileNode>,
     ) -> Self {
-        let resident = ctx.resident("KNN SCAN");
-        KnnScanExec {
+        if let Some(n) = &node {
+            n.set_attr("est_rows", format!("{est_rows:.0}"));
+        }
+        IndexScanExec {
             db: ctx.db,
             table,
-            index,
-            query,
-            k,
-            col,
+            access: Some(access),
+            rids: Vec::new(),
+            next: 0,
             slot,
             width,
-            results: None,
+            est_rows,
+            produced: 0,
             node,
-            resident,
             snap: ctx.snap,
         }
     }
 
-    fn ensure_ranked(&mut self) -> Result<(), DbError> {
-        if self.results.is_some() {
-            return Ok(());
+    fn stamp_qerror(&self) {
+        if let Some(n) = &self.node {
+            n.set_attr("qerror", format!("{:.2}", qerror(self.est_rows, self.produced)));
         }
-        let ranked = match self.index.read().nearest(&self.query, self.k, &self.snap)? {
-            Some(v) => {
-                if let Some(n) = &self.node {
-                    n.set_attr("knn_path", "index best-first");
-                }
-                v
-            }
-            None => {
-                // The index declared no kNN capability after all (the
-                // planner checks the index kind, but custom indextypes
-                // may not implement `nearest`): rank functionally, same
-                // (distance, rowid) order.
-                if let Some(n) = &self.node {
-                    n.set_attr("knn_path", "functional ranking fallback");
-                }
-                let mut ranked: Vec<(f64, RowId)> = Vec::new();
-                let mut cursor = TableCursor::full(Arc::clone(&self.table)).at_snapshot(self.snap);
-                loop {
-                    let rows = cursor.next_batch(BATCH_ROWS);
-                    if rows.is_empty() {
-                        break;
-                    }
-                    for row in rows {
-                        let Some(rid) = row[0].as_rowid() else { continue };
-                        if let Some(g) = row.get(self.col + 1).and_then(|v| v.as_geometry()) {
-                            ranked.push((sdo_geom::distance(g, &self.query), rid));
-                        }
-                    }
-                }
-                ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                ranked.truncate(self.k);
-                ranked
-            }
-        };
-        self.resident.add(ranked.len() as u64)?;
-        self.results = Some(ranked.into_iter().collect());
-        Ok(())
     }
 }
 
-impl BatchOp for KnnScanExec<'_> {
+impl BatchOp for IndexScanExec<'_> {
     fn next_batch(&mut self) -> Result<JoinedBatch, DbError> {
         let t0 = self.node.as_ref().map(|_| Instant::now());
         let before = self.node.as_ref().map(|_| self.db.counters().snapshot());
-        self.ensure_ranked()?;
-        let buf = self.results.as_mut().expect("ranked");
-        let mut out = Vec::new();
-        while out.len() < BATCH_ROWS {
-            let Some((_, rid)) = buf.pop_front() else { break };
-            // `nearest` already ranked under this snapshot, and pruning
-            // cannot take a ranked row away: it drops only versions
-            // whose deleter committed at or below the horizon, the
-            // oldest pinned CSN, and this statement's pin keeps the
-            // horizon at or below `snap`. A miss here is skipped.
-            let vals = match self.table.read().get_at(rid, &self.snap) {
-                Ok(v) => v,
-                Err(_) => continue,
-            };
-            let mut jr = empty_joined(self.width);
-            jr[self.slot] = RelRow { rid: Some(rid), values: vals.to_vec() };
-            out.push(jr);
+        if let Some(access) = self.access.take() {
+            let (rids, knn_path) = access.rowids(&self.table, self.snap)?;
+            if let (Some(n), Some(p)) = (&self.node, knn_path) {
+                n.set_attr("knn_path", p);
+            }
+            self.rids = rids;
         }
-        self.resident.set(buf.len() as u64)?;
-        if !out.is_empty() {
+        // An empty batch means exhaustion, so a chunk whose rows are all
+        // invisible moves on to the next.
+        let mut out = Vec::new();
+        while out.is_empty() && self.next < self.rids.len() {
+            let end = (self.next + BATCH_ROWS).min(self.rids.len());
+            out = fetch_rows(
+                &self.table,
+                &self.rids[self.next..end],
+                &self.snap,
+                self.slot,
+                self.width,
+            );
+            self.next = end;
+        }
+        self.produced += out.len() as u64;
+        if out.is_empty() {
+            self.stamp_qerror();
+        } else {
             note_batch(&self.node, out.len(), t0);
         }
         if let (Some(n), Some(b)) = (&self.node, &before) {
@@ -611,8 +691,11 @@ impl BatchOp for KnnScanExec<'_> {
     }
 
     fn close(&mut self) {
-        self.results = None;
-        let _ = self.resident.set(0);
+        if self.access.is_none() {
+            self.stamp_qerror();
+        }
+        self.rids = Vec::new();
+        self.next = 0;
     }
 }
 
@@ -1280,9 +1363,28 @@ impl BatchOp for LimitExec<'_> {
 // ---------------------------------------------------------------------------
 
 enum SourceSlot {
-    Table { name: String, table: Arc<RwLock<Table>> },
-    Tf { name: String, func: Box<dyn TableFunction> },
+    Table {
+        name: String,
+        table: Arc<RwLock<Table>>,
+    },
+    /// A base table the planner reads through its domain index.
+    Index {
+        table: Arc<RwLock<Table>>,
+        scan: IndexScanSpec,
+    },
+    Tf {
+        name: String,
+        func: Box<dyn TableFunction>,
+    },
     Taken,
+}
+
+/// An index scan the builder validated against the planner's choice.
+struct IndexScanSpec {
+    access: IndexAccess,
+    label: String,
+    est_rows: f64,
+    reason: String,
 }
 
 /// A built SELECT pipeline: the operator tree plus the projection that
@@ -1357,11 +1459,61 @@ fn make_scan<'a>(
         SourceSlot::Table { name, table } => {
             Ok(Box::new(TableScanExec::new(ctx, table, &name, slot, width, parent)))
         }
+        SourceSlot::Index { table, scan } => {
+            let node = parent.map(|p| p.child(scan.label));
+            if let Some(n) = &node {
+                n.set_attr("plan_reason", scan.reason);
+            }
+            let est = scan.est_rows;
+            Ok(Box::new(IndexScanExec::new(ctx, table, scan.access, slot, width, est, node)))
+        }
         SourceSlot::Tf { name, func } => {
             Ok(Box::new(TableFunctionScanExec::new(ctx, func, &name, slot, width, parent)))
         }
         SourceSlot::Taken => Err(DbError::Plan("FROM item used twice in plan".into())),
     }
+}
+
+/// Apply the planner's index-scan choices: each validated choice turns
+/// its FROM slot into [`SourceSlot::Index`] and takes its driving
+/// predicate (and that predicate's hint) out of the filter stage.
+/// Planning is advisory, so a choice the runtime shape no longer
+/// matches is dropped and its slot scans the table as before.
+fn take_index_scans(
+    ctx: &ExecCtx<'_>,
+    metas: &[RelMeta],
+    sources: &mut [SourceSlot],
+    spatial: &mut Vec<SpatialPred>,
+    hints: &mut Option<Vec<bool>>,
+    choices: &[crate::planner::IndexScanChoice],
+) -> Result<(), DbError> {
+    let mut choices: Vec<&crate::planner::IndexScanChoice> = choices.iter().collect();
+    // Remove from the back so earlier positions stay valid.
+    choices.sort_by_key(|c| std::cmp::Reverse(c.pred));
+    for c in choices {
+        let Some(p) = spatial.get(c.pred).filter(|p| p.target.0 == c.slot && !p.is_join()) else {
+            continue;
+        };
+        let m = &metas[c.slot];
+        let index =
+            m.table_name.as_deref().and_then(|t| ctx.db.index_on(t, &m.columns[p.target.1]));
+        let (Some((_, index)), SourceSlot::Table { table, .. }) = (index, &sources[c.slot]) else {
+            continue;
+        };
+        let table = Arc::clone(table);
+        let scan = IndexScanSpec {
+            access: IndexAccess::for_predicate(p, index, ctx.snap)?,
+            label: c.label.clone(),
+            est_rows: c.est_rows,
+            reason: c.reason.clone(),
+        };
+        sources[c.slot] = SourceSlot::Index { table, scan };
+        spatial.remove(c.pred);
+        if let Some(h) = hints {
+            h.remove(c.pred);
+        }
+    }
+    Ok(())
 }
 
 /// Build the streaming operator tree for a SELECT. Profile nodes are
@@ -1451,14 +1603,30 @@ pub(crate) fn build_select_stream<'a>(
         width == 1 && rowid_pairs.is_empty() && spatial.is_empty() && residual.is_empty()
     });
 
+    // The column-column spatial predicate drives a nested loop unless a
+    // rowid-pair semijoin drives (mirrors the planner).
+    let join_pred = match rowid_pairs.is_empty() {
+        true => spatial.iter().position(|s| s.is_join()).map(|p| spatial.remove(p)),
+        false => None,
+    };
+    // The planner's hints and index scans index the constant predicates
+    // in this same order; a length mismatch means it classified
+    // differently (e.g. a predicate over a table-function column), so
+    // neither applies.
+    let mut hints =
+        plan.as_ref().map(|p| p.filter_hints.clone()).filter(|h| h.len() == spatial.len());
+    if let (Some(p), true) = (&plan, hints.is_some()) {
+        take_index_scans(ctx, &metas, &mut sources, &mut spatial, &mut hints, &p.index_scans)?;
+    }
+
     // Exchange placement: honor the planner's parallelization only
     // when the runtime shape matches what it assumed (re-validated
     // here because planning is advisory).
     let exchange = plan.as_ref().and_then(|p| p.exchange.clone());
     let single_base = width == 1
-        && matches!(sources[0], SourceSlot::Table { .. })
+        && matches!(sources[0], SourceSlot::Table { .. } | SourceSlot::Index { .. })
         && rowid_pairs.is_empty()
-        && !spatial.iter().any(|s| s.is_join());
+        && join_pred.is_none();
     use crate::planner::ExchangeSite;
     let par_scan = matches!(&exchange, Some(x) if x.site == ExchangeSite::Scan)
         && single_base
@@ -1481,44 +1649,33 @@ pub(crate) fn build_select_stream<'a>(
     if sort_node.is_some() {
         anchor = sort_node.clone();
     }
+    let has_filter_stage = !spatial.is_empty() || !residual.is_empty();
 
     // Join strategy.
     let mut root: Box<dyn BatchOp + 'a>;
     if let Some(kc) = knn {
-        // ORDER BY SDO_DISTANCE(col, const) LIMIT k → incremental
-        // best-first search in the domain index; replaces scan + sort.
+        // ORDER BY SDO_DISTANCE(col, const) LIMIT k → an index scan
+        // over the best-first ranking; replaces scan + sort.
         let m = &metas[0];
-        let binding = m.binding.clone();
-        let node = anchor.as_ref().map(|p| p.child(format!("KNN SCAN {} (k={})", binding, kc.k)));
-        if let Some(n) = &node {
-            n.set_attr("plan_reason", kc.reason.clone());
-            n.set_attr("est_cost", format!("{:.0}", kc.est_cost));
-        }
-        let table = m
-            .table
-            .clone()
-            .ok_or_else(|| DbError::Plan("kNN pushdown requires a base table".into()))?;
         let index = m
             .table_name
             .as_deref()
             .and_then(|t| db.index_on(t, &m.columns[kc.col]))
             .map(|(_, inst)| inst)
             .ok_or_else(|| DbError::Plan("kNN pushdown requires a domain index".into()))?;
-        // Mark the FROM source consumed so the builder stays coherent.
-        sources[0] = SourceSlot::Taken;
-        root = Box::new(KnnScanExec::new(
-            ctx,
-            table,
-            index,
-            Arc::clone(&kc.query),
-            kc.k,
-            kc.col,
-            0,
-            width,
-            node,
-        ));
+        let SourceSlot::Table { table, .. } = &sources[0] else {
+            return Err(DbError::Plan("kNN pushdown requires a base table".into()));
+        };
+        let (query, k, col) = (Arc::clone(&kc.query), kc.k, kc.col);
+        let scan = IndexScanSpec {
+            access: IndexAccess::Nearest { index, query, k, col, ranked: true },
+            label: format!("KNN SCAN {} (k={k})", m.binding),
+            est_rows: k as f64,
+            reason: kc.reason.clone(),
+        };
+        sources[0] = SourceSlot::Index { table: Arc::clone(table), scan };
+        root = make_scan(ctx, &mut sources, 0, width, anchor.as_ref())?;
     } else if let Some(Predicate::RowidPairIn { left, right, subquery }) = rowid_pairs.first() {
-        let has_filter_stage = !spatial.is_empty() || !residual.is_empty();
         let filter_node = (has_filter_stage && !par_probe)
             .then(|| anchor.as_ref().map(|p| p.child("FILTER")))
             .flatten();
@@ -1542,8 +1699,6 @@ pub(crate) fn build_select_stream<'a>(
             .table
             .clone()
             .ok_or_else(|| DbError::Plan("rowid pair over non-table".into()))?;
-        let hints =
-            plan.as_ref().map(|p| p.filter_hints.clone()).filter(|h| h.len() == spatial.len());
         if par_probe {
             // Parallel probe: the pair stream is cut into blocks fanned
             // out to workers, which fetch both base rows (through a
@@ -1583,9 +1738,7 @@ pub(crate) fn build_select_stream<'a>(
                 ));
             }
         }
-    } else if let Some(jpos) = spatial.iter().position(|s| s.is_join()) {
-        let mut jp = spatial.remove(jpos);
-        let has_filter_stage = !spatial.is_empty() || !residual.is_empty();
+    } else if let Some(mut jp) = join_pred {
         let filter_node =
             has_filter_stage.then(|| anchor.as_ref().map(|p| p.child("FILTER"))).flatten();
         let join_anchor = filter_node.clone().or(anchor.clone());
@@ -1625,8 +1778,6 @@ pub(crate) fn build_select_stream<'a>(
         };
         root = Box::new(NestedLoopJoinExec::new(ctx, outer, jp, inner, width, node)?);
         if has_filter_stage {
-            let hints =
-                plan.as_ref().map(|p| p.filter_hints.clone()).filter(|h| h.len() == spatial.len());
             root = Box::new(FilterExec::new(
                 root,
                 ctx,
@@ -1639,31 +1790,37 @@ pub(crate) fn build_select_stream<'a>(
         }
     } else if par_scan || par_sort {
         // Morsel-driven scan (+filter, + per-worker sort under an
-        // ORDER BY): the exchange fans slot-range morsels out to the
-        // slave pool and merges per-worker output back into the
-        // ordered batch stream.
+        // ORDER BY): the exchange fans morsels — slot ranges of the
+        // heap, or chunks of an index scan's rowids — out to the slave
+        // pool and merges per-worker output back into the ordered
+        // batch stream.
         let x = exchange.as_ref().expect("parallel path implies exchange");
         let node = anchor.as_ref().map(|p| p.child("EXCHANGE"));
         if let Some(n) = &node {
             n.set_attr("plan_reason", x.reason.clone());
         }
-        let table = match std::mem::replace(&mut sources[0], SourceSlot::Taken) {
-            SourceSlot::Table { table, .. } => table,
+        let (table, access) = match std::mem::replace(&mut sources[0], SourceSlot::Taken) {
+            SourceSlot::Table { table, .. } => (table, None),
+            SourceSlot::Index { table, scan } => {
+                if let Some(n) = &node {
+                    n.set_attr("access", scan.label);
+                }
+                (table, Some(scan.access))
+            }
             _ => return Err(DbError::Plan("exchange requires a base table".into())),
         };
-        let hints =
-            plan.as_ref().map(|p| p.filter_hints.clone()).filter(|h| h.len() == spatial.len());
         let inputs = (Arc::clone(&metas), spatial, residual, hints);
         root = if par_sort {
             let (keys, limit) = (sel.order_by.clone(), sel.limit);
             Box::new(crate::parallel::ParallelSortExec::new(
-                ctx, table, inputs, keys, limit, x.dop, node,
+                ctx, table, access, inputs, keys, limit, x.dop, node,
             ))
         } else {
-            Box::new(crate::parallel::ParallelScanFilterExec::new(ctx, table, inputs, x.dop, node))
+            Box::new(crate::parallel::ParallelScanFilterExec::new(
+                ctx, table, access, inputs, x.dop, node,
+            ))
         };
     } else {
-        let has_filter_stage = !spatial.is_empty() || !residual.is_empty();
         let filter_node =
             has_filter_stage.then(|| anchor.as_ref().map(|p| p.child("FILTER"))).flatten();
         let scan_anchor = filter_node.clone().or(anchor.clone());
@@ -1687,8 +1844,6 @@ pub(crate) fn build_select_stream<'a>(
             root = Box::new(CrossJoinExec::new(ctx, first, rest, node));
         }
         if has_filter_stage {
-            let hints =
-                plan.as_ref().map(|p| p.filter_hints.clone()).filter(|h| h.len() == spatial.len());
             root = Box::new(FilterExec::new(
                 root,
                 ctx,
@@ -1723,7 +1878,8 @@ pub(crate) fn run_select_streaming(
 
 /// Scan-and-filter a single table, returning the matching `(rowid,
 /// row)` pairs. The DML paths (DELETE / UPDATE) drive their doomed-set
-/// collection through the same scan + filter operators as SELECT.
+/// collection through the same access paths and filter as SELECT: an
+/// indexable spatial predicate is answered by an index scan.
 pub(crate) fn collect_matching(
     ctx: &ExecCtx<'_>,
     table_name: &str,
@@ -1763,8 +1919,10 @@ pub(crate) fn collect_matching(
         }
     }
     let parent = sdo_obs::current();
-    let mut root: Box<dyn BatchOp + '_> =
-        Box::new(TableScanExec::new(ctx, table, table_name, 0, 1, parent.as_ref()));
+    let mut sources = [SourceSlot::Table { name: table_name.to_string(), table }];
+    let choices: Vec<_> = crate::planner::plan_dml_scan(db, &metas, &spatial).into_iter().collect();
+    take_index_scans(ctx, &metas, &mut sources, &mut spatial, &mut None, &choices)?;
+    let mut root = make_scan(ctx, &mut sources, 0, 1, parent.as_ref())?;
     if !spatial.is_empty() || !residual.is_empty() {
         let node = parent.as_ref().map(|p| p.child("FILTER"));
         root =

@@ -4,8 +4,8 @@
 //! The serial executor in [`crate::operators`] pulls one batch at a
 //! time through a single thread. This module adds the classic
 //! morsel-driven design on top of it: an exchange cuts its input into
-//! *morsels* (slot ranges of a heap table, or probe blocks of a rowid
-//! pair stream), seeds them into the work-stealing [`TaskQueue`] from
+//! *morsels* (slot ranges of a heap table, chunks of an index scan's
+//! rowids, or probe blocks of a rowid pair stream), seeds them into the work-stealing [`TaskQueue`] from
 //! `sdo-tablefunc`, and runs one worker body per degree of parallelism
 //! on [`Fanout`] — the same core (and slave pool) the paper's parallel
 //! table functions use, so one runtime spawns, streams, cancels and
@@ -32,8 +32,8 @@ use crate::db::Database;
 use crate::error::DbError;
 use crate::exec::RelRow;
 use crate::operators::{
-    empty_joined, note_batch, BatchOp, ExecCtx, FilterEval, FilterInputs, JoinedBatch, Resident,
-    SelectStream, BATCH_ROWS,
+    empty_joined, fetch_rows, note_batch, BatchOp, ExecCtx, FilterEval, FilterInputs, IndexAccess,
+    JoinedBatch, Resident, SelectStream, BATCH_ROWS,
 };
 use crate::sql::ast::OrderKey;
 use parking_lot::{Mutex, RwLock};
@@ -68,12 +68,20 @@ pub fn set_morsel_rows(n: usize) {
 /// Probe-cache capacity per semijoin worker, in cached rows.
 const PROBE_CACHE_ROWS: usize = 4096;
 
-/// One slot-range morsel of a heap table: slots `[from, to)`.
-#[derive(Debug, Clone, Copy)]
+/// One morsel of a table: its place in scan order and what it reads.
+#[derive(Debug, Clone)]
 struct Morsel {
     idx: usize,
-    from: usize,
-    to: usize,
+    span: Span,
+}
+
+/// The rows one morsel reads.
+#[derive(Debug, Clone)]
+enum Span {
+    /// Heap slots `[from, to)`.
+    Slots(usize, usize),
+    /// A chunk of an index scan's rowids, in emission order.
+    Rowids(Vec<RowId>),
 }
 
 /// Cut `[0, hwm)` into morsels of the current size, in slot order.
@@ -82,7 +90,7 @@ fn make_morsels(hwm: usize) -> Vec<Morsel> {
     (0..hwm)
         .step_by(step)
         .enumerate()
-        .map(|(idx, from)| Morsel { idx, from, to: (from + step).min(hwm) })
+        .map(|(idx, from)| Morsel { idx, span: Span::Slots(from, (from + step).min(hwm)) })
         .collect()
 }
 
@@ -241,38 +249,64 @@ impl MorselScan {
     /// Scan one morsel through the shared filter, returning surviving
     /// rows charged against `charge`.
     fn scan(&self, m: Morsel, charge: &mut GaugeCharge) -> Result<JoinedBatch, DbError> {
-        let mut cursor =
-            TableCursor::slice(Arc::clone(&self.table), m.from, m.to).at_snapshot(self.snap);
         let mut out = Vec::new();
-        loop {
-            let rows = cursor.next_batch(BATCH_ROWS);
-            if rows.is_empty() {
-                break;
-            }
-            let mut kept = 0u64;
-            for row in rows {
-                let mut it = row.into_iter();
-                let rid = it.next().and_then(|v| v.as_rowid());
-                let mut jr = empty_joined(self.width);
-                jr[0] = RelRow { rid, values: it.collect() };
-                if !self.eval.is_empty() && !self.eval.row_passes(&jr)? {
-                    continue;
+        match m.span {
+            Span::Slots(from, to) => {
+                let mut cursor =
+                    TableCursor::slice(Arc::clone(&self.table), from, to).at_snapshot(self.snap);
+                loop {
+                    let rows = cursor.next_batch(BATCH_ROWS);
+                    if rows.is_empty() {
+                        break;
+                    }
+                    let batch = rows.into_iter().map(|row| {
+                        // TableCursor prepends the rowid.
+                        let mut it = row.into_iter();
+                        let rid = it.next().and_then(|v| v.as_rowid());
+                        let mut jr = empty_joined(self.width);
+                        jr[0] = RelRow { rid, values: it.collect() };
+                        jr
+                    });
+                    self.keep(batch, &mut out, charge)?;
                 }
-                out.push(jr);
-                kept += 1;
             }
-            charge_rows(charge, self.budget, kept, "EXCHANGE")?;
+            Span::Rowids(rids) => {
+                for chunk in rids.chunks(BATCH_ROWS) {
+                    let batch = fetch_rows(&self.table, chunk, &self.snap, 0, self.width);
+                    self.keep(batch, &mut out, charge)?;
+                }
+            }
         }
         Ok(out)
     }
+
+    /// Append the rows of `batch` that pass the filter to `out`,
+    /// charging them against `charge`.
+    fn keep(
+        &self,
+        batch: impl IntoIterator<Item = Vec<RelRow>>,
+        out: &mut JoinedBatch,
+        charge: &mut GaugeCharge,
+    ) -> Result<(), DbError> {
+        let before = out.len();
+        for jr in batch {
+            if self.eval.is_empty() || self.eval.row_passes(&jr)? {
+                out.push(jr);
+            }
+        }
+        charge_rows(charge, self.budget, (out.len() - before) as u64, "EXCHANGE")
+    }
 }
 
-/// The coordinator state the scan and sort exchanges share: the table
-/// and filter inputs their fan-out starts from, and the resident
-/// account for rows the coordinator holds.
+/// The coordinator state the scan and sort exchanges share: the table,
+/// index access and filter inputs their fan-out starts from, and the
+/// resident account for rows the coordinator holds.
 struct TableSite<'a> {
     db: &'a Database,
     table: Arc<RwLock<Table>>,
+    /// When set, morsels are chunks of this index scan's rowids
+    /// instead of heap slot ranges.
+    access: Option<IndexAccess>,
     inputs: Option<FilterInputs>,
     dop: usize,
     node: Option<ProfileNode>,
@@ -287,6 +321,7 @@ impl<'a> TableSite<'a> {
     fn new(
         ctx: &ExecCtx<'a>,
         table: Arc<RwLock<Table>>,
+        access: Option<IndexAccess>,
         inputs: FilterInputs,
         dop: usize,
         node: Option<ProfileNode>,
@@ -294,6 +329,7 @@ impl<'a> TableSite<'a> {
         TableSite {
             db: ctx.db,
             table,
+            access,
             inputs: Some(inputs),
             dop: dop.max(1),
             node,
@@ -305,16 +341,23 @@ impl<'a> TableSite<'a> {
         }
     }
 
-    /// Build the filter and cut the table into morsels for
-    /// `min(dop, morsels)` workers — one profile node each, and that
-    /// count stamped as the exchange's `dop`. `None` when the table has
-    /// no slots.
+    /// Build the filter and cut the table (or the index scan's rowids)
+    /// into morsels for `min(dop, morsels)` workers — one profile node
+    /// each, and that count stamped as the exchange's `dop`. `None`
+    /// when there is nothing to read.
     fn prepare(&mut self) -> Result<Option<(MorselScan, Vec<Morsel>)>, DbError> {
         let (metas, spatial, residual, hints) = self.inputs.take().expect("exchange inputs");
         let width = metas.len();
         let eval =
             FilterEval::build(self.db, metas, spatial, residual, hints.as_deref(), self.snap)?;
-        let morsels = make_morsels(self.table.read().high_water_mark());
+        let morsels = match self.access.take() {
+            Some(access) => {
+                let (rids, _) = access.rowids(&self.table, self.snap)?;
+                let chunks = rids.chunks(morsel_rows()).map(|c| Span::Rowids(c.to_vec()));
+                chunks.enumerate().map(|(idx, span)| Morsel { idx, span }).collect()
+            }
+            None => make_morsels(self.table.read().high_water_mark()),
+        };
         if morsels.is_empty() {
             return Ok(None);
         }
@@ -379,11 +422,12 @@ impl<'a> ParallelScanFilterExec<'a> {
     pub(crate) fn new(
         ctx: &ExecCtx<'a>,
         table: Arc<RwLock<Table>>,
+        access: Option<IndexAccess>,
         inputs: FilterInputs,
         dop: usize,
         node: Option<ProfileNode>,
     ) -> Self {
-        let site = TableSite::new(ctx, table, inputs, dop, node);
+        let site = TableSite::new(ctx, table, access, inputs, dop, node);
         ParallelScanFilterExec { site, state: None, done: false }
     }
 
@@ -514,16 +558,18 @@ pub(crate) struct ParallelSortExec<'a> {
 }
 
 impl<'a> ParallelSortExec<'a> {
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         ctx: &ExecCtx<'a>,
         table: Arc<RwLock<Table>>,
+        access: Option<IndexAccess>,
         inputs: FilterInputs,
         keys: Vec<OrderKey>,
         limit: Option<usize>,
         dop: usize,
         node: Option<ProfileNode>,
     ) -> Self {
-        let site = TableSite::new(ctx, table, inputs, dop, node);
+        let site = TableSite::new(ctx, table, access, inputs, dop, node);
         ParallelSortExec { site, keys, limit, runs: None, done: false }
     }
 
@@ -546,6 +592,7 @@ impl<'a> ParallelSortExec<'a> {
             let mut run = || -> Result<(), DbError> {
                 while !out.cancelled() {
                     let Some(m) = queue.pop(w) else { break };
+                    let idx = m.idx;
                     for (pos, jr) in scan.scan(m, &mut charge)?.into_iter().enumerate() {
                         let ks = keys
                             .iter()
@@ -553,7 +600,7 @@ impl<'a> ParallelSortExec<'a> {
                             .collect::<Result<Vec<_>, _>>()?;
                         // Serial scan order: morsel index, then surviving
                         // row position within the morsel.
-                        buf.push((ks, ((m.idx as u64) << 32) | pos as u64, jr));
+                        buf.push((ks, ((idx as u64) << 32) | pos as u64, jr));
                     }
                     // Top-k: never hold more than 2k rows per worker;
                     // sort and cut back to k, releasing the difference.
@@ -988,8 +1035,8 @@ mod tests {
             descending: false,
         };
         let inputs = || (test_metas(db), Vec::new(), residual.clone(), None);
-        let scan = ParallelScanFilterExec::new(ctx, Arc::clone(&table), inputs(), 4, None);
-        let sort = ParallelSortExec::new(ctx, table, inputs(), vec![by_x], None, 4, None);
+        let scan = ParallelScanFilterExec::new(ctx, Arc::clone(&table), None, inputs(), 4, None);
+        let sort = ParallelSortExec::new(ctx, table, None, inputs(), vec![by_x], None, 4, None);
         vec![("scan", Box::new(scan)), ("sort", Box::new(sort))]
     }
 
@@ -1032,7 +1079,8 @@ mod tests {
         let ctx = test_ctx(&db, u64::MAX, 4);
         let gauge = ctx.gauge.clone();
         let inputs = (test_metas(&db), Vec::new(), Vec::new(), None);
-        let mut exec = ParallelScanFilterExec::new(&ctx, db.table("t").unwrap(), inputs, 4, None);
+        let mut exec =
+            ParallelScanFilterExec::new(&ctx, db.table("t").unwrap(), None, inputs, 4, None);
         let mut ids = Vec::new();
         loop {
             let b = exec.next_batch().unwrap();

@@ -5,10 +5,11 @@
 //! every SELECT, a costed [`PlanNode`] tree plus the concrete physical
 //! decisions the executors consult:
 //!
-//! * **filter path** — domain-index prefilter vs. functional scan per
-//!   constant spatial predicate, chosen by estimated output rows (a
-//!   window covering most of the table makes the index probe pure
-//!   overhead),
+//! * **access path** — per base-table FROM slot, an index scan (fetch
+//!   only the rowids a constant spatial predicate's domain index
+//!   returns) vs. a table scan, chosen by estimated output rows (a
+//!   window covering most of the table makes fetching by rowid dearer
+//!   than scanning the heap),
 //! * **join order and method** — for a column-column spatial predicate,
 //!   all four (outer side × probe/build) orientations are costed and
 //!   the cheapest picked; for pure cartesian products the largest
@@ -125,6 +126,14 @@ impl RelEstimate {
     }
 }
 
+/// The planner's view of one base table: its exact live row count and
+/// the statistics `ANALYZE` persisted, flagged when stale.
+fn table_estimate(db: &Database, name: &str, t: &sdo_storage::Table) -> RelEstimate {
+    let stats = db.catalog().table_stats(name);
+    let stale = stats.as_ref().map(|s| s.is_stale(t.mod_count())).unwrap_or(false);
+    RelEstimate { rows: t.len() as f64, stats, stale }
+}
+
 /// Build the planner's view of the FROM list **without** instantiating
 /// table functions (plain `EXPLAIN` must not evaluate `CURSOR(...)`
 /// arguments). Table-function relations get empty column lists;
@@ -140,21 +149,15 @@ pub(crate) fn plan_relations(
         match item {
             FromItem::Table { name, .. } => {
                 let table = db.table(name)?;
-                let (columns, rows, mods) = {
-                    let t = table.read();
-                    let columns: Vec<String> =
-                        t.schema().columns().iter().map(|c| c.name.clone()).collect();
-                    (columns, t.len() as f64, t.mod_count())
-                };
-                let stats = db.catalog().table_stats(name);
-                let stale = stats.as_ref().map(|s| s.is_stale(mods)).unwrap_or(false);
+                let columns: Vec<String> =
+                    table.read().schema().columns().iter().map(|c| c.name.clone()).collect();
+                ests.push(table_estimate(db, name, &table.read()));
                 metas.push(RelMeta {
                     binding: item.binding().to_ascii_uppercase(),
                     columns,
                     table: Some(table),
                     table_name: Some(name.to_ascii_uppercase()),
                 });
-                ests.push(RelEstimate { rows, stats, stale });
             }
             FromItem::TableFunction { .. } => {
                 metas.push(RelMeta {
@@ -263,10 +266,31 @@ pub(crate) struct KnnChoice {
     pub reason: String,
 }
 
-/// Per-spatial-predicate filter path: `true` = use the domain index
-/// prefilter when one exists, `false` = planner determined the
-/// functional scan is cheaper (index probe disabled).
+/// Per-spatial-predicate filter path: `true` = answer the predicate by
+/// the domain index's rowid set when one exists, `false` = planner
+/// determined functional evaluation is cheaper (index probe disabled).
+/// Consulted only for predicates no index scan consumed.
 pub(crate) type FilterHints = Vec<bool>;
+
+/// The planner's choice to read one base-table FROM slot through a
+/// domain index: fetch only the rowids a constant spatial predicate's
+/// index returns, instead of scanning the heap and filtering.
+pub(crate) struct IndexScanChoice {
+    /// FROM slot whose table scan the index scan replaces.
+    pub slot: usize,
+    /// Position of the driving predicate in the constant-predicate list
+    /// (the executor's `spatial` list once the join predicate, if any,
+    /// is removed); the index scan consumes it.
+    pub pred: usize,
+    /// Plan and profile label: `INDEX SCAN T (SDO_RELATE via T_SIDX)`.
+    pub label: String,
+    /// Estimated rows the index returns.
+    pub est_rows: f64,
+    /// Probe plus per-hit exact test and fetch.
+    pub est_cost: f64,
+    /// The comparison that picked it.
+    pub reason: String,
+}
 
 /// Where a morsel-driven exchange is placed in the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,6 +363,8 @@ pub(crate) struct SelectPlan {
     /// classification order (parallel to the executor's `spatial` list
     /// after the join predicate, if any, is removed).
     pub filter_hints: FilterHints,
+    /// Base-table slots read by index scan, at most one per slot.
+    pub index_scans: Vec<IndexScanChoice>,
     /// Morsel-driven exchange placement, when part of the pipeline is
     /// worth parallelizing under the session's dop cap.
     pub exchange: Option<ExchangeChoice>,
@@ -357,7 +383,7 @@ fn filter_rows(est: &RelEstimate, pred: &SpatialPred) -> (f64, &'static str) {
     let (_, ci) = pred.target;
     let rows_u = est.rows.max(0.0) as u64;
     if pred.name == "SDO_NN" {
-        let k = pred.extra.first().and_then(|v| v.as_integer()).unwrap_or(1).max(0) as f64;
+        let k = crate::exec::parse_num_res(&pred.extra).unwrap_or(1) as f64;
         return (k.min(est.rows), "k of SDO_NN");
     }
     if let Some(h) = est.histogram(ci) {
@@ -467,18 +493,21 @@ fn nlj_cost(outer_rows: f64, inner_rows: f64, pairs: f64, probe: bool) -> f64 {
 /// Choose orientation and inner method for the driving spatial join
 /// predicate. `jp.target` is the predicate's first argument; `swap`
 /// means the executor should transpose the predicate so the second
-/// argument's relation drives the loop.
+/// argument's relation drives the loop. `scan_rows[s]` is what scanning
+/// slot `s` yields — its index scan's estimate when it has one — so a
+/// side an index scan narrows is costed as the narrow side it becomes
+/// (a probed inner side is not scanned, and keeps its full size).
 fn choose_join(
     db: &Database,
     metas: &[RelMeta],
     ests: &[RelEstimate],
+    scan_rows: &[f64],
     jp: &SpatialPred,
 ) -> Option<JoinChoice> {
     let (tr, tc) = jp.target;
     let SpatialOperand::Column(or, oc) = jp.other else { return None };
     let (pairs, pairs_src) = join_pairs(&ests[tr], tc, &ests[or], oc);
-    let t_rows = ests[tr].rows;
-    let o_rows = ests[or].rows;
+    let share = |s: usize| scan_rows[s] / ests[s].rows.max(1.0);
 
     // SDO_NN is asymmetric (ranks rows of its first argument) and must
     // not be transposed; SDO_RELATE masks transpose cleanly, distance
@@ -486,29 +515,35 @@ fn choose_join(
     let swappable =
         jp.name != "SDO_NN" && crate::exec::transpose_spatial_extra(&jp.name, &jp.extra).is_ok();
 
-    // Candidates: (swap, probe, outer_rows, inner_rows, inner index).
-    type Cand = (bool, bool, f64, f64, Option<String>);
+    // Candidates: (swap, probe, outer slot, inner slot, inner index).
+    type Cand = (bool, bool, usize, usize, Option<String>);
     let mut cands: Vec<Cand> = Vec::new();
     let o_idx = indexed(db, metas, or, oc);
     let t_idx = indexed(db, metas, tr, tc);
     if let Some(ix) = &o_idx {
-        cands.push((false, true, t_rows, o_rows, Some(ix.clone())));
+        cands.push((false, true, tr, or, Some(ix.clone())));
     }
-    cands.push((false, false, t_rows, o_rows, None));
+    cands.push((false, false, tr, or, None));
     if swappable {
         if let Some(ix) = &t_idx {
-            cands.push((true, true, o_rows, t_rows, Some(ix.clone())));
+            cands.push((true, true, or, tr, Some(ix.clone())));
         }
-        cands.push((true, false, o_rows, t_rows, None));
+        cands.push((true, false, or, tr, None));
     }
 
-    let costed: Vec<(f64, &Cand)> =
-        cands.iter().map(|c| (nlj_cost(c.2, c.3, pairs, c.1), c)).collect();
-    let (best_cost, best) =
-        costed.iter().min_by(|a, b| a.0.total_cmp(&b.0)).map(|(c, x)| (*c, *x))?;
+    // (cost, pairs out of the join) per candidate.
+    let price = |c: &Cand| -> (f64, f64) {
+        let (probe, outer, inner) = (c.1, c.2, c.3);
+        let inner_rows = if probe { ests[inner].rows } else { scan_rows[inner] };
+        let out = pairs * share(outer) * if probe { 1.0 } else { share(inner) };
+        (nlj_cost(scan_rows[outer], inner_rows, out, probe), out)
+    };
+    let costed: Vec<((f64, f64), &Cand)> = cands.iter().map(|c| (price(c), c)).collect();
+    let ((best_cost, best_pairs), best) =
+        costed.iter().min_by(|a, b| a.0 .0.total_cmp(&b.0 .0)).map(|(c, x)| (*c, *x))?;
 
     let describe = |c: &Cand| -> String {
-        let outer = &metas[if c.0 { or } else { tr }].binding;
+        let outer = &metas[c.2].binding;
         match (&c.4, c.1) {
             (Some(ix), true) => format!("outer {} probe {}", outer, ix),
             _ => format!("outer {} build inner", outer),
@@ -517,11 +552,11 @@ fn choose_join(
     let alternatives: Vec<String> = costed
         .iter()
         .filter(|(_, c)| !std::ptr::eq(*c, best))
-        .map(|(cost, c)| format!("{}≈{}", describe(c), fmt_est(*cost)))
+        .map(|((cost, _), c)| format!("{}≈{}", describe(c), fmt_est(*cost)))
         .collect();
     let mut reason = format!(
         "est {} pairs ({pairs_src}); picked {}≈{}",
-        fmt_est(pairs),
+        fmt_est(best_pairs),
         describe(best),
         fmt_est(best_cost),
     );
@@ -531,7 +566,81 @@ fn choose_join(
     if ests[tr].stale || ests[or].stale {
         reason.push_str("; STALE stats — estimates degraded");
     }
-    Some(JoinChoice { swap: best.0, probe: best.1, est_pairs: pairs, est_cost: best_cost, reason })
+    Some(JoinChoice {
+        swap: best.0,
+        probe: best.1,
+        est_pairs: best_pairs,
+        est_cost: best_cost,
+        reason,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Index scans
+// ---------------------------------------------------------------------------
+
+/// Pick the index scan for base-table slot `slot`, if any. Among the
+/// constant spatial predicates on the slot whose column has a domain
+/// index, the one with the lowest estimated output drives; the others
+/// stay in the filter stage. An index scan pays one probe plus an exact
+/// test and a heap fetch per hit; the table scan it replaces streams and
+/// exact-tests every row, so a window keeping most of the table scans.
+fn choose_index_scan(
+    db: &Database,
+    metas: &[RelMeta],
+    ests: &[RelEstimate],
+    spatial: &[SpatialPred],
+    slot: usize,
+) -> Option<IndexScanChoice> {
+    let m = &metas[slot];
+    let table = m.table_name.as_deref()?;
+    let est = &ests[slot];
+    let scan_cost = est.rows * (C_ROW + C_EXACT);
+    let mut best: Option<IndexScanChoice> = None;
+    for (pi, sp) in spatial.iter().enumerate() {
+        if sp.target.0 != slot || sp.is_join() {
+            continue;
+        }
+        let Some((imeta, _)) = db.index_on(table, &m.columns[sp.target.1]) else { continue };
+        let (out, src) = filter_rows(est, sp);
+        let cost = C_PROBE + out * (C_EXACT + C_FETCH);
+        // SDO_NN has no per-row form: without the index it ranks the
+        // whole table anyway, so its index always drives.
+        if (cost >= scan_cost && sp.name != "SDO_NN")
+            || best.as_ref().is_some_and(|b| b.est_rows <= out)
+        {
+            continue;
+        }
+        best = Some(IndexScanChoice {
+            slot,
+            pred: pi,
+            label: format!("INDEX SCAN {table} ({} via {})", sp.name, imeta.index_name),
+            est_rows: out,
+            est_cost: cost,
+            reason: format!(
+                "est {} of {} rows [{src}]; fetch by rowid≈{} vs scan≈{}; {}",
+                fmt_est(out),
+                fmt_est(est.rows),
+                fmt_est(cost),
+                fmt_est(scan_cost),
+                est.stats_note()
+            ),
+        });
+    }
+    best
+}
+
+/// The index scan, if any, for a single-table DML statement's row
+/// collection (`UPDATE`/`DELETE … WHERE`), chosen exactly as for the
+/// FROM slot of a single-table SELECT.
+pub(crate) fn plan_dml_scan(
+    db: &Database,
+    metas: &[RelMeta],
+    spatial: &[SpatialPred],
+) -> Option<IndexScanChoice> {
+    let m = metas.first()?;
+    let est = table_estimate(db, m.table_name.as_deref()?, &m.table.as_ref()?.read());
+    choose_index_scan(db, metas, &[est], spatial, 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -612,6 +721,49 @@ fn detect_knn(
 // plan_select
 // ---------------------------------------------------------------------------
 
+/// The leaf for FROM slot `slot`: its index scan when one was chosen,
+/// else a table or table-function scan. Table-function leaves show
+/// their `CURSOR(...)` argument plans as children — they run through
+/// the same executor.
+fn scan_node(
+    db: &Database,
+    sel: &Select,
+    ests: &[RelEstimate],
+    index_scans: &[IndexScanChoice],
+    slot: usize,
+    env: &PlanEnv,
+) -> PlanNode {
+    if let Some(c) = index_scans.iter().find(|c| c.slot == slot) {
+        return PlanNode::new(c.label.clone(), c.est_rows, c.est_cost, c.reason.clone());
+    }
+    match &sel.from[slot] {
+        FromItem::Table { name, .. } => PlanNode::new(
+            format!("TABLE SCAN {}", name.to_ascii_uppercase()),
+            ests[slot].rows,
+            ests[slot].rows * C_ROW,
+            ests[slot].stats_note(),
+        ),
+        FromItem::TableFunction { name, args, .. } => {
+            let mut n = PlanNode::new(
+                format!("TABLE FUNCTION SCAN {}", name.to_ascii_uppercase()),
+                ests[slot].rows,
+                ests[slot].rows * C_ROW,
+                "pipelined; row estimate is a default (no stats for functions)".to_string(),
+            );
+            for a in args {
+                if let TfArgAst::Cursor(sub) = a {
+                    if let Ok(subplan) = plan_select(db, sub, env) {
+                        let mut c = subplan.root;
+                        c.label = format!("CURSOR: {}", c.label);
+                        n.children.push(c);
+                    }
+                }
+            }
+            n
+        }
+    }
+}
+
 /// Plan a SELECT: estimates, path choices, and the costed tree.
 /// Never instantiates table functions or evaluates `CURSOR(...)`
 /// arguments — safe for plain `EXPLAIN`.
@@ -623,38 +775,6 @@ pub(crate) fn plan_select(
     let (metas, ests) = plan_relations(db, sel)?;
     let mut conj = classify_conjuncts(db, &metas, sel);
 
-    // Scan leaves (built on demand per strategy).
-    let scan_node = |slot: usize| -> PlanNode {
-        match &sel.from[slot] {
-            FromItem::Table { name, .. } => PlanNode::new(
-                format!("TABLE SCAN {}", name.to_ascii_uppercase()),
-                ests[slot].rows,
-                ests[slot].rows * C_ROW,
-                ests[slot].stats_note(),
-            ),
-            FromItem::TableFunction { name, args, .. } => {
-                let mut n = PlanNode::new(
-                    format!("TABLE FUNCTION SCAN {}", name.to_ascii_uppercase()),
-                    ests[slot].rows,
-                    ests[slot].rows * C_ROW,
-                    "pipelined; row estimate is a default (no stats for functions)".to_string(),
-                );
-                // Show CURSOR(...) argument plans as children — they
-                // run through the same executor.
-                for a in args {
-                    if let TfArgAst::Cursor(sub) = a {
-                        if let Ok(subplan) = plan_select(db, sub, env) {
-                            let mut c = subplan.root;
-                            c.label = format!("CURSOR: {}", c.label);
-                            n.children.push(c);
-                        }
-                    }
-                }
-                n
-            }
-        }
-    };
-
     // Pipelined COUNT(*) fast path.
     if sel.projection == [SelectItem::CountStar]
         && sel.where_clause.is_empty()
@@ -663,7 +783,7 @@ pub(crate) fn plan_select(
         && sel.from.len() == 1
         && matches!(sel.from[0], FromItem::TableFunction { .. })
     {
-        let child = scan_node(0);
+        let child = scan_node(db, sel, &ests, &[], 0, env);
         let mut root = PlanNode::new(
             "PIPELINED COUNT",
             1.0,
@@ -677,11 +797,52 @@ pub(crate) fn plan_select(
             knn: None,
             stream_slot: 0,
             filter_hints: Vec::new(),
+            index_scans: Vec::new(),
             exchange: None,
         });
     }
 
-    let mut join_choice: Option<JoinChoice> = None;
+    // The column-column spatial predicate drives a nested loop unless a
+    // rowid-pair semijoin drives; the constant predicates that remain
+    // are what index scans and the filter stage answer.
+    let join_pred = match conj.rowid_pair {
+        None => conj.spatial.iter().position(|s| s.is_join()).map(|p| conj.spatial.remove(p)),
+        Some(_) => None,
+    };
+    // The index scan each slot would get as a scan leaf; the rowid-pair
+    // semijoin fetches its sides by rowid and scans neither.
+    let mut slot_scans: Vec<Option<IndexScanChoice>> = (0..sel.from.len())
+        .map(|s| match conj.rowid_pair {
+            None => choose_index_scan(db, &metas, &ests, &conj.spatial, s),
+            Some(_) => None,
+        })
+        .collect();
+    let scan_rows: Vec<f64> = (0..sel.from.len())
+        .map(|s| slot_scans[s].as_ref().map_or(ests[s].rows, |c| c.est_rows))
+        .collect();
+    let join_choice =
+        join_pred.as_ref().and_then(|jp| choose_join(db, &metas, &ests, &scan_rows, jp));
+    // (outer slot, inner slot, inner probes its index)
+    let join_slots = join_pred.as_ref().map(|jp| {
+        let (tr, _) = jp.target;
+        let SpatialOperand::Column(or, _) = jp.other else { unreachable!("join predicate") };
+        match &join_choice {
+            Some(c) if c.swap => (or, tr, c.probe),
+            c => (tr, or, c.as_ref().is_some_and(|c| c.probe)),
+        }
+    });
+
+    // A probed inner side is not a scan leaf: its constant predicates
+    // stay in the filter stage.
+    if let Some((_, inner, true)) = join_slots {
+        slot_scans[inner] = None;
+    }
+    let index_scans: Vec<IndexScanChoice> = slot_scans.into_iter().flatten().collect();
+    let leaf_rows = |slot: usize| -> f64 {
+        index_scans.iter().find(|c| c.slot == slot).map_or(ests[slot].rows, |c| c.est_rows)
+    };
+    let scan_leaf = |slot: usize| scan_node(db, sel, &ests, &index_scans, slot, env);
+
     let mut knn_choice: Option<KnnChoice> = None;
     let mut stream_slot = 0usize;
 
@@ -700,40 +861,22 @@ pub(crate) fn plan_select(
         );
         n.children.push(sub.root);
         core = n;
-    } else if let Some(jpos) = conj.spatial.iter().position(|s| s.is_join()) {
-        let jp = conj.spatial.remove(jpos);
-        let choice = choose_join(db, &metas, &ests, &jp);
+    } else if let (Some(jp), Some((outer_slot, inner_slot, probe))) = (&join_pred, join_slots) {
         let (tr, _) = jp.target;
-        let SpatialOperand::Column(or, _) = jp.other else { unreachable!() };
-        let (outer_slot, inner_slot) = match &choice {
-            Some(c) if c.swap => (or, tr),
-            _ => (tr, or),
-        };
-        let (pairs, cost, reason, probe) = match &choice {
-            Some(c) => (c.est_pairs, c.est_cost, c.reason.clone(), c.probe),
+        let SpatialOperand::Column(or, oc) = jp.other else { unreachable!("join predicate") };
+        let (pairs, cost, reason) = match &join_choice {
+            Some(c) => (c.est_pairs, c.est_cost, c.reason.clone()),
             None => (
                 ests[tr].rows.max(ests[or].rows),
                 nlj_cost(ests[tr].rows, ests[or].rows, ests[tr].rows.max(ests[or].rows), false),
                 "no costing possible; default orientation".to_string(),
-                false,
             ),
         };
         let mut n = PlanNode::new(format!("NESTED LOOP JOIN ({})", jp.name), pairs, cost, reason);
-        n.children.push(scan_node(outer_slot));
+        n.children.push(scan_leaf(outer_slot));
         if probe {
-            let ix = indexed(
-                db,
-                &metas,
-                inner_slot,
-                match &choice {
-                    Some(c) if c.swap => jp.target.1,
-                    _ => match jp.other {
-                        SpatialOperand::Column(_, c) => c,
-                        _ => unreachable!(),
-                    },
-                },
-            )
-            .unwrap_or_default();
+            let inner_col = if inner_slot == tr { jp.target.1 } else { oc };
+            let ix = indexed(db, &metas, inner_slot, inner_col).unwrap_or_default();
             n.children.push(PlanNode::new(
                 format!("INDEX PROBE {ix}"),
                 pairs,
@@ -741,18 +884,16 @@ pub(crate) fn plan_select(
                 "one probe per outer row; cost folded into the join".to_string(),
             ));
         } else {
-            n.children.push(scan_node(inner_slot));
+            n.children.push(scan_leaf(inner_slot));
         }
-        join_choice = choice;
         core = n;
     } else if sel.from.len() > 1 {
         // Cartesian product: stream the largest relation, materialize
         // the smaller ones (resident rows = sum of materialized sizes).
         stream_slot =
-            (0..sel.from.len()).max_by(|&a, &b| ests[a].rows.total_cmp(&ests[b].rows)).unwrap_or(0);
-        let out_rows: f64 = ests.iter().map(|e| e.rows.max(1.0)).product();
-        let mat_rows: f64 =
-            (0..sel.from.len()).filter(|&s| s != stream_slot).map(|s| ests[s].rows).sum();
+            (0..sel.from.len()).max_by(|&a, &b| leaf_rows(a).total_cmp(&leaf_rows(b))).unwrap_or(0);
+        let out_rows: f64 = (0..sel.from.len()).map(|s| leaf_rows(s).max(1.0)).product();
+        let mat_rows: f64 = (0..sel.from.len()).filter(|&s| s != stream_slot).map(&leaf_rows).sum();
         let mut n = PlanNode::new(
             "CARTESIAN PRODUCT",
             out_rows,
@@ -760,71 +901,71 @@ pub(crate) fn plan_select(
             format!(
                 "streams {} ({} rows, largest); materializes {} rows total",
                 metas[stream_slot].binding,
-                fmt_est(ests[stream_slot].rows),
+                fmt_est(leaf_rows(stream_slot)),
                 fmt_est(mat_rows)
             ),
         );
-        n.children.push(scan_node(stream_slot));
+        n.children.push(scan_leaf(stream_slot));
         for s in 0..sel.from.len() {
             if s != stream_slot {
-                n.children.push(scan_node(s));
+                n.children.push(scan_leaf(s));
             }
         }
         core = n;
     } else {
-        core = scan_node(0);
+        core = scan_leaf(0);
     }
 
-    // Filter stage: estimate output of the remaining spatial + residual
-    // conjuncts; decide index-vs-scan per constant spatial predicate.
+    // Filter stage: estimate output of the spatial predicates no index
+    // scan consumed plus the residual conjuncts; decide index-vs-scan
+    // per remaining constant spatial predicate.
+    let consumed = |pi: usize| index_scans.iter().any(|c| c.pred == pi);
     let mut filter_hints: FilterHints = Vec::with_capacity(conj.spatial.len());
-    if !conj.spatial.is_empty() || conj.residual > 0 {
-        let mut rows = core.est_rows;
-        let mut cost = core.est_cost;
-        let mut notes: Vec<String> = Vec::new();
-        for sp in &conj.spatial {
-            let (tr, _) = sp.target;
-            let (out, src) = filter_rows(&ests[tr], sp);
-            let in_rows = ests[tr].rows.max(1.0);
-            let sel_frac = (out / in_rows).clamp(0.0, 1.0);
-            let has_index = matches!(sp.other, SpatialOperand::Const(_))
-                && indexed(db, &metas, sp.target.0, sp.target.1).is_some();
-            // An index prefilter pays one probe plus per-candidate
-            // exact tests inside the index; the functional path pays an
-            // exact test per input row. When the window keeps most of
-            // the table, the probe is overhead on top of the same exact
-            // work — scan instead.
-            let index_cost = C_PROBE + out * C_EXACT + rows * C_ROW;
-            let scan_cost = rows * (C_ROW + C_EXACT);
-            let use_index = has_index && index_cost < scan_cost;
-            filter_hints.push(use_index);
-            let path = if use_index {
-                format!(
-                    "domain index prefilter (probe≈{} < scan≈{})",
-                    fmt_est(index_cost),
-                    fmt_est(scan_cost)
-                )
-            } else if has_index {
-                format!(
-                    "functional evaluation (scan≈{} <= probe≈{})",
-                    fmt_est(scan_cost),
-                    fmt_est(index_cost)
-                )
-            } else {
-                "functional evaluation (no index)".to_string()
-            };
-            notes.push(format!("{} sel={:.3} [{}] via {}", sp.name, sel_frac, src, path));
-            cost += if use_index { index_cost } else { scan_cost };
-            rows *= sel_frac;
+    let mut rows = core.est_rows;
+    let mut cost = core.est_cost;
+    let mut notes: Vec<String> = Vec::new();
+    for (pi, sp) in conj.spatial.iter().enumerate() {
+        let (tr, _) = sp.target;
+        let (out, src) = filter_rows(&ests[tr], sp);
+        let in_rows = ests[tr].rows.max(1.0);
+        let sel_frac = (out / in_rows).clamp(0.0, 1.0);
+        let has_index = matches!(sp.other, SpatialOperand::Const(_))
+            && indexed(db, &metas, sp.target.0, sp.target.1).is_some();
+        // The index's rowid set pays one probe plus per-candidate exact
+        // tests inside the index; the functional path pays an exact
+        // test per input row. When the window keeps most of the table,
+        // the probe is overhead on top of the same exact work.
+        let index_cost = C_PROBE + out * C_EXACT + rows * C_ROW;
+        let scan_cost = rows * (C_ROW + C_EXACT);
+        let use_index = has_index && index_cost < scan_cost;
+        filter_hints.push(use_index);
+        if consumed(pi) {
+            continue;
         }
-        if conj.residual > 0 {
-            // Residual comparisons: the classic 1/3 guess per conjunct.
-            for _ in 0..conj.residual {
-                cost += rows * C_ROW;
-                rows /= 3.0;
-            }
-            notes.push(format!("{} residual conjunct(s) sel=0.333 each", conj.residual));
+        let path = if use_index {
+            format!("index rowid set (probe≈{} < scan≈{})", fmt_est(index_cost), fmt_est(scan_cost))
+        } else if has_index {
+            format!(
+                "functional evaluation (scan≈{} <= probe≈{})",
+                fmt_est(scan_cost),
+                fmt_est(index_cost)
+            )
+        } else {
+            "functional evaluation (no index)".to_string()
+        };
+        notes.push(format!("{} sel={:.3} [{}] via {}", sp.name, sel_frac, src, path));
+        cost += if use_index { index_cost } else { scan_cost };
+        rows *= sel_frac;
+    }
+    if conj.residual > 0 {
+        // Residual comparisons: the classic 1/3 guess per conjunct.
+        for _ in 0..conj.residual {
+            cost += rows * C_ROW;
+            rows /= 3.0;
         }
+        notes.push(format!("{} residual conjunct(s) sel=0.333 each", conj.residual));
+    }
+    if !notes.is_empty() {
         let mut f = PlanNode::new("FILTER", rows, cost, notes.join("; "));
         f.children.push(core);
         core = f;
@@ -835,8 +976,9 @@ pub(crate) fn plan_select(
     // shape: semijoins fan out probe blocks, single-base-table
     // pipelines fan out scan morsels — under a sort, the workers run
     // the sort too and the exchange merges sorted runs. The driving
-    // estimate is the *input* row count (base-table rows), because
-    // morsels partition the input regardless of filter selectivity.
+    // estimate is the scan leaf's output (base-table rows, or an index
+    // scan's hits), because morsels partition what the leaf reads
+    // regardless of the filter stage above it.
     let knn_detected =
         if sel.order_by.is_empty() { None } else { detect_knn(db, &metas, &ests, sel) };
     let mut exchange: Option<ExchangeChoice> = None;
@@ -848,11 +990,11 @@ pub(crate) fn plan_select(
             exchange = choose_exchange(env, ExchangeSite::Probe, drive);
         } else if sel.from.len() == 1
             && matches!(sel.from[0], FromItem::Table { .. })
-            && join_choice.is_none()
+            && join_pred.is_none()
         {
             let site =
                 if sel.order_by.is_empty() { ExchangeSite::Scan } else { ExchangeSite::Sort };
-            exchange = choose_exchange(env, site, ests[0].rows);
+            exchange = choose_exchange(env, site, leaf_rows(0));
         }
     }
     if let Some(x) = &exchange {
@@ -926,6 +1068,7 @@ pub(crate) fn plan_select(
         knn: knn_choice,
         stream_slot,
         filter_hints,
+        index_scans,
         exchange,
     })
 }

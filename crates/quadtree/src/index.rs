@@ -32,11 +32,18 @@ pub struct Candidate {
 /// The paper's structure exactly: tessellation produces tile rows, a
 /// B-tree indexes the codes. Interior/boundary flags ride in a side map
 /// (in Oracle they are a column of the index table).
+///
+/// One row can briefly hold two versions' tiles (an update inserts the
+/// new version's entries before the old version's are deleted), so a
+/// tile both versions share is counted, not stored twice: deleting one
+/// version leaves the other's tile in place.
 pub struct QuadtreeIndex {
     world: Rect,
     level: u32,
     btree: BTree<(TileCode, RowId)>,
     interior: HashMap<(TileCode, RowId), bool>,
+    /// References beyond the first to a `(code, rowid)` entry.
+    extra_refs: HashMap<(TileCode, RowId), u32>,
     len_geometries: usize,
 }
 
@@ -51,6 +58,7 @@ impl QuadtreeIndex {
             level,
             btree: BTree::new(),
             interior: HashMap::new(),
+            extra_refs: HashMap::new(),
             len_geometries: 0,
         }
     }
@@ -102,8 +110,13 @@ impl QuadtreeIndex {
     /// happened inside table-function slaves.
     pub fn insert_tiles(&mut self, rowid: RowId, tiles: &[TileApprox]) {
         for t in tiles {
-            if self.btree.insert((t.code, rowid)) {
-                self.interior.insert((t.code, rowid), t.interior);
+            let key = (t.code, rowid);
+            if self.btree.insert(key) {
+                self.interior.insert(key, t.interior);
+            } else {
+                *self.extra_refs.entry(key).or_insert(0) += 1;
+                // Interior only if interior to every version it stands for.
+                self.interior.entry(key).and_modify(|i| *i &= t.interior);
             }
         }
         self.len_geometries += 1;
@@ -115,8 +128,15 @@ impl QuadtreeIndex {
         let tiles = tessellate(g, &self.world, self.level);
         let mut removed_any = false;
         for t in &tiles {
-            if self.btree.remove(&(t.code, rowid)) {
-                self.interior.remove(&(t.code, rowid));
+            let key = (t.code, rowid);
+            if let Some(n) = self.extra_refs.get_mut(&key) {
+                *n -= 1;
+                if *n == 0 {
+                    self.extra_refs.remove(&key);
+                }
+                removed_any = true;
+            } else if self.btree.remove(&key) {
+                self.interior.remove(&key);
                 removed_any = true;
             }
         }
@@ -188,7 +208,14 @@ impl QuadtreeIndex {
             })
             .collect();
         let btree = BTree::bulk_build(keys, sdo_storage::btree::DEFAULT_ORDER);
-        QuadtreeIndex { world, level, btree, interior, len_geometries: geometry_count }
+        QuadtreeIndex {
+            world,
+            level,
+            btree,
+            interior,
+            extra_refs: HashMap::new(),
+            len_geometries: geometry_count,
+        }
     }
 }
 
@@ -219,6 +246,21 @@ mod tests {
                 square(x, y, 12.0)
             })
             .collect()
+    }
+
+    #[test]
+    fn a_shared_tile_survives_deleting_one_version() {
+        // An update of a row whose tiles do not move inserts the new
+        // version's entries, then deletes the old version's.
+        let (old, new) = (square(10.0, 10.0, 20.0), square(12.0, 10.0, 20.0));
+        let mut idx = build(std::slice::from_ref(&old));
+        idx.insert(RowId::new(0), &new);
+        idx.delete(RowId::new(0), &old);
+        let hits = idx.query_window(&new);
+        assert!(hits.iter().any(|c| c.rowid == RowId::new(0)), "row lost its shared tiles");
+        assert_eq!(idx.tile_entries(), build(std::slice::from_ref(&new)).tile_entries());
+        assert!(idx.delete(RowId::new(0), &new));
+        assert_eq!(idx.tile_entries(), 0);
     }
 
     #[test]

@@ -22,17 +22,19 @@ impl<T: Clone> RTree<T> {
     /// intersection kernel ([`SoaMbrs::scan_intersects`]) rather than
     /// entry-by-entry `Rect::intersects` calls; the SoA scratch view
     /// is reused across nodes so the loop does not allocate after the
-    /// first node at each fanout.
+    /// first node at each fanout. The entries the kernel tests are
+    /// charged to the attached counters' `mbr_tests`.
     pub fn query_window_visit(&self, window: &Rect, visit: &mut impl FnMut(Rect, &T)) {
         if self.is_empty() {
             return;
         }
         let mut soa = SoaMbrs::new();
         let mut stack = vec![self.root_id()];
+        let mut tested = 0;
         while let Some(id) = stack.pop() {
             let n = self.node(id);
             soa.fill_from_entries(&n.entries);
-            soa.scan_intersects(window, |i| {
+            tested += soa.scan_intersects(window, |i| {
                 let e = &n.entries[i];
                 match &e.payload {
                     Payload::Item(t) => visit(e.mbr, t),
@@ -40,12 +42,13 @@ impl<T: Clone> RTree<T> {
                 }
             });
         }
+        self.charge_mbr_tests(tested);
     }
 
     /// Items whose MBRs lie within `d` of `window` (`mindist <= d`),
     /// the primary filter for `SDO_WITHIN_DISTANCE`. Runs the batched
-    /// SoA within-distance kernel per node, like
-    /// [`RTree::query_window_visit`].
+    /// SoA within-distance kernel per node, and charges `mbr_tests`,
+    /// like [`RTree::query_window_visit`].
     pub fn query_within_distance(&self, window: &Rect, d: f64) -> Vec<(Rect, T)> {
         let mut out = Vec::new();
         if self.is_empty() {
@@ -53,10 +56,11 @@ impl<T: Clone> RTree<T> {
         }
         let mut soa = SoaMbrs::new();
         let mut stack = vec![self.root_id()];
+        let mut tested = 0;
         while let Some(id) = stack.pop() {
             let n = self.node(id);
             soa.fill_from_entries(&n.entries);
-            soa.scan_within(window, d, |i| {
+            tested += soa.scan_within(window, d, |i| {
                 let e = &n.entries[i];
                 match &e.payload {
                     Payload::Item(t) => out.push((e.mbr, t.clone())),
@@ -64,6 +68,7 @@ impl<T: Clone> RTree<T> {
                 }
             });
         }
+        self.charge_mbr_tests(tested);
         out
     }
 
@@ -192,6 +197,8 @@ impl<T> Ord for HeapEntry<T> {
 mod tests {
     use super::*;
     use crate::tree::RTreeParams;
+    use sdo_storage::Counters;
+    use std::sync::Arc;
 
     fn grid_tree(n: usize) -> (RTree<usize>, Vec<Rect>) {
         let mut t = RTree::new(RTreeParams::with_fanout(8));
@@ -204,6 +211,70 @@ mod tests {
             rects.push(r);
         }
         (t, rects)
+    }
+
+    /// Entries in every node a window traversal visits: the root, then
+    /// each child whose MBR the window (grown by `d`) reaches.
+    fn visited_entries(t: &RTree<usize>, window: &Rect, d: f64) -> u64 {
+        let mut stack = vec![t.root_id()];
+        let mut tested = 0;
+        while let Some(id) = stack.pop() {
+            let n = t.node(id);
+            tested += n.entries.len() as u64;
+            for e in &n.entries {
+                if let Payload::Node(c) = e.payload {
+                    if e.mbr.mindist(window) <= d {
+                        stack.push(c);
+                    }
+                }
+            }
+        }
+        tested
+    }
+
+    fn mbr_tests(c: &Counters) -> u64 {
+        Counters::get(&c.mbr_tests)
+    }
+
+    #[test]
+    fn window_probes_count_the_entries_the_kernel_tests() {
+        let (t, _) = grid_tree(1000);
+        let c = Arc::new(Counters::new());
+        let mut t = t.with_counters(Arc::clone(&c));
+        let root_entries = t.node(t.root_id()).entries.len() as u64;
+
+        // Outside the root MBR: only the root's entries are tested.
+        let outside = Rect::new(-50.0, -50.0, -40.0, -40.0);
+        let before = mbr_tests(&c);
+        assert!(t.query_window(&outside).is_empty());
+        assert_eq!(mbr_tests(&c) - before, root_entries);
+        let before = mbr_tests(&c);
+        assert!(t.query_within_distance(&outside, 5.0).is_empty());
+        assert_eq!(mbr_tests(&c) - before, root_entries);
+
+        // Inside: exactly the entries of the nodes visited, and the
+        // count follows the nodes visited, not the tree size — adding
+        // 10 000 far-away items moves it by at most the new levels.
+        let window = Rect::new(20.0, 10.0, 35.0, 22.0);
+        let count = |t: &RTree<usize>, c: &Counters| {
+            let before = mbr_tests(c);
+            t.query_window(&window);
+            let window_tests = mbr_tests(c) - before;
+            assert_eq!(window_tests, visited_entries(t, &window, 0.0));
+            let before = mbr_tests(c);
+            t.query_within_distance(&window, 2.0);
+            assert_eq!(mbr_tests(c) - before, visited_entries(t, &window, 2.0));
+            window_tests
+        };
+        let small = count(&t, &c);
+        for i in 0..10_000 {
+            let x = 10_000.0 + (i % 100) as f64 * 3.0;
+            let y = 10_000.0 + (i / 100) as f64 * 3.0;
+            t.insert(Rect::new(x, y, x + 1.0, y + 1.0), 1000 + i);
+        }
+        let grown = count(&t, &c);
+        let fanout = t.params().max_entries as u64;
+        assert!(grown <= small + fanout * u64::from(t.height()), "{small} -> {grown}");
     }
 
     #[test]

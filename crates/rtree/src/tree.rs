@@ -192,6 +192,14 @@ impl<T: Clone> RTree<T> {
         &self.nodes[id]
     }
 
+    /// Charge `n` MBR tests to the attached counters, if any.
+    #[inline]
+    pub(crate) fn charge_mbr_tests(&self, n: u64) {
+        if let Some(c) = &self.counters {
+            Counters::add(&c.mbr_tests, n);
+        }
+    }
+
     /// True when `id` is a node slot of this tree, so [`RTree::node`]
     /// will not panic on it (checks ids that arrive from outside).
     #[inline]

@@ -364,16 +364,31 @@ fn sdo_nn_nearest_neighbours() {
         assert!(truth_ids.contains(&row[0].as_integer().unwrap()));
     }
 
-    // quadtree indexes reject SDO_NN cleanly
+    // a quadtree has no best-first search: the index scan ranks the
+    // rows functionally and returns the same neighbours
     let db2 = session();
     load_counties(&db2, "t", 30, 15);
+    let ids = |db: &Database, sql: &str| -> Vec<i64> {
+        let mut v: Vec<i64> =
+            db.execute(sql).unwrap().rows.iter().map(|r| r[0].as_integer().unwrap()).collect();
+        v.sort_unstable();
+        v
+    };
+    let truth2 =
+        ids(&db2, &format!("SELECT id FROM t ORDER BY SDO_DISTANCE(geom, {probe}) LIMIT 3"));
     db2.execute(
         "CREATE INDEX t_q ON t(geom) INDEXTYPE IS SPATIAL_INDEX PARAMETERS ('sdo_level=6')",
     )
     .unwrap();
-    assert!(db2
-        .execute(&format!("SELECT id FROM t WHERE SDO_NN(geom, {probe}, 3) = 'TRUE'"))
-        .is_err());
+    let nn = format!("SELECT id FROM t WHERE SDO_NN(geom, {probe}, 3) = 'TRUE'");
+    assert_eq!(ids(&db2, &nn), truth2);
+    let profile = db2.last_profile().unwrap();
+    let scan = profile.root.find("INDEX SCAN T (SDO_NN via T_Q)").expect("index scan");
+    assert!(
+        scan.attrs.iter().any(|(k, v)| k == "knn_path" && v == "functional ranking fallback"),
+        "{:?}",
+        scan.attrs
+    );
 }
 
 #[test]
@@ -433,7 +448,8 @@ fn explain_reports_chosen_strategies() {
          SDO_RELATE(geom, SDO_GEOMETRY('POINT (-100 35)'), 'ANYINTERACT') = 'TRUE' \
          ORDER BY id DESC LIMIT 3",
     );
-    assert!(p.contains("domain index"), "{p}");
+    assert!(p.contains("INDEX SCAN A (SDO_RELATE via A_X)"), "{p}");
+    assert!(!p.contains("TABLE SCAN"), "{p}");
     assert!(p.contains("SORT"), "{p}");
     assert!(p.contains("LIMIT 3"), "{p}");
 

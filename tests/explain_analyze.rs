@@ -4,7 +4,31 @@
 
 use sdo_datagen::{counties, US_EXTENT};
 use sdo_dbms::Database;
+use sdo_geom::{Geometry, Polygon, Rect};
 use sdo_storage::Value;
+use std::sync::{Mutex, MutexGuard};
+
+/// The morsel size is process-global: tests whose plans depend on it
+/// hold this lock while it is set to what they need.
+static MORSEL: Mutex<()> = Mutex::new(());
+
+fn morsel_rows(n: usize) -> MutexGuard<'static, ()> {
+    let guard = MORSEL.lock().unwrap_or_else(|e| e.into_inner());
+    sdo_dbms::set_morsel_rows(n);
+    guard
+}
+
+/// `n` unit-spaced squares on a 200-column grid: square `i` covers
+/// `[x + 0.1, x + 0.9] × [y + 0.1, y + 0.9]` at `(x, y) = (i % 200, i / 200)`.
+fn load_grid(db: &Database, table: &str, n: usize) {
+    db.execute(&format!("CREATE TABLE {table} (id NUMBER, geom SDO_GEOMETRY)")).unwrap();
+    for i in 0..n {
+        let (x, y) = ((i % 200) as f64, (i / 200) as f64);
+        let sq =
+            Geometry::Polygon(Polygon::from_rect(&Rect::new(x + 0.1, y + 0.1, x + 0.9, y + 0.9)));
+        db.insert_row(table, vec![Value::Integer(i as i64), Value::geometry(sq)]).unwrap();
+    }
+}
 
 fn load_counties(db: &Database, table: &str, n: usize, seed: u64) {
     db.execute(&format!("CREATE TABLE {table} (id NUMBER, geom SDO_GEOMETRY)")).unwrap();
@@ -217,6 +241,99 @@ fn mbr_tests_counter_matches_kernel_tests() {
     }
 }
 
+/// A window probe charges `mbr_tests` with the entries the R-tree's
+/// kernel actually tests, on all three window operators: a window
+/// outside the root MBR tests exactly the root's entries, and the count
+/// for a fixed window does not grow with rows added far from it.
+#[test]
+fn window_probes_count_the_entries_the_kernel_tests() {
+    let db = Database::new();
+    sdo_core::register_spatial(&db);
+    load_grid(&db, "g", 600);
+    db.execute(
+        "CREATE INDEX g_sidx ON g(geom) INDEXTYPE IS SPATIAL_INDEX PARAMETERS ('tree_fanout=8')",
+    )
+    .unwrap();
+    let index = db.index_instance("g_sidx").expect("index");
+    let tree_shape = || {
+        let idx = index.read();
+        let rt = idx.as_any().downcast_ref::<sdo_core::RTreeSpatialIndex>().expect("R-tree");
+        let tree = rt.tree().read();
+        (tree.node(tree.root_id()).entries.len() as u64, u64::from(tree.height()))
+    };
+    let mbr_tests = |pred: &str| {
+        let before = db.counters().snapshot();
+        db.execute(&format!("SELECT id FROM g WHERE {pred} = 'TRUE'")).unwrap();
+        db.counters().diff(&before).get("mbr_tests").unwrap_or(0)
+    };
+    let outside = "SDO_GEOMETRY('POLYGON ((-50 -50, -40 -50, -40 -40, -50 -40, -50 -50))')";
+    let (root_entries, _) = tree_shape();
+    for pred in [
+        format!("SDO_FILTER(geom, {outside})"),
+        format!("SDO_RELATE(geom, {outside}, 'ANYINTERACT')"),
+        format!("SDO_WITHIN_DISTANCE(geom, {outside}, 'distance=5')"),
+    ] {
+        assert_eq!(mbr_tests(&pred), root_entries, "{pred}");
+    }
+
+    let window = "SDO_FILTER(geom, SDO_GEOMETRY('POLYGON ((20 0, 26 0, 26 2, 20 2, 20 0))'))";
+    let small = mbr_tests(window);
+    for i in 0..10_000i64 {
+        let (x, y) = (5_000.0 + (i % 100) as f64, 5_000.0 + (i / 100) as f64);
+        let sq = Geometry::Polygon(Polygon::from_rect(&Rect::new(x, y, x + 0.5, y + 0.5)));
+        db.insert_row("g", vec![Value::Integer(100_000 + i), Value::geometry(sq)]).unwrap();
+    }
+    let grown = mbr_tests(window);
+    let (_, height) = tree_shape();
+    // At most one more fanout's worth of entries per level of growth.
+    assert!(grown <= small + 8 * height, "{small} -> {grown}");
+}
+
+/// The wire benchmark's window statement over an analyzed 20 000-row
+/// indexed table fetches its few dozen hits by index scan: no heap
+/// scan and, at dop 2 with the default morsel size, no exchange.
+/// `EXPLAIN ANALYZE` stamps the planner's estimate beside the actual
+/// rows and their q-error.
+#[test]
+fn window_query_plans_an_index_scan_with_estimate_beside_actual() {
+    let _morsel = morsel_rows(4096);
+    let db = Database::new();
+    sdo_core::register_spatial(&db);
+    load_grid(&db, "bg", 20_000);
+    db.execute("CREATE INDEX bg_sidx ON bg(geom) INDEXTYPE IS SPATIAL_INDEX").unwrap();
+    db.execute("ANALYZE TABLE bg").unwrap();
+    db.execute("ALTER SESSION SET parallel_dop = 2").unwrap();
+    let sql = "SELECT id, geom FROM bg WHERE SDO_RELATE(geom, \
+               SDO_GEOMETRY('POLYGON ((50 20, 56 20, 56 26, 50 26, 50 20))'), 'ANYINTERACT') = 'TRUE'";
+
+    let plan: Vec<String> = db
+        .execute(&format!("EXPLAIN {sql}"))
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| r[0].as_text().unwrap().to_string())
+        .collect();
+    let text = plan.join("\n");
+    assert!(text.contains("INDEX SCAN BG (SDO_RELATE via BG_SIDX)"), "{text}");
+    assert!(!text.contains("TABLE SCAN"), "{text}");
+    assert!(!text.contains("EXCHANGE"), "{text}");
+
+    let analyzed = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+    let text: Vec<String> =
+        analyzed.rows.iter().map(|r| r[0].as_text().unwrap().to_string()).collect();
+    assert!(text.iter().any(|l| l.contains("INDEX SCAN") && l.contains("qerror=")), "{text:?}");
+    let profile = db.last_profile().unwrap();
+    let scan = profile.root.find("INDEX SCAN BG").expect("index scan node");
+    assert_eq!(scan.rows, 36, "a 6 x 6 block of squares");
+    let attr = |k: &str| scan.attrs.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone());
+    let est: f64 = attr("est_rows").expect("est_rows").parse().unwrap();
+    let qerror: f64 = attr("qerror").expect("qerror").parse().unwrap();
+    let want = (est.max(1.0) / 36.0).max(36.0 / est.max(1.0));
+    assert!((qerror - want).abs() < 0.01, "qerror {qerror} for est {est} vs 36 rows");
+    // The index's candidates and the hits are fetched; nothing else is.
+    assert!(scan.metric("row_fetches").unwrap_or(0) <= 2 * 36 + 16, "{:?}", scan.metrics);
+}
+
 /// Every join's engine is chosen automatically from its inputs'
 /// indexes, and the `PIPELINED COUNT` operator carries the choice and
 /// the rule that fired: the tree join on the R-tree tables, the
@@ -339,7 +456,7 @@ fn nested_loop_profile_reports_strategy_and_counters() {
 /// and morsels_stolen renders even when a worker stole nothing.
 #[test]
 fn parallel_scan_exchange_profile_reports_worker_breakdown() {
-    sdo_dbms::set_morsel_rows(8);
+    let _morsel = morsel_rows(8);
     let db = session_with_tables();
     db.execute("ALTER SESSION SET parallel_dop = 4").unwrap();
     let sql = "SELECT id FROM city_table WHERE id >= 0";
@@ -379,7 +496,7 @@ fn parallel_scan_exchange_profile_reports_worker_breakdown() {
 /// the serial rows.
 #[test]
 fn parallel_semijoin_worker_cache_accounting_balances() {
-    sdo_dbms::set_morsel_rows(8);
+    let _morsel = morsel_rows(8);
     let db = session_with_tables();
     let sql = "SELECT a.id, b.id FROM city_table a, river_table b \
                WHERE (a.rowid, b.rowid) IN \
