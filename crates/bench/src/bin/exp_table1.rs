@@ -48,9 +48,7 @@ fn main() {
         "distance", "result", "nested-loop", "spatial-join", "gain", "nl reads", "join reads"
     );
     let logical_reads = |c: &sdo_storage::Counters| {
-        sdo_storage::Counters::get(&c.row_fetches)
-            + sdo_storage::Counters::get(&c.rtree_node_reads)
-            + sdo_storage::Counters::get(&c.btree_node_visits)
+        sdo_storage::Counters::get(&c.row_fetches) + sdo_storage::Counters::get(&c.rtree_node_reads)
     };
     for frac in [0.0, 0.5, 1.0, 2.0] {
         let d = mean_side * frac;

@@ -64,11 +64,8 @@ fn main() {
         // Nested loop becomes prohibitive at scale — exactly the
         // paper's point; cap it like they capped their patience.
         let nl_cap = 30_000;
-        let logical_reads = |c: &Counters| {
-            Counters::get(&c.row_fetches)
-                + Counters::get(&c.rtree_node_reads)
-                + Counters::get(&c.btree_node_visits)
-        };
+        let logical_reads =
+            |c: &Counters| Counters::get(&c.row_fetches) + Counters::get(&c.rtree_node_reads);
         db.counters().reset();
         let (nl_count, t_nl) = if size <= nl_cap {
             let (c, t) = timed(|| {

@@ -170,9 +170,8 @@ pub fn build_quadtree(
     // Stage 1: parallel tessellation through work-stealing table
     // functions pulling cursor chunks on demand.
     let t0 = Instant::now();
-    let stage_counters = Arc::clone(&counters);
     let (instances, processed) = stealing_cursor_stage(table, column, dop, move |row: Row| {
-        tessellate_row(&row, &world, level, &stage_counters)
+        tessellate_row(&row, &world, level, &counters)
     });
     let tess_node = prof.as_ref().map(|p| p.child("parallel tessellation"));
     let tile_rows = {
@@ -186,21 +185,14 @@ pub fn build_quadtree(
         n.add_rows(tile_rows.len() as u64);
     }
 
-    // Stage 2: decode, sort, pack the B-tree bottom-up.
+    // Stage 2: decode, sort, build the tile map from the sorted run.
     let t1 = Instant::now();
-    let entries: Vec<(u64, RowId, bool)> = tile_rows
+    let entries: Vec<(u64, RowId)> = tile_rows
         .iter()
-        .map(|r| {
-            (
-                r[0].as_integer().unwrap_or(0) as u64,
-                r[1].as_rowid().unwrap_or(RowId::new(0)),
-                r[2].as_integer() == Some(1),
-            )
-        })
+        .map(|r| (r[0].as_integer().unwrap_or(0) as u64, r[1].as_rowid().unwrap_or(RowId::new(0))))
         .collect();
     let stage_rows = entries.len();
-    let index =
-        QuadtreeIndex::bulk_build(world, level, entries, geometry_count).with_counters(counters);
+    let index = QuadtreeIndex::bulk_build(world, level, entries, geometry_count);
     let merge_stage = t1.elapsed();
     if let Some(p) = &prof {
         let n = p.child("btree pack");

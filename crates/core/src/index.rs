@@ -125,34 +125,25 @@ fn decode_op(call: &OperatorCall) -> Result<DecodedOp, DbError> {
 /// Exact secondary filter: `relate(data, query, masks)` per candidate,
 /// fetching the data geometry by rowid *under the statement snapshot*.
 /// The index may hold entries for versions the snapshot cannot see
-/// (eager maintenance of in-flight transactions), so the snapshot
-/// fetch is the visibility filter. An updated row can have two entries
-/// while a snapshot pin defers the old one, so candidates are sorted by
-/// rowid and merged first (paper §1 item 3: sort by rowid before
-/// fetching) — `definite` OR-ed — and each row is fetched and tested
-/// once. The answer comes out in rowid order.
+/// (eager maintenance of in-flight transactions), so every candidate
+/// is tested against the version the snapshot sees: index evidence
+/// alone never proves a hit. An updated row can have two entries while
+/// a snapshot pin defers the old one, so candidates are sorted by rowid
+/// and merged first (paper §1 item 3: sort by rowid before fetching),
+/// and each row is fetched and tested once. The answer comes out in
+/// rowid order.
 fn secondary_filter(
     table: &Arc<RwLock<Table>>,
     column: usize,
     counters: &Arc<Counters>,
     snap: &Snapshot,
-    mut candidates: Vec<(RowId, bool)>,
+    candidates: Vec<RowId>,
     mut keep: impl FnMut(&Geometry) -> bool,
 ) -> Result<Vec<RowId>, DbError> {
-    candidates.sort_unstable();
-    candidates.dedup_by(|later, first| {
-        let same = later.0 == first.0;
-        first.1 |= same && later.1;
-        same
-    });
     let guard = table.read();
     let mut out = Vec::new();
-    for (rid, definite) in candidates {
+    for rid in sorted_unique(candidates) {
         let Ok(row) = guard.get_at(rid, snap) else { continue };
-        if definite {
-            out.push(rid);
-            continue;
-        }
         let Some(g) = row[column].as_geometry() else { continue };
         Counters::bump(&counters.exact_tests);
         if keep(g) {
@@ -317,22 +308,25 @@ impl DomainIndex for RTreeSpatialIndex {
                     }
                     return Ok(out);
                 }
-                let candidates: Vec<(RowId, bool)> = {
-                    let tree = self.tree.read();
-                    tree.query_window(&q.bbox()).into_iter().map(|(_, rid)| (rid, false)).collect()
-                };
+                let candidates: Vec<RowId> = self
+                    .tree
+                    .read()
+                    .query_window(&q.bbox())
+                    .into_iter()
+                    .map(|(_, rid)| rid)
+                    .collect();
                 secondary_filter(&self.table, self.column, &self.counters, &snap, candidates, |g| {
                     sdo_geom::relate::relate_any(g, &q, &masks)
                 })
             }
             DecodedOp::WithinDistance(q, d) => {
-                let candidates: Vec<(RowId, bool)> = {
-                    let tree = self.tree.read();
-                    tree.query_within_distance(&q.bbox(), d)
-                        .into_iter()
-                        .map(|(_, rid)| (rid, false))
-                        .collect()
-                };
+                let candidates: Vec<RowId> = self
+                    .tree
+                    .read()
+                    .query_within_distance(&q.bbox(), d)
+                    .into_iter()
+                    .map(|(_, rid)| rid)
+                    .collect();
                 secondary_filter(&self.table, self.column, &self.counters, &snap, candidates, |g| {
                     sdo_geom::within_distance(g, &q, d)
                 })
@@ -418,9 +412,7 @@ impl DomainIndex for QuadtreeSpatialIndex {
                 // Tiles over-approximate: like the R-tree, answer the MBR
                 // test itself, against the version the snapshot sees.
                 let qbb = q.bbox();
-                let candidates = sorted_unique(
-                    self.index.read().query_window(&q).into_iter().map(|c| c.rowid).collect(),
-                );
+                let candidates = self.index.read().query_window(&q);
                 let guard = self.table.read();
                 Ok(candidates
                     .into_iter()
@@ -440,15 +432,7 @@ impl DomainIndex for QuadtreeSpatialIndex {
                     }
                     return Ok(out);
                 }
-                // Interior-tile evidence proves ANYINTERACT only.
-                let prove_by_tiles = masks == [RelateMask::AnyInteract];
-                let candidates: Vec<(RowId, bool)> = {
-                    let idx = self.index.read();
-                    idx.query_window(&q)
-                        .into_iter()
-                        .map(|c| (c.rowid, prove_by_tiles && c.definite))
-                        .collect()
-                };
+                let candidates = self.index.read().query_window(&q);
                 secondary_filter(&self.table, self.column, &self.counters, &snap, candidates, |g| {
                     sdo_geom::relate::relate_any(g, &q, &masks)
                 })
@@ -456,10 +440,7 @@ impl DomainIndex for QuadtreeSpatialIndex {
             DecodedOp::WithinDistance(q, d) => {
                 // Expand the query window by d for the tile-level filter.
                 let window = Geometry::Polygon(Polygon::from_rect(&q.bbox().expanded(d)));
-                let candidates: Vec<(RowId, bool)> = {
-                    let idx = self.index.read();
-                    idx.query_window(&window).into_iter().map(|c| (c.rowid, false)).collect()
-                };
+                let candidates = self.index.read().query_window(&window);
                 secondary_filter(&self.table, self.column, &self.counters, &snap, candidates, |g| {
                     sdo_geom::within_distance(g, &q, d)
                 })

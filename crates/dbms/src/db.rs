@@ -125,7 +125,7 @@ pub struct Database {
     /// Engine-level option defaults; new sessions start from a copy.
     default_options: RwLock<SessionOptions>,
     /// The built-in session behind the connectionless APIs
-    /// ([`Database::execute`], [`Database::begin_txn`], ...). Session
+    /// ([`Database::execute`], [`Database::insert_row`], ...). Session
     /// id 0; behaves exactly like the pre-session single-connection
     /// engine.
     default_session: Arc<SessionState>,
@@ -391,11 +391,6 @@ impl Database {
     /// session is not counted).
     pub fn session_count(&self) -> u64 {
         self.session_count.load(Ordering::Relaxed)
-    }
-
-    /// Engine-level option defaults that new sessions start from.
-    pub fn default_options(&self) -> SessionOptions {
-        self.default_options.read().clone()
     }
 
     /// Change an engine-level default. Affects sessions opened later;
@@ -681,10 +676,6 @@ impl Database {
     /// `ANALYZE <table>`: sample the table, build per-column and
     /// spatial statistics, install them for the planner, and log them
     /// through the WAL (autocommitted, like other DDL).
-    pub fn analyze_table(&self, name: &str) -> Result<Arc<TableStats>, DbError> {
-        self.analyze_table_in(&self.default_session, name)
-    }
-
     pub(crate) fn analyze_table_in(
         &self,
         sess: &SessionState,
@@ -710,13 +701,6 @@ impl Database {
     /// Joins the default session's open transaction, or autocommits.
     pub fn insert_row(&self, table: &str, row: Vec<Value>) -> Result<RowId, DbError> {
         self.with_txn_in(&self.default_session, move |db, ctx| db.txn_insert(ctx, table, row))
-    }
-
-    /// Update a row in place, maintaining domain indexes (Oracle §3:
-    /// "inserts and updates ... automatically trigger an update of the
-    /// corresponding spatial indexes").
-    pub fn update_row(&self, table: &str, rid: RowId, row: Vec<Value>) -> Result<(), DbError> {
-        self.with_txn_in(&self.default_session, move |db, ctx| db.txn_update(ctx, table, rid, row))
     }
 
     /// Delete a row by rowid, maintaining domain indexes.
@@ -751,11 +735,6 @@ impl Database {
         Txn { db: self, ctx: Some(self.new_ctx(durability)) }
     }
 
-    /// `BEGIN` on the default session.
-    pub fn begin_txn(&self) -> Result<(), DbError> {
-        self.begin_txn_in(&self.default_session)
-    }
-
     /// `BEGIN`: open `sess`'s explicit transaction. Each session has
     /// its own slot, so concurrent sessions can all be in
     /// transactions; a second `BEGIN` on the *same* session fails.
@@ -768,11 +747,6 @@ impl Database {
         Ok(())
     }
 
-    /// `COMMIT` on the default session.
-    pub fn commit_txn(&self) -> Result<(), DbError> {
-        self.commit_txn_in(&self.default_session)
-    }
-
     /// `COMMIT`: durably commit `sess`'s open transaction.
     pub(crate) fn commit_txn_in(&self, sess: &SessionState) -> Result<(), DbError> {
         let ctx = sess
@@ -781,11 +755,6 @@ impl Database {
             .take()
             .ok_or_else(|| DbError::Txn("COMMIT with no open transaction".into()))?;
         self.commit_ctx(ctx)
-    }
-
-    /// `ROLLBACK` on the default session.
-    pub fn rollback_txn(&self) -> Result<(), DbError> {
-        self.rollback_txn_in(&self.default_session)
     }
 
     /// `ROLLBACK`: abort `sess`'s open transaction.
@@ -1035,26 +1004,6 @@ impl Database {
     /// Create a domain index through a registered indextype. The
     /// indextype registers its own [`IndexMetadata`] row. DDL
     /// autocommits; rejected inside an explicit transaction.
-    pub fn create_domain_index(
-        &self,
-        index_name: &str,
-        table: &str,
-        column: &str,
-        indextype: &str,
-        params: &str,
-        dop: usize,
-    ) -> Result<(), DbError> {
-        self.create_domain_index_in(
-            &self.default_session,
-            index_name,
-            table,
-            column,
-            indextype,
-            params,
-            dop,
-        )
-    }
-
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn create_domain_index_in(
         &self,
@@ -1086,7 +1035,7 @@ impl Database {
         Ok(())
     }
 
-    /// [`Database::create_domain_index`] without the WAL record: used
+    /// `create_domain_index_in` without the WAL record: used
     /// for index rebuilds (snapshot load, recovery) whose creation is
     /// already recorded in the base image or log.
     fn create_domain_index_unlogged(
@@ -1114,10 +1063,6 @@ impl Database {
     }
 
     /// Drop a domain index (instance + metadata).
-    pub fn drop_domain_index(&self, index_name: &str) -> Result<(), DbError> {
-        self.drop_domain_index_in(&self.default_session, index_name)
-    }
-
     pub(crate) fn drop_domain_index_in(
         &self,
         sess: &SessionState,

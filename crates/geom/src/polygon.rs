@@ -143,11 +143,6 @@ impl Ring {
         self.locate_point(p) != PointLocation::Outside
     }
 
-    /// Minimum distance from `p` to the ring boundary.
-    pub fn boundary_dist_point(&self, p: &Point) -> f64 {
-        self.segments().map(|s| s.dist_point(p)).fold(f64::INFINITY, f64::min)
-    }
-
     /// True when the ring is simple (no self-intersections apart from
     /// consecutive edges sharing a vertex). Small rings use the direct
     /// quadratic pair scan; larger rings route through the segment
@@ -278,11 +273,6 @@ impl Polygon {
                 self.boundary_segments().map(|s| s.dist_point(p)).fold(f64::INFINITY, f64::min)
             }
         }
-    }
-
-    /// Consume the polygon, yielding `(exterior, holes)`.
-    pub fn into_rings(self) -> (Ring, Vec<Ring>) {
-        (self.exterior, self.holes)
     }
 }
 

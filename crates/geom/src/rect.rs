@@ -202,14 +202,6 @@ impl Rect {
         (dx * dx + dy * dy).sqrt()
     }
 
-    /// Maximum distance between any point of `self` and any point of `other`.
-    #[inline]
-    pub fn maxdist(&self, other: &Rect) -> f64 {
-        let dx = (self.max_x - other.min_x).abs().max((other.max_x - self.min_x).abs());
-        let dy = (self.max_y - other.min_y).abs().max((other.max_y - self.min_y).abs());
-        (dx * dx + dy * dy).sqrt()
-    }
-
     /// The rectangle grown by `d` on every side (Minkowski sum with a
     /// square of radius `d`); used to turn a within-distance predicate
     /// into an intersection test on expanded MBRs.

@@ -1,11 +1,11 @@
-//! The linear quadtree index: tile entries in a B+tree.
+//! The linear quadtree index: tile entries in an ordered map.
 
-use crate::tessellate::{tessellate, TileApprox};
+use crate::tessellate::tessellate;
 use crate::tile::TileCode;
 use sdo_geom::{Geometry, Rect};
-use sdo_storage::{BTree, Counters, RowId};
-use std::collections::HashMap;
-use std::ops::Bound;
+use sdo_storage::RowId;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Cached handle for the global `quadtree.tile_probes` metric, bumped
@@ -15,35 +15,20 @@ fn obs_tile_probes() -> &'static Arc<sdo_obs::Counter> {
     HANDLE.get_or_init(|| sdo_obs::global().counter("quadtree.tile_probes"))
 }
 
-/// A window-query candidate: the row plus whether the tile-level
-/// evidence already proves the interaction (interior tiles), letting
-/// the caller skip the exact secondary filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Candidate {
-    /// The candidate row.
-    pub rowid: RowId,
-    /// True when tile evidence alone proves the geometry interacts with
-    /// the query window.
-    pub definite: bool,
-}
-
 /// A linear quadtree over `(tile_code, rowid)` pairs.
 ///
 /// The paper's structure exactly: tessellation produces tile rows, a
-/// B-tree indexes the codes. Interior/boundary flags ride in a side map
-/// (in Oracle they are a column of the index table).
+/// B-tree indexes the codes (here std's `BTreeMap`, ordered by code
+/// then rowid, so one tile's rows are one range).
 ///
 /// One row can briefly hold two versions' tiles (an update inserts the
-/// new version's entries before the old version's are deleted), so a
-/// tile both versions share is counted, not stored twice: deleting one
-/// version leaves the other's tile in place.
+/// new version's entries before the old version's are deleted), so
+/// each entry counts the versions that share it: deleting one version
+/// leaves the other's tile in place.
 pub struct QuadtreeIndex {
     world: Rect,
     level: u32,
-    btree: BTree<(TileCode, RowId)>,
-    interior: HashMap<(TileCode, RowId), bool>,
-    /// References beyond the first to a `(code, rowid)` entry.
-    extra_refs: HashMap<(TileCode, RowId), u32>,
+    entries: BTreeMap<(TileCode, RowId), u32>,
     len_geometries: usize,
 }
 
@@ -53,20 +38,7 @@ impl QuadtreeIndex {
     pub fn new(world: Rect, level: u32) -> Self {
         assert!(level <= crate::MAX_LEVEL, "tiling level too deep");
         assert!(!world.is_empty(), "world extent must be non-empty");
-        QuadtreeIndex {
-            world,
-            level,
-            btree: BTree::new(),
-            interior: HashMap::new(),
-            extra_refs: HashMap::new(),
-            len_geometries: 0,
-        }
-    }
-
-    /// Attach shared work counters to the underlying B-tree.
-    pub fn with_counters(mut self, counters: Arc<Counters>) -> Self {
-        self.btree = std::mem::take(&mut self.btree).with_counters(counters);
-        self
+        QuadtreeIndex { world, level, entries: BTreeMap::new(), len_geometries: 0 }
     }
 
     /// The indexed world extent.
@@ -96,28 +68,13 @@ impl QuadtreeIndex {
     /// Number of tile entries (the index table's row count).
     #[inline]
     pub fn tile_entries(&self) -> usize {
-        self.btree.len()
+        self.entries.len()
     }
 
     /// Index one geometry: tessellate and insert its tile rows.
     pub fn insert(&mut self, rowid: RowId, g: &Geometry) {
-        let tiles = tessellate(g, &self.world, self.level);
-        self.insert_tiles(rowid, &tiles);
-    }
-
-    /// Insert pre-computed tile approximations for a row — the bulk
-    /// path used by parallel index creation, where tessellation already
-    /// happened inside table-function slaves.
-    pub fn insert_tiles(&mut self, rowid: RowId, tiles: &[TileApprox]) {
-        for t in tiles {
-            let key = (t.code, rowid);
-            if self.btree.insert(key) {
-                self.interior.insert(key, t.interior);
-            } else {
-                *self.extra_refs.entry(key).or_insert(0) += 1;
-                // Interior only if interior to every version it stands for.
-                self.interior.entry(key).and_modify(|i| *i &= t.interior);
-            }
+        for t in tessellate(g, &self.world, self.level) {
+            *self.entries.entry((t.code, rowid)).or_insert(0) += 1;
         }
         self.len_geometries += 1;
     }
@@ -125,18 +82,13 @@ impl QuadtreeIndex {
     /// Remove a geometry's tile rows (re-tessellates to find them, as
     /// Oracle's index-maintenance trigger effectively does).
     pub fn delete(&mut self, rowid: RowId, g: &Geometry) -> bool {
-        let tiles = tessellate(g, &self.world, self.level);
         let mut removed_any = false;
-        for t in &tiles {
-            let key = (t.code, rowid);
-            if let Some(n) = self.extra_refs.get_mut(&key) {
-                *n -= 1;
-                if *n == 0 {
-                    self.extra_refs.remove(&key);
+        for t in tessellate(g, &self.world, self.level) {
+            if let Entry::Occupied(mut e) = self.entries.entry((t.code, rowid)) {
+                *e.get_mut() -= 1;
+                if *e.get() == 0 {
+                    e.remove();
                 }
-                removed_any = true;
-            } else if self.btree.remove(&key) {
-                self.interior.remove(&key);
                 removed_any = true;
             }
         }
@@ -146,74 +98,47 @@ impl QuadtreeIndex {
         removed_any
     }
 
-    /// All rows sharing tile `code`, with interior flags.
-    pub fn rows_in_tile(&self, code: TileCode) -> Vec<(RowId, bool)> {
-        if sdo_obs::profiling() {
-            obs_tile_probes().add(1);
-        }
-        self.btree
-            .range(
-                Bound::Included(&(code, RowId::new(0))),
-                Bound::Excluded(&(code + 1, RowId::new(0))),
-            )
-            .map(|&(c, r)| (r, *self.interior.get(&(c, r)).unwrap_or(&false)))
-            .collect()
-    }
-
-    /// Window query: tessellate the query window, probe the B-tree per
-    /// window tile, and merge per-row evidence.
-    ///
-    /// A candidate is **definite** when some shared tile is interior to
-    /// either the window or the data geometry — tile geometry alone
-    /// proves interaction, no exact test needed. Otherwise the caller
-    /// must run the secondary filter.
-    pub fn query_window(&self, window: &Geometry) -> Vec<Candidate> {
-        let wtiles = tessellate(window, &self.world, self.level);
-        let mut best: HashMap<RowId, bool> = HashMap::new();
-        for wt in &wtiles {
-            for (rowid, data_interior) in self.rows_in_tile(wt.code) {
-                let definite = wt.interior || data_interior;
-                best.entry(rowid).and_modify(|d| *d = *d || definite).or_insert(definite);
+    /// Window query: tessellate the query window, probe the map once
+    /// per window tile, and return the rows found, sorted and without
+    /// repeats. Tiles over-approximate, so the caller runs the exact
+    /// secondary filter on every candidate.
+    pub fn query_window(&self, window: &Geometry) -> Vec<RowId> {
+        let profiling = sdo_obs::profiling();
+        let mut out = Vec::new();
+        for wt in tessellate(window, &self.world, self.level) {
+            if profiling {
+                obs_tile_probes().add(1);
             }
+            // Codes are < 4^MAX_LEVEL = 2^62, so `code + 1` cannot wrap.
+            let tile = (wt.code, RowId::new(0))..(wt.code + 1, RowId::new(0));
+            out.extend(self.entries.range(tile).map(|(&(_, rowid), _)| rowid));
         }
-        let mut out: Vec<Candidate> =
-            best.into_iter().map(|(rowid, definite)| Candidate { rowid, definite }).collect();
-        out.sort_by_key(|c| c.rowid);
+        out.sort_unstable();
+        out.dedup();
         out
     }
 
-    /// Iterate every `(code, rowid, interior)` entry in tile order.
-    pub fn iter_entries(&self) -> impl Iterator<Item = (TileCode, RowId, bool)> + '_ {
-        self.btree.iter().map(|&(c, r)| (c, r, *self.interior.get(&(c, r)).unwrap_or(&false)))
+    /// Iterate every `(code, rowid)` entry in tile order.
+    pub fn iter_entries(&self) -> impl Iterator<Item = (TileCode, RowId)> + '_ {
+        self.entries.keys().copied()
     }
 
     /// Bulk-build from tessellated rows (sorted or not). Used by the
-    /// parallel creation path: slaves emit `(code, rowid, interior)`
-    /// triples, the coordinator sorts once and packs the B-tree
-    /// bottom-up.
+    /// parallel creation path: slaves emit `(code, rowid)` pairs, the
+    /// coordinator sorts once and std builds the map from the sorted
+    /// run.
     pub fn bulk_build(
         world: Rect,
         level: u32,
-        mut entries: Vec<(TileCode, RowId, bool)>,
+        mut entries: Vec<(TileCode, RowId)>,
         geometry_count: usize,
     ) -> Self {
-        entries.sort_unstable_by_key(|&(c, r, _)| (c, r));
-        entries.dedup_by_key(|&mut (c, r, _)| (c, r));
-        let mut interior = HashMap::with_capacity(entries.len());
-        let keys: Vec<(TileCode, RowId)> = entries
-            .iter()
-            .map(|&(c, r, i)| {
-                interior.insert((c, r), i);
-                (c, r)
-            })
-            .collect();
-        let btree = BTree::bulk_build(keys, sdo_storage::btree::DEFAULT_ORDER);
+        entries.sort_unstable();
+        entries.dedup();
         QuadtreeIndex {
             world,
             level,
-            btree,
-            interior,
-            extra_refs: HashMap::new(),
+            entries: entries.into_iter().map(|key| (key, 1)).collect(),
             len_geometries: geometry_count,
         }
     }
@@ -256,15 +181,14 @@ mod tests {
         let mut idx = build(std::slice::from_ref(&old));
         idx.insert(RowId::new(0), &new);
         idx.delete(RowId::new(0), &old);
-        let hits = idx.query_window(&new);
-        assert!(hits.iter().any(|c| c.rowid == RowId::new(0)), "row lost its shared tiles");
+        assert_eq!(idx.query_window(&new), vec![RowId::new(0)], "row lost its shared tiles");
         assert_eq!(idx.tile_entries(), build(std::slice::from_ref(&new)).tile_entries());
         assert!(idx.delete(RowId::new(0), &new));
         assert_eq!(idx.tile_entries(), 0);
     }
 
     #[test]
-    fn window_query_superset_of_truth_and_definites_sound() {
+    fn window_query_superset_of_truth() {
         let geoms = sample();
         let idx = build(&geoms);
         let window = square(50.0, 50.0, 60.0);
@@ -276,19 +200,13 @@ mod tests {
             .filter(|(_, g)| sdo_geom::intersects(g, &window))
             .map(|(i, _)| i)
             .collect();
-        let cand_ids: Vec<usize> = candidates.iter().map(|c| c.rowid.slot()).collect();
+        let cand_ids: Vec<usize> = candidates.iter().map(|r| r.slot()).collect();
         // candidates ⊇ truth
         for t in &truth {
             assert!(cand_ids.contains(t), "missing true hit {t}");
         }
-        // definite candidates ⊆ truth (no false definite)
-        for c in &candidates {
-            if c.definite {
-                assert!(truth.contains(&c.rowid.slot()), "false definite candidate {:?}", c.rowid);
-            }
-        }
-        // a window this large must prove some hits definitively
-        assert!(candidates.iter().any(|c| c.definite));
+        // sorted, each row once
+        assert!(candidates.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -302,7 +220,7 @@ mod tests {
         assert_eq!(idx.len(), 39);
         let window = geoms[0].clone();
         let candidates = idx.query_window(&window);
-        assert!(candidates.iter().all(|c| c.rowid != RowId::new(0)));
+        assert!(!candidates.contains(&RowId::new(0)));
     }
 
     #[test]
@@ -312,7 +230,7 @@ mod tests {
         let mut rows = Vec::new();
         for (i, g) in geoms.iter().enumerate() {
             for t in tessellate(g, &WORLD, 5) {
-                rows.push((t.code, RowId::new(i as u64), t.interior));
+                rows.push((t.code, RowId::new(i as u64)));
             }
         }
         let bulk = QuadtreeIndex::bulk_build(WORLD, 5, rows, geoms.len());
@@ -339,7 +257,7 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         for t in truth {
-            assert!(candidates.iter().any(|c| c.rowid.slot() == t));
+            assert!(candidates.contains(&RowId::new(t as u64)));
         }
     }
 

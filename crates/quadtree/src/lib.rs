@@ -12,12 +12,10 @@
 //!   interacts with, classifying each tile as *interior* (fully inside
 //!   an areal geometry) or *boundary*; tessellation is the expensive
 //!   step the paper parallelizes with table functions (§5, Figure 2),
-//! * [`index::QuadtreeIndex`] — `(tile_code, rowid)` entries in a
-//!   from-scratch B+tree ([`sdo_storage::BTree`]) with interior flags;
-//!   window queries decompose the window into tiles and probe the
-//!   B-tree; interior tiles yield *definite* hits that skip the
-//!   secondary filter (the interior-approximation optimization of the
-//!   authors' companion paper).
+//! * [`index::QuadtreeIndex`] — `(tile_code, rowid)` entries in one
+//!   std `BTreeMap`; window queries decompose the window into tiles
+//!   and probe one key range per tile. Tiles over-approximate, so
+//!   every candidate goes through the exact secondary filter.
 //!
 //! The quadtree serves window queries and parallel index creation.
 //! Joins over quadtree-indexed tables run `sdo-core`'s grid partition
@@ -27,7 +25,7 @@ pub mod index;
 pub mod tessellate;
 pub mod tile;
 
-pub use index::{Candidate, QuadtreeIndex};
+pub use index::QuadtreeIndex;
 pub use tessellate::{tessellate, TileApprox};
 pub use tile::{Tile, TileCode};
 

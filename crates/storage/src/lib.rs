@@ -10,9 +10,6 @@
 //!   and the secondary filter fetches geometries by rowid,
 //! * a typed [`value::Value`] model including geometries
 //!   (`SDO_GEOMETRY` columns are just object-typed columns in Oracle),
-//! * a from-scratch **B+tree** ([`btree::BTree`]) — the linear quadtree
-//!   stores its tessellated tile codes in a B-tree, and index creation
-//!   parallelism hinges on separating tessellation from B-tree build,
 //! * a [`catalog::Catalog`] of tables plus index metadata (the paper's
 //!   "metadata table" storing index table name, dimensionality, fanout,
 //!   tiling level),
@@ -23,7 +20,6 @@
 //! statement-level model loosely with `parking_lot` read/write locks at
 //! table granularity.
 
-pub mod btree;
 pub mod catalog;
 pub mod mvcc;
 pub mod pager;
@@ -35,7 +31,6 @@ pub mod table;
 pub mod value;
 pub mod wal;
 
-pub use btree::BTree;
 pub use catalog::{Catalog, IndexKind, IndexMetadata};
 pub use mvcc::{Csn, Snapshot, TxnId, TxnState, TxnStatusTable, FROZEN_TXN};
 pub use rowid::RowId;

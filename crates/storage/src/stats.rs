@@ -25,8 +25,6 @@ pub struct Counters {
     pub row_fetches: AtomicU64,
     /// Rows produced by full-table scans.
     pub rows_scanned: AtomicU64,
-    /// B+tree node visits.
-    pub btree_node_visits: AtomicU64,
     /// R-tree node reads.
     pub rtree_node_reads: AtomicU64,
     /// MBR-vs-MBR tests performed by primary filters.
@@ -78,7 +76,6 @@ impl Counters {
         for f in [
             &self.row_fetches,
             &self.rows_scanned,
-            &self.btree_node_visits,
             &self.rtree_node_reads,
             &self.mbr_tests,
             &self.exact_tests,
@@ -99,7 +96,6 @@ impl Counters {
             values: [
                 Counters::get(&self.row_fetches),
                 Counters::get(&self.rows_scanned),
-                Counters::get(&self.btree_node_visits),
                 Counters::get(&self.rtree_node_reads),
                 Counters::get(&self.mbr_tests),
                 Counters::get(&self.exact_tests),
@@ -121,10 +117,9 @@ impl Counters {
 }
 
 /// Names of the [`Counters`] fields, in snapshot order.
-pub const COUNTER_NAMES: [&str; 12] = [
+pub const COUNTER_NAMES: [&str; 11] = [
     "row_fetches",
     "rows_scanned",
-    "btree_node_visits",
     "rtree_node_reads",
     "mbr_tests",
     "exact_tests",
@@ -142,14 +137,14 @@ pub const COUNTER_NAMES: [&str; 12] = [
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CountersSnapshot {
     /// Values in [`COUNTER_NAMES`] order.
-    pub values: [u64; 12],
+    pub values: [u64; COUNTER_NAMES.len()],
 }
 
 impl CountersSnapshot {
     /// Element-wise saturating subtraction: the work between `earlier`
     /// and `self`.
     pub fn diff(&self, earlier: &CountersSnapshot) -> CountersSnapshot {
-        let mut values = [0u64; 12];
+        let mut values = [0u64; COUNTER_NAMES.len()];
         for (i, v) in values.iter_mut().enumerate() {
             *v = self.values[i].saturating_sub(earlier.values[i]);
         }
@@ -701,7 +696,7 @@ mod tests {
         let c = Counters::new();
         Counters::bump(&c.exact_tests);
         let snap = c.snapshot().pairs();
-        assert_eq!(snap.len(), 12);
+        assert_eq!(snap.len(), 11);
         assert_eq!(snap.len(), COUNTER_NAMES.len());
         assert!(snap.contains(&("exact_tests", 1)));
     }

@@ -1,7 +1,7 @@
 //! Typed column values.
 
 use crate::rowid::RowId;
-use sdo_geom::{Geometry, SdoGeometry};
+use sdo_geom::Geometry;
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -37,11 +37,6 @@ impl Value {
     /// A geometry value (wraps in `Arc` for cheap sharing).
     pub fn geometry(g: Geometry) -> Value {
         Value::Geometry(Arc::new(g))
-    }
-
-    /// Encode a geometry value from the Oracle-style SDO representation.
-    pub fn from_sdo(sdo: &SdoGeometry) -> Result<Value, sdo_geom::GeomError> {
-        Ok(Value::geometry(sdo.to_geometry()?))
     }
 
     /// True for SQL NULL.

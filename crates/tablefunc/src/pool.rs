@@ -150,7 +150,7 @@ impl SlavePool {
                         inner.idle.push(tx);
                     }
                     // The crossbeam shim has no recv_timeout, so idle
-                    // workers park indefinitely; the idle cap (not a
+                    // workers park with no time limit; the idle cap (not a
                     // keep-alive clock) bounds the resident set.
                     match rx.recv() {
                         Ok(job) => job(),

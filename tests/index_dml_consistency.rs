@@ -244,3 +244,87 @@ fn deferred_old_entry_is_fetched_and_tested_once() {
     assert_eq!(db.counters().diff(&before).get("exact_tests"), Some(1));
     a.execute("COMMIT").unwrap();
 }
+
+/// Index entries run ahead of and behind what a reader may see: an
+/// update adds the new version's tiles at once and removes the old
+/// version's only when no snapshot can still see it. Whatever a
+/// candidate's tiles say, the answer must come from the row version
+/// the reader's snapshot sees — for the writer's own uncommitted
+/// update, another session's uncommitted update, and a committed update
+/// while an older snapshot is pinned.
+#[test]
+fn tile_evidence_respects_the_snapshot() {
+    let square = |x: f64, y: f64| {
+        format!(
+            "SDO_GEOMETRY('POLYGON (({x} {y}, {} {y}, {} {}, {x} {}, {x} {y}))')",
+            x + 2.0,
+            x + 2.0,
+            y + 2.0,
+            y + 2.0
+        )
+    };
+    // The window covers whole tiles, so its tile evidence alone would
+    // claim every row it finds there.
+    let select = "SELECT id FROM t WHERE SDO_RELATE(geom, \
+                  SDO_GEOMETRY('POLYGON ((0 0, 20 0, 20 20, 0 20, 0 0))'), 'ANYINTERACT') = 'TRUE' \
+                  ORDER BY id";
+    let ids = |r: sdo_dbms::QueryResult| -> Vec<i64> {
+        r.rows.iter().map(|row| row[0].as_integer().unwrap()).collect()
+    };
+    for params in ["tree_fanout=8", "sdo_level=6, extent=0:0:200:200"] {
+        // Row 1 inside the window, row 2 and 400 more outside it.
+        let setup = || {
+            let db = std::sync::Arc::new(Database::new());
+            sdo_core::register_spatial(&db);
+            db.execute("CREATE TABLE t (id NUMBER, geom SDO_GEOMETRY)").unwrap();
+            db.execute(&format!("INSERT INTO t VALUES (1, {})", square(5.0, 5.0))).unwrap();
+            db.execute(&format!("INSERT INTO t VALUES (2, {})", square(100.0, 100.0))).unwrap();
+            for i in 0..400 {
+                let (x, y) = (40.0 + (i % 20) as f64 * 7.0, 40.0 + (i / 20) as f64 * 7.0);
+                db.execute(&format!("INSERT INTO t VALUES ({}, {})", i + 3, square(x, y))).unwrap();
+            }
+            db.execute(&format!(
+                "CREATE INDEX t_x ON t(geom) INDEXTYPE IS SPATIAL_INDEX PARAMETERS ('{params}')"
+            ))
+            .unwrap();
+            let plan = db.execute(&format!("EXPLAIN {select}")).unwrap();
+            let plan: Vec<_> =
+                plan.rows.iter().map(|r| r[0].as_text().unwrap().to_string()).collect();
+            assert!(plan.iter().any(|l| l.contains("INDEX SCAN T")), "{params}: {plan:?}");
+            db
+        };
+        let (inside, outside) = (square(7.0, 7.0), square(150.0, 150.0));
+
+        // Own update: the writer moved row 1 out of the window.
+        let db = setup();
+        let writer = db.session();
+        writer.execute("BEGIN").unwrap();
+        writer.execute(&format!("UPDATE t SET geom = {outside} WHERE id = 1")).unwrap();
+        assert_eq!(ids(writer.execute(select).unwrap()), Vec::<i64>::new(), "own update, {params}");
+        writer.execute("ROLLBACK").unwrap();
+
+        // Dirty read: another session moved row 2 in, not yet committed.
+        let db = setup();
+        let writer = db.session();
+        writer.execute("BEGIN").unwrap();
+        writer.execute(&format!("UPDATE t SET geom = {inside} WHERE id = 2")).unwrap();
+        assert_eq!(ids(db.session().execute(select).unwrap()), vec![1], "dirty read, {params}");
+        assert_eq!(ids(writer.execute(select).unwrap()), vec![1, 2], "own move-in, {params}");
+        writer.execute("ROLLBACK").unwrap();
+
+        // Pinned snapshot: a committed move-out while an older
+        // snapshot still sees row 1 in the window.
+        let db = setup();
+        let pinned = db.session();
+        pinned.execute("BEGIN").unwrap();
+        assert_eq!(ids(pinned.execute(select).unwrap()), vec![1], "pinned before, {params}");
+        db.session().execute(&format!("UPDATE t SET geom = {outside} WHERE id = 1")).unwrap();
+        assert_eq!(
+            ids(db.session().execute(select).unwrap()),
+            Vec::<i64>::new(),
+            "fresh reader, {params}"
+        );
+        assert_eq!(ids(pinned.execute(select).unwrap()), vec![1], "pinned after, {params}");
+        pinned.execute("COMMIT").unwrap();
+    }
+}
