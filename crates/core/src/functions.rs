@@ -478,7 +478,11 @@ fn tessellate_factory(
         .with_projection(vec![col])
         .at_snapshot(snap);
     let func = sdo_tablefunc::pipeline::CursorFn::new(cursor, move |row| {
-        crate::create::tessellate_row(&row, &world, level, &counters)
+        let mut out = Vec::new();
+        if let (Some(rid), Some(g)) = (row[0].as_rowid(), row[1].as_geometry()) {
+            crate::create::tessellate_row(rid, g, &world, level, &counters, &mut out)?;
+        }
+        Ok(out)
     });
     Ok(TfInstance {
         func: Box::new(func),

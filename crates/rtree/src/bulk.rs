@@ -55,16 +55,17 @@ fn str_pack<T>(mut entries: Vec<Entry<T>>, max: usize, min: usize) -> Vec<Vec<En
     let slice_size = n.div_ceil(slice_count);
 
     entries.sort_by(|a, b| a.mbr.center().x.total_cmp(&b.mbr.center().x));
+    for slice in entries.chunks_mut(slice_size) {
+        slice.sort_by(|a, b| a.mbr.center().y.total_cmp(&b.mbr.center().y));
+    }
 
     let mut groups = Vec::with_capacity(node_count);
-    let mut rest = entries;
-    while !rest.is_empty() {
-        let take = slice_size.min(rest.len());
-        let mut slice: Vec<Entry<T>> = rest.drain(..take).collect();
-        slice.sort_by(|a, b| a.mbr.center().y.total_cmp(&b.mbr.center().y));
-        // Chunk the slice, balancing the tail.
-        let mut remaining = slice.len();
-        let mut it = slice.into_iter();
+    let mut it = entries.into_iter();
+    let mut left = n;
+    while left > 0 {
+        // Chunk the next slice, balancing its tail.
+        let mut remaining = slice_size.min(left);
+        left -= remaining;
         while remaining > 0 {
             let take = if remaining > max && remaining < max + min {
                 remaining / 2
@@ -102,13 +103,89 @@ mod tests {
             .collect()
     }
 
+    /// Reference for `str_pack`: the same round with each slice drained
+    /// off the front of the sorted entries.
+    fn str_pack_drain<T>(mut entries: Vec<Entry<T>>, max: usize, min: usize) -> Vec<Vec<Entry<T>>> {
+        let n = entries.len();
+        let node_count = n.div_ceil(max);
+        let slice_count = (node_count as f64).sqrt().ceil() as usize;
+        let slice_size = n.div_ceil(slice_count);
+        entries.sort_by(|a, b| a.mbr.center().x.total_cmp(&b.mbr.center().x));
+        let mut groups = Vec::with_capacity(node_count);
+        let mut rest = entries;
+        while !rest.is_empty() {
+            let take = slice_size.min(rest.len());
+            let mut slice: Vec<Entry<T>> = rest.drain(..take).collect();
+            slice.sort_by(|a, b| a.mbr.center().y.total_cmp(&b.mbr.center().y));
+            let mut remaining = slice.len();
+            let mut it = slice.into_iter();
+            while remaining > 0 {
+                let take = if remaining > max && remaining < max + min {
+                    remaining / 2
+                } else {
+                    max.min(remaining)
+                };
+                groups.push((&mut it).take(take).collect());
+                remaining -= take;
+            }
+        }
+        groups
+    }
+
+    type Pack = fn(Vec<Entry<usize>>, usize, usize) -> Vec<Vec<Entry<usize>>>;
+
+    /// The tree `bulk_load` builds with `pack`, level by level from the
+    /// leaves: each node's entries as item ids, where an internal
+    /// entry's id is its child's position in the level below.
+    fn levels(data: Vec<(Rect, usize)>, params: RTreeParams, pack: Pack) -> Vec<Vec<Vec<usize>>> {
+        let mut entries: Vec<Entry<usize>> =
+            data.into_iter().map(|(mbr, i)| Entry::item(mbr, i)).collect();
+        let mut out = Vec::new();
+        while entries.len() > params.max_entries {
+            let groups = pack(entries, params.max_entries, params.min_entries);
+            out.push(groups.iter().map(|g| g.iter().map(|e| *e.item_ref()).collect()).collect());
+            entries = groups
+                .iter()
+                .enumerate()
+                .map(|(i, g)| Entry::item(g.iter().fold(Rect::EMPTY, |a, e| a.union(&e.mbr)), i))
+                .collect();
+        }
+        out.push(vec![entries.iter().map(|e| *e.item_ref()).collect()]);
+        out
+    }
+
+    /// The item ids of every leaf under `id`.
+    fn leaves(t: &RTree<usize>, id: crate::node::NodeId, out: &mut Vec<Vec<usize>>) {
+        let node = t.node(id);
+        if node.is_leaf() {
+            out.push(node.entries.iter().map(|e| *e.item_ref()).collect());
+        } else {
+            for e in &node.entries {
+                leaves(t, e.child_id(), out);
+            }
+        }
+    }
+
     #[test]
     fn bulk_load_sizes() {
         for n in [0usize, 1, 31, 32, 33, 1000, 5000] {
-            let t = RTree::bulk_load(items(n), RTreeParams::with_fanout(32));
+            let params = RTreeParams::with_fanout(32);
+            let t = RTree::bulk_load(items(n), params);
             assert_eq!(t.len(), n, "n={n}");
             t.check_invariants().unwrap_or_else(|e| panic!("n={n}: {e}"));
             assert_eq!(t.iter_items().count(), n);
+            // Slicing in place packs the same tree as draining did, and
+            // the tree's leaves are the packed groups.
+            let packed = levels(items(n), params, str_pack);
+            assert_eq!(packed, levels(items(n), params, str_pack_drain), "n={n}");
+            if n > 0 {
+                let mut got = Vec::new();
+                leaves(&t, t.root_id(), &mut got);
+                let mut want = packed[0].clone();
+                got.sort();
+                want.sort();
+                assert_eq!(got, want, "n={n}");
+            }
         }
     }
 
