@@ -186,12 +186,13 @@ pub struct JoinSide {
 /// A fetch that finds no geometry (row deleted mid-join) is neither a
 /// hit nor a miss — the statistics count real geometry loads only.
 ///
-/// Entries are [`PreparedGeometry`] wrappers: the decoded edge arrays
-/// and segment index a prepared predicate builds on first use stay
-/// cached with the geometry, so a hot geometry is prepared once no
-/// matter how many candidate pairs it appears in. The wrapper itself
-/// is lazy: nothing beyond the `Arc` clone is built until a predicate
-/// needs it.
+/// Entries are [`PreparedGeometry`] wrappers: a shared geometry and its
+/// bounding box. `ANYINTERACT` between two small geometries runs on the
+/// stored rings, so small entries never carry a segment index. A large
+/// entry, or one a costlier predicate touches, builds its decoded edge
+/// arrays and segment index on first use, and they stay cached with the
+/// geometry, so a hot geometry is prepared once no matter how many
+/// candidate pairs it appears in.
 pub(crate) struct GeomCache {
     cap: usize,
     map: std::collections::HashMap<RowId, Arc<PreparedGeometry>>,
@@ -202,6 +203,8 @@ pub(crate) struct GeomCache {
     snap: Snapshot,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
+    /// Segment indexes the exact filter built on this side's entries.
+    pub(crate) shapes_built: u64,
 }
 
 impl GeomCache {
@@ -213,6 +216,7 @@ impl GeomCache {
             snap: Snapshot::LATEST,
             hits: 0,
             misses: 0,
+            shapes_built: 0,
         }
     }
 
@@ -330,16 +334,19 @@ impl SecondaryFilter<'_> {
             // whose MBR matches that geometry may emit — the other
             // belongs to a version this snapshot cannot see, and
             // emitting through it would duplicate the pair.
-            if lg.geometry().bbox() != lrect || rg.geometry().bbox() != rrect {
+            if lg.bbox() != lrect || rg.bbox() != rrect {
                 continue;
             }
             Counters::bump(&counters.exact_tests);
             let t_filter = phases.map(|_| Instant::now());
+            let indexed = (lg.has_index(), rg.has_index());
             let keep = match self.exact {
                 ExactPredicate::Masks(masks) => lg.relate_any(&rg, masks),
                 ExactPredicate::Distance(d) => lg.within_distance(&rg, *d),
                 ExactPredicate::PrimaryOnly => unreachable!(),
             };
+            lcache.shapes_built += u64::from(!indexed.0 && lg.has_index());
+            rcache.shapes_built += u64::from(!indexed.1 && rg.has_index());
             if let (Some(p), Some(t0)) = (phases, t_filter) {
                 p.filter.add_wall(t0.elapsed());
                 p.filter.add_rows(1);
@@ -626,6 +633,8 @@ impl TableFunction for SpatialJoin {
             // a cold cache (0 hits) still renders.
             p.filter.set_metric("cache_hits", self.lcache.hits + self.rcache.hits);
             p.filter.set_metric("cache_misses", self.lcache.misses + self.rcache.misses);
+            p.filter
+                .set_metric("shapes_built", self.lcache.shapes_built + self.rcache.shapes_built);
             p.node.add_metric("peak_candidates", self.peak_candidates as u64);
             // set_metric: a join that never swept (or never scanned)
             // still renders its zero.

@@ -606,6 +606,8 @@ impl TableFunction for PartitionJoin {
             p.node.add_metric("geom_cache_misses", self.lcache.misses + self.rcache.misses);
             p.filter.set_metric("cache_hits", self.lcache.hits + self.rcache.hits);
             p.filter.set_metric("cache_misses", self.lcache.misses + self.rcache.misses);
+            p.filter
+                .set_metric("shapes_built", self.lcache.shapes_built + self.rcache.shapes_built);
             p.node.add_metric("peak_candidates", self.peak_candidates as u64);
             // set_metric: a slave at 0 tasks (or a join that never
             // swept) must still render — that imbalance is what

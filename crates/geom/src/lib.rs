@@ -28,6 +28,8 @@ pub mod algorithms;
 pub mod codec;
 pub mod error;
 pub mod geometry;
+#[cfg(test)]
+mod kernel_reference;
 pub mod linestring;
 pub mod multi;
 pub mod point;

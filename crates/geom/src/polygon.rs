@@ -59,10 +59,11 @@ impl Ring {
         self.points.len()
     }
 
-    /// Iterate the ring's edges, including the implicit closing edge.
+    /// Iterate the ring's edges, including the implicit closing edge
+    /// (last).
     pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
-        let n = self.points.len();
-        (0..n).map(move |i| Segment::new(self.points[i], self.points[(i + 1) % n]))
+        let next = self.points[1..].iter().chain(&self.points[..1]);
+        self.points.iter().zip(next).map(|(a, b)| Segment::new(*a, *b))
     }
 
     /// Shoelace signed area: positive for counterclockwise rings.
@@ -113,12 +114,10 @@ impl Ring {
     /// ray with the standard "lower endpoint inclusive" rule so shared
     /// vertices are not double counted.
     pub fn locate_point(&self, p: &Point) -> PointLocation {
-        let n = self.points.len();
         let mut inside = false;
-        for i in 0..n {
-            let a = self.points[i];
-            let b = self.points[(i + 1) % n];
-            if Segment::new(a, b).contains_point(p) {
+        for s in self.segments() {
+            let Segment { a, b } = s;
+            if s.contains_point(p) {
                 return PointLocation::OnBoundary;
             }
             // Half-open rule: edge counts when exactly one endpoint is

@@ -46,11 +46,11 @@
 //!   a plain scan, for degenerate inputs). Extra candidates only cost
 //!   time — the exact segment test runs afterwards.
 
-use crate::geometry::Geometry;
+use crate::geometry::{Geometry, TopoDim};
 use crate::point::Point;
 use crate::polygon::{PointLocation, Polygon, Ring};
 use crate::rect::Rect;
-use crate::relate::RelateMask;
+use crate::relate::{exterior_vertex_in, RelateMask};
 use crate::segment::Segment;
 use crate::EPS;
 use std::ops::ControlFlow;
@@ -64,6 +64,22 @@ const FAN: usize = 16;
 /// Edge count below which `Ring::is_simple` keeps its quadratic scan;
 /// building an index does not pay for itself under this.
 pub(crate) const SIMPLE_SCAN_CUTOFF: usize = 48;
+
+/// Vertex count (for a polygon, its edge count) up to which
+/// [`PreparedGeometry::intersects`] runs the unprepared kernel on two
+/// point or areal geometries, so it never builds a segment index for
+/// them. Curves always take the index: the unprepared line kernels pair
+/// every segment with no box filter, and `exp_filter`'s `line32`
+/// workload ran 2.7× slower on them.
+///
+/// Chosen by `exp_filter sweep` (EXPERIMENTS.md) with this constant
+/// raised past every size: 9 702 polygon pairs, 7.8 candidates per
+/// geometry, each geometry wrapped once per run as the join's cache
+/// does, vertex prefilter on both kernels. Medians of five runs on a
+/// 2-vCPU host, unprepared against indexed: 64 vertices 19 against
+/// 36 ms, 128 vertices 64 against 83 ms, 256 vertices 184 against
+/// 174 ms, 512 vertices 710 against 435 ms.
+const DIRECT_MAX_VERTICES: usize = 128;
 
 // ---------------------------------------------------------------------------
 // Segment index
@@ -327,10 +343,15 @@ struct Shape {
 ///
 /// Construction is cheap — the edge arrays and segment index are built
 /// on the first predicate call (`OnceLock`), so callers that only ever
-/// run the primary filter pay nothing.
+/// run the primary filter pay nothing. `intersects` between two small
+/// point or areal geometries (at most `DIRECT_MAX_VERTICES` vertices
+/// each) builds none: it runs [`crate::relate::intersects`] on the
+/// stored rings.
 pub struct PreparedGeometry {
     geom: Arc<Geometry>,
     bbox: Rect,
+    /// Small enough for `intersects` to run the unprepared kernel.
+    direct: bool,
     shape: OnceLock<Shape>,
 }
 
@@ -344,7 +365,22 @@ impl PreparedGeometry {
     /// (buffer caches hand out `Arc<Geometry>`).
     pub fn from_arc(geom: Arc<Geometry>) -> Self {
         let bbox = geom.bbox();
-        PreparedGeometry { geom, bbox, shape: OnceLock::new() }
+        let direct = geom.dim() != TopoDim::One && geom.num_points() <= DIRECT_MAX_VERTICES;
+        PreparedGeometry { geom, bbox, direct, shape: OnceLock::new() }
+    }
+
+    /// Wrap a geometry whose predicates always run on the segment index,
+    /// whatever its size, so tests can hold the indexed kernels to the
+    /// naive ones on small inputs too.
+    #[doc(hidden)]
+    pub fn indexed(geom: impl Into<Arc<Geometry>>) -> Self {
+        PreparedGeometry { direct: false, ..Self::from_arc(geom.into()) }
+    }
+
+    /// True once a predicate has built this geometry's segment index.
+    #[inline]
+    pub fn has_index(&self) -> bool {
+        self.shape.get().is_some()
     }
 
     /// The wrapped geometry.
@@ -404,6 +440,14 @@ impl PreparedGeometry {
 
     /// Prepared `ANYINTERACT`: equals [`crate::relate::intersects`].
     pub fn intersects(&self, other: &PreparedGeometry) -> bool {
+        if self.direct && other.direct {
+            return crate::relate::intersects_boxed(
+                &self.geom,
+                &self.bbox,
+                &other.geom,
+                &other.bbox,
+            );
+        }
         if !self.bbox.intersects(&other.bbox) {
             return false;
         }
@@ -751,22 +795,17 @@ fn elem_intersects(ea: &PrepElem, eb: &PrepElem, pad: f64) -> bool {
         }
         (Polygon(p1), Polygon(p2)) => {
             // Mirrors `polygons_intersect`: element bbox check, exterior
-            // vertices each way, then the bbox-prefiltered boundary
-            // join (raw-bbox query — identical pair set).
+            // vertices each way (only those in the other's probe box),
+            // then the bbox-prefiltered boundary join (raw-bbox query —
+            // identical pair set).
             if !ea.bbox.intersects(&eb.bbox) {
                 return false;
             }
-            if p1
-                .exterior()
-                .points()
-                .iter()
-                .any(|p| elem_locate_poly(eb, p) != PointLocation::Outside)
-                || p2
-                    .exterior()
-                    .points()
-                    .iter()
-                    .any(|p| elem_locate_poly(ea, p) != PointLocation::Outside)
-            {
+            if exterior_vertex_in(p1, &eb.bbox, |v| {
+                elem_locate_poly(eb, v) != PointLocation::Outside
+            }) || exterior_vertex_in(p2, &ea.bbox, |v| {
+                elem_locate_poly(ea, v) != PointLocation::Outside
+            }) {
                 return true;
             }
             seg_join_intersects(ea, eb, 0.0)
@@ -847,6 +886,10 @@ fn elem_polygon_covered_by(ea: &PrepElem, eb: &PrepElem) -> bool {
     // A hole of b strictly inside a would punch uncovered area out of a.
     for h in b.holes() {
         if h.points().iter().any(|p| elem_locate_poly(ea, p) == PointLocation::Inside) {
+            return false;
+        }
+        if h.segments().any(|s| elem_locate_poly(ea, &((s.a + s.b) * 0.5)) == PointLocation::Inside)
+        {
             return false;
         }
         if h.points().iter().all(|p| elem_locate_poly(ea, p) != PointLocation::Outside) {
@@ -999,6 +1042,12 @@ mod tests {
         .collect()
     }
 
+    /// The default wrapper (small geometries meet on their stored rings)
+    /// and the always-indexed one.
+    fn both_paths(g: &Geometry) -> [PreparedGeometry; 2] {
+        [PreparedGeometry::new(g.clone()), PreparedGeometry::indexed(g.clone())]
+    }
+
     #[test]
     fn prepared_predicates_match_naive_on_fixtures() {
         let gs = fixtures();
@@ -1013,35 +1062,33 @@ mod tests {
             RelateMask::Overlap,
             RelateMask::Equal,
         ];
-        for a in &gs {
-            let pa = PreparedGeometry::new(a.clone());
-            for b in &gs {
-                let pb = PreparedGeometry::new(b.clone());
+        for (a, b) in gs.iter().flat_map(|a| gs.iter().map(move |b| (a, b))) {
+            for (pa, pb) in both_paths(a).iter().zip(&both_paths(b)) {
                 assert_eq!(
-                    pa.intersects(&pb),
+                    pa.intersects(pb),
                     relate::intersects(a, b),
                     "intersects {a:?} vs {b:?}"
                 );
                 assert_eq!(
-                    pa.covered_by(&pb),
+                    pa.covered_by(pb),
                     relate::covered_by(a, b),
                     "covered_by {a:?} vs {b:?}"
                 );
                 assert_eq!(
-                    pa.boundaries_interact(&pb),
+                    pa.boundaries_interact(pb),
                     relate::boundaries_interact(a, b),
                     "boundaries {a:?} vs {b:?}"
                 );
                 for m in masks {
                     assert_eq!(
-                        pa.relate(&pb, m),
+                        pa.relate(pb, m),
                         relate::relate(a, b, m),
                         "mask {m:?} {a:?} vs {b:?}"
                     );
                 }
                 for d in [0.0, 0.5, 2.0, 10.0, 50.0] {
                     assert_eq!(
-                        pa.within_distance(&pb, d),
+                        pa.within_distance(pb, d),
                         relate::within_distance(a, b, d),
                         "within {d} {a:?} vs {b:?}"
                     );
@@ -1057,11 +1104,38 @@ mod tests {
             .flat_map(|x| (-2..12).map(move |y| Point::new(x as f64 * 0.9, y as f64 * 1.1)))
             .collect();
         for g in &gs {
-            let pg = PreparedGeometry::new(g.clone());
-            for p in &probes {
-                assert_eq!(pg.covers_point(p), g.covers_point(p), "{g:?} at {p:?}");
+            for pg in both_paths(g) {
+                for p in &probes {
+                    assert_eq!(pg.covers_point(p), g.covers_point(p), "{g:?} at {p:?}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn small_geometries_intersect_without_a_segment_index() {
+        let square = || prep("POLYGON((0 0, 8 0, 8 8, 0 8, 0 0))");
+        let (a, b) = (square(), prep("MULTIPOINT((2 2), (9 9))"));
+        assert!(a.intersects(&b));
+        assert!(!a.has_index() && !b.has_index());
+        let (a, b) = (square(), prep("LINESTRING(-2 1, 10 1)"));
+        assert!(a.intersects(&b));
+        assert!(a.has_index() && b.has_index(), "curves take the index");
+        let (a, b) = (PreparedGeometry::indexed(square().geometry().clone()), prep("POINT(2 2)"));
+        assert!(a.intersects(&b));
+        assert!(a.has_index() && b.has_index(), "one indexed side indexes both");
+    }
+
+    /// Indexed twin of `relate`'s tile-corner regression.
+    #[test]
+    fn hole_edge_through_a_tile_corner_uncovers_the_tile() {
+        let tile = prep("POLYGON ((112 112, 128 112, 128 128, 112 128, 112 112))");
+        let holed = prep(
+            "POLYGON ((96 96, 160 96, 160 160, 96 160, 96 96), \
+             (128 124, 120 128, 128 128, 144 128, 128 124))",
+        );
+        assert!(!tile.covered_by(&holed));
+        assert!(!tile.relate(&holed, RelateMask::CoveredBy));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::geometry::Geometry;
 use crate::linestring::LineString;
 use crate::point::Point;
 use crate::polygon::{PointLocation, Polygon};
+use crate::rect::Rect;
 use crate::segment::Segment;
 use crate::EPS;
 
@@ -135,16 +136,23 @@ pub fn within_distance(a: &Geometry, b: &Geometry, d: f64) -> bool {
 
 /// True when the geometries share at least one point.
 pub fn intersects(a: &Geometry, b: &Geometry) -> bool {
-    if !a.bbox().intersects(&b.bbox()) {
+    intersects_boxed(a, &a.bbox(), b, &b.bbox())
+}
+
+/// [`intersects`] given both geometries' bounding boxes, so a caller that
+/// caches them ([`crate::PreparedGeometry`]) computes none twice.
+pub(crate) fn intersects_boxed(a: &Geometry, abox: &Rect, b: &Geometry, bbox: &Rect) -> bool {
+    if !abox.intersects(bbox) {
         return false;
     }
-    if a.is_multi() || b.is_multi() {
-        return a
-            .elements()
-            .iter()
-            .any(|ea| b.elements().iter().any(|eb| intersects_simple(ea, eb)));
+    match (a, b) {
+        (Geometry::Polygon(p1), Geometry::Polygon(p2)) => polygons_intersect(p1, abox, p2, bbox),
+        _ if a.is_multi() || b.is_multi() => {
+            let eb = b.elements();
+            a.elements().iter().any(|ea| eb.iter().any(|eb| intersects_simple(ea, eb)))
+        }
+        _ => intersects_simple(a, b),
     }
-    intersects_simple(a, b)
 }
 
 fn intersects_simple(a: &Geometry, b: &Geometry) -> bool {
@@ -157,7 +165,7 @@ fn intersects_simple(a: &Geometry, b: &Geometry) -> bool {
         (LineString(l), Polygon(poly)) | (Polygon(poly), LineString(l)) => {
             line_polygon_intersect(l, poly)
         }
-        (Polygon(p1), Polygon(p2)) => polygons_intersect(p1, p2),
+        (Polygon(p1), Polygon(p2)) => polygons_intersect(p1, &p1.bbox(), p2, &p2.bbox()),
         _ => unreachable!("multi geometries decomposed by caller"),
     }
 }
@@ -174,20 +182,58 @@ fn line_polygon_intersect(l: &LineString, poly: &Polygon) -> bool {
     l.segments().any(|s| boundary.iter().any(|t| s.intersects(t)))
 }
 
-fn polygons_intersect(p1: &Polygon, p2: &Polygon) -> bool {
-    if !p1.bbox().intersects(&p2.bbox()) {
+/// Polygon–polygon `ANYINTERACT`; `b1` and `b2` are the polygons'
+/// bounding boxes. Allocates nothing.
+///
+/// Two skips keep it cheap, and both are exact. A vertex is located
+/// only when it lies in the other polygon's [`vertex_probe_box`], since
+/// outside it the vertex can be neither on nor in that polygon. A
+/// boundary segment is paired only when its box meets the other
+/// polygon's box: every edge box of a polygon (holes inside the
+/// exterior, as [`crate::validate`] requires) lies within its box, so a
+/// segment box that misses it misses each edge box, and the pair
+/// filter below would reject every pair anyway.
+fn polygons_intersect(p1: &Polygon, b1: &Rect, p2: &Polygon, b2: &Rect) -> bool {
+    if !b1.intersects(b2) {
         return false;
     }
     // Vertex of one on/in the other covers containment and most overlap.
-    if p1.exterior().points().iter().any(|p| p2.contains_point(p))
-        || p2.exterior().points().iter().any(|p| p1.contains_point(p))
+    if exterior_vertex_in(p1, b2, |v| p2.contains_point(v))
+        || exterior_vertex_in(p2, b1, |v| p1.contains_point(v))
     {
         return true;
     }
     // Remaining case: boundaries cross without exterior vertices inside.
-    let b1: Vec<Segment> = p1.boundary_segments().collect();
-    let b2: Vec<Segment> = p2.boundary_segments().collect();
-    segments_intersect_filtered(&b1, &b2)
+    p1.boundary_segments().any(|s| {
+        let sb = s.bbox();
+        sb.intersects(b2)
+            && p2.boundary_segments().any(|t| sb.intersects(&t.bbox()) && s.intersects(&t))
+    })
+}
+
+/// True when `covers` holds for a vertex of `p`'s exterior, asking
+/// only about vertices in the [`vertex_probe_box`] of `other_box`, the
+/// bounding box of the polygon `covers` locates points in.
+pub(crate) fn exterior_vertex_in(
+    p: &Polygon,
+    other_box: &Rect,
+    covers: impl Fn(&Point) -> bool,
+) -> bool {
+    let probe = vertex_probe_box(other_box);
+    p.exterior().points().iter().any(|v| probe.contains_point(v) && covers(v))
+}
+
+/// `b`, a polygon's bounding box, padded so that a point outside the
+/// result is `Outside` that polygon. [`Segment::contains_point`]
+/// accepts points at most [`EPS`] outside an edge's box, so no point
+/// further out is `OnBoundary`. Ray casting counts no crossing for a
+/// point above, below or right of every edge, and an even number for a
+/// point left of every edge; the crossing abscissa can round a few ulps
+/// past its edge's box, which the term relative to the coordinates'
+/// magnitude covers.
+pub(crate) fn vertex_probe_box(b: &Rect) -> Rect {
+    let magnitude = b.min_x.abs().max(b.max_x.abs());
+    b.expanded(EPS + 4.0 * f64::EPSILON * magnitude)
 }
 
 /// Segment-set intersection with MBR prefiltering; quadratic worst case
@@ -276,6 +322,12 @@ fn polygon_covered_by(a: &Polygon, b: &Polygon) -> bool {
     // A hole of b strictly inside a would punch uncovered area out of a.
     for h in b.holes() {
         if h.points().iter().any(|p| a.locate_point(p) == PointLocation::Inside) {
+            return false;
+        }
+        // A hole edge through a's interior: the hole's open interior
+        // meets a's interior beside it, even when every hole vertex is
+        // on a's boundary or outside a (a hole vertex on a tile corner).
+        if h.segments().any(|s| a.locate_point(&((s.a + s.b) * 0.5)) == PointLocation::Inside) {
             return false;
         }
         // Hole of b entirely within a but vertex-coincident with a's
@@ -450,7 +502,6 @@ pub fn interior_point(poly: &Polygon) -> Point {
 mod tests {
     use super::*;
     use crate::polygon::Ring;
-    use crate::rect::Rect;
 
     fn pt(x: f64, y: f64) -> Point {
         Point::new(x, y)
@@ -567,6 +618,24 @@ mod tests {
         let filler = square(0.0, 0.0, 10.0);
         assert!(covered_by(&donut, &filler));
         assert!(!covered_by(&filler, &donut));
+    }
+
+    /// A hole vertex on the tile's corner hid the hole edges that cut
+    /// the tile, so the tile used to count as covered.
+    #[test]
+    fn hole_edge_through_a_tile_corner_uncovers_the_tile() {
+        let tile = crate::wkt::parse_wkt("POLYGON ((112 112, 128 112, 128 128, 112 128, 112 112))")
+            .unwrap();
+        let holed = crate::wkt::parse_wkt(
+            "POLYGON ((96 96, 160 96, 160 160, 96 160, 96 96), \
+             (128 124, 120 128, 128 128, 144 128, 128 124))",
+        )
+        .unwrap();
+        let in_hole = pt(127.0, 127.5);
+        assert!(tile.covers_point(&in_hole) && !holed.covers_point(&in_hole));
+        assert!(!covered_by(&tile, &holed));
+        assert!(!relate(&tile, &holed, RelateMask::CoveredBy));
+        assert!(relate(&tile, &holed, RelateMask::Overlap));
     }
 
     #[test]

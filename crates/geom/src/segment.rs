@@ -68,15 +68,15 @@ impl Segment {
         Rect::from_corners(self.a, self.b)
     }
 
-    /// True when `p` lies on this segment (within tolerance).
+    /// True when `p` lies on this segment (within tolerance): inside the
+    /// segment's `EPS`-padded box and collinear with it. The box test
+    /// runs first because it rejects most points for four compares.
     pub fn contains_point(&self, p: &Point) -> bool {
-        if orientation(&self.a, &self.b, p) != Orientation::Collinear {
-            return false;
-        }
         p.x >= self.a.x.min(self.b.x) - EPS
             && p.x <= self.a.x.max(self.b.x) + EPS
             && p.y >= self.a.y.min(self.b.y) - EPS
             && p.y <= self.a.y.max(self.b.y) + EPS
+            && orientation(&self.a, &self.b, p) == Orientation::Collinear
     }
 
     /// True when the closed segments share at least one point.

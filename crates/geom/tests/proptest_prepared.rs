@@ -66,6 +66,13 @@ fn arb_geometry() -> impl Strategy<Value = Geometry> {
     ]
 }
 
+/// The default wrapper, whose `intersects` between small geometries
+/// runs on their stored rings, and the always-indexed one, so the
+/// indexed kernels stay under test on these small shapes.
+fn both_paths(g: &Geometry) -> [PreparedGeometry; 2] {
+    [PreparedGeometry::new(g.clone()), PreparedGeometry::indexed(g.clone())]
+}
+
 const ALL_MASKS: [RelateMask; 9] = [
     RelateMask::AnyInteract,
     RelateMask::Disjoint,
@@ -83,17 +90,17 @@ proptest! {
 
     #[test]
     fn prepared_relate_matches_naive(a in arb_geometry(), b in arb_geometry()) {
-        let pa = PreparedGeometry::new(a.clone());
-        let pb = PreparedGeometry::new(b.clone());
-        prop_assert_eq!(pa.intersects(&pb), relate::intersects(&a, &b), "intersects");
-        prop_assert_eq!(pa.covered_by(&pb), relate::covered_by(&a, &b), "covered_by");
-        prop_assert_eq!(
-            pa.boundaries_interact(&pb),
-            relate::boundaries_interact(&a, &b),
-            "boundaries_interact"
-        );
-        for m in ALL_MASKS {
-            prop_assert_eq!(pa.relate(&pb, m), relate::relate(&a, &b, m), "mask {:?}", m);
+        for (pa, pb) in both_paths(&a).iter().zip(&both_paths(&b)) {
+            prop_assert_eq!(pa.intersects(pb), relate::intersects(&a, &b), "intersects");
+            prop_assert_eq!(pa.covered_by(pb), relate::covered_by(&a, &b), "covered_by");
+            prop_assert_eq!(
+                pa.boundaries_interact(pb),
+                relate::boundaries_interact(&a, &b),
+                "boundaries_interact"
+            );
+            for m in ALL_MASKS {
+                prop_assert_eq!(pa.relate(pb, m), relate::relate(&a, &b, m), "mask {:?}", m);
+            }
         }
     }
 
@@ -103,25 +110,26 @@ proptest! {
         b in arb_geometry(),
         d in 0.0f64..80.0,
     ) {
-        let pa = PreparedGeometry::new(a.clone());
-        let pb = PreparedGeometry::new(b.clone());
-        for dist in [0.0, d] {
-            prop_assert_eq!(
-                pa.within_distance(&pb, dist),
-                relate::within_distance(&a, &b, dist),
-                "d={}", dist
-            );
+        for (pa, pb) in both_paths(&a).iter().zip(&both_paths(&b)) {
+            for dist in [0.0, d] {
+                prop_assert_eq!(
+                    pa.within_distance(pb, dist),
+                    relate::within_distance(&a, &b, dist),
+                    "d={}", dist
+                );
+            }
         }
     }
 
     #[test]
     fn prepared_covers_point_matches_naive(g in arb_geometry(), p in arb_point()) {
-        let pg = PreparedGeometry::new(g.clone());
-        prop_assert_eq!(pg.covers_point(&p), g.covers_point(&p));
-        // Probe the geometry's own vertices too — boundary cases are
-        // where the indexed and naive paths could plausibly diverge.
-        for v in g.vertices() {
-            prop_assert_eq!(pg.covers_point(&v), g.covers_point(&v), "vertex {:?}", v);
+        for pg in both_paths(&g) {
+            prop_assert_eq!(pg.covers_point(&p), g.covers_point(&p));
+            // Probe the geometry's own vertices too — boundary cases are
+            // where the indexed and naive paths could plausibly diverge.
+            for v in g.vertices() {
+                prop_assert_eq!(pg.covers_point(&v), g.covers_point(&v), "vertex {:?}", v);
+            }
         }
     }
 

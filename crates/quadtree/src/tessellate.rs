@@ -457,6 +457,23 @@ mod tests {
     }
 
     #[test]
+    fn hole_through_a_tile_corner_keeps_the_tile_a_boundary_tile() {
+        // The hole's vertex (128, 128) is the corner of tile (7, 7) at
+        // level 4, and its edges cut that tile: (127, 127.5) is in the
+        // hole, so the tile is not interior.
+        let g = sdo_geom::wkt::parse_wkt(
+            "POLYGON ((96 96, 160 96, 160 160, 96 160, 96 96), \
+             (128 124, 120 128, 128 128, 144 128, 128 124))",
+        )
+        .unwrap();
+        let code = Tile::new(4, 7, 7).code();
+        let tiles = tessellate(&g, &WORLD, 4);
+        let tile = tiles.iter().find(|t| t.code == code).expect("the tile meets the polygon");
+        assert!(!tile.interior);
+        assert_eq!(tiles, reference::tessellate(&g, &WORLD, 4));
+    }
+
+    #[test]
     fn deeper_levels_refine_the_cover() {
         let g = square(30.0, 30.0, 60.0);
         let area = |level: u32| {

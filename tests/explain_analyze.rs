@@ -4,7 +4,7 @@
 
 use sdo_datagen::{counties, US_EXTENT};
 use sdo_dbms::Database;
-use sdo_geom::{Geometry, Polygon, Rect};
+use sdo_geom::{Geometry, Point, Polygon, Rect, Ring};
 use sdo_storage::Value;
 use std::sync::{Mutex, MutexGuard};
 
@@ -216,6 +216,62 @@ fn kernel_metrics_surface_in_explain_analyze() {
             }
         }
         assert!(op.metric_sum("kernel_tests") > 0, "{method}: the join ran MBR tests");
+    }
+}
+
+/// `n` 256-vertex circles of radius 0.45 on the grid of [`load_grid`]:
+/// circle `i` is centred in square `i`.
+fn load_circles(db: &Database, table: &str, n: usize) {
+    db.execute(&format!("CREATE TABLE {table} (id NUMBER, geom SDO_GEOMETRY)")).unwrap();
+    for i in 0..n {
+        let (x, y) = ((i % 200) as f64 + 0.5, (i / 200) as f64 + 0.5);
+        let ring = (0..256).map(|k| {
+            let t = k as f64 / 256.0 * std::f64::consts::TAU;
+            Point::new(x + 0.45 * t.cos(), y + 0.45 * t.sin())
+        });
+        let circle = Geometry::Polygon(Polygon::from_exterior(Ring::new(ring.collect()).unwrap()));
+        db.insert_row(table, vec![Value::Integer(i as i64), Value::geometry(circle)]).unwrap();
+    }
+}
+
+#[test]
+fn exact_filter_reports_the_segment_indexes_it_builds() {
+    let db = Database::new();
+    sdo_core::register_spatial(&db);
+    load_grid(&db, "squares", 300);
+    load_grid(&db, "squares_twin", 300);
+    load_circles(&db, "circles", 300);
+    let shapes_built = |left: &str, right: &str, engine: &str| {
+        let n = db
+            .execute(&format!(
+                "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN( \
+                 '{left}', 'geom', '{right}', 'geom', 'intersect', 2))"
+            ))
+            .unwrap()
+            .count()
+            .unwrap();
+        assert_eq!(n, 300, "{left} x {right}: each shape meets its twin only");
+        let profile = db.last_profile().unwrap();
+        let op = profile.root.find("PIPELINED COUNT").unwrap();
+        assert!(op.attrs.iter().any(|(k, v)| k == "method_chosen" && v == engine), "{engine}");
+        let filter = op.find("exact filter").expect("the join profiles its filter");
+        assert!(filter.metric("shapes_built").is_some(), "shapes_built renders even at zero");
+        op.metric_sum("shapes_built")
+    };
+    for engine in ["partition", "rtree"] {
+        if engine == "rtree" {
+            for table in ["squares", "squares_twin", "circles"] {
+                db.execute(&format!(
+                    "CREATE INDEX {table}_sidx ON {table}(geom) INDEXTYPE IS SPATIAL_INDEX \
+                     PARAMETERS ('tree_fanout=8')"
+                ))
+                .unwrap();
+            }
+        }
+        // Small polygons meet on their stored rings: no segment index.
+        assert_eq!(shapes_built("squares", "squares_twin", engine), 0, "{engine}");
+        // A 256-vertex side takes the indexed kernel, which builds them.
+        assert!(shapes_built("squares", "circles", engine) > 0, "{engine}");
     }
 }
 
