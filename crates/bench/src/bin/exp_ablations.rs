@@ -2,7 +2,6 @@
 //!
 //! ```sh
 //! cargo run --release -p sdo-bench --bin exp_ablations -- all
-//! cargo run --release -p sdo-bench --bin exp_ablations -- fetch-order
 //! cargo run --release -p sdo-bench --bin exp_ablations -- pipeline-memory
 //! cargo run --release -p sdo-bench --bin exp_ablations -- bulk-vs-insert
 //! cargo run --release -p sdo-bench --bin exp_ablations -- sdo-level
@@ -12,7 +11,6 @@
 use parking_lot::RwLock;
 use sdo_bench::*;
 use sdo_core::join::{ExactPredicate, JoinSide, SpatialJoin, SpatialJoinConfig};
-use sdo_core::FetchOrder;
 use sdo_datagen::{block_groups, counties, stars, SKY_EXTENT, US_EXTENT};
 use sdo_geom::RelateMask;
 use sdo_rtree::{RTree, RTreeParams};
@@ -23,13 +21,11 @@ use std::sync::Arc;
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
     match which.as_str() {
-        "fetch-order" => fetch_order(),
         "pipeline-memory" => pipeline_memory(),
         "bulk-vs-insert" => bulk_vs_insert(),
         "sdo-level" => sdo_level(),
         "dop-sweep" => dop_sweep(),
         "all" => {
-            fetch_order();
             pipeline_memory();
             bulk_vs_insert();
             sdo_level();
@@ -64,42 +60,6 @@ fn clone_side(s: &JoinSide) -> JoinSide {
     JoinSide { table: Arc::clone(&s.table), column: s.column, tree: Arc::clone(&s.tree) }
 }
 
-/// §4.2 claim: sorting candidates by first rowid gives fetch locality.
-/// Measured as geometry buffer-cache hit rate under a small cache.
-fn fetch_order() {
-    println!("== ablation: candidate fetch order (paper §4.2) ==");
-    let n = scaled(3230, 400);
-    let side = county_side(n, 11);
-    println!("{:>14} {:>10} {:>10} {:>10} {:>12}", "order", "cache", "hits", "misses", "hit rate");
-    for cache in [32usize, 128, 512] {
-        for order in [FetchOrder::RowidSorted, FetchOrder::Arrival, FetchOrder::Random] {
-            let mut join = SpatialJoin::new(
-                clone_side(&side),
-                clone_side(&side),
-                ExactPredicate::Masks(vec![RelateMask::AnyInteract]),
-                SpatialJoinConfig {
-                    candidate_array: 4096,
-                    fetch_order: order,
-                    cache_size: cache,
-                    ..Default::default()
-                },
-                Arc::new(Counters::new()),
-            );
-            let _ = collect_all(&mut join, 1024).unwrap();
-            let (hits, misses) = join.cache_stats();
-            println!(
-                "{:>14} {:>10} {:>10} {:>10} {:>11.1}%",
-                format!("{order:?}"),
-                cache,
-                hits,
-                misses,
-                100.0 * hits as f64 / (hits + misses).max(1) as f64
-            );
-        }
-    }
-    println!();
-}
-
 /// §2 claim: pipelining bounds memory — peak live candidates stay at
 /// the configured array size regardless of total result size.
 fn pipeline_memory() {
@@ -112,12 +72,7 @@ fn pipeline_memory() {
             clone_side(&side),
             clone_side(&side),
             ExactPredicate::Masks(vec![RelateMask::AnyInteract]),
-            SpatialJoinConfig {
-                candidate_array: cap,
-                fetch_order: FetchOrder::RowidSorted,
-                cache_size: 512,
-                ..Default::default()
-            },
+            SpatialJoinConfig { candidate_array: cap, ..Default::default() },
             Arc::new(Counters::new()),
         );
         let rows = collect_all(&mut join, 256).unwrap();

@@ -7,7 +7,7 @@
 //! * `exp_table2` — star-catalog join scaling with 1 and 2 slaves,
 //! * `exp_table3` — parallel quadtree/R-tree creation (plus the
 //!   Figure 2 stage trace via `--figure2`),
-//! * `exp_ablations` — fetch-order, pipeline-memory, bulk-vs-insert,
+//! * `exp_ablations` — pipeline-memory, bulk-vs-insert,
 //!   sdo-level and DOP-sweep ablations.
 //!
 //! Dataset sizes default to laptop scale; set `SDO_SCALE=1.0` to run

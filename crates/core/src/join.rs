@@ -17,9 +17,10 @@
 //! > better"
 //!
 //! [`SpatialJoin`] holds the explicit stack (via
-//! [`sdo_rtree::JoinCursor`]'s suspend/resume parts), a memory-bounded
-//! candidate array, and a small geometry buffer cache that makes the
-//! rowid-sort fetch-order optimization measurable.
+//! [`sdo_rtree::JoinCursor`]'s suspend/resume parts) and a
+//! memory-bounded candidate array. The in-memory form of the rowid
+//! sort is: after sorting, fetch each distinct rowid of the array once,
+//! in rowid order, under one table lock per side.
 
 use parking_lot::RwLock;
 use sdo_geom::{PreparedGeometry, RelateMask};
@@ -57,24 +58,6 @@ impl JoinPhases {
             node,
         }
     }
-}
-
-/// Order in which candidate-pair geometries are fetched (§4.2's
-/// optimization; the `Arrival` setting exists for the ablation bench).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FetchOrder {
-    /// Sort each candidate array by the first rowid — the paper's
-    /// choice, "expected to be within 20% of the best approximate
-    /// solutions".
-    #[default]
-    RowidSorted,
-    /// Process candidates in MBR-join arrival order (leaf-pair order,
-    /// which already has spatial locality).
-    Arrival,
-    /// Process candidates in a pseudo-random order — the strawman the
-    /// paper compares against ("Instead of a random order of fetching
-    /// the geometries, sorting ... is much better").
-    Random,
 }
 
 /// The exact predicate applied by the secondary filter.
@@ -125,18 +108,14 @@ impl ExactPredicate {
 }
 
 /// Tuning for the join function. SQL callers always run the defaults
-/// (the paper's rowid-sorted, memory-bounded candidate array); the
-/// fields exist for the ablation benches and property tests.
+/// (the paper's memory-bounded candidate array); the fields exist for
+/// the benches and property tests.
 #[derive(Debug, Clone)]
 pub struct SpatialJoinConfig {
     /// Maximum candidate pairs held between primary and secondary
     /// filter — "the size of this array is determined by existing
     /// memory resources".
     pub candidate_array: usize,
-    /// Order in which candidate geometries are fetched (§4.2).
-    pub fetch_order: FetchOrder,
-    /// Geometry buffer-cache entries per side (0 disables caching).
-    pub cache_size: usize,
     /// Work-stealing granularity: a pulled task whose estimated work
     /// ([`sdo_rtree::join::estimate_pair_work`]) exceeds this is split
     /// one level and re-queued, so a single dense subtree pair cannot
@@ -154,8 +133,6 @@ impl Default for SpatialJoinConfig {
     fn default() -> Self {
         SpatialJoinConfig {
             candidate_array: 4096,
-            fetch_order: FetchOrder::default(),
-            cache_size: 512,
             // One fanout^2 descent below the default task size: coarse
             // enough that splitting stays rare on uniform data, fine
             // enough that a hot cluster spreads across slaves.
@@ -177,154 +154,101 @@ pub struct JoinSide {
     pub tree: Arc<RTree<RowId>>,
 }
 
-/// A tiny LRU buffer cache for fetched geometries.
+/// The shared secondary-filter engine — §4.2's second half. Sorts one
+/// candidate array by rowid pair, fetches each side's distinct rowids
+/// once, in rowid order, with one [`Table::get_many_at`] per side,
+/// applies the exact predicate, and appends qualifying rowid pairs to
+/// `out`. Both join engines ([`SpatialJoin`]'s tree traversal and the
+/// partitioned join in [`crate::partjoin`]) funnel their MBR candidates
+/// through here, so fetch behavior and exact-test counting stay
+/// identical across engines.
 ///
-/// Models the block buffer cache that makes the paper's rowid-sorted
-/// fetch order pay off: consecutive fetches of nearby rowids hit the
-/// cache, random order thrashes it. Hits promote the entry to
-/// most-recently-used; eviction drops the least-recently-used entry.
-/// A fetch that finds no geometry (row deleted mid-join) is neither a
-/// hit nor a miss — the statistics count real geometry loads only.
-///
-/// Entries are [`PreparedGeometry`] wrappers: a shared geometry and its
-/// bounding box. `ANYINTERACT` between two small geometries runs on the
-/// stored rings, so small entries never carry a segment index. A large
-/// entry, or one a costlier predicate touches, builds its decoded edge
-/// arrays and segment index on first use, and they stay cached with the
-/// geometry, so a hot geometry is prepared once no matter how many
-/// candidate pairs it appears in.
-pub(crate) struct GeomCache {
-    cap: usize,
-    map: std::collections::HashMap<RowId, Arc<PreparedGeometry>>,
-    order: VecDeque<RowId>,
-    /// MVCC read view: a fetch of a rowid invisible to the snapshot
-    /// (uncommitted insert, or committed after the join was pinned)
-    /// skips the candidate, exactly like a deleted row.
-    snap: Snapshot,
-    pub(crate) hits: u64,
-    pub(crate) misses: u64,
-    /// Segment indexes the exact filter built on this side's entries.
-    pub(crate) shapes_built: u64,
-}
-
-impl GeomCache {
-    pub(crate) fn new(cap: usize) -> Self {
-        GeomCache {
-            cap,
-            map: std::collections::HashMap::new(),
-            order: VecDeque::new(),
-            snap: Snapshot::LATEST,
-            hits: 0,
-            misses: 0,
-            shapes_built: 0,
-        }
-    }
-
-    /// Pin geometry fetches to an MVCC read snapshot.
-    pub(crate) fn at_snapshot(mut self, snap: Snapshot) -> Self {
-        self.snap = snap;
-        self
-    }
-
-    /// Drop cached geometries but keep hit/miss statistics (used by
-    /// `close`, after which the stats remain readable).
-    pub(crate) fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-    }
-
-    pub(crate) fn get(
-        &mut self,
-        table: &Arc<RwLock<Table>>,
-        column: usize,
-        rid: RowId,
-    ) -> Option<Arc<PreparedGeometry>> {
-        if self.cap > 0 {
-            if let Some(g) = self.map.get(&rid) {
-                self.hits += 1;
-                // LRU promotion: the entry moves to the MRU end so a
-                // re-referenced geometry outlives one-shot fills.
-                if let Some(pos) = self.order.iter().position(|&o| o == rid) {
-                    self.order.remove(pos);
-                    self.order.push_back(rid);
-                }
-                return Some(Arc::clone(g));
-            }
-        }
-        let row = table.read().get_at(rid, &self.snap).ok()?;
-        let g = Arc::new(PreparedGeometry::from_arc(row.get(column)?.as_geometry().cloned()?));
-        self.misses += 1;
-        if self.cap > 0 {
-            if self.map.len() >= self.cap {
-                if let Some(evict) = self.order.pop_front() {
-                    self.map.remove(&evict);
-                }
-            }
-            self.map.insert(rid, Arc::clone(&g));
-            self.order.push_back(rid);
-        }
-        Some(g)
-    }
-}
-
-/// The shared secondary-filter engine — §4.2's second half. Orders one
-/// candidate array by the configured [`FetchOrder`], fetches exact
-/// geometries through the per-side LRU caches, applies the exact
-/// predicate, and appends qualifying rowid pairs to `out`. Both join
-/// engines ([`SpatialJoin`]'s tree traversal and the partitioned join
-/// in [`crate::partjoin`]) funnel their MBR candidates through here,
-/// so fetch-order behavior, exact-test counting, and cache accounting
-/// stay identical across engines.
+/// The fetched geometries live for one candidate array only: nothing
+/// is cached across arrays, so a geometry is fetched (and, when a
+/// predicate needs its segment index, prepared) once per array it
+/// appears in.
 pub(crate) struct SecondaryFilter<'a> {
     pub(crate) left_table: &'a Arc<RwLock<Table>>,
     pub(crate) left_column: usize,
     pub(crate) right_table: &'a Arc<RwLock<Table>>,
     pub(crate) right_column: usize,
     pub(crate) exact: &'a ExactPredicate,
-    pub(crate) fetch_order: FetchOrder,
+    /// MVCC read view: a rowid invisible to the snapshot (uncommitted
+    /// insert, or committed after the join was pinned) skips its
+    /// candidates, exactly like a deleted row.
+    pub(crate) snapshot: Snapshot,
+}
+
+/// A join slave's secondary-filter tallies, flushed to its profile
+/// node at close.
+#[derive(Debug, Default)]
+pub(crate) struct FilterTally {
+    /// Distinct rows looked up (both sides, summed over arrays).
+    pub(crate) rows_fetched: u64,
+    /// Segment indexes the exact filter built on fetched geometries.
+    pub(crate) shapes_built: u64,
+}
+
+impl FilterTally {
+    /// Report on the phase nodes; `set_metric`, so a join that fetched
+    /// nothing (primary-only) still renders its zeros.
+    pub(crate) fn flush(&self, phases: &JoinPhases) {
+        phases.fetch.set_metric("rows_fetched", self.rows_fetched);
+        phases.filter.set_metric("shapes_built", self.shapes_built);
+    }
 }
 
 impl SecondaryFilter<'_> {
+    /// Filter one candidate array.
     pub(crate) fn run(
         &self,
         mut candidates: Vec<CandidatePair<RowId, RowId>>,
-        lcache: &mut GeomCache,
-        rcache: &mut GeomCache,
         counters: &Counters,
         phases: Option<&JoinPhases>,
+        tally: &mut FilterTally,
         out: &mut VecDeque<Row>,
     ) {
-        // §4.2: sort the candidate array by the first rowid before
-        // fetching geometries.
+        // §4.2: sort the candidate array by rowid before fetching
+        // geometries.
         let t_sort = phases.map(|_| Instant::now());
-        match self.fetch_order {
-            FetchOrder::RowidSorted => candidates.sort_by_key(|&(_, l, _, r)| (l, r)),
-            FetchOrder::Random => candidates.sort_by_key(|&(_, l, _, r)| {
-                // Deterministic shuffle: multiplicative hash of the pair.
-                (l.as_u64() ^ r.as_u64().rotate_left(31)).wrapping_mul(0x9E3779B97F4A7C15)
-            }),
-            FetchOrder::Arrival => {}
-        }
+        candidates.sort_unstable_by_key(|&(_, l, _, r)| (l, r));
         if let (Some(p), Some(t0)) = (phases, t_sort) {
             p.sort.add_wall(t0.elapsed());
         }
+        if matches!(self.exact, ExactPredicate::PrimaryOnly) {
+            out.extend(
+                candidates.iter().map(|&(_, l, _, r)| vec![Value::RowId(l), Value::RowId(r)]),
+            );
+            return;
+        }
 
+        let t_fetch = phases.map(|_| Instant::now());
+        let mut lrids: Vec<RowId> = candidates.iter().map(|&(_, l, _, _)| l).collect();
+        lrids.dedup();
+        let mut rrids: Vec<RowId> = candidates.iter().map(|&(_, _, _, r)| r).collect();
+        rrids.sort_unstable();
+        rrids.dedup();
+        let lgeoms = fetch_geometries(self.left_table, self.left_column, &lrids, &self.snapshot);
+        let rgeoms = fetch_geometries(self.right_table, self.right_column, &rrids, &self.snapshot);
+        tally.rows_fetched += (lrids.len() + rrids.len()) as u64;
+        if let (Some(p), Some(t0)) = (phases, t_fetch) {
+            p.fetch.add_wall(t0.elapsed());
+            p.fetch.add_batches(1);
+            let found = lgeoms.iter().chain(&rgeoms).filter(|g| g.is_some()).count();
+            p.fetch.add_rows(found as u64);
+        }
+
+        let t_filter = phases.map(|_| Instant::now());
+        let mut tests = 0u64;
+        let mut li = 0;
         for (lrect, lrid, rrect, rrid) in candidates {
-            if matches!(self.exact, ExactPredicate::PrimaryOnly) {
-                out.push_back(vec![Value::RowId(lrid), Value::RowId(rrid)]);
-                continue;
+            // Candidates are sorted by left rowid, so the left slot only
+            // moves forward; the right slot is a binary search.
+            while lrids[li] != lrid {
+                li += 1;
             }
-            let t_fetch = phases.map(|_| Instant::now());
-            let lg = lcache.get(self.left_table, self.left_column, lrid);
-            let rg = lg
-                .is_some()
-                .then(|| rcache.get(self.right_table, self.right_column, rrid))
-                .flatten();
-            if let (Some(p), Some(t0)) = (phases, t_fetch) {
-                p.fetch.add_wall(t0.elapsed());
-                p.fetch.add_rows(u64::from(lg.is_some()) + u64::from(rg.is_some()));
-            }
-            let (Some(lg), Some(rg)) = (lg, rg) else {
+            let ri = rrids.binary_search(&rrid).expect("every right rowid was fetched");
+            let (Some(lg), Some(rg)) = (&lgeoms[li], &rgeoms[ri]) else {
                 continue; // row deleted mid-join: skip, like a CR miss
             };
             // MVCC staleness guard: an in-flight UPDATE leaves the
@@ -337,25 +261,42 @@ impl SecondaryFilter<'_> {
             if lg.bbox() != lrect || rg.bbox() != rrect {
                 continue;
             }
-            Counters::bump(&counters.exact_tests);
-            let t_filter = phases.map(|_| Instant::now());
+            tests += 1;
             let indexed = (lg.has_index(), rg.has_index());
             let keep = match self.exact {
-                ExactPredicate::Masks(masks) => lg.relate_any(&rg, masks),
-                ExactPredicate::Distance(d) => lg.within_distance(&rg, *d),
+                ExactPredicate::Masks(masks) => lg.relate_any(rg, masks),
+                ExactPredicate::Distance(d) => lg.within_distance(rg, *d),
                 ExactPredicate::PrimaryOnly => unreachable!(),
             };
-            lcache.shapes_built += u64::from(!indexed.0 && lg.has_index());
-            rcache.shapes_built += u64::from(!indexed.1 && rg.has_index());
-            if let (Some(p), Some(t0)) = (phases, t_filter) {
-                p.filter.add_wall(t0.elapsed());
-                p.filter.add_rows(1);
-            }
+            tally.shapes_built += u64::from(!indexed.0 && lg.has_index());
+            tally.shapes_built += u64::from(!indexed.1 && rg.has_index());
             if keep {
                 out.push_back(vec![Value::RowId(lrid), Value::RowId(rrid)]);
             }
         }
+        Counters::add(&counters.exact_tests, tests);
+        if let (Some(p), Some(t0)) = (phases, t_filter) {
+            p.filter.add_wall(t0.elapsed());
+            p.filter.add_rows(tests);
+        }
     }
+}
+
+/// Resolve one side's sorted, distinct rowids to their snapshot-visible
+/// geometries under one table read lock. `None` marks a row that is
+/// deleted, invisible to `snap`, or not a geometry.
+fn fetch_geometries(
+    table: &RwLock<Table>,
+    column: usize,
+    rids: &[RowId],
+    snap: &Snapshot,
+) -> Vec<Option<PreparedGeometry>> {
+    let mut geoms = Vec::with_capacity(rids.len());
+    table.read().get_many_at(rids, snap, |_, row| {
+        let g = row.and_then(|r| r.get(column)?.as_geometry().cloned());
+        geoms.push(g.map(PreparedGeometry::from_arc));
+    });
+    geoms
 }
 
 /// A parallel slave's handle on the shared work-stealing task queue:
@@ -382,8 +323,7 @@ pub struct SpatialJoin {
     carry: VecDeque<CandidatePair<RowId, RowId>>,
     /// Secondary-filtered rows awaiting delivery.
     out: VecDeque<Row>,
-    lcache: GeomCache,
-    rcache: GeomCache,
+    tally: FilterTally,
     started: bool,
     mbr_exhausted: bool,
     /// Peak candidate-array occupancy (pipelining-memory ablation).
@@ -421,8 +361,6 @@ impl SpatialJoin {
         counters: Arc<Counters>,
         stack: Vec<(NodeId, NodeId)>,
     ) -> Self {
-        let cache = config.cache_size;
-        let snap = config.snapshot;
         SpatialJoin {
             left,
             right,
@@ -433,8 +371,7 @@ impl SpatialJoin {
             stack,
             carry: VecDeque::new(),
             out: VecDeque::new(),
-            lcache: GeomCache::new(cache).at_snapshot(snap),
-            rcache: GeomCache::new(cache).at_snapshot(snap),
+            tally: FilterTally::default(),
             started: false,
             mbr_exhausted: false,
             peak_candidates: 0,
@@ -502,11 +439,6 @@ impl SpatialJoin {
         levels_down: u32,
     ) -> Vec<(NodeId, NodeId)> {
         subtree_pair_tasks(left, right, exact.join_predicate(), levels_down)
-    }
-
-    /// Geometry-cache statistics `(hits, misses)` across both sides.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.lcache.hits + self.rcache.hits, self.lcache.misses + self.rcache.misses)
     }
 
     /// Largest candidate array held at any point.
@@ -577,14 +509,13 @@ impl SpatialJoin {
             right_table: &self.right.table,
             right_column: self.right.column,
             exact: &self.exact,
-            fetch_order: self.config.fetch_order,
+            snapshot: self.config.snapshot,
         };
         filter.run(
             candidates,
-            &mut self.lcache,
-            &mut self.rcache,
             &self.counters,
             self.phases.as_ref(),
+            &mut self.tally,
             &mut self.out,
         );
         Ok(())
@@ -626,15 +557,7 @@ impl TableFunction for SpatialJoin {
         self.out.clear();
         // Flush once: close is idempotent, so take() the phases.
         if let Some(p) = self.phases.take() {
-            p.node.add_metric("geom_cache_hits", self.lcache.hits + self.rcache.hits);
-            p.node.add_metric("geom_cache_misses", self.lcache.misses + self.rcache.misses);
-            // The cache serves the secondary (exact) filter, so its
-            // hit rate belongs on that phase node too — set_metric so
-            // a cold cache (0 hits) still renders.
-            p.filter.set_metric("cache_hits", self.lcache.hits + self.rcache.hits);
-            p.filter.set_metric("cache_misses", self.lcache.misses + self.rcache.misses);
-            p.filter
-                .set_metric("shapes_built", self.lcache.shapes_built + self.rcache.shapes_built);
+            self.tally.flush(&p);
             p.node.add_metric("peak_candidates", self.peak_candidates as u64);
             // set_metric: a join that never swept (or never scanned)
             // still renders its zero.
@@ -648,8 +571,6 @@ impl TableFunction for SpatialJoin {
                 p.node.set_metric("tasks_stolen", ts.queue.stolen(ts.worker));
             }
         }
-        self.lcache.clear();
-        self.rcache.clear();
     }
 
     fn attach_profile(&mut self, node: &ProfileNode) {
@@ -737,25 +658,15 @@ mod tests {
         let (l, lg) = make_side(0.0, 100);
         let (r, rg) = make_side(10.0, 100);
         let want = brute(&lg, &rg, &ExactPredicate::Masks(vec![RelateMask::AnyInteract]));
-        for (fetch, cap, order) in [
-            (1usize, 7usize, FetchOrder::RowidSorted),
-            (5, 64, FetchOrder::Arrival),
-            (1000, 2, FetchOrder::RowidSorted),
-            (17, 4096, FetchOrder::Arrival),
-        ] {
+        for (fetch, cap) in [(1usize, 7usize), (5, 64), (1000, 2), (17, 4096)] {
             let mut join = SpatialJoin::new(
                 l.clone(),
                 r.clone(),
                 ExactPredicate::Masks(vec![RelateMask::AnyInteract]),
-                SpatialJoinConfig {
-                    candidate_array: cap,
-                    fetch_order: order,
-                    cache_size: 16,
-                    ..Default::default()
-                },
+                SpatialJoinConfig { candidate_array: cap, ..Default::default() },
                 Arc::new(Counters::new()),
             );
-            assert_eq!(run(&mut join, fetch), want, "fetch={fetch} cap={cap} {order:?}");
+            assert_eq!(run(&mut join, fetch), want, "fetch={fetch} cap={cap}");
             assert!(join.peak_candidates() <= cap.max(1));
         }
     }
@@ -787,35 +698,80 @@ mod tests {
         }
     }
 
+    fn row_fetches(side: &JoinSide) -> u64 {
+        Counters::get(&side.table.read().counters().row_fetches)
+    }
+
+    fn distinct(mut rids: Vec<u64>) -> u64 {
+        rids.sort_unstable();
+        rids.dedup();
+        rids.len() as u64
+    }
+
     #[test]
-    fn rowid_sorted_fetch_improves_cache_hits() {
-        let (l, _) = make_side(0.0, 500);
-        let (r, _) = make_side(3.0, 500);
-        let hits = |order: FetchOrder| {
-            let mut join = SpatialJoin::new(
-                l.clone(),
-                r.clone(),
-                ExactPredicate::Masks(vec![RelateMask::AnyInteract]),
-                SpatialJoinConfig {
-                    candidate_array: 4096,
-                    fetch_order: order,
-                    cache_size: 8,
-                    ..Default::default()
-                },
-                Arc::new(Counters::new()),
-            );
-            let _ = collect_all(&mut join, 256).unwrap();
-            join.cache_stats()
+    fn join_fetches_each_distinct_rowid_once_per_candidate_array() {
+        let (l, _) = make_side(0.0, 200);
+        let (r, _) = make_side(3.0, 200);
+        let intersect = ExactPredicate::Masks(vec![RelateMask::AnyInteract]);
+        let join = |exact: &ExactPredicate, candidate_array: usize| {
+            let config = SpatialJoinConfig { candidate_array, ..Default::default() };
+            let counters = Arc::new(Counters::new());
+            SpatialJoin::new(l.clone(), r.clone(), exact.clone(), config, counters)
         };
-        let (h_sorted, m_sorted) = hits(FetchOrder::RowidSorted);
-        let (h_random, m_random) = hits(FetchOrder::Random);
-        assert!(h_sorted + m_sorted > 0, "cache statistics must survive close()");
-        assert_eq!(h_sorted + m_sorted, h_random + m_random, "same total lookups");
-        // The paper's claim: sorted beats random fetch order.
-        assert!(
-            h_sorted > h_random,
-            "sorted fetch order must beat random: {h_sorted} vs {h_random}"
+
+        // The primary-only join lists the candidates and fetches nothing.
+        let before = (row_fetches(&l), row_fetches(&r));
+        let cands = run(&mut join(&ExactPredicate::PrimaryOnly, 4096), 256);
+        assert_eq!((row_fetches(&l), row_fetches(&r)), before, "primary-only fetches no row");
+        let n = cands.len() as u64;
+        assert!(n > 0 && n <= 4096, "one default array holds every candidate: {n}");
+        let dl = distinct(cands.iter().map(|&(a, _)| a).collect());
+        let dr = distinct(cands.iter().map(|&(_, b)| b).collect());
+
+        // One array: each side fetches exactly its distinct rowids.
+        let before = (row_fetches(&l), row_fetches(&r));
+        run(&mut join(&intersect, 4096), 256);
+        assert_eq!((row_fetches(&l) - before.0, row_fetches(&r) - before.1), (dl, dr));
+
+        // Small arrays: at most two fetches per candidate, and never
+        // fewer than one array's worth.
+        for cap in [1usize, 7, 64] {
+            let before = row_fetches(&l) + row_fetches(&r);
+            run(&mut join(&intersect, cap), 256);
+            let fetched = row_fetches(&l) + row_fetches(&r) - before;
+            assert!(fetched <= 2 * n && fetched >= dl + dr, "cap={cap}: {fetched} of {n}");
+        }
+    }
+
+    #[test]
+    fn row_deleted_mid_join_is_skipped_and_not_a_fetched_geometry() {
+        let (l, lg) = make_side(0.0, 200);
+        let (r, rg) = make_side(3.0, 200);
+        let exact = ExactPredicate::Masks(vec![RelateMask::AnyInteract]);
+        let mut want = brute(&lg, &rg, &exact);
+        assert!(want.len() > 1);
+        // The victim has candidates; its index entry outlives the row.
+        let victim = want[0].0;
+        want.retain(|&(a, _)| a != victim);
+        l.table.write().delete(RowId::new(victim)).unwrap();
+
+        let session = sdo_obs::ProfileSession::begin("q");
+        let counters = Arc::new(Counters::new());
+        let mut join = SpatialJoin::new(
+            l.clone(),
+            r.clone(),
+            exact,
+            SpatialJoinConfig::default(),
+            Arc::clone(&counters),
         );
+        assert_eq!(run(&mut join, 64), want);
+        let profile = session.finish();
+        let fetch = profile.root.find("geometry fetch").unwrap();
+        // One array: the victim is looked up once and resolves to no
+        // geometry, so it is the only row fetched but not delivered.
+        assert_eq!(fetch.metric("rows_fetched").unwrap() - fetch.rows, 1);
+        let filter = profile.root.find("exact filter").unwrap();
+        assert_eq!(filter.rows, Counters::get(&counters.exact_tests));
     }
 
     #[test]
@@ -917,30 +873,6 @@ mod tests {
             assert_eq!(ExactPredicate::parse(s).unwrap(), ExactPredicate::Distance(2.5), "{s}");
         }
         assert!(ExactPredicate::parse("Distance=abc").is_err());
-    }
-
-    #[test]
-    fn geom_cache_promotes_on_hit() {
-        // cap=2 with access pattern A,B,A,C,A: LRU keeps A alive (B is
-        // evicted for C), pure FIFO would evict A for C.
-        let (side, _) = make_side(0.0, 3);
-        let rid = |i: u64| RowId::new(i);
-        let mut cache = GeomCache::new(2);
-        for i in [0u64, 1, 0, 2, 0] {
-            assert!(cache.get(&side.table, side.column, rid(i)).is_some());
-        }
-        assert_eq!((cache.hits, cache.misses), (2, 3), "A,B,miss A,hit C,miss A,hit");
-    }
-
-    #[test]
-    fn deleted_row_fetch_is_not_a_miss() {
-        let (side, _) = make_side(0.0, 2);
-        let victim = RowId::new(1);
-        side.table.write().delete(victim).unwrap();
-        let mut cache = GeomCache::new(4);
-        assert!(cache.get(&side.table, side.column, RowId::new(0)).is_some());
-        assert!(cache.get(&side.table, side.column, victim).is_none());
-        assert_eq!((cache.hits, cache.misses), (0, 1), "failed fetch counts as neither");
     }
 
     #[test]

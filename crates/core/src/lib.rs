@@ -51,6 +51,6 @@ pub mod partjoin;
 
 pub use functions::register_spatial;
 pub use index::{QuadtreeSpatialIndex, RTreeSpatialIndex, SpatialIndexType};
-pub use join::{FetchOrder, SpatialJoin, SpatialJoinConfig};
+pub use join::{SpatialJoin, SpatialJoinConfig};
 pub use params::SpatialIndexParams;
 pub use partjoin::{PartitionJoin, PartitionState};

@@ -55,11 +55,11 @@
 //! ([`sdo_rtree::join::match_pairs`]: the plane sweep at or above
 //! `SWEEP_THRESHOLD`, chunked scans below) into a candidate array
 //! that funnels through the *same* `SecondaryFilter` (rowid-sorted
-//! fetches, per-side `GeomCache`) as the tree join, and streams
+//! fetches of each array's distinct rows) as the tree join, and streams
 //! rowid pairs out of the ordinary `start`/`fetch`/`close` protocol,
 //! so `LIMIT` pushdown and memory accounting work unchanged.
 
-use crate::join::{ExactPredicate, GeomCache, JoinPhases, SecondaryFilter, SpatialJoinConfig};
+use crate::join::{ExactPredicate, FilterTally, JoinPhases, SecondaryFilter, SpatialJoinConfig};
 use parking_lot::RwLock;
 use sdo_geom::Rect;
 use sdo_obs::ProfileNode;
@@ -87,9 +87,12 @@ const TARGET_OCCUPANCY: usize = 32;
 const MAX_AXIS_TILES: usize = 256;
 /// Floor on the left-entry range of a split task (see
 /// [`PartitionJoin::pull_task`] — kept in lockstep with the
-/// blocked right-side emission so candidate chunks stay within one
-/// geometry-cache-sized working set per side).
+/// blocked right-side emission so each candidate array holds few
+/// distinct rows per side, and those rows are fetched once).
 const MIN_SPLIT_LEFTS: u32 = 64;
+/// Right-side entries per emission block in [`PartitionJoin::join_tile`]:
+/// keeps each candidate chunk's distinct right rows few.
+const RIGHT_BLOCK: usize = 256;
 
 /// Class indices: A = starts in tile, B = entered from below,
 /// C = entered from the left, D = entered diagonally.
@@ -391,8 +394,7 @@ pub struct PartitionJoin {
     sweep: SweepScratch,
     carry: VecDeque<CandidatePair<RowId, RowId>>,
     out: VecDeque<Row>,
-    lcache: GeomCache,
-    rcache: GeomCache,
+    tally: FilterTally,
     started: bool,
     exhausted: bool,
     peak_candidates: usize,
@@ -416,8 +418,6 @@ impl PartitionJoin {
         counters: Arc<Counters>,
         worker: usize,
     ) -> Self {
-        let cache = config.cache_size;
-        let snap = config.snapshot;
         PartitionJoin {
             state,
             left_table,
@@ -433,8 +433,7 @@ impl PartitionJoin {
             sweep: SweepScratch::new(),
             carry: VecDeque::new(),
             out: VecDeque::new(),
-            lcache: GeomCache::new(cache).at_snapshot(snap),
-            rcache: GeomCache::new(cache).at_snapshot(snap),
+            tally: FilterTally::default(),
             started: false,
             exhausted: false,
             peak_candidates: 0,
@@ -443,11 +442,6 @@ impl PartitionJoin {
             attached: None,
             phases: None,
         }
-    }
-
-    /// Geometry-cache statistics `(hits, misses)` across both sides.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.lcache.hits + self.rcache.hits, self.lcache.misses + self.rcache.misses)
     }
 
     /// Kernel accounting accumulated across all processed tiles.
@@ -465,8 +459,8 @@ impl PartitionJoin {
     /// siblings can steal the other half. Tasks never shrink below
     /// [`MIN_SPLIT_LEFTS`] left entries: narrower slivers make each
     /// sorted candidate chunk span many right-side blocks (few lefts
-    /// → few candidates per block), defeating the cache-sized blocked
-    /// emission in [`Self::join_tile`].
+    /// → few candidates per block), defeating the blocked emission in
+    /// [`Self::join_tile`].
     fn pull_task(&mut self) -> Option<TileTask> {
         loop {
             let t = self.state.queue.pop(self.worker)?;
@@ -503,18 +497,16 @@ impl PartitionJoin {
             }
             let (lrects, lrids) = (&lt.rects[lr.clone()], &lt.rids[lr]);
             let (rrects_all, rrids_all) = (&rt.rects[rr.clone()], &rt.rids[rr]);
-            // Emit candidates in right-side blocks sized to the
-            // geometry cache. A dense tile holds thousands of rows; an
-            // unblocked kernel interleaves them all into every
-            // candidate chunk and the secondary filter's per-side LRU
-            // thrashes (one miss per pair). Blocked emission keeps
-            // each chunk's right working set resident — same pair
-            // set, cache-friendly order. Task splitting already
-            // bounds the left range the same way.
-            let block = (self.config.cache_size / 2).clamp(128, 2048);
+            // Emit candidates in right-side blocks. A dense tile holds
+            // thousands of rows; an unblocked kernel interleaves them
+            // all into every candidate chunk, and the secondary filter
+            // then fetches nearly one right row per pair. Blocked
+            // emission keeps each chunk's distinct right rows few —
+            // same pair set, fetch-friendly order. Task splitting
+            // already bounds the left range the same way.
             self.soa_left.fill(lrects.iter());
-            for b0 in (0..rrects_all.len()).step_by(block) {
-                let b1 = (b0 + block).min(rrects_all.len());
+            for b0 in (0..rrects_all.len()).step_by(RIGHT_BLOCK) {
+                let b1 = (b0 + RIGHT_BLOCK).min(rrects_all.len());
                 let (rrects, rrids) = (&rrects_all[b0..b1], &rrids_all[b0..b1]);
                 self.soa_right.fill(rrects.iter());
                 let carry = &mut self.carry;
@@ -558,16 +550,9 @@ impl PartitionJoin {
                 right_table: &self.right_table,
                 right_column: self.right_column,
                 exact: &self.exact,
-                fetch_order: self.config.fetch_order,
+                snapshot: self.config.snapshot,
             };
-            filter.run(
-                batch,
-                &mut self.lcache,
-                &mut self.rcache,
-                &self.counters,
-                self.phases.as_ref(),
-                &mut self.out,
-            );
+            filter.run(batch, &self.counters, self.phases.as_ref(), &mut self.tally, &mut self.out);
         }
     }
 }
@@ -602,12 +587,7 @@ impl TableFunction for PartitionJoin {
         self.carry.clear();
         self.out.clear();
         if let Some(p) = self.phases.take() {
-            p.node.add_metric("geom_cache_hits", self.lcache.hits + self.rcache.hits);
-            p.node.add_metric("geom_cache_misses", self.lcache.misses + self.rcache.misses);
-            p.filter.set_metric("cache_hits", self.lcache.hits + self.rcache.hits);
-            p.filter.set_metric("cache_misses", self.lcache.misses + self.rcache.misses);
-            p.filter
-                .set_metric("shapes_built", self.lcache.shapes_built + self.rcache.shapes_built);
+            self.tally.flush(&p);
             p.node.add_metric("peak_candidates", self.peak_candidates as u64);
             // set_metric: a slave at 0 tasks (or a join that never
             // swept) must still render — that imbalance is what
@@ -618,8 +598,6 @@ impl TableFunction for PartitionJoin {
             p.node.set_metric("tasks_executed", self.state.queue.executed(self.worker));
             p.node.set_metric("tasks_stolen", self.state.queue.stolen(self.worker));
         }
-        self.lcache.clear();
-        self.rcache.clear();
     }
 
     fn attach_profile(&mut self, node: &ProfileNode) {
@@ -630,7 +608,6 @@ impl TableFunction for PartitionJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FetchOrder;
     use sdo_geom::{Geometry, Polygon};
     use sdo_storage::{DataType, Schema, Value};
     use sdo_tablefunc::table_function::collect_all;
@@ -703,21 +680,10 @@ mod tests {
     fn partition_join_matches_nested_loop_with_zero_duplicates() {
         let (ra, rb) = (rects(0.0, 400), rects(50.0, 300));
         let (ta, tb) = (geom_table("a", &ra), geom_table("b", &rb));
-        // Tiny candidate arrays, caches and every fetch order drive the
-        // carry / secondary-filter streaming path.
-        let config = |candidate_array, cache_size, fetch_order| SpatialJoinConfig {
-            candidate_array,
-            cache_size,
-            fetch_order,
-            ..SpatialJoinConfig::default()
-        };
-        let configs = [
-            SpatialJoinConfig::default(),
-            config(3, 512, FetchOrder::RowidSorted),
-            config(4096, 0, FetchOrder::RowidSorted),
-            config(7, 2, FetchOrder::Arrival),
-            config(1, 2, FetchOrder::Random),
-        ];
+        // Tiny candidate arrays drive the carry / secondary-filter
+        // streaming path.
+        let configs = [1usize, 3, 7, 4096]
+            .map(|candidate_array| SpatialJoinConfig { candidate_array, ..Default::default() });
         for exact in [ExactPredicate::PrimaryOnly, ExactPredicate::Distance(3.0)] {
             let want = brute(&ra, &rb, exact.join_predicate());
             for dop in [1usize, 3] {

@@ -5,7 +5,6 @@
 use parking_lot::RwLock;
 use proptest::prelude::*;
 use sdo_core::join::{ExactPredicate, JoinSide, SpatialJoin, SpatialJoinConfig};
-use sdo_core::FetchOrder;
 use sdo_geom::{Geometry, Polygon, Rect, RelateMask};
 use sdo_rtree::{RTree, RTreeParams};
 use sdo_storage::{Counters, DataType, Schema, Table, Value};
@@ -87,21 +86,8 @@ fn arb_exact() -> impl Strategy<Value = ExactPredicate> {
 }
 
 fn arb_config() -> impl Strategy<Value = SpatialJoinConfig> {
-    (
-        1usize..512,
-        prop_oneof![
-            Just(FetchOrder::RowidSorted),
-            Just(FetchOrder::Arrival),
-            Just(FetchOrder::Random)
-        ],
-        0usize..64,
-    )
-        .prop_map(|(candidate_array, fetch_order, cache_size)| SpatialJoinConfig {
-            candidate_array,
-            fetch_order,
-            cache_size,
-            ..Default::default()
-        })
+    (1usize..512)
+        .prop_map(|candidate_array| SpatialJoinConfig { candidate_array, ..Default::default() })
 }
 
 /// Skewed input: one dense cluster of small rectangles plus a uniform

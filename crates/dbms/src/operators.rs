@@ -567,7 +567,7 @@ impl IndexAccess {
     }
 }
 
-/// Fetch `rids` from `table` under `snap` with one read lock, into
+/// Fetch `rids` from `table` under `snap` with one batch read, into
 /// relation slot `slot` of joined rows `width` wide. Rows the snapshot
 /// cannot see are skipped: an index may hold entries for versions the
 /// statement cannot see (in-flight inserts, deferred old entries), and
@@ -579,14 +579,14 @@ pub(crate) fn fetch_rows(
     slot: usize,
     width: usize,
 ) -> JoinedBatch {
-    let guard = table.read();
     let mut out = Vec::with_capacity(rids.len());
-    for &rid in rids {
-        let Ok(vals) = guard.get_at(rid, snap) else { continue };
-        let mut jr = empty_joined(width);
-        jr[slot] = RelRow { rid: Some(rid), values: vals.to_vec() };
-        out.push(jr);
-    }
+    table.read().get_many_at(rids, snap, |rid, row| {
+        if let Some(vals) = row {
+            let mut jr = empty_joined(width);
+            jr[slot] = RelRow { rid: Some(rid), values: vals.to_vec() };
+            out.push(jr);
+        }
+    });
     out
 }
 
@@ -853,34 +853,21 @@ impl BatchOp for RowidSemiJoinExec<'_> {
             }
             let t0 = self.node.as_ref().map(|_| Instant::now());
             let before = self.node.as_ref().map(|_| self.db.counters().snapshot());
-            let mut out = Vec::with_capacity(rows.len());
+            let mut pairs = Vec::with_capacity(rows.len());
             for row in &rows {
-                let (Some(lrid), Some(rrid)) = (row[0].as_rowid(), row[1].as_rowid()) else {
-                    return Err(DbError::Plan(
-                        "rowid-pair subquery produced non-rowid values".into(),
-                    ));
-                };
-                if !self.seen.insert((lrid, rrid)) {
-                    continue; // IN semantics deduplicate
+                let pair = rowid_pair(row)?;
+                if self.seen.insert(pair) {
+                    pairs.push(pair); // IN semantics deduplicate
                 }
-                // Per-pair fetch deliberately charges the I/O,
-                // mirroring the semijoin's real cost profile; the
-                // GeomCache inside the join already bounded the working
-                // set upstream. Pairs whose rows are not visible under
-                // the statement snapshot are skipped, not errors.
-                let lvals = match self.lt.read().get_at(lrid, &self.snap) {
-                    Ok(v) => v,
-                    Err(_) => continue,
-                };
-                let rvals = match self.rt.read().get_at(rrid, &self.snap) {
-                    Ok(v) => v,
-                    Err(_) => continue,
-                };
+            }
+            let mut out = Vec::with_capacity(pairs.len());
+            probe_pairs(&pairs, &self.lt, &self.rt, &self.snap, |lrid, lvals, rrid, rvals| {
                 let mut jr = empty_joined(self.width);
                 jr[self.l_rel] = RelRow { rid: Some(lrid), values: lvals.to_vec() };
                 jr[self.r_rel] = RelRow { rid: Some(rrid), values: rvals.to_vec() };
                 out.push(jr);
-            }
+                Ok(())
+            })?;
             // Only the batch in flight is resident; the seen-set holds
             // rowid pairs, not rows.
             self.resident.set(out.len() as u64)?;
@@ -897,6 +884,58 @@ impl BatchOp for RowidSemiJoinExec<'_> {
     fn close(&mut self) {
         self.sub.close();
         let _ = self.resident.set(0);
+    }
+}
+
+/// The two rowids of one row of a rowid-pair subquery.
+pub(crate) fn rowid_pair(row: &[Value]) -> Result<(RowId, RowId), DbError> {
+    match (row[0].as_rowid(), row[1].as_rowid()) {
+        (Some(l), Some(r)) => Ok((l, r)),
+        _ => Err(DbError::Plan("rowid-pair subquery produced non-rowid values".into())),
+    }
+}
+
+/// Fetch the base rows of a block of rowid pairs the way the spatial
+/// join fetches its candidates' geometries: each side's distinct
+/// rowids once, in rowid order, with one [`Table::get_many_at`] under
+/// one table read lock. Calls `emit` for every pair whose two rows are
+/// visible to `snap`, in pair order — pairs with an invisible row are
+/// skipped, not errors — and returns the distinct rows fetched.
+pub(crate) fn probe_pairs(
+    pairs: &[(RowId, RowId)],
+    lt: &RwLock<Table>,
+    rt: &RwLock<Table>,
+    snap: &Snapshot,
+    mut emit: impl FnMut(RowId, &Arc<[Value]>, RowId, &Arc<[Value]>) -> Result<(), DbError>,
+) -> Result<u64, DbError> {
+    let left = SideRows::fetch(lt, pairs.iter().map(|p| p.0).collect(), snap);
+    let right = SideRows::fetch(rt, pairs.iter().map(|p| p.1).collect(), snap);
+    for &(l, r) in pairs {
+        if let (Some(lv), Some(rv)) = (left.get(l), right.get(r)) {
+            emit(l, lv, r, rv)?;
+        }
+    }
+    Ok((left.rids.len() + right.rids.len()) as u64)
+}
+
+/// One side of a pair block: its distinct rowids, sorted, and the rows
+/// of them visible to the snapshot (`None` when invisible).
+struct SideRows {
+    rids: Vec<RowId>,
+    rows: Vec<Option<Arc<[Value]>>>,
+}
+
+impl SideRows {
+    fn fetch(table: &RwLock<Table>, mut rids: Vec<RowId>, snap: &Snapshot) -> Self {
+        rids.sort_unstable();
+        rids.dedup();
+        let mut rows = Vec::with_capacity(rids.len());
+        table.read().get_many_at(&rids, snap, |_, row| rows.push(row.cloned()));
+        SideRows { rids, rows }
+    }
+
+    fn get(&self, rid: RowId) -> Option<&Arc<[Value]>> {
+        self.rows[self.rids.binary_search(&rid).expect("every rowid was fetched")].as_ref()
     }
 }
 

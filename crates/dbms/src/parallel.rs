@@ -32,8 +32,8 @@ use crate::db::Database;
 use crate::error::DbError;
 use crate::exec::RelRow;
 use crate::operators::{
-    empty_joined, fetch_rows, note_batch, BatchOp, ExecCtx, FilterEval, FilterInputs, IndexAccess,
-    JoinedBatch, Resident, SelectStream, BATCH_ROWS,
+    empty_joined, fetch_rows, note_batch, probe_pairs, rowid_pair, BatchOp, ExecCtx, FilterEval,
+    FilterInputs, IndexAccess, JoinedBatch, Resident, SelectStream, BATCH_ROWS,
 };
 use crate::sql::ast::OrderKey;
 use parking_lot::{Mutex, RwLock};
@@ -42,7 +42,7 @@ use sdo_storage::{RowId, Snapshot, Table, Value};
 use sdo_tablefunc::scheduler::TaskQueue;
 use sdo_tablefunc::source::TableCursor;
 use sdo_tablefunc::{Fanout, Outbox, RowSource};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -64,9 +64,6 @@ pub(crate) fn morsel_rows() -> usize {
 pub fn set_morsel_rows(n: usize) {
     MORSEL_ROWS.store(n.max(1), Ordering::Relaxed);
 }
-
-/// Probe-cache capacity per semijoin worker, in cached rows.
-const PROBE_CACHE_ROWS: usize = 4096;
 
 /// One morsel of a table: its place in scan order and what it reads.
 #[derive(Debug, Clone)]
@@ -694,45 +691,6 @@ impl BatchOp for ParallelSortExec<'_> {
 // Parallel rowid-pair semijoin probe
 // ---------------------------------------------------------------------------
 
-/// A bounded per-worker cache of fetched base rows, keyed by
-/// `(side, rowid)`. Invisible rows cache as `None` so repeat probes
-/// skip the table read too. Wholesale clear on overflow keeps it
-/// allocation-cheap; hit/miss tallies surface in `EXPLAIN ANALYZE`
-/// per worker (hits + misses == 2 × pairs_probed, by construction).
-struct ProbeCache {
-    map: HashMap<(bool, RowId), Option<Arc<[Value]>>>,
-    cap: usize,
-    hits: u64,
-    misses: u64,
-    probed: u64,
-}
-
-impl ProbeCache {
-    fn new(cap: usize) -> Self {
-        ProbeCache { map: HashMap::new(), cap: cap.max(1), hits: 0, misses: 0, probed: 0 }
-    }
-
-    fn fetch(
-        &mut self,
-        left: bool,
-        rid: RowId,
-        table: &Arc<RwLock<Table>>,
-        snap: &Snapshot,
-    ) -> Option<Arc<[Value]>> {
-        if let Some(v) = self.map.get(&(left, rid)) {
-            self.hits += 1;
-            return v.clone();
-        }
-        self.misses += 1;
-        let v = table.read().get_at(rid, snap).ok();
-        if self.map.len() >= self.cap {
-            self.map.clear();
-        }
-        self.map.insert((left, rid), v.clone());
-        v
-    }
-}
-
 /// One probe block of deduplicated rowid pairs, in pair-stream order.
 struct Block {
     idx: usize,
@@ -755,33 +713,37 @@ struct PairProbe {
     budget: u64,
 }
 
+/// A probe worker's tallies, stamped on its profile node at finish.
+#[derive(Default)]
+struct ProbeTally {
+    /// Pairs probed.
+    probed: u64,
+    /// Distinct rows fetched (both sides, summed over blocks).
+    fetched: u64,
+}
+
 impl PairProbe {
-    /// Fetch both rows of every pair in `b` through `cache`, keep the
-    /// pairs that pass the filter, and charge them against `charge`.
+    /// Fetch both rows of every pair in `b` (each block's distinct
+    /// rowids once per side), keep the pairs that pass the filter, and
+    /// charge them against `charge`. Pairs with a row invisible under
+    /// the snapshot are skipped, matching the serial probe.
     fn probe(
         &self,
         b: &Block,
-        cache: &mut ProbeCache,
+        tally: &mut ProbeTally,
         charge: &mut GaugeCharge,
     ) -> Result<JoinedBatch, DbError> {
         let mut rows = Vec::with_capacity(b.pairs.len());
-        for &(lrid, rrid) in &b.pairs {
-            // Probe both sides unconditionally so the cache accounting
-            // identity (hits + misses == 2 × pairs) holds exactly; pairs
-            // with a row invisible under the snapshot are skipped,
-            // matching the serial join.
-            let lv = cache.fetch(true, lrid, &self.lt, &self.snap);
-            let rv = cache.fetch(false, rrid, &self.rt, &self.snap);
-            cache.probed += 1;
-            let (Some(lv), Some(rv)) = (lv, rv) else { continue };
+        tally.probed += b.pairs.len() as u64;
+        tally.fetched += probe_pairs(&b.pairs, &self.lt, &self.rt, &self.snap, |l, lv, r, rv| {
             let mut jr = empty_joined(self.width);
-            jr[self.l_rel] = RelRow { rid: Some(lrid), values: lv.to_vec() };
-            jr[self.r_rel] = RelRow { rid: Some(rrid), values: rv.to_vec() };
-            if self.filter && !self.eval.row_passes(&jr)? {
-                continue;
+            jr[self.l_rel] = RelRow { rid: Some(l), values: lv.to_vec() };
+            jr[self.r_rel] = RelRow { rid: Some(r), values: rv.to_vec() };
+            if !self.filter || self.eval.row_passes(&jr)? {
+                rows.push(jr);
             }
-            rows.push(jr);
-        }
+            Ok(())
+        })?;
         charge_rows(charge, self.budget, rows.len() as u64, "EXCHANGE")?;
         Ok(rows)
     }
@@ -792,7 +754,7 @@ impl PairProbe {
 /// The coordinator drains the table-function subquery and
 /// deduplicates serially (IN semantics need a global seen-set), cuts
 /// the surviving pairs into blocks, and fans each *wave* of blocks to
-/// workers that fetch both base rows through a private [`ProbeCache`]
+/// workers that fetch each block's distinct base rows once per side
 /// and apply the secondary filters per worker. Blocks reassemble in
 /// stream order, so output matches the serial plan row for row.
 pub(crate) struct ParallelSemiJoinExec<'a> {
@@ -803,7 +765,7 @@ pub(crate) struct ParallelSemiJoinExec<'a> {
     dop: usize,
     node: Option<ProfileNode>,
     nodes: Vec<Option<ProfileNode>>,
-    caches: Vec<Arc<Mutex<ProbeCache>>>,
+    tallies: Vec<Arc<Mutex<ProbeTally>>>,
     /// One queue across every wave, so its per-worker tallies are the
     /// exchange's.
     queue: Arc<TaskQueue<Block>>,
@@ -848,9 +810,7 @@ impl<'a> ParallelSemiJoinExec<'a> {
             dop,
             nodes: worker_nodes(&node, dop),
             node,
-            caches: (0..dop)
-                .map(|_| Arc::new(Mutex::new(ProbeCache::new(PROBE_CACHE_ROWS))))
-                .collect(),
+            tallies: (0..dop).map(|_| Arc::default()).collect(),
             queue: Arc::new(TaskQueue::new(dop)),
             out: VecDeque::new(),
             resident: ctx.resident("EXCHANGE"),
@@ -875,13 +835,9 @@ impl<'a> ParallelSemiJoinExec<'a> {
                 break;
             }
             for row in &rows {
-                let (Some(l), Some(r)) = (row[0].as_rowid(), row[1].as_rowid()) else {
-                    return Err(DbError::Plan(
-                        "rowid-pair subquery produced non-rowid values".into(),
-                    ));
-                };
-                if self.seen.insert((l, r)) {
-                    pairs.push((l, r));
+                let pair = rowid_pair(row)?;
+                if self.seen.insert(pair) {
+                    pairs.push(pair);
                 }
             }
         }
@@ -892,11 +848,11 @@ impl<'a> ParallelSemiJoinExec<'a> {
         for (idx, c) in pairs.chunks(block).enumerate() {
             self.queue.push(idx % eff, Block { idx, pairs: c.to_vec() });
         }
-        let (probe, caches, nodes) =
-            (Arc::clone(&self.probe), self.caches.clone(), self.nodes.clone());
+        let (probe, tallies, nodes) =
+            (Arc::clone(&self.probe), self.tallies.clone(), self.nodes.clone());
         let fanout = fan_out(&self.queue, eff, 2 * eff, move |w, queue, out| {
             run_tasks(w, queue, out, &probe.gauge, &nodes[w], |b: Block, charge| {
-                (b.idx, probe.probe(&b, &mut caches[w].lock(), charge))
+                (b.idx, probe.probe(&b, &mut tallies[w].lock(), charge))
             })
         });
         let parts = gather(fanout, &mut self.resident, &mut self.held);
@@ -913,12 +869,11 @@ impl<'a> ParallelSemiJoinExec<'a> {
     fn finish(&mut self) {
         self.done = true;
         stamp_worker_metrics(&self.nodes, &self.queue);
-        for (wn, cache) in self.nodes.iter().zip(&self.caches) {
+        for (wn, tally) in self.nodes.iter().zip(&self.tallies) {
             if let Some(n) = wn {
-                let c = cache.lock();
-                n.set_metric("pairs_probed", c.probed);
-                n.set_metric("geom_cache_hits", c.hits);
-                n.set_metric("geom_cache_misses", c.misses);
+                let t = tally.lock();
+                n.set_metric("pairs_probed", t.probed);
+                n.set_metric("rows_fetched", t.fetched);
             }
         }
         self.sub.close();

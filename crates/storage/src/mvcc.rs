@@ -29,7 +29,7 @@
 //! is O(1) in heap terms — aborting flips the status and the aborted
 //! versions are skipped by every reader until they are pruned.
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -88,6 +88,15 @@ impl Snapshot {
             || txid == self.txid
             || matches!(status.state(txid), TxnState::Committed(c) if c <= self.csn)
     }
+
+    /// [`Snapshot::sees`] against a [`StatusView`]: the same rule,
+    /// with no lock taken per check.
+    #[inline]
+    pub(crate) fn sees_in(&self, txid: TxnId, view: &StatusView<'_>) -> bool {
+        txid == FROZEN_TXN
+            || txid == self.txid
+            || matches!(view.state(txid), TxnState::Committed(c) if c <= self.csn)
+    }
 }
 
 /// Central transaction status table shared by every table of a catalog.
@@ -114,6 +123,13 @@ struct Status {
 }
 
 impl Status {
+    fn state(&self, txid: TxnId) -> TxnState {
+        if txid == FROZEN_TXN {
+            return TxnState::Committed(0);
+        }
+        self.states.get(txid as usize - 1).copied().unwrap_or(TxnState::Aborted)
+    }
+
     fn set(&mut self, txid: TxnId, state: TxnState) {
         assert_ne!(txid, FROZEN_TXN, "frozen pseudo-txn has no state");
         let slot = self.states.get_mut(txid as usize - 1).expect("txid was allocated by begin()");
@@ -170,10 +186,16 @@ impl TxnStatusTable {
     /// versions must stay invisible.
     #[inline]
     pub fn state(&self, txid: TxnId) -> TxnState {
-        if txid == FROZEN_TXN {
-            return TxnState::Committed(0);
-        }
-        self.status.read().states.get(txid as usize - 1).copied().unwrap_or(TxnState::Aborted)
+        self.status.read().state(txid)
+    }
+
+    /// Hold the status read lock for a run of visibility checks: a
+    /// batch of reads pays one lock instead of one per check, and every
+    /// check in it sees the same outcomes. Commits and aborts wait
+    /// until the view is dropped, so hold it briefly and take no other
+    /// status lock while it lives.
+    pub(crate) fn view(&self) -> StatusView<'_> {
+        StatusView(self.status.read())
     }
 
     /// Flip `txid` to committed at `csn`. This is *the* commit point:
@@ -237,6 +259,18 @@ impl TxnStatusTable {
     /// Number of transactions ever begun (capacity bookkeeping).
     pub fn allocated(&self) -> usize {
         self.status.read().states.len()
+    }
+}
+
+/// Transaction outcomes under one held read lock
+/// ([`TxnStatusTable::view`]).
+pub(crate) struct StatusView<'a>(RwLockReadGuard<'a, Status>);
+
+impl StatusView<'_> {
+    /// The state of `txid`, as [`TxnStatusTable::state`] reports it.
+    #[inline]
+    pub(crate) fn state(&self, txid: TxnId) -> TxnState {
+        self.0.state(txid)
     }
 }
 

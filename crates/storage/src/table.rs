@@ -1,6 +1,6 @@
 //! Heap tables with per-row version chains.
 
-use crate::mvcc::{Csn, Snapshot, TxnId, TxnState, TxnStatusTable, FROZEN_TXN};
+use crate::mvcc::{Csn, Snapshot, StatusView, TxnId, TxnState, TxnStatusTable, FROZEN_TXN};
 use crate::rowid::RowId;
 use crate::schema::Schema;
 use crate::stats::Counters;
@@ -29,6 +29,11 @@ impl Version {
             return false;
         }
         self.xmax == 0 || !snap.sees(self.xmax, status)
+    }
+
+    /// [`Version::visible`] under an already held status lock.
+    fn visible_in(&self, snap: &Snapshot, view: &StatusView<'_>) -> bool {
+        snap.sees_in(self.xmin, view) && (self.xmax == 0 || !snap.sees_in(self.xmax, view))
     }
 }
 
@@ -343,6 +348,30 @@ impl Table {
             .find(|v| v.visible(snap, &self.status))
             .map(|v| Arc::clone(&v.row))
             .ok_or(StorageError::NoSuchRow(rid))
+    }
+
+    /// Fetch the versions of `rids` visible to `snap`, in the order
+    /// given, passing each to `f` borrowed: `None` when no version is
+    /// visible or the slot does not exist. The visibility rule and the
+    /// `row_fetches` charge (one per rowid) are [`Table::get_at`]'s, but
+    /// the whole call takes the status-table read lock once instead of
+    /// once per version check — the batch read behind §4.2's
+    /// rowid-sorted fetch. `f` runs under that lock, so it must not
+    /// touch the transaction status table.
+    pub fn get_many_at(
+        &self,
+        rids: &[RowId],
+        snap: &Snapshot,
+        mut f: impl FnMut(RowId, Option<&Arc<[Value]>>),
+    ) {
+        Counters::add(&self.counters.row_fetches, rids.len() as u64);
+        let view = self.status.view();
+        for &rid in rids {
+            let row = self.slots.get(rid.slot()).and_then(|chain| {
+                chain.iter().rev().find(|v| v.visible_in(snap, &view)).map(|v| &v.row)
+            });
+            f(rid, row);
+        }
     }
 
     /// Fetch a row by rowid at latest-committed visibility.

@@ -490,3 +490,88 @@ fn alter_session_durability_and_value_validation() {
     assert_eq!(count(&db, "SELECT COUNT(*) FROM t"), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An uncommitted `UPDATE … SET geom` leaves the row's old and new
+/// index entries side by side. A join candidate through either entry
+/// fetches the one heap version its snapshot sees, so the join must
+/// drop the entry whose MBR is not that version's: the writer and every
+/// other session each get every pair exactly once, equal to a nested
+/// loop over the rows they see. The moved square still overlaps its old
+/// partner, so both entries reach the same pair and only the MBR check
+/// keeps it single. Covers the tree join (R-tree inputs) and the
+/// partition join (quadtree inputs) at dop 1 and 2.
+#[test]
+fn moved_row_joins_exactly_once_for_its_writer_and_for_others() {
+    type Pairs = Vec<(u64, u64)>;
+    fn geoms(s: &sdo_dbms::Session, table: &str) -> Vec<(u64, sdo_geom::Geometry)> {
+        let rows = s.execute(&format!("SELECT rowid, geom FROM {table}")).unwrap().rows;
+        rows.iter()
+            .map(|r| (r[0].as_rowid().unwrap().as_u64(), (**r[1].as_geometry().unwrap()).clone()))
+            .collect()
+    }
+    fn brute(s: &sdo_dbms::Session) -> Pairs {
+        let mut out = Vec::new();
+        for (l, lg) in geoms(s, "l") {
+            for (r, rg) in geoms(s, "r") {
+                if sdo_geom::relate::relate_any(&lg, &rg, &[sdo_geom::RelateMask::AnyInteract]) {
+                    out.push((l, r));
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    for (params, engine) in [("tree_fanout=4", "rtree"), ("sdo_level=6", "partition")] {
+        let db = Arc::new(session());
+        for t in ["l", "r"] {
+            db.execute(&format!("CREATE TABLE {t} (id NUMBER, geom SDO_GEOMETRY)")).unwrap();
+            for loc in 0..6 {
+                db.insert_row(t, vec![Value::Integer(loc), pair_poly(loc)]).unwrap();
+            }
+            db.execute(&format!(
+                "CREATE INDEX {t}_x ON {t}(geom) INDEXTYPE IS SPATIAL_INDEX \
+                 PARAMETERS ('{params}')"
+            ))
+            .unwrap();
+        }
+        let (writer, other) = (db.session(), db.session());
+        let committed = brute(&other);
+        writer.execute("BEGIN").unwrap();
+        // Row 1 moves from [10, 11] to [10.5, 20.5]: it keeps its old
+        // partner r1 and gains r2.
+        writer
+            .execute(
+                "UPDATE l SET geom = SDO_GEOMETRY('POLYGON ((10.5 0, 20.5 0, 20.5 1, \
+                 10.5 1, 10.5 0))') WHERE id = 1",
+            )
+            .unwrap();
+        let moved = brute(&writer);
+        assert_eq!(moved.len(), committed.len() + 1, "{engine}: the move gains one pair");
+
+        for dop in [1, 2] {
+            let sql = format!(
+                "SELECT rid1, rid2 FROM TABLE(SPATIAL_JOIN('l','geom','r','geom','intersect', {dop}))"
+            );
+            for (s, want, who) in [(&writer, &moved, "writer"), (&other, &committed, "other")] {
+                let mut got: Pairs = s
+                    .execute(&sql)
+                    .unwrap()
+                    .rows
+                    .iter()
+                    .map(|r| (r[0].as_rowid().unwrap().as_u64(), r[1].as_rowid().unwrap().as_u64()))
+                    .collect();
+                got.sort_unstable();
+                let ctx = format!("{engine} dop={dop} {who}");
+                assert!(got.windows(2).all(|w| w[0] != w[1]), "{ctx}: duplicate pair {got:?}");
+                assert_eq!(&got, want, "{ctx}");
+                let profile = s.last_profile().unwrap();
+                let chosen = profile.root.walk().into_iter().find_map(|(_, n)| {
+                    n.attrs.iter().find(|(k, _)| k == "method_chosen").map(|(_, v)| v.clone())
+                });
+                assert_eq!(chosen.as_deref(), Some(engine), "{ctx}");
+            }
+        }
+        writer.execute("ROLLBACK").unwrap();
+    }
+}
