@@ -178,6 +178,12 @@ impl SdoGeometry {
                         i + 1
                     )));
                 }
+                if next > self.ordinates.len() {
+                    return Err(GeomError::InvalidSdo(format!(
+                        "element {}: bad starting offset {next}",
+                        i + 1
+                    )));
+                }
                 next - 1
             } else {
                 self.ordinates.len()
@@ -271,13 +277,24 @@ impl Encoder {
 
     /// Encode a polygon's rings; the ring closure vertex is implicit in
     /// our model, so rings are written open (Oracle writes them closed,
-    /// but both forms decode identically through [`Ring::new`]).
+    /// and both forms decode through [`Ring::new`]).
     fn push_polygon(&mut self, p: &Polygon) {
         self.element(ETYPE_EXTERIOR_RING, INTERP_STRAIGHT);
-        self.push_points(p.exterior().points());
+        self.push_ring(p.exterior());
         for h in p.holes() {
             self.element(ETYPE_INTERIOR_RING, INTERP_STRAIGHT);
-            self.push_points(h.points());
+            self.push_ring(h);
+        }
+    }
+
+    /// A ring whose last vertex lies within tolerance of its first is
+    /// written closed: [`Ring::new`] drops one such closing vertex, and
+    /// written open it would drop a real one.
+    fn push_ring(&mut self, r: &Ring) {
+        let pts = r.points();
+        self.push_points(pts);
+        if pts.len() >= 2 && pts[pts.len() - 1].almost_eq(&pts[0]) {
+            self.push_point(&pts[0]);
         }
     }
 
@@ -403,6 +420,27 @@ mod tests {
     }
 
     #[test]
+    fn ring_ending_within_tolerance_of_its_start_roundtrips() {
+        // Ring::new keeps all four vertices only if the input repeats
+        // the first one; written open, decoding would drop (0, 1e-10).
+        let ring = Ring::new(vec![
+            pt(0.0, 0.0),
+            pt(1.0, 0.0),
+            pt(1.0, 1e-10),
+            pt(0.0, 1e-10),
+            pt(0.0, 0.0),
+        ])
+        .unwrap();
+        assert_eq!(ring.points().len(), 4);
+        let g = Geometry::Polygon(Polygon::from_exterior(ring));
+        assert_eq!(SdoGeometry::from_geometry(&g).ordinates.len(), 10, "written closed");
+        roundtrip(g);
+        // Ordinary rings stay open.
+        let sq = Geometry::Polygon(Polygon::from_rect(&Rect::new(0.0, 0.0, 1.0, 1.0)));
+        assert_eq!(SdoGeometry::from_geometry(&sq).ordinates.len(), 8);
+    }
+
+    #[test]
     fn multipolygon_roundtrip() {
         let g = Geometry::MultiPolygon(
             MultiPolygon::new(vec![
@@ -467,6 +505,14 @@ mod tests {
         // non-increasing offsets
         let bad =
             SdoGeometry { gtype: 2006, elem_info: vec![5, 2, 1, 1, 2, 1], ordinates: vec![0.0; 8] };
+        assert!(bad.to_geometry().is_err());
+        // a later element starting past the ordinates (used to panic
+        // slicing the earlier element's run)
+        let bad = SdoGeometry {
+            gtype: 2007,
+            elem_info: vec![1, 1003, 1, 25, 1003, 1],
+            ordinates: vec![0.0; 16],
+        };
         assert!(bad.to_geometry().is_err());
         // even (non 1-based-pair) offset
         let bad = SdoGeometry { gtype: 2001, elem_info: vec![2, 1, 1], ordinates: vec![0.0, 0.0] };

@@ -6,8 +6,9 @@
 //!
 //! * **Wire protocol** ([`wire`]) — length-prefixed frames
 //!   (`[u32 LE len][u8 opcode][body]`) carrying SQL, prepared
-//!   statements with positional `?` binds, and tagged result values
-//!   (geometry travels as WKT).
+//!   statements with positional `?` binds, and tagged result values in
+//!   the storage layer's value encoding (geometry travels as its binary
+//!   `SDO_GEOMETRY` bytes, [`sdo_geom::codec`]).
 //! * **Sessions** — each connection owns an engine [`Session`], so
 //!   `ALTER SESSION`, explicit transactions, `EXPLAIN ANALYZE`
 //!   profiles, and `PREPARE`d statements stay connection-private

@@ -22,7 +22,7 @@
 //! the wire protocol and `/metrics`.
 
 use crate::admission::{AdmissionController, Permit};
-use crate::wire::{self, req, resp, Decoder, Encoder, ErrorKind};
+use crate::wire::{self, encode_error, req, resp, Decoder, Encoder, ErrorKind};
 use sdo_dbms::{Database, DbError, Session};
 use sdo_storage::Value;
 use std::io::{self, Read, Write};
@@ -197,13 +197,6 @@ fn handle_http(mut stream: TcpStream, db: &Database, admission: &AdmissionContro
     );
 }
 
-fn error_payload(kind: ErrorKind, message: &str) -> Vec<u8> {
-    let mut e = Encoder::new(resp::ERROR);
-    e.u8(kind.code());
-    e.str32(message);
-    e.finish()
-}
-
 /// Run one statement under admission control, recording server
 /// metrics, and encode the response payload.
 ///
@@ -223,7 +216,7 @@ fn run_statement(
         Ok(p) => p,
         Err(e) => {
             reg.counter("server_stmt_rejected").inc();
-            return (error_payload(ErrorKind::Admission, &e.to_string()), None);
+            return (encode_error(ErrorKind::Admission, &e.to_string()), None);
         }
     };
     reg.histogram("server_admission_wait_ns").record_duration(queue_t0.elapsed());
@@ -237,7 +230,7 @@ fn run_statement(
         }
         Err(e) => {
             reg.counter("server_stmt_errors").inc();
-            error_payload(ErrorKind::Statement, &e.to_string())
+            encode_error(ErrorKind::Statement, &e.to_string())
         }
     };
     (payload, Some(permit))
@@ -287,7 +280,7 @@ fn handle_connection(
             // Undecodable frame: report and drop the connection — we
             // cannot trust the stream's framing anymore.
             Err(e) => {
-                let p = error_payload(ErrorKind::Protocol, &e.to_string());
+                let p = encode_error(ErrorKind::Protocol, &e.to_string());
                 let _ = wire::write_frame(&mut stream, &p);
                 return Err(e);
             }
@@ -302,7 +295,7 @@ fn handle_connection(
                 response.len(),
                 wire::MAX_FRAME >> 20
             );
-            response = error_payload(ErrorKind::Statement, &msg);
+            response = encode_error(ErrorKind::Statement, &msg);
         }
         wire::write_frame(&mut stream, &response)?;
         // Only now may the statement's admission budget fund the next
@@ -330,19 +323,27 @@ fn dispatch(
             let name = d.str16()?;
             let sql = d.str32()?;
             let payload = match session.prepare(&name, &sql) {
-                Ok(nparams) => {
-                    let mut e = Encoder::new(resp::PREPARED);
-                    e.u16(nparams as u16);
-                    e.finish()
-                }
-                Err(e) => error_payload(ErrorKind::Statement, &e.to_string()),
+                Ok(nparams) => match wire::wire_u16(nparams, "the bind-parameter count") {
+                    Ok(n) => {
+                        let mut e = Encoder::new(resp::PREPARED);
+                        e.u16(n);
+                        e.finish()
+                    }
+                    // No client could bind it: do not keep it.
+                    Err(e) => {
+                        let _ = session.deallocate(&name);
+                        encode_error(ErrorKind::Statement, &e.to_string())
+                    }
+                },
+                Err(e) => encode_error(ErrorKind::Statement, &e.to_string()),
             };
             (payload, None)
         }
         req::EXEC_PREPARED => {
             let name = d.str16()?;
             let n = d.u16()? as usize;
-            let mut params = Vec::with_capacity(n);
+            // Each value takes at least its tag byte.
+            let mut params = Vec::with_capacity(n.min(payload.len()));
             for _ in 0..n {
                 params.push(d.value()?);
             }
@@ -352,7 +353,7 @@ fn dispatch(
             let name = d.str16()?;
             let payload = match session.deallocate(&name) {
                 Ok(()) => wire::encode_result(&[], &[]),
-                Err(e) => error_payload(ErrorKind::Statement, &e.to_string()),
+                Err(e) => encode_error(ErrorKind::Statement, &e.to_string()),
             };
             (payload, None)
         }
@@ -364,7 +365,7 @@ fn dispatch(
         req::PING => (vec![resp::PONG], None),
         req::CLOSE => return Ok(None),
         other => {
-            (error_payload(ErrorKind::Protocol, &format!("unknown opcode 0x{other:02x}")), None)
+            (encode_error(ErrorKind::Protocol, &format!("unknown opcode 0x{other:02x}")), None)
         }
     }))
 }
@@ -449,6 +450,7 @@ impl Client {
 
     /// Cache a statement server-side; returns its bind-param count.
     pub fn prepare(&mut self, name: &str, sql: &str) -> Result<usize, ClientError> {
+        wire::wire_u16(name.len(), "the byte length of a statement name")?;
         let mut e = Encoder::new(req::PREPARE);
         e.str16(name);
         e.str32(sql);
@@ -467,9 +469,11 @@ impl Client {
         name: &str,
         params: &[Value],
     ) -> Result<WireResult, ClientError> {
+        wire::wire_u16(name.len(), "the byte length of a statement name")?;
+        let nparams = wire::wire_u16(params.len(), "the bind-value count")?;
         let mut e = Encoder::new(req::EXEC_PREPARED);
         e.str16(name);
-        e.u16(params.len() as u16);
+        e.u16(nparams);
         for p in params {
             e.value(p);
         }
@@ -478,6 +482,7 @@ impl Client {
 
     /// Drop a server-side prepared statement.
     pub fn deallocate(&mut self, name: &str) -> Result<(), ClientError> {
+        wire::wire_u16(name.len(), "the byte length of a statement name")?;
         let mut e = Encoder::new(req::DEALLOCATE);
         e.str16(name);
         self.expect_result(&e.finish()).map(|_| ())
@@ -522,3 +527,6 @@ fn unexpected(opcode: u8) -> ClientError {
         format!("unexpected response opcode 0x{opcode:02x}"),
     ))
 }
+
+#[cfg(test)]
+mod fuzz;

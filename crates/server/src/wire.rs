@@ -21,23 +21,35 @@
 //!
 //! ## Responses
 //!
-//! | opcode | name       | body                                            |
-//! |--------|------------|-------------------------------------------------|
-//! | 0x81   | `RESULT`   | `u16` ncols, ncols × `str16`, `u32` nrows, rows |
-//! | 0x82   | `ERROR`    | `u8` kind, `str32` message                      |
-//! | 0x83   | `PONG`     | —                                               |
-//! | 0x84   | `TEXT`     | `str32` (metrics exposition)                    |
-//! | 0x85   | `PREPARED` | `u16` bind-parameter count                      |
+//! | opcode | name       | body                                                   |
+//! |--------|------------|--------------------------------------------------------|
+//! | 0x81   | `RESULT`   | `u16` ncols, ncols × `str16`, `u32` nrows, nrows × ncols × value |
+//! | 0x82   | `ERROR`    | `u8` kind, `str32` message                             |
+//! | 0x83   | `PONG`     | —                                                      |
+//! | 0x84   | `TEXT`     | `str32` (metrics exposition)                           |
+//! | 0x85   | `PREPARED` | `u16` bind-parameter count                             |
 //!
 //! `str16`/`str32` are UTF-8 bytes behind a LE `u16`/`u32` length.
-//! Values are tagged: 0 NULL; 1 integer (`i64` LE); 2 double (`f64`
-//! bits LE); 3 text (`str32`); 4 rowid (`u64` LE); 5 geometry as WKT
-//! (`str32`) — geometry crosses the wire in its text form, so clients
-//! need no geometry codec.
+//! A length or count that does not fit its field is refused, never
+//! truncated: the server answers with an `ERROR` frame and the client
+//! refuses to send.
+//!
+//! ## Values
+//!
+//! A value is the engine's one value encoding, the same bytes that
+//! checkpoints, the WAL and persisted statistics hold
+//! ([`sdo_storage::snapshot::put_value`]): a tag byte, then 0 NULL
+//! (nothing); 1 integer (`i64` LE); 2 double (`f64` bits LE); 3 text
+//! (`str32`); 4 rowid (`u64` LE); 5 geometry, a `u32` LE length and
+//! the [`sdo_geom::codec`] bytes of its `SDO_GEOMETRY` (gtype,
+//! element-info array, raw `f64` ordinates). Geometry therefore
+//! arrives bit-exact, and decoding it validates framing, counts
+//! against the remaining bytes, finite ordinates and element
+//! structure.
 
-use sdo_storage::{RowId, Value};
+use sdo_storage::snapshot::{get_value, put_value};
+use sdo_storage::Value;
 use std::io::{self, IoSlice, Read, Write};
-use std::sync::Arc;
 
 /// Largest frame either side accepts (64 MiB). A length prefix past
 /// this is treated as a corrupt stream, not an allocation request.
@@ -188,9 +200,14 @@ impl Encoder {
     }
 
     /// Append a `str16` (length-prefixed short string).
+    ///
+    /// # Panics
+    /// If `s` is longer than `u16::MAX` bytes: a truncated length
+    /// would desync the frame. Callers with unchecked input check it
+    /// first, as [`encode_result`] and the client do.
     pub fn str16(&mut self, s: &str) -> &mut Self {
-        debug_assert!(s.len() <= u16::MAX as usize);
-        self.u16(s.len() as u16);
+        let n = u16::try_from(s.len()).expect("str16 longer than u16::MAX bytes");
+        self.u16(n);
         self.buf.extend_from_slice(s.as_bytes());
         self
     }
@@ -202,34 +219,9 @@ impl Encoder {
         self
     }
 
-    /// Append one tagged [`Value`].
+    /// Append one tagged [`Value`] (see [Values](self#values)).
     pub fn value(&mut self, v: &Value) -> &mut Self {
-        match v {
-            Value::Null => {
-                self.u8(0);
-            }
-            Value::Integer(i) => {
-                self.u8(1);
-                self.buf.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Double(d) => {
-                self.u8(2);
-                self.buf.extend_from_slice(&d.to_bits().to_le_bytes());
-            }
-            Value::Text(s) => {
-                self.u8(3);
-                self.str32(s);
-            }
-            Value::RowId(rid) => {
-                self.u8(4);
-                self.buf.extend_from_slice(&rid.0.to_le_bytes());
-            }
-            Value::Geometry(g) => {
-                self.u8(5);
-                let wkt = sdo_geom::wkt::to_wkt(g);
-                self.str32(&wkt);
-            }
-        }
+        put_value(&mut self.buf, v);
         self
     }
 
@@ -296,24 +288,17 @@ impl<'a> Decoder<'a> {
         String::from_utf8(self.take(n)?.to_vec()).map_err(|_| corrupt("non-UTF-8 string"))
     }
 
-    /// Read one tagged [`Value`].
+    /// Read one tagged [`Value`] (see [Values](self#values)).
     pub fn value(&mut self) -> io::Result<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Integer(i64::from_le_bytes(self.take(8)?.try_into().unwrap())),
-            2 => {
-                Value::Double(f64::from_bits(u64::from_le_bytes(self.take(8)?.try_into().unwrap())))
-            }
-            3 => Value::Text(Arc::from(self.str32()?.as_str())),
-            4 => Value::RowId(RowId(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))),
-            5 => {
-                let wkt = self.str32()?;
-                let g = sdo_geom::wkt::parse_wkt(&wkt)
-                    .map_err(|e| corrupt(&format!("bad geometry WKT: {e}")))?;
-                Value::Geometry(Arc::new(g))
-            }
-            t => return Err(corrupt(&format!("unknown value tag {t}"))),
-        })
+        let mut rest = &self.buf[self.pos..];
+        let v = get_value(&mut rest).map_err(|e| corrupt(&e.to_string()))?;
+        self.pos = self.buf.len() - rest.len();
+        Ok(v)
+    }
+
+    /// Bytes not yet consumed.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     /// Whether the cursor consumed the whole body.
@@ -322,9 +307,49 @@ impl<'a> Decoder<'a> {
     }
 }
 
+/// `n` as a wire `u16`, or an `InvalidInput` error naming `what`.
+pub(crate) fn wire_u16(n: usize, what: &str) -> io::Result<u16> {
+    u16::try_from(n).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{what} is {n}; the wire protocol allows at most {}", u16::MAX),
+        )
+    })
+}
+
+/// Encode an `ERROR` payload.
+pub(crate) fn encode_error(kind: ErrorKind, message: &str) -> Vec<u8> {
+    let mut e = Encoder::new(resp::ERROR);
+    e.u8(kind.code());
+    e.str32(message);
+    e.finish()
+}
+
+/// Why a result cannot be framed as a `RESULT`, if it cannot.
+fn check_result_shape(columns: &[String], rows: &[Vec<Value>]) -> io::Result<()> {
+    wire_u16(columns.len(), "the result's column count")?;
+    for c in columns {
+        wire_u16(c.len(), "the byte length of a column name")?;
+    }
+    // `decode_result` refuses rows of no columns: they have no bytes
+    // to bound their count by.
+    if columns.is_empty() && !rows.is_empty() {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, "result has rows but no columns"));
+    }
+    Ok(())
+}
+
 /// Encode a tabular result (columns + value rows) as a `RESULT`
 /// payload.
+///
+/// A result the frame cannot carry (more than `u16::MAX` columns, a
+/// column name longer than `u16::MAX` bytes, rows but no columns)
+/// encodes as a statement `ERROR` payload instead, so the stream stays
+/// framed and the connection usable.
 pub fn encode_result(columns: &[String], rows: &[Vec<Value>]) -> Vec<u8> {
+    if let Err(e) = check_result_shape(columns, rows) {
+        return encode_error(ErrorKind::Statement, &e.to_string());
+    }
     let mut e = Encoder::new(resp::RESULT);
     e.u16(columns.len() as u16);
     for c in columns {
@@ -340,14 +365,25 @@ pub fn encode_result(columns: &[String], rows: &[Vec<Value>]) -> Vec<u8> {
 }
 
 /// Decode a `RESULT` body (opcode already stripped).
+///
+/// Counts are checked against the bytes that remain before anything
+/// is reserved, so a corrupt frame cannot ask for more memory than it
+/// could describe.
 pub fn decode_result(d: &mut Decoder<'_>) -> io::Result<(Vec<String>, Vec<Vec<Value>>)> {
     let ncols = d.u16()? as usize;
-    let mut columns = Vec::with_capacity(ncols);
+    // Each name takes at least its 2-byte length.
+    let mut columns = Vec::with_capacity(ncols.min(d.remaining() / 2));
     for _ in 0..ncols {
         columns.push(d.str16()?);
     }
     let nrows = d.u32()? as usize;
-    let mut rows = Vec::with_capacity(nrows.min(4096));
+    // Each value takes at least its tag byte; a row of no columns
+    // takes none, so no rows can follow zero columns.
+    let fits = d.remaining().checked_div(ncols).map_or(nrows == 0, |most| nrows <= most);
+    if !fits {
+        return Err(corrupt("row count exceeds payload"));
+    }
+    let mut rows = Vec::with_capacity(nrows);
     for _ in 0..nrows {
         let mut row = Vec::with_capacity(ncols);
         for _ in 0..ncols {
@@ -362,16 +398,22 @@ pub fn decode_result(d: &mut Decoder<'_>) -> io::Result<(Vec<String>, Vec<Vec<Va
 mod tests {
     use super::*;
 
+    use sdo_geom::{Geometry, Polygon, Rect};
+    use sdo_storage::RowId;
+
+    fn square() -> Geometry {
+        Geometry::Polygon(Polygon::from_rect(&Rect::new(0.0, 0.0, 4.0, 4.0)))
+    }
+
     #[test]
     fn value_roundtrip() {
-        let g = sdo_geom::wkt::parse_wkt("POLYGON ((0 0, 4 0, 4 4, 0 0))").unwrap();
         let vals = vec![
             Value::Null,
             Value::Integer(-42),
             Value::Double(2.5),
             Value::text("héllo\nworld"),
             Value::RowId(RowId(7)),
-            Value::Geometry(Arc::new(g.clone())),
+            Value::geometry(square()),
         ];
         let mut e = Encoder::new(resp::RESULT);
         for v in &vals {
@@ -398,6 +440,62 @@ mod tests {
         assert_eq!(c2, columns);
         assert_eq!(r2, rows);
         assert!(d.at_end());
+    }
+
+    #[test]
+    fn geometry_is_a_length_and_the_sdo_codec_bytes() {
+        let mut e = Encoder::new(resp::RESULT);
+        e.value(&Value::geometry(square()));
+        let payload = e.finish();
+        let codec = sdo_geom::codec::encode_geometry(&square());
+        assert_eq!(payload[1], 5, "geometry tag");
+        assert_eq!(payload[2..6], (codec.len() as u32).to_le_bytes());
+        assert_eq!(&payload[6..], &codec[..]);
+    }
+
+    fn error_message(payload: &[u8]) -> String {
+        let (op, mut d) = Decoder::new(payload).unwrap();
+        assert_eq!(op, resp::ERROR, "expected an ERROR payload");
+        assert_eq!(ErrorKind::from_code(d.u8().unwrap()), ErrorKind::Statement);
+        d.str32().unwrap()
+    }
+
+    #[test]
+    fn results_the_frame_cannot_carry_encode_as_errors() {
+        let wide: Vec<String> = (0..=u16::MAX as usize).map(|i| format!("C{i}")).collect();
+        let msg = error_message(&encode_result(&wide, &[]));
+        assert!(msg.contains("column count is 65536"), "{msg}");
+
+        let long = vec!["A".repeat(u16::MAX as usize + 1)];
+        let msg = error_message(&encode_result(&long, &[vec![Value::Integer(1)]]));
+        assert!(msg.contains("column name is 65536"), "{msg}");
+
+        let msg = error_message(&encode_result(&[], &[vec![]]));
+        assert!(msg.contains("no columns"), "{msg}");
+
+        // The largest header that fits still encodes.
+        let ok = vec!["A".repeat(u16::MAX as usize)];
+        let payload = encode_result(&ok, &[]);
+        let (op, mut d) = Decoder::new(&payload).unwrap();
+        assert_eq!(op, resp::RESULT);
+        assert_eq!(decode_result(&mut d).unwrap().0, ok);
+    }
+
+    #[test]
+    fn row_counts_past_the_payload_are_corrupt() {
+        // Zero columns and four billion empty rows: no bytes back the
+        // rows, so decoding must refuse rather than reserve them.
+        let mut e = Encoder::new(resp::RESULT);
+        e.u16(0).u32(u32::MAX);
+        let payload = e.finish();
+        let (_, mut d) = Decoder::new(&payload).unwrap();
+        assert!(decode_result(&mut d).is_err());
+
+        let mut e = Encoder::new(resp::RESULT);
+        e.u16(1).str16("A").u32(2).value(&Value::Null);
+        let payload = e.finish();
+        let (_, mut d) = Decoder::new(&payload).unwrap();
+        assert!(decode_result(&mut d).is_err());
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! and the dual-protocol metrics endpoint.
 
 use sdo_dbms::Database;
-use sdo_server::{serve, Client, ClientError, ServerConfig, ServerHandle};
+use sdo_geom::{Geometry, Point};
+use sdo_server::wire::{self, req, resp, Decoder, Encoder};
+use sdo_server::{serve, Client, ClientError, ErrorKind, ServerConfig, ServerHandle};
 use sdo_storage::Value;
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -34,12 +36,10 @@ fn ddl_dml_select_roundtrip() {
     assert_eq!(cols, vec!["COUNT(*)"]);
     assert_eq!(rows, vec![vec![Value::Integer(10)]]);
 
-    // Geometry crosses the wire as WKT and comes back as geometry.
+    // Geometry crosses the wire in its binary SDO encoding and comes
+    // back as the same geometry.
     let (_, rows) = c.execute("SELECT geom FROM pts WHERE id = 3").unwrap();
-    match &rows[0][0] {
-        Value::Geometry(g) => assert_eq!(sdo_geom::wkt::to_wkt(g), "POINT (3 3)"),
-        other => panic!("expected geometry, got {other:?}"),
-    }
+    assert_eq!(rows, vec![vec![Value::geometry(Geometry::Point(Point::new(3.0, 3.0)))]]);
 
     // SQL errors come back as statement errors, connection survives.
     let err = c.execute("SELECT nope FROM missing").unwrap_err();
@@ -260,5 +260,102 @@ fn concurrent_clients_share_the_engine() {
     let (_, rows) = c.execute("SELECT COUNT(*) FROM ledger").unwrap();
     assert_eq!(rows, vec![vec![Value::Integer(100)]]);
     c.close().unwrap();
+    handle.shutdown();
+}
+
+/// A statement error that leaves the connection usable.
+fn assert_statement_error(err: ClientError, needle: &str) {
+    match &err {
+        ClientError::Server { kind: ErrorKind::Statement, message } => {
+            assert!(message.contains(needle), "expected {needle:?} in {message:?}")
+        }
+        other => panic!("expected a statement error, got {other}"),
+    }
+}
+
+#[test]
+fn an_alias_longer_than_a_str16_is_an_error_not_a_corrupt_frame() {
+    let (_db, handle) = start(ServerConfig::default());
+    let mut c = client(&handle);
+    c.execute("CREATE TABLE t (id NUMBER)").unwrap();
+    c.execute("INSERT INTO t VALUES (1)").unwrap();
+    let alias = "A".repeat(65_541);
+    let err = c.execute(&format!("SELECT id AS {alias} FROM t")).unwrap_err();
+    assert_statement_error(err, "column name is 65541");
+    // The stream stayed framed: the same connection still answers.
+    let (_, rows) = c.execute("SELECT id AS a FROM t").unwrap();
+    assert_eq!(rows, vec![vec![Value::Integer(1)]]);
+    c.close().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn more_result_columns_than_a_u16_is_an_error() {
+    let (_db, handle) = start(ServerConfig::default());
+    let mut c = client(&handle);
+    c.execute("CREATE TABLE one (id NUMBER)").unwrap();
+    c.execute("INSERT INTO one VALUES (1)").unwrap();
+    let list = vec!["id"; 65_536].join(", ");
+    let err = c.execute(&format!("SELECT {list} FROM one")).unwrap_err();
+    assert_statement_error(err, "column count is 65536");
+    c.ping().unwrap();
+    c.close().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn more_bind_values_than_a_u16_are_refused_before_sending() {
+    let (_db, handle) = start(ServerConfig::default());
+    let mut c = client(&handle);
+    c.execute("CREATE TABLE t (id NUMBER)").unwrap();
+    c.execute("INSERT INTO t VALUES (7)").unwrap();
+    c.prepare("one", "SELECT id FROM t WHERE id = ?").unwrap();
+    let err = c.execute_prepared("one", &vec![Value::Null; 65_536]).unwrap_err();
+    match err {
+        ClientError::Io(e) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(e.to_string().contains("bind-value count is 65536"), "{e}");
+        }
+        other => panic!("expected a client-side refusal, got {other}"),
+    }
+    // Nothing reached the wire, so the connection is in step.
+    let (_, rows) = c.execute_prepared("one", &[Value::Integer(7)]).unwrap();
+    assert_eq!(rows, vec![vec![Value::Integer(7)]]);
+
+    // A statement with more parameters than a PREPARED reply can count
+    // is refused and not kept.
+    let marks = vec!["?"; 65_536].join(", ");
+    let err = c.prepare("wide", &format!("SELECT {marks} FROM t")).unwrap_err();
+    assert_statement_error(err, "bind-parameter count is 65536");
+    assert!(c.execute_prepared("wide", &[]).is_err(), "an unanswerable statement is dropped");
+    c.close().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn a_corrupt_exec_prepared_frame_drops_only_its_own_connection() {
+    let (_db, handle) = start(ServerConfig::default());
+    let mut c = client(&handle);
+    c.execute("CREATE TABLE t (id NUMBER)").unwrap();
+    c.execute("INSERT INTO t VALUES (1)").unwrap();
+
+    // A bind count of u16::MAX with one geometry whose length field
+    // claims u32::MAX bytes.
+    let mut bad = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut e = Encoder::new(req::EXEC_PREPARED);
+    e.str16("w").u16(u16::MAX).u8(5).u32(u32::MAX);
+    wire::write_frame(&mut bad, &e.finish()).unwrap();
+    let answer = wire::read_frame(&mut bad).unwrap();
+    let (op, mut d) = Decoder::new(&answer).unwrap();
+    assert_eq!(op, resp::ERROR);
+    assert_eq!(ErrorKind::from_code(d.u8().unwrap()), ErrorKind::Protocol);
+    assert!(d.str32().unwrap().starts_with("corrupt frame"));
+
+    // The open connection and a new one are both still served.
+    let (_, rows) = c.execute("SELECT id FROM t").unwrap();
+    assert_eq!(rows, vec![vec![Value::Integer(1)]]);
+    let mut second = client(&handle);
+    let (_, rows) = second.execute("SELECT COUNT(*) FROM t").unwrap();
+    assert_eq!(rows, vec![vec![Value::Integer(1)]]);
     handle.shutdown();
 }

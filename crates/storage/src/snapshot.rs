@@ -29,7 +29,7 @@ fn err(m: impl Into<String>) -> StorageError {
 // primitives
 // ---------------------------------------------------------------------------
 
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
+pub(crate) fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
@@ -47,7 +47,14 @@ pub(crate) fn get_str(buf: &mut impl Buf) -> Result<String, StorageError> {
     String::from_utf8(bytes).map_err(|_| err("invalid utf8"))
 }
 
-pub(crate) fn put_value(buf: &mut BytesMut, v: &Value) {
+/// Append one tagged [`Value`]: the value encoding shared by
+/// checkpoints, the WAL, persisted statistics and the wire protocol.
+///
+/// A tag byte, then: 0 NULL (nothing); 1 integer (`i64` LE); 2 double
+/// (`f64` bits LE); 3 text (`u32` LE length + UTF-8 bytes); 4 rowid
+/// (`u64` LE); 5 geometry (`u32` LE length + [`sdo_geom::codec`]
+/// bytes).
+pub fn put_value(buf: &mut impl BufMut, v: &Value) {
     match v {
         Value::Null => buf.put_u8(0),
         Value::Integer(i) => {
@@ -75,7 +82,12 @@ pub(crate) fn put_value(buf: &mut BytesMut, v: &Value) {
     }
 }
 
-pub(crate) fn get_value(buf: &mut impl Buf) -> Result<Value, StorageError> {
+/// Read one value written by [`put_value`], advancing `buf` past it.
+///
+/// Every length is checked against the bytes that remain before
+/// anything is allocated, and a geometry is fully validated, so bytes
+/// of unknown provenance yield an error, never a panic.
+pub fn get_value(buf: &mut impl Buf) -> Result<Value, StorageError> {
     if !buf.has_remaining() {
         return Err(err("truncated value tag"));
     }
@@ -93,12 +105,14 @@ pub(crate) fn get_value(buf: &mut impl Buf) -> Result<Value, StorageError> {
             if buf.remaining() < n {
                 return Err(err("truncated geometry body"));
             }
-            let mut bytes = vec![0u8; n];
-            buf.copy_to_slice(&mut bytes);
-            let g = sdo_geom::codec::decode_geometry(Bytes::from(bytes))
+            // Decode straight from the unread bytes (`chunk` is all of
+            // them for the workspace's contiguous buffers).
+            let g = sdo_geom::codec::decode_geometry(&buf.chunk()[..n])
                 .map_err(|e| err(e.to_string()))?;
+            buf.advance(n);
             Ok(Value::geometry(g))
         }
+        1 | 2 | 4 => Err(err("truncated value body")),
         t => Err(err(format!("bad value tag {t}"))),
     }
 }

@@ -494,9 +494,9 @@ impl TableStats {
                     nulls += 1;
                     continue;
                 }
-                let mut key = BytesMut::new();
+                let mut key = Vec::new();
                 put_value(&mut key, v);
-                distinct.insert(key.to_vec());
+                distinct.insert(key);
                 // Geometries have no SQL ordering; skip min/max.
                 if v.as_geometry().is_some() {
                     continue;
