@@ -100,13 +100,6 @@ fn bulk_vs_insert() {
         }
         t
     });
-    let (rstar, t_rstar) = timed(|| {
-        let mut t = RTree::new(params.with_forced_reinsert(true));
-        for (bb, rid) in &items {
-            t.insert(*bb, *rid);
-        }
-        t
-    });
 
     let probe_work = |tree: &RTree<RowId>| {
         let counters = Arc::new(Counters::new());
@@ -135,14 +128,6 @@ fn bulk_vs_insert() {
         incr.height(),
         incr.node_count(),
         probe_work(&incr)
-    );
-    println!(
-        "{:>10} {:>12} {:>8} {:>8} {:>18}",
-        "reinsert",
-        secs(t_rstar),
-        rstar.height(),
-        rstar.node_count(),
-        probe_work(&rstar)
     );
     println!();
 }

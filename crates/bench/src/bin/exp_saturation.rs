@@ -119,7 +119,6 @@ fn main() {
             memory_budget: 4 * STMT_COST,
             admission_queue: 256,
             admission_wait: Duration::from_secs(120),
-            default_parallel_dop: None,
         },
     )
     .expect("bind server");
@@ -164,7 +163,6 @@ fn main() {
             memory_budget: 2 * STMT_COST,
             admission_queue: 0,
             admission_wait: Duration::ZERO,
-            default_parallel_dop: None,
         },
     )
     .expect("bind server");

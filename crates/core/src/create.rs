@@ -264,9 +264,7 @@ pub fn build_rtree(
 ) -> Result<(RTree<RowId>, CreationStats), DbError> {
     let dop = dop.max(1);
     let _span = sdo_obs::span("create.rtree");
-    let rt_params = RTreeParams::with_fanout(params.tree_fanout)
-        .with_split(params.split)
-        .with_forced_reinsert(params.forced_reinsert);
+    let rt_params = RTreeParams::with_fanout(params.tree_fanout);
     let prof = sdo_obs::current().map(|p| {
         let n = p.child("rtree build");
         n.set_attr("dop", dop.to_string());

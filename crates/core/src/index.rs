@@ -40,27 +40,12 @@ impl IndexType for SpatialIndexType {
         let (index, kind): (Box<dyn DomainIndex>, IndexKind) = match p.kind {
             IndexKindParam::RTree => {
                 let (tree, _stats) = create::build_rtree(&t, col, &p, dop, Arc::clone(&counters))?;
-                (
-                    Box::new(RTreeSpatialIndex {
-                        name: index_name.to_string(),
-                        table: Arc::clone(&t),
-                        column: col,
-                        tree: Arc::new(RwLock::new(tree)),
-                        counters: Arc::clone(&counters),
-                    }),
-                    IndexKind::RTree,
-                )
+                (Box::new(SpatialIndex::new(index_name, &t, col, tree, counters)), IndexKind::RTree)
             }
             IndexKindParam::Quadtree => {
                 let (qt, _stats) = create::build_quadtree(&t, col, &p, dop, Arc::clone(&counters))?;
                 (
-                    Box::new(QuadtreeSpatialIndex {
-                        name: index_name.to_string(),
-                        table: Arc::clone(&t),
-                        column: col,
-                        index: Arc::new(RwLock::new(qt)),
-                        counters: Arc::clone(&counters),
-                    }),
+                    Box::new(SpatialIndex::new(index_name, &t, col, qt, counters)),
                     IndexKind::Quadtree,
                 )
             }
@@ -122,82 +107,143 @@ fn decode_op(call: &OperatorCall) -> Result<DecodedOp, DbError> {
     }
 }
 
-/// Exact secondary filter: `relate(data, query, masks)` per candidate,
-/// fetching the data geometry by rowid *under the statement snapshot*.
-/// The index may hold entries for versions the snapshot cannot see
-/// (eager maintenance of in-flight transactions), so every candidate
-/// is tested against the version the snapshot sees: index evidence
-/// alone never proves a hit. An updated row can have two entries while
-/// a snapshot pin defers the old one, so candidates are sorted by rowid
-/// and merged first (paper §1 item 3: sort by rowid before fetching),
-/// and each row is fetched and tested once. The answer comes out in
-/// rowid order.
-fn secondary_filter(
-    table: &Arc<RwLock<Table>>,
-    column: usize,
-    counters: &Arc<Counters>,
-    snap: &Snapshot,
-    candidates: Vec<RowId>,
-    mut keep: impl FnMut(&Geometry) -> bool,
-) -> Result<Vec<RowId>, DbError> {
-    let guard = table.read();
-    let mut out = Vec::new();
-    for rid in sorted_unique(candidates) {
-        let Ok(row) = guard.get_at(rid, snap) else { continue };
-        let Some(g) = row[column].as_geometry() else { continue };
-        Counters::bump(&counters.exact_tests);
-        if keep(g) {
-            out.push(rid);
-        }
+// ---------------------------------------------------------------------------
+// The two index structures
+// ---------------------------------------------------------------------------
+
+/// What one index structure supplies to the shared operator body:
+/// maintenance, and candidate rowids for a query window. Candidates
+/// may repeat and may name versions a snapshot cannot see; the shared
+/// body refines them.
+trait IndexStructure: Send + Sync + 'static {
+    /// Index row `rid`'s geometry `g`.
+    fn add(&mut self, rid: RowId, g: &Geometry, counters: &Counters) -> Result<(), DbError>;
+
+    /// Remove row `rid`'s entry for geometry `g`.
+    fn remove(&mut self, rid: RowId, g: &Geometry);
+
+    /// Rows whose entries may interact with `q`'s bounding box.
+    fn window(&self, q: &Geometry) -> Vec<RowId>;
+
+    /// Rows whose entries may lie within distance `d` of `q`.
+    fn within(&self, q: &Geometry, d: f64) -> Vec<RowId>;
+
+    /// `(lower bound, rowid)` in ascending lower-bound order of
+    /// distance to `q`, or `None` when the structure has no
+    /// distance-ordered traversal.
+    fn nearest(&self, q: Rect) -> Option<Box<dyn Iterator<Item = (f64, RowId)> + '_>> {
+        let _ = q;
+        None
     }
-    Ok(out)
+
+    /// The `EXPLAIN` statistics line of an index named `name`.
+    fn describe(&self, name: &str) -> String;
 }
 
-/// `SDO_FILTER`'s exact answer for one candidate: does the MBR of the
-/// row version `snap` sees intersect `window`?
-fn mbr_intersects(
-    table: &Table,
-    rid: RowId,
-    snap: &Snapshot,
-    column: usize,
-    window: &Rect,
-) -> bool {
-    table
-        .get_at(rid, snap)
-        .is_ok_and(|row| row[column].as_geometry().is_some_and(|g| g.bbox().intersects(window)))
+impl IndexStructure for RTree<RowId> {
+    fn add(&mut self, rid: RowId, g: &Geometry, _: &Counters) -> Result<(), DbError> {
+        self.insert(g.bbox(), rid);
+        Ok(())
+    }
+
+    fn remove(&mut self, rid: RowId, g: &Geometry) {
+        self.delete(&g.bbox(), &rid);
+    }
+
+    fn window(&self, q: &Geometry) -> Vec<RowId> {
+        let mut out = Vec::new();
+        self.query_window_visit(&q.bbox(), &mut |_, &rid| out.push(rid));
+        out
+    }
+
+    fn within(&self, q: &Geometry, d: f64) -> Vec<RowId> {
+        self.query_within_distance(&q.bbox(), d).into_iter().map(|(_, rid)| rid).collect()
+    }
+
+    fn nearest(&self, q: Rect) -> Option<Box<dyn Iterator<Item = (f64, RowId)> + '_>> {
+        Some(Box::new(self.nearest_iter(q).map(|(lower, _, rid)| (lower, rid))))
+    }
+
+    fn describe(&self, name: &str) -> String {
+        format!(
+            "RTREE {name} items={} height={} nodes={} fanout={}",
+            self.len(),
+            self.height(),
+            self.node_count(),
+            self.params().max_entries
+        )
+    }
 }
 
-/// Sort candidate rowids and drop repeats, so each is fetched once.
-fn sorted_unique(mut rids: Vec<RowId>) -> Vec<RowId> {
-    rids.sort_unstable();
-    rids.dedup();
-    rids
+impl IndexStructure for QuadtreeIndex {
+    fn add(&mut self, rid: RowId, g: &Geometry, counters: &Counters) -> Result<(), DbError> {
+        if let Some(msg) = create::outside_extent(g, self.world()) {
+            return Err(DbError::Index(msg));
+        }
+        Counters::bump(&counters.tessellations);
+        self.insert(rid, g);
+        Ok(())
+    }
+
+    fn remove(&mut self, rid: RowId, g: &Geometry) {
+        self.delete(rid, g);
+    }
+
+    fn window(&self, q: &Geometry) -> Vec<RowId> {
+        self.query_window(q)
+    }
+
+    fn within(&self, q: &Geometry, d: f64) -> Vec<RowId> {
+        // Expand the query window by d for the tile-level filter.
+        self.query_window(&Geometry::Polygon(Polygon::from_rect(&q.bbox().expanded(d))))
+    }
+
+    fn describe(&self, name: &str) -> String {
+        format!(
+            "QUADTREE {name} geometries={} tile_rows={} level={}",
+            self.len(),
+            self.tile_entries(),
+            self.level()
+        )
+    }
 }
 
 // ---------------------------------------------------------------------------
-// R-tree spatial index
+// The spatial index
 // ---------------------------------------------------------------------------
 
-/// The R-tree flavour of the spatial index.
-pub struct RTreeSpatialIndex {
+/// A spatial domain index: one index structure over one geometry
+/// column. Both kinds answer the operators through one body; each
+/// supplies only its candidate rowids.
+pub struct SpatialIndex<S> {
     name: String,
     table: Arc<RwLock<Table>>,
     column: usize,
-    tree: Arc<RwLock<RTree<RowId>>>,
+    structure: Arc<RwLock<S>>,
     counters: Arc<Counters>,
 }
 
-impl RTreeSpatialIndex {
-    /// The underlying tree — used by the `SPATIAL_JOIN` table function,
-    /// which (unlike extensible-indexing operators) joins *two*
-    /// indexes.
-    pub fn tree(&self) -> &Arc<RwLock<RTree<RowId>>> {
-        &self.tree
-    }
+/// The R-tree flavour of the spatial index.
+pub type RTreeSpatialIndex = SpatialIndex<RTree<RowId>>;
 
-    /// Consistent-read snapshot of the tree for long-running joins.
-    pub fn tree_snapshot(&self) -> Arc<RTree<RowId>> {
-        Arc::new(self.tree.read().clone())
+/// The linear-quadtree flavour of the spatial index.
+pub type QuadtreeSpatialIndex = SpatialIndex<QuadtreeIndex>;
+
+impl<S> SpatialIndex<S> {
+    fn new(
+        name: &str,
+        table: &Arc<RwLock<Table>>,
+        column: usize,
+        structure: S,
+        counters: Arc<Counters>,
+    ) -> Self {
+        SpatialIndex {
+            name: name.to_string(),
+            table: Arc::clone(table),
+            column,
+            structure: Arc::new(RwLock::new(structure)),
+            counters,
+        }
     }
 
     /// The indexed base table.
@@ -210,67 +256,136 @@ impl RTreeSpatialIndex {
         self.column
     }
 
-    fn geom_bbox(&self, row: &[Value]) -> Option<Rect> {
-        row.get(self.column).and_then(|v| v.as_geometry()).map(|g| g.bbox())
+    fn geometry<'r>(&self, row: &'r [Value]) -> Option<&'r Geometry> {
+        row.get(self.column).and_then(|v| v.as_geometry()).map(|g| &**g)
     }
 
-    /// Filter-refine k-NN: pull MBR candidates in mindist order; stop
-    /// once the next lower bound exceeds the current k-th exact
-    /// distance. Returns `(exact distance, rowid)` ascending, ties by
-    /// rowid — the same order a stable full sort over a rowid-ordered
-    /// scan produces, so pushdown is result-identical to ORDER BY.
-    fn knn(&self, q: &Geometry, k: usize, snap: &Snapshot) -> Vec<(f64, RowId)> {
-        let tree = self.tree.read();
-        let table = self.table.read();
-        let qbb = q.bbox();
-        // Current top-k by exact distance (k is small: linear
-        // maintenance beats heap overhead).
-        let mut best: Vec<(f64, RowId)> = Vec::with_capacity(k);
-        let worst =
-            |best: &Vec<(f64, RowId)>| best.last().map(|(d, _)| *d).unwrap_or(f64::INFINITY);
-        for (lower, _, rid) in tree.nearest_iter(qbb) {
-            if best.len() == k && lower > worst(&best) {
-                break; // no remaining candidate can improve top-k
+    /// The versions `snap` sees of the distinct `candidates`, in rowid
+    /// order. The index may hold entries for versions the snapshot
+    /// cannot see (eager maintenance of in-flight transactions), and an
+    /// updated row can have two entries while a snapshot pin defers the
+    /// old one, so candidates are sorted by rowid and merged first
+    /// (paper §1 item 3: sort by rowid before fetching) and fetched in
+    /// one [`Table::get_many_at`]. Each row is cloned out of the
+    /// callback, so no geometry test runs under the status lock.
+    fn visible_rows(
+        &self,
+        mut candidates: Vec<RowId>,
+        snap: &Snapshot,
+    ) -> Vec<(RowId, Arc<[Value]>)> {
+        candidates.sort_unstable();
+        candidates.dedup();
+        let mut rows = Vec::with_capacity(candidates.len());
+        self.table.read().get_many_at(&candidates, snap, |rid, row| {
+            if let Some(row) = row {
+                rows.push((rid, Arc::clone(row)));
             }
-            if best.iter().any(|&(_, r)| r == rid) {
-                continue; // duplicate entry from an in-flight update
-            }
-            let Ok(row) = table.get_at(rid, snap) else { continue };
-            let Some(g) = row[self.column].as_geometry() else { continue };
-            Counters::bump(&self.counters.exact_tests);
-            let d = sdo_geom::distance(g, q);
-            // Admit on the full (distance, rowid) order: a candidate
-            // tying the k-th distance with a smaller rowid must evict
-            // it, or pushdown diverges from the stable sort on ties.
-            let admit = best.len() < k || {
-                let &(wd, wrid) = best.last().expect("len == k > 0");
-                (d, rid) < (wd, wrid)
-            };
-            if admit {
-                let pos = best.partition_point(|&(bd, brid)| (bd, brid) < (d, rid));
-                best.insert(pos, (d, rid));
-                best.truncate(k);
-            }
-        }
-        best
+        });
+        rows
+    }
+
+    /// Exact secondary filter: the rowids of `rows` whose geometry
+    /// passes `keep`. Index evidence alone never proves a hit.
+    fn exact(
+        &self,
+        rows: Vec<(RowId, Arc<[Value]>)>,
+        keep: impl Fn(&Geometry) -> bool,
+    ) -> Vec<RowId> {
+        rows.into_iter()
+            .filter(|(_, row)| {
+                self.geometry(row).is_some_and(|g| {
+                    Counters::bump(&self.counters.exact_tests);
+                    keep(g)
+                })
+            })
+            .map(|(rid, _)| rid)
+            .collect()
     }
 }
 
-impl DomainIndex for RTreeSpatialIndex {
+impl RTreeSpatialIndex {
+    /// The underlying tree — used by the `SPATIAL_JOIN` table function,
+    /// which (unlike extensible-indexing operators) joins *two*
+    /// indexes.
+    pub fn tree(&self) -> &Arc<RwLock<RTree<RowId>>> {
+        &self.structure
+    }
+
+    /// Consistent-read snapshot of the tree for long-running joins.
+    pub fn tree_snapshot(&self) -> Arc<RTree<RowId>> {
+        Arc::new(self.structure.read().clone())
+    }
+}
+
+impl QuadtreeSpatialIndex {
+    /// The underlying linear quadtree.
+    pub fn index(&self) -> &Arc<RwLock<QuadtreeIndex>> {
+        &self.structure
+    }
+}
+
+/// Filter-refine k-NN: pull MBR candidates in mindist order; stop once
+/// the next lower bound exceeds the current k-th exact distance.
+/// Returns `(exact distance, rowid)` ascending, ties by rowid — the same
+/// order a stable full sort over a rowid-ordered scan produces, so
+/// pushdown is result-identical to ORDER BY. `None` when the structure
+/// has no distance-ordered traversal.
+fn knn<S: IndexStructure>(
+    ix: &SpatialIndex<S>,
+    q: &Geometry,
+    k: usize,
+    snap: &Snapshot,
+) -> Option<Vec<(f64, RowId)>> {
+    let structure = ix.structure.read();
+    let candidates = structure.nearest(q.bbox())?;
+    let table = ix.table.read();
+    // Current top-k by exact distance (k is small: linear
+    // maintenance beats heap overhead).
+    let mut best: Vec<(f64, RowId)> = Vec::with_capacity(k);
+    let worst = |best: &Vec<(f64, RowId)>| best.last().map(|(d, _)| *d).unwrap_or(f64::INFINITY);
+    for (lower, rid) in candidates {
+        if best.len() == k && lower > worst(&best) {
+            break; // no remaining candidate can improve top-k
+        }
+        if best.iter().any(|&(_, r)| r == rid) {
+            continue; // duplicate entry from an in-flight update
+        }
+        let mut row = None;
+        table.get_many_at(&[rid], snap, |_, r| row = r.cloned());
+        let Some(g) = row.as_deref().and_then(|row| ix.geometry(row)) else { continue };
+        Counters::bump(&ix.counters.exact_tests);
+        let d = sdo_geom::distance(g, q);
+        // Admit on the full (distance, rowid) order: a candidate
+        // tying the k-th distance with a smaller rowid must evict
+        // it, or pushdown diverges from the stable sort on ties.
+        let admit = best.len() < k || {
+            let &(wd, wrid) = best.last().expect("len == k > 0");
+            (d, rid) < (wd, wrid)
+        };
+        if admit {
+            let pos = best.partition_point(|&(bd, brid)| (bd, brid) < (d, rid));
+            best.insert(pos, (d, rid));
+            best.truncate(k);
+        }
+    }
+    Some(best)
+}
+
+impl<S: IndexStructure> DomainIndex for SpatialIndex<S> {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn on_insert(&mut self, rid: RowId, row: &[Value]) -> Result<(), DbError> {
-        if let Some(bb) = self.geom_bbox(row) {
-            self.tree.write().insert(bb, rid);
+        match self.geometry(row) {
+            Some(g) => self.structure.write().add(rid, g, &self.counters),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn on_delete(&mut self, rid: RowId, row: &[Value]) -> Result<(), DbError> {
-        if let Some(bb) = self.geom_bbox(row) {
-            self.tree.write().delete(&bb, &rid);
+        if let Some(g) = self.geometry(row) {
+            self.structure.write().remove(rid, g);
         }
         Ok(())
     }
@@ -282,56 +397,42 @@ impl DomainIndex for RTreeSpatialIndex {
                 // Primary filter only, per Oracle SDO_FILTER semantics
                 // — but answered for the statement's snapshot: each
                 // candidate's MBR test repeats against the version the
-                // snapshot actually sees.
+                // snapshot actually sees (quadtree tiles over-approximate
+                // besides).
                 let qbb = q.bbox();
-                let candidates = sorted_unique(
-                    self.tree.read().query_window(&qbb).into_iter().map(|(_, rid)| rid).collect(),
-                );
-                let guard = self.table.read();
-                Ok(candidates
+                let candidates = self.structure.read().window(&q);
+                let rows = self.visible_rows(candidates, &snap);
+                Ok(rows
                     .into_iter()
-                    .filter(|&rid| mbr_intersects(&guard, rid, &snap, self.column, &qbb))
+                    .filter(|(_, row)| {
+                        self.geometry(row).is_some_and(|g| g.bbox().intersects(&qbb))
+                    })
+                    .map(|(rid, _)| rid)
                     .collect())
             }
             DecodedOp::Relate(q, masks) => {
-                if masks.contains(&RelateMask::Disjoint) {
+                let rows = if masks.contains(&RelateMask::Disjoint) {
                     // DISJOINT cannot use an intersection-based index:
-                    // evaluate exactly over a full snapshot scan.
-                    let guard = self.table.read();
-                    let mut out = Vec::new();
-                    for (rid, row) in guard.scan_at(snap) {
-                        let Some(g) = row[self.column].as_geometry() else { continue };
-                        Counters::bump(&self.counters.exact_tests);
-                        if sdo_geom::relate::relate_any(g, &q, &masks) {
-                            out.push(rid);
-                        }
-                    }
-                    return Ok(out);
-                }
-                let candidates: Vec<RowId> = self
-                    .tree
-                    .read()
-                    .query_window(&q.bbox())
-                    .into_iter()
-                    .map(|(_, rid)| rid)
-                    .collect();
-                secondary_filter(&self.table, self.column, &self.counters, &snap, candidates, |g| {
-                    sdo_geom::relate::relate_any(g, &q, &masks)
-                })
+                    // test every row the snapshot sees.
+                    self.table.read().scan_at(snap).collect()
+                } else {
+                    let candidates = self.structure.read().window(&q);
+                    self.visible_rows(candidates, &snap)
+                };
+                Ok(self.exact(rows, |g| sdo_geom::relate::relate_any(g, &q, &masks)))
             }
             DecodedOp::WithinDistance(q, d) => {
-                let candidates: Vec<RowId> = self
-                    .tree
-                    .read()
-                    .query_within_distance(&q.bbox(), d)
-                    .into_iter()
-                    .map(|(_, rid)| rid)
-                    .collect();
-                secondary_filter(&self.table, self.column, &self.counters, &snap, candidates, |g| {
-                    sdo_geom::within_distance(g, &q, d)
-                })
+                let candidates = self.structure.read().within(&q, d);
+                let rows = self.visible_rows(candidates, &snap);
+                Ok(self.exact(rows, |g| sdo_geom::within_distance(g, &q, d)))
             }
-            DecodedOp::Nn(q, k) => Ok(self.knn(&q, k, &snap).into_iter().map(|(_, r)| r).collect()),
+            DecodedOp::Nn(q, k) => knn(self, &q, k, &snap)
+                .map(|best| best.into_iter().map(|(_, rid)| rid).collect())
+                .ok_or_else(|| {
+                    DbError::Index(
+                        "SDO_NN requires an R-tree index (create with 'layer_gtype=RTREE')".into(),
+                    )
+                }),
         }
     }
 
@@ -341,125 +442,11 @@ impl DomainIndex for RTreeSpatialIndex {
         k: usize,
         snap: &Snapshot,
     ) -> Result<Option<Vec<(f64, RowId)>>, DbError> {
-        Ok(Some(self.knn(query, k, snap)))
+        Ok(knn(self, query, k, snap))
     }
 
     fn describe(&self) -> String {
-        let tree = self.tree.read();
-        format!(
-            "RTREE {} items={} height={} nodes={} fanout={}",
-            self.name,
-            tree.len(),
-            tree.height(),
-            tree.node_count(),
-            tree.params().max_entries
-        )
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Quadtree spatial index
-// ---------------------------------------------------------------------------
-
-/// The linear-quadtree flavour of the spatial index.
-pub struct QuadtreeSpatialIndex {
-    name: String,
-    table: Arc<RwLock<Table>>,
-    column: usize,
-    index: Arc<RwLock<QuadtreeIndex>>,
-    counters: Arc<Counters>,
-}
-
-impl QuadtreeSpatialIndex {
-    /// The underlying linear quadtree.
-    pub fn index(&self) -> &Arc<RwLock<QuadtreeIndex>> {
-        &self.index
-    }
-}
-
-impl DomainIndex for QuadtreeSpatialIndex {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn on_insert(&mut self, rid: RowId, row: &[Value]) -> Result<(), DbError> {
-        if let Some(g) = row.get(self.column).and_then(|v| v.as_geometry()) {
-            let mut index = self.index.write();
-            if let Some(msg) = create::outside_extent(g, index.world()) {
-                return Err(DbError::Index(msg));
-            }
-            Counters::bump(&self.counters.tessellations);
-            index.insert(rid, g);
-        }
-        Ok(())
-    }
-
-    fn on_delete(&mut self, rid: RowId, row: &[Value]) -> Result<(), DbError> {
-        if let Some(g) = row.get(self.column).and_then(|v| v.as_geometry()) {
-            self.index.write().delete(rid, g);
-        }
-        Ok(())
-    }
-
-    fn evaluate(&self, call: &OperatorCall) -> Result<Vec<RowId>, DbError> {
-        let snap = call.snap;
-        match decode_op(call)? {
-            DecodedOp::Filter(q) => {
-                // Tiles over-approximate: like the R-tree, answer the MBR
-                // test itself, against the version the snapshot sees.
-                let qbb = q.bbox();
-                let candidates = self.index.read().query_window(&q);
-                let guard = self.table.read();
-                Ok(candidates
-                    .into_iter()
-                    .filter(|&rid| mbr_intersects(&guard, rid, &snap, self.column, &qbb))
-                    .collect())
-            }
-            DecodedOp::Relate(q, masks) => {
-                if masks.contains(&RelateMask::Disjoint) {
-                    let guard = self.table.read();
-                    let mut out = Vec::new();
-                    for (rid, row) in guard.scan_at(snap) {
-                        let Some(g) = row[self.column].as_geometry() else { continue };
-                        Counters::bump(&self.counters.exact_tests);
-                        if sdo_geom::relate::relate_any(g, &q, &masks) {
-                            out.push(rid);
-                        }
-                    }
-                    return Ok(out);
-                }
-                let candidates = self.index.read().query_window(&q);
-                secondary_filter(&self.table, self.column, &self.counters, &snap, candidates, |g| {
-                    sdo_geom::relate::relate_any(g, &q, &masks)
-                })
-            }
-            DecodedOp::WithinDistance(q, d) => {
-                // Expand the query window by d for the tile-level filter.
-                let window = Geometry::Polygon(Polygon::from_rect(&q.bbox().expanded(d)));
-                let candidates = self.index.read().query_window(&window);
-                secondary_filter(&self.table, self.column, &self.counters, &snap, candidates, |g| {
-                    sdo_geom::within_distance(g, &q, d)
-                })
-            }
-            DecodedOp::Nn(..) => Err(DbError::Index(
-                "SDO_NN requires an R-tree index (create with 'layer_gtype=RTREE')".into(),
-            )),
-        }
-    }
-
-    fn describe(&self) -> String {
-        let idx = self.index.read();
-        format!(
-            "QUADTREE {} geometries={} tile_rows={} level={}",
-            self.name,
-            idx.len(),
-            idx.tile_entries(),
-            idx.level()
-        )
+        self.structure.read().describe(&self.name)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -3,7 +3,6 @@
 use sdo_dbms::extensible::{param, parse_params};
 use sdo_dbms::DbError;
 use sdo_geom::Rect;
-use sdo_rtree::SplitStrategy;
 
 /// Parsed spatial index parameters, mirroring the knobs Oracle exposes
 /// through `CREATE INDEX ... PARAMETERS ('...')` and the
@@ -17,10 +16,6 @@ pub struct SpatialIndexParams {
     pub sdo_level: u32,
     /// `tree_fanout=<n>`: R-tree node capacity.
     pub tree_fanout: usize,
-    /// `split=linear|quadratic|rstar`.
-    pub split: SplitStrategy,
-    /// `reinsert=true`: R*-style forced reinsertion on dynamic inserts.
-    pub forced_reinsert: bool,
     /// Optional explicit world extent
     /// (`extent=min_x:min_y:max_x:max_y`); computed from the data when
     /// absent, like deriving it from `USER_SDO_GEOM_METADATA`. A
@@ -43,8 +38,6 @@ impl Default for SpatialIndexParams {
             kind: IndexKindParam::RTree,
             sdo_level: sdo_quadtree::DEFAULT_LEVEL,
             tree_fanout: sdo_rtree::DEFAULT_FANOUT,
-            split: SplitStrategy::default(),
-            forced_reinsert: false,
             extent: None,
         }
     }
@@ -57,20 +50,11 @@ impl SpatialIndexParams {
         let mut out = SpatialIndexParams::default();
         let pairs = parse_params(s);
         for (k, _) in &pairs {
-            if !matches!(
-                k.as_str(),
-                "layer_gtype"
-                    | "index_type"
-                    | "sdo_level"
-                    | "tree_fanout"
-                    | "split"
-                    | "extent"
-                    | "reinsert"
-            ) {
+            if !matches!(k.as_str(), "layer_gtype" | "sdo_level" | "tree_fanout" | "extent") {
                 return Err(DbError::Plan(format!("unknown index parameter '{k}'")));
             }
         }
-        if let Some(v) = param(&pairs, "layer_gtype").or_else(|| param(&pairs, "index_type")) {
+        if let Some(v) = param(&pairs, "layer_gtype") {
             out.kind = match v.to_ascii_uppercase().as_str() {
                 "QUADTREE" => IndexKindParam::Quadtree,
                 "RTREE" => IndexKindParam::RTree,
@@ -80,7 +64,7 @@ impl SpatialIndexParams {
         if let Some(v) = param(&pairs, "sdo_level") {
             out.sdo_level = v.parse().map_err(|_| DbError::Plan(format!("bad sdo_level '{v}'")))?;
             // sdo_level implies a quadtree unless the kind was forced.
-            if param(&pairs, "layer_gtype").is_none() && param(&pairs, "index_type").is_none() {
+            if param(&pairs, "layer_gtype").is_none() {
                 out.kind = IndexKindParam::Quadtree;
             }
             if out.sdo_level == 0 || out.sdo_level > sdo_quadtree::MAX_LEVEL {
@@ -96,21 +80,6 @@ impl SpatialIndexParams {
             if out.tree_fanout < 4 {
                 return Err(DbError::Plan("tree_fanout must be at least 4".into()));
             }
-        }
-        if let Some(v) = param(&pairs, "split") {
-            out.split = match v.to_ascii_lowercase().as_str() {
-                "linear" => SplitStrategy::Linear,
-                "quadratic" => SplitStrategy::Quadratic,
-                "rstar" => SplitStrategy::RStar,
-                other => return Err(DbError::Plan(format!("unknown split strategy '{other}'"))),
-            };
-        }
-        if let Some(v) = param(&pairs, "reinsert") {
-            out.forced_reinsert = match v.to_ascii_lowercase().as_str() {
-                "true" | "on" | "1" => true,
-                "false" | "off" | "0" => false,
-                other => return Err(DbError::Plan(format!("bad reinsert flag '{other}'"))),
-            };
         }
         if let Some(v) = param(&pairs, "extent") {
             let parts: Vec<f64> = v
@@ -154,11 +123,8 @@ mod tests {
 
     #[test]
     fn rtree_knobs() {
-        let p = SpatialIndexParams::parse("tree_fanout=16 split=rstar reinsert=true").unwrap();
+        let p = SpatialIndexParams::parse("tree_fanout=16").unwrap();
         assert_eq!(p.tree_fanout, 16);
-        assert_eq!(p.split, SplitStrategy::RStar);
-        assert!(p.forced_reinsert);
-        assert!(SpatialIndexParams::parse("reinsert=maybe").is_err());
     }
 
     #[test]
@@ -173,7 +139,6 @@ mod tests {
         assert!(SpatialIndexParams::parse("sdo_level=0").is_err());
         assert!(SpatialIndexParams::parse("sdo_level=99").is_err());
         assert!(SpatialIndexParams::parse("tree_fanout=2").is_err());
-        assert!(SpatialIndexParams::parse("split=zigzag").is_err());
         assert!(SpatialIndexParams::parse("extent=1:2:3").is_err());
         assert!(SpatialIndexParams::parse("extent=5:5:1:1").is_err());
     }

@@ -97,16 +97,6 @@ impl Rect {
         }
     }
 
-    /// Half-perimeter, the "margin" used by R*-tree split heuristics.
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.width() + self.height()
-        }
-    }
-
     /// Center point.
     #[inline]
     pub fn center(&self) -> Point {
@@ -215,12 +205,6 @@ impl Rect {
         }
     }
 
-    /// Area of overlap with `other` (zero when disjoint).
-    #[inline]
-    pub fn overlap_area(&self, other: &Rect) -> f64 {
-        self.intersection(other).map_or(0.0, |r| r.area())
-    }
-
     /// Increase in area if this rectangle were enlarged to cover `other`.
     #[inline]
     pub fn enlargement(&self, other: &Rect) -> f64 {
@@ -259,7 +243,6 @@ mod tests {
         assert_eq!(a.union(&Rect::EMPTY), a);
         assert!(Rect::EMPTY.is_empty());
         assert_eq!(Rect::EMPTY.area(), 0.0);
-        assert_eq!(Rect::EMPTY.margin(), 0.0);
     }
 
     #[test]
@@ -268,10 +251,8 @@ mod tests {
         let b = r(1.0, 1.0, 3.0, 3.0);
         assert_eq!(a.union(&b), r(0.0, 0.0, 3.0, 3.0));
         assert_eq!(a.intersection(&b), Some(r(1.0, 1.0, 2.0, 2.0)));
-        assert_eq!(a.overlap_area(&b), 1.0);
         let c = r(5.0, 5.0, 6.0, 6.0);
         assert_eq!(a.intersection(&c), None);
-        assert_eq!(a.overlap_area(&c), 0.0);
     }
 
     #[test]

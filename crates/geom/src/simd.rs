@@ -1,9 +1,12 @@
 //! Runtime SIMD instruction-set detection for the exact filter's
 //! vectorized loops.
 //!
-//! The prepared-geometry point-in-polygon kernels in
-//! [`crate::prepared`] dispatch on the detected ISA (the AVX2 edge
-//! loop runs on every exact filter). Detection runs once per process
+//! The segment-index kernels in [`crate::prepared`] dispatch on the
+//! detected ISA, so the AVX2 loops run only where a segment index is
+//! built: exact filters on curves and on areal geometries of more than
+//! 128 vertices, and the simplicity check of rings of 48 or more
+//! edges. Smaller geometries take the unprepared kernels, which do not
+//! dispatch. Detection runs once per process
 //! ([`dispatched`]) and honours the [`FORCE_SCALAR_ENV`] environment
 //! variable, which pins every kernel to the portable scalar path —
 //! CI uses it to cover the fallback code on AVX2 hosts.

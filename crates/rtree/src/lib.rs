@@ -3,15 +3,15 @@
 //!
 //! The R-tree index underneath Oracle Spatial's `spatial_index`
 //! indextype, rebuilt from the literature the paper cites: Guttman's
-//! original dynamic structure \[8\], R*-style split heuristics \[1\],
-//! STR bulk loading (Leutenegger et al. \[13\]), and the synchronized
+//! original dynamic structure and quadratic split \[8\], STR bulk
+//! loading (Leutenegger et al. \[13\]), and the synchronized
 //! tree-matching spatial join of Brinkhoff/Huang et al. \[10\].
 //!
 //! Highlights:
 //!
 //! * generic payloads (`RTree<T>`; the spatial layer stores `RowId`s),
-//! * dynamic inserts with selectable split strategy
-//!   ([`SplitStrategy`]), deletes with tree condensation,
+//! * dynamic inserts with Guttman's quadratic split
+//!   ([`split::guttman_split`]), deletes with tree condensation,
 //! * [`bulk`] — Sort-Tile-Recursive packing plus [`RTree::merge`],
 //!   the "build subtrees in parallel, merge at the end" primitive the
 //!   paper's parallel index creation uses,
@@ -41,7 +41,6 @@ pub mod validate;
 pub use join::{JoinCursor, JoinPredicate, KernelStats};
 pub use kernel::{SoaMbrs, SWEEP_THRESHOLD};
 pub use node::{Entry, Node, NodeId};
-pub use split::SplitStrategy;
 pub use tree::{RTree, RTreeParams, SubtreeRef};
 
 /// The ISA the geometry kernels dispatch on, re-exported for

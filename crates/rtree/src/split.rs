@@ -1,104 +1,20 @@
-//! Node split strategies.
+//! Node split: Guttman's quadratic split \[8\].
 //!
-//! Dynamic R-tree performance hinges on how overflowing nodes split.
-//! Three published strategies are provided — Guttman's linear and
-//! quadratic splits \[8\] and the R*-tree topological split \[1\] — and
-//! the choice is a tuning parameter ([`crate::RTreeParams`]), giving
-//! the ablation benches a real knob to turn.
+//! A dynamic insert that overflows a node splits it in two. Bulk
+//! loading (STR, [`crate::bulk`]) builds the trees the paper's index
+//! creation uses, so splits only shape trees grown by DML; the
+//! quadratic split is the one policy.
 
 use crate::node::Entry;
 use sdo_geom::Rect;
 
-/// Which split algorithm an R-tree uses when a node overflows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SplitStrategy {
-    /// Guttman's linear-time seed selection.
-    Linear,
-    /// Guttman's quadratic-time seed selection (Oracle-era default).
-    #[default]
-    Quadratic,
-    /// R*-tree axis/distribution selection (margin then overlap).
-    RStar,
-}
-
 /// Split `entries` (length `M + 1`) into two groups, each with at least
-/// `min` entries.
-pub fn split<T>(
-    strategy: SplitStrategy,
-    entries: Vec<Entry<T>>,
-    min: usize,
-) -> (Vec<Entry<T>>, Vec<Entry<T>>) {
+/// `min` entries: seed each group with one of the pair that would waste
+/// the most area together, then hand out the rest by PickNext, each to
+/// the group its MBR enlarges least.
+pub fn guttman_split<T>(mut entries: Vec<Entry<T>>, min: usize) -> (Vec<Entry<T>>, Vec<Entry<T>>) {
     debug_assert!(entries.len() >= 2 * min, "cannot satisfy min fill");
-    match strategy {
-        SplitStrategy::Linear => guttman_split(entries, min, pick_seeds_linear),
-        SplitStrategy::Quadratic => guttman_split(entries, min, pick_seeds_quadratic),
-        SplitStrategy::RStar => rstar_split(entries, min),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Guttman splits
-// ---------------------------------------------------------------------------
-
-/// Linear seed pick: per axis, the pair with greatest normalized
-/// separation between one entry's high side and another's low side.
-fn pick_seeds_linear<T>(entries: &[Entry<T>]) -> (usize, usize) {
-    let mut best = (0usize, 1usize);
-    let mut best_sep = f64::NEG_INFINITY;
-    for axis in 0..2 {
-        let (lo, hi, width) = axis_extents(entries, axis);
-        if width <= 0.0 {
-            continue;
-        }
-        // highest low side and lowest high side
-        let mut highest_low = 0;
-        let mut lowest_high = 0;
-        for (i, e) in entries.iter().enumerate() {
-            if low(&e.mbr, axis) > low(&entries[highest_low].mbr, axis) {
-                highest_low = i;
-            }
-            if high(&e.mbr, axis) < high(&entries[lowest_high].mbr, axis) {
-                lowest_high = i;
-            }
-        }
-        if highest_low == lowest_high {
-            continue;
-        }
-        let sep =
-            (low(&entries[highest_low].mbr, axis) - high(&entries[lowest_high].mbr, axis)) / width;
-        let _ = (lo, hi);
-        if sep > best_sep {
-            best_sep = sep;
-            best = (lowest_high, highest_low);
-        }
-    }
-    best
-}
-
-/// Quadratic seed pick: the pair wasting the most area if grouped.
-fn pick_seeds_quadratic<T>(entries: &[Entry<T>]) -> (usize, usize) {
-    let mut best = (0usize, 1usize);
-    let mut worst_waste = f64::NEG_INFINITY;
-    for i in 0..entries.len() {
-        for j in (i + 1)..entries.len() {
-            let waste = entries[i].mbr.union(&entries[j].mbr).area()
-                - entries[i].mbr.area()
-                - entries[j].mbr.area();
-            if waste > worst_waste {
-                worst_waste = waste;
-                best = (i, j);
-            }
-        }
-    }
-    best
-}
-
-fn guttman_split<T>(
-    mut entries: Vec<Entry<T>>,
-    min: usize,
-    pick_seeds: fn(&[Entry<T>]) -> (usize, usize),
-) -> (Vec<Entry<T>>, Vec<Entry<T>>) {
-    let (s1, s2) = pick_seeds(&entries);
+    let (s1, s2) = pick_seeds_quadratic(&entries);
     // Remove higher index first so the lower stays valid.
     let (hi, lo) = if s1 > s2 { (s1, s2) } else { (s2, s1) };
     let seed_b = entries.swap_remove(hi);
@@ -151,6 +67,24 @@ fn guttman_split<T>(
     (group_a, group_b)
 }
 
+/// Quadratic seed pick: the pair wasting the most area if grouped.
+fn pick_seeds_quadratic<T>(entries: &[Entry<T>]) -> (usize, usize) {
+    let mut best = (0usize, 1usize);
+    let mut worst_waste = f64::NEG_INFINITY;
+    for i in 0..entries.len() {
+        for j in (i + 1)..entries.len() {
+            let waste = entries[i].mbr.union(&entries[j].mbr).area()
+                - entries[i].mbr.area()
+                - entries[j].mbr.area();
+            if waste > worst_waste {
+                worst_waste = waste;
+                best = (i, j);
+            }
+        }
+    }
+    best
+}
+
 /// Guttman's PickNext: the entry with the greatest preference
 /// difference between the two groups.
 fn pick_next<T>(entries: &[Entry<T>], mbr_a: &Rect, mbr_b: &Rect) -> Option<usize> {
@@ -169,101 +103,6 @@ fn pick_next<T>(entries: &[Entry<T>], mbr_a: &Rect, mbr_b: &Rect) -> Option<usiz
     Some(best)
 }
 
-// ---------------------------------------------------------------------------
-// R* split
-// ---------------------------------------------------------------------------
-
-fn rstar_split<T>(entries: Vec<Entry<T>>, min: usize) -> (Vec<Entry<T>>, Vec<Entry<T>>) {
-    let n = entries.len();
-    // Choose the split axis: the one whose sorted distributions have the
-    // smallest total margin.
-    let mut best_axis = 0;
-    let mut best_margin = f64::INFINITY;
-    for axis in 0..2 {
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            low(&entries[a].mbr, axis)
-                .total_cmp(&low(&entries[b].mbr, axis))
-                .then(high(&entries[a].mbr, axis).total_cmp(&high(&entries[b].mbr, axis)))
-        });
-        let mut margin_sum = 0.0;
-        for k in min..=(n - min) {
-            let left = union_of(&entries, &order[..k]);
-            let right = union_of(&entries, &order[k..]);
-            margin_sum += left.margin() + right.margin();
-        }
-        if margin_sum < best_margin {
-            best_margin = margin_sum;
-            best_axis = axis;
-        }
-    }
-    // Along the chosen axis, pick the distribution with minimal overlap
-    // (ties: minimal combined area).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        low(&entries[a].mbr, best_axis)
-            .total_cmp(&low(&entries[b].mbr, best_axis))
-            .then(high(&entries[a].mbr, best_axis).total_cmp(&high(&entries[b].mbr, best_axis)))
-    });
-    let mut best_k = min;
-    let mut best_overlap = f64::INFINITY;
-    let mut best_area = f64::INFINITY;
-    for k in min..=(n - min) {
-        let left = union_of(&entries, &order[..k]);
-        let right = union_of(&entries, &order[k..]);
-        let overlap = left.overlap_area(&right);
-        let area = left.area() + right.area();
-        if overlap < best_overlap || (overlap == best_overlap && area < best_area) {
-            best_overlap = overlap;
-            best_area = area;
-            best_k = k;
-        }
-    }
-    // Materialize the two groups in order.
-    let mut take_left = vec![false; n];
-    for &i in &order[..best_k] {
-        take_left[i] = true;
-    }
-    let mut left = Vec::with_capacity(best_k);
-    let mut right = Vec::with_capacity(n - best_k);
-    for (i, e) in entries.into_iter().enumerate() {
-        if take_left[i] {
-            left.push(e);
-        } else {
-            right.push(e);
-        }
-    }
-    (left, right)
-}
-
-#[inline]
-fn low(r: &Rect, axis: usize) -> f64 {
-    if axis == 0 {
-        r.min_x
-    } else {
-        r.min_y
-    }
-}
-
-#[inline]
-fn high(r: &Rect, axis: usize) -> f64 {
-    if axis == 0 {
-        r.max_x
-    } else {
-        r.max_y
-    }
-}
-
-fn axis_extents<T>(entries: &[Entry<T>], axis: usize) -> (f64, f64, f64) {
-    let lo = entries.iter().map(|e| low(&e.mbr, axis)).fold(f64::INFINITY, f64::min);
-    let hi = entries.iter().map(|e| high(&e.mbr, axis)).fold(f64::NEG_INFINITY, f64::max);
-    (lo, hi, hi - lo)
-}
-
-fn union_of<T>(entries: &[Entry<T>], idx: &[usize]) -> Rect {
-    idx.iter().fold(Rect::EMPTY, |acc, &i| acc.union(&entries[i].mbr))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,17 +115,17 @@ mod tests {
             .collect()
     }
 
-    fn check_split(strategy: SplitStrategy, es: Vec<Entry<usize>>, min: usize) {
+    fn check_split(es: Vec<Entry<usize>>, min: usize) {
         let n = es.len();
-        let (a, b) = split(strategy, es, min);
-        assert!(a.len() >= min, "{strategy:?}: group A underfull ({})", a.len());
-        assert!(b.len() >= min, "{strategy:?}: group B underfull ({})", b.len());
-        assert_eq!(a.len() + b.len(), n, "{strategy:?}: entries lost");
+        let (a, b) = guttman_split(es, min);
+        assert!(a.len() >= min, "group A underfull ({})", a.len());
+        assert!(b.len() >= min, "group B underfull ({})", b.len());
+        assert_eq!(a.len() + b.len(), n, "entries lost");
         // no duplicates
         let mut ids: Vec<usize> = a.iter().chain(b.iter()).map(|e| *e.item_ref()).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), n, "{strategy:?}: duplicated entries");
+        assert_eq!(ids.len(), n, "duplicated entries");
     }
 
     fn two_clusters() -> Vec<Entry<usize>> {
@@ -302,47 +141,24 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_satisfy_min_fill() {
-        for strategy in [SplitStrategy::Linear, SplitStrategy::Quadratic, SplitStrategy::RStar] {
-            check_split(strategy, two_clusters(), 2);
-            check_split(strategy, two_clusters(), 3);
-        }
+    fn split_satisfies_min_fill() {
+        check_split(two_clusters(), 2);
+        check_split(two_clusters(), 3);
     }
 
     #[test]
     fn clusters_separate_cleanly() {
-        for strategy in [SplitStrategy::Linear, SplitStrategy::Quadratic, SplitStrategy::RStar] {
-            let (a, b) = split(strategy, two_clusters(), 2);
-            let mbr_a = a.iter().fold(Rect::EMPTY, |acc, e| acc.union(&e.mbr));
-            let mbr_b = b.iter().fold(Rect::EMPTY, |acc, e| acc.union(&e.mbr));
-            assert!(
-                !mbr_a.intersects(&mbr_b),
-                "{strategy:?} failed to separate obvious clusters: {mbr_a} vs {mbr_b}"
-            );
-        }
+        let (a, b) = guttman_split(two_clusters(), 2);
+        let mbr_a = a.iter().fold(Rect::EMPTY, |acc, e| acc.union(&e.mbr));
+        let mbr_b = b.iter().fold(Rect::EMPTY, |acc, e| acc.union(&e.mbr));
+        assert!(
+            !mbr_a.intersects(&mbr_b),
+            "failed to separate obvious clusters: {mbr_a} vs {mbr_b}"
+        );
     }
 
     #[test]
     fn identical_rects_split_evenly_enough() {
-        let es = entries(&[(0.0, 0.0, 1.0, 1.0); 9]);
-        for strategy in [SplitStrategy::Linear, SplitStrategy::Quadratic, SplitStrategy::RStar] {
-            check_split(strategy, es.clone(), 4);
-        }
-    }
-
-    #[test]
-    fn rstar_minimizes_overlap_on_grid() {
-        // 4x2 grid of unit squares: the R* split should cut along x with
-        // zero overlap.
-        let mut rs = Vec::new();
-        for i in 0..4 {
-            for j in 0..2 {
-                rs.push((i as f64, j as f64, i as f64 + 1.0, j as f64 + 1.0));
-            }
-        }
-        let (a, b) = split(SplitStrategy::RStar, entries(&rs), 2);
-        let mbr_a = a.iter().fold(Rect::EMPTY, |acc, e| acc.union(&e.mbr));
-        let mbr_b = b.iter().fold(Rect::EMPTY, |acc, e| acc.union(&e.mbr));
-        assert_eq!(mbr_a.overlap_area(&mbr_b), 0.0);
+        check_split(entries(&[(0.0, 0.0, 1.0, 1.0); 9]), 4);
     }
 }

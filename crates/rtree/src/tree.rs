@@ -1,7 +1,7 @@
 //! The R-tree structure: dynamic inserts, deletes, and subtree access.
 
 use crate::node::{Entry, Node, NodeId, Payload};
-use crate::split::{split, SplitStrategy};
+use crate::split::guttman_split;
 use crate::DEFAULT_FANOUT;
 use sdo_geom::Rect;
 use sdo_storage::Counters;
@@ -14,68 +14,29 @@ fn obs_node_reads() -> &'static Arc<sdo_obs::Counter> {
     HANDLE.get_or_init(|| sdo_obs::global().counter("rtree.node_reads"))
 }
 
-/// Tuning parameters, mirroring the knobs Oracle stores in the index
-/// metadata row (fanout) plus the split strategy.
+/// Tuning parameters, mirroring the knob Oracle stores in the index
+/// metadata row (fanout).
 #[derive(Debug, Clone, Copy)]
 pub struct RTreeParams {
     /// Maximum entries per node.
     pub max_entries: usize,
     /// Minimum entries per non-root node.
     pub min_entries: usize,
-    /// Overflow split algorithm.
-    pub split: SplitStrategy,
-    /// R*-style forced reinsertion: on the first overflow of a level
-    /// per insert, evict the ~30% entries farthest from the node
-    /// center and reinsert them instead of splitting (Beckmann et al.,
-    /// the paper's citation \[1\]). Improves node clustering for dynamic
-    /// workloads at some insert cost.
-    pub forced_reinsert: bool,
 }
 
 impl Default for RTreeParams {
     fn default() -> Self {
-        RTreeParams {
-            max_entries: DEFAULT_FANOUT,
-            min_entries: DEFAULT_FANOUT * 2 / 5, // R*-recommended 40%
-            split: SplitStrategy::default(),
-            forced_reinsert: false,
-        }
+        RTreeParams::with_fanout(DEFAULT_FANOUT)
     }
 }
 
 impl RTreeParams {
-    /// Params with an explicit fanout (min fill = 40%).
+    /// Params with an explicit fanout (min fill = 40%, as the R*-tree
+    /// recommends).
     pub fn with_fanout(fanout: usize) -> Self {
         assert!(fanout >= 4, "fanout must be at least 4");
-        RTreeParams {
-            max_entries: fanout,
-            min_entries: (fanout * 2 / 5).max(2),
-            split: SplitStrategy::default(),
-            forced_reinsert: false,
-        }
+        RTreeParams { max_entries: fanout, min_entries: (fanout * 2 / 5).max(2) }
     }
-
-    /// Use the given split strategy.
-    pub fn with_split(mut self, s: SplitStrategy) -> Self {
-        self.split = s;
-        self
-    }
-
-    /// Enable or disable R* forced reinsertion.
-    pub fn with_forced_reinsert(mut self, on: bool) -> Self {
-        self.forced_reinsert = on;
-        self
-    }
-}
-
-/// Outcome of an overflowing node during insertion.
-enum Overflow<T> {
-    /// The node split; the new sibling (MBR + id) must be linked by the
-    /// parent (or become the new root's second child).
-    Split(Rect, NodeId),
-    /// Forced reinsertion: these entries were evicted from a node at
-    /// the given level and must be reinserted there.
-    Reinsert(u32, Vec<Entry<T>>),
 }
 
 /// A reference to a subtree root, as returned by
@@ -250,87 +211,42 @@ impl<T: Clone> RTree<T> {
         self.len += 1;
     }
 
-    /// Insert an entry into some node at `target_level` (0 = leaf).
-    /// Grows the tree if the root splits; drives R* forced reinsertion
-    /// when enabled (at most one reinsertion round per level per
-    /// logical insert, per the R*-tree).
+    /// Insert an entry into some node at `target_level` (0 = leaf),
+    /// growing the tree by one level if the root splits.
     pub(crate) fn insert_entry_at_level(&mut self, entry: Entry<T>, target_level: u32) {
         debug_assert!(target_level <= self.nodes[self.root].level);
-        let mut pending: Vec<(Entry<T>, u32)> = vec![(entry, target_level)];
-        let mut reinserted_levels: u64 = 0;
-        while let Some((e, lvl)) = pending.pop() {
-            match self.insert_rec(self.root, e, lvl, reinserted_levels) {
-                None => {}
-                Some(Overflow::Split(sib_mbr, sib)) => {
-                    // Root split: grow the tree by one level.
-                    let old_root = self.root;
-                    let old_mbr = self.nodes[old_root].mbr();
-                    let new_level = self.nodes[old_root].level + 1;
-                    let mut new_root = Node::new(new_level);
-                    new_root.entries.push(Entry::child(old_mbr, old_root));
-                    new_root.entries.push(Entry::child(sib_mbr, sib));
-                    self.root = self.alloc(new_root);
-                }
-                Some(Overflow::Reinsert(level, entries)) => {
-                    reinserted_levels |= 1u64 << level.min(63);
-                    pending.extend(entries.into_iter().map(|e| (e, level)));
-                }
-            }
+        if let Some((sib_mbr, sib)) = self.insert_rec(self.root, entry, target_level) {
+            let old_root = self.root;
+            let old_mbr = self.nodes[old_root].mbr();
+            let mut new_root = Node::new(self.nodes[old_root].level + 1);
+            new_root.entries.push(Entry::child(old_mbr, old_root));
+            new_root.entries.push(Entry::child(sib_mbr, sib));
+            self.root = self.alloc(new_root);
         }
     }
 
-    /// Recursive insert; reports an overflow outcome: either a new
-    /// sibling after a split, or a batch of evicted entries to
-    /// reinsert at their level.
+    /// Recursive insert; returns the new sibling (MBR + id) when `node`
+    /// split, for the parent to link (or to become the new root's
+    /// second child).
     fn insert_rec(
         &mut self,
         node: NodeId,
         entry: Entry<T>,
         target_level: u32,
-        no_reinsert: u64,
-    ) -> Option<Overflow<T>> {
+    ) -> Option<(Rect, NodeId)> {
         if self.nodes[node].level == target_level {
             self.nodes[node].entries.push(entry);
-            return self.handle_overflow(node, no_reinsert);
+            return self.maybe_split(node);
         }
         let child_idx = self.choose_subtree(node, &entry.mbr);
         let child_id = self.nodes[node].entries[child_idx].child_id();
-        let overflow = self.insert_rec(child_id, entry, target_level, no_reinsert);
+        let split = self.insert_rec(child_id, entry, target_level);
         // Tighten the child's MBR after the insert.
         let child_mbr = self.nodes[child_id].mbr();
         self.nodes[node].entries[child_idx].mbr = child_mbr;
-        match overflow {
-            Some(Overflow::Split(sib_mbr, sib)) => {
-                self.nodes[node].entries.push(Entry::child(sib_mbr, sib));
-                self.handle_overflow(node, no_reinsert)
-            }
-            other => other, // None, or a reinsert batch bubbling up
-        }
-    }
-
-    /// Resolve an overflowing node: forced reinsertion when enabled and
-    /// not yet used at this level during the current insert, else a
-    /// split.
-    fn handle_overflow(&mut self, node: NodeId, no_reinsert: u64) -> Option<Overflow<T>> {
-        if self.nodes[node].len() <= self.params.max_entries {
-            return None;
-        }
-        let level = self.nodes[node].level;
-        let reinsert_allowed = self.params.forced_reinsert
-            && node != self.root
-            && no_reinsert & (1u64 << level.min(63)) == 0;
-        if reinsert_allowed {
-            // Evict the ~30% entries farthest from the node's center.
-            let evict = (self.nodes[node].len() * 3 / 10).max(1);
-            let center = self.nodes[node].mbr().center();
-            let n = &mut self.nodes[node];
-            n.entries.sort_by(|a, b| {
-                a.mbr.center().dist2(&center).total_cmp(&b.mbr.center().dist2(&center))
-            });
-            let evicted = n.entries.split_off(n.entries.len() - evict);
-            return Some(Overflow::Reinsert(level, evicted));
-        }
-        self.maybe_split(node).map(|(mbr, id)| Overflow::Split(mbr, id))
+        let (sib_mbr, sib) = split?;
+        self.nodes[node].entries.push(Entry::child(sib_mbr, sib));
+        self.maybe_split(node)
     }
 
     /// Guttman's ChooseLeaf rule: least enlargement, ties by least
@@ -358,7 +274,7 @@ impl<T: Clone> RTree<T> {
         }
         let level = self.nodes[node].level;
         let entries = std::mem::take(&mut self.nodes[node].entries);
-        let (left, right) = split(self.params.split, entries, self.params.min_entries);
+        let (left, right) = guttman_split(entries, self.params.min_entries);
         self.nodes[node].entries = left;
         let mut sib = Node::new(level);
         sib.entries = right;
@@ -395,20 +311,12 @@ impl<T: Clone> RTree<T> {
             self.root = leaf;
             self.dealloc(old);
         }
-        // Reinsert orphaned entries at their original levels.
+        // Reinsert orphaned entries at their original levels, first
+        // raising the root when the tree shrank below an orphan's level.
         for (level, entries) in orphans {
             for e in entries {
-                // The tree may have shrunk below the orphan's level; in
-                // that case graft children directly by raising the tree.
-                let root_level = self.nodes[self.root].level;
-                if level <= root_level {
-                    self.insert_entry_at_level(e, level);
-                } else {
-                    // Orphan entry points to a subtree taller than the
-                    // current root: make it the new root's sibling.
-                    self.raise_root_to(level);
-                    self.insert_entry_at_level(e, level);
-                }
+                self.raise_root_to(level);
+                self.insert_entry_at_level(e, level);
             }
         }
         true
@@ -456,9 +364,6 @@ impl<T: Clone> RTree<T> {
             .collect();
         for (idx, child) in candidates {
             if self.delete_rec(child, mbr, item, orphans) {
-                let is_root = node == self.root;
-                let min = if is_root { 1 } else { self.params.min_entries };
-                let _ = min;
                 if self.nodes[child].len() < self.params.min_entries {
                     // Condense: orphan the child's remaining entries.
                     let level = self.nodes[child].level;
@@ -641,11 +546,11 @@ mod tests {
 
     #[test]
     fn all_split_strategies_keep_invariants() {
-        for s in [SplitStrategy::Linear, SplitStrategy::Quadratic, SplitStrategy::RStar] {
-            let t = build(500, RTreeParams::with_fanout(6).with_split(s));
-            t.check_invariants().unwrap_or_else(|e| panic!("{s:?}: {e}"));
-            assert_eq!(t.len(), 500);
-        }
+        // The quadratic split is the only strategy; the smallest fanouts
+        // split it most often.
+        let t = build(500, RTreeParams::with_fanout(6));
+        t.check_invariants().unwrap();
+        assert_eq!(t.len(), 500);
     }
 
     #[test]
@@ -734,46 +639,33 @@ mod tests {
     }
 
     #[test]
-    fn forced_reinsert_keeps_invariants_and_improves_packing() {
-        let base = RTreeParams::with_fanout(8);
-        let rstar = base.with_forced_reinsert(true);
-        let mut plain = RTree::new(base);
-        let mut reins = RTree::new(rstar);
-        // adversarial insertion order: interleave two far clusters
+    fn interleaved_clusters_keep_contents_windows_and_deletes() {
+        // Adversarial insertion order: interleave two far clusters.
+        let at = |i: usize| {
+            if i.is_multiple_of(2) {
+                unit((i % 37) as f64 * 2.0, (i % 23) as f64 * 2.0)
+            } else {
+                unit(500.0 + (i % 29) as f64 * 2.0, 500.0 + (i % 31) as f64 * 2.0)
+            }
+        };
+        let mut t = RTree::new(RTreeParams::with_fanout(8));
         for i in 0..600usize {
-            let (x, y) = if i % 2 == 0 {
-                ((i % 37) as f64 * 2.0, (i % 23) as f64 * 2.0)
-            } else {
-                (500.0 + (i % 29) as f64 * 2.0, 500.0 + (i % 31) as f64 * 2.0)
-            };
-            plain.insert(unit(x, y), i);
-            reins.insert(unit(x, y), i);
+            t.insert(at(i), i);
         }
-        reins.check_invariants().unwrap();
-        assert_eq!(reins.len(), 600);
-        // identical contents
-        let mut a: Vec<usize> = plain.iter_items().map(|(_, i)| *i).collect();
-        let mut b: Vec<usize> = reins.iter_items().map(|(_, i)| *i).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        // identical window query answers
+        t.check_invariants().unwrap();
+        let mut items: Vec<usize> = t.iter_items().map(|(_, i)| *i).collect();
+        items.sort_unstable();
+        assert_eq!(items, (0..600).collect::<Vec<_>>());
         let w = Rect::new(10.0, 10.0, 60.0, 40.0);
-        let mut qa: Vec<usize> = plain.query_window(&w).into_iter().map(|(_, i)| i).collect();
-        let mut qb: Vec<usize> = reins.query_window(&w).into_iter().map(|(_, i)| i).collect();
-        qa.sort_unstable();
-        qb.sort_unstable();
-        assert_eq!(qa, qb);
-        // deletes still work with reinsertion enabled
+        let mut got: Vec<usize> = t.query_window(&w).into_iter().map(|(_, i)| i).collect();
+        got.sort_unstable();
+        let want: Vec<usize> = (0..600).filter(|&i| at(i).intersects(&w)).collect();
+        assert_eq!(got, want);
         for i in (0..600).step_by(3) {
-            let (x, y) = if i % 2 == 0 {
-                ((i % 37) as f64 * 2.0, (i % 23) as f64 * 2.0)
-            } else {
-                (500.0 + (i % 29) as f64 * 2.0, 500.0 + (i % 31) as f64 * 2.0)
-            };
-            assert!(reins.delete(&unit(x, y), &i));
+            assert!(t.delete(&at(i), &i));
         }
-        reins.check_invariants().unwrap();
+        t.check_invariants().unwrap();
+        assert_eq!(t.len(), 400);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use sdo_geom::{Point, Rect};
 use sdo_rtree::join::subtree_pair_tasks;
-use sdo_rtree::{JoinCursor, JoinPredicate, RTree, RTreeParams, SplitStrategy};
+use sdo_rtree::{JoinCursor, JoinPredicate, RTree, RTreeParams};
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
     ((-100.0f64..100.0), (-100.0f64..100.0), (0.1f64..20.0), (0.1f64..20.0))
@@ -13,18 +13,7 @@ fn arb_rect() -> impl Strategy<Value = Rect> {
 }
 
 fn arb_params() -> impl Strategy<Value = RTreeParams> {
-    (
-        4usize..24,
-        prop_oneof![
-            Just(SplitStrategy::Linear),
-            Just(SplitStrategy::Quadratic),
-            Just(SplitStrategy::RStar)
-        ],
-        any::<bool>(),
-    )
-        .prop_map(|(fanout, split, reinsert)| {
-            RTreeParams::with_fanout(fanout.max(5)).with_split(split).with_forced_reinsert(reinsert)
-        })
+    (5usize..24).prop_map(RTreeParams::with_fanout)
 }
 
 proptest! {

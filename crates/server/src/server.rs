@@ -41,13 +41,6 @@ pub struct ServerConfig {
     pub admission_queue: usize,
     /// How long one statement may wait for admission.
     pub admission_wait: Duration,
-    /// `parallel_dop` applied to every new session (clients can still
-    /// override per-connection with `ALTER SESSION`). `None` keeps the
-    /// engine default — machine parallelism, clamped to `[1, 16]` —
-    /// which on a loaded server lets concurrent statements oversubscribe
-    /// the shared slave pool; pinning this to a small value trades
-    /// single-statement latency for throughput under concurrency.
-    pub default_parallel_dop: Option<usize>,
 }
 
 impl Default for ServerConfig {
@@ -57,7 +50,6 @@ impl Default for ServerConfig {
             memory_budget: 4 * sdo_dbms::SessionOptions::default().max_resident_rows,
             admission_queue: 32,
             admission_wait: Duration::from_secs(2),
-            default_parallel_dop: None,
         }
     }
 }
@@ -118,7 +110,6 @@ pub fn serve(db: Arc<Database>, addr: &str, config: ServerConfig) -> io::Result<
     );
     let accept_stop = Arc::clone(&stop);
     let accept_admission = admission.clone();
-    let default_dop = config.default_parallel_dop;
     let accept_thread =
         std::thread::Builder::new().name("sdo-server-accept".into()).spawn(move || {
             for conn in listener.incoming() {
@@ -134,7 +125,7 @@ pub fn serve(db: Arc<Database>, addr: &str, config: ServerConfig) -> io::Result<
                 let admission = accept_admission.clone();
                 let _ =
                     std::thread::Builder::new().name("sdo-server-conn".into()).spawn(move || {
-                        let _ = handle_connection(stream, db, admission, default_dop);
+                        let _ = handle_connection(stream, db, admission);
                     });
             }
         })?;
@@ -241,7 +232,6 @@ fn handle_connection(
     mut stream: TcpStream,
     db: Arc<Database>,
     admission: AdmissionController,
-    default_dop: Option<usize>,
 ) -> io::Result<()> {
     // Dual protocol on one port: an HTTP scrape opens with "GET ",
     // which can never start a wire frame (it would be a 0x20544547
@@ -262,11 +252,6 @@ fn handle_connection(
     }
 
     let session = db.session();
-    if let Some(dop) = default_dop {
-        // Same validation as ALTER SESSION; a misconfigured server
-        // default must not take the connection down, just fall back.
-        let _ = session.set_option("parallel_dop", &dop.to_string());
-    }
     sdo_obs::global().counter("server_connections_total").inc();
     loop {
         let payload = match wire::read_frame(&mut stream) {
@@ -304,9 +289,24 @@ fn handle_connection(
     }
 }
 
+/// One decoded request.
+enum Request {
+    Execute(String),
+    Prepare(String, String),
+    ExecPrepared(String, Vec<Value>),
+    Deallocate(String),
+    Metrics,
+    Ping,
+    Close,
+}
+
 /// Decode and execute one request; `Ok(None)` means CLOSE. Statement
 /// responses carry their admission [`Permit`], which the caller holds
 /// until the response frame is written.
+///
+/// A request must consume its whole frame. One with bytes after its
+/// last field is answered with a protocol `ERROR` and not executed;
+/// the frame itself was read whole, so the connection stays usable.
 fn dispatch(
     payload: &[u8],
     session: &Session,
@@ -314,14 +314,36 @@ fn dispatch(
     db: &Database,
 ) -> io::Result<Option<(Vec<u8>, Option<Permit>)>> {
     let (opcode, mut d) = Decoder::new(payload)?;
-    Ok(Some(match opcode {
-        req::EXECUTE => {
-            let sql = d.str32()?;
-            run_statement(session, admission, || session.execute(&sql))
-        }
-        req::PREPARE => {
+    let request = match opcode {
+        req::EXECUTE => Request::Execute(d.str32()?),
+        req::PREPARE => Request::Prepare(d.str16()?, d.str32()?),
+        req::EXEC_PREPARED => {
             let name = d.str16()?;
-            let sql = d.str32()?;
+            let n = d.u16()? as usize;
+            // Each value takes at least its tag byte.
+            let mut params = Vec::with_capacity(n.min(payload.len()));
+            for _ in 0..n {
+                params.push(d.value()?);
+            }
+            Request::ExecPrepared(name, params)
+        }
+        req::DEALLOCATE => Request::Deallocate(d.str16()?),
+        req::METRICS => Request::Metrics,
+        req::PING => Request::Ping,
+        req::CLOSE => Request::Close,
+        other => {
+            let msg = format!("unknown opcode 0x{other:02x}");
+            return Ok(Some((encode_error(ErrorKind::Protocol, &msg), None)));
+        }
+    };
+    if !d.at_end() {
+        let msg =
+            format!("request 0x{opcode:02x} has {} bytes after its last field", d.remaining());
+        return Ok(Some((encode_error(ErrorKind::Protocol, &msg), None)));
+    }
+    Ok(Some(match request {
+        Request::Execute(sql) => run_statement(session, admission, || session.execute(&sql)),
+        Request::Prepare(name, sql) => {
             let payload = match session.prepare(&name, &sql) {
                 Ok(nparams) => match wire::wire_u16(nparams, "the bind-parameter count") {
                     Ok(n) => {
@@ -339,34 +361,23 @@ fn dispatch(
             };
             (payload, None)
         }
-        req::EXEC_PREPARED => {
-            let name = d.str16()?;
-            let n = d.u16()? as usize;
-            // Each value takes at least its tag byte.
-            let mut params = Vec::with_capacity(n.min(payload.len()));
-            for _ in 0..n {
-                params.push(d.value()?);
-            }
+        Request::ExecPrepared(name, params) => {
             run_statement(session, admission, || session.execute_prepared(&name, &params))
         }
-        req::DEALLOCATE => {
-            let name = d.str16()?;
+        Request::Deallocate(name) => {
             let payload = match session.deallocate(&name) {
                 Ok(()) => wire::encode_result(&[], &[]),
                 Err(e) => encode_error(ErrorKind::Statement, &e.to_string()),
             };
             (payload, None)
         }
-        req::METRICS => {
+        Request::Metrics => {
             let mut e = Encoder::new(resp::TEXT);
             e.str32(&metrics_text(db, admission));
             (e.finish(), None)
         }
-        req::PING => (vec![resp::PONG], None),
-        req::CLOSE => return Ok(None),
-        other => {
-            (encode_error(ErrorKind::Protocol, &format!("unknown opcode 0x{other:02x}")), None)
-        }
+        Request::Ping => (vec![resp::PONG], None),
+        Request::Close => return Ok(None),
     }))
 }
 

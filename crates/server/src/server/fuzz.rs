@@ -1,7 +1,8 @@
 //! Frame-decoder fuzzing: deterministic mutations of valid request and
 //! response frames must decode to `Err` (or to some other valid
 //! message), never panic, and never allocate more than a small
-//! multiple of the frame's own size.
+//! multiple of the frame's own size. A mutated request that dispatches
+//! either consumed its whole frame or was answered with `ERROR`.
 //!
 //! Every mutation is named by a [`Mutation`] value, so a failure report
 //! such as `EXEC_PREPARED window: FlipBit(276)` replays exactly; each
@@ -240,18 +241,54 @@ fn engine() -> (Arc<Database>, Session, AdmissionController) {
     (db, session, admission)
 }
 
+/// Whether `frame`'s request fields, read by the grammar of the
+/// protocol table in [`crate::wire`], end exactly at the frame's end:
+/// `None` when a field does not decode.
+fn consumed_whole(frame: &[u8]) -> Option<bool> {
+    let (opcode, mut d) = Decoder::new(frame).ok()?;
+    match opcode {
+        req::EXECUTE => {
+            d.str32().ok()?;
+        }
+        req::PREPARE => {
+            d.str16().ok()?;
+            d.str32().ok()?;
+        }
+        req::EXEC_PREPARED => {
+            d.str16().ok()?;
+            for _ in 0..d.u16().ok()? {
+                d.value().ok()?;
+            }
+        }
+        req::DEALLOCATE => {
+            d.str16().ok()?;
+        }
+        _ => {}
+    }
+    Some(d.at_end())
+}
+
 /// Dispatch `frame` on the server's path. A frame that fails to decode
 /// returns `Err` having executed nothing, so its allocations are the
-/// decoder's alone and must stay within the bound.
+/// decoder's alone and must stay within the bound. A frame that
+/// dispatches is answered with `ERROR` unless its request consumed
+/// every byte.
 fn dispatch_one(frame: &[u8], engine: &(Arc<Database>, Session, AdmissionController)) {
     let (db, session, admission) = engine;
-    let (out, bytes) = allocated_by(|| dispatch(frame, session, admission, db).map(|_| ()));
-    if out.is_err() {
-        assert!(
+    let (out, bytes) = allocated_by(|| dispatch(frame, session, admission, db));
+    match out {
+        Err(_) => assert!(
             bytes <= allocation_bound(frame),
             "rejecting a {}-byte frame allocated {bytes} bytes",
             frame.len()
-        );
+        ),
+        Ok(answer) => {
+            let error = answer.is_some_and(|(payload, _)| payload[0] == resp::ERROR);
+            assert!(
+                error || consumed_whole(frame) == Some(true),
+                "a request that left bytes unread was answered without ERROR"
+            );
+        }
     }
 }
 
@@ -325,4 +362,19 @@ fn exec_prepared_window_flip_bit_276_offset_past_the_ordinates() {
         panic!("a corrupt frame must not dispatch");
     };
     assert!(err.to_string().contains("bad starting offset"), "{err}");
+}
+
+/// The probe that found the unread-bytes defect: a bind count of 1
+/// followed by two values executed with the first and ignored the rest.
+#[test]
+fn exec_prepared_with_a_value_past_its_bind_count_is_an_error() {
+    let (db, session, admission) = engine();
+    let mut e = Encoder::new(req::EXEC_PREPARED);
+    e.str16("p").u16(1).value(&Value::Integer(1)).value(&Value::Integer(2));
+    let (payload, permit) = dispatch(&e.finish(), &session, &admission, &db).unwrap().unwrap();
+    assert!(permit.is_none(), "nothing ran");
+    let (op, mut d) = Decoder::new(&payload).unwrap();
+    assert_eq!(op, resp::ERROR);
+    assert_eq!(ErrorKind::from_code(d.u8().unwrap()), ErrorKind::Protocol);
+    assert!(d.str32().unwrap().contains("9 bytes after its last field"));
 }

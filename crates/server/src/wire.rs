@@ -19,6 +19,10 @@
 //! | 0x06   | `PING`          | —                                      |
 //! | 0x07   | `CLOSE`         | —                                      |
 //!
+//! A request must end with its last field: one with bytes left over is
+//! answered with a protocol `ERROR` and not executed, and the
+//! connection stays open.
+//!
 //! ## Responses
 //!
 //! | opcode | name       | body                                                   |
@@ -123,7 +127,16 @@ impl ErrorKind {
     }
 }
 
+/// How far [`read_frame`] grows its buffer ahead of the bytes that
+/// have arrived (64 KiB).
+const READ_STEP: usize = 64 << 10;
+
 /// Read one frame payload (opcode byte included) from `r`.
+///
+/// A frame up to 64 KiB is one allocation and one read.
+/// A longer one grows its buffer a step at a time as its bytes arrive,
+/// so a peer that claims [`MAX_FRAME`] bytes and sends none holds
+/// 64 KiB of the reader, not 64 MiB.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -131,8 +144,13 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     if len == 0 || len > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidData, format!("bad frame length {len}")));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(READ_STEP));
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(len.min(start + READ_STEP), 0);
+        r.read_exact(&mut payload[start..])?;
+    }
     Ok(payload)
 }
 
@@ -297,7 +315,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Bytes not yet consumed.
-    fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -453,6 +471,22 @@ mod tests {
         assert_eq!(&payload[6..], &codec[..]);
     }
 
+    #[test]
+    fn corrupt_geometry_errors_name_the_value_encoding() {
+        let mut e = Encoder::new(resp::RESULT);
+        e.value(&Value::geometry(square()));
+        let mut payload = e.finish();
+        // Cut the polygon's last ordinate pair and shrink the length to match.
+        payload.truncate(payload.len() - 16);
+        let n = u32::from_le_bytes(payload[2..6].try_into().unwrap()) - 16;
+        payload[2..6].copy_from_slice(&n.to_le_bytes());
+        let (_, mut d) = Decoder::new(&payload).unwrap();
+        let msg = d.value().unwrap_err().to_string();
+        assert!(msg.starts_with("corrupt frame: "), "{msg}");
+        assert!(msg.contains("value encoding"), "{msg}");
+        assert!(!msg.contains("snapshot"), "{msg}");
+    }
+
     fn error_message(payload: &[u8]) -> String {
         let (op, mut d) = Decoder::new(payload).unwrap();
         assert_eq!(op, resp::ERROR, "expected an ERROR payload");
@@ -510,6 +544,39 @@ mod tests {
         assert!(read_frame(&mut zero.as_slice()).is_err());
         let huge = (MAX_FRAME + 1).to_le_bytes();
         assert!(read_frame(&mut huge.as_slice()).is_err());
+    }
+
+    /// A reader that serves `bytes`, then end of stream, recording the
+    /// largest buffer it is asked to fill.
+    struct Stingy<'a> {
+        bytes: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Stingy<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_claimed_length_is_not_allocated_before_its_bytes_arrive() {
+        let prefix = MAX_FRAME.to_le_bytes();
+        let mut r = Stingy { bytes: &prefix, largest: 0 };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(r.largest <= READ_STEP, "asked to fill {} bytes", r.largest);
+
+        // Frames on either side of a step read back whole.
+        for n in [1, READ_STEP, READ_STEP + 1, 3 * READ_STEP + 7] {
+            let payload: Vec<u8> = (0..n).map(|i| i as u8).collect();
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &payload).unwrap();
+            let mut r = Stingy { bytes: &buf, largest: 0 };
+            assert_eq!(read_frame(&mut r).unwrap(), payload, "{n} bytes");
+            assert!(r.largest <= READ_STEP);
+        }
     }
 
     /// A writer that records each `write_vectored` call and accepts at

@@ -157,7 +157,6 @@ fn admission_rejects_oversized_statements_cleanly() {
         memory_budget: 1_000_000,
         admission_queue: 2,
         admission_wait: Duration::from_millis(100),
-        default_parallel_dop: None,
     });
     let mut c = client(&handle);
     // The default session cost (5M rows) exceeds the 1M budget: every
@@ -182,7 +181,6 @@ fn admission_admits_within_budget_and_frees_on_completion() {
         memory_budget: 10_000_000,
         admission_queue: 2,
         admission_wait: Duration::from_millis(500),
-        default_parallel_dop: None,
     });
     let mut c = client(&handle);
     c.execute("CREATE TABLE x (id NUMBER)").unwrap();
@@ -357,5 +355,73 @@ fn a_corrupt_exec_prepared_frame_drops_only_its_own_connection() {
     let mut second = client(&handle);
     let (_, rows) = second.execute("SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(rows, vec![vec![Value::Integer(1)]]);
+    handle.shutdown();
+}
+
+#[test]
+fn a_request_with_bytes_after_its_last_field_is_an_error_and_the_connection_survives() {
+    let (_db, handle) = start(ServerConfig::default());
+    let mut c = client(&handle);
+    c.execute("CREATE TABLE t (id NUMBER)").unwrap();
+    c.execute("INSERT INTO t VALUES (1)").unwrap();
+
+    // The recorded probe: a bind count of 1 followed by two integers.
+    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut e = Encoder::new(req::PREPARE);
+    e.str16("p").str32("SELECT id FROM t WHERE id = ?");
+    wire::write_frame(&mut raw, &e.finish()).unwrap();
+    assert_eq!(wire::read_frame(&mut raw).unwrap()[0], resp::PREPARED);
+    let mut e = Encoder::new(req::EXEC_PREPARED);
+    e.str16("p").u16(1).value(&Value::Integer(1)).value(&Value::Integer(2));
+    wire::write_frame(&mut raw, &e.finish()).unwrap();
+    let answer = wire::read_frame(&mut raw).unwrap();
+    let (op, mut d) = Decoder::new(&answer).unwrap();
+    assert_eq!(op, resp::ERROR);
+    assert_eq!(ErrorKind::from_code(d.u8().unwrap()), ErrorKind::Protocol);
+    let msg = d.str32().unwrap();
+    assert!(msg.contains("bytes after its last field"), "{msg}");
+
+    // The same connection is still in step and served.
+    let mut e = Encoder::new(req::EXEC_PREPARED);
+    e.str16("p").u16(1).value(&Value::Integer(1));
+    wire::write_frame(&mut raw, &e.finish()).unwrap();
+    let answer = wire::read_frame(&mut raw).unwrap();
+    let (op, mut d) = Decoder::new(&answer).unwrap();
+    assert_eq!(op, resp::RESULT);
+    assert_eq!(wire::decode_result(&mut d).unwrap().1, vec![vec![Value::Integer(1)]]);
+    wire::write_frame(&mut raw, &[req::PING]).unwrap();
+    assert_eq!(wire::read_frame(&mut raw).unwrap(), vec![resp::PONG]);
+    c.close().unwrap();
+    handle.shutdown();
+}
+
+/// The plan text `EXPLAIN` returns for `sql` over `c`.
+fn explain(c: &mut Client, sql: &str) -> String {
+    let (_, rows) = c.execute(&format!("EXPLAIN {sql}")).unwrap();
+    rows.iter()
+        .map(|r| r.iter().filter_map(|v| v.as_text().map(str::to_string)).collect::<String>())
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn connections_take_the_engine_default_parallel_dop() {
+    let (db, handle) = start(ServerConfig::default());
+    db.execute("CREATE TABLE big (id NUMBER)").unwrap();
+    for i in 0..8192 {
+        db.insert_row("big", vec![Value::Integer(i)]).unwrap();
+    }
+    let scan = "SELECT COUNT(*) FROM big WHERE id >= 0";
+    db.set_default_option("parallel_dop", "2").unwrap();
+    let mut two = client(&handle);
+    let plan = explain(&mut two, scan);
+    assert!(plan.contains("dop=2"), "{plan}");
+
+    db.set_default_option("parallel_dop", "1").unwrap();
+    let mut one = client(&handle);
+    let plan = explain(&mut one, scan);
+    assert!(!plan.contains("dop="), "a dop-1 session plans serially: {plan}");
+    // Connections already open keep the default they opened with.
+    assert!(explain(&mut two, scan).contains("dop=2"));
     handle.shutdown();
 }

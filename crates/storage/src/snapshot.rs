@@ -21,8 +21,15 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 const MAGIC: &[u8; 6] = b"SDODB\x02";
 const MAGIC_V1: &[u8; 6] = b"SDODB\x01";
 
+/// An error of the checkpoint loader's own structure.
 fn err(m: impl Into<String>) -> StorageError {
     StorageError::TypeError(format!("snapshot: {}", m.into()))
+}
+
+/// An error of the value codec ([`get_value`], [`get_str`]), which
+/// checkpoints, the WAL, statistics and the wire protocol all share.
+fn value_err(m: impl Into<String>) -> StorageError {
+    StorageError::TypeError(format!("value encoding: {}", m.into()))
 }
 
 // ---------------------------------------------------------------------------
@@ -36,15 +43,15 @@ pub(crate) fn put_str(buf: &mut impl BufMut, s: &str) {
 
 pub(crate) fn get_str(buf: &mut impl Buf) -> Result<String, StorageError> {
     if buf.remaining() < 4 {
-        return Err(err("truncated string length"));
+        return Err(value_err("truncated string length"));
     }
     let n = buf.get_u32_le() as usize;
     if buf.remaining() < n {
-        return Err(err("truncated string body"));
+        return Err(value_err("truncated string body"));
     }
     let mut bytes = vec![0u8; n];
     buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| err("invalid utf8"))
+    String::from_utf8(bytes).map_err(|_| value_err("invalid utf8"))
 }
 
 /// Append one tagged [`Value`]: the value encoding shared by
@@ -89,7 +96,7 @@ pub fn put_value(buf: &mut impl BufMut, v: &Value) {
 /// of unknown provenance yield an error, never a panic.
 pub fn get_value(buf: &mut impl Buf) -> Result<Value, StorageError> {
     if !buf.has_remaining() {
-        return Err(err("truncated value tag"));
+        return Err(value_err("truncated value tag"));
     }
     match buf.get_u8() {
         0 => Ok(Value::Null),
@@ -99,21 +106,21 @@ pub fn get_value(buf: &mut impl Buf) -> Result<Value, StorageError> {
         4 if buf.remaining() >= 8 => Ok(Value::RowId(RowId::new(buf.get_u64_le()))),
         5 => {
             if buf.remaining() < 4 {
-                return Err(err("truncated geometry length"));
+                return Err(value_err("truncated geometry length"));
             }
             let n = buf.get_u32_le() as usize;
             if buf.remaining() < n {
-                return Err(err("truncated geometry body"));
+                return Err(value_err("truncated geometry body"));
             }
             // Decode straight from the unread bytes (`chunk` is all of
             // them for the workspace's contiguous buffers).
             let g = sdo_geom::codec::decode_geometry(&buf.chunk()[..n])
-                .map_err(|e| err(e.to_string()))?;
+                .map_err(|e| value_err(e.to_string()))?;
             buf.advance(n);
             Ok(Value::geometry(g))
         }
-        1 | 2 | 4 => Err(err("truncated value body")),
-        t => Err(err(format!("bad value tag {t}"))),
+        1 | 2 | 4 => Err(value_err("truncated value body")),
+        t => Err(value_err(format!("bad value tag {t}"))),
     }
 }
 

@@ -85,15 +85,47 @@ fn creation_metadata_records_dop_and_kind() {
     assert_eq!(meta.table_name, "BG");
 }
 
+/// The one dynamic insert policy (quadratic split) and the STR bulk
+/// load build different trees over the same rows; both answer alike.
 #[test]
-fn split_strategies_answer_identically() {
+fn inserted_and_bulk_built_rtrees_answer_identically() {
     let n = 100;
-    let base = fingerprint_with("tree_fanout=8, split=quadratic", 1, n);
-    for split in ["linear", "rstar"] {
-        assert_eq!(
-            fingerprint_with(&format!("tree_fanout=8, split={split}"), 1, n),
-            base,
-            "split={split}"
-        );
+    let bulk = fingerprint_with("tree_fanout=8", 1, n);
+    let db = fresh_session(0);
+    db.execute(
+        "CREATE INDEX bg_x ON bg(geom) INDEXTYPE IS SPATIAL_INDEX PARAMETERS ('tree_fanout=8')",
+    )
+    .unwrap();
+    for (i, g) in block_groups::generate(n, &US_EXTENT, 5).into_iter().enumerate() {
+        db.insert_row("bg", vec![Value::Integer(i as i64), Value::geometry(g)]).unwrap();
     }
+    assert_eq!(query_fingerprint(&db), bulk);
+}
+
+/// `split`, `reinsert` and `index_type` are gone: a statement naming
+/// one fails, and so does recovering an image that recorded one.
+#[test]
+fn removed_index_parameters_are_unknown() {
+    let db = fresh_session(10);
+    for (key, value) in [("split", "rstar"), ("reinsert", "true"), ("index_type", "RTREE")] {
+        let err = db
+            .execute(&format!(
+                "CREATE INDEX bg_x ON bg(geom) INDEXTYPE IS SPATIAL_INDEX \
+                 PARAMETERS ('{key}={value}')"
+            ))
+            .unwrap_err();
+        assert!(err.to_string().contains(&format!("unknown index parameter '{key}'")), "{err}");
+    }
+    db.execute(
+        "CREATE INDEX bg_x ON bg(geom) INDEXTYPE IS SPATIAL_INDEX PARAMETERS ('tree_fanout=8')",
+    )
+    .unwrap();
+    // An older image's index parameters, in place (same length).
+    let mut image = db.save_snapshot().to_vec();
+    let at = image.windows(13).position(|w| w == b"tree_fanout=8").unwrap();
+    image[at..at + 13].copy_from_slice(b"reinsert=true");
+    let restored = Database::new();
+    sdo_core::register_spatial(&restored);
+    let err = restored.load_snapshot(&image[..]).unwrap_err();
+    assert!(err.to_string().contains("unknown index parameter 'reinsert'"), "{err}");
 }

@@ -4,7 +4,10 @@
 //! corresponding spatial indexes", paper §3).
 
 use sdo_datagen::{counties, US_EXTENT};
-use sdo_dbms::Database;
+use sdo_dbms::{Database, Session};
+use sdo_geom::relate::relate_any;
+use sdo_geom::wkt::parse_wkt;
+use sdo_geom::{Geometry, Point, RelateMask};
 use sdo_storage::Value;
 
 fn session(params: &str) -> Database {
@@ -327,4 +330,119 @@ fn tile_evidence_respects_the_snapshot() {
         assert_eq!(ids(pinned.execute(select).unwrap()), vec![1], "pinned after, {params}");
         pinned.execute("COMMIT").unwrap();
     }
+}
+
+const BOX: &str = "POLYGON ((20 20, 65 20, 65 55, 20 55, 20 20))";
+
+fn square_at(x: f64, y: f64) -> String {
+    format!(
+        "POLYGON (({x} {y}, {} {y}, {} {}, {x} {}, {x} {y}))",
+        x + 4.0,
+        x + 4.0,
+        y + 4.0,
+        y + 4.0
+    )
+}
+
+/// An operator's SQL and its brute-force meaning.
+type Operator = (String, fn(&Geometry) -> bool);
+
+fn operators() -> Vec<Operator> {
+    fn b() -> Geometry {
+        parse_wkt(BOX).unwrap()
+    }
+    vec![
+        (format!("SDO_FILTER(geom, SDO_GEOMETRY('{BOX}'))"), |g| g.bbox().intersects(&b().bbox())),
+        (format!("SDO_RELATE(geom, SDO_GEOMETRY('{BOX}'), 'ANYINTERACT')"), |g| {
+            relate_any(g, &b(), &[RelateMask::AnyInteract])
+        }),
+        (format!("SDO_RELATE(geom, SDO_GEOMETRY('{BOX}'), 'DISJOINT')"), |g| {
+            relate_any(g, &b(), &[RelateMask::Disjoint])
+        }),
+        ("SDO_WITHIN_DISTANCE(geom, SDO_POINT(30, 30), 'distance=6')".into(), |g| {
+            sdo_geom::within_distance(g, &Geometry::Point(Point::new(30.0, 30.0)), 6.0)
+        }),
+    ]
+}
+
+/// Both index kinds answer every operator through one body, so under
+/// the same row versions they return the same rowids, and those are
+/// brute force's: for a reader whose snapshot is pinned before a
+/// committed update, a fresh reader, and a writer with its own
+/// uncommitted update — `SDO_FILTER`, `SDO_RELATE` (DISJOINT
+/// included) and `SDO_WITHIN_DISTANCE` alike.
+#[test]
+fn rtree_and_quadtree_answer_alike_under_pinned_and_uncommitted_versions() {
+    type Rows = Vec<(i64, String)>;
+    // 200 squares on a grid; the committed update moves some rows into
+    // the box and some out, the uncommitted one likewise.
+    let grid: Rows =
+        (0..200).map(|i| (i, square_at((i % 20) as f64 * 10.0, (i / 20) as f64 * 10.0))).collect();
+    let committed: Rows = (0..8)
+        .map(|i| (i, square_at(30.0 + i as f64 * 3.0, 30.0 + i as f64 * 2.0)))
+        .chain([(44, square_at(150.0, 150.0)), (45, square_at(160.0, 150.0))])
+        .collect();
+    let uncommitted: Rows = (100..108)
+        .map(|i| (i, square_at(20.0 + (i - 100) as f64 * 4.0, 52.0)))
+        .chain([(46, square_at(170.0, 150.0)), (3, square_at(180.0, 180.0))])
+        .collect();
+    let apply = |rows: &Rows, moves: &Rows| -> Rows {
+        let mut out = rows.clone();
+        for (id, wkt) in moves {
+            out[*id as usize].1 = wkt.clone();
+        }
+        out
+    };
+
+    let db = std::sync::Arc::new(Database::new());
+    sdo_core::register_spatial(&db);
+    for (tab, params) in [("r", "tree_fanout=8"), ("q", "sdo_level=6, extent=0:0:210:210")] {
+        db.execute(&format!("CREATE TABLE {tab} (id NUMBER, geom SDO_GEOMETRY)")).unwrap();
+        for (id, wkt) in &grid {
+            db.execute(&format!("INSERT INTO {tab} VALUES ({id}, SDO_GEOMETRY('{wkt}'))")).unwrap();
+        }
+        db.execute(&format!(
+            "CREATE INDEX {tab}_x ON {tab}(geom) INDEXTYPE IS SPATIAL_INDEX PARAMETERS ('{params}')"
+        ))
+        .unwrap();
+    }
+    let update = |s: &Session, moves: &Rows| {
+        for ((id, wkt), tab) in moves.iter().flat_map(|m| [(m, "r"), (m, "q")]) {
+            s.execute(&format!("UPDATE {tab} SET geom = SDO_GEOMETRY('{wkt}') WHERE id = {id}"))
+                .unwrap();
+        }
+    };
+    let check = |s: &Session, rows: &Rows, who: &str| {
+        for (op, keep) in operators() {
+            let want: Vec<i64> = rows
+                .iter()
+                .filter(|(_, wkt)| keep(&parse_wkt(wkt).unwrap()))
+                .map(|r| r.0)
+                .collect();
+            for tab in ["r", "q"] {
+                let sql = format!("SELECT id FROM {tab} WHERE {op} = 'TRUE' ORDER BY id");
+                let plan = s.execute(&format!("EXPLAIN {sql}")).unwrap().rows;
+                let scan = format!("INDEX SCAN {}", tab.to_ascii_uppercase());
+                assert!(plan.iter().any(|r| r[0].as_text().unwrap().contains(&scan)), "{sql}");
+                let got = s.execute(&sql).unwrap().rows;
+                let got: Vec<i64> = got.iter().map(|r| r[0].as_integer().unwrap()).collect();
+                assert_eq!(got, want, "{who}: {sql}");
+            }
+        }
+    };
+
+    let pinned = db.session();
+    pinned.execute("BEGIN").unwrap();
+    check(&pinned, &grid, "pinned before");
+    update(&db.session(), &committed);
+    let after_commit = apply(&grid, &committed);
+    let writer = db.session();
+    writer.execute("BEGIN").unwrap();
+    update(&writer, &uncommitted);
+    check(&pinned, &grid, "pinned");
+    check(&db.session(), &after_commit, "fresh reader");
+    check(&writer, &apply(&after_commit, &uncommitted), "writer");
+    writer.execute("ROLLBACK").unwrap();
+    pinned.execute("COMMIT").unwrap();
+    check(&db.session(), &after_commit, "after rollback");
 }
