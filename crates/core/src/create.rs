@@ -102,7 +102,10 @@ fn stealing_cursor_stage(
                         // row handles (Arc clones, no row copies); the
                         // body runs after it is released so DML on the
                         // table is not held up behind tessellation.
-                        batch.extend(table.read().scan_slots(from, (from + 256).min(hi)));
+                        let to = (from + 256).min(hi);
+                        table.read().scan_range_at(from, to, &Snapshot::LATEST, |rid, row| {
+                            batch.push((rid, Arc::clone(row)))
+                        });
                         for (rid, row) in batch.drain(..) {
                             if let Some(g) = row[column].as_geometry() {
                                 body(rid, g, &mut out)?;
@@ -129,13 +132,12 @@ pub fn world_extent_of(
     if let Some(r) = params.extent {
         return Ok(r);
     }
-    let guard = table.read();
     let mut bb = Rect::EMPTY;
-    for (_, row) in guard.scan_at(snap) {
+    table.read().scan_range_at(0, usize::MAX, &snap, |_, row| {
         if let Some(g) = row[column].as_geometry() {
             bb = bb.union(&g.bbox());
         }
-    }
+    });
     if bb.is_empty() {
         return Err(DbError::Index(
             "cannot derive a quadtree extent from an empty geometry column; \

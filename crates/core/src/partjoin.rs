@@ -244,13 +244,13 @@ fn partition_side(
     snap: &Snapshot,
 ) -> PartitionedSide {
     let mut items: Vec<(Rect, RowId)> = Vec::with_capacity(table.len());
-    for (rid, row) in table.scan_at(*snap) {
+    table.scan_range_at(0, usize::MAX, snap, |rid, row| {
         if let Some(b) = row.get(column).and_then(|v| v.as_geometry()).map(|g| g.bbox()) {
             if !b.is_empty() {
                 items.push((b, rid));
             }
         }
-    }
+    });
     let coverage = |r: &Rect| {
         let e = if expand > 0.0 {
             Rect::new(r.min_x - expand, r.min_y - expand, r.max_x + expand, r.max_y + expand)

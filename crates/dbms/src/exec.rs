@@ -22,6 +22,8 @@ use sdo_geom::{Geometry, RelateMask};
 use sdo_obs::ProfileSession;
 use sdo_storage::{ColumnDef, CountersSnapshot, RowId, Schema, Table, Value};
 use sdo_tablefunc::Row;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -170,35 +172,40 @@ fn execute_inner(
         }
         Statement::Update { table, assignments, where_clause } => {
             let ctx = ExecCtx::new(db, sess);
-            let matched = operators::collect_matching(&ctx, table, where_clause)?;
             let handle = db.table(table)?;
             let columns: Vec<String> =
                 handle.read().schema().columns().iter().map(|c| c.name.clone()).collect();
-            // Resolve assignment targets against the table schema.
-            let targets: Vec<(usize, &Expr)> = assignments
-                .iter()
-                .map(|(col, e)| {
-                    columns
-                        .iter()
-                        .position(|c| c.eq_ignore_ascii_case(col))
-                        .map(|i| (i, e))
-                        .ok_or_else(|| DbError::Plan(format!("no column {col} on {table}")))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
             let metas = [RelMeta {
                 binding: table.to_ascii_uppercase(),
                 columns,
                 table: Some(handle),
                 table_name: Some(table.to_ascii_uppercase()),
             }];
+            // Resolve assignment targets against the table schema and
+            // compile their expressions, once for every matched row.
+            let targets: Vec<(usize, Scalar)> = assignments
+                .iter()
+                .map(|(col, e)| {
+                    let ci = metas[0]
+                        .columns
+                        .iter()
+                        .position(|c| c.eq_ignore_ascii_case(col))
+                        .ok_or_else(|| DbError::Plan(format!("no column {col} on {table}")))?;
+                    Ok((ci, Scalar::compile(&metas, e)?))
+                })
+                .collect::<Result<_, DbError>>()?;
+            let matched = operators::collect_matching(&ctx, table, where_clause)?;
             let mut updates = Vec::with_capacity(matched.len());
-            for (rid, values) in matched {
-                let joined = vec![RelRow { rid: Some(rid), values }];
-                let mut new_row = joined[0].values.clone();
-                for (ci, e) in &targets {
-                    new_row[*ci] = eval_expr(&metas, &joined, e)?;
+            for (rid, mut values) in matched {
+                let row = HeapRow { rel: 0, rid, values: &values };
+                let new_values = targets
+                    .iter()
+                    .map(|(_, e)| e.eval(&row).map(Cow::into_owned))
+                    .collect::<Result<Vec<_>, _>>()?;
+                for ((ci, _), v) in targets.iter().zip(new_values) {
+                    values[*ci] = v;
                 }
-                updates.push((rid, new_row));
+                updates.push((rid, values));
             }
             let n = updates.len();
             // Statement-atomic, like DELETE above.
@@ -499,10 +506,7 @@ pub fn eval_const(e: &Expr) -> Result<Value, DbError> {
             Err(DbError::Plan(format!("column {} not allowed in constant expression", cr.column)))
         }
         Expr::FnCall { name, args } => eval_scalar_fn(name, args),
-        Expr::Param(ordinal) => Err(DbError::Plan(format!(
-            "unbound parameter ?{} — run via PREPARE/EXECUTE with bind values",
-            ordinal + 1
-        ))),
+        Expr::Param(ordinal) => Err(unbound_param(*ordinal)),
     }
 }
 
@@ -656,35 +660,6 @@ pub fn parse_num_res(extra: &[Value]) -> Result<usize, DbError> {
     Ok(k as usize)
 }
 
-pub(crate) fn eval_expr(metas: &[RelMeta], joined: &[RelRow], e: &Expr) -> Result<Value, DbError> {
-    match e {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::FnCall { name, args } => {
-            let vals =
-                args.iter().map(|a| eval_expr(metas, joined, a)).collect::<Result<Vec<_>, _>>()?;
-            apply_scalar_fn(name, &vals)
-        }
-        Expr::Column(cr) => {
-            let (ri, ci) = resolve_column_meta(metas, cr)?;
-            if ci == usize::MAX {
-                return joined[ri]
-                    .rid
-                    .map(Value::RowId)
-                    .ok_or_else(|| DbError::Plan("relation has no rowids".into()));
-            }
-            joined[ri]
-                .values
-                .get(ci)
-                .cloned()
-                .ok_or_else(|| DbError::Plan(format!("column {} out of range", cr.column)))
-        }
-        Expr::Param(ordinal) => Err(DbError::Plan(format!(
-            "unbound parameter ?{} — run via PREPARE/EXECUTE with bind values",
-            ordinal + 1
-        ))),
-    }
-}
-
 pub(crate) fn resolve_column_meta(
     metas: &[RelMeta],
     cr: &ColumnRef,
@@ -722,44 +697,235 @@ pub(crate) fn resolve_column_meta(
     hit.ok_or_else(|| DbError::Plan(format!("unknown column {col}")))
 }
 
-pub(crate) fn eval_predicate(
-    metas: &[RelMeta],
-    joined: &[RelRow],
-    p: &Predicate,
-) -> Result<bool, DbError> {
-    match p {
-        Predicate::Compare { left, op, right } => {
-            // Spatial operators compared to 'TRUE' evaluate functionally
-            // here (used as residuals after a join).
-            if let Expr::FnCall { name, args } = left {
-                if SPATIAL_OPERATORS.iter().any(|o| o.eq_ignore_ascii_case(name)) && args.len() >= 2
-                {
-                    let a = eval_expr(metas, joined, &args[0])?;
-                    let b = eval_expr(metas, joined, &args[1])?;
-                    if let (Some(ga), Some(gb)) = (a.as_geometry(), b.as_geometry()) {
-                        let extra =
-                            args[2..].iter().map(eval_const).collect::<Result<Vec<_>, _>>()?;
-                        let result = eval_spatial_fn(name, ga, gb, &extra)?;
-                        let want = eval_expr(metas, joined, right)?;
-                        return Ok(match want.as_text() {
-                            Some("TRUE") => result == (*op == CmpOp::Eq),
-                            Some("FALSE") => result != (*op == CmpOp::Eq),
-                            _ => false,
-                        });
-                    }
-                }
-            }
-            let l = eval_expr(metas, joined, left)?;
-            let r = eval_expr(metas, joined, right)?;
-            if l.is_null() || r.is_null() {
-                return Ok(false);
-            }
-            Ok(op.eval(l.sql_cmp(&r)))
-        }
-        Predicate::RowidPairIn { .. } => Err(DbError::Plan(
-            "rowid-pair IN must be the driving predicate of a two-table select".into(),
-        )),
+// ---------------------------------------------------------------------------
+// Compiled expressions
+// ---------------------------------------------------------------------------
+
+/// What a compiled expression reads: a column of one relation of the
+/// row under evaluation, or that relation's rowid. A joined row answers
+/// for every relation; a heap row read in place ([`HeapRow`]) for its
+/// own.
+pub(crate) trait Columns {
+    fn column(&self, rel: usize, col: usize) -> Option<&Value>;
+    fn rowid(&self, rel: usize) -> Option<RowId>;
+}
+
+impl Columns for [RelRow] {
+    fn column(&self, rel: usize, col: usize) -> Option<&Value> {
+        self.get(rel)?.values.get(col)
     }
+
+    fn rowid(&self, rel: usize) -> Option<RowId> {
+        self.get(rel)?.rid
+    }
+}
+
+/// One base-table row version borrowed from the heap, bound as
+/// relation `rel` of the statement.
+pub(crate) struct HeapRow<'r> {
+    pub(crate) rel: usize,
+    pub(crate) rid: RowId,
+    pub(crate) values: &'r [Value],
+}
+
+impl Columns for HeapRow<'_> {
+    fn column(&self, rel: usize, col: usize) -> Option<&Value> {
+        if rel == self.rel {
+            self.values.get(col)
+        } else {
+            None
+        }
+    }
+
+    fn rowid(&self, rel: usize) -> Option<RowId> {
+        (rel == self.rel).then_some(self.rid)
+    }
+}
+
+/// A scalar expression with its column references resolved to
+/// `(relation, column)` once per statement, so evaluating it per row
+/// looks nothing up by name and copies no column it only compares.
+#[derive(Debug, Clone)]
+pub(crate) enum Scalar {
+    Literal(Value),
+    Column(usize, usize),
+    RowId(usize),
+    Fn(String, Vec<Scalar>),
+}
+
+impl Scalar {
+    pub(crate) fn compile(metas: &[RelMeta], e: &Expr) -> Result<Scalar, DbError> {
+        Ok(match e {
+            Expr::Literal(v) => Scalar::Literal(v.clone()),
+            Expr::Column(cr) => match resolve_column_meta(metas, cr)? {
+                (ri, usize::MAX) => Scalar::RowId(ri),
+                (ri, ci) => Scalar::Column(ri, ci),
+            },
+            Expr::FnCall { name, args } => Scalar::Fn(
+                name.clone(),
+                args.iter().map(|a| Scalar::compile(metas, a)).collect::<Result<_, _>>()?,
+            ),
+            Expr::Param(ordinal) => return Err(unbound_param(*ordinal)),
+        })
+    }
+
+    /// True when evaluation calls no function: a column, rowid or
+    /// literal, cheap enough to test under a table lock.
+    fn is_plain(&self) -> bool {
+        !matches!(self, Scalar::Fn(..))
+    }
+
+    /// The value of a column present in `row`, or of a literal, as a
+    /// plain borrow; `None` for anything [`Scalar::eval`] must build.
+    #[inline]
+    fn borrowed<'r, R: Columns + ?Sized>(&'r self, row: &'r R) -> Option<&'r Value> {
+        match self {
+            Scalar::Literal(v) => Some(v),
+            Scalar::Column(ri, ci) => row.column(*ri, *ci),
+            _ => None,
+        }
+    }
+
+    /// The expression's value for `row`, borrowed from the row (or the
+    /// literal) when it is a column or a constant.
+    pub(crate) fn eval<'r, R: Columns + ?Sized>(
+        &'r self,
+        row: &'r R,
+    ) -> Result<Cow<'r, Value>, DbError> {
+        match self {
+            Scalar::Literal(v) => Ok(Cow::Borrowed(v)),
+            Scalar::Column(ri, ci) => row
+                .column(*ri, *ci)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| DbError::Plan(format!("column {ci} of relation {ri} out of range"))),
+            Scalar::RowId(ri) => row
+                .rowid(*ri)
+                .map(|r| Cow::Owned(Value::RowId(r)))
+                .ok_or_else(|| DbError::Plan("relation has no rowids".into())),
+            Scalar::Fn(name, args) => {
+                let vals =
+                    args.iter()
+                        .map(|a| a.eval(row).map(Cow::into_owned))
+                        .collect::<Result<Vec<_>, _>>()?;
+                apply_scalar_fn(name, &vals).map(Cow::Owned)
+            }
+        }
+    }
+}
+
+fn unbound_param(ordinal: usize) -> DbError {
+    DbError::Plan(format!(
+        "unbound parameter ?{} — run via PREPARE/EXECUTE with bind values",
+        ordinal + 1
+    ))
+}
+
+/// A WHERE conjunct compiled like [`Scalar`].
+pub(crate) enum Cond {
+    /// `left <op> right` under SQL's NULL rule: a NULL operand fails.
+    Compare { left: Scalar, op: CmpOp, right: Scalar },
+    /// `OP(a, b, extra…) <op> want`: a spatial operator's exact form
+    /// compared with `'TRUE'`/`'FALSE'` (a residual after a join, or
+    /// an operator the index path does not take).
+    Spatial { name: String, a: Scalar, b: Scalar, extra: Vec<Value>, op: CmpOp, want: Scalar },
+}
+
+impl Cond {
+    pub(crate) fn compile(metas: &[RelMeta], p: &Predicate) -> Result<Cond, DbError> {
+        let Predicate::Compare { left, op, right } = p else {
+            return Err(DbError::Plan(
+                "rowid-pair IN must be the driving predicate of a two-table select".into(),
+            ));
+        };
+        if let Expr::FnCall { name, args } = left {
+            if SPATIAL_OPERATORS.iter().any(|o| o.eq_ignore_ascii_case(name)) && args.len() >= 2 {
+                return Ok(Cond::Spatial {
+                    name: name.clone(),
+                    a: Scalar::compile(metas, &args[0])?,
+                    b: Scalar::compile(metas, &args[1])?,
+                    extra: args[2..].iter().map(eval_const).collect::<Result<_, _>>()?,
+                    op: *op,
+                    want: Scalar::compile(metas, right)?,
+                });
+            }
+        }
+        Ok(Cond::Compare {
+            left: Scalar::compile(metas, left)?,
+            op: *op,
+            right: Scalar::compile(metas, right)?,
+        })
+    }
+
+    /// True when the conjunct calls no function (see
+    /// [`Scalar::is_plain`]).
+    pub(crate) fn is_plain(&self) -> bool {
+        matches!(self, Cond::Compare { left, right, .. } if left.is_plain() && right.is_plain())
+    }
+
+    pub(crate) fn eval<R: Columns + ?Sized>(&self, row: &R) -> Result<bool, DbError> {
+        match self {
+            Cond::Compare { left, op, right } => {
+                // The common shape — column against literal — compares
+                // the borrowed values with nothing built per row.
+                let (l, r) = match (left.borrowed(row), right.borrowed(row)) {
+                    (Some(l), Some(r)) => (Cow::Borrowed(l), Cow::Borrowed(r)),
+                    _ => (left.eval(row)?, right.eval(row)?),
+                };
+                Ok(!l.is_null() && !r.is_null() && op.eval(l.sql_cmp(&r)))
+            }
+            Cond::Spatial { name, a, b, extra, op, want } => {
+                let (a, b) = (a.eval(row)?, b.eval(row)?);
+                if a.is_null() || b.is_null() {
+                    return Ok(false);
+                }
+                let (Some(ga), Some(gb)) = (a.as_geometry(), b.as_geometry()) else {
+                    return Err(DbError::Plan(format!("{name} needs two geometries")));
+                };
+                let result = eval_spatial_fn(name, ga, gb, extra)?;
+                Ok(match want.eval(row)?.as_text() {
+                    Some("TRUE") => result == (*op == CmpOp::Eq),
+                    Some("FALSE") => result != (*op == CmpOp::Eq),
+                    _ => false,
+                })
+            }
+        }
+    }
+}
+
+/// An ORDER BY key compiled like [`Scalar`].
+pub(crate) struct SortKey {
+    expr: Scalar,
+    descending: bool,
+}
+
+impl SortKey {
+    pub(crate) fn compile_all(
+        metas: &[RelMeta],
+        keys: &[OrderKey],
+    ) -> Result<Vec<SortKey>, DbError> {
+        keys.iter()
+            .map(|k| {
+                Ok(SortKey { expr: Scalar::compile(metas, &k.expr)?, descending: k.descending })
+            })
+            .collect()
+    }
+}
+
+/// The ORDER BY key values of one joined row.
+pub(crate) fn sort_values(keys: &[SortKey], jr: &[RelRow]) -> Result<Vec<Value>, DbError> {
+    keys.iter().map(|k| k.expr.eval(jr).map(Cow::into_owned)).collect()
+}
+
+/// Compare two rows' key values in ORDER BY order (per-key direction).
+pub(crate) fn cmp_sort_values(keys: &[SortKey], a: &[Value], b: &[Value]) -> Ordering {
+    for (i, key) in keys.iter().enumerate() {
+        let ord = a[i].sql_cmp(&b[i]);
+        let ord = if key.descending { ord.reverse() } else { ord };
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    Ordering::Equal
 }
 
 // ---------------------------------------------------------------------------
@@ -807,22 +973,41 @@ pub(crate) fn projection_columns(
     Ok(columns)
 }
 
-/// Project one joined row through a (pre-validated) select list.
-/// `COUNT(*)` is aggregation, not projection — callers handle it.
-pub(crate) fn project_row(
-    metas: &[RelMeta],
-    jr: &[RelRow],
-    items: &[SelectItem],
-) -> Result<Row, DbError> {
-    if items.len() == 1 && items[0] == SelectItem::Star {
-        return Ok(jr.iter().flat_map(|r| r.values.iter().cloned()).collect());
+/// A (pre-validated) select list compiled like [`Scalar`].
+pub(crate) enum Projection {
+    /// `*`: every column of every relation.
+    Star,
+    /// `COUNT(*)`: aggregation, not projection — callers handle it.
+    CountStar,
+    Exprs(Vec<Scalar>),
+}
+
+impl Projection {
+    pub(crate) fn compile(metas: &[RelMeta], items: &[SelectItem]) -> Result<Self, DbError> {
+        match items {
+            [SelectItem::Star] => Ok(Projection::Star),
+            [SelectItem::CountStar] => Ok(Projection::CountStar),
+            _ => items
+                .iter()
+                .map(|item| match item {
+                    SelectItem::Expr { expr, .. } => Scalar::compile(metas, expr),
+                    _ => Err(DbError::Plan("COUNT(*) cannot be projected per row".into())),
+                })
+                .collect::<Result<_, _>>()
+                .map(Projection::Exprs),
+        }
     }
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        let SelectItem::Expr { expr, .. } = item else {
-            return Err(DbError::Plan("COUNT(*) cannot be projected per row".into()));
-        };
-        out.push(eval_expr(metas, jr, expr)?);
+
+    /// Project one joined row.
+    pub(crate) fn row(&self, jr: &[RelRow]) -> Result<Row, DbError> {
+        match self {
+            Projection::Star => Ok(jr.iter().flat_map(|r| r.values.iter().cloned()).collect()),
+            Projection::CountStar => {
+                Err(DbError::Plan("COUNT(*) cannot be projected per row".into()))
+            }
+            Projection::Exprs(exprs) => {
+                exprs.iter().map(|e| e.eval(jr).map(Cow::into_owned)).collect()
+            }
+        }
     }
-    Ok(out)
 }

@@ -11,17 +11,19 @@
 //!
 //! Operators:
 //!
-//! * [`TableScanExec`] — snapshot cursor over a base table (per-batch
-//!   locking, high-water-mark bound at open),
+//! * [`TableScanExec`] — snapshot scan of a base table's heap slots
+//!   (per-batch locking, high-water-mark bound at open) that evaluates
+//!   the predicates pushed into it on each row in place and copies only
+//!   the rows that pass,
 //! * [`IndexScanExec`] — fetches only the rowids a domain index returns
 //!   for a constant spatial predicate (or the k nearest), one table
 //!   lock per batch, in rowid order (ranked order for the kNN
 //!   pushdown),
 //! * [`TableFunctionScanExec`] — wraps an open pipelined table function
 //!   and forwards its `fetch(max_rows)` batches directly,
-//! * [`FilterExec`] — per-batch predicate evaluation; a predicate no
-//!   index scan consumed may still be answered by its index's rowid
-//!   set, computed once at open,
+//! * [`FilterExec`] — per-batch predicate evaluation above a join or an
+//!   index scan; a predicate no index scan consumed may still be
+//!   answered by its index's rowid set, computed once at open,
 //! * [`RowidSemiJoinExec`] — streams rowid pairs from a subquery and
 //!   fetches the paired base rows batch-by-batch,
 //! * [`NestedLoopJoinExec`] — streamed outer side, index-probed (or
@@ -39,17 +41,17 @@
 use crate::db::{Database, IndexHandle, QueryResult};
 use crate::error::DbError;
 use crate::exec::{
-    classify_spatial, eval_predicate, eval_spatial_fn, eval_tf_args, project_row,
-    projection_columns, resolve_column_meta, RelMeta, RelRow, SpatialOperand, SpatialPred,
+    classify_spatial, cmp_sort_values, eval_spatial_fn, eval_tf_args, projection_columns,
+    resolve_column_meta, sort_values, Columns, Cond, HeapRow, Projection, RelMeta, RelRow, SortKey,
+    SpatialOperand, SpatialPred,
 };
 use crate::extensible::OperatorCall;
-use crate::sql::ast::{FromItem, OrderKey, Predicate, Select, SelectItem};
+use crate::sql::ast::{Expr, FromItem, Predicate, Select, SelectItem};
 use parking_lot::RwLock;
 use sdo_geom::Geometry;
 use sdo_obs::{MemoryGauge, ProfileNode};
 use sdo_storage::{RowId, Snapshot, Table, Value};
-use sdo_tablefunc::source::TableCursor;
-use sdo_tablefunc::{Row, RowSource, TableFunction};
+use sdo_tablefunc::{Row, TableFunction};
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -179,14 +181,24 @@ pub(crate) fn note_batch(node: &Option<ProfileNode>, rows: usize, t0: Option<Ins
 // Leaf scans
 // ---------------------------------------------------------------------------
 
-/// Snapshot cursor scan over a base table. Slot bounds are fixed at
-/// open (high-water mark), the table lock is taken per batch.
+/// Snapshot scan over a base table's heap slots, the statement's
+/// predicates pushed into it. Slot bounds are fixed at open
+/// (high-water mark); each window of [`BATCH_ROWS`] slots is read under
+/// one table lock and one status view by [`read_span`], which tests
+/// the pushed predicates on the borrowed versions and copies only the
+/// rows that pass. Windows are read until one yields a row, so an
+/// empty batch still means exhaustion and a `LIMIT` above stops the
+/// scan as soon as it is satisfied.
 pub(crate) struct TableScanExec<'a> {
     db: &'a Database,
-    cursor: TableCursor,
+    table: Arc<RwLock<Table>>,
+    next: usize,
+    end: usize,
+    filter: LazyFilter,
     slot: usize,
     width: usize,
     node: Option<ProfileNode>,
+    snap: Snapshot,
 }
 
 impl<'a> TableScanExec<'a> {
@@ -194,18 +206,39 @@ impl<'a> TableScanExec<'a> {
         ctx: &ExecCtx<'a>,
         table: Arc<RwLock<Table>>,
         name: &str,
+        filter: Option<FilterInputs>,
         slot: usize,
         width: usize,
         parent: Option<&ProfileNode>,
     ) -> Self {
         let node = parent.map(|p| p.child(format!("TABLE SCAN {}", name.to_ascii_uppercase())));
+        if let (Some(n), Some((metas, spatial, residual, _))) = (&node, &filter) {
+            n.set_attr("filter", filter_text(metas, spatial, residual));
+        }
+        let end = table.read().high_water_mark();
         TableScanExec {
             db: ctx.db,
-            cursor: TableCursor::full(table).at_snapshot(ctx.snap),
+            table,
+            next: 0,
+            end,
+            filter: LazyFilter::new(filter),
             slot,
             width,
             node,
+            snap: ctx.snap,
         }
+    }
+
+    fn fill(&mut self) -> Result<JoinedBatch, DbError> {
+        let eval = self.filter.get(self.db, self.snap)?;
+        let mut out = Vec::new();
+        while out.is_empty() && self.next < self.end {
+            let to = self.end.min(self.next + BATCH_ROWS);
+            let span = HeapSpan::Slots(self.next, to);
+            read_span(&self.table, span, &self.snap, eval, self.slot, self.width, &mut out)?;
+            self.next = to;
+        }
+        Ok(out)
     }
 }
 
@@ -213,27 +246,120 @@ impl BatchOp for TableScanExec<'_> {
     fn next_batch(&mut self) -> Result<JoinedBatch, DbError> {
         let t0 = self.node.as_ref().map(|_| Instant::now());
         let before = self.node.as_ref().map(|_| self.db.counters().snapshot());
-        let rows = self.cursor.next_batch(BATCH_ROWS);
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            // TableCursor prepends the rowid.
-            let mut it = row.into_iter();
-            let rid = it.next().and_then(|v| v.as_rowid());
-            let mut jr = empty_joined(self.width);
-            jr[self.slot] = RelRow { rid, values: it.collect() };
-            out.push(jr);
-        }
-        note_batch(&self.node, out.len(), t0);
+        let res = self.fill();
         if let (Some(n), Some(b)) = (&self.node, &before) {
             n.add_metric_deltas(&self.db.counters().diff(b).pairs());
+        }
+        let out = res?;
+        match (&self.node, t0) {
+            // The call that finds the table exhausted still read the
+            // windows a selective filter emptied: time it.
+            (Some(n), Some(t0)) if out.is_empty() => n.add_wall(t0.elapsed()),
+            _ => note_batch(&self.node, out.len(), t0),
         }
         Ok(out)
     }
 
-    fn close(&mut self) {}
+    fn close(&mut self) {
+        self.next = self.end;
+    }
+}
+
+/// The rows a [`read_span`] call reads: heap slots `[from, to)` in slot
+/// order, or the listed rowids (an index scan's answer) in the order
+/// given.
+pub(crate) enum HeapSpan<'s> {
+    Slots(usize, usize),
+    Rowids(&'s [RowId]),
+}
+
+/// Read `span` of `table` at `snap` under one table read lock, keeping
+/// the rows that pass `eval` as relation `rel` of joined rows `width`
+/// wide, appended to `out` in span order. Rows the snapshot cannot see
+/// are skipped.
+///
+/// The cheap conjuncts ([`FilterEval::pre_passes`]) run on each visible
+/// version in place, under the table lock and the status view, and
+/// only the versions that pass are kept — as `Arc` handles, not
+/// copies. The functional spatial predicates and residuals that call
+/// functions run on those survivors after the locks drop, so DML is
+/// never held up behind a geometry test, and a [`RelRow`] is built only
+/// for a row that passes everything. Callers keep spans to about
+/// [`BATCH_ROWS`] rows, the lock's hold.
+pub(crate) fn read_span(
+    table: &RwLock<Table>,
+    span: HeapSpan<'_>,
+    snap: &Snapshot,
+    eval: &FilterEval,
+    rel: usize,
+    width: usize,
+    out: &mut JoinedBatch,
+) -> Result<(), DbError> {
+    let mut kept: Vec<(RowId, Arc<[Value]>)> = Vec::new();
+    let mut failure = None;
+    {
+        let t = table.read();
+        let mut visit = |rid: RowId, row: &Arc<[Value]>| {
+            if failure.is_none() {
+                match eval.pre_passes(&HeapRow { rel, rid, values: row }) {
+                    Ok(true) => kept.push((rid, Arc::clone(row))),
+                    Ok(false) => {}
+                    Err(e) => failure = Some(e),
+                }
+            }
+        };
+        match span {
+            HeapSpan::Slots(from, to) => t.scan_range_at(from, to, snap, visit),
+            HeapSpan::Rowids(rids) => t.get_many_at(rids, snap, |rid, row| {
+                if let Some(row) = row {
+                    visit(rid, row)
+                }
+            }),
+        }
+    }
+    if let Some(e) = failure {
+        return Err(e);
+    }
+    out.reserve(kept.len());
+    for (rid, row) in kept {
+        if eval.post_passes(&HeapRow { rel, rid, values: &row })? {
+            let mut jr = empty_joined(width);
+            jr[rel] = RelRow { rid: Some(rid), values: row.to_vec() };
+            out.push(jr);
+        }
+    }
+    Ok(())
+}
+
+/// The conjuncts pushed into a scan, as `EXPLAIN ANALYZE` shows them.
+fn filter_text(metas: &[RelMeta], spatial: &[SpatialPred], residual: &[Predicate]) -> String {
+    let spatial = spatial.iter().map(|p| {
+        let (r, c) = p.target;
+        format!("{}({}.{}, …)", p.name, metas[r].binding, metas[r].columns[c])
+    });
+    let residual = residual.iter().map(|p| match p {
+        Predicate::Compare { left, op, right } => {
+            format!("{} {} {}", expr_text(left), op.symbol(), expr_text(right))
+        }
+        Predicate::RowidPairIn { .. } => "(ROWID, ROWID) IN (…)".into(),
+    });
+    spatial.chain(residual).collect::<Vec<_>>().join(" AND ")
+}
+
+fn expr_text(e: &Expr) -> String {
+    match e {
+        Expr::Literal(Value::Text(s)) => format!("'{s}'"),
+        Expr::Literal(Value::Geometry(_)) => "<geometry>".into(),
+        Expr::Literal(v) => v.to_string(),
+        Expr::Column(cr) => match &cr.qualifier {
+            Some(q) => format!("{q}.{}", cr.column),
+            None => cr.column.clone(),
+        },
+        Expr::FnCall { name, args } => {
+            format!("{name}({})", args.iter().map(expr_text).collect::<Vec<_>>().join(", "))
+        }
+        Expr::Param(i) => format!("?{}", i + 1),
+    }
 }
 
 enum TfState {
@@ -337,29 +463,29 @@ impl BatchOp for TableFunctionScanExec<'_> {
 // Filter
 // ---------------------------------------------------------------------------
 
-pub(crate) enum Prefilter {
-    /// Evaluate the predicate functionally per row.
-    Functional,
-    /// Keep rows of relation `rel` whose rowid is in the set (computed
-    /// once at open from a domain-index evaluation or SDO_NN ranking).
-    RowidSet { rel: usize, keep: HashSet<RowId> },
-}
-
 /// A database-free predicate evaluator: the classified spatial
-/// predicates, residual conjuncts, and prebuilt index prefilters,
-/// packaged so exchange workers on pool threads (which cannot borrow
-/// `&Database`) evaluate rows exactly like the serial [`FilterExec`].
-/// Built once per statement (index probes need the database), then
-/// shared via `Arc` across workers.
+/// predicates, compiled residual conjuncts, and prebuilt index
+/// prefilters, packaged so exchange workers on pool threads (which
+/// cannot borrow `&Database`) evaluate rows exactly like the serial
+/// operators. Built once per statement (index probes need the
+/// database), then shared across workers.
+///
+/// Conjuncts run in two phases. [`FilterEval::pre_passes`] holds the
+/// cheap ones — residuals that call no function, and index keep-sets —
+/// which a scan tests on a heap row in place under the table lock.
+/// [`FilterEval::post_passes`] holds the rest — functional spatial
+/// predicates and residuals that call functions — which run after the
+/// locks drop.
 pub(crate) struct FilterEval {
-    metas: Arc<Vec<RelMeta>>,
+    plain: Vec<Cond>,
+    keep_sets: Vec<KeepSet>,
     spatial: Vec<SpatialPred>,
-    residual: Vec<Predicate>,
-    prefilters: Vec<Prefilter>,
+    costly: Vec<Cond>,
 }
 
 impl FilterEval {
-    /// Build the evaluator, resolving index prefilters now.
+    /// Build the evaluator, compiling the residuals and resolving index
+    /// prefilters now.
     pub(crate) fn build(
         db: &Database,
         metas: Arc<Vec<RelMeta>>,
@@ -368,71 +494,124 @@ impl FilterEval {
         index_hints: Option<&[bool]>,
         snap: Snapshot,
     ) -> Result<Self, DbError> {
-        let prefilters = build_prefilters(db, &metas, &spatial, index_hints, snap)?;
-        Ok(FilterEval { metas, spatial, residual, prefilters })
+        let (mut plain, mut costly) = (Vec::new(), Vec::new());
+        for p in &residual {
+            let c = Cond::compile(&metas, p)?;
+            if c.is_plain() {
+                plain.push(c);
+            } else {
+                costly.push(c);
+            }
+        }
+        let keep = build_prefilters(db, &metas, &spatial, index_hints, snap)?;
+        let (mut keep_sets, mut functional) = (Vec::new(), Vec::new());
+        for (p, k) in spatial.into_iter().zip(keep) {
+            match k {
+                Some(set) => keep_sets.push(set),
+                None => functional.push(p),
+            }
+        }
+        Ok(FilterEval { plain, keep_sets, spatial: functional, costly })
     }
 
-    /// True when there is nothing to evaluate (rows always pass).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.spatial.is_empty() && self.residual.is_empty()
+    /// An evaluator every row passes.
+    pub(crate) fn none() -> Self {
+        FilterEval {
+            plain: Vec::new(),
+            keep_sets: Vec::new(),
+            spatial: Vec::new(),
+            costly: Vec::new(),
+        }
     }
 
-    /// Does one joined row satisfy every conjunct?
-    pub(crate) fn row_passes(&self, jr: &[RelRow]) -> Result<bool, DbError> {
-        for (p, f) in self.spatial.iter().zip(&self.prefilters) {
-            let pass = match f {
-                Prefilter::RowidSet { rel, keep } => {
-                    jr[*rel].rid.map(|r| keep.contains(&r)).unwrap_or(false)
-                }
-                Prefilter::Functional => match &p.other {
-                    SpatialOperand::Column(ir, ic) => {
-                        let (or, oc) = p.target;
-                        match (jr[or].values.get(oc), jr[*ir].values.get(*ic)) {
-                            (Some(a), Some(b)) => match (a.as_geometry(), b.as_geometry()) {
-                                (Some(ga), Some(gb)) => {
-                                    eval_spatial_fn(&p.name, ga, gb, &p.extra).unwrap_or(false)
-                                }
-                                _ => false,
-                            },
-                            _ => false,
-                        }
-                    }
-                    SpatialOperand::Const(qg) => {
-                        let (ri, ci) = p.target;
-                        jr[ri].values.get(ci).and_then(|v| v.as_geometry()).is_some_and(|g| {
-                            eval_spatial_fn(&p.name, g, qg, &p.extra).unwrap_or(false)
-                        })
-                    }
-                },
-            };
-            if !pass {
+    /// The cheap conjuncts: plain residuals and index keep-sets.
+    pub(crate) fn pre_passes<R: Columns + ?Sized>(&self, row: &R) -> Result<bool, DbError> {
+        for (rel, keep) in &self.keep_sets {
+            if !row.rowid(*rel).is_some_and(|r| keep.contains(&r)) {
                 return Ok(false);
             }
         }
-        for r in &self.residual {
-            if !eval_predicate(&self.metas, jr, r)? {
+        for c in &self.plain {
+            if !c.eval(row)? {
                 return Ok(false);
             }
         }
         Ok(true)
     }
+
+    /// The costly conjuncts: functional spatial predicates, then
+    /// residuals that call functions.
+    pub(crate) fn post_passes<R: Columns + ?Sized>(&self, row: &R) -> Result<bool, DbError> {
+        for p in &self.spatial {
+            let (ri, ci) = p.target;
+            let Some(a) = row.column(ri, ci).and_then(|v| v.as_geometry()) else {
+                return Ok(false);
+            };
+            let b = match &p.other {
+                SpatialOperand::Column(ir, ic) => {
+                    row.column(*ir, *ic).and_then(|v| v.as_geometry())
+                }
+                SpatialOperand::Const(qg) => Some(qg),
+            };
+            if !b.is_some_and(|b| eval_spatial_fn(&p.name, a, b, &p.extra).unwrap_or(false)) {
+                return Ok(false);
+            }
+        }
+        for c in &self.costly {
+            if !c.eval(row)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Does one joined row satisfy every conjunct?
+    pub(crate) fn row_passes(&self, jr: &[RelRow]) -> Result<bool, DbError> {
+        Ok(self.pre_passes(jr)? && self.post_passes(jr)?)
+    }
 }
 
-/// Resolve each spatial predicate to its open-time fast path: a rowid
-/// keep-set from a domain-index evaluation (or SDO_NN ranking), else
-/// per-row functional evaluation. Only predicates no index scan
-/// consumed get here.
+/// The rows of relation `.0` a spatial predicate keeps, answered once
+/// by a domain index (or an `SDO_NN` ranking).
+type KeepSet = (usize, HashSet<RowId>);
+
+/// Predicates pushed into an operator, compiled into a [`FilterEval`]
+/// on first use: index prefilters probe the domain index then, inside
+/// the operator's own timing. No inputs means every row passes.
+pub(crate) struct LazyFilter {
+    inputs: Option<FilterInputs>,
+    eval: Option<FilterEval>,
+}
+
+impl LazyFilter {
+    pub(crate) fn new(inputs: Option<FilterInputs>) -> Self {
+        LazyFilter { inputs, eval: None }
+    }
+
+    pub(crate) fn get(&mut self, db: &Database, snap: Snapshot) -> Result<&FilterEval, DbError> {
+        if let Some((metas, spatial, residual, hints)) = self.inputs.take() {
+            self.eval =
+                Some(FilterEval::build(db, metas, spatial, residual, hints.as_deref(), snap)?);
+        }
+        Ok(self.eval.get_or_insert_with(FilterEval::none))
+    }
+}
+
+/// Resolve each spatial predicate to its open-time fast path: the
+/// rowid keep-set `(relation, rowids)` of a domain-index evaluation
+/// (or SDO_NN ranking), else `None` for per-row functional evaluation.
+/// Only predicates no index scan consumed get here.
 fn build_prefilters(
     db: &Database,
     metas: &[RelMeta],
     spatial: &[SpatialPred],
     index_hints: Option<&[bool]>,
     snap: Snapshot,
-) -> Result<Vec<Prefilter>, DbError> {
+) -> Result<Vec<Option<KeepSet>>, DbError> {
     let mut out = Vec::with_capacity(spatial.len());
     for (pi, p) in spatial.iter().enumerate() {
         let SpatialOperand::Const(qg) = &p.other else {
-            out.push(Prefilter::Functional);
+            out.push(None);
             continue;
         };
         let (ri, ci) = p.target;
@@ -447,18 +626,16 @@ fn build_prefilters(
             let k = crate::exec::parse_num_res(&p.extra)?;
             let (ranked, _) =
                 rank_nearest(index.map(|(_, i)| i).as_ref(), &table, ci, qg, k, snap)?;
-            let keep = ranked.into_iter().map(|(_, r)| r).collect();
-            out.push(Prefilter::RowidSet { rel: ri, keep });
+            out.push(Some((ri, ranked.into_iter().map(|(_, r)| r).collect())));
             continue;
         }
         let allow_index = index_hints.and_then(|h| h.get(pi)).copied().unwrap_or(true);
         match index.filter(|_| allow_index) {
             Some((_, inst)) => {
                 let call = operator_call(p, qg, snap);
-                let keep: HashSet<RowId> = inst.read().evaluate(&call)?.into_iter().collect();
-                out.push(Prefilter::RowidSet { rel: ri, keep });
+                out.push(Some((ri, inst.read().evaluate(&call)?.into_iter().collect())));
             }
-            None => out.push(Prefilter::Functional),
+            None => out.push(None),
         }
     }
     Ok(out)
@@ -491,19 +668,18 @@ fn rank_nearest(
     if let Some(ranked) = index.map(|i| i.read().nearest(query, k, &snap)).transpose()?.flatten() {
         return Ok((ranked, "index best-first"));
     }
+    // Each window's geometries are collected under the locks and
+    // measured after they drop.
     let mut ranked: Ranked = Vec::new();
-    let mut cursor = TableCursor::full(Arc::clone(table)).at_snapshot(snap);
-    loop {
-        let rows = cursor.next_batch(BATCH_ROWS);
-        if rows.is_empty() {
-            break;
-        }
-        for row in rows {
-            let Some(rid) = row[0].as_rowid() else { continue };
-            if let Some(g) = row.get(col + 1).and_then(|v| v.as_geometry()) {
-                ranked.push((sdo_geom::distance(g, query), rid));
+    let mut geoms: Vec<(RowId, Arc<Geometry>)> = Vec::new();
+    let end = table.read().high_water_mark();
+    for from in (0..end).step_by(BATCH_ROWS) {
+        table.read().scan_range_at(from, from + BATCH_ROWS, &snap, |rid, row| {
+            if let Some(g) = row.get(col).and_then(|v| v.as_geometry()) {
+                geoms.push((rid, Arc::clone(g)));
             }
-        }
+        });
+        ranked.extend(geoms.drain(..).map(|(rid, g)| (sdo_geom::distance(&g, query), rid)));
     }
     ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     ranked.truncate(k);
@@ -565,29 +741,6 @@ impl IndexAccess {
             }
         }
     }
-}
-
-/// Fetch `rids` from `table` under `snap` with one batch read, into
-/// relation slot `slot` of joined rows `width` wide. Rows the snapshot
-/// cannot see are skipped: an index may hold entries for versions the
-/// statement cannot see (in-flight inserts, deferred old entries), and
-/// the heap fetch is the visibility filter.
-pub(crate) fn fetch_rows(
-    table: &RwLock<Table>,
-    rids: &[RowId],
-    snap: &Snapshot,
-    slot: usize,
-    width: usize,
-) -> JoinedBatch {
-    let mut out = Vec::with_capacity(rids.len());
-    table.read().get_many_at(rids, snap, |rid, row| {
-        if let Some(vals) = row {
-            let mut jr = empty_joined(width);
-            jr[slot] = RelRow { rid: Some(rid), values: vals.to_vec() };
-            out.push(jr);
-        }
-    });
-    out
 }
 
 /// q-error of an estimate against the actual: `max(est/act, act/est)`,
@@ -669,13 +822,13 @@ impl BatchOp for IndexScanExec<'_> {
         let mut out = Vec::new();
         while out.is_empty() && self.next < self.rids.len() {
             let end = (self.next + BATCH_ROWS).min(self.rids.len());
-            out = fetch_rows(
-                &self.table,
-                &self.rids[self.next..end],
-                &self.snap,
-                self.slot,
-                self.width,
-            );
+            // Rows the snapshot cannot see are skipped: an index may
+            // hold entries for versions the statement cannot see
+            // (in-flight inserts, deferred old entries), and the heap
+            // read is the visibility filter.
+            let span = HeapSpan::Rowids(&self.rids[self.next..end]);
+            let none = FilterEval::none();
+            read_span(&self.table, span, &self.snap, &none, self.slot, self.width, &mut out)?;
             self.next = end;
         }
         self.produced += out.len() as u64;
@@ -699,23 +852,20 @@ impl BatchOp for IndexScanExec<'_> {
     }
 }
 
-/// The deferred filter-construction bundle shared by [`FilterExec`]
-/// and the parallel exchanges: relation metadata, spatial and
+/// The deferred filter-construction bundle shared by the scan leaf,
+/// [`FilterExec`] and the parallel exchanges: relation metadata, spatial and
 /// residual predicates, and the planner's per-predicate index hints.
 pub(crate) type FilterInputs =
     (Arc<Vec<RelMeta>>, Vec<SpatialPred>, Vec<Predicate>, Option<Vec<bool>>);
 
-/// Per-batch predicate evaluation. Index-assisted paths (window-query
-/// prefilter, SDO_NN top-k ranking) run once at open as a
-/// `FilterExec`-level rewrite into rowid keep-sets; everything else
-/// evaluates functionally per row.
+/// Per-batch predicate evaluation above a join or an index scan (a
+/// table scan evaluates its predicates itself). Index-assisted paths
+/// (window-query prefilter, SDO_NN top-k ranking) run once at open as
+/// rowid keep-sets; everything else evaluates per row.
 pub(crate) struct FilterExec<'a> {
     db: &'a Database,
     child: Box<dyn BatchOp + 'a>,
-    /// Filter inputs, consumed when the evaluator is built at first
-    /// `next_batch` (index prefilters probe the domain index then).
-    inputs: Option<FilterInputs>,
-    eval: Option<FilterEval>,
+    filter: LazyFilter,
     node: Option<ProfileNode>,
     snap: Snapshot,
 }
@@ -724,44 +874,25 @@ impl<'a> FilterExec<'a> {
     pub(crate) fn new(
         child: Box<dyn BatchOp + 'a>,
         ctx: &ExecCtx<'a>,
-        metas: Arc<Vec<RelMeta>>,
-        spatial: Vec<SpatialPred>,
-        residual: Vec<Predicate>,
-        index_hints: Option<Vec<bool>>,
+        inputs: FilterInputs,
         node: Option<ProfileNode>,
     ) -> Self {
-        FilterExec {
-            db: ctx.db,
-            child,
-            inputs: Some((metas, spatial, residual, index_hints)),
-            eval: None,
-            node,
-            snap: ctx.snap,
-        }
+        let filter = LazyFilter::new(Some(inputs));
+        FilterExec { db: ctx.db, child, filter, node, snap: ctx.snap }
     }
 }
 
 impl BatchOp for FilterExec<'_> {
     fn next_batch(&mut self) -> Result<JoinedBatch, DbError> {
-        if let Some((metas, spatial, residual, hints)) = self.inputs.take() {
-            let t0 = self.node.as_ref().map(|_| Instant::now());
-            let before = self.node.as_ref().map(|_| self.db.counters().snapshot());
-            self.eval = Some(FilterEval::build(
-                self.db,
-                metas,
-                spatial,
-                residual,
-                hints.as_deref(),
-                self.snap,
-            )?);
-            if let (Some(n), Some(b)) = (&self.node, &before) {
-                n.add_metric_deltas(&self.db.counters().diff(b).pairs());
-                if let Some(t0) = t0 {
-                    n.add_wall(t0.elapsed());
-                }
+        let t0 = self.node.as_ref().map(|_| Instant::now());
+        let before = self.node.as_ref().map(|_| self.db.counters().snapshot());
+        let eval = self.filter.get(self.db, self.snap)?;
+        if let (Some(n), Some(b)) = (&self.node, &before) {
+            n.add_metric_deltas(&self.db.counters().diff(b).pairs());
+            if let Some(t0) = t0 {
+                n.add_wall(t0.elapsed());
             }
         }
-        let eval = self.eval.as_ref().expect("filter evaluator built");
         loop {
             let batch = self.child.next_batch()?;
             if batch.is_empty() {
@@ -1277,8 +1408,7 @@ impl BatchOp for CrossJoinExec<'_> {
 /// then re-emits in batches, releasing gauge charge as rows drain.
 pub(crate) struct SortExec<'a> {
     child: Box<dyn BatchOp + 'a>,
-    metas: Arc<Vec<RelMeta>>,
-    keys: Vec<OrderKey>,
+    keys: Vec<SortKey>,
     sorted: Option<VecDeque<Vec<RelRow>>>,
     node: Option<ProfileNode>,
     resident: Resident,
@@ -1288,12 +1418,11 @@ impl<'a> SortExec<'a> {
     pub(crate) fn new(
         child: Box<dyn BatchOp + 'a>,
         ctx: &ExecCtx<'a>,
-        metas: Arc<Vec<RelMeta>>,
-        keys: Vec<OrderKey>,
+        keys: Vec<SortKey>,
         node: Option<ProfileNode>,
     ) -> Self {
         let resident = ctx.resident("SORT");
-        SortExec { child, metas, keys, sorted: None, node, resident }
+        SortExec { child, keys, sorted: None, node, resident }
     }
 }
 
@@ -1309,25 +1438,11 @@ impl BatchOp for SortExec<'_> {
                 }
                 self.resident.add(batch.len() as u64)?;
                 for jr in batch {
-                    let ks = self
-                        .keys
-                        .iter()
-                        .map(|k| crate::exec::eval_expr(&self.metas, &jr, &k.expr))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    keyed.push((ks, jr));
+                    keyed.push((sort_values(&self.keys, &jr)?, jr));
                 }
             }
             let keys = &self.keys;
-            keyed.sort_by(|(a, _), (b, _)| {
-                for (i, key) in keys.iter().enumerate() {
-                    let ord = a[i].sql_cmp(&b[i]);
-                    let ord = if key.descending { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
+            keyed.sort_by(|(a, _), (b, _)| cmp_sort_values(keys, a, b));
             self.sorted = Some(keyed.into_iter().map(|(_, r)| r).collect());
             if let (Some(n), Some(t0)) = (&self.node, t0) {
                 n.add_wall(t0.elapsed());
@@ -1432,8 +1547,7 @@ struct IndexScanSpec {
 /// [`RowidSemiJoinExec`].
 pub(crate) struct SelectStream<'a> {
     root: Box<dyn BatchOp + 'a>,
-    metas: Arc<Vec<RelMeta>>,
-    projection: Vec<SelectItem>,
+    projection: Projection,
     /// Output column names.
     pub(crate) columns: Vec<String>,
     count_star: bool,
@@ -1443,7 +1557,7 @@ impl SelectStream<'_> {
     /// Next batch of projected result rows; empty means exhausted.
     pub(crate) fn next_rows(&mut self) -> Result<Vec<Row>, DbError> {
         let batch = self.root.next_batch()?;
-        batch.iter().map(|jr| project_row(&self.metas, jr, &self.projection)).collect()
+        batch.iter().map(|jr| self.projection.row(jr)).collect()
     }
 
     /// Close the pipeline (idempotent, propagates to every operator).
@@ -1487,16 +1601,28 @@ impl SelectStream<'_> {
     }
 }
 
+/// The leaf operator reading FROM item `slot`. `filter` holds the
+/// predicates pushed into a base-table scan; any other leaf gets its
+/// filter as a [`FilterExec`] above it, under `parent`.
 fn make_scan<'a>(
     ctx: &ExecCtx<'a>,
     sources: &mut [SourceSlot],
     slot: usize,
     width: usize,
+    filter: Option<FilterInputs>,
     parent: Option<&ProfileNode>,
 ) -> Result<Box<dyn BatchOp + 'a>, DbError> {
+    let filter = match filter {
+        Some(inputs) if !matches!(sources[slot], SourceSlot::Table { .. }) => {
+            let node = parent.map(|p| p.child("FILTER"));
+            let leaf = make_scan(ctx, sources, slot, width, None, node.as_ref())?;
+            return Ok(Box::new(FilterExec::new(leaf, ctx, inputs, node)));
+        }
+        f => f,
+    };
     match std::mem::replace(&mut sources[slot], SourceSlot::Taken) {
         SourceSlot::Table { name, table } => {
-            Ok(Box::new(TableScanExec::new(ctx, table, &name, slot, width, parent)))
+            Ok(Box::new(TableScanExec::new(ctx, table, &name, filter, slot, width, parent)))
         }
         SourceSlot::Index { table, scan } => {
             let node = parent.map(|p| p.child(scan.label));
@@ -1625,6 +1751,7 @@ pub(crate) fn build_select_stream<'a>(
     // Validate the projection up front so errors surface before any
     // operator starts.
     let columns = projection_columns(&metas, &sel.projection)?;
+    let projection = Projection::compile(&metas, &sel.projection)?;
     let count_star = sel.projection == [SelectItem::CountStar];
 
     // Consult the cost-based planner. Planning is advisory: a failure
@@ -1713,7 +1840,7 @@ pub(crate) fn build_select_stream<'a>(
             reason: kc.reason.clone(),
         };
         sources[0] = SourceSlot::Index { table: Arc::clone(table), scan };
-        root = make_scan(ctx, &mut sources, 0, width, anchor.as_ref())?;
+        root = make_scan(ctx, &mut sources, 0, width, None, anchor.as_ref())?;
     } else if let Some(Predicate::RowidPairIn { left, right, subquery }) = rowid_pairs.first() {
         let filter_node = (has_filter_stage && !par_probe)
             .then(|| anchor.as_ref().map(|p| p.child("FILTER")))
@@ -1766,15 +1893,8 @@ pub(crate) fn build_select_stream<'a>(
             let sub = build_select_stream(ctx, subquery, node.as_ref())?;
             root = Box::new(RowidSemiJoinExec::new(ctx, sub, l_rel, r_rel, lt, rt, width, node)?);
             if has_filter_stage {
-                root = Box::new(FilterExec::new(
-                    root,
-                    ctx,
-                    Arc::clone(&metas),
-                    spatial,
-                    residual,
-                    hints,
-                    filter_node,
-                ));
+                let inputs = (Arc::clone(&metas), spatial, residual, hints);
+                root = Box::new(FilterExec::new(root, ctx, inputs, filter_node));
             }
         }
     } else if let Some(mut jp) = join_pred {
@@ -1795,7 +1915,7 @@ pub(crate) fn build_select_stream<'a>(
         }
         let (outer_rel, _) = jp.target;
         let SpatialOperand::Column(inner_rel, inner_col) = jp.other else { unreachable!() };
-        let outer = make_scan(ctx, &mut sources, outer_rel, width, node.as_ref())?;
+        let outer = make_scan(ctx, &mut sources, outer_rel, width, None, node.as_ref())?;
         let im = &metas[inner_rel];
         // Probe only when the planner costed it cheaper (default: probe
         // whenever an index exists, matching the pre-planner behavior).
@@ -1812,20 +1932,14 @@ pub(crate) fn build_select_stream<'a>(
                 &mut sources,
                 inner_rel,
                 width,
+                None,
                 node.as_ref(),
             )?),
         };
         root = Box::new(NestedLoopJoinExec::new(ctx, outer, jp, inner, width, node)?);
         if has_filter_stage {
-            root = Box::new(FilterExec::new(
-                root,
-                ctx,
-                Arc::clone(&metas),
-                spatial,
-                residual,
-                hints,
-                filter_node,
-            ));
+            let inputs = (Arc::clone(&metas), spatial, residual, hints);
+            root = Box::new(FilterExec::new(root, ctx, inputs, filter_node));
         }
     } else if par_scan || par_sort {
         // Morsel-driven scan (+filter, + per-worker sort under an
@@ -1850,7 +1964,7 @@ pub(crate) fn build_select_stream<'a>(
         };
         let inputs = (Arc::clone(&metas), spatial, residual, hints);
         root = if par_sort {
-            let (keys, limit) = (sel.order_by.clone(), sel.limit);
+            let (keys, limit) = (SortKey::compile_all(&metas, &sel.order_by)?, sel.limit);
             Box::new(crate::parallel::ParallelSortExec::new(
                 ctx, table, access, inputs, keys, limit, x.dop, node,
             ))
@@ -1859,51 +1973,43 @@ pub(crate) fn build_select_stream<'a>(
                 ctx, table, access, inputs, x.dop, node,
             ))
         };
+    } else if width == 1 {
+        // One relation: the predicates go into its scan.
+        let inputs = has_filter_stage.then(|| (Arc::clone(&metas), spatial, residual, hints));
+        root = make_scan(ctx, &mut sources, 0, width, inputs, anchor.as_ref())?;
     } else {
         let filter_node =
             has_filter_stage.then(|| anchor.as_ref().map(|p| p.child("FILTER"))).flatten();
         let scan_anchor = filter_node.clone().or(anchor.clone());
-        if width == 1 {
-            root = make_scan(ctx, &mut sources, 0, width, scan_anchor.as_ref())?;
-        } else {
-            // The planner picks which relation streams (largest) so the
-            // materialized side — the product's resident memory — is as
-            // small as the FROM list allows.
-            let stream_slot =
-                plan.as_ref().map(|p| p.stream_slot).filter(|&s| s < width).unwrap_or(0);
-            let node = scan_anchor.as_ref().map(|p| p.child("CARTESIAN PRODUCT"));
-            if let (Some(n), Some(p)) = (&node, plan.as_ref()) {
-                n.set_attr("plan_reason", format!("streams slot {}", p.stream_slot));
-            }
-            let first = make_scan(ctx, &mut sources, stream_slot, width, node.as_ref())?;
-            let mut rest = Vec::with_capacity(width - 1);
-            for slot in (0..width).filter(|&s| s != stream_slot) {
-                rest.push((slot, make_scan(ctx, &mut sources, slot, width, node.as_ref())?));
-            }
-            root = Box::new(CrossJoinExec::new(ctx, first, rest, node));
+        // The planner picks which relation streams (largest) so the
+        // materialized side — the product's resident memory — is as
+        // small as the FROM list allows.
+        let stream_slot = plan.as_ref().map(|p| p.stream_slot).filter(|&s| s < width).unwrap_or(0);
+        let node = scan_anchor.as_ref().map(|p| p.child("CARTESIAN PRODUCT"));
+        if let (Some(n), Some(p)) = (&node, plan.as_ref()) {
+            n.set_attr("plan_reason", format!("streams slot {}", p.stream_slot));
         }
+        let first = make_scan(ctx, &mut sources, stream_slot, width, None, node.as_ref())?;
+        let mut rest = Vec::with_capacity(width - 1);
+        for slot in (0..width).filter(|&s| s != stream_slot) {
+            rest.push((slot, make_scan(ctx, &mut sources, slot, width, None, node.as_ref())?));
+        }
+        root = Box::new(CrossJoinExec::new(ctx, first, rest, node));
         if has_filter_stage {
-            root = Box::new(FilterExec::new(
-                root,
-                ctx,
-                Arc::clone(&metas),
-                spatial,
-                residual,
-                hints,
-                filter_node,
-            ));
+            let inputs = (Arc::clone(&metas), spatial, residual, hints);
+            root = Box::new(FilterExec::new(root, ctx, inputs, filter_node));
         }
     }
 
     if !sel.order_by.is_empty() && knn.is_none() && !par_sort {
-        root =
-            Box::new(SortExec::new(root, ctx, Arc::clone(&metas), sel.order_by.clone(), sort_node));
+        let keys = SortKey::compile_all(&metas, &sel.order_by)?;
+        root = Box::new(SortExec::new(root, ctx, keys, sort_node));
     }
     if let Some(n) = sel.limit {
         root = Box::new(LimitExec::new(root, n, limit_node));
     }
 
-    Ok(SelectStream { root, metas, projection: sel.projection.clone(), columns, count_star })
+    Ok(SelectStream { root, projection, columns, count_star })
 }
 
 /// Run a SELECT through the streaming pipeline.
@@ -1961,12 +2067,9 @@ pub(crate) fn collect_matching(
     let mut sources = [SourceSlot::Table { name: table_name.to_string(), table }];
     let choices: Vec<_> = crate::planner::plan_dml_scan(db, &metas, &spatial).into_iter().collect();
     take_index_scans(ctx, &metas, &mut sources, &mut spatial, &mut None, &choices)?;
-    let mut root = make_scan(ctx, &mut sources, 0, 1, parent.as_ref())?;
-    if !spatial.is_empty() || !residual.is_empty() {
-        let node = parent.as_ref().map(|p| p.child("FILTER"));
-        root =
-            Box::new(FilterExec::new(root, ctx, Arc::clone(&metas), spatial, residual, None, node));
-    }
+    let inputs = (!spatial.is_empty() || !residual.is_empty())
+        .then(|| (Arc::clone(&metas), spatial, residual, None));
+    let mut root = make_scan(ctx, &mut sources, 0, 1, inputs, parent.as_ref())?;
     let mut matched = Vec::new();
     let res = (|| -> Result<(), DbError> {
         loop {

@@ -30,18 +30,16 @@
 
 use crate::db::Database;
 use crate::error::DbError;
-use crate::exec::RelRow;
+use crate::exec::{cmp_sort_values, sort_values, RelRow, SortKey};
 use crate::operators::{
-    empty_joined, fetch_rows, note_batch, probe_pairs, rowid_pair, BatchOp, ExecCtx, FilterEval,
-    FilterInputs, IndexAccess, JoinedBatch, Resident, SelectStream, BATCH_ROWS,
+    empty_joined, note_batch, probe_pairs, read_span, rowid_pair, BatchOp, ExecCtx, FilterEval,
+    FilterInputs, HeapSpan, IndexAccess, JoinedBatch, Resident, SelectStream, BATCH_ROWS,
 };
-use crate::sql::ast::OrderKey;
 use parking_lot::{Mutex, RwLock};
 use sdo_obs::{GaugeCharge, MemoryGauge, ProfileNode};
 use sdo_storage::{RowId, Snapshot, Table, Value};
 use sdo_tablefunc::scheduler::TaskQueue;
-use sdo_tablefunc::source::TableCursor;
-use sdo_tablefunc::{Fanout, Outbox, RowSource};
+use sdo_tablefunc::{Fanout, Outbox};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -243,55 +241,29 @@ struct MorselScan {
 }
 
 impl MorselScan {
-    /// Scan one morsel through the shared filter, returning surviving
-    /// rows charged against `charge`.
+    /// Read one morsel through the scan leaf's [`read_span`] — the
+    /// shared filter evaluated in place, [`BATCH_ROWS`] rows per table
+    /// lock — returning surviving rows charged against `charge`.
     fn scan(&self, m: Morsel, charge: &mut GaugeCharge) -> Result<JoinedBatch, DbError> {
         let mut out = Vec::new();
-        match m.span {
+        let mut read = |span, out: &mut JoinedBatch| {
+            let before = out.len();
+            read_span(&self.table, span, &self.snap, &self.eval, 0, self.width, out)?;
+            charge_rows(charge, self.budget, (out.len() - before) as u64, "EXCHANGE")
+        };
+        match &m.span {
             Span::Slots(from, to) => {
-                let mut cursor =
-                    TableCursor::slice(Arc::clone(&self.table), from, to).at_snapshot(self.snap);
-                loop {
-                    let rows = cursor.next_batch(BATCH_ROWS);
-                    if rows.is_empty() {
-                        break;
-                    }
-                    let batch = rows.into_iter().map(|row| {
-                        // TableCursor prepends the rowid.
-                        let mut it = row.into_iter();
-                        let rid = it.next().and_then(|v| v.as_rowid());
-                        let mut jr = empty_joined(self.width);
-                        jr[0] = RelRow { rid, values: it.collect() };
-                        jr
-                    });
-                    self.keep(batch, &mut out, charge)?;
+                for lo in (*from..*to).step_by(BATCH_ROWS) {
+                    read(HeapSpan::Slots(lo, (lo + BATCH_ROWS).min(*to)), &mut out)?;
                 }
             }
             Span::Rowids(rids) => {
                 for chunk in rids.chunks(BATCH_ROWS) {
-                    let batch = fetch_rows(&self.table, chunk, &self.snap, 0, self.width);
-                    self.keep(batch, &mut out, charge)?;
+                    read(HeapSpan::Rowids(chunk), &mut out)?;
                 }
             }
         }
         Ok(out)
-    }
-
-    /// Append the rows of `batch` that pass the filter to `out`,
-    /// charging them against `charge`.
-    fn keep(
-        &self,
-        batch: impl IntoIterator<Item = Vec<RelRow>>,
-        out: &mut JoinedBatch,
-        charge: &mut GaugeCharge,
-    ) -> Result<(), DbError> {
-        let before = out.len();
-        for jr in batch {
-            if self.eval.is_empty() || self.eval.row_passes(&jr)? {
-                out.push(jr);
-            }
-        }
-        charge_rows(charge, self.budget, (out.len() - before) as u64, "EXCHANGE")
     }
 }
 
@@ -530,15 +502,8 @@ type SortedRow = (Vec<Value>, u64, Vec<RelRow>);
 /// position in serial scan order, this total order coincides with the
 /// serial executor's *stable* sort — bit-identical output, tie-breaks
 /// included.
-fn cmp_sorted(keys: &[OrderKey], a: &SortedRow, b: &SortedRow) -> std::cmp::Ordering {
-    for (i, k) in keys.iter().enumerate() {
-        let ord = a.0[i].sql_cmp(&b.0[i]);
-        let ord = if k.descending { ord.reverse() } else { ord };
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    a.1.cmp(&b.1)
+fn cmp_sorted(keys: &[SortKey], a: &SortedRow, b: &SortedRow) -> std::cmp::Ordering {
+    cmp_sort_values(keys, &a.0, &b.0).then(a.1.cmp(&b.1))
 }
 
 /// Morsel-parallel ORDER BY (and top-k): the planner's Sort-site
@@ -548,7 +513,7 @@ fn cmp_sorted(keys: &[OrderKey], a: &SortedRow, b: &SortedRow) -> std::cmp::Orde
 /// coordinator merges the ≤ dop runs head-to-head.
 pub(crate) struct ParallelSortExec<'a> {
     site: TableSite<'a>,
-    keys: Vec<OrderKey>,
+    keys: Arc<Vec<SortKey>>,
     limit: Option<usize>,
     runs: Option<Vec<VecDeque<SortedRow>>>,
     done: bool,
@@ -561,26 +526,25 @@ impl<'a> ParallelSortExec<'a> {
         table: Arc<RwLock<Table>>,
         access: Option<IndexAccess>,
         inputs: FilterInputs,
-        keys: Vec<OrderKey>,
+        keys: Vec<SortKey>,
         limit: Option<usize>,
         dop: usize,
         node: Option<ProfileNode>,
     ) -> Self {
         let site = TableSite::new(ctx, table, access, inputs, dop, node);
-        ParallelSortExec { site, keys, limit, runs: None, done: false }
+        ParallelSortExec { site, keys: Arc::new(keys), limit, runs: None, done: false }
     }
 
     /// Fan out, block until every worker delivers its sorted run, and
     /// account the runs to the coordinator. Blocking here mirrors the
     /// serial `SortExec`, which is equally a pipeline breaker.
     fn ensure_runs(&mut self) -> Result<(), DbError> {
-        let metas = Arc::clone(&self.site.inputs.as_ref().expect("sort exchange inputs").0);
         let Some((scan, morsels)) = self.site.prepare()? else {
             self.runs = Some(Vec::new());
             return Ok(());
         };
         let (eff, nodes) = (scan.nodes.len(), scan.nodes.clone());
-        let (keys, limit) = (self.keys.clone(), self.limit);
+        let (keys, limit) = (Arc::clone(&self.keys), self.limit);
         let queue = TaskQueue::seed_round_robin(morsels, eff);
         let fanout = fan_out(&queue, eff, eff, move |w, queue, out| {
             let t0 = scan.nodes[w].as_ref().map(|_| Instant::now());
@@ -591,13 +555,9 @@ impl<'a> ParallelSortExec<'a> {
                     let Some(m) = queue.pop(w) else { break };
                     let idx = m.idx;
                     for (pos, jr) in scan.scan(m, &mut charge)?.into_iter().enumerate() {
-                        let ks = keys
-                            .iter()
-                            .map(|k| crate::exec::eval_expr(&metas, &jr, &k.expr))
-                            .collect::<Result<Vec<_>, _>>()?;
                         // Serial scan order: morsel index, then surviving
                         // row position within the morsel.
-                        buf.push((ks, ((idx as u64) << 32) | pos as u64, jr));
+                        buf.push((sort_values(&keys, &jr)?, ((idx as u64) << 32) | pos as u64, jr));
                     }
                     // Top-k: never hold more than 2k rows per worker;
                     // sort and cut back to k, releasing the difference.
@@ -923,7 +883,7 @@ mod tests {
     use super::*;
     use crate::db::Database;
     use crate::exec::RelMeta;
-    use crate::sql::ast::{CmpOp, ColumnRef, Expr, Predicate};
+    use crate::sql::ast::{CmpOp, ColumnRef, Expr, OrderKey, Predicate};
     use sdo_storage::{DataType, Schema};
 
     fn test_db(rows: i64) -> Database {
@@ -957,10 +917,13 @@ mod tests {
         }])
     }
 
-    /// A residual predicate that errors on every row (unknown column).
+    /// A residual predicate that errors on every row (unknown function;
+    /// an unknown column fails when the filter compiles, before any
+    /// worker runs).
     fn failing_predicate() -> Predicate {
+        let x = Expr::Column(ColumnRef { qualifier: None, column: "X".into() });
         Predicate::Compare {
-            left: Expr::Column(ColumnRef { qualifier: None, column: "NO_SUCH_COLUMN".into() }),
+            left: Expr::FnCall { name: "NO_SUCH_FUNCTION".into(), args: vec![x] },
             op: CmpOp::Eq,
             right: Expr::Literal(Value::Integer(1)),
         }
@@ -991,7 +954,8 @@ mod tests {
         };
         let inputs = || (test_metas(db), Vec::new(), residual.clone(), None);
         let scan = ParallelScanFilterExec::new(ctx, Arc::clone(&table), None, inputs(), 4, None);
-        let sort = ParallelSortExec::new(ctx, table, None, inputs(), vec![by_x], None, 4, None);
+        let keys = SortKey::compile_all(&test_metas(db), &[by_x]).unwrap();
+        let sort = ParallelSortExec::new(ctx, table, None, inputs(), keys, None, 4, None);
         vec![("scan", Box::new(scan)), ("sort", Box::new(sort))]
     }
 
@@ -1002,7 +966,7 @@ mod tests {
         let ctx = test_ctx(&db, u64::MAX, 4);
         for (site, mut exec) in exchanges(&ctx, &db, vec![failing_predicate()]) {
             let err = drain(exec.as_mut()).expect_err("failing filter must fail the query");
-            assert!(format!("{err:?}").contains("NO_SUCH_COLUMN"), "{site}: {err:?}");
+            assert!(format!("{err:?}").contains("NO_SUCH_FUNCTION"), "{site}: {err:?}");
             drop(exec);
             assert_eq!(ctx.gauge.current(), 0, "{site}: charges must be released after a failure");
         }

@@ -254,6 +254,18 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    /// The operator as SQL writes it.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            CmpOp::Eq => "=",
+            CmpOp::Ne => "<>",
+            CmpOp::Lt => "<",
+            CmpOp::Le => "<=",
+            CmpOp::Gt => ">",
+            CmpOp::Ge => ">=",
+        }
+    }
+
     /// Apply the operator to a comparison result.
     pub fn eval(self, ord: std::cmp::Ordering) -> bool {
         use std::cmp::Ordering::*;

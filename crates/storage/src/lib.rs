@@ -39,7 +39,7 @@ pub use stats::{
     ColumnStats, Counters, CountersSnapshot, SpatialHistogram, SpatialSample, TableStats,
     ANALYZE_SAMPLE, COUNTER_NAMES, HISTOGRAM_DIM,
 };
-pub use table::{Table, TableScan};
+pub use table::Table;
 pub use value::Value;
 pub use wal::{Wal, WalRecord};
 

@@ -195,33 +195,42 @@ impl SpatialSample {
     /// Sample up to `max_sample` live rows of `table` at a uniform slot
     /// stride and summarize the geometry MBRs found in column `column`.
     /// Rows whose column is not a geometry, or whose bounding box is
-    /// empty/NaN, are skipped (they can never join). Sampled rows are
-    /// charged to the table's `rows_scanned` counter like any scan.
+    /// empty/NaN, are skipped (they can never join). The rows examined
+    /// are charged to the table's `rows_scanned` counter like any scan.
     pub fn collect(table: &Table, column: usize, max_sample: usize) -> SpatialSample {
         let rows = table.len();
-        let hwm = table.high_water_mark();
-        let stride = if max_sample == 0 { hwm } else { (hwm / max_sample.max(1)).max(1) };
         let mut sampled = 0usize;
         let mut extent = Rect::EMPTY;
         let (mut sum_w, mut sum_h) = (0.0f64, 0.0f64);
-        let mut slot = 0usize;
-        while slot < hwm {
-            // One live row (if any) per stride window.
-            if let Some((_, row)) = table.scan_slots(slot, slot + stride).next() {
-                if let Some(b) = row.get(column).and_then(|v| v.as_geometry()).map(|g| g.bbox()) {
-                    if !b.is_empty() {
-                        extent = if sampled == 0 { b } else { extent.union(&b) };
-                        sum_w += b.width();
-                        sum_h += b.height();
-                        sampled += 1;
-                    }
+        strided_sample(table, max_sample, |row| {
+            if let Some(b) = row.get(column).and_then(|v| v.as_geometry()).map(|g| g.bbox()) {
+                if !b.is_empty() {
+                    extent = if sampled == 0 { b } else { extent.union(&b) };
+                    sum_w += b.width();
+                    sum_h += b.height();
+                    sampled += 1;
                 }
             }
-            slot += stride;
-        }
+        });
         let denom = sampled.max(1) as f64;
         SpatialSample { rows, sampled, extent, avg_width: sum_w / denom, avg_height: sum_h / denom }
     }
+}
+
+/// Hand `f` the first live row of each `stride`-slot window, with the
+/// stride chosen so at most `max_sample` windows cover the table — the
+/// uniform strided sample behind [`SpatialSample`] and `ANALYZE`, read
+/// in one [`Table::scan_range_at`] pass.
+fn strided_sample(table: &Table, max_sample: usize, mut f: impl FnMut(&std::sync::Arc<[Value]>)) {
+    let hwm = table.high_water_mark();
+    let stride = if max_sample == 0 { hwm } else { (hwm / max_sample.max(1)).max(1) };
+    let mut window = usize::MAX;
+    table.scan_range_at(0, hwm, &crate::Snapshot::LATEST, |rid, row| {
+        if rid.slot() / stride != window {
+            window = rid.slot() / stride;
+            f(row);
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -280,20 +289,14 @@ impl SpatialHistogram {
     /// Build a histogram from up to `max_sample` strided rows of
     /// `table`, or `None` when the column yields no usable geometry.
     pub fn collect(table: &Table, column: usize, max_sample: usize) -> Option<SpatialHistogram> {
-        let hwm = table.high_water_mark();
-        let stride = if max_sample == 0 { hwm } else { (hwm / max_sample.max(1)).max(1) };
         let mut boxes: Vec<Rect> = Vec::new();
-        let mut slot = 0usize;
-        while slot < hwm {
-            if let Some((_, row)) = table.scan_slots(slot, slot + stride).next() {
-                if let Some(b) = row.get(column).and_then(|v| v.as_geometry()).map(|g| g.bbox()) {
-                    if !b.is_empty() {
-                        boxes.push(b);
-                    }
+        strided_sample(table, max_sample, |row| {
+            if let Some(b) = row.get(column).and_then(|v| v.as_geometry()).map(|g| g.bbox()) {
+                if !b.is_empty() {
+                    boxes.push(b);
                 }
             }
-            slot += stride;
-        }
+        });
         if boxes.is_empty() {
             return None;
         }
@@ -466,16 +469,8 @@ impl TableStats {
     pub fn analyze(table: &Table, max_sample: usize) -> TableStats {
         let rows = table.len() as u64;
         let arity = table.schema().arity();
-        let hwm = table.high_water_mark();
-        let stride = if max_sample == 0 { hwm } else { (hwm / max_sample.max(1)).max(1) };
         let mut sample: Vec<std::sync::Arc<[Value]>> = Vec::new();
-        let mut slot = 0usize;
-        while slot < hwm {
-            if let Some((_, row)) = table.scan_slots(slot, slot + stride).next() {
-                sample.push(row);
-            }
-            slot += stride;
-        }
+        strided_sample(table, max_sample, |row| sample.push(std::sync::Arc::clone(row)));
         let sampled = sample.len().max(1) as f64;
         let scale = rows as f64 / sampled;
         let mut columns = Vec::with_capacity(arity);

@@ -399,16 +399,59 @@ impl Table {
         self.exists_at(rid, &Snapshot::LATEST)
     }
 
-    /// Full scan over rows visible to `snap`, in rowid order.
-    pub fn scan_at(&self, snap: Snapshot) -> TableScan<'_> {
-        TableScan { table: self, next: 0, snap }
+    /// Visit the versions visible to `snap` in slots `[from, to)`, in
+    /// slot order, passing each to `f` borrowed — the scan counterpart
+    /// of [`Table::get_many_at`]. Visibility is decided under one
+    /// status-table read lock per 1 024 slots (one per call for ranges
+    /// that short), and the visible rows examined are
+    /// charged to `rows_scanned` once per call; a scan charges no
+    /// `row_fetches`, which count rowid fetches. Bounds clamp to the
+    /// high-water mark. `f` runs under the status lock, so it must not
+    /// touch the transaction status table.
+    pub fn scan_range_at(
+        &self,
+        from: usize,
+        to: usize,
+        snap: &Snapshot,
+        mut f: impl FnMut(RowId, &Arc<[Value]>),
+    ) {
+        let to = to.min(self.slots.len());
+        let mut scanned = 0u64;
+        let mut lo = from;
+        while lo < to {
+            let hi = (lo + SCAN_BATCH).min(to);
+            let view = self.status.view();
+            for (slot, chain) in self.slots[lo..hi].iter().enumerate() {
+                if let Some(v) = chain.iter().rev().find(|v| v.visible_in(snap, &view)) {
+                    scanned += 1;
+                    f(RowId::new((lo + slot) as u64), &v.row);
+                }
+            }
+            lo = hi;
+        }
+        Counters::add(&self.counters.rows_scanned, scanned);
     }
 
-    /// Full scan over live rows (latest-committed) in rowid order.
-    pub fn scan(&self) -> TableScan<'_> {
+    /// Every row visible to `snap` as an owned `(rowid, row)` handle, in
+    /// rowid order ([`Table::scan_range_at`] over the whole table).
+    pub fn scan_at(&self, snap: Snapshot) -> std::vec::IntoIter<(RowId, Arc<[Value]>)> {
+        let mut rows = Vec::new();
+        self.scan_range_at(0, self.slots.len(), &snap, |rid, row| {
+            rows.push((rid, Arc::clone(row)))
+        });
+        rows.into_iter()
+    }
+
+    /// Every live row (latest-committed) in rowid order.
+    pub fn scan(&self) -> std::vec::IntoIter<(RowId, Arc<[Value]>)> {
         self.scan_at(Snapshot::LATEST)
     }
 }
+
+/// Slots per status-table read lock in [`Table::scan_range_at`]: long
+/// enough to amortize the lock, short enough that a commit waiting for
+/// it is not held up behind a whole-table scan.
+const SCAN_BATCH: usize = 1024;
 
 /// The pruning rule of [`Table::prune`] on one chain: drop versions
 /// whose creator aborted or whose deleter committed at or below
@@ -436,80 +479,6 @@ fn prune_chain(chain: &mut Vec<Version>, status: &TxnStatusTable, horizon: Csn) 
         *chain = Vec::new();
     }
     (before - chain.len()) as u64
-}
-
-/// Iterator over `(RowId, row)` pairs of rows visible to a snapshot.
-pub struct TableScan<'a> {
-    table: &'a Table,
-    next: usize,
-    snap: Snapshot,
-}
-
-impl<'a> TableScan<'a> {
-    fn bounded(self, end: usize) -> BoundedScan<'a> {
-        BoundedScan { inner: self, end }
-    }
-
-    fn visible_at(&self, slot: usize) -> Option<Arc<[Value]>> {
-        self.table.slots[slot]
-            .iter()
-            .rev()
-            .find(|v| v.visible(&self.snap, &self.table.status))
-            .map(|v| Arc::clone(&v.row))
-    }
-}
-
-impl<'a> Iterator for TableScan<'a> {
-    type Item = (RowId, Arc<[Value]>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.next < self.table.slots.len() {
-            let slot = self.next;
-            self.next += 1;
-            if let Some(row) = self.visible_at(slot) {
-                Counters::bump(&self.table.counters.rows_scanned);
-                return Some((RowId::new(slot as u64), row));
-            }
-        }
-        None
-    }
-}
-
-/// A [`TableScan`] with an exclusive upper slot bound.
-pub struct BoundedScan<'a> {
-    inner: TableScan<'a>,
-    end: usize,
-}
-
-impl<'a> Iterator for BoundedScan<'a> {
-    type Item = (RowId, Arc<[Value]>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.inner.next < self.end {
-            let slot = self.inner.next;
-            self.inner.next += 1;
-            if let Some(row) = self.inner.visible_at(slot) {
-                Counters::bump(&self.inner.table.counters.rows_scanned);
-                return Some((RowId::new(slot as u64), row));
-            }
-        }
-        None
-    }
-}
-
-impl Table {
-    /// Scan restricted to a contiguous slot range `[from, to)` — the
-    /// primitive parallel table-function slaves use to read the chunk of
-    /// an input cursor they pulled from the work-stealing queue.
-    pub fn scan_slots(&self, from: usize, to: usize) -> BoundedScan<'_> {
-        self.scan_slots_at(from, to, Snapshot::LATEST)
-    }
-
-    /// [`Table::scan_slots`] at an explicit snapshot.
-    pub fn scan_slots_at(&self, from: usize, to: usize, snap: Snapshot) -> BoundedScan<'_> {
-        TableScan { table: self, next: from.min(self.slots.len()), snap }
-            .bounded(to.min(self.slots.len()))
-    }
 }
 
 #[cfg(test)]
@@ -575,12 +544,33 @@ mod tests {
         for i in 0..10 {
             t.insert(row(i, "x")).unwrap();
         }
-        let ids: Vec<i64> = t.scan_slots(3, 6).map(|(_, r)| r[0].as_integer().unwrap()).collect();
-        assert_eq!(ids, vec![3, 4, 5]);
+        let ids = |from, to| {
+            let mut ids = Vec::new();
+            t.scan_range_at(from, to, &Snapshot::LATEST, |_, r| {
+                ids.push(r[0].as_integer().unwrap())
+            });
+            ids
+        };
+        assert_eq!(ids(3, 6), vec![3, 4, 5]);
         // bounds clamp to table size
-        let ids: Vec<i64> = t.scan_slots(8, 100).map(|(_, r)| r[0].as_integer().unwrap()).collect();
-        assert_eq!(ids, vec![8, 9]);
-        assert_eq!(t.scan_slots(5, 5).count(), 0);
+        assert_eq!(ids(8, 100), vec![8, 9]);
+        assert!(ids(5, 5).is_empty());
+    }
+
+    #[test]
+    fn range_scan_charges_visible_rows_once_per_call() {
+        let mut t = table();
+        for i in 0..(2 * SCAN_BATCH as i64 + 5) {
+            t.insert(row(i, "x")).unwrap();
+        }
+        t.delete(RowId::new(7)).unwrap();
+        let (scanned, fetched) = (&t.counters().rows_scanned, &t.counters().row_fetches);
+        let (s0, f0) = (Counters::get(scanned), Counters::get(fetched));
+        let mut seen = 0;
+        t.scan_range_at(0, usize::MAX, &Snapshot::LATEST, |_, _| seen += 1);
+        assert_eq!(seen, 2 * SCAN_BATCH + 4, "the tombstone is skipped across batches");
+        assert_eq!(Counters::get(scanned) - s0, seen as u64, "visible rows examined");
+        assert_eq!(Counters::get(fetched), f0, "a scan is not a rowid fetch");
     }
 
     #[test]

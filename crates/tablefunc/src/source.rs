@@ -2,7 +2,7 @@
 
 use crate::row::Row;
 use parking_lot::RwLock;
-use sdo_storage::{RowId, Snapshot, Table, Value};
+use sdo_storage::{Snapshot, Table, Value};
 use std::sync::Arc;
 
 /// A cursor handing rows to a table function, batch at a time.
@@ -57,7 +57,8 @@ impl RowSource for VecSource {
 /// A cursor scanning a slot range of a shared heap table, prepending
 /// the rowid as the first output column.
 ///
-/// Locks the table per batch, so concurrent readers and the scan
+/// Locks the table per batch and reads it with
+/// [`Table::scan_range_at`], so concurrent readers and the scan
 /// interleave. The cursor carries an MVCC [`Snapshot`]
 /// ([`Snapshot::LATEST`] unless pinned via [`TableCursor::at_snapshot`]),
 /// so a pinned scan is Oracle's consistent-read cursor: writers may
@@ -112,11 +113,11 @@ impl RowSource for TableCursor {
         let table = self.table.read();
         let end = self.end_slot.min(table.high_water_mark());
         let mut out = Vec::with_capacity(max.min(64));
+        // A window never holds more slots than rows still wanted, so
+        // the batch cannot overshoot `max`.
         while self.next_slot < end && out.len() < max {
-            let slot = self.next_slot;
-            self.next_slot += 1;
-            let rid = RowId::new(slot as u64);
-            if let Ok(row) = table.get_at(rid, &self.snap) {
+            let to = end.min(self.next_slot + (max - out.len()));
+            table.scan_range_at(self.next_slot, to, &self.snap, |rid, row| {
                 let mut r: Row = Vec::with_capacity(1 + row.len());
                 r.push(Value::RowId(rid));
                 match &self.projection {
@@ -124,7 +125,8 @@ impl RowSource for TableCursor {
                     Some(cols) => r.extend(cols.iter().map(|&c| row[c].clone())),
                 }
                 out.push(r);
-            }
+            });
+            self.next_slot = to;
         }
         out
     }
@@ -133,7 +135,7 @@ impl RowSource for TableCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdo_storage::{DataType, Schema};
+    use sdo_storage::{DataType, RowId, Schema};
 
     fn sample_table() -> Arc<RwLock<Table>> {
         let mut t = Table::new("t", Schema::of(&[("ID", DataType::Integer)]));

@@ -505,6 +505,35 @@ fn nested_loop_profile_reports_strategy_and_counters() {
     );
 }
 
+/// An unindexed `DELETE … WHERE id = ?` is one `TABLE SCAN` leaf with
+/// the predicate pushed into it: it examines every live row once
+/// (`rows_scanned`), outputs the one row that matches, fetches no row
+/// by rowid, and there is no separate `FILTER` node. Tombstones are not
+/// examined rows.
+#[test]
+fn unindexed_delete_scans_each_live_row_once_with_the_filter_in_the_scan() {
+    let db = Database::new();
+    load_grid(&db, "grid", 300);
+    db.execute("DELETE FROM grid WHERE id >= 290").unwrap();
+    let live = 290;
+    db.execute("PREPARE d AS DELETE FROM grid WHERE id = ?").unwrap();
+    let out = db.execute("EXPLAIN ANALYZE EXECUTE d(17)").unwrap();
+    let text: Vec<String> = out.rows.iter().map(|r| r[0].as_text().unwrap().to_string()).collect();
+    let profile = db.last_profile().unwrap();
+    let scan = profile.root.find("TABLE SCAN GRID").expect("a table scan leaf");
+    assert_eq!(scan.rows, 1, "one output row: {text:?}");
+    assert_eq!(scan.metric("rows_scanned"), Some(live), "{:?}", scan.metrics);
+    assert_eq!(scan.metric("row_fetches").unwrap_or(0), 0, "{:?}", scan.metrics);
+    assert!(
+        scan.attrs.iter().any(|(k, v)| k == "filter" && v == "ID = 17"),
+        "the pushed predicate renders on the scan: {:?}",
+        scan.attrs
+    );
+    assert!(profile.root.find("FILTER").is_none(), "no separate filter node: {text:?}");
+    let left = db.execute("SELECT COUNT(*) FROM grid WHERE id = 17").unwrap();
+    assert_eq!(left.rows, vec![vec![Value::Integer(0)]]);
+}
+
 /// A morsel-parallel scan renders as an EXCHANGE with per-worker
 /// children whose tallies reconcile exactly: worker rows sum to the
 /// statement cardinality, morsels_executed sums to the morsel count,

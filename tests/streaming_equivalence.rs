@@ -506,3 +506,42 @@ fn execute_reresolves_dop_from_session_options() {
         profile.render_text()
     );
 }
+
+#[path = "common/unindexed.rs"]
+#[allow(dead_code)] // the MVCC suite uses the rest
+mod unindexed;
+
+/// Unindexed `SELECT`, `COUNT(*)`, `UPDATE` and `DELETE` under each
+/// WHERE clause the scan evaluates in place (see `common/unindexed.rs`),
+/// in autocommit at dop 1 and 4 with 8-row morsels, so the exchange's
+/// morsel scan runs too: every answer, and the table after each write,
+/// equals the brute-force oracle.
+#[test]
+fn unindexed_scans_match_brute_force_in_autocommit_at_every_dop() {
+    sdo_dbms::set_morsel_rows(8);
+    let fresh = |dop: usize| {
+        let db = std::sync::Arc::new(Database::new());
+        sdo_core::register_spatial(&db);
+        let s = db.session();
+        s.execute(&format!("ALTER SESSION SET parallel_dop = {dop}")).unwrap();
+        let model = unindexed::load(&s);
+        (s, model)
+    };
+    let (s, base) = fresh(4);
+    let plan = s.execute("EXPLAIN ANALYZE SELECT id FROM u WHERE score < 5").unwrap();
+    let plan: Vec<String> = plan.rows.iter().map(|r| r[0].to_string()).collect();
+    assert!(plan.iter().any(|l| l.contains("EXCHANGE")), "dop 4 runs the exchange: {plan:?}");
+    for dop in [1, 4] {
+        for w in unindexed::wheres(&base) {
+            let (s, mut model) = fresh(dop);
+            let ctx = format!("dop {dop}");
+            unindexed::check_reads(&s, &w, &model, &ctx);
+            unindexed::update(&s, &w, &mut model, &ctx);
+            unindexed::check_table(&s, &model, &ctx);
+            unindexed::check_reads(&s, &w, &model, &ctx);
+            unindexed::delete(&s, &w, &mut model, &ctx);
+            unindexed::check_table(&s, &model, &ctx);
+            unindexed::check_reads(&s, &w, &model, &ctx);
+        }
+    }
+}

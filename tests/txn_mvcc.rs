@@ -575,3 +575,63 @@ fn moved_row_joins_exactly_once_for_its_writer_and_for_others() {
         writer.execute("ROLLBACK").unwrap();
     }
 }
+
+#[path = "common/unindexed.rs"]
+mod unindexed;
+
+/// Unindexed `SELECT`, `COUNT(*)`, `UPDATE` and `DELETE` under each
+/// WHERE clause the scan evaluates in place (see `common/unindexed.rs`),
+/// at dop 1 and 4 with 8-row morsels. Session `a` runs them inside a
+/// transaction that has made its own inserts, updates and deletes; `b`
+/// reads beside it, then pins a snapshot with `BEGIN` and keeps it
+/// across `a`'s commit. Each answer equals the brute-force oracle over
+/// the rows that session may see.
+#[test]
+fn unindexed_scans_see_own_writes_and_keep_a_pinned_snapshot() {
+    sdo_dbms::set_morsel_rows(8);
+    let fresh = |dop: usize| {
+        let db = Arc::new(session());
+        let (a, b) = (db.session(), db.session());
+        for s in [&a, &b] {
+            s.execute(&format!("ALTER SESSION SET parallel_dop = {dop}")).unwrap();
+        }
+        let base = unindexed::load(&a);
+        (a, b, base)
+    };
+    let wheres = unindexed::wheres(&fresh(1).2);
+    for dop in [1, 4] {
+        for w in &wheres {
+            let (a, b, base) = fresh(dop);
+            let ctx = |who: &str| format!("dop {dop}, {who}");
+
+            a.execute("BEGIN").unwrap();
+            let mut mine = base.clone();
+            for r in unindexed::rows(100, 6, 9) {
+                unindexed::insert(&a, &r);
+                mine.push(r);
+            }
+            a.execute("UPDATE u SET score = 1, name = 'n2' WHERE id < 6").unwrap();
+            for r in mine.iter_mut().filter(|r| r.id < 6) {
+                (r.score, r.name) = (Some(1), Some("n2".into()));
+            }
+            a.execute("DELETE FROM u WHERE id >= 40 AND id < 44").unwrap();
+            mine.retain(|r| !(40..44).contains(&r.id));
+            unindexed::check_reads(&a, w, &mine, &ctx("own writes"));
+            unindexed::check_reads(&b, w, &base, &ctx("beside an open transaction"));
+
+            b.execute("BEGIN").unwrap();
+            unindexed::check_reads(&b, w, &base, &ctx("pinned reader"));
+            unindexed::update(&a, w, &mut mine, &ctx("own writes"));
+            unindexed::check_reads(&a, w, &mine, &ctx("own writes, updated"));
+            unindexed::delete(&a, w, &mut mine, &ctx("own writes"));
+            unindexed::check_table(&a, &mine, &ctx("own writes"));
+            a.execute("COMMIT").unwrap();
+
+            unindexed::check_reads(&b, w, &base, &ctx("pinned reader after the commit"));
+            unindexed::check_table(&b, &base, &ctx("pinned reader after the commit"));
+            b.execute("COMMIT").unwrap();
+            unindexed::check_reads(&b, w, &mine, &ctx("after the pin"));
+            unindexed::check_table(&b, &mine, &ctx("after the pin"));
+        }
+    }
+}
