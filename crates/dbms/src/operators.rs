@@ -160,6 +160,20 @@ pub(crate) type JoinedBatch = Vec<Vec<RelRow>>;
 pub(crate) trait BatchOp {
     fn next_batch(&mut self) -> Result<JoinedBatch, DbError>;
     fn close(&mut self);
+
+    /// How many rows the operator has left to produce, drained to
+    /// exhaustion. A table scan overrides it to count the rows that
+    /// pass its predicates without copying them.
+    fn count_rows(&mut self) -> Result<u64, DbError> {
+        let mut n = 0;
+        loop {
+            let batch = self.next_batch()?;
+            if batch.is_empty() {
+                return Ok(n);
+            }
+            n += batch.len() as u64;
+        }
+    }
 }
 
 pub(crate) fn empty_joined(width: usize) -> Vec<RelRow> {
@@ -240,24 +254,57 @@ impl<'a> TableScanExec<'a> {
         }
         Ok(out)
     }
+
+    /// Count the rest of the table's passing rows, window by window.
+    fn count_rest(&mut self) -> Result<u64, DbError> {
+        let eval = self.filter.get(self.db, self.snap)?;
+        let mut n = 0;
+        while self.next < self.end {
+            let to = self.end.min(self.next + BATCH_ROWS);
+            n += count_span(
+                &self.table,
+                HeapSpan::Slots(self.next, to),
+                &self.snap,
+                eval,
+                self.slot,
+            )?;
+            self.next = to;
+        }
+        Ok(n)
+    }
+
+    /// Run `read` with this scan's counters and wall time charged to
+    /// its profile node.
+    fn profiled<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, DbError>,
+    ) -> Result<T, DbError> {
+        let t0 = self.node.as_ref().map(|_| Instant::now());
+        let before = self.node.as_ref().map(|_| self.db.counters().snapshot());
+        let res = read(self);
+        if let (Some(n), Some(b)) = (&self.node, &before) {
+            n.add_metric_deltas(&self.db.counters().diff(b).pairs());
+            n.add_wall(t0.expect("timed with the node").elapsed());
+        }
+        res
+    }
 }
 
 impl BatchOp for TableScanExec<'_> {
     fn next_batch(&mut self) -> Result<JoinedBatch, DbError> {
-        let t0 = self.node.as_ref().map(|_| Instant::now());
-        let before = self.node.as_ref().map(|_| self.db.counters().snapshot());
-        let res = self.fill();
-        if let (Some(n), Some(b)) = (&self.node, &before) {
-            n.add_metric_deltas(&self.db.counters().diff(b).pairs());
-        }
-        let out = res?;
-        match (&self.node, t0) {
-            // The call that finds the table exhausted still read the
-            // windows a selective filter emptied: time it.
-            (Some(n), Some(t0)) if out.is_empty() => n.add_wall(t0.elapsed()),
-            _ => note_batch(&self.node, out.len(), t0),
+        // The call that finds the table exhausted still read the
+        // windows a selective filter emptied: it is timed too.
+        let out = self.profiled(Self::fill)?;
+        if !out.is_empty() {
+            note_batch(&self.node, out.len(), None);
         }
         Ok(out)
+    }
+
+    fn count_rows(&mut self) -> Result<u64, DbError> {
+        let n = self.profiled(Self::count_rest)?;
+        note_batch(&self.node, n as usize, None);
+        Ok(n)
     }
 
     fn close(&mut self) {
@@ -295,31 +342,7 @@ pub(crate) fn read_span(
     width: usize,
     out: &mut JoinedBatch,
 ) -> Result<(), DbError> {
-    let mut kept: Vec<(RowId, Arc<[Value]>)> = Vec::new();
-    let mut failure = None;
-    {
-        let t = table.read();
-        let mut visit = |rid: RowId, row: &Arc<[Value]>| {
-            if failure.is_none() {
-                match eval.pre_passes(&HeapRow { rel, rid, values: row }) {
-                    Ok(true) => kept.push((rid, Arc::clone(row))),
-                    Ok(false) => {}
-                    Err(e) => failure = Some(e),
-                }
-            }
-        };
-        match span {
-            HeapSpan::Slots(from, to) => t.scan_range_at(from, to, snap, visit),
-            HeapSpan::Rowids(rids) => t.get_many_at(rids, snap, |rid, row| {
-                if let Some(row) = row {
-                    visit(rid, row)
-                }
-            }),
-        }
-    }
-    if let Some(e) = failure {
-        return Err(e);
-    }
+    let kept = pre_passing(table, span, snap, eval, rel)?;
     out.reserve(kept.len());
     for (rid, row) in kept {
         if eval.post_passes(&HeapRow { rel, rid, values: &row })? {
@@ -331,13 +354,70 @@ pub(crate) fn read_span(
     Ok(())
 }
 
-/// The conjuncts pushed into a scan, as `EXPLAIN ANALYZE` shows them.
-fn filter_text(metas: &[RelMeta], spatial: &[SpatialPred], residual: &[Predicate]) -> String {
+/// How many rows of `span` [`read_span`] would keep, built into no
+/// [`RelRow`]: the costly conjuncts run on the kept handles.
+fn count_span(
+    table: &RwLock<Table>,
+    span: HeapSpan<'_>,
+    snap: &Snapshot,
+    eval: &FilterEval,
+    rel: usize,
+) -> Result<u64, DbError> {
+    let mut n = 0;
+    for (rid, row) in pre_passing(table, span, snap, eval, rel)? {
+        n += u64::from(eval.post_passes(&HeapRow { rel, rid, values: &row })?);
+    }
+    Ok(n)
+}
+
+/// Versions kept past the table lock: each rowid with a handle on its
+/// values, not a copy.
+type Handles = Vec<(RowId, Arc<[Value]>)>;
+
+/// Handles of the versions in `span` visible to `snap` that pass
+/// `eval`'s cheap conjuncts, in span order, read under one table lock.
+fn pre_passing(
+    table: &RwLock<Table>,
+    span: HeapSpan<'_>,
+    snap: &Snapshot,
+    eval: &FilterEval,
+    rel: usize,
+) -> Result<Handles, DbError> {
+    let mut kept = Vec::new();
+    let mut failure = None;
+    let t = table.read();
+    let mut visit = |rid: RowId, row: &Arc<[Value]>| {
+        if failure.is_none() {
+            match eval.pre_passes(&HeapRow { rel, rid, values: row }) {
+                Ok(true) => kept.push((rid, Arc::clone(row))),
+                Ok(false) => {}
+                Err(e) => failure = Some(e),
+            }
+        }
+    };
+    match span {
+        HeapSpan::Slots(from, to) => t.scan_range_at(from, to, snap, visit),
+        HeapSpan::Rowids(rids) => t.get_many_at(rids, snap, |rid, row| {
+            if let Some(row) = row {
+                visit(rid, row)
+            }
+        }),
+    }
+    failure.map_or(Ok(kept), Err)
+}
+
+/// The conjuncts pushed into a scan, as `EXPLAIN` and `EXPLAIN
+/// ANALYZE` show them.
+pub(crate) fn filter_text<'p>(
+    metas: &[RelMeta],
+    spatial: &[SpatialPred],
+    residual: impl IntoIterator<Item = &'p Predicate>,
+) -> String {
     let spatial = spatial.iter().map(|p| {
         let (r, c) = p.target;
         format!("{}({}.{}, …)", p.name, metas[r].binding, metas[r].columns[c])
     });
-    let residual = residual.iter().map(|p| match p {
+    let residual = residual.into_iter().map(|p| match p {
         Predicate::Compare { left, op, right } => {
             format!("{} {} {}", expr_text(left), op.symbol(), expr_text(right))
         }
@@ -1576,17 +1656,10 @@ impl SelectStream<'_> {
 
     fn run_inner(&mut self) -> Result<QueryResult, DbError> {
         if self.count_star {
-            let mut n: i64 = 0;
-            loop {
-                let batch = self.root.next_batch()?;
-                if batch.is_empty() {
-                    break;
-                }
-                n += batch.len() as i64;
-            }
+            let n = self.root.count_rows()?;
             return Ok(QueryResult {
                 columns: self.columns.clone(),
-                rows: vec![vec![Value::Integer(n)]],
+                rows: vec![vec![Value::Integer(n as i64)]],
             });
         }
         let mut rows = Vec::new();

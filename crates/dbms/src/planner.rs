@@ -429,23 +429,23 @@ fn join_pairs(
 /// What the planner extracted from the WHERE clause. Mirrors the
 /// executor's classification, but tolerant: anything that fails to
 /// classify (e.g. a spatial predicate over a table-function column
-/// whose schema is unknown pre-instantiation) is counted as residual.
+/// whose schema is unknown pre-instantiation) is kept as residual.
 struct Conjuncts<'a> {
     rowid_pair: Option<&'a Select>,
     spatial: Vec<SpatialPred>,
-    residual: usize,
+    residual: Vec<&'a Predicate>,
 }
 
 fn classify_conjuncts<'a>(db: &Database, metas: &[RelMeta], sel: &'a Select) -> Conjuncts<'a> {
     let op_names = db.operator_names();
-    let mut out = Conjuncts { rowid_pair: None, spatial: Vec::new(), residual: 0 };
+    let mut out = Conjuncts { rowid_pair: None, spatial: Vec::new(), residual: Vec::new() };
     for p in &sel.where_clause {
         match p {
             Predicate::RowidPairIn { subquery, .. } => {
                 if out.rowid_pair.is_none() {
                     out.rowid_pair = Some(subquery);
                 } else {
-                    out.residual += 1;
+                    out.residual.push(p);
                 }
             }
             Predicate::Compare { left: Expr::FnCall { name, args }, op, right }
@@ -455,10 +455,10 @@ fn classify_conjuncts<'a>(db: &Database, metas: &[RelMeta], sel: &'a Select) -> 
             {
                 match classify_spatial(metas, name, args) {
                     Ok(sp) => out.spatial.push(sp),
-                    Err(_) => out.residual += 1,
+                    Err(_) => out.residual.push(p),
                 }
             }
-            _ => out.residual += 1,
+            _ => out.residual.push(p),
         }
     }
     out
@@ -957,15 +957,28 @@ pub(crate) fn plan_select(
         cost += if use_index { index_cost } else { scan_cost };
         rows *= sel_frac;
     }
-    if conj.residual > 0 {
+    if !conj.residual.is_empty() {
         // Residual comparisons: the classic 1/3 guess per conjunct.
-        for _ in 0..conj.residual {
+        for _ in &conj.residual {
             cost += rows * C_ROW;
             rows /= 3.0;
         }
-        notes.push(format!("{} residual conjunct(s) sel=0.333 each", conj.residual));
+        notes.push(format!("{} residual conjunct(s) sel=0.333 each", conj.residual.len()));
     }
-    if !notes.is_empty() {
+    // One base table read by a table scan tests the conjuncts inside
+    // the scan, as the executor runs it; above anything else they are
+    // a FILTER stage.
+    let scan_filters = sel.from.len() == 1
+        && matches!(sel.from[0], FromItem::Table { .. })
+        && conj.rowid_pair.is_none()
+        && join_pred.is_none()
+        && index_scans.is_empty();
+    if !notes.is_empty() && scan_filters {
+        let filter =
+            crate::operators::filter_text(&metas, &conj.spatial, conj.residual.iter().copied());
+        core.reason = format!("{}; filter={filter}; {}", core.reason, notes.join("; "));
+        (core.est_rows, core.est_cost) = (rows, cost);
+    } else if !notes.is_empty() {
         let mut f = PlanNode::new("FILTER", rows, cost, notes.join("; "));
         f.children.push(core);
         core = f;

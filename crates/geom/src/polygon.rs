@@ -68,14 +68,8 @@ impl Ring {
 
     /// Shoelace signed area: positive for counterclockwise rings.
     pub fn signed_area(&self) -> f64 {
-        let n = self.points.len();
-        let mut sum = 0.0;
-        for i in 0..n {
-            let a = &self.points[i];
-            let b = &self.points[(i + 1) % n];
-            sum += a.cross(b);
-        }
-        sum / 2.0
+        let next = self.points[1..].iter().chain(&self.points[..1]);
+        self.points.iter().zip(next).fold(0.0, |sum, (a, b)| sum + a.cross(b)) / 2.0
     }
 
     /// Unsigned enclosed area.

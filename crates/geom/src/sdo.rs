@@ -14,6 +14,11 @@
 //! segments), `1003`/`2003` (exterior/interior polygon ring) with
 //! interpretation `1` (vertex-connected) or `3` (axis-aligned rectangle
 //! given by two corner ordinate pairs).
+//!
+//! The mapping between typed geometries and these arrays exists once
+//! in each direction, whether the arrays are [`SdoGeometry`]'s vectors
+//! or the bytes of [`crate::codec`]: one element walk writes them, and
+//! one element assembler reads and validates them.
 
 use crate::error::GeomError;
 use crate::geometry::Geometry;
@@ -63,18 +68,6 @@ pub struct SdoGeometry {
 }
 
 impl SdoGeometry {
-    /// Dimensionality encoded in the gtype (`d` digit).
-    #[inline]
-    pub fn dims(&self) -> u32 {
-        self.gtype / 1000
-    }
-
-    /// Geometry-type code (`tt` digits).
-    #[inline]
-    pub fn type_code(&self) -> u32 {
-        self.gtype % 100
-    }
-
     /// Number of `(offset, etype, interpretation)` triplets.
     #[inline]
     pub fn num_elements(&self) -> usize {
@@ -83,45 +76,13 @@ impl SdoGeometry {
 
     /// Encode a typed geometry.
     pub fn from_geometry(g: &Geometry) -> SdoGeometry {
-        let mut enc = Encoder::default();
-        match g {
-            Geometry::Point(p) => {
-                enc.element(ETYPE_POINT, 1);
-                enc.push_point(p);
-                enc.finish(TT_POINT)
-            }
-            Geometry::MultiPoint(m) => {
-                // Oracle encodes a point cluster as one element whose
-                // interpretation is the point count.
-                enc.element(ETYPE_POINT, m.points().len() as u32);
-                for p in m.points() {
-                    enc.push_point(p);
-                }
-                enc.finish(TT_MULTIPOINT)
-            }
-            Geometry::LineString(l) => {
-                enc.element(ETYPE_LINE, INTERP_STRAIGHT);
-                enc.push_points(l.points());
-                enc.finish(TT_LINE)
-            }
-            Geometry::MultiLineString(m) => {
-                for l in m.lines() {
-                    enc.element(ETYPE_LINE, INTERP_STRAIGHT);
-                    enc.push_points(l.points());
-                }
-                enc.finish(TT_MULTILINE)
-            }
-            Geometry::Polygon(p) => {
-                enc.push_polygon(p);
-                enc.finish(TT_POLYGON)
-            }
-            Geometry::MultiPolygon(m) => {
-                for p in m.polygons() {
-                    enc.push_polygon(p);
-                }
-                enc.finish(TT_MULTIPOLYGON)
-            }
-        }
+        let mut sdo =
+            SdoGeometry { gtype: gtype_of(g), elem_info: Vec::new(), ordinates: Vec::new() };
+        for_each_element(g, |e| {
+            sdo.elem_info.extend_from_slice(&[sdo.ordinates.len() as u32 + 1, e.etype, e.interp]);
+            sdo.ordinates.extend(e.vertices().flat_map(|p| [p.x, p.y]));
+        });
+        sdo
     }
 
     /// Convenience: an axis-aligned rectangle polygon using Oracle's
@@ -136,170 +97,212 @@ impl SdoGeometry {
 
     /// Decode into a typed geometry, validating the encoding.
     pub fn to_geometry(&self) -> Result<Geometry, GeomError> {
-        if self.dims() != 2 {
-            return Err(GeomError::InvalidSdo(format!(
-                "only 2-D geometries supported, gtype={}",
-                self.gtype
-            )));
-        }
-        if !self.elem_info.len().is_multiple_of(3) || self.elem_info.is_empty() {
-            return Err(GeomError::InvalidSdo(
-                "elem_info length must be a positive multiple of 3".into(),
-            ));
-        }
-        if !self.ordinates.len().is_multiple_of(2) {
-            return Err(GeomError::InvalidSdo("odd ordinate count".into()));
-        }
-        if self.ordinates.iter().any(|v| !v.is_finite()) {
-            return Err(GeomError::NonFiniteCoordinate);
-        }
-        let elems = self.decode_elements()?;
-        self.assemble(elems)
+        assemble(self)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Typed geometry -> arrays
+// ---------------------------------------------------------------------------
+
+/// The `SDO_GTYPE` of a typed geometry.
+pub(crate) fn gtype_of(g: &Geometry) -> u32 {
+    2000 + match g {
+        Geometry::Point(_) => TT_POINT,
+        Geometry::LineString(_) => TT_LINE,
+        Geometry::Polygon(_) => TT_POLYGON,
+        Geometry::MultiPoint(_) => TT_MULTIPOINT,
+        Geometry::MultiLineString(_) => TT_MULTILINE,
+        Geometry::MultiPolygon(_) => TT_MULTIPOLYGON,
+    }
+}
+
+/// One element of a typed geometry's encoding: its `elem_info` etype
+/// and interpretation, and the vertices it writes to the ordinates.
+pub(crate) struct ElementRun<'a> {
+    pub(crate) etype: u32,
+    pub(crate) interp: u32,
+    points: &'a [Point],
+    /// Written closed: the first vertex again after the last.
+    closed: bool,
+}
+
+impl<'a> ElementRun<'a> {
+    /// How many ordinates the element writes.
+    pub(crate) fn ordinates(&self) -> usize {
+        2 * (self.points.len() + usize::from(self.closed))
     }
 
-    /// Split the ordinate array into per-element point runs.
-    fn decode_elements(&self) -> Result<Vec<Element>, GeomError> {
-        let n = self.num_elements();
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let offset = self.elem_info[3 * i] as usize;
-            let etype = self.elem_info[3 * i + 1];
-            let interp = self.elem_info[3 * i + 2];
-            if offset < 1 || offset > self.ordinates.len() || offset.is_multiple_of(2) {
-                return Err(GeomError::InvalidSdo(format!(
-                    "element {i}: bad starting offset {offset}"
-                )));
+    /// The vertices in the order they are written.
+    pub(crate) fn vertices(&self) -> impl Iterator<Item = &'a Point> {
+        self.points.iter().chain(self.points.first().filter(|_| self.closed))
+    }
+}
+
+/// Visit the elements of `g`'s encoding in `elem_info` order. Every
+/// writer of the arrays takes this one walk, so [`SdoGeometry`] and
+/// [`crate::codec::put_geometry`] emit the same elements and vertices.
+pub(crate) fn for_each_element<'a>(g: &'a Geometry, mut f: impl FnMut(ElementRun<'a>)) {
+    let run = |etype, interp, points| ElementRun { etype, interp, points, closed: false };
+    match g {
+        Geometry::Point(p) => f(run(ETYPE_POINT, 1, std::slice::from_ref(p))),
+        // Oracle encodes a point cluster as one element whose
+        // interpretation is the point count.
+        Geometry::MultiPoint(m) => f(run(ETYPE_POINT, m.points().len() as u32, m.points())),
+        Geometry::LineString(l) => f(run(ETYPE_LINE, INTERP_STRAIGHT, l.points())),
+        Geometry::MultiLineString(m) => {
+            for l in m.lines() {
+                f(run(ETYPE_LINE, INTERP_STRAIGHT, l.points()));
             }
-            let end = if i + 1 < n {
-                let next = self.elem_info[3 * (i + 1)] as usize;
-                if next <= offset {
-                    return Err(GeomError::InvalidSdo(format!(
-                        "element {}: offsets not increasing ({offset} -> {next})",
-                        i + 1
-                    )));
-                }
-                if next > self.ordinates.len() {
-                    return Err(GeomError::InvalidSdo(format!(
-                        "element {}: bad starting offset {next}",
-                        i + 1
-                    )));
-                }
-                next - 1
-            } else {
-                self.ordinates.len()
-            };
-            let ords = &self.ordinates[offset - 1..end];
-            let points: Vec<Point> = ords.chunks_exact(2).map(|c| Point::new(c[0], c[1])).collect();
-            out.push(Element { etype, interp, points });
         }
-        Ok(out)
+        Geometry::Polygon(p) => polygon_elements(p, &mut f),
+        Geometry::MultiPolygon(m) => {
+            for p in m.polygons() {
+                polygon_elements(p, &mut f);
+            }
+        }
+    }
+}
+
+/// A polygon's rings. The closing vertex is implicit in our model, so
+/// rings are written open (Oracle writes them closed, and both forms
+/// decode through [`Ring::new`]) — except a ring whose last vertex lies
+/// within tolerance of its first: [`Ring::new`] drops one such closing
+/// vertex, so written open it would lose a real one.
+fn polygon_elements<'a>(p: &'a Polygon, f: &mut impl FnMut(ElementRun<'a>)) {
+    let ring = |etype, r: &'a Ring| {
+        let points = r.points();
+        let closed = points.len() >= 2 && points[points.len() - 1].almost_eq(&points[0]);
+        ElementRun { etype, interp: INTERP_STRAIGHT, points, closed }
+    };
+    f(ring(ETYPE_EXTERIOR_RING, p.exterior()));
+    for h in p.holes() {
+        f(ring(ETYPE_INTERIOR_RING, h));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Arrays -> typed geometry
+// ---------------------------------------------------------------------------
+
+/// Read access to an encoding's three arrays wherever they are held:
+/// [`SdoGeometry`]'s vectors, or the little-endian bytes of a
+/// [`crate::codec`] frame. [`assemble`] reads either, so a geometry is
+/// validated by one body of code however it arrives.
+pub(crate) trait SdoArrays {
+    /// The `dltt` type code.
+    fn gtype(&self) -> u32;
+    /// Length of `elem_info`, in entries.
+    fn elem_info_len(&self) -> usize;
+    /// Entry `i` of `elem_info` (`i < elem_info_len()`).
+    fn elem_info(&self, i: usize) -> u32;
+    /// Length of `ordinates`, in entries.
+    fn ordinates_len(&self) -> usize;
+    /// The vertices at ordinates `2 * from .. 2 * to` (`2 * to <=
+    /// ordinates_len()`).
+    fn points(&self, from: usize, to: usize) -> impl Iterator<Item = Point>;
+}
+
+impl SdoArrays for SdoGeometry {
+    fn gtype(&self) -> u32 {
+        self.gtype
     }
 
-    fn assemble(&self, elems: Vec<Element>) -> Result<Geometry, GeomError> {
-        match self.type_code() {
-            TT_POINT => {
-                let e = single(&elems, ETYPE_POINT)?;
-                let p = e.points.first().ok_or_else(|| {
-                    GeomError::InvalidSdo("point element with no ordinates".into())
-                })?;
-                Ok(Geometry::Point(*p))
-            }
-            TT_MULTIPOINT => {
-                let mut pts = Vec::new();
-                for e in &elems {
-                    if e.etype != ETYPE_POINT {
-                        return Err(GeomError::InvalidSdo(
-                            "multipoint may only contain point elements".into(),
-                        ));
-                    }
-                    pts.extend_from_slice(&e.points);
+    fn elem_info_len(&self) -> usize {
+        self.elem_info.len()
+    }
+
+    fn elem_info(&self, i: usize) -> u32 {
+        self.elem_info[i]
+    }
+
+    fn ordinates_len(&self) -> usize {
+        self.ordinates.len()
+    }
+
+    fn points(&self, from: usize, to: usize) -> impl Iterator<Item = Point> {
+        self.ordinates[2 * from..2 * to].chunks_exact(2).map(|c| Point::new(c[0], c[1]))
+    }
+}
+
+/// Build the typed geometry an encoding describes, validating it.
+///
+/// Each element's vertices are read once, straight into the vector its
+/// ring, line or point set keeps; every ordinate must be finite, those
+/// before the first element included.
+pub(crate) fn assemble(src: &impl SdoArrays) -> Result<Geometry, GeomError> {
+    // `gtype` is `dltt`: `d` the dimensionality, `tt` the type.
+    let gtype = src.gtype();
+    if gtype / 1000 != 2 {
+        return Err(GeomError::InvalidSdo(format!("only 2-D geometries supported, gtype={gtype}")));
+    }
+    if !src.elem_info_len().is_multiple_of(3) || src.elem_info_len() == 0 {
+        return Err(GeomError::InvalidSdo(
+            "elem_info length must be a positive multiple of 3".into(),
+        ));
+    }
+    if !src.ordinates_len().is_multiple_of(2) {
+        return Err(GeomError::InvalidSdo("odd ordinate count".into()));
+    }
+    let n = src.elem_info_len() / 3;
+    let mut elems = (0..n).map(|i| element(src, i, n));
+    match gtype % 100 {
+        TT_POINT => {
+            let e = single(n, &mut elems, ETYPE_POINT)?;
+            let p = e
+                .points
+                .first()
+                .ok_or_else(|| GeomError::InvalidSdo("point element with no ordinates".into()))?;
+            Ok(Geometry::Point(*p))
+        }
+        TT_MULTIPOINT => {
+            let mut pts = Vec::new();
+            for e in elems {
+                let e = e?;
+                if e.etype != ETYPE_POINT {
+                    return Err(GeomError::InvalidSdo(
+                        "multipoint may only contain point elements".into(),
+                    ));
                 }
-                Ok(Geometry::MultiPoint(MultiPoint::new(pts)?))
-            }
-            TT_LINE => {
-                let e = single(&elems, ETYPE_LINE)?;
-                Ok(Geometry::LineString(LineString::new(e.points.clone())?))
-            }
-            TT_MULTILINE => {
-                let mut lines = Vec::new();
-                for e in &elems {
-                    if e.etype != ETYPE_LINE {
-                        return Err(GeomError::InvalidSdo(
-                            "multiline may only contain line elements".into(),
-                        ));
-                    }
-                    lines.push(LineString::new(e.points.clone())?);
-                }
-                Ok(Geometry::MultiLineString(MultiLineString::new(lines)?))
-            }
-            TT_POLYGON | TT_MULTIPOLYGON => {
-                let polys = assemble_polygons(&elems)?;
-                if self.type_code() == TT_POLYGON {
-                    if polys.len() != 1 {
-                        return Err(GeomError::InvalidSdo(format!(
-                            "polygon gtype with {} exterior rings",
-                            polys.len()
-                        )));
-                    }
-                    Ok(Geometry::Polygon(polys.into_iter().next().unwrap()))
+                if pts.is_empty() {
+                    pts = e.points;
                 } else {
-                    Ok(Geometry::MultiPolygon(MultiPolygon::new(polys)?))
+                    pts.extend(e.points);
                 }
             }
-            tt => Err(GeomError::InvalidSdo(format!("unsupported gtype tt={tt}"))),
+            Ok(Geometry::MultiPoint(MultiPoint::new(pts)?))
         }
-    }
-}
-
-/// Incremental builder for the `elem_info` / `ordinates` arrays.
-#[derive(Default)]
-struct Encoder {
-    elem_info: Vec<u32>,
-    ordinates: Vec<f64>,
-}
-
-impl Encoder {
-    /// Begin a new element at the current (1-based) ordinate offset.
-    fn element(&mut self, etype: u32, interp: u32) {
-        self.elem_info.extend_from_slice(&[self.ordinates.len() as u32 + 1, etype, interp]);
-    }
-
-    fn push_point(&mut self, p: &Point) {
-        self.ordinates.push(p.x);
-        self.ordinates.push(p.y);
-    }
-
-    fn push_points(&mut self, pts: &[Point]) {
-        for p in pts {
-            self.push_point(p);
+        TT_LINE => {
+            let e = single(n, &mut elems, ETYPE_LINE)?;
+            Ok(Geometry::LineString(LineString::new(e.points)?))
         }
-    }
-
-    /// Encode a polygon's rings; the ring closure vertex is implicit in
-    /// our model, so rings are written open (Oracle writes them closed,
-    /// and both forms decode through [`Ring::new`]).
-    fn push_polygon(&mut self, p: &Polygon) {
-        self.element(ETYPE_EXTERIOR_RING, INTERP_STRAIGHT);
-        self.push_ring(p.exterior());
-        for h in p.holes() {
-            self.element(ETYPE_INTERIOR_RING, INTERP_STRAIGHT);
-            self.push_ring(h);
+        TT_MULTILINE => {
+            let mut lines = Vec::with_capacity(n);
+            for e in elems {
+                let e = e?;
+                if e.etype != ETYPE_LINE {
+                    return Err(GeomError::InvalidSdo(
+                        "multiline may only contain line elements".into(),
+                    ));
+                }
+                lines.push(LineString::new(e.points)?);
+            }
+            Ok(Geometry::MultiLineString(MultiLineString::new(lines)?))
         }
-    }
-
-    /// A ring whose last vertex lies within tolerance of its first is
-    /// written closed: [`Ring::new`] drops one such closing vertex, and
-    /// written open it would drop a real one.
-    fn push_ring(&mut self, r: &Ring) {
-        let pts = r.points();
-        self.push_points(pts);
-        if pts.len() >= 2 && pts[pts.len() - 1].almost_eq(&pts[0]) {
-            self.push_point(&pts[0]);
+        TT_POLYGON => {
+            // Keep the first polygon; the count rejects any more.
+            let mut first = None;
+            match assemble_polygons(elems, |p| _ = first.get_or_insert(p))? {
+                1 => Ok(Geometry::Polygon(first.expect("one polygon"))),
+                n => Err(GeomError::InvalidSdo(format!("polygon gtype with {n} exterior rings"))),
+            }
         }
-    }
-
-    fn finish(self, tt: u32) -> SdoGeometry {
-        SdoGeometry { gtype: 2000 + tt, elem_info: self.elem_info, ordinates: self.ordinates }
+        TT_MULTIPOLYGON => {
+            let mut polys = Vec::new();
+            assemble_polygons(elems, |p| polys.push(p))?;
+            Ok(Geometry::MultiPolygon(MultiPolygon::new(polys)?))
+        }
+        tt => Err(GeomError::InvalidSdo(format!("unsupported gtype tt={tt}"))),
     }
 }
 
@@ -309,39 +312,93 @@ struct Element {
     points: Vec<Point>,
 }
 
+/// Element `i` of `n`: its offsets checked, its vertices read.
+fn element(src: &impl SdoArrays, i: usize, n: usize) -> Result<Element, GeomError> {
+    let n_ord = src.ordinates_len();
+    let offset = src.elem_info(3 * i) as usize;
+    if offset < 1 || offset > n_ord || offset.is_multiple_of(2) {
+        return Err(GeomError::InvalidSdo(format!("element {i}: bad starting offset {offset}")));
+    }
+    let end = if i + 1 < n {
+        let next = src.elem_info(3 * (i + 1)) as usize;
+        if next <= offset {
+            return Err(GeomError::InvalidSdo(format!(
+                "element {}: offsets not increasing ({offset} -> {next})",
+                i + 1
+            )));
+        }
+        if next > n_ord {
+            return Err(GeomError::InvalidSdo(format!(
+                "element {}: bad starting offset {next}",
+                i + 1
+            )));
+        }
+        next - 1
+    } else {
+        n_ord
+    };
+    // Vertices `from..to`; an odd run's last ordinate starts the next
+    // element, whose even offset that element rejects.
+    let (from, to) = ((offset - 1) / 2, end / 2);
+    if i == 0 && src.points(0, from).any(|p| !p.is_finite()) {
+        return Err(GeomError::NonFiniteCoordinate);
+    }
+    let points: Vec<Point> = src.points(from, to).collect();
+    if !points.iter().all(Point::is_finite) {
+        return Err(GeomError::NonFiniteCoordinate);
+    }
+    Ok(Element { etype: src.elem_info(3 * i + 1), interp: src.elem_info(3 * i + 2), points })
+}
+
 impl Element {
     /// Ring vertices, expanding the two-corner rectangle interpretation.
-    fn ring_points(&self) -> Result<Vec<Point>, GeomError> {
-        if self.interp == INTERP_RECTANGLE {
-            if self.points.len() != 2 {
-                return Err(GeomError::InvalidSdo(
-                    "rectangle interpretation requires exactly 2 corner points".into(),
-                ));
-            }
-            let r = Rect::from_corners(self.points[0], self.points[1]);
-            Ok(r.corners().to_vec())
-        } else {
-            Ok(self.points.clone())
+    fn ring_points(self) -> Result<Vec<Point>, GeomError> {
+        if self.interp != INTERP_RECTANGLE {
+            return Ok(self.points);
+        }
+        match self.points[..] {
+            [a, b] => Ok(Rect::from_corners(a, b).corners().to_vec()),
+            _ => Err(GeomError::InvalidSdo(
+                "rectangle interpretation requires exactly 2 corner points".into(),
+            )),
         }
     }
 }
 
-fn single(elems: &[Element], want: u32) -> Result<&Element, GeomError> {
-    if elems.len() != 1 || elems[0].etype != want {
-        return Err(GeomError::InvalidSdo(format!("expected a single element of etype {want}")));
+/// The one element of a geometry that has exactly one, of etype `want`.
+fn single(
+    n: usize,
+    elems: &mut impl Iterator<Item = Result<Element, GeomError>>,
+    want: u32,
+) -> Result<Element, GeomError> {
+    let wrong = || GeomError::InvalidSdo(format!("expected a single element of etype {want}"));
+    match (n, elems.next()) {
+        (1, Some(e)) => {
+            let e = e?;
+            if e.etype != want {
+                return Err(wrong());
+            }
+            Ok(e)
+        }
+        _ => Err(wrong()),
     }
-    Ok(&elems[0])
 }
 
-/// Group exterior rings with the interior rings that follow them.
-fn assemble_polygons(elems: &[Element]) -> Result<Vec<Polygon>, GeomError> {
-    let mut polys: Vec<Polygon> = Vec::new();
+/// Group exterior rings with the interior rings that follow them,
+/// handing each polygon to `emit`; returns how many there were.
+fn assemble_polygons(
+    elems: impl Iterator<Item = Result<Element, GeomError>>,
+    mut emit: impl FnMut(Polygon),
+) -> Result<usize, GeomError> {
+    let mut count = 0;
     let mut current: Option<(Ring, Vec<Ring>)> = None;
     for e in elems {
+        let e = e?;
         match e.etype {
             ETYPE_EXTERIOR_RING => {
                 if let Some((ext, holes)) = current.take() {
-                    polys.push(Polygon::new(ext, holes));
+                    emit(Polygon::new(ext, holes));
+                    count += 1;
                 }
                 current = Some((Ring::new(e.ring_points()?)?, Vec::new()));
             }
@@ -360,13 +417,13 @@ fn assemble_polygons(elems: &[Element]) -> Result<Vec<Polygon>, GeomError> {
             }
         }
     }
-    if let Some((ext, holes)) = current.take() {
-        polys.push(Polygon::new(ext, holes));
+    match current {
+        Some((ext, holes)) => {
+            emit(Polygon::new(ext, holes));
+            Ok(count + 1)
+        }
+        None => Err(GeomError::InvalidSdo("polygon geometry with no rings".into())),
     }
-    if polys.is_empty() {
-        return Err(GeomError::InvalidSdo("polygon geometry with no rings".into()));
-    }
-    Ok(polys)
 }
 
 #[cfg(test)]
@@ -528,6 +585,77 @@ mod tests {
         let bad =
             SdoGeometry { gtype: 2001, elem_info: vec![1, 1, 1], ordinates: vec![f64::NAN, 0.0] };
         assert_eq!(bad.to_geometry(), Err(GeomError::NonFiniteCoordinate));
+    }
+
+    #[test]
+    fn ordinates_outside_every_element_must_still_be_finite() {
+        // The element starts at ordinate 3: the pair before it belongs
+        // to no element, and a NaN there still rejects the encoding.
+        let sdo = SdoGeometry {
+            gtype: 2001,
+            elem_info: vec![3, 1, 1],
+            ordinates: vec![0.0, 0.0, 1.0, 2.0],
+        };
+        assert_eq!(sdo.to_geometry(), Ok(Geometry::Point(pt(1.0, 2.0))));
+        let bad = SdoGeometry { ordinates: vec![f64::NAN, 0.0, 1.0, 2.0], ..sdo };
+        assert_eq!(bad.to_geometry(), Err(GeomError::NonFiniteCoordinate));
+    }
+
+    #[test]
+    fn errors_are_reported_in_element_order() {
+        // Elements are read and built one at a time, so the first fault
+        // in element order is the one reported; gtype-level faults come
+        // before any element is read.
+        let cases = [
+            // A two-vertex exterior ring, then a NaN in the hole.
+            (
+                SdoGeometry {
+                    gtype: 2003,
+                    elem_info: vec![1, 1003, 1, 5, 2003, 1],
+                    ordinates: vec![0.0, 0.0, 1.0, 0.0, f64::NAN, 0.0, 1.0, 1.0, 0.0, 1.0],
+                },
+                GeomError::TooFewPoints { expected: 3, got: 2 },
+            ),
+            // A point gtype with two elements, one holding a NaN.
+            (
+                SdoGeometry {
+                    gtype: 2001,
+                    elem_info: vec![1, 1, 1, 3, 1, 1],
+                    ordinates: vec![0.0, 0.0, f64::NAN, 0.0],
+                },
+                GeomError::InvalidSdo("expected a single element of etype 1".into()),
+            ),
+            // An unsupported gtype over a NaN.
+            (
+                SdoGeometry {
+                    gtype: 2004,
+                    elem_info: vec![1, 1, 1],
+                    ordinates: vec![f64::NAN, 0.0],
+                },
+                GeomError::InvalidSdo("unsupported gtype tt=4".into()),
+            ),
+            // A one-vertex line, then an element at an even offset.
+            (
+                SdoGeometry {
+                    gtype: 2006,
+                    elem_info: vec![1, 2, 1, 4, 2, 1],
+                    ordinates: vec![0.0; 8],
+                },
+                GeomError::TooFewPoints { expected: 2, got: 1 },
+            ),
+            // An even offset into an element holding a NaN.
+            (
+                SdoGeometry {
+                    gtype: 2001,
+                    elem_info: vec![2, 1, 1],
+                    ordinates: vec![f64::NAN, 0.0],
+                },
+                GeomError::InvalidSdo("element 0: bad starting offset 2".into()),
+            ),
+        ];
+        for (sdo, want) in cases {
+            assert_eq!(sdo.to_geometry(), Err(want), "{sdo:?}");
+        }
     }
 
     #[test]

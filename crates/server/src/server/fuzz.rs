@@ -343,6 +343,42 @@ fn unmutated_frames_decode() {
     assert_eq!(decode_result(&mut d).unwrap().1.len(), 2);
 }
 
+/// A window query's answer: 20 rows of an id and a polygon of 12–30
+/// vertices (every fifth one the holed square instead).
+fn window_answer() -> (Vec<String>, Vec<Vec<Value>>) {
+    let columns = vec!["ID".to_string(), "GEOM".to_string()];
+    let polygon = |i: usize| {
+        let n = 12 + i % 19;
+        let step = std::f64::consts::TAU / n as f64;
+        let ring =
+            (0..n).map(|k| Point::new(i as f64 + (k as f64 * step).cos(), (k as f64 * step).sin()));
+        Geometry::Polygon(Polygon::from_exterior(Ring::new(ring.collect()).unwrap()))
+    };
+    let rows = (0..20)
+        .map(|i| {
+            let g = if i % 5 == 0 { polygon_with_hole() } else { polygon(i) };
+            vec![Value::Integer(i as i64), Value::geometry(g)]
+        })
+        .collect();
+    (columns, rows)
+}
+
+/// `encode_result` sizes its payload once and writes each geometry
+/// straight into it: no staging per geometry, no regrowth.
+#[test]
+fn encoding_a_result_asks_for_about_the_payloads_size() {
+    let (columns, rows) = window_answer();
+    let (payload, bytes) = allocated_by(|| crate::wire::encode_result(&columns, &rows));
+    assert!(payload.len() > 20 * 12 * 16, "{} bytes", payload.len());
+    assert!(
+        bytes <= payload.len() + payload.len() / 16,
+        "encoding a {}-byte payload asked for {bytes} bytes",
+        payload.len()
+    );
+    let (_, mut d) = Decoder::new(&payload).unwrap();
+    assert_eq!(decode_result(&mut d).unwrap(), (columns, rows));
+}
+
 // Mutations the fuzzer found failing, each replayed as its own test.
 
 /// Flips an element offset of the polygon past its ordinates: SDO

@@ -51,7 +51,7 @@
 //! against the remaining bytes, finite ordinates and element
 //! structure.
 
-use sdo_storage::snapshot::{get_value, put_value};
+use sdo_storage::snapshot::{get_value, put_value, value_len};
 use sdo_storage::Value;
 use std::io::{self, IoSlice, Read, Write};
 
@@ -374,6 +374,9 @@ pub fn encode_result(columns: &[String], rows: &[Vec<Value>]) -> Vec<u8> {
         e.str16(c);
     }
     e.u32(rows.len() as u32);
+    // The values, the bulk of the payload, are sized once: the buffer
+    // grows no further.
+    e.buf.reserve_exact(rows.iter().flatten().map(value_len).sum());
     for row in rows {
         for v in row {
             e.value(v);

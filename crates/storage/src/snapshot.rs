@@ -13,7 +13,7 @@ use crate::stats::TableStats;
 use crate::table::Table;
 use crate::value::Value;
 use crate::{RowId, StorageError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 /// Current snapshot version (the trailing magic byte). Version 2 added
 /// per-table modification counters and the persisted `ANALYZE`
@@ -36,9 +36,9 @@ fn value_err(m: impl Into<String>) -> StorageError {
 // primitives
 // ---------------------------------------------------------------------------
 
-pub(crate) fn put_str(buf: &mut impl BufMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 pub(crate) fn get_str(buf: &mut impl Buf) -> Result<String, StorageError> {
@@ -61,31 +61,44 @@ pub(crate) fn get_str(buf: &mut impl Buf) -> Result<String, StorageError> {
 /// (`f64` bits LE); 3 text (`u32` LE length + UTF-8 bytes); 4 rowid
 /// (`u64` LE); 5 geometry (`u32` LE length + [`sdo_geom::codec`]
 /// bytes).
-pub fn put_value(buf: &mut impl BufMut, v: &Value) {
+pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => buf.put_u8(0),
+        Value::Null => buf.push(0),
         Value::Integer(i) => {
-            buf.put_u8(1);
-            buf.put_i64_le(*i);
+            buf.push(1);
+            buf.extend_from_slice(&i.to_le_bytes());
         }
         Value::Double(d) => {
-            buf.put_u8(2);
-            buf.put_f64_le(*d);
+            buf.push(2);
+            buf.extend_from_slice(&d.to_le_bytes());
         }
         Value::Text(s) => {
-            buf.put_u8(3);
+            buf.push(3);
             put_str(buf, s);
         }
         Value::RowId(r) => {
-            buf.put_u8(4);
-            buf.put_u64_le(r.as_u64());
+            buf.push(4);
+            buf.extend_from_slice(&r.as_u64().to_le_bytes());
         }
         Value::Geometry(g) => {
-            buf.put_u8(5);
-            let enc = sdo_geom::codec::encode_geometry(g);
-            buf.put_u32_le(enc.len() as u32);
-            buf.put_slice(&enc);
+            buf.push(5);
+            let at = buf.len();
+            buf.extend_from_slice(&[0; 4]);
+            sdo_geom::codec::put_geometry(buf, g);
+            let len = (buf.len() - at - 4) as u32;
+            buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
         }
+    }
+}
+
+/// The number of bytes [`put_value`] writes for `v`, so a caller can
+/// size its buffer once.
+pub fn value_len(v: &Value) -> usize {
+    1 + match v {
+        Value::Null => 0,
+        Value::Integer(_) | Value::Double(_) | Value::RowId(_) => 8,
+        Value::Text(s) => 4 + s.len(),
+        Value::Geometry(g) => 4 + sdo_geom::codec::encoded_len(g),
     }
 }
 
@@ -149,7 +162,7 @@ pub(crate) fn datatype_from(tag: u8) -> Result<DataType, StorageError> {
 // tables and catalogs
 // ---------------------------------------------------------------------------
 
-fn put_table(buf: &mut BytesMut, t: &Table) {
+fn put_table(buf: &mut Vec<u8>, t: &Table) {
     put_str(buf, t.name());
     let cols = t.schema().columns();
     buf.put_u32_le(cols.len() as u32);
@@ -229,7 +242,7 @@ fn get_table(buf: &mut impl Buf, version: u8) -> Result<Table, StorageError> {
 
 /// Serialize a catalog (tables + index metadata) into snapshot bytes.
 pub fn save_catalog(catalog: &Catalog, metas: &[IndexMetadata]) -> Bytes {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     buf.put_slice(MAGIC);
     let names = catalog.table_names();
     buf.put_u32_le(names.len() as u32);
@@ -254,7 +267,7 @@ pub fn save_catalog(catalog: &Catalog, metas: &[IndexMetadata]) -> Bytes {
     for s in &stats {
         s.encode(&mut buf);
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// The index-rebuild directives recovered from a snapshot.
@@ -421,6 +434,36 @@ mod tests {
     }
 
     #[test]
+    fn value_len_is_what_put_value_writes() {
+        let hole = sdo_geom::Ring::new(vec![
+            Point::new(1.0, 1.0),
+            Point::new(1.0, 2.0),
+            Point::new(2.0, 2.0),
+            Point::new(2.0, 1.0),
+        ])
+        .unwrap();
+        let square = sdo_geom::Polygon::from_rect(&sdo_geom::Rect::new(0.0, 0.0, 4.0, 4.0));
+        let values = [
+            Value::Null,
+            Value::Integer(-3),
+            Value::Double(0.5),
+            Value::text("héllo"),
+            Value::RowId(RowId::new(9)),
+            Value::geometry(Geometry::Point(Point::new(1.0, 2.0))),
+            Value::geometry(Geometry::Polygon(sdo_geom::Polygon::new(
+                square.exterior().clone(),
+                vec![hole],
+            ))),
+        ];
+        for v in &values {
+            let mut buf = vec![0xEE];
+            put_value(&mut buf, v);
+            assert_eq!(buf.len() - 1, value_len(v), "{v:?}");
+            assert_eq!(&get_value(&mut &buf[1..]).unwrap(), v);
+        }
+    }
+
+    #[test]
     fn corruption_is_an_error_not_a_panic() {
         let cat = sample_catalog();
         let good = save_catalog(&cat, &[]);
@@ -428,9 +471,9 @@ mod tests {
             let restored = Catalog::new();
             assert!(load_catalog(&restored, good.slice(..cut)).is_err());
         }
-        let mut bad = BytesMut::from(&good[..]);
+        let mut bad = good.to_vec();
         bad[0] ^= 0xFF;
         let restored = Catalog::new();
-        assert!(load_catalog(&restored, bad.freeze()).is_err());
+        assert!(load_catalog(&restored, &bad[..]).is_err());
     }
 }

@@ -9,7 +9,7 @@ use crate::snapshot::{get_str, get_value, put_str, put_value};
 use crate::table::Table;
 use crate::value::Value;
 use crate::StorageError;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use sdo_geom::Rect;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -540,7 +540,7 @@ impl TableStats {
     }
 
     /// Serialize into `buf` (snapshot stats section, WAL `Analyze`).
-    pub fn encode(&self, buf: &mut BytesMut) {
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         put_str(buf, &self.table);
         buf.put_u64_le(self.rows);
         buf.put_u64_le(self.analyzed_mods);
@@ -804,9 +804,8 @@ mod tests {
     fn stats_encode_decode_roundtrip() {
         let t = geometry_table(120);
         let stats = TableStats::analyze(&t, 64);
-        let mut buf = BytesMut::new();
-        stats.encode(&mut buf);
-        let bytes = buf.freeze();
+        let mut bytes = Vec::new();
+        stats.encode(&mut bytes);
         let decoded = TableStats::decode(&mut &bytes[..]).unwrap();
         assert_eq!(decoded, stats);
         // Every truncation errors rather than panics.

@@ -28,7 +28,7 @@ use crate::snapshot::{datatype_from, datatype_tag, get_str, get_value, put_str, 
 use crate::stats::Counters;
 use crate::value::Value;
 use crate::{RowId, StorageError};
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -162,7 +162,7 @@ fn io(e: std::io::Error) -> StorageError {
     StorageError::Io(format!("wal: {e}"))
 }
 
-fn put_row(buf: &mut BytesMut, row: &[Value]) {
+fn put_row(buf: &mut Vec<u8>, row: &[Value]) {
     buf.put_u32_le(row.len() as u32);
     for v in row {
         put_value(buf, v);
@@ -184,7 +184,7 @@ fn get_row(buf: &mut impl Buf) -> Result<Vec<Value>, StorageError> {
 impl WalRecord {
     /// Serialize the record payload (without framing).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         match self {
             WalRecord::Begin { txid } => {
                 buf.put_u8(1);
@@ -256,7 +256,7 @@ impl WalRecord {
                 stats.encode(&mut buf);
             }
         }
-        buf.to_vec()
+        buf
     }
 
     /// Decode one record payload.

@@ -179,9 +179,17 @@ pub fn delete(s: &Session, w: &Where, model: &mut Vec<URow>, ctx: &str) {
     assert_eq!(n, vec![vec![Value::Integer(want)]], "{ctx}: DELETE … WHERE {}", w.sql);
 }
 
-/// Every row of `u` the session sees, in scan order, equals `model`.
+/// Every row of `u` the session sees, in scan order, equals `model`,
+/// and so does their count.
 pub fn check_table(s: &Session, model: &[URow], ctx: &str) {
     let got = s.execute("SELECT id, name, score FROM u").unwrap().rows;
     let want: Vec<Vec<Value>> = model.iter().map(|r| r.values()[..3].to_vec()).collect();
     assert_eq!(got, want, "{ctx}: table contents");
+    check_count(s, model, ctx);
+}
+
+/// `SELECT COUNT(*) FROM u`, unfiltered, equals the rows of `model`.
+pub fn check_count(s: &Session, model: &[URow], ctx: &str) {
+    let got = s.execute("SELECT COUNT(*) FROM u").unwrap().rows;
+    assert_eq!(got, vec![vec![Value::Integer(model.len() as i64)]], "{ctx}: COUNT(*)");
 }

@@ -534,6 +534,46 @@ fn unindexed_delete_scans_each_live_row_once_with_the_filter_in_the_scan() {
     assert_eq!(left.rows, vec![vec![Value::Integer(0)]]);
 }
 
+/// Plain `EXPLAIN` draws the operator tree `EXPLAIN ANALYZE` runs. For
+/// one table read by a table scan, the conjuncts and their estimate
+/// notes render on the `TABLE SCAN` node, with no `FILTER` above it.
+#[test]
+fn explain_draws_the_tree_explain_analyze_runs() {
+    let db = Database::new();
+    db.execute("ALTER SESSION SET parallel_dop = 1").unwrap();
+    load_grid(&db, "p2", 40);
+    let lines = |sql: String| -> Vec<String> {
+        let out = db.execute(&sql).unwrap();
+        out.rows.iter().map(|r| r[0].as_text().unwrap().to_string()).collect()
+    };
+    // (depth, operator label) of each node below the root; a plan line
+    // ends its label at " (rows=", a profile line at " rows=".
+    let shape = |lines: &[String], end: &str| -> Vec<(usize, String)> {
+        let node = |l: &String| {
+            let label = l.trim_start();
+            let cut = label.find(end).unwrap_or_else(|| panic!("no {end:?} in {l:?}"));
+            ((l.len() - label.len()) / 2, label[..cut].to_string())
+        };
+        lines[1..].iter().map(node).collect()
+    };
+    for sql in [
+        "SELECT COUNT(*) FROM p2 WHERE id = -1",
+        "SELECT COUNT(*) FROM p2 WHERE id < 5 AND SDO_AREA(geom) > 0.1",
+        "SELECT COUNT(*) FROM p2",
+    ] {
+        let plan = lines(format!("EXPLAIN {sql}"));
+        let run = lines(format!("EXPLAIN ANALYZE {sql}"));
+        let want = vec![(1, "TABLE SCAN P2".to_string())];
+        assert_eq!(shape(&plan, " (rows="), want, "EXPLAIN {sql}: {plan:#?}");
+        assert_eq!(shape(&run, " rows="), want, "EXPLAIN ANALYZE {sql}: {run:#?}");
+    }
+    let plan = lines("EXPLAIN SELECT COUNT(*) FROM p2 WHERE id = -1".into());
+    assert!(
+        plan[1].contains("filter=ID = -1; 1 residual conjunct(s) sel=0.333 each"),
+        "the conjunct and its estimate render on the scan: {plan:#?}"
+    );
+}
+
 /// A morsel-parallel scan renders as an EXCHANGE with per-worker
 /// children whose tallies reconcile exactly: worker rows sum to the
 /// statement cardinality, morsels_executed sums to the morsel count,

@@ -635,3 +635,44 @@ fn unindexed_scans_see_own_writes_and_keep_a_pinned_snapshot() {
         }
     }
 }
+
+/// `COUNT(*)` over an unindexed table: the scan counts the rows that
+/// pass its predicates without building them, unfiltered and under each
+/// WHERE clause (cheap conjuncts tested in place, costly ones on kept
+/// handles). Inside a transaction it counts that transaction's own
+/// uncommitted insert and delete, which a second session does not see,
+/// and after `ROLLBACK` neither does the first.
+#[test]
+fn count_star_counts_own_uncommitted_writes_against_brute_force() {
+    let db = Arc::new(session());
+    let (a, b) = (db.session(), db.session());
+    let base = unindexed::load(&a);
+    let wheres = unindexed::wheres(&base);
+    unindexed::check_count(&a, &base, "autocommit");
+    for w in &wheres {
+        unindexed::check_reads(&a, w, &base, "autocommit");
+    }
+
+    a.execute("BEGIN").unwrap();
+    let mut mine = base.clone();
+    let new = unindexed::rows(200, 2, 11);
+    for r in &new {
+        unindexed::insert(&a, r);
+    }
+    mine.extend(new);
+    // One of its own inserts and one committed row.
+    for id in [201, 3] {
+        let n = a.execute(&format!("DELETE FROM u WHERE id = {id}")).unwrap().rows;
+        assert_eq!(n, vec![vec![Value::Integer(1)]]);
+    }
+    mine.retain(|r| r.id != 201 && r.id != 3);
+    assert_eq!(mine.len(), base.len());
+    unindexed::check_count(&a, &mine, "own insert and delete");
+    unindexed::check_count(&b, &base, "beside an open transaction");
+    for w in &wheres {
+        unindexed::check_reads(&a, w, &mine, "own insert and delete");
+        unindexed::check_reads(&b, w, &base, "beside an open transaction");
+    }
+    a.execute("ROLLBACK").unwrap();
+    unindexed::check_count(&a, &base, "after ROLLBACK");
+}
