@@ -67,7 +67,7 @@ fn join_sql(interaction: &str, dop: usize) -> String {
 fn chosen(db: &Database) -> String {
     db.last_profile()
         .and_then(|p| {
-            p.root.find("PIPELINED COUNT").and_then(|op| {
+            p.root.find("TABLE FUNCTION SCAN SPATIAL_JOIN").and_then(|op| {
                 op.attrs.iter().find(|(k, _)| k == "method_chosen").map(|(_, v)| v.clone())
             })
         })

@@ -3,16 +3,15 @@
 //! * Statement dispatch: DDL, DML, transaction control, `ALTER SESSION`,
 //!   `PREPARE`/`EXECUTE`, `ANALYZE` and `EXPLAIN [ANALYZE]`, each under
 //!   a profile session.
-//! * SELECT entry: the pipelined `COUNT(*) FROM TABLE(...)` fast path,
-//!   else the streaming operator pipeline (`operators`), whose
-//!   join and access-path strategies the cost-based planner
-//!   (`planner`) chooses. DELETE and UPDATE find their rows
-//!   through the same scan + filter operators.
+//! * SELECT entry: the cost-based planner (`planner`) draws the one
+//!   plan of a statement, which `EXPLAIN` renders and the streaming
+//!   operator pipeline (`operators`) runs. DELETE and UPDATE find
+//!   their rows through the plan of the same one-table SELECT.
 //! * Expression evaluation shared by the planner and the operators:
 //!   constants, scalar `SDO_*` functions, the exact form of spatial
 //!   operators, predicates, column resolution and projection.
 
-use crate::db::{Database, QueryResult, TfArg};
+use crate::db::{Database, QueryResult};
 use crate::error::DbError;
 use crate::operators::{self, ExecCtx};
 use crate::session::SessionState;
@@ -25,7 +24,6 @@ use sdo_tablefunc::Row;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Execute a parsed statement on the default session.
 pub fn execute(db: &Database, stmt: &Statement) -> Result<QueryResult, DbError> {
@@ -301,17 +299,17 @@ fn execute_inner(
     }
 }
 
-/// Describe the costed plan `run_select` would execute, without
-/// executing it: the planner's operator tree with estimated rows, cost,
-/// and the reason each path was chosen. `CURSOR(...)` arguments are
-/// never evaluated.
+/// Describe the costed plan a SELECT would execute, without executing
+/// it: the planner's operator tree with estimated rows, cost, and the
+/// reason each path was chosen. Table functions are not instantiated
+/// and `CURSOR(...)` arguments never run.
 fn explain_select(
     db: &Database,
     sess: &crate::session::SessionState,
     sel: &Select,
 ) -> Result<QueryResult, DbError> {
     let env = crate::planner::PlanEnv::from_options(&sess.options.read());
-    let plan = crate::planner::plan_select(db, sel, &env)?;
+    let plan = crate::planner::plan_select(db, sel, &env, crate::planner::Binding::Explain)?;
     Ok(explain_result(plan.root.render_lines()))
 }
 
@@ -357,86 +355,9 @@ fn run_select_top(
     sel: &Select,
 ) -> Result<QueryResult, DbError> {
     let ctx = ExecCtx::new(db, sess);
-    let res = run_select(&ctx, sel);
+    let res = operators::run_select(&ctx, sel);
     note_peak_resident(&ctx);
     res
-}
-
-/// Evaluate table-function arguments: scalars as constants,
-/// `CURSOR(SELECT ...)` arguments by running the subquery in the
-/// enclosing statement's context, sharing its resident-row gauge.
-pub(crate) fn eval_tf_args(ctx: &ExecCtx<'_>, args: &[TfArgAst]) -> Result<Vec<TfArg>, DbError> {
-    args.iter()
-        .map(|a| match a {
-            TfArgAst::Expr(e) => Ok(TfArg::Scalar(eval_const(e)?)),
-            TfArgAst::Cursor(sub) => Ok(TfArg::Cursor(run_select(ctx, sub)?.rows)),
-        })
-        .collect()
-}
-
-pub(crate) fn run_select(ctx: &ExecCtx<'_>, sel: &Select) -> Result<QueryResult, DbError> {
-    let db = ctx.db;
-    // Pipelined aggregation fast path: `SELECT COUNT(*) FROM TABLE(f(...))`
-    // with no other clauses streams batches through the table function
-    // without ever materializing the result — the memory property the
-    // paper's pipelining provides. Without this, counting a 250K-star
-    // self-join (tens of millions of rowid pairs) would materialize
-    // gigabytes for a single scalar.
-    if sel.projection == [SelectItem::CountStar]
-        && sel.where_clause.is_empty()
-        && sel.order_by.is_empty()
-        && sel.limit.is_none()
-        && sel.from.len() == 1
-    {
-        if let FromItem::TableFunction { name, args, .. } = &sel.from[0] {
-            let mut inst = db.make_table_function(name, ctx.snap, eval_tf_args(ctx, args)?)?;
-            let op = sdo_obs::current().map(|c| c.child(format!("PIPELINED COUNT TABLE({name})")));
-            let before = op.as_ref().map(|_| db.counters().snapshot());
-            let t0 = op.as_ref().map(|_| Instant::now());
-            if let Some(node) = &op {
-                inst.func.attach_profile(node);
-            }
-            if let Err(e) = inst.func.start() {
-                // Release any resources start() acquired before
-                // failing (a parallel executor may have launched some
-                // slaves already).
-                inst.func.close();
-                return Err(e.into());
-            }
-            let mut resident = ctx.resident(format!("PIPELINED COUNT TABLE({name})"));
-            let mut n: i64 = 0;
-            loop {
-                let batch = match inst.func.fetch(8192) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        inst.func.close();
-                        return Err(e.into());
-                    }
-                };
-                if batch.is_empty() {
-                    break;
-                }
-                // Only the batch in flight is ever resident.
-                resident.set(batch.len() as u64)?;
-                n += batch.len() as i64;
-                if let Some(node) = &op {
-                    node.add_batches(1);
-                    node.add_rows(batch.len() as u64);
-                }
-            }
-            inst.func.close();
-            if let (Some(node), Some(t0), Some(b)) = (&op, t0, &before) {
-                node.add_wall(t0.elapsed());
-                node.add_metric_deltas(&db.counters().diff(b).pairs());
-            }
-            return Ok(QueryResult {
-                columns: vec!["COUNT(*)".into()],
-                rows: vec![vec![Value::Integer(n)]],
-            });
-        }
-    }
-
-    operators::run_select_streaming(ctx, sel)
 }
 
 // ---------------------------------------------------------------------------

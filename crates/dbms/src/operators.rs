@@ -18,12 +18,13 @@
 //! * [`IndexScanExec`] — fetches only the rowids a domain index returns
 //!   for a constant spatial predicate (or the k nearest), one table
 //!   lock per batch, in rowid order (ranked order for the kNN
-//!   pushdown),
+//!   pushdown), testing the predicates pushed into it like a table scan,
 //! * [`TableFunctionScanExec`] — wraps an open pipelined table function
-//!   and forwards its `fetch(max_rows)` batches directly,
-//! * [`FilterExec`] — per-batch predicate evaluation above a join or an
-//!   index scan; a predicate no index scan consumed may still be
-//!   answered by its index's rowid set, computed once at open,
+//!   and forwards its `fetch(max_rows)` batches directly (or counts
+//!   them, under `COUNT(*)`),
+//! * [`FilterExec`] — per-batch predicate evaluation above a join or a
+//!   table-function scan; a predicate no index scan consumed may still
+//!   be answered by its index's rowid set, computed once at open,
 //! * [`RowidSemiJoinExec`] — streams rowid pairs from a subquery and
 //!   fetches the paired base rows batch-by-batch,
 //! * [`NestedLoopJoinExec`] — streamed outer side, index-probed (or
@@ -32,7 +33,9 @@
 //! * [`SortExec`] — blocking sort (ORDER BY),
 //! * [`LimitExec`] — early termination with close propagation.
 //!
-//! Every operator owns a [`ProfileNode`] when profiling is active and a
+//! [`build_select_stream`] makes the tree from the planner's, one
+//! operator per plan node. Every operator owns a [`ProfileNode`] —
+//! named with its plan node's label — when profiling is active and a
 //! share of the statement's [`MemoryGauge`]; buffered rows are charged
 //! through [`Resident`] so `EXPLAIN ANALYZE` can report
 //! `peak_resident_rows` and the `max_resident_rows` session option has
@@ -41,11 +44,14 @@
 use crate::db::{Database, IndexHandle, QueryResult};
 use crate::error::DbError;
 use crate::exec::{
-    classify_spatial, cmp_sort_values, eval_spatial_fn, eval_tf_args, projection_columns,
-    resolve_column_meta, sort_values, Columns, Cond, HeapRow, Projection, RelMeta, RelRow, SortKey,
-    SpatialOperand, SpatialPred,
+    cmp_sort_values, eval_spatial_fn, projection_columns, sort_values, Columns, Cond, HeapRow,
+    Projection, RelMeta, RelRow, SortKey, SpatialOperand, SpatialPred,
 };
 use crate::extensible::OperatorCall;
+use crate::planner::{
+    plan_select, Binding, BoundFunction, ExchangeSite, Filter, Op, PlanEnv, PlanInput, PlanNode,
+    SelectPlan,
+};
 use crate::sql::ast::{Expr, FromItem, Predicate, Select, SelectItem};
 use parking_lot::RwLock;
 use sdo_geom::Geometry;
@@ -90,6 +96,11 @@ impl<'a> ExecCtx<'a> {
             parallel_dop: opts.parallel_dop,
             snap: db.read_snapshot_in(sess),
         }
+    }
+
+    /// The session knobs the planner places exchanges under.
+    pub(crate) fn plan_env(&self) -> PlanEnv {
+        PlanEnv { dop_cap: self.parallel_dop, max_resident_rows: self.max_resident_rows }
     }
 
     /// A resident-row account for one operator, enforcing the budget.
@@ -219,16 +230,12 @@ impl<'a> TableScanExec<'a> {
     pub(crate) fn new(
         ctx: &ExecCtx<'a>,
         table: Arc<RwLock<Table>>,
-        name: &str,
         filter: Option<FilterInputs>,
         slot: usize,
         width: usize,
-        parent: Option<&ProfileNode>,
+        node: Option<ProfileNode>,
     ) -> Self {
-        let node = parent.map(|p| p.child(format!("TABLE SCAN {}", name.to_ascii_uppercase())));
-        if let (Some(n), Some((metas, spatial, residual, _))) = (&node, &filter) {
-            n.set_attr("filter", filter_text(metas, spatial, residual));
-        }
+        note_filter(&node, &filter);
         let end = table.read().high_water_mark();
         TableScanExec {
             db: ctx.db,
@@ -406,6 +413,13 @@ fn pre_passing(
     failure.map_or(Ok(kept), Err)
 }
 
+/// Show the conjuncts pushed into a scan as its `filter` attribute.
+fn note_filter(node: &Option<ProfileNode>, filter: &Option<FilterInputs>) {
+    if let (Some(n), Some((metas, f))) = (node, filter) {
+        n.set_attr("filter", filter_text(metas, &f.spatial, &f.residual));
+    }
+}
+
 /// The conjuncts pushed into a scan, as `EXPLAIN` and `EXPLAIN
 /// ANALYZE` show them.
 pub(crate) fn filter_text<'p>(
@@ -462,17 +476,20 @@ pub(crate) struct TableFunctionScanExec<'a> {
 }
 
 impl<'a> TableFunctionScanExec<'a> {
+    /// Scan `bound`, whose `CURSOR(...)` arguments' profiles `node`
+    /// adopts before the function's own.
     pub(crate) fn new(
         ctx: &ExecCtx<'a>,
-        mut func: Box<dyn TableFunction>,
-        name: &str,
+        bound: BoundFunction,
         slot: usize,
         width: usize,
-        parent: Option<&ProfileNode>,
+        node: Option<ProfileNode>,
     ) -> Self {
-        let node =
-            parent.map(|p| p.child(format!("TABLE FUNCTION SCAN {}", name.to_ascii_uppercase())));
+        let BoundFunction { name, mut func, cursors } = bound;
         if let Some(n) = &node {
+            for c in &cursors {
+                n.adopt(c);
+            }
             func.attach_profile(n);
         }
         let resident = ctx.resident(format!("TABLE FUNCTION SCAN {name}"));
@@ -486,15 +503,13 @@ impl<'a> TableFunctionScanExec<'a> {
             resident,
         }
     }
-}
 
-impl BatchOp for TableFunctionScanExec<'_> {
-    fn next_batch(&mut self) -> Result<JoinedBatch, DbError> {
+    /// The function's next batch of rows, the only rows it holds
+    /// resident, started on first use; empty once exhausted.
+    fn fetch(&mut self) -> Result<Vec<Row>, DbError> {
         if matches!(self.state, TfState::Closed) {
             return Ok(Vec::new());
         }
-        let t0 = self.node.as_ref().map(|_| Instant::now());
-        let before = self.node.as_ref().map(|_| self.db.counters().snapshot());
         if matches!(self.state, TfState::Fresh) {
             self.state = TfState::Running;
             if let Err(e) = self.func.start() {
@@ -513,21 +528,55 @@ impl BatchOp for TableFunctionScanExec<'_> {
         };
         if rows.is_empty() {
             self.close();
-            return Ok(Vec::new());
         }
-        // The batch in flight is the scan's only resident state.
         self.resident.set(rows.len() as u64)?;
+        Ok(rows)
+    }
+
+    /// Run `read` with its wall time and counter deltas charged to the
+    /// scan's profile node.
+    fn profiled<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, DbError>,
+    ) -> Result<T, DbError> {
+        let t0 = self.node.as_ref().map(|_| Instant::now());
+        let before = self.node.as_ref().map(|_| self.db.counters().snapshot());
+        let res = read(self);
+        if let (Some(n), Some(b)) = (&self.node, &before) {
+            n.add_metric_deltas(&self.db.counters().diff(b).pairs());
+            n.add_wall(t0.expect("timed with the node").elapsed());
+        }
+        res
+    }
+}
+
+impl BatchOp for TableFunctionScanExec<'_> {
+    fn next_batch(&mut self) -> Result<JoinedBatch, DbError> {
+        let rows = self.profiled(Self::fetch)?;
         let mut out = Vec::with_capacity(rows.len());
         for values in rows {
             let mut jr = empty_joined(self.width);
             jr[self.slot] = RelRow { rid: None, values };
             out.push(jr);
         }
-        note_batch(&self.node, out.len(), t0);
-        if let (Some(n), Some(b)) = (&self.node, &before) {
-            n.add_metric_deltas(&self.db.counters().diff(b).pairs());
+        if !out.is_empty() {
+            note_batch(&self.node, out.len(), None);
         }
         Ok(out)
+    }
+
+    /// Count the function's remaining rows batch by batch, building no
+    /// joined row and holding only the batch in flight.
+    fn count_rows(&mut self) -> Result<u64, DbError> {
+        let mut n = 0;
+        loop {
+            let batch = self.profiled(|s| s.fetch().map(|rows| rows.len()))?;
+            if batch == 0 {
+                return Ok(n);
+            }
+            note_batch(&self.node, batch, None);
+            n += batch as u64;
+        }
     }
 
     fn close(&mut self) {
@@ -568,12 +617,10 @@ impl FilterEval {
     /// prefilters now.
     pub(crate) fn build(
         db: &Database,
-        metas: Arc<Vec<RelMeta>>,
-        spatial: Vec<SpatialPred>,
-        residual: Vec<Predicate>,
-        index_hints: Option<&[bool]>,
+        (metas, filter): FilterInputs,
         snap: Snapshot,
     ) -> Result<Self, DbError> {
+        let Filter { spatial, use_index, residual } = filter;
         let (mut plain, mut costly) = (Vec::new(), Vec::new());
         for p in &residual {
             let c = Cond::compile(&metas, p)?;
@@ -583,7 +630,7 @@ impl FilterEval {
                 costly.push(c);
             }
         }
-        let keep = build_prefilters(db, &metas, &spatial, index_hints, snap)?;
+        let keep = build_prefilters(db, &metas, &spatial, &use_index, snap)?;
         let (mut keep_sets, mut functional) = (Vec::new(), Vec::new());
         for (p, k) in spatial.into_iter().zip(keep) {
             match k {
@@ -669,9 +716,8 @@ impl LazyFilter {
     }
 
     pub(crate) fn get(&mut self, db: &Database, snap: Snapshot) -> Result<&FilterEval, DbError> {
-        if let Some((metas, spatial, residual, hints)) = self.inputs.take() {
-            self.eval =
-                Some(FilterEval::build(db, metas, spatial, residual, hints.as_deref(), snap)?);
+        if let Some(inputs) = self.inputs.take() {
+            self.eval = Some(FilterEval::build(db, inputs, snap)?);
         }
         Ok(self.eval.get_or_insert_with(FilterEval::none))
     }
@@ -679,13 +725,14 @@ impl LazyFilter {
 
 /// Resolve each spatial predicate to its open-time fast path: the
 /// rowid keep-set `(relation, rowids)` of a domain-index evaluation
-/// (or SDO_NN ranking), else `None` for per-row functional evaluation.
-/// Only predicates no index scan consumed get here.
+/// when the plan chose it (or of an SDO_NN ranking), else `None` for
+/// per-row functional evaluation. Only predicates no index scan
+/// consumed get here.
 fn build_prefilters(
     db: &Database,
     metas: &[RelMeta],
     spatial: &[SpatialPred],
-    index_hints: Option<&[bool]>,
+    use_index: &[bool],
     snap: Snapshot,
 ) -> Result<Vec<Option<KeepSet>>, DbError> {
     let mut out = Vec::with_capacity(spatial.len());
@@ -709,8 +756,7 @@ fn build_prefilters(
             out.push(Some((ri, ranked.into_iter().map(|(_, r)| r).collect())));
             continue;
         }
-        let allow_index = index_hints.and_then(|h| h.get(pi)).copied().unwrap_or(true);
-        match index.filter(|_| allow_index) {
+        match index.filter(|_| use_index[pi]) {
             Some((_, inst)) => {
                 let call = operator_call(p, qg, snap);
                 out.push(Some((ri, inst.read().evaluate(&call)?.into_iter().collect())));
@@ -832,14 +878,17 @@ fn qerror(est: f64, act: u64) -> f64 {
 
 /// Index scan: the domain index answers once, and only its rowids are
 /// fetched from the heap — sorted and deduplicated, at the statement
-/// snapshot, one table lock per batch. Replaces a table scan whose
-/// filter would keep the same rows, in the same (rowid) order; for the
-/// kNN pushdown the order is the ranking's `(distance, rowid)`, which
-/// is exactly what a stable full sort over a rowid-ordered scan gives.
+/// snapshot, one table lock per batch, the other conjuncts pushed into
+/// the scan tested on each fetched row as [`read_span`] tests them.
+/// Replaces a table scan whose filter would keep the same rows, in the
+/// same (rowid) order; for the kNN pushdown the order is the ranking's
+/// `(distance, rowid)`, which is exactly what a stable full sort over a
+/// rowid-ordered scan gives.
 pub(crate) struct IndexScanExec<'a> {
     db: &'a Database,
     table: Arc<RwLock<Table>>,
     access: Option<IndexAccess>,
+    filter: LazyFilter,
     rids: Vec<RowId>,
     next: usize,
     slot: usize,
@@ -852,15 +901,18 @@ pub(crate) struct IndexScanExec<'a> {
 }
 
 impl<'a> IndexScanExec<'a> {
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         ctx: &ExecCtx<'a>,
         table: Arc<RwLock<Table>>,
         access: IndexAccess,
+        filter: Option<FilterInputs>,
         slot: usize,
         width: usize,
         est_rows: f64,
         node: Option<ProfileNode>,
     ) -> Self {
+        note_filter(&node, &filter);
         if let Some(n) = &node {
             n.set_attr("est_rows", format!("{est_rows:.0}"));
         }
@@ -868,6 +920,7 @@ impl<'a> IndexScanExec<'a> {
             db: ctx.db,
             table,
             access: Some(access),
+            filter: LazyFilter::new(filter),
             rids: Vec::new(),
             next: 0,
             slot,
@@ -897,8 +950,9 @@ impl BatchOp for IndexScanExec<'_> {
             }
             self.rids = rids;
         }
+        let eval = self.filter.get(self.db, self.snap)?;
         // An empty batch means exhaustion, so a chunk whose rows are all
-        // invisible moves on to the next.
+        // invisible or filtered out moves on to the next.
         let mut out = Vec::new();
         while out.is_empty() && self.next < self.rids.len() {
             let end = (self.next + BATCH_ROWS).min(self.rids.len());
@@ -907,8 +961,7 @@ impl BatchOp for IndexScanExec<'_> {
             // (in-flight inserts, deferred old entries), and the heap
             // read is the visibility filter.
             let span = HeapSpan::Rowids(&self.rids[self.next..end]);
-            let none = FilterEval::none();
-            read_span(&self.table, span, &self.snap, &none, self.slot, self.width, &mut out)?;
+            read_span(&self.table, span, &self.snap, eval, self.slot, self.width, &mut out)?;
             self.next = end;
         }
         self.produced += out.len() as u64;
@@ -932,16 +985,16 @@ impl BatchOp for IndexScanExec<'_> {
     }
 }
 
-/// The deferred filter-construction bundle shared by the scan leaf,
-/// [`FilterExec`] and the parallel exchanges: relation metadata, spatial and
-/// residual predicates, and the planner's per-predicate index hints.
-pub(crate) type FilterInputs =
-    (Arc<Vec<RelMeta>>, Vec<SpatialPred>, Vec<Predicate>, Option<Vec<bool>>);
+/// The deferred filter-construction bundle shared by the scan leaves,
+/// [`FilterExec`] and the parallel exchanges: the relations and the
+/// plan's conjuncts over them.
+pub(crate) type FilterInputs = (Arc<Vec<RelMeta>>, Filter);
 
-/// Per-batch predicate evaluation above a join or an index scan (a
-/// table scan evaluates its predicates itself). Index-assisted paths
-/// (window-query prefilter, SDO_NN top-k ranking) run once at open as
-/// rowid keep-sets; everything else evaluates per row.
+/// Per-batch predicate evaluation above a join or a table-function
+/// scan (table and index scans evaluate their predicates themselves).
+/// Index-assisted paths (window-query prefilter, SDO_NN top-k ranking)
+/// run once at open as rowid keep-sets; everything else evaluates per
+/// row.
 pub(crate) struct FilterExec<'a> {
     db: &'a Database,
     child: Box<dyn BatchOp + 'a>,
@@ -1151,8 +1204,9 @@ impl SideRows {
 }
 
 pub(crate) enum InnerSide<'a> {
-    /// Probe the inner table's domain index per outer row.
-    Probe { table: Arc<RwLock<Table>>, index: IndexHandle },
+    /// Probe the inner table's domain index per outer row; `node`
+    /// records one batch per probe, of the visible rows it found.
+    Probe { table: Arc<RwLock<Table>>, index: IndexHandle, node: Option<ProfileNode> },
     /// No index: materialize the inner side once (charged), then
     /// evaluate the predicate functionally per outer row.
     Build { scan: Option<Box<dyn BatchOp + 'a>>, rows: Vec<(Option<RowId>, Row)>, built: bool },
@@ -1215,11 +1269,6 @@ impl<'a> NestedLoopJoinExec<'a> {
         })
     }
 
-    /// Open an index-probing inner side.
-    pub(crate) fn probe(table: Arc<RwLock<Table>>, index: IndexHandle) -> InnerSide<'a> {
-        InnerSide::Probe { table, index }
-    }
-
     /// Open a materializing inner side fed by `scan`.
     pub(crate) fn build(scan: Box<dyn BatchOp + 'a>) -> InnerSide<'a> {
         InnerSide::Build { scan: Some(scan), rows: Vec::new(), built: false }
@@ -1257,7 +1306,9 @@ impl<'a> NestedLoopJoinExec<'a> {
         };
         let g = Arc::clone(g);
         match &self.inner {
-            InnerSide::Probe { table, index } => {
+            InnerSide::Probe { table, index, node } => {
+                let t0 = node.as_ref().map(|_| Instant::now());
+                let queued = self.queue.len();
                 // The SQL predicate is OP(outer, inner, extra); the
                 // index evaluates OP(inner_data, query, extra), so
                 // asymmetric SDO_RELATE masks are transposed.
@@ -1282,6 +1333,7 @@ impl<'a> NestedLoopJoinExec<'a> {
                     out[self.inner_rel] = RelRow { rid: Some(rid), values: ivals.to_vec() };
                     self.queue.push_back(out);
                 }
+                note_batch(node, self.queue.len() - queued, t0);
             }
             InnerSide::Build { rows, .. } => {
                 for (irid, ivals) in rows {
@@ -1596,31 +1648,6 @@ impl BatchOp for LimitExec<'_> {
 // Pipeline builder and driver
 // ---------------------------------------------------------------------------
 
-enum SourceSlot {
-    Table {
-        name: String,
-        table: Arc<RwLock<Table>>,
-    },
-    /// A base table the planner reads through its domain index.
-    Index {
-        table: Arc<RwLock<Table>>,
-        scan: IndexScanSpec,
-    },
-    Tf {
-        name: String,
-        func: Box<dyn TableFunction>,
-    },
-    Taken,
-}
-
-/// An index scan the builder validated against the planner's choice.
-struct IndexScanSpec {
-    access: IndexAccess,
-    label: String,
-    est_rows: f64,
-    reason: String,
-}
-
 /// A built SELECT pipeline: the operator tree plus the projection that
 /// turns joined rows into result rows. Used both as the top-level
 /// driver and as the streaming subquery feed of
@@ -1630,7 +1657,10 @@ pub(crate) struct SelectStream<'a> {
     projection: Projection,
     /// Output column names.
     pub(crate) columns: Vec<String>,
+    /// `COUNT(*)`: the result is the root's row count.
     count_star: bool,
+    /// The `AGGREGATE COUNT(*)` node, when counting and profiled.
+    count_node: Option<ProfileNode>,
 }
 
 impl SelectStream<'_> {
@@ -1656,7 +1686,9 @@ impl SelectStream<'_> {
 
     fn run_inner(&mut self) -> Result<QueryResult, DbError> {
         if self.count_star {
+            let t0 = self.count_node.as_ref().map(|_| Instant::now());
             let n = self.root.count_rows()?;
+            note_batch(&self.count_node, 1, t0);
             return Ok(QueryResult {
                 columns: self.columns.clone(),
                 rows: vec![vec![Value::Integer(n as i64)]],
@@ -1674,475 +1706,302 @@ impl SelectStream<'_> {
     }
 }
 
-/// The leaf operator reading FROM item `slot`. `filter` holds the
-/// predicates pushed into a base-table scan; any other leaf gets its
-/// filter as a [`FilterExec`] above it, under `parent`.
-fn make_scan<'a>(
-    ctx: &ExecCtx<'a>,
-    sources: &mut [SourceSlot],
-    slot: usize,
-    width: usize,
-    filter: Option<FilterInputs>,
-    parent: Option<&ProfileNode>,
-) -> Result<Box<dyn BatchOp + 'a>, DbError> {
-    let filter = match filter {
-        Some(inputs) if !matches!(sources[slot], SourceSlot::Table { .. }) => {
-            let node = parent.map(|p| p.child("FILTER"));
-            let leaf = make_scan(ctx, sources, slot, width, None, node.as_ref())?;
-            return Ok(Box::new(FilterExec::new(leaf, ctx, inputs, node)));
-        }
-        f => f,
-    };
-    match std::mem::replace(&mut sources[slot], SourceSlot::Taken) {
-        SourceSlot::Table { name, table } => {
-            Ok(Box::new(TableScanExec::new(ctx, table, &name, filter, slot, width, parent)))
-        }
-        SourceSlot::Index { table, scan } => {
-            let node = parent.map(|p| p.child(scan.label));
-            if let Some(n) = &node {
-                n.set_attr("plan_reason", scan.reason);
-            }
-            let est = scan.est_rows;
-            Ok(Box::new(IndexScanExec::new(ctx, table, scan.access, slot, width, est, node)))
-        }
-        SourceSlot::Tf { name, func } => {
-            Ok(Box::new(TableFunctionScanExec::new(ctx, func, &name, slot, width, parent)))
-        }
-        SourceSlot::Taken => Err(DbError::Plan("FROM item used twice in plan".into())),
+/// The profile node of `plan` under `parent`, named with its label.
+fn child_node(parent: &Option<ProfileNode>, plan: &PlanNode) -> Option<ProfileNode> {
+    parent.as_ref().map(|p| p.child(plan.label.clone()))
+}
+
+/// Record the plan's reason for a choice on the operator's node.
+fn note_reason(node: &Option<ProfileNode>, reason: String) {
+    if let Some(n) = node {
+        n.set_attr("plan_reason", reason);
     }
 }
 
-/// Apply the planner's index-scan choices: each validated choice turns
-/// its FROM slot into [`SourceSlot::Index`] and takes its driving
-/// predicate (and that predicate's hint) out of the filter stage.
-/// Planning is advisory, so a choice the runtime shape no longer
-/// matches is dropped and its slot scans the table as before.
-fn take_index_scans(
-    ctx: &ExecCtx<'_>,
-    metas: &[RelMeta],
-    sources: &mut [SourceSlot],
-    spatial: &mut Vec<SpatialPred>,
-    hints: &mut Option<Vec<bool>>,
-    choices: &[crate::planner::IndexScanChoice],
-) -> Result<(), DbError> {
-    let mut choices: Vec<&crate::planner::IndexScanChoice> = choices.iter().collect();
-    // Remove from the back so earlier positions stay valid.
-    choices.sort_by_key(|c| std::cmp::Reverse(c.pred));
-    for c in choices {
-        let Some(p) = spatial.get(c.pred).filter(|p| p.target.0 == c.slot && !p.is_join()) else {
-            continue;
-        };
-        let m = &metas[c.slot];
-        let index =
-            m.table_name.as_deref().and_then(|t| ctx.db.index_on(t, &m.columns[p.target.1]));
-        let (Some((_, index)), SourceSlot::Table { table, .. }) = (index, &sources[c.slot]) else {
-            continue;
-        };
-        let table = Arc::clone(table);
-        let scan = IndexScanSpec {
-            access: IndexAccess::for_predicate(p, index, ctx.snap)?,
-            label: c.label.clone(),
-            est_rows: c.est_rows,
-            reason: c.reason.clone(),
-        };
-        sources[c.slot] = SourceSlot::Index { table, scan };
-        spatial.remove(c.pred);
-        if let Some(h) = hints {
-            h.remove(c.pred);
-        }
-    }
-    Ok(())
+/// Makes the operators of one plan, reading what its input bound.
+struct Builder<'c, 'a> {
+    ctx: &'c ExecCtx<'a>,
+    metas: Arc<Vec<RelMeta>>,
+    funcs: Vec<Option<BoundFunction>>,
 }
 
-/// Build the streaming operator tree for a SELECT. Profile nodes are
-/// created top-down (LIMIT → SORT → FILTER → join → scans) so the
-/// `EXPLAIN ANALYZE` tree mirrors the operator tree.
-pub(crate) fn build_select_stream<'a>(
-    ctx: &ExecCtx<'a>,
-    sel: &Select,
-    parent: Option<&ProfileNode>,
-) -> Result<SelectStream<'a>, DbError> {
-    let db = ctx.db;
-    let width = sel.from.len();
-
-    // Bind FROM items lazily: resolve schemas and construct (but do not
-    // start) table functions. CURSOR(...) arguments are inherently
-    // materialized — they are evaluated here, through the streaming
-    // executor, sharing this statement's gauge.
-    let mut metas_v: Vec<RelMeta> = Vec::with_capacity(width);
-    let mut sources: Vec<SourceSlot> = Vec::with_capacity(width);
-    for item in &sel.from {
-        match item {
-            FromItem::Table { name, .. } => {
-                let table = db.table(name)?;
-                let columns: Vec<String> =
-                    table.read().schema().columns().iter().map(|c| c.name.clone()).collect();
-                metas_v.push(RelMeta {
-                    binding: item.binding().to_ascii_uppercase(),
-                    columns,
-                    table: Some(Arc::clone(&table)),
-                    table_name: Some(name.to_ascii_uppercase()),
-                });
-                sources.push(SourceSlot::Table { name: name.clone(), table });
-            }
-            FromItem::TableFunction { name, args, .. } => {
-                let inst = db.make_table_function(name, ctx.snap, eval_tf_args(ctx, args)?)?;
-                metas_v.push(RelMeta {
-                    binding: item.binding().to_ascii_uppercase(),
-                    columns: inst.columns.iter().map(|c| c.to_ascii_uppercase()).collect(),
-                    table: None,
-                    table_name: None,
-                });
-                sources.push(SourceSlot::Tf { name: name.clone(), func: inst.func });
-            }
-        }
-    }
-    let metas = Arc::new(metas_v);
-
-    // Classify conjuncts.
-    let op_names = db.operator_names();
-    let mut rowid_pairs: Vec<&Predicate> = Vec::new();
-    let mut spatial: Vec<SpatialPred> = Vec::new();
-    let mut residual: Vec<Predicate> = Vec::new();
-    for p in &sel.where_clause {
-        match p {
-            Predicate::RowidPairIn { .. } => rowid_pairs.push(p),
-            Predicate::Compare {
-                left: crate::sql::ast::Expr::FnCall { name, args },
-                op,
-                right,
-            } if *op == crate::sql::ast::CmpOp::Eq
-                && op_names.iter().any(|o| o.eq_ignore_ascii_case(name))
-                && matches!(right, crate::sql::ast::Expr::Literal(v) if v.as_text() == Some("TRUE")) =>
-            {
-                spatial.push(classify_spatial(&metas, name, args)?)
-            }
-            other => residual.push(other.clone()),
-        }
+impl<'a> Builder<'_, 'a> {
+    /// The base table of FROM slot `slot`.
+    fn table(&self, slot: usize) -> Result<Arc<RwLock<Table>>, DbError> {
+        self.metas[slot].table.clone().ok_or_else(|| DbError::Plan("scan over non-table".into()))
     }
 
-    // Validate the projection up front so errors surface before any
-    // operator starts.
-    let columns = projection_columns(&metas, &sel.projection)?;
-    let projection = Projection::compile(&metas, &sel.projection)?;
-    let count_star = sel.projection == [SelectItem::CountStar];
-
-    // Consult the cost-based planner. Planning is advisory: a failure
-    // (or a decision the runtime cannot honor) falls back to the
-    // default strategy, never fails the query.
-    let env = crate::planner::PlanEnv {
-        dop_cap: ctx.parallel_dop,
-        max_resident_rows: ctx.max_resident_rows,
-    };
-    let plan = crate::planner::plan_select(db, sel, &env).ok();
-
-    // kNN pushdown applies only to the bare single-table top-k shape
-    // the planner detected (no other predicates to interleave).
-    let knn = plan.as_ref().and_then(|p| p.knn.as_ref()).filter(|_| {
-        width == 1 && rowid_pairs.is_empty() && spatial.is_empty() && residual.is_empty()
-    });
-
-    // The column-column spatial predicate drives a nested loop unless a
-    // rowid-pair semijoin drives (mirrors the planner).
-    let join_pred = match rowid_pairs.is_empty() {
-        true => spatial.iter().position(|s| s.is_join()).map(|p| spatial.remove(p)),
-        false => None,
-    };
-    // The planner's hints and index scans index the constant predicates
-    // in this same order; a length mismatch means it classified
-    // differently (e.g. a predicate over a table-function column), so
-    // neither applies.
-    let mut hints =
-        plan.as_ref().map(|p| p.filter_hints.clone()).filter(|h| h.len() == spatial.len());
-    if let (Some(p), true) = (&plan, hints.is_some()) {
-        take_index_scans(ctx, &metas, &mut sources, &mut spatial, &mut hints, &p.index_scans)?;
-    }
-
-    // Exchange placement: honor the planner's parallelization only
-    // when the runtime shape matches what it assumed (re-validated
-    // here because planning is advisory).
-    let exchange = plan.as_ref().and_then(|p| p.exchange.clone());
-    let single_base = width == 1
-        && matches!(sources[0], SourceSlot::Table { .. } | SourceSlot::Index { .. })
-        && rowid_pairs.is_empty()
-        && join_pred.is_none();
-    use crate::planner::ExchangeSite;
-    let par_scan = matches!(&exchange, Some(x) if x.site == ExchangeSite::Scan)
-        && single_base
-        && sel.order_by.is_empty();
-    let par_sort = matches!(&exchange, Some(x) if x.site == ExchangeSite::Sort)
-        && single_base
-        && !sel.order_by.is_empty()
-        && knn.is_none();
-    let par_probe =
-        matches!(&exchange, Some(x) if x.site == ExchangeSite::Probe) && !rowid_pairs.is_empty();
-
-    // Profile nodes, created top-down so the rendered tree mirrors the
-    // operator tree: LIMIT → SORT → FILTER → join strategy → scans.
-    // A parallel sort replaces the serial SORT node with its EXCHANGE.
-    let limit_node = sel.limit.and_then(|n| parent.map(|p| p.child(format!("LIMIT {n}"))));
-    let mut anchor: Option<ProfileNode> = limit_node.clone().or_else(|| parent.cloned());
-    let sort_node = (!sel.order_by.is_empty() && knn.is_none() && !par_sort)
-        .then(|| anchor.as_ref().map(|p| p.child(format!("SORT [{} key(s)]", sel.order_by.len()))))
-        .flatten();
-    if sort_node.is_some() {
-        anchor = sort_node.clone();
-    }
-    let has_filter_stage = !spatial.is_empty() || !residual.is_empty();
-
-    // Join strategy.
-    let mut root: Box<dyn BatchOp + 'a>;
-    if let Some(kc) = knn {
-        // ORDER BY SDO_DISTANCE(col, const) LIMIT k → an index scan
-        // over the best-first ranking; replaces scan + sort.
-        let m = &metas[0];
-        let index = m
-            .table_name
+    /// The domain index on column `col` of FROM slot `slot`.
+    fn index(&self, slot: usize, col: usize) -> Result<IndexHandle, DbError> {
+        let m = &self.metas[slot];
+        m.table_name
             .as_deref()
-            .and_then(|t| db.index_on(t, &m.columns[kc.col]))
+            .and_then(|t| self.ctx.db.index_on(t, &m.columns[col]))
             .map(|(_, inst)| inst)
-            .ok_or_else(|| DbError::Plan("kNN pushdown requires a domain index".into()))?;
-        let SourceSlot::Table { table, .. } = &sources[0] else {
-            return Err(DbError::Plan("kNN pushdown requires a base table".into()));
-        };
-        let (query, k, col) = (Arc::clone(&kc.query), kc.k, kc.col);
-        let scan = IndexScanSpec {
-            access: IndexAccess::Nearest { index, query, k, col, ranked: true },
-            label: format!("KNN SCAN {} (k={k})", m.binding),
-            est_rows: k as f64,
-            reason: kc.reason.clone(),
-        };
-        sources[0] = SourceSlot::Index { table: Arc::clone(table), scan };
-        root = make_scan(ctx, &mut sources, 0, width, None, anchor.as_ref())?;
-    } else if let Some(Predicate::RowidPairIn { left, right, subquery }) = rowid_pairs.first() {
-        let filter_node = (has_filter_stage && !par_probe)
-            .then(|| anchor.as_ref().map(|p| p.child("FILTER")))
-            .flatten();
-        let join_anchor = filter_node.clone().or(anchor.clone());
-        if width != 2 {
-            return Err(DbError::Plan("rowid-pair IN requires exactly two tables".into()));
-        }
-        let (l_rel, l_col) = resolve_column_meta(&metas, left)?;
-        let (r_rel, r_col) = resolve_column_meta(&metas, right)?;
-        if l_col != usize::MAX || r_col != usize::MAX {
-            return Err(DbError::Plan("rowid-pair IN requires ROWID references".into()));
-        }
-        if l_rel == r_rel {
-            return Err(DbError::Plan("rowid pair must reference two distinct tables".into()));
-        }
-        let lt = metas[l_rel]
-            .table
-            .clone()
-            .ok_or_else(|| DbError::Plan("rowid pair over non-table".into()))?;
-        let rt = metas[r_rel]
-            .table
-            .clone()
-            .ok_or_else(|| DbError::Plan("rowid pair over non-table".into()))?;
-        if par_probe {
-            // Parallel probe: the pair stream is cut into blocks fanned
-            // out to workers, which fetch both base rows (through a
-            // private row cache each) and run the secondary filters
-            // per-worker. The exchange subsumes the FILTER stage.
-            let x = exchange.as_ref().expect("par_probe implies exchange");
-            let node = anchor.as_ref().map(|p| p.child("EXCHANGE"));
-            if let Some(n) = &node {
-                n.set_attr("plan_reason", x.reason.clone());
+            .ok_or_else(|| DbError::Plan("the plan's domain index is gone".into()))
+    }
+
+    fn inputs(&self, filter: Option<Filter>) -> Option<FilterInputs> {
+        filter.map(|f| (Arc::clone(&self.metas), f))
+    }
+
+    /// The operator of an operator's only input, under `node`.
+    fn input(
+        &mut self,
+        children: &mut Vec<PlanNode>,
+        node: &Option<ProfileNode>,
+    ) -> Result<Box<dyn BatchOp + 'a>, DbError> {
+        let child = children.pop().expect("the operator has an input");
+        let child_node = child_node(node, &child);
+        self.build(child, child_node)
+    }
+
+    /// The stream of a rowid-pair subquery, under `node`.
+    fn subquery(
+        &self,
+        root: PlanNode,
+        input: PlanInput,
+        node: &Option<ProfileNode>,
+    ) -> Result<SelectStream<'a>, DbError> {
+        let sub_node = child_node(node, &root);
+        build_select_stream(self.ctx, SelectPlan { root, input }, sub_node)
+    }
+
+    /// The operator for `plan` and its inputs, recording under `node`.
+    fn build(
+        &mut self,
+        plan: PlanNode,
+        node: Option<ProfileNode>,
+    ) -> Result<Box<dyn BatchOp + 'a>, DbError> {
+        let ctx = self.ctx;
+        let width = self.metas.len();
+        let PlanNode { label, est_rows, est_cost, reason, op, mut children } = plan;
+        Ok(match op {
+            Op::TableScan { slot, filter } => {
+                let table = self.table(slot)?;
+                let filter = self.inputs(filter);
+                Box::new(TableScanExec::new(ctx, table, filter, slot, width, node))
             }
-            let sub = build_select_stream(ctx, subquery, node.as_ref())?;
-            root = Box::new(crate::parallel::ParallelSemiJoinExec::new(
-                ctx,
-                sub,
-                l_rel,
-                r_rel,
-                lt,
-                rt,
-                width,
-                (Arc::clone(&metas), spatial, residual, hints),
-                x.dop,
-                node,
-            )?);
-        } else {
-            let node = join_anchor.as_ref().map(|p| p.child("ROWID-PAIR SEMIJOIN"));
-            let sub = build_select_stream(ctx, subquery, node.as_ref())?;
-            root = Box::new(RowidSemiJoinExec::new(ctx, sub, l_rel, r_rel, lt, rt, width, node)?);
-            if has_filter_stage {
-                let inputs = (Arc::clone(&metas), spatial, residual, hints);
-                root = Box::new(FilterExec::new(root, ctx, inputs, filter_node));
+            Op::IndexScan { slot, pred, filter } => {
+                let index = self.index(slot, pred.target.1)?;
+                let access = IndexAccess::for_predicate(&pred, index, ctx.snap)?;
+                note_reason(&node, reason);
+                let (table, filter) = (self.table(slot)?, self.inputs(filter));
+                Box::new(IndexScanExec::new(
+                    ctx, table, access, filter, slot, width, est_rows, node,
+                ))
             }
-        }
-    } else if let Some(mut jp) = join_pred {
-        let filter_node =
-            has_filter_stage.then(|| anchor.as_ref().map(|p| p.child("FILTER"))).flatten();
-        let join_anchor = filter_node.clone().or(anchor.clone());
-        // Costed orientation: transpose the predicate when the planner
-        // determined the second relation should drive the loop.
-        let choice = plan.as_ref().and_then(|p| p.join.as_ref());
-        if choice.map(|c| c.swap).unwrap_or(false) {
-            jp = crate::planner::transpose_pred(jp)?;
-        }
-        let node = join_anchor.as_ref().map(|p| p.child(format!("NESTED LOOP JOIN ({})", jp.name)));
-        if let (Some(n), Some(c)) = (&node, choice) {
-            n.set_attr("plan_reason", c.reason.clone());
-            n.set_attr("est_pairs", format!("{:.0}", c.est_pairs));
-            n.set_attr("est_cost", format!("{:.0}", c.est_cost));
-        }
-        let (outer_rel, _) = jp.target;
-        let SpatialOperand::Column(inner_rel, inner_col) = jp.other else { unreachable!() };
-        let outer = make_scan(ctx, &mut sources, outer_rel, width, None, node.as_ref())?;
-        let im = &metas[inner_rel];
-        // Probe only when the planner costed it cheaper (default: probe
-        // whenever an index exists, matching the pre-planner behavior).
-        let want_probe = choice.map(|c| c.probe).unwrap_or(true);
-        let index = im
-            .table_name
-            .as_deref()
-            .and_then(|t| db.index_on(t, &im.columns[inner_col]))
-            .filter(|_| want_probe);
-        let inner = match (index, im.table.clone()) {
-            (Some((_, inst)), Some(table)) => NestedLoopJoinExec::probe(table, inst),
-            _ => NestedLoopJoinExec::build(make_scan(
-                ctx,
-                &mut sources,
-                inner_rel,
-                width,
-                None,
-                node.as_ref(),
-            )?),
-        };
-        root = Box::new(NestedLoopJoinExec::new(ctx, outer, jp, inner, width, node)?);
-        if has_filter_stage {
-            let inputs = (Arc::clone(&metas), spatial, residual, hints);
-            root = Box::new(FilterExec::new(root, ctx, inputs, filter_node));
-        }
-    } else if par_scan || par_sort {
-        // Morsel-driven scan (+filter, + per-worker sort under an
-        // ORDER BY): the exchange fans morsels — slot ranges of the
-        // heap, or chunks of an index scan's rowids — out to the slave
-        // pool and merges per-worker output back into the ordered
-        // batch stream.
-        let x = exchange.as_ref().expect("parallel path implies exchange");
-        let node = anchor.as_ref().map(|p| p.child("EXCHANGE"));
-        if let Some(n) = &node {
-            n.set_attr("plan_reason", x.reason.clone());
-        }
-        let (table, access) = match std::mem::replace(&mut sources[0], SourceSlot::Taken) {
-            SourceSlot::Table { table, .. } => (table, None),
-            SourceSlot::Index { table, scan } => {
+            Op::KnnScan { col, query, k } => {
+                let index = self.index(0, col)?;
+                let access = IndexAccess::Nearest { index, query, k, col, ranked: true };
+                note_reason(&node, reason);
+                let table = self.table(0)?;
+                Box::new(IndexScanExec::new(ctx, table, access, None, 0, width, est_rows, node))
+            }
+            Op::FunctionScan { slot } => {
+                let bound = self.funcs[slot].take().expect("each FROM item is read once");
+                Box::new(TableFunctionScanExec::new(ctx, bound, slot, width, node))
+            }
+            Op::Filter(f) => {
+                let child = self.input(&mut children, &node)?;
+                Box::new(FilterExec::new(child, ctx, (Arc::clone(&self.metas), f), node))
+            }
+            Op::RowidSemiJoin { left, right, sub } => {
+                let root = children.pop().expect("the semijoin reads its subquery");
+                let sub = self.subquery(root, *sub, &node)?;
+                let (lt, rt) = (self.table(left)?, self.table(right)?);
+                Box::new(RowidSemiJoinExec::new(ctx, sub, left, right, lt, rt, width, node)?)
+            }
+            Op::NestedLoop { pred } => {
                 if let Some(n) = &node {
-                    n.set_attr("access", scan.label);
+                    n.set_attr("plan_reason", reason);
+                    n.set_attr("est_pairs", format!("{est_rows:.0}"));
+                    n.set_attr("est_cost", format!("{est_cost:.0}"));
                 }
-                (table, Some(scan.access))
+                let [outer, inner]: [PlanNode; 2] =
+                    children.try_into().ok().expect("a nested loop has two inputs");
+                let outer_node = child_node(&node, &outer);
+                let outer = self.build(outer, outer_node)?;
+                let inner_node = child_node(&node, &inner);
+                let inner = match (&inner.op, &pred.other) {
+                    (Op::IndexProbe, SpatialOperand::Column(slot, col)) => InnerSide::Probe {
+                        table: self.table(*slot)?,
+                        index: self.index(*slot, *col)?,
+                        node: inner_node,
+                    },
+                    _ => NestedLoopJoinExec::build(self.build(inner, inner_node)?),
+                };
+                Box::new(NestedLoopJoinExec::new(ctx, outer, pred, inner, width, node)?)
+            }
+            Op::Cartesian => {
+                note_reason(&node, reason);
+                let mut children = children.into_iter();
+                let first = children.next().expect("a product has inputs");
+                let first_node = child_node(&node, &first);
+                let first = self.build(first, first_node)?;
+                let mut rest = Vec::new();
+                for c in children {
+                    let slot = c.op.slot().expect("a product reads FROM items");
+                    let c_node = child_node(&node, &c);
+                    rest.push((slot, self.build(c, c_node)?));
+                }
+                Box::new(CrossJoinExec::new(ctx, first, rest, node))
+            }
+            Op::Exchange { site, dop } => {
+                note_reason(&node, reason);
+                let child = children.pop().expect("an exchange has an input");
+                self.exchange(site, dop, child, node)?
+            }
+            Op::Sort { keys } => {
+                let child = self.input(&mut children, &node)?;
+                let keys = SortKey::compile_all(&self.metas, &keys)?;
+                Box::new(SortExec::new(child, ctx, keys, node))
+            }
+            Op::Limit(n) => Box::new(LimitExec::new(self.input(&mut children, &node)?, n, node)),
+            Op::IndexProbe | Op::Count => {
+                return Err(DbError::Plan(format!("{label} is not an operator of its own")))
+            }
+        })
+    }
+
+    /// A morsel-driven exchange: its workers run the subtree below it
+    /// fused, and the subtree's nodes record what the workers did.
+    fn exchange(
+        &mut self,
+        site: ExchangeSite,
+        dop: usize,
+        child: PlanNode,
+        node: Option<ProfileNode>,
+    ) -> Result<Box<dyn BatchOp + 'a>, DbError> {
+        let ctx = self.ctx;
+        let width = self.metas.len();
+        let under = child_node(&node, &child);
+        let PlanNode { op, mut children, .. } = child;
+        if site == ExchangeSite::Probe {
+            // [FILTER →] ROWID-PAIR SEMIJOIN → subquery: the pair stream
+            // is cut into blocks fanned out to workers, which fetch both
+            // base rows and run the filter.
+            let (filter, semi, mut semi_children, filter_node, semi_node) = match op {
+                Op::Filter(f) => {
+                    let semi = children.pop().expect("a filter has an input");
+                    let semi_node = child_node(&under, &semi);
+                    (Some(f), semi.op, semi.children, under, semi_node)
+                }
+                op => (None, op, children, None, under),
+            };
+            let Op::RowidSemiJoin { left, right, sub } = semi else {
+                return Err(DbError::Plan("a probe exchange runs a rowid-pair semijoin".into()));
+            };
+            let root = semi_children.pop().expect("the semijoin reads its subquery");
+            let sub = self.subquery(root, *sub, &semi_node)?;
+            let (lt, rt) = (self.table(left)?, self.table(right)?);
+            let filter = self.inputs(filter);
+            let nodes = [node, semi_node, filter_node];
+            return Ok(Box::new(crate::parallel::ParallelSemiJoinExec::new(
+                ctx, sub, left, right, lt, rt, width, filter, dop, nodes,
+            )?));
+        }
+        // [SORT →] scan leaf: morsels (slot ranges of the heap, or chunks
+        // of an index scan's rowids) fan out to the slave pool, and the
+        // exchange merges per-worker output back into order.
+        let (keys, leaf, sort_node, leaf_node) = match op {
+            Op::Sort { keys } => {
+                let leaf = children.pop().expect("a sort has an input");
+                let leaf_node = child_node(&under, &leaf);
+                (Some(keys), leaf.op, under, leaf_node)
+            }
+            op => (None, op, None, under),
+        };
+        let (slot, access, filter) = match leaf {
+            Op::TableScan { slot, filter } => (slot, None, filter),
+            Op::IndexScan { slot, pred, filter } => {
+                let index = self.index(slot, pred.target.1)?;
+                (slot, Some(IndexAccess::for_predicate(&pred, index, ctx.snap)?), filter)
             }
             _ => return Err(DbError::Plan("exchange requires a base table".into())),
         };
-        let inputs = (Arc::clone(&metas), spatial, residual, hints);
-        root = if par_sort {
-            let (keys, limit) = (SortKey::compile_all(&metas, &sel.order_by)?, sel.limit);
-            Box::new(crate::parallel::ParallelSortExec::new(
-                ctx, table, access, inputs, keys, limit, x.dop, node,
-            ))
-        } else {
-            Box::new(crate::parallel::ParallelScanFilterExec::new(
-                ctx, table, access, inputs, x.dop, node,
-            ))
-        };
-    } else if width == 1 {
-        // One relation: the predicates go into its scan.
-        let inputs = has_filter_stage.then(|| (Arc::clone(&metas), spatial, residual, hints));
-        root = make_scan(ctx, &mut sources, 0, width, inputs, anchor.as_ref())?;
-    } else {
-        let filter_node =
-            has_filter_stage.then(|| anchor.as_ref().map(|p| p.child("FILTER"))).flatten();
-        let scan_anchor = filter_node.clone().or(anchor.clone());
-        // The planner picks which relation streams (largest) so the
-        // materialized side — the product's resident memory — is as
-        // small as the FROM list allows.
-        let stream_slot = plan.as_ref().map(|p| p.stream_slot).filter(|&s| s < width).unwrap_or(0);
-        let node = scan_anchor.as_ref().map(|p| p.child("CARTESIAN PRODUCT"));
-        if let (Some(n), Some(p)) = (&node, plan.as_ref()) {
-            n.set_attr("plan_reason", format!("streams slot {}", p.stream_slot));
-        }
-        let first = make_scan(ctx, &mut sources, stream_slot, width, None, node.as_ref())?;
-        let mut rest = Vec::with_capacity(width - 1);
-        for slot in (0..width).filter(|&s| s != stream_slot) {
-            rest.push((slot, make_scan(ctx, &mut sources, slot, width, None, node.as_ref())?));
-        }
-        root = Box::new(CrossJoinExec::new(ctx, first, rest, node));
-        if has_filter_stage {
-            let inputs = (Arc::clone(&metas), spatial, residual, hints);
-            root = Box::new(FilterExec::new(root, ctx, inputs, filter_node));
-        }
+        let filter = self.inputs(filter);
+        note_filter(&leaf_node, &filter);
+        let inputs = filter.unwrap_or_else(|| (Arc::clone(&self.metas), Filter::default()));
+        let table = self.table(slot)?;
+        Ok(match (site, keys) {
+            (ExchangeSite::Sort { limit }, Some(keys)) => {
+                let keys = SortKey::compile_all(&self.metas, &keys)?;
+                let nodes = [node, sort_node, leaf_node];
+                Box::new(crate::parallel::ParallelSortExec::new(
+                    ctx, table, access, inputs, keys, limit, dop, nodes,
+                ))
+            }
+            _ => Box::new(crate::parallel::ParallelScanFilterExec::new(
+                ctx,
+                table,
+                access,
+                inputs,
+                dop,
+                [node, leaf_node],
+            )),
+        })
     }
-
-    if !sel.order_by.is_empty() && knn.is_none() && !par_sort {
-        let keys = SortKey::compile_all(&metas, &sel.order_by)?;
-        root = Box::new(SortExec::new(root, ctx, keys, sort_node));
-    }
-    if let Some(n) = sel.limit {
-        root = Box::new(LimitExec::new(root, n, limit_node));
-    }
-
-    Ok(SelectStream { root, projection, columns, count_star })
 }
 
-/// Run a SELECT through the streaming pipeline.
-pub(crate) fn run_select_streaming(
-    ctx: &ExecCtx<'_>,
-    sel: &Select,
-) -> Result<QueryResult, DbError> {
+/// Build the operator tree of a plan: one operator per plan node, each
+/// recording under a profile node named with the node's label — the
+/// root's is `node` — so `EXPLAIN ANALYZE` draws the tree `EXPLAIN`
+/// draws.
+pub(crate) fn build_select_stream<'a>(
+    ctx: &ExecCtx<'a>,
+    plan: SelectPlan,
+    node: Option<ProfileNode>,
+) -> Result<SelectStream<'a>, DbError> {
+    let SelectPlan { mut root, input: PlanInput { metas, funcs, projection } } = plan;
+    // Validate the projection up front so errors surface before any
+    // operator starts.
+    let columns = projection_columns(&metas, &projection)?;
+    let compiled = Projection::compile(&metas, &projection)?;
+    let mut b = Builder { ctx, metas, funcs };
+    let count_star = matches!(root.op, Op::Count);
+    let (root, count_node) = match count_star {
+        true => (b.input(&mut root.children, &node)?, node),
+        false => (b.build(root, node)?, None),
+    };
+    Ok(SelectStream { root, projection: compiled, columns, count_star, count_node })
+}
+
+/// Plan and run a SELECT under the statement's profile node.
+pub(crate) fn run_select(ctx: &ExecCtx<'_>, sel: &Select) -> Result<QueryResult, DbError> {
     let parent = sdo_obs::current();
-    build_select_stream(ctx, sel, parent.as_ref())?.run()
+    let binding = Binding::Execute { ctx, profiled: parent.is_some() };
+    let plan = plan_select(ctx.db, sel, &ctx.plan_env(), binding)?;
+    let node = parent.map(|p| p.child(plan.root.label.clone()));
+    build_select_stream(ctx, plan, node)?.run()
 }
 
 /// Scan-and-filter a single table, returning the matching `(rowid,
-/// row)` pairs. The DML paths (DELETE / UPDATE) drive their doomed-set
-/// collection through the same access paths and filter as SELECT: an
-/// indexable spatial predicate is answered by an index scan.
+/// row)` pairs. DELETE and UPDATE collect their rows through the
+/// serial plan of the one-table `SELECT *` with their WHERE clause, so
+/// an indexable spatial predicate is answered by an index scan.
 pub(crate) fn collect_matching(
     ctx: &ExecCtx<'_>,
     table_name: &str,
     where_clause: &[Predicate],
 ) -> Result<Vec<(RowId, Row)>, DbError> {
-    let db = ctx.db;
-    let table = db.table(table_name)?;
-    let columns: Vec<String> =
-        table.read().schema().columns().iter().map(|c| c.name.clone()).collect();
-    let metas = Arc::new(vec![RelMeta {
-        binding: table_name.to_ascii_uppercase(),
-        columns,
-        table: Some(Arc::clone(&table)),
-        table_name: Some(table_name.to_ascii_uppercase()),
-    }]);
-    let op_names = db.operator_names();
-    let mut spatial: Vec<SpatialPred> = Vec::new();
-    let mut residual: Vec<Predicate> = Vec::new();
-    for p in where_clause {
-        match p {
-            Predicate::RowidPairIn { .. } => {
-                return Err(DbError::Plan(
-                    "rowid-pair IN must be the driving predicate of a two-table select".into(),
-                ))
-            }
-            Predicate::Compare {
-                left: crate::sql::ast::Expr::FnCall { name, args },
-                op,
-                right,
-            } if *op == crate::sql::ast::CmpOp::Eq
-                && op_names.iter().any(|o| o.eq_ignore_ascii_case(name))
-                && matches!(right, crate::sql::ast::Expr::Literal(v) if v.as_text() == Some("TRUE")) =>
-            {
-                spatial.push(classify_spatial(&metas, name, args)?)
-            }
-            other => residual.push(other.clone()),
-        }
+    if where_clause.iter().any(|p| matches!(p, Predicate::RowidPairIn { .. })) {
+        return Err(DbError::Plan(
+            "rowid-pair IN must be the driving predicate of a two-table select".into(),
+        ));
     }
+    let sel = Select {
+        projection: vec![SelectItem::Star],
+        from: vec![FromItem::Table { name: table_name.to_string(), alias: None }],
+        where_clause: where_clause.to_vec(),
+        order_by: Vec::new(),
+        limit: None,
+    };
     let parent = sdo_obs::current();
-    let mut sources = [SourceSlot::Table { name: table_name.to_string(), table }];
-    let choices: Vec<_> = crate::planner::plan_dml_scan(db, &metas, &spatial).into_iter().collect();
-    take_index_scans(ctx, &metas, &mut sources, &mut spatial, &mut None, &choices)?;
-    let inputs = (!spatial.is_empty() || !residual.is_empty())
-        .then(|| (Arc::clone(&metas), spatial, residual, None));
-    let mut root = make_scan(ctx, &mut sources, 0, 1, inputs, parent.as_ref())?;
+    let binding = Binding::Execute { ctx, profiled: parent.is_some() };
+    let plan = plan_select(ctx.db, &sel, &PlanEnv::serial(), binding)?;
+    let node = parent.map(|p| p.child(plan.root.label.clone()));
+    let mut root = build_select_stream(ctx, plan, node)?.root;
     let mut matched = Vec::new();
     let res = (|| -> Result<(), DbError> {
         loop {

@@ -228,8 +228,9 @@ fn gather<T>(
     failure.map_or(Ok(parts), Err)
 }
 
-/// What a worker needs to scan and filter morsels of one table, and
-/// each worker's profile node.
+/// What a worker needs to scan and filter morsels of one table, each
+/// worker's profile node, and the scan leaf's, which every worker's
+/// surviving rows are noted on.
 struct MorselScan {
     table: Arc<RwLock<Table>>,
     snap: Snapshot,
@@ -238,6 +239,7 @@ struct MorselScan {
     gauge: MemoryGauge,
     budget: u64,
     nodes: Vec<Option<ProfileNode>>,
+    leaf: Option<ProfileNode>,
 }
 
 impl MorselScan {
@@ -263,6 +265,7 @@ impl MorselScan {
                 }
             }
         }
+        note_batch(&self.leaf, out.len(), None);
         Ok(out)
     }
 }
@@ -279,6 +282,8 @@ struct TableSite<'a> {
     inputs: Option<FilterInputs>,
     dop: usize,
     node: Option<ProfileNode>,
+    /// The fused scan leaf's node.
+    leaf: Option<ProfileNode>,
     resident: Resident,
     held: u64,
     gauge: MemoryGauge,
@@ -293,7 +298,7 @@ impl<'a> TableSite<'a> {
         access: Option<IndexAccess>,
         inputs: FilterInputs,
         dop: usize,
-        node: Option<ProfileNode>,
+        [node, leaf]: [Option<ProfileNode>; 2],
     ) -> Self {
         TableSite {
             db: ctx.db,
@@ -302,6 +307,7 @@ impl<'a> TableSite<'a> {
             inputs: Some(inputs),
             dop: dop.max(1),
             node,
+            leaf,
             resident: ctx.resident("EXCHANGE"),
             held: 0,
             gauge: ctx.gauge.clone(),
@@ -315,10 +321,9 @@ impl<'a> TableSite<'a> {
     /// each, and that count stamped as the exchange's `dop`. `None`
     /// when there is nothing to read.
     fn prepare(&mut self) -> Result<Option<(MorselScan, Vec<Morsel>)>, DbError> {
-        let (metas, spatial, residual, hints) = self.inputs.take().expect("exchange inputs");
-        let width = metas.len();
-        let eval =
-            FilterEval::build(self.db, metas, spatial, residual, hints.as_deref(), self.snap)?;
+        let inputs = self.inputs.take().expect("exchange inputs");
+        let width = inputs.0.len();
+        let eval = FilterEval::build(self.db, inputs, self.snap)?;
         let morsels = match self.access.take() {
             Some(access) => {
                 let (rids, _) = access.rowids(&self.table, self.snap)?;
@@ -342,6 +347,7 @@ impl<'a> TableSite<'a> {
             gauge: self.gauge.clone(),
             budget: self.budget,
             nodes: worker_nodes(&self.node, eff),
+            leaf: self.leaf.clone(),
         };
         Ok(Some((scan, morsels)))
     }
@@ -376,11 +382,11 @@ struct ScanState {
     next_idx: usize,
 }
 
-/// Morsel-parallel `TableScanExec` + `FilterExec` fusion: the
-/// planner's Scan-site exchange. Workers scan disjoint slot ranges
-/// under the statement snapshot, filter with per-worker state, and the
-/// coordinator merges morsels back in slot order — emitting the exact
-/// row stream the serial scan+filter would.
+/// Morsel-parallel scan leaf (table or index scan, its conjuncts pushed
+/// in): the planner's Scan-site exchange. Workers scan disjoint slot
+/// ranges (or rowid chunks) under the statement snapshot, filter with
+/// per-worker state, and the coordinator merges morsels back in slot
+/// order — emitting the exact row stream the serial scan would.
 pub(crate) struct ParallelScanFilterExec<'a> {
     site: TableSite<'a>,
     state: Option<ScanState>,
@@ -388,15 +394,16 @@ pub(crate) struct ParallelScanFilterExec<'a> {
 }
 
 impl<'a> ParallelScanFilterExec<'a> {
+    /// `nodes`: the exchange's profile node and the scan leaf's.
     pub(crate) fn new(
         ctx: &ExecCtx<'a>,
         table: Arc<RwLock<Table>>,
         access: Option<IndexAccess>,
         inputs: FilterInputs,
         dop: usize,
-        node: Option<ProfileNode>,
+        nodes: [Option<ProfileNode>; 2],
     ) -> Self {
-        let site = TableSite::new(ctx, table, access, inputs, dop, node);
+        let site = TableSite::new(ctx, table, access, inputs, dop, nodes);
         ParallelScanFilterExec { site, state: None, done: false }
     }
 
@@ -516,10 +523,14 @@ pub(crate) struct ParallelSortExec<'a> {
     keys: Arc<Vec<SortKey>>,
     limit: Option<usize>,
     runs: Option<Vec<VecDeque<SortedRow>>>,
+    /// The fused SORT's node: the rows of every worker's sorted run.
+    sort_node: Option<ProfileNode>,
     done: bool,
 }
 
 impl<'a> ParallelSortExec<'a> {
+    /// `nodes`: the exchange's profile node, the SORT's and the scan
+    /// leaf's.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         ctx: &ExecCtx<'a>,
@@ -529,10 +540,11 @@ impl<'a> ParallelSortExec<'a> {
         keys: Vec<SortKey>,
         limit: Option<usize>,
         dop: usize,
-        node: Option<ProfileNode>,
+        [node, sort_node, leaf]: [Option<ProfileNode>; 3],
     ) -> Self {
-        let site = TableSite::new(ctx, table, access, inputs, dop, node);
-        ParallelSortExec { site, keys: Arc::new(keys), limit, runs: None, done: false }
+        let site = TableSite::new(ctx, table, access, inputs, dop, [node, leaf]);
+        let keys = Arc::new(keys);
+        ParallelSortExec { site, keys, limit, runs: None, sort_node, done: false }
     }
 
     /// Fan out, block until every worker delivers its sorted run, and
@@ -544,7 +556,7 @@ impl<'a> ParallelSortExec<'a> {
             return Ok(());
         };
         let (eff, nodes) = (scan.nodes.len(), scan.nodes.clone());
-        let (keys, limit) = (Arc::clone(&self.keys), self.limit);
+        let (keys, limit, sort_node) = (Arc::clone(&self.keys), self.limit, self.sort_node.clone());
         let queue = TaskQueue::seed_round_robin(morsels, eff);
         let fanout = fan_out(&queue, eff, eff, move |w, queue, out| {
             let t0 = scan.nodes[w].as_ref().map(|_| Instant::now());
@@ -578,6 +590,7 @@ impl<'a> ParallelSortExec<'a> {
                     charge.set(buf.len() as u64);
                 }
                 note_batch(&scan.nodes[w], buf.len(), t0);
+                note_batch(&sort_node, buf.len(), None);
                 Charged { idx: w, rows: buf, charge }
             });
             out.send(msg);
@@ -667,10 +680,13 @@ struct PairProbe {
     r_rel: usize,
     width: usize,
     snap: Snapshot,
-    eval: FilterEval,
-    filter: bool,
+    eval: Option<FilterEval>,
     gauge: MemoryGauge,
     budget: u64,
+    /// The fused semijoin's node (pairs with both rows visible) and its
+    /// filter's (pairs that pass).
+    semi: Option<ProfileNode>,
+    filter: Option<ProfileNode>,
 }
 
 /// A probe worker's tallies, stamped on its profile node at finish.
@@ -694,16 +710,20 @@ impl PairProbe {
         charge: &mut GaugeCharge,
     ) -> Result<JoinedBatch, DbError> {
         let mut rows = Vec::with_capacity(b.pairs.len());
+        let mut visible = 0;
         tally.probed += b.pairs.len() as u64;
         tally.fetched += probe_pairs(&b.pairs, &self.lt, &self.rt, &self.snap, |l, lv, r, rv| {
             let mut jr = empty_joined(self.width);
             jr[self.l_rel] = RelRow { rid: Some(l), values: lv.to_vec() };
             jr[self.r_rel] = RelRow { rid: Some(r), values: rv.to_vec() };
-            if !self.filter || self.eval.row_passes(&jr)? {
+            visible += 1;
+            if self.eval.as_ref().map_or(Ok(true), |e| e.row_passes(&jr))? {
                 rows.push(jr);
             }
             Ok(())
         })?;
+        note_batch(&self.semi, visible, None);
+        note_batch(&self.filter, rows.len(), None);
         charge_rows(charge, self.budget, rows.len() as u64, "EXCHANGE")?;
         Ok(rows)
     }
@@ -737,6 +757,8 @@ pub(crate) struct ParallelSemiJoinExec<'a> {
 }
 
 impl<'a> ParallelSemiJoinExec<'a> {
+    /// `nodes`: the exchange's profile node, the semijoin's and the
+    /// filter's (when `filter` is set).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         ctx: &ExecCtx<'a>,
@@ -746,18 +768,28 @@ impl<'a> ParallelSemiJoinExec<'a> {
         lt: Arc<RwLock<Table>>,
         rt: Arc<RwLock<Table>>,
         width: usize,
-        (metas, spatial, residual, hints): FilterInputs,
+        filter: Option<FilterInputs>,
         dop: usize,
-        node: Option<ProfileNode>,
+        [node, semi, filter_node]: [Option<ProfileNode>; 3],
     ) -> Result<Self, DbError> {
         if sub.columns.len() < 2 {
             return Err(DbError::Plan("rowid-pair subquery must project two rowid columns".into()));
         }
-        let filter = !spatial.is_empty() || !residual.is_empty();
-        let eval = FilterEval::build(ctx.db, metas, spatial, residual, hints.as_deref(), ctx.snap)?;
+        let eval = filter.map(|f| FilterEval::build(ctx.db, f, ctx.snap)).transpose()?;
         let (snap, gauge, budget) = (ctx.snap, ctx.gauge.clone(), ctx.max_resident_rows);
-        let probe =
-            Arc::new(PairProbe { lt, rt, l_rel, r_rel, width, snap, eval, filter, gauge, budget });
+        let probe = Arc::new(PairProbe {
+            lt,
+            rt,
+            l_rel,
+            r_rel,
+            width,
+            snap,
+            eval,
+            gauge,
+            budget,
+            semi,
+            filter: filter_node,
+        });
         let dop = dop.max(1);
         if let Some(n) = &node {
             n.set_attr("dop", dop.to_string());
@@ -883,6 +915,7 @@ mod tests {
     use super::*;
     use crate::db::Database;
     use crate::exec::RelMeta;
+    use crate::planner::Filter;
     use crate::sql::ast::{CmpOp, ColumnRef, Expr, OrderKey, Predicate};
     use sdo_storage::{DataType, Schema};
 
@@ -952,10 +985,13 @@ mod tests {
             expr: Expr::Column(ColumnRef { qualifier: None, column: "X".into() }),
             descending: false,
         };
-        let inputs = || (test_metas(db), Vec::new(), residual.clone(), None);
-        let scan = ParallelScanFilterExec::new(ctx, Arc::clone(&table), None, inputs(), 4, None);
+        let filter = || Filter { residual: residual.clone(), ..Filter::default() };
+        let inputs = || (test_metas(db), filter());
+        let scan =
+            ParallelScanFilterExec::new(ctx, Arc::clone(&table), None, inputs(), 4, [None, None]);
         let keys = SortKey::compile_all(&test_metas(db), &[by_x]).unwrap();
-        let sort = ParallelSortExec::new(ctx, table, None, inputs(), keys, None, 4, None);
+        let sort =
+            ParallelSortExec::new(ctx, table, None, inputs(), keys, None, 4, [None, None, None]);
         vec![("scan", Box::new(scan)), ("sort", Box::new(sort))]
     }
 
@@ -997,9 +1033,9 @@ mod tests {
         let db = test_db(1000);
         let ctx = test_ctx(&db, u64::MAX, 4);
         let gauge = ctx.gauge.clone();
-        let inputs = (test_metas(&db), Vec::new(), Vec::new(), None);
-        let mut exec =
-            ParallelScanFilterExec::new(&ctx, db.table("t").unwrap(), None, inputs, 4, None);
+        let inputs = (test_metas(&db), Filter::default());
+        let table = db.table("t").unwrap();
+        let mut exec = ParallelScanFilterExec::new(&ctx, table, None, inputs, 4, [None, None]);
         let mut ids = Vec::new();
         loop {
             let b = exec.next_batch().unwrap();

@@ -1,9 +1,14 @@
-//! Cost-based planner for SELECT statements.
+//! Cost-based planner for SELECT statements: the one place a SELECT's
+//! shape is decided.
 //!
-//! Consumes the statistics `ANALYZE` persists ([`TableStats`]: row
-//! counts, per-column NDV, spatial MBR histograms) and produces, for
-//! every SELECT, a costed [`PlanNode`] tree plus the concrete physical
-//! decisions the executors consult:
+//! [`plan_select`] binds the FROM list, classifies the WHERE clause
+//! once against it, and consumes the statistics `ANALYZE` persists
+//! ([`TableStats`]: row counts, per-column NDV, spatial MBR histograms)
+//! to produce a costed [`PlanNode`] tree. Every node names the operator
+//! that runs it ([`Op`]): `EXPLAIN` renders the tree, and the builder in
+//! `operators` walks it, making one operator per node and naming its
+//! profile node with the node's label, so `EXPLAIN ANALYZE` draws the
+//! same tree with actuals beside the estimates. The decisions:
 //!
 //! * **access path** — per base-table FROM slot, an index scan (fetch
 //!   only the rowids a constant spatial predicate's domain index
@@ -16,24 +21,31 @@
 //!   relation streams while smaller ones are materialized,
 //! * **kNN pushdown** — `ORDER BY SDO_DISTANCE(col, const) LIMIT k`
 //!   over a single R-tree-indexed table skips the full sort and runs
-//!   the index's incremental best-first search instead.
+//!   the index's incremental best-first search instead,
+//! * **exchange placement** — where a morsel-driven exchange
+//!   parallelizes the pipeline under the session's dop cap.
 //!
 //! Every decision carries a human-readable reason with the numbers
-//! that drove it; `EXPLAIN` renders the tree, and the streaming
-//! operators stamp the same reasons onto their profile nodes so
-//! `EXPLAIN ANALYZE` shows estimate vs. actual side by side.
+//! that drove it, and a statement that cannot be planned fails with
+//! the planning error.
 //!
-//! Statistics are advisory: missing or stale stats (more than
-//! `max(64, rows/5)` modifications since `ANALYZE`) degrade to
-//! documented defaults, never to errors, and the plan flags the
-//! degradation.
+//! Missing or stale statistics (more than `max(64, rows/5)`
+//! modifications since `ANALYZE`) degrade to documented defaults,
+//! never to errors, and the plan flags the degradation.
 
-use crate::db::Database;
+use crate::db::{Database, TfArg};
 use crate::error::DbError;
-use crate::exec::{classify_spatial, eval_const, RelMeta, SpatialOperand, SpatialPred};
-use crate::sql::ast::{Expr, FromItem, Predicate, Select, SelectItem, TfArgAst};
+use crate::exec::{
+    classify_spatial, eval_const, resolve_column_meta, RelMeta, SpatialOperand, SpatialPred,
+};
+use crate::operators::ExecCtx;
+use crate::sql::ast::{
+    CmpOp, ColumnRef, Expr, FromItem, OrderKey, Predicate, Select, SelectItem, TfArgAst,
+};
 use sdo_geom::Geometry;
+use sdo_obs::ProfileNode;
 use sdo_storage::{IndexKind, TableStats};
+use sdo_tablefunc::{Row, TableFunction};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -69,9 +81,8 @@ const DEFAULT_WINDOW_SEL: f64 = 0.1;
 // ---------------------------------------------------------------------------
 
 /// Session knobs the planner must respect when placing exchanges.
-/// Captured from the session options at plan time (`EXPLAIN`) or
-/// execution time (the streaming builder), so a prepared statement
-/// re-resolves them on every `EXECUTE`.
+/// Captured from the session options each time a statement is planned,
+/// so a prepared statement re-resolves them on every `EXECUTE`.
 pub(crate) struct PlanEnv {
     /// `ALTER SESSION SET parallel_dop` ceiling; 1 forces serial plans.
     pub dop_cap: usize,
@@ -134,53 +145,148 @@ fn table_estimate(db: &Database, name: &str, t: &sdo_storage::Table) -> RelEstim
     RelEstimate { rows: t.len() as f64, stats, stale }
 }
 
-/// Build the planner's view of the FROM list **without** instantiating
-/// table functions (plain `EXPLAIN` must not evaluate `CURSOR(...)`
-/// arguments). Table-function relations get empty column lists;
-/// predicates referencing them simply fail to classify and are planned
-/// as residual filters.
-pub(crate) fn plan_relations(
+// ---------------------------------------------------------------------------
+// Binding
+// ---------------------------------------------------------------------------
+
+/// How [`plan_select`] binds table functions.
+#[derive(Clone, Copy)]
+pub(crate) enum Binding<'c, 'a> {
+    /// Plain `EXPLAIN`: table functions are not instantiated and their
+    /// `CURSOR(...)` arguments are planned, not run. Their columns are
+    /// unknown, so a predicate over one is planned as a residual.
+    Explain,
+    /// Execution: table functions are instantiated for the statement
+    /// and their `CURSOR(...)` arguments run now, through the same
+    /// planner and executor, sharing the statement's gauge. When
+    /// `profiled`, each argument's operators record under a node the
+    /// function's scan adopts.
+    Execute { ctx: &'c ExecCtx<'a>, profiled: bool },
+}
+
+/// A table function instantiated at bind, waiting for its scan.
+pub(crate) struct BoundFunction {
+    /// The function's name as written (the scan's memory account).
+    pub name: String,
+    /// The pipelined function, not yet started.
+    pub func: Box<dyn TableFunction>,
+    /// Profile roots of its `CURSOR(...)` arguments, already run.
+    pub cursors: Vec<ProfileNode>,
+}
+
+/// The bound FROM list.
+struct Relations {
+    metas: Vec<RelMeta>,
+    ests: Vec<RelEstimate>,
+    /// Per slot, the instantiated table function (execution only).
+    funcs: Vec<Option<BoundFunction>>,
+    /// Per slot, the plans of its `CURSOR(...)` arguments (plain
+    /// `EXPLAIN` only; execution has run them).
+    cursors: Vec<Vec<PlanNode>>,
+    /// False when some relation's columns are unknown.
+    bound: bool,
+}
+
+/// Resolve every FROM item: a base table's schema and estimate, a table
+/// function per `binding`.
+fn bind(
     db: &Database,
     sel: &Select,
-) -> Result<(Vec<RelMeta>, Vec<RelEstimate>), DbError> {
-    let mut metas = Vec::with_capacity(sel.from.len());
-    let mut ests = Vec::with_capacity(sel.from.len());
+    env: &PlanEnv,
+    binding: Binding<'_, '_>,
+) -> Result<Relations, DbError> {
+    let n = sel.from.len();
+    let mut rels = Relations {
+        metas: Vec::with_capacity(n),
+        ests: Vec::with_capacity(n),
+        funcs: Vec::with_capacity(n),
+        cursors: Vec::with_capacity(n),
+        bound: true,
+    };
     for item in &sel.from {
+        let binding_name = item.binding().to_ascii_uppercase();
+        let (mut func, mut cursors) = (None, Vec::new());
         match item {
             FromItem::Table { name, .. } => {
                 let table = db.table(name)?;
                 let columns: Vec<String> =
                     table.read().schema().columns().iter().map(|c| c.name.clone()).collect();
-                ests.push(table_estimate(db, name, &table.read()));
-                metas.push(RelMeta {
-                    binding: item.binding().to_ascii_uppercase(),
+                rels.ests.push(table_estimate(db, name, &table.read()));
+                rels.metas.push(RelMeta {
+                    binding: binding_name,
                     columns,
                     table: Some(table),
                     table_name: Some(name.to_ascii_uppercase()),
                 });
             }
-            FromItem::TableFunction { .. } => {
-                metas.push(RelMeta {
-                    binding: item.binding().to_ascii_uppercase(),
-                    columns: Vec::new(),
-                    table: None,
-                    table_name: None,
-                });
-                ests.push(RelEstimate { rows: DEFAULT_TF_ROWS, stats: None, stale: false });
+            FromItem::TableFunction { name, args, .. } => {
+                let columns = match binding {
+                    Binding::Explain => {
+                        for a in args {
+                            if let TfArgAst::Cursor(sub) = a {
+                                let mut root = plan_select(db, sub, env, binding)?.root;
+                                root.label = format!("CURSOR: {}", root.label);
+                                cursors.push(root);
+                            }
+                        }
+                        rels.bound = false;
+                        Vec::new()
+                    }
+                    Binding::Execute { ctx, profiled } => {
+                        let mut nodes = Vec::new();
+                        let args = args
+                            .iter()
+                            .map(|a| match a {
+                                TfArgAst::Expr(e) => Ok(TfArg::Scalar(eval_const(e)?)),
+                                TfArgAst::Cursor(sub) => {
+                                    let (rows, node) = run_cursor(ctx, sub, env, profiled)?;
+                                    nodes.extend(node);
+                                    Ok(TfArg::Cursor(rows))
+                                }
+                            })
+                            .collect::<Result<Vec<_>, DbError>>()?;
+                        let inst = db.make_table_function(name, ctx.snap, args)?;
+                        let columns = inst.columns.iter().map(|c| c.to_ascii_uppercase()).collect();
+                        let name = name.clone();
+                        func = Some(BoundFunction { name, func: inst.func, cursors: nodes });
+                        columns
+                    }
+                };
+                let meta =
+                    RelMeta { binding: binding_name, columns, table: None, table_name: None };
+                rels.metas.push(meta);
+                rels.ests.push(RelEstimate { rows: DEFAULT_TF_ROWS, stats: None, stale: false });
             }
         }
+        rels.funcs.push(func);
+        rels.cursors.push(cursors);
     }
-    Ok((metas, ests))
+    Ok(rels)
+}
+
+/// Run one `CURSOR(...)` argument to completion: its rows, and the
+/// detached profile node its plan's root recorded under.
+fn run_cursor(
+    ctx: &ExecCtx<'_>,
+    sub: &Select,
+    env: &PlanEnv,
+    profiled: bool,
+) -> Result<(Vec<Row>, Option<ProfileNode>), DbError> {
+    let mut plan = plan_select(ctx.db, sub, env, Binding::Execute { ctx, profiled })?;
+    plan.root.label = format!("CURSOR: {}", plan.root.label);
+    let node = profiled.then(|| ProfileNode::detached(plan.root.label.clone()));
+    let rows = crate::operators::build_select_stream(ctx, plan, node.clone())?.run()?.rows;
+    Ok((rows, node))
 }
 
 // ---------------------------------------------------------------------------
 // Plan tree
 // ---------------------------------------------------------------------------
 
-/// One operator of the costed plan. Rendered by `EXPLAIN`; the
-/// estimates are also stamped onto profile nodes at execution.
+/// One operator of the costed plan: `EXPLAIN` renders it, the builder
+/// runs it, and its label names the operator's profile node.
 pub(crate) struct PlanNode {
-    /// Operator label, matching the executor's profile-node name.
+    /// Operator label, shared by the plan line and the profile node.
     pub label: String,
     /// Estimated output rows.
     pub est_rows: f64,
@@ -188,13 +294,22 @@ pub(crate) struct PlanNode {
     pub est_cost: f64,
     /// Why this operator/path was chosen, with the driving numbers.
     pub reason: String,
+    /// What the operator does.
+    pub op: Op,
     /// Input operators.
     pub children: Vec<PlanNode>,
 }
 
 impl PlanNode {
-    fn new(label: impl Into<String>, est_rows: f64, est_cost: f64, reason: String) -> Self {
-        PlanNode { label: label.into(), est_rows, est_cost, reason, children: Vec::new() }
+    fn new(label: impl Into<String>, est_rows: f64, est_cost: f64, reason: String, op: Op) -> Self {
+        PlanNode { label: label.into(), est_rows, est_cost, reason, op, children: Vec::new() }
+    }
+
+    /// `self` as the only input of a new node.
+    fn under(self, label: impl Into<String>, rows: f64, cost: f64, reason: String, op: Op) -> Self {
+        let mut n = PlanNode::new(label, rows, cost, reason, op);
+        n.children.push(self);
+        n
     }
 
     /// Render as indented text lines, one per operator:
@@ -232,89 +347,173 @@ fn fmt_est(v: f64) -> String {
     format!("{:.0}", v.clamp(0.0, 1e15))
 }
 
+/// The operator a [`PlanNode`] stands for. Leaves name their FROM slot;
+/// every other operator reads its children in order.
+pub(crate) enum Op {
+    /// Heap scan, the conjuncts over its one table pushed into it.
+    TableScan { slot: usize, filter: Option<Filter> },
+    /// Fetch only the rowids `pred`'s domain index returns, the other
+    /// conjuncts over its one table pushed into it.
+    IndexScan { slot: usize, pred: SpatialPred, filter: Option<Filter> },
+    /// `ORDER BY SDO_DISTANCE(col, query) LIMIT k` through the R-tree's
+    /// best-first search over slot 0 (replaces the scan and the sort).
+    KnnScan { col: usize, query: Arc<Geometry>, k: usize },
+    /// A pipelined table function's batches; in `EXPLAIN`, the plans of
+    /// its `CURSOR(...)` arguments are its children.
+    FunctionScan { slot: usize },
+    /// Per-row conjuncts above a join.
+    Filter(Filter),
+    /// Rowid pairs from the subquery (child 0) fetched from the `left`
+    /// and `right` slots' tables.
+    RowidSemiJoin { left: usize, right: usize, sub: Box<PlanInput> },
+    /// Spatial nested loop: the outer side (child 0) streams, the inner
+    /// (child 1) is an [`Op::IndexProbe`] or a scan to materialize.
+    /// `pred`'s target is the outer side.
+    NestedLoop { pred: SpatialPred },
+    /// A nested loop's inner side answered by its domain index.
+    IndexProbe,
+    /// Cross product: child 0 streams, the rest are materialized.
+    Cartesian,
+    /// Morsel-driven fan-out of the subtree below at `dop` workers.
+    Exchange { site: ExchangeSite, dop: usize },
+    /// Blocking ORDER BY.
+    Sort { keys: Vec<OrderKey> },
+    /// `LIMIT n`.
+    Limit(usize),
+    /// `COUNT(*)` of the child's rows.
+    Count,
+}
+
+impl Op {
+    /// The FROM slot a leaf reads.
+    pub(crate) fn slot(&self) -> Option<usize> {
+        match self {
+            Op::TableScan { slot, .. } | Op::IndexScan { slot, .. } | Op::FunctionScan { slot } => {
+                Some(*slot)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// Conjuncts one operator evaluates per row: the spatial predicates no
+/// index scan consumed, each marked when its domain index's rowid set
+/// answers it, and the residual comparisons.
+#[derive(Default)]
+pub(crate) struct Filter {
+    pub spatial: Vec<SpatialPred>,
+    pub use_index: Vec<bool>,
+    pub residual: Vec<Predicate>,
+}
+
+/// What a plan's operators read besides the tree: the bound relations,
+/// the instantiated table functions, and the select list.
+pub(crate) struct PlanInput {
+    pub metas: Arc<Vec<RelMeta>>,
+    pub funcs: Vec<Option<BoundFunction>>,
+    pub projection: Vec<SelectItem>,
+}
+
+/// The complete plan for one SELECT.
+pub(crate) struct SelectPlan {
+    /// The costed operator tree.
+    pub root: PlanNode,
+    /// What its operators read.
+    pub input: PlanInput,
+}
+
 // ---------------------------------------------------------------------------
 // Physical decisions
 // ---------------------------------------------------------------------------
 
 /// Outer/inner orientation and inner-side method for a spatial
 /// nested-loop join.
-pub(crate) struct JoinChoice {
+struct JoinChoice {
     /// Swap the predicate (the `other` relation becomes the outer)?
-    pub swap: bool,
+    swap: bool,
     /// Probe the inner side's domain index (else build/materialize it).
-    pub probe: bool,
+    probe: bool,
     /// Estimated join result pairs.
-    pub est_pairs: f64,
+    est_pairs: f64,
     /// Cost of the chosen orientation.
-    pub est_cost: f64,
+    est_cost: f64,
     /// The numeric comparison that picked it.
-    pub reason: String,
+    reason: String,
 }
 
 /// A detected `ORDER BY SDO_DISTANCE(col, const) LIMIT k` pushdown
 /// (always over relation slot 0 — single-table selects only).
-pub(crate) struct KnnChoice {
+struct KnnChoice {
     /// Geometry column index in the table schema.
-    pub col: usize,
+    col: usize,
     /// The constant query geometry.
-    pub query: Arc<Geometry>,
+    query: Arc<Geometry>,
     /// Result count.
-    pub k: usize,
+    k: usize,
     /// Cost of the pushdown path.
-    pub est_cost: f64,
+    est_cost: f64,
     /// Cost comparison vs. the full sort it replaces.
-    pub reason: String,
+    reason: String,
 }
-
-/// Per-spatial-predicate filter path: `true` = answer the predicate by
-/// the domain index's rowid set when one exists, `false` = planner
-/// determined functional evaluation is cheaper (index probe disabled).
-/// Consulted only for predicates no index scan consumed.
-pub(crate) type FilterHints = Vec<bool>;
 
 /// The planner's choice to read one base-table FROM slot through a
 /// domain index: fetch only the rowids a constant spatial predicate's
 /// index returns, instead of scanning the heap and filtering.
-pub(crate) struct IndexScanChoice {
+struct IndexScanChoice {
     /// FROM slot whose table scan the index scan replaces.
-    pub slot: usize,
-    /// Position of the driving predicate in the constant-predicate list
-    /// (the executor's `spatial` list once the join predicate, if any,
-    /// is removed); the index scan consumes it.
-    pub pred: usize,
+    slot: usize,
+    /// Position of the driving predicate among the spatial predicates
+    /// left once the join predicate, if any, is removed.
+    pred: usize,
     /// Plan and profile label: `INDEX SCAN T (SDO_RELATE via T_SIDX)`.
-    pub label: String,
+    label: String,
     /// Estimated rows the index returns.
-    pub est_rows: f64,
+    est_rows: f64,
     /// Probe plus per-hit exact test and fetch.
-    pub est_cost: f64,
+    est_cost: f64,
     /// The comparison that picked it.
-    pub reason: String,
+    reason: String,
 }
 
 /// Where a morsel-driven exchange is placed in the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ExchangeSite {
-    /// Morsel-parallel table scan + filter over a single base table.
+    /// Morsel-parallel scan + filter over a single base table (child:
+    /// the scan leaf).
     Scan,
     /// Fused scan + filter + per-worker partial sort, merged at the
-    /// exchange (covers ORDER BY and top-k).
-    Sort,
+    /// exchange (child: the SORT over the scan leaf). Under a `LIMIT`
+    /// each worker keeps only `limit` rows.
+    Sort { limit: Option<usize> },
     /// Parallel rowid-pair semijoin probe: the pair stream is cut into
-    /// probe blocks fanned out to workers.
+    /// probe blocks fanned out to workers (child: the semijoin, under
+    /// its FILTER when it has one).
     Probe,
 }
 
 /// The planner's decision to parallelize part of the pipeline.
-#[derive(Debug, Clone)]
-pub(crate) struct ExchangeChoice {
+struct ExchangeChoice {
     /// Which subtree the exchange covers.
-    pub site: ExchangeSite,
+    site: ExchangeSite,
     /// Degree of parallelism (always ≥ 2; dop 1 plans carry no
     /// exchange at all so point queries pay zero overhead).
-    pub dop: usize,
+    dop: usize,
     /// The numbers that picked the dop.
-    pub reason: String,
+    reason: String,
+}
+
+impl ExchangeChoice {
+    /// `core` under this exchange.
+    fn over(self, core: PlanNode) -> PlanNode {
+        let (rows, cost) = (core.est_rows, core.est_cost);
+        core.under(
+            "EXCHANGE",
+            rows,
+            cost,
+            self.reason,
+            Op::Exchange { site: self.site, dop: self.dop },
+        )
+    }
 }
 
 /// Pick a dop for `drive_rows` estimated input rows, or `None` when
@@ -345,29 +544,6 @@ fn choose_exchange(env: &PlanEnv, site: ExchangeSite, drive_rows: f64) -> Option
         by_mem,
     );
     Some(ExchangeChoice { site, dop, reason })
-}
-
-/// The complete plan for one SELECT.
-pub(crate) struct SelectPlan {
-    /// Costed operator tree for `EXPLAIN` (and attr stamping).
-    pub root: PlanNode,
-    /// Spatial nested-loop decision, when the query joins on a spatial
-    /// predicate.
-    pub join: Option<JoinChoice>,
-    /// kNN pushdown, when detected.
-    pub knn: Option<KnnChoice>,
-    /// Which FROM slot streams in a cartesian product (the rest are
-    /// materialized); slot 0 unless reordering pays.
-    pub stream_slot: usize,
-    /// Index-vs-scan hints for constant spatial predicates, in
-    /// classification order (parallel to the executor's `spatial` list
-    /// after the join predicate, if any, is removed).
-    pub filter_hints: FilterHints,
-    /// Base-table slots read by index scan, at most one per slot.
-    pub index_scans: Vec<IndexScanChoice>,
-    /// Morsel-driven exchange placement, when part of the pipeline is
-    /// worth parallelizing under the session's dop cap.
-    pub exchange: Option<ExchangeChoice>,
 }
 
 // ---------------------------------------------------------------------------
@@ -423,45 +599,51 @@ fn join_pairs(
 }
 
 // ---------------------------------------------------------------------------
-// Predicate classification (planning copy)
+// Predicate classification
 // ---------------------------------------------------------------------------
 
-/// What the planner extracted from the WHERE clause. Mirrors the
-/// executor's classification, but tolerant: anything that fails to
-/// classify (e.g. a spatial predicate over a table-function column
-/// whose schema is unknown pre-instantiation) is kept as residual.
+/// The WHERE clause, classified once against the bound FROM list.
 struct Conjuncts<'a> {
-    rowid_pair: Option<&'a Select>,
+    /// The driving `(l.ROWID, r.ROWID) IN (subquery)`, when any.
+    rowid_pair: Option<(&'a ColumnRef, &'a ColumnRef, &'a Select)>,
+    /// `OP(...) = 'TRUE'` over a registered spatial operator.
     spatial: Vec<SpatialPred>,
-    residual: Vec<&'a Predicate>,
+    /// Everything else (a second rowid-pair `IN` included, which fails
+    /// when the filter compiles it).
+    residual: Vec<Predicate>,
 }
 
-fn classify_conjuncts<'a>(db: &Database, metas: &[RelMeta], sel: &'a Select) -> Conjuncts<'a> {
+/// Classify `sel`'s conjuncts. A spatial predicate that fails to
+/// classify is an error, unless some relation's columns are unknown
+/// (`bound` false: plain `EXPLAIN` over a table function), where it is
+/// planned as a residual.
+fn classify_conjuncts<'a>(
+    db: &Database,
+    metas: &[RelMeta],
+    sel: &'a Select,
+    bound: bool,
+) -> Result<Conjuncts<'a>, DbError> {
     let op_names = db.operator_names();
     let mut out = Conjuncts { rowid_pair: None, spatial: Vec::new(), residual: Vec::new() };
     for p in &sel.where_clause {
         match p {
-            Predicate::RowidPairIn { subquery, .. } => {
-                if out.rowid_pair.is_none() {
-                    out.rowid_pair = Some(subquery);
-                } else {
-                    out.residual.push(p);
-                }
+            Predicate::RowidPairIn { left, right, subquery } if out.rowid_pair.is_none() => {
+                out.rowid_pair = Some((left, right, subquery));
             }
-            Predicate::Compare { left: Expr::FnCall { name, args }, op, right }
-                if *op == crate::sql::ast::CmpOp::Eq
-                    && op_names.iter().any(|o| o.eq_ignore_ascii_case(name))
+            Predicate::Compare { left: Expr::FnCall { name, args }, op: CmpOp::Eq, right }
+                if op_names.iter().any(|o| o.eq_ignore_ascii_case(name))
                     && matches!(right, Expr::Literal(v) if v.as_text() == Some("TRUE")) =>
             {
                 match classify_spatial(metas, name, args) {
                     Ok(sp) => out.spatial.push(sp),
-                    Err(_) => out.residual.push(p),
+                    Err(_) if !bound => out.residual.push(p.clone()),
+                    Err(e) => return Err(e),
                 }
             }
-            _ => out.residual.push(p),
+            _ => out.residual.push(p.clone()),
         }
     }
-    out
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -491,8 +673,8 @@ fn nlj_cost(outer_rows: f64, inner_rows: f64, pairs: f64, probe: bool) -> f64 {
 }
 
 /// Choose orientation and inner method for the driving spatial join
-/// predicate. `jp.target` is the predicate's first argument; `swap`
-/// means the executor should transpose the predicate so the second
+/// predicate over `jp.target` and column `(or, oc)`; `swap`
+/// means the plan transposes the predicate so the second
 /// argument's relation drives the loop. `scan_rows[s]` is what scanning
 /// slot `s` yields — its index scan's estimate when it has one — so a
 /// side an index scan narrows is costed as the narrow side it becomes
@@ -503,9 +685,9 @@ fn choose_join(
     ests: &[RelEstimate],
     scan_rows: &[f64],
     jp: &SpatialPred,
-) -> Option<JoinChoice> {
+    (or, oc): (usize, usize),
+) -> JoinChoice {
     let (tr, tc) = jp.target;
-    let SpatialOperand::Column(or, oc) = jp.other else { return None };
     let (pairs, pairs_src) = join_pairs(&ests[tr], tc, &ests[or], oc);
     let share = |s: usize| scan_rows[s] / ests[s].rows.max(1.0);
 
@@ -539,8 +721,11 @@ fn choose_join(
         (nlj_cost(scan_rows[outer], inner_rows, out, probe), out)
     };
     let costed: Vec<((f64, f64), &Cand)> = cands.iter().map(|c| (price(c), c)).collect();
-    let ((best_cost, best_pairs), best) =
-        costed.iter().min_by(|a, b| a.0 .0.total_cmp(&b.0 .0)).map(|(c, x)| (*c, *x))?;
+    let ((best_cost, best_pairs), best) = costed
+        .iter()
+        .min_by(|a, b| a.0 .0.total_cmp(&b.0 .0))
+        .map(|(c, x)| (*c, *x))
+        .expect("building the inner side is always a candidate");
 
     let describe = |c: &Cand| -> String {
         let outer = &metas[c.2].binding;
@@ -566,13 +751,7 @@ fn choose_join(
     if ests[tr].stale || ests[or].stale {
         reason.push_str("; STALE stats — estimates degraded");
     }
-    Some(JoinChoice {
-        swap: best.0,
-        probe: best.1,
-        est_pairs: best_pairs,
-        est_cost: best_cost,
-        reason,
-    })
+    JoinChoice { swap: best.0, probe: best.1, est_pairs: best_pairs, est_cost: best_cost, reason }
 }
 
 // ---------------------------------------------------------------------------
@@ -630,19 +809,6 @@ fn choose_index_scan(
     best
 }
 
-/// The index scan, if any, for a single-table DML statement's row
-/// collection (`UPDATE`/`DELETE … WHERE`), chosen exactly as for the
-/// FROM slot of a single-table SELECT.
-pub(crate) fn plan_dml_scan(
-    db: &Database,
-    metas: &[RelMeta],
-    spatial: &[SpatialPred],
-) -> Option<IndexScanChoice> {
-    let m = metas.first()?;
-    let est = table_estimate(db, m.table_name.as_deref()?, &m.table.as_ref()?.read());
-    choose_index_scan(db, metas, &[est], spatial, 0)
-}
-
 // ---------------------------------------------------------------------------
 // kNN pushdown detection
 // ---------------------------------------------------------------------------
@@ -681,7 +847,7 @@ fn detect_knn(
     for a in args {
         match a {
             Expr::Column(cr) => {
-                let (r, c) = crate::exec::resolve_column_meta(metas, cr).ok()?;
+                let (r, c) = resolve_column_meta(metas, cr).ok()?;
                 if r != 0 || c == usize::MAX || col.is_some() {
                     return None;
                 }
@@ -721,180 +887,177 @@ fn detect_knn(
 // plan_select
 // ---------------------------------------------------------------------------
 
-/// The leaf for FROM slot `slot`: its index scan when one was chosen,
-/// else a table or table-function scan. Table-function leaves show
-/// their `CURSOR(...)` argument plans as children — they run through
-/// the same executor.
+/// The leaf reading FROM slot `slot`: its index scan when one was
+/// chosen (consuming its driving predicate from `spatial`), else a
+/// table or table-function scan, the latter over its `CURSOR(...)`
+/// argument plans.
 fn scan_node(
-    db: &Database,
     sel: &Select,
-    ests: &[RelEstimate],
-    index_scans: &[IndexScanChoice],
+    est: &RelEstimate,
+    cursors: &mut Vec<PlanNode>,
+    index_scan: Option<&IndexScanChoice>,
+    spatial: &mut [Option<SpatialPred>],
     slot: usize,
-    env: &PlanEnv,
 ) -> PlanNode {
-    if let Some(c) = index_scans.iter().find(|c| c.slot == slot) {
-        return PlanNode::new(c.label.clone(), c.est_rows, c.est_cost, c.reason.clone());
+    if let Some(c) = index_scan {
+        let pred = spatial[c.pred].take().expect("each predicate drives one index scan");
+        let op = Op::IndexScan { slot, pred, filter: None };
+        return PlanNode::new(c.label.clone(), c.est_rows, c.est_cost, c.reason.clone(), op);
     }
     match &sel.from[slot] {
         FromItem::Table { name, .. } => PlanNode::new(
             format!("TABLE SCAN {}", name.to_ascii_uppercase()),
-            ests[slot].rows,
-            ests[slot].rows * C_ROW,
-            ests[slot].stats_note(),
+            est.rows,
+            est.rows * C_ROW,
+            est.stats_note(),
+            Op::TableScan { slot, filter: None },
         ),
-        FromItem::TableFunction { name, args, .. } => {
+        FromItem::TableFunction { name, .. } => {
             let mut n = PlanNode::new(
                 format!("TABLE FUNCTION SCAN {}", name.to_ascii_uppercase()),
-                ests[slot].rows,
-                ests[slot].rows * C_ROW,
+                est.rows,
+                est.rows * C_ROW,
                 "pipelined; row estimate is a default (no stats for functions)".to_string(),
+                Op::FunctionScan { slot },
             );
-            for a in args {
-                if let TfArgAst::Cursor(sub) = a {
-                    if let Ok(subplan) = plan_select(db, sub, env) {
-                        let mut c = subplan.root;
-                        c.label = format!("CURSOR: {}", c.label);
-                        n.children.push(c);
-                    }
-                }
-            }
+            n.children = std::mem::take(cursors);
             n
         }
     }
 }
 
-/// Plan a SELECT: estimates, path choices, and the costed tree.
-/// Never instantiates table functions or evaluates `CURSOR(...)`
-/// arguments — safe for plain `EXPLAIN`.
+/// Check a rowid-pair `IN`'s references: the ROWIDs of two distinct
+/// base tables, the only two FROM items. Returns their slots.
+fn rowid_pair_slots(
+    metas: &[RelMeta],
+    left: &ColumnRef,
+    right: &ColumnRef,
+) -> Result<(usize, usize), DbError> {
+    if metas.len() != 2 {
+        return Err(DbError::Plan("rowid-pair IN requires exactly two tables".into()));
+    }
+    let (l_rel, l_col) = resolve_column_meta(metas, left)?;
+    let (r_rel, r_col) = resolve_column_meta(metas, right)?;
+    if l_col != usize::MAX || r_col != usize::MAX {
+        return Err(DbError::Plan("rowid-pair IN requires ROWID references".into()));
+    }
+    if l_rel == r_rel {
+        return Err(DbError::Plan("rowid pair must reference two distinct tables".into()));
+    }
+    if metas[l_rel].table.is_none() || metas[r_rel].table.is_none() {
+        return Err(DbError::Plan("rowid pair over non-table".into()));
+    }
+    Ok((l_rel, r_rel))
+}
+
+/// Plan a SELECT: bind its FROM list per `binding`, classify its WHERE
+/// clause, and choose every operator of the costed tree.
 pub(crate) fn plan_select(
     db: &Database,
     sel: &Select,
     env: &PlanEnv,
+    binding: Binding<'_, '_>,
 ) -> Result<SelectPlan, DbError> {
-    let (metas, ests) = plan_relations(db, sel)?;
-    let mut conj = classify_conjuncts(db, &metas, sel);
-
-    // Pipelined COUNT(*) fast path.
-    if sel.projection == [SelectItem::CountStar]
-        && sel.where_clause.is_empty()
-        && sel.order_by.is_empty()
-        && sel.limit.is_none()
-        && sel.from.len() == 1
-        && matches!(sel.from[0], FromItem::TableFunction { .. })
-    {
-        let child = scan_node(db, sel, &ests, &[], 0, env);
-        let mut root = PlanNode::new(
-            "PIPELINED COUNT",
-            1.0,
-            child.est_cost + child.est_rows * C_ROW,
-            "streams batches; no materialization".to_string(),
-        );
-        root.children.push(child);
-        return Ok(SelectPlan {
-            root,
-            join: None,
-            knn: None,
-            stream_slot: 0,
-            filter_hints: Vec::new(),
-            index_scans: Vec::new(),
-            exchange: None,
-        });
-    }
+    let Relations { metas, ests, funcs, mut cursors, bound } = bind(db, sel, env, binding)?;
+    let Conjuncts { rowid_pair, mut spatial, residual } =
+        classify_conjuncts(db, &metas, sel, bound)?;
+    let width = sel.from.len();
 
     // The column-column spatial predicate drives a nested loop unless a
     // rowid-pair semijoin drives; the constant predicates that remain
     // are what index scans and the filter stage answer.
-    let join_pred = match conj.rowid_pair {
-        None => conj.spatial.iter().position(|s| s.is_join()).map(|p| conj.spatial.remove(p)),
+    let join_pred = match rowid_pair {
+        None => spatial.iter().position(|s| s.is_join()).map(|p| spatial.remove(p)),
         Some(_) => None,
     };
+    // (predicate, other side's (slot, column))
+    let join_pred = join_pred.map(|jp| match jp.other {
+        SpatialOperand::Column(r, c) => (jp, (r, c)),
+        SpatialOperand::Const(_) => unreachable!("a join predicate has a column operand"),
+    });
+    if join_pred.as_ref().is_some_and(|(jp, (or, _))| jp.target.0 == *or) {
+        return Err(DbError::Plan("spatial join requires two distinct tables".into()));
+    }
     // The index scan each slot would get as a scan leaf; the rowid-pair
     // semijoin fetches its sides by rowid and scans neither.
-    let mut slot_scans: Vec<Option<IndexScanChoice>> = (0..sel.from.len())
-        .map(|s| match conj.rowid_pair {
-            None => choose_index_scan(db, &metas, &ests, &conj.spatial, s),
+    let mut slot_scans: Vec<Option<IndexScanChoice>> = (0..width)
+        .map(|s| match rowid_pair {
+            None => choose_index_scan(db, &metas, &ests, &spatial, s),
             Some(_) => None,
         })
         .collect();
-    let scan_rows: Vec<f64> = (0..sel.from.len())
-        .map(|s| slot_scans[s].as_ref().map_or(ests[s].rows, |c| c.est_rows))
-        .collect();
-    let join_choice =
-        join_pred.as_ref().and_then(|jp| choose_join(db, &metas, &ests, &scan_rows, jp));
-    // (outer slot, inner slot, inner probes its index)
-    let join_slots = join_pred.as_ref().map(|jp| {
-        let (tr, _) = jp.target;
-        let SpatialOperand::Column(or, _) = jp.other else { unreachable!("join predicate") };
-        match &join_choice {
-            Some(c) if c.swap => (or, tr, c.probe),
-            c => (tr, or, c.as_ref().is_some_and(|c| c.probe)),
+    let scan_rows: Vec<f64> =
+        (0..width).map(|s| slot_scans[s].as_ref().map_or(ests[s].rows, |c| c.est_rows)).collect();
+    // The costed orientation: the predicate's target is the outer side.
+    let join = match join_pred {
+        Some((jp, other)) => {
+            let c = choose_join(db, &metas, &ests, &scan_rows, &jp, other);
+            Some((if c.swap { transpose_pred(jp)? } else { jp }, c))
         }
-    });
-
+        None => None,
+    };
     // A probed inner side is not a scan leaf: its constant predicates
     // stay in the filter stage.
-    if let Some((_, inner, true)) = join_slots {
-        slot_scans[inner] = None;
+    if let Some((jp, JoinChoice { probe: true, .. })) = &join {
+        if let SpatialOperand::Column(inner, _) = jp.other {
+            slot_scans[inner] = None;
+        }
     }
     let index_scans: Vec<IndexScanChoice> = slot_scans.into_iter().flatten().collect();
     let leaf_rows = |slot: usize| -> f64 {
         index_scans.iter().find(|c| c.slot == slot).map_or(ests[slot].rows, |c| c.est_rows)
     };
-    let scan_leaf = |slot: usize| scan_node(db, sel, &ests, &index_scans, slot, env);
-
-    let mut knn_choice: Option<KnnChoice> = None;
-    let mut stream_slot = 0usize;
+    let knn = if sel.order_by.is_empty() { None } else { detect_knn(db, &metas, &ests, sel) };
+    let stream_slot =
+        (0..width).max_by(|&a, &b| leaf_rows(a).total_cmp(&leaf_rows(b))).unwrap_or(0);
+    let mut spatial: Vec<Option<SpatialPred>> = spatial.into_iter().map(Some).collect();
+    let mut leaves: Vec<Option<PlanNode>> = (0..width)
+        .map(|s| {
+            let c = index_scans.iter().find(|c| c.slot == s);
+            Some(scan_node(sel, &ests[s], &mut cursors[s], c, &mut spatial, s))
+        })
+        .collect();
+    let spatial: Vec<SpatialPred> = spatial.into_iter().flatten().collect();
+    let mut leaf = |s: usize| leaves[s].take().expect("each FROM item is read once");
 
     // Core strategy node.
     let mut core: PlanNode;
-    if let Some(subquery) = conj.rowid_pair {
-        // The subquery is its own pipeline (typically a pipelined
-        // table-function scan); exchanges never nest inside it.
-        let sub = plan_select(db, subquery, &PlanEnv::serial())?;
-        let pairs = sub.root.est_rows;
-        let mut n = PlanNode::new(
+    if let Some((left, right, subquery)) = rowid_pair {
+        let (l_rel, r_rel) = rowid_pair_slots(&metas, left, right)?;
+        let SelectPlan { root: sub, input } = plan_select(db, subquery, env, binding)?;
+        let pairs = sub.est_rows;
+        let cost = sub.est_cost + pairs * (2.0 * C_FETCH + C_ROW);
+        core = sub.under(
             "ROWID-PAIR SEMIJOIN",
             pairs,
-            sub.root.est_cost + pairs * (2.0 * C_FETCH + C_ROW),
+            cost,
             "fetches both base rows per pair from the subquery stream".to_string(),
+            Op::RowidSemiJoin { left: l_rel, right: r_rel, sub: Box::new(input) },
         );
-        n.children.push(sub.root);
-        core = n;
-    } else if let (Some(jp), Some((outer_slot, inner_slot, probe))) = (&join_pred, join_slots) {
-        let (tr, _) = jp.target;
-        let SpatialOperand::Column(or, oc) = jp.other else { unreachable!("join predicate") };
-        let (pairs, cost, reason) = match &join_choice {
-            Some(c) => (c.est_pairs, c.est_cost, c.reason.clone()),
-            None => (
-                ests[tr].rows.max(ests[or].rows),
-                nlj_cost(ests[tr].rows, ests[or].rows, ests[tr].rows.max(ests[or].rows), false),
-                "no costing possible; default orientation".to_string(),
-            ),
-        };
-        let mut n = PlanNode::new(format!("NESTED LOOP JOIN ({})", jp.name), pairs, cost, reason);
-        n.children.push(scan_leaf(outer_slot));
-        if probe {
-            let inner_col = if inner_slot == tr { jp.target.1 } else { oc };
-            let ix = indexed(db, &metas, inner_slot, inner_col).unwrap_or_default();
-            n.children.push(PlanNode::new(
+    } else if let Some((jp, c)) = join {
+        let (outer, _) = jp.target;
+        let SpatialOperand::Column(inner, ic) = jp.other else { unreachable!("join predicate") };
+        let label = format!("NESTED LOOP JOIN ({})", jp.name);
+        core = PlanNode::new(label, c.est_pairs, c.est_cost, c.reason, Op::NestedLoop { pred: jp });
+        core.children.push(leaf(outer));
+        core.children.push(if c.probe {
+            let ix = indexed(db, &metas, inner, ic).unwrap_or_default();
+            PlanNode::new(
                 format!("INDEX PROBE {ix}"),
-                pairs,
+                c.est_pairs,
                 0.0,
                 "one probe per outer row; cost folded into the join".to_string(),
-            ));
+                Op::IndexProbe,
+            )
         } else {
-            n.children.push(scan_leaf(inner_slot));
-        }
-        core = n;
-    } else if sel.from.len() > 1 {
+            leaf(inner)
+        });
+    } else if width > 1 {
         // Cartesian product: stream the largest relation, materialize
         // the smaller ones (resident rows = sum of materialized sizes).
-        stream_slot =
-            (0..sel.from.len()).max_by(|&a, &b| leaf_rows(a).total_cmp(&leaf_rows(b))).unwrap_or(0);
-        let out_rows: f64 = (0..sel.from.len()).map(|s| leaf_rows(s).max(1.0)).product();
-        let mat_rows: f64 = (0..sel.from.len()).filter(|&s| s != stream_slot).map(&leaf_rows).sum();
-        let mut n = PlanNode::new(
+        let out_rows: f64 = (0..width).map(|s| leaf_rows(s).max(1.0)).product();
+        let mat_rows: f64 = (0..width).filter(|&s| s != stream_slot).map(&leaf_rows).sum();
+        core = PlanNode::new(
             "CARTESIAN PRODUCT",
             out_rows,
             out_rows * C_ROW + mat_rows * C_ROW,
@@ -904,27 +1067,24 @@ pub(crate) fn plan_select(
                 fmt_est(leaf_rows(stream_slot)),
                 fmt_est(mat_rows)
             ),
+            Op::Cartesian,
         );
-        n.children.push(scan_leaf(stream_slot));
-        for s in 0..sel.from.len() {
-            if s != stream_slot {
-                n.children.push(scan_leaf(s));
-            }
+        core.children.push(leaf(stream_slot));
+        for s in (0..width).filter(|&s| s != stream_slot) {
+            core.children.push(leaf(s));
         }
-        core = n;
     } else {
-        core = scan_leaf(0);
+        core = leaf(0);
     }
 
     // Filter stage: estimate output of the spatial predicates no index
     // scan consumed plus the residual conjuncts; decide index-vs-scan
     // per remaining constant spatial predicate.
-    let consumed = |pi: usize| index_scans.iter().any(|c| c.pred == pi);
-    let mut filter_hints: FilterHints = Vec::with_capacity(conj.spatial.len());
+    let mut use_index = Vec::with_capacity(spatial.len());
     let mut rows = core.est_rows;
     let mut cost = core.est_cost;
     let mut notes: Vec<String> = Vec::new();
-    for (pi, sp) in conj.spatial.iter().enumerate() {
+    for sp in &spatial {
         let (tr, _) = sp.target;
         let (out, src) = filter_rows(&ests[tr], sp);
         let in_rows = ests[tr].rows.max(1.0);
@@ -937,12 +1097,9 @@ pub(crate) fn plan_select(
         // the probe is overhead on top of the same exact work.
         let index_cost = C_PROBE + out * C_EXACT + rows * C_ROW;
         let scan_cost = rows * (C_ROW + C_EXACT);
-        let use_index = has_index && index_cost < scan_cost;
-        filter_hints.push(use_index);
-        if consumed(pi) {
-            continue;
-        }
-        let path = if use_index {
+        let by_index = has_index && index_cost < scan_cost;
+        use_index.push(by_index);
+        let path = if by_index {
             format!("index rowid set (probe≈{} < scan≈{})", fmt_est(index_cost), fmt_est(scan_cost))
         } else if has_index {
             format!(
@@ -954,142 +1111,107 @@ pub(crate) fn plan_select(
             "functional evaluation (no index)".to_string()
         };
         notes.push(format!("{} sel={:.3} [{}] via {}", sp.name, sel_frac, src, path));
-        cost += if use_index { index_cost } else { scan_cost };
+        cost += if by_index { index_cost } else { scan_cost };
         rows *= sel_frac;
     }
-    if !conj.residual.is_empty() {
+    if !residual.is_empty() {
         // Residual comparisons: the classic 1/3 guess per conjunct.
-        for _ in &conj.residual {
+        for _ in &residual {
             cost += rows * C_ROW;
             rows /= 3.0;
         }
-        notes.push(format!("{} residual conjunct(s) sel=0.333 each", conj.residual.len()));
+        notes.push(format!("{} residual conjunct(s) sel=0.333 each", residual.len()));
     }
-    // One base table read by a table scan tests the conjuncts inside
-    // the scan, as the executor runs it; above anything else they are
-    // a FILTER stage.
-    let scan_filters = sel.from.len() == 1
-        && matches!(sel.from[0], FromItem::Table { .. })
-        && conj.rowid_pair.is_none()
-        && join_pred.is_none()
-        && index_scans.is_empty();
-    if !notes.is_empty() && scan_filters {
-        let filter =
-            crate::operators::filter_text(&metas, &conj.spatial, conj.residual.iter().copied());
-        core.reason = format!("{}; filter={filter}; {}", core.reason, notes.join("; "));
-        (core.est_rows, core.est_cost) = (rows, cost);
-    } else if !notes.is_empty() {
-        let mut f = PlanNode::new("FILTER", rows, cost, notes.join("; "));
-        f.children.push(core);
-        core = f;
-    }
-
-    // Exchange placement. The kNN pushdown (detected below) touches
-    // ~k rows and never parallelizes; everything else is sited by
-    // shape: semijoins fan out probe blocks, single-base-table
-    // pipelines fan out scan morsels — under a sort, the workers run
-    // the sort too and the exchange merges sorted runs. The driving
-    // estimate is the scan leaf's output (base-table rows, or an index
-    // scan's hits), because morsels partition what the leaf reads
-    // regardless of the filter stage above it.
-    let knn_detected =
-        if sel.order_by.is_empty() { None } else { detect_knn(db, &metas, &ests, sel) };
-    let mut exchange: Option<ExchangeChoice> = None;
-    if knn_detected.is_none() {
-        if conj.rowid_pair.is_some() {
-            // The table-function subquery estimate is a default; the
-            // base tables bound the real pair volume better.
-            let drive = ests.iter().fold(0.0f64, |m, e| m.max(e.rows));
-            exchange = choose_exchange(env, ExchangeSite::Probe, drive);
-        } else if sel.from.len() == 1
-            && matches!(sel.from[0], FromItem::Table { .. })
-            && join_pred.is_none()
-        {
-            let site =
-                if sel.order_by.is_empty() { ExchangeSite::Scan } else { ExchangeSite::Sort };
-            exchange = choose_exchange(env, site, leaf_rows(0));
-        }
-    }
-    if let Some(x) = &exchange {
-        if x.site != ExchangeSite::Sort {
-            let mut e = PlanNode::new("EXCHANGE", core.est_rows, core.est_cost, x.reason.clone());
-            e.children.push(core);
-            core = e;
-        }
-    }
-
-    // ORDER BY: either the kNN pushdown or a full sort.
-    if !sel.order_by.is_empty() {
-        if let Some(knn) = knn_detected {
-            let mut n = PlanNode::new(
-                format!("KNN SCAN {} (k={})", metas[0].binding, knn.k),
-                (knn.k as f64).min(ests[0].rows),
-                knn.est_cost,
-                knn.reason.clone(),
-            );
-            // The pushdown replaces both the scan and the sort.
-            n.children.push(PlanNode::new(
-                "INDEX BEST-FIRST SEARCH".to_string(),
-                (knn.k as f64).min(ests[0].rows),
-                0.0,
-                "incremental nearest-neighbor traversal".to_string(),
-            ));
-            knn_choice = Some(knn);
-            core = n;
+    // One base table: its scan leaf (table or index scan) tests the
+    // conjuncts on each row it reads. Above anything else they are a
+    // FILTER stage.
+    let single_base = matches!(core.op, Op::TableScan { .. } | Op::IndexScan { .. });
+    if !notes.is_empty() {
+        if let Op::TableScan { filter, .. } | Op::IndexScan { filter, .. } = &mut core.op {
+            let text = crate::operators::filter_text(&metas, &spatial, &residual);
+            core.reason = format!("{}; filter={text}; {}", core.reason, notes.join("; "));
+            (core.est_rows, core.est_cost) = (rows, cost);
+            *filter = Some(Filter { spatial, use_index, residual });
         } else {
-            let n_in = core.est_rows.max(1.0);
-            let mut s = PlanNode::new(
-                format!("SORT [{} key(s)]", sel.order_by.len()),
-                core.est_rows,
-                core.est_cost + n_in * n_in.log2().max(1.0) * C_CMP,
-                "blocking full sort; all input rows resident".to_string(),
-            );
-            s.children.push(core);
-            core = s;
-            if let Some(x) = &exchange {
-                if x.site == ExchangeSite::Sort {
-                    let mut e =
-                        PlanNode::new("EXCHANGE", core.est_rows, core.est_cost, x.reason.clone());
-                    e.children.push(core);
-                    core = e;
-                }
-            }
+            let f = Filter { spatial, use_index, residual };
+            core = core.under("FILTER", rows, cost, notes.join("; "), Op::Filter(f));
+        }
+    }
+
+    // Exchange placement. The kNN pushdown touches ~k rows and never
+    // parallelizes; everything else is sited by shape: semijoins fan
+    // out probe blocks, single-base-table pipelines fan out scan
+    // morsels — under a sort, the workers run the sort too and the
+    // exchange merges sorted runs. The driving estimate is the scan
+    // leaf's output (base-table rows, or an index scan's hits), because
+    // morsels partition what the leaf reads regardless of its filter.
+    let exchange = if knn.is_some() {
+        None
+    } else if rowid_pair.is_some() {
+        // The subquery's estimate is often a function default; the
+        // base tables bound the real pair volume better.
+        let drive = ests.iter().fold(0.0f64, |m, e| m.max(e.rows));
+        choose_exchange(env, ExchangeSite::Probe, drive)
+    } else if single_base {
+        let site = match sel.order_by.is_empty() {
+            true => ExchangeSite::Scan,
+            false => ExchangeSite::Sort { limit: sel.limit },
+        };
+        choose_exchange(env, site, leaf_rows(0))
+    } else {
+        None
+    };
+    let (exchange, sort_exchange) = match exchange {
+        Some(x) if matches!(x.site, ExchangeSite::Sort { .. }) => (None, Some(x)),
+        x => (x, None),
+    };
+    if let Some(x) = exchange {
+        core = x.over(core);
+    }
+
+    // ORDER BY: either the kNN pushdown (replacing the scan and the
+    // sort) or a full sort.
+    if let Some(knn) = knn {
+        core = PlanNode::new(
+            format!("KNN SCAN {} (k={})", metas[0].binding, knn.k),
+            (knn.k as f64).min(ests[0].rows),
+            knn.est_cost,
+            knn.reason,
+            Op::KnnScan { col: knn.col, query: knn.query, k: knn.k },
+        );
+    } else if !sel.order_by.is_empty() {
+        let n_in = core.est_rows.max(1.0);
+        let (rows, cost) = (core.est_rows, core.est_cost + n_in * n_in.log2().max(1.0) * C_CMP);
+        core = core.under(
+            format!("SORT [{} key(s)]", sel.order_by.len()),
+            rows,
+            cost,
+            "blocking full sort; all input rows resident".to_string(),
+            Op::Sort { keys: sel.order_by.clone() },
+        );
+        if let Some(x) = sort_exchange {
+            core = x.over(core);
         }
     }
 
     if let Some(k) = sel.limit {
-        let rows = core.est_rows.min(k as f64);
-        let mut l = PlanNode::new(
-            format!("LIMIT {k}"),
-            rows,
-            core.est_cost,
-            "early termination propagates close() down the pipeline".to_string(),
-        );
-        l.children.push(core);
-        core = l;
+        let (rows, cost) = (core.est_rows.min(k as f64), core.est_cost);
+        let reason = "early termination propagates close() down the pipeline".to_string();
+        core = core.under(format!("LIMIT {k}"), rows, cost, reason, Op::Limit(k));
     }
-
     if sel.projection == [SelectItem::CountStar] {
-        let mut a = PlanNode::new("AGGREGATE COUNT(*)", 1.0, core.est_cost, String::new());
-        a.children.push(core);
-        core = a;
+        let cost = core.est_cost;
+        core = core.under("AGGREGATE COUNT(*)", 1.0, cost, String::new(), Op::Count);
     }
 
-    Ok(SelectPlan {
-        root: core,
-        join: join_choice,
-        knn: knn_choice,
-        stream_slot,
-        filter_hints,
-        index_scans,
-        exchange,
-    })
+    let input = PlanInput { metas: Arc::new(metas), funcs, projection: sel.projection.clone() };
+    Ok(SelectPlan { root: core, input })
 }
 
 /// Transpose a column-column spatial predicate so its second relation
 /// drives the loop: `OP(a, b, extra)` becomes `OP(b, a, extra')` with
 /// asymmetric `SDO_RELATE` masks transposed.
-pub(crate) fn transpose_pred(jp: SpatialPred) -> Result<SpatialPred, DbError> {
+fn transpose_pred(jp: SpatialPred) -> Result<SpatialPred, DbError> {
     let SpatialOperand::Column(or, oc) = jp.other else {
         return Err(DbError::Plan("cannot transpose a constant-operand predicate".into()));
     };

@@ -34,15 +34,22 @@ struct NodeInner {
 pub struct ProfileNode(Arc<NodeInner>);
 
 impl ProfileNode {
-    fn new(name: impl Into<String>) -> Self {
+    /// Append a child operator node and return its handle.
+    pub fn child(&self, name: impl Into<String>) -> ProfileNode {
+        let node = ProfileNode::detached(name);
+        self.adopt(&node);
+        node
+    }
+
+    /// A node in no tree yet, for an operator that runs before the node
+    /// that will hold it exists; [`ProfileNode::adopt`] attaches it.
+    pub fn detached(name: impl Into<String>) -> ProfileNode {
         ProfileNode(Arc::new(NodeInner { name: name.into(), ..NodeInner::default() }))
     }
 
-    /// Append a child operator node and return its handle.
-    pub fn child(&self, name: impl Into<String>) -> ProfileNode {
-        let node = ProfileNode::new(name);
+    /// Append `node`, with what it recorded so far, as the last child.
+    pub fn adopt(&self, node: &ProfileNode) {
         self.0.children.lock().expect("profile poisoned").push(Arc::clone(&node.0));
-        node
     }
 
     /// Add produced rows.
@@ -264,7 +271,7 @@ impl ProfileSession {
     /// Begin profiling with a root operator named `name`.
     pub fn begin(name: impl Into<String>) -> Self {
         ACTIVE_SESSIONS.fetch_add(1, Ordering::Relaxed);
-        let root = ProfileNode::new(name);
+        let root = ProfileNode::detached(name);
         let guard = enter(root.clone());
         ProfileSession { root, guard: Some(guard) }
     }

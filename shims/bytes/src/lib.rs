@@ -28,6 +28,7 @@ impl Bytes {
     }
 
     /// Length in bytes of the visible window.
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
@@ -61,6 +62,7 @@ impl Bytes {
         self.as_slice().to_vec()
     }
 
+    #[inline]
     fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
@@ -250,14 +252,17 @@ pub trait Buf {
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self.as_slice()
     }
 
+    #[inline]
     fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance past end");
         self.start += n;
@@ -265,14 +270,17 @@ impl Buf for Bytes {
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
 
+    #[inline]
     fn advance(&mut self, n: usize) {
         *self = &self[n..];
     }
@@ -331,12 +339,14 @@ pub trait BufMut {
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.buf.extend_from_slice(src);
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }

@@ -81,8 +81,8 @@ fn pipelined_count_profile_matches_cardinality_with_per_slave_rows() {
     let profile = db.last_profile().unwrap();
     let op = profile
         .root
-        .find("PIPELINED COUNT")
-        .expect("COUNT(*) over TABLE() takes the pipelined fast path");
+        .find("TABLE FUNCTION SCAN SPATIAL_JOIN")
+        .expect("COUNT(*) over TABLE() counts the function's scan");
     assert_eq!(op.rows, n as u64, "operator rows must equal the query cardinality");
     assert!(op.batches > 0);
     assert!(op.attrs.iter().any(|(k, v)| k == "dop" && v == "2"));
@@ -144,7 +144,7 @@ fn partition_join_profile_reports_method_tiles_and_cache_accuracy() {
     assert!(n > 0, "partitioned county join must produce pairs");
 
     let profile = db.last_profile().unwrap();
-    let op = profile.root.find("PIPELINED COUNT").unwrap();
+    let op = profile.root.find("TABLE FUNCTION SCAN SPATIAL_JOIN").unwrap();
     assert!(
         op.attrs.iter().any(|(k, v)| k == "method_chosen" && v == "partition"),
         "planner verdict rides on the operator: {:?}",
@@ -184,7 +184,7 @@ fn partition_primary_only_join_touches_no_geometry_cache() {
     )
     .unwrap();
     let profile = db.last_profile().unwrap();
-    let op = profile.root.find("PIPELINED COUNT").unwrap();
+    let op = profile.root.find("TABLE FUNCTION SCAN SPATIAL_JOIN").unwrap();
     for s in op.children.iter().filter(|c| c.name.starts_with("slave")) {
         let fetch = s.find("geometry fetch").unwrap();
         assert_eq!(
@@ -205,7 +205,7 @@ fn kernel_metrics_surface_in_explain_analyze() {
         ))
         .unwrap();
         let profile = db.last_profile().unwrap();
-        let op = profile.root.find("PIPELINED COUNT").unwrap();
+        let op = profile.root.find("TABLE FUNCTION SCAN SPATIAL_JOIN").unwrap();
         let slaves: Vec<_> = op.children.iter().filter(|c| c.name.starts_with("slave")).collect();
         assert_eq!(slaves.len(), 2, "{method}: dop=2 must report two slave operators");
         for s in &slaves {
@@ -251,7 +251,7 @@ fn exact_filter_reports_the_segment_indexes_it_builds() {
             .unwrap();
         assert_eq!(n, 300, "{left} x {right}: each shape meets its twin only");
         let profile = db.last_profile().unwrap();
-        let op = profile.root.find("PIPELINED COUNT").unwrap();
+        let op = profile.root.find("TABLE FUNCTION SCAN SPATIAL_JOIN").unwrap();
         assert!(op.attrs.iter().any(|(k, v)| k == "method_chosen" && v == engine), "{engine}");
         let filter = op.find("exact filter").expect("the join profiles its filter");
         assert!(filter.metric("shapes_built").is_some(), "shapes_built renders even at zero");
@@ -390,7 +390,7 @@ fn window_query_plans_an_index_scan_with_estimate_beside_actual() {
 }
 
 /// Every join's engine is chosen automatically from its inputs'
-/// indexes, and the `PIPELINED COUNT` operator carries the choice and
+/// indexes, and the function's scan operator carries the choice and
 /// the rule that fired: the tree join on the R-tree tables, the
 /// partition join on their unindexed twins.
 #[test]
@@ -405,7 +405,7 @@ fn method_chosen_covers_rtree_and_auto_with_reason() {
         ))
         .unwrap();
         let profile = db.last_profile().unwrap();
-        let op = profile.root.find("PIPELINED COUNT").unwrap();
+        let op = profile.root.find("TABLE FUNCTION SCAN SPATIAL_JOIN").unwrap();
         assert!(
             op.attrs.iter().any(|(k, v)| k == "method_chosen" && v == engine),
             "{suffix}: {:?}",
@@ -534,6 +534,46 @@ fn unindexed_delete_scans_each_live_row_once_with_the_filter_in_the_scan() {
     assert_eq!(left.rows, vec![vec![Value::Integer(0)]]);
 }
 
+/// `(depth, label)` of each node of an `EXPLAIN` plan, in pre-order.
+fn plan_skeleton(db: &Database, select: &str) -> Vec<(usize, String)> {
+    let out = db.execute(&format!("EXPLAIN {select}")).unwrap();
+    let node = |r: &Vec<Value>| {
+        let line = r[0].as_text().unwrap();
+        let label = line.trim_start();
+        let cut = label.find(" (rows=").unwrap_or_else(|| panic!("no estimates in {line:?}"));
+        ((line.len() - label.len()) / 2, label[..cut].to_string())
+    };
+    out.rows.iter().map(node).collect()
+}
+
+/// `(depth, label)` of each operator `EXPLAIN ANALYZE <statement>` ran,
+/// in pre-order and one level up: the statement root is skipped, and so
+/// are the nodes only a run has (a parallel function's slaves, an
+/// exchange's workers, the spatial join's phases), with their subtrees.
+fn run_skeleton(db: &Database, statement: &str) -> Vec<(usize, String)> {
+    db.execute(&format!("EXPLAIN ANALYZE {statement}")).unwrap();
+    let profile = db.last_profile().unwrap();
+    let run_time_only = |name: &str| {
+        name.starts_with("slave ")
+            || name.starts_with("worker ")
+            || ["mbr join", "candidate sort", "geometry fetch", "exact filter"].contains(&name)
+    };
+    let mut out = Vec::new();
+    let mut skip_below = usize::MAX;
+    for (depth, n) in profile.root.walk().into_iter().skip(1) {
+        if depth > skip_below {
+            continue;
+        }
+        skip_below = usize::MAX;
+        if run_time_only(&n.name) {
+            skip_below = depth;
+            continue;
+        }
+        out.push((depth - 1, n.name.clone()));
+    }
+    out
+}
+
 /// Plain `EXPLAIN` draws the operator tree `EXPLAIN ANALYZE` runs. For
 /// one table read by a table scan, the conjuncts and their estimate
 /// notes render on the `TABLE SCAN` node, with no `FILTER` above it.
@@ -542,36 +582,87 @@ fn explain_draws_the_tree_explain_analyze_runs() {
     let db = Database::new();
     db.execute("ALTER SESSION SET parallel_dop = 1").unwrap();
     load_grid(&db, "p2", 40);
-    let lines = |sql: String| -> Vec<String> {
-        let out = db.execute(&sql).unwrap();
-        out.rows.iter().map(|r| r[0].as_text().unwrap().to_string()).collect()
-    };
-    // (depth, operator label) of each node below the root; a plan line
-    // ends its label at " (rows=", a profile line at " rows=".
-    let shape = |lines: &[String], end: &str| -> Vec<(usize, String)> {
-        let node = |l: &String| {
-            let label = l.trim_start();
-            let cut = label.find(end).unwrap_or_else(|| panic!("no {end:?} in {l:?}"));
-            ((l.len() - label.len()) / 2, label[..cut].to_string())
-        };
-        lines[1..].iter().map(node).collect()
-    };
     for sql in [
         "SELECT COUNT(*) FROM p2 WHERE id = -1",
         "SELECT COUNT(*) FROM p2 WHERE id < 5 AND SDO_AREA(geom) > 0.1",
         "SELECT COUNT(*) FROM p2",
     ] {
-        let plan = lines(format!("EXPLAIN {sql}"));
-        let run = lines(format!("EXPLAIN ANALYZE {sql}"));
-        let want = vec![(1, "TABLE SCAN P2".to_string())];
-        assert_eq!(shape(&plan, " (rows="), want, "EXPLAIN {sql}: {plan:#?}");
-        assert_eq!(shape(&run, " rows="), want, "EXPLAIN ANALYZE {sql}: {run:#?}");
+        let want = vec![(0, "AGGREGATE COUNT(*)".to_string()), (1, "TABLE SCAN P2".to_string())];
+        assert_eq!(plan_skeleton(&db, sql), want, "EXPLAIN {sql}");
+        assert_eq!(run_skeleton(&db, sql), want, "EXPLAIN ANALYZE {sql}");
     }
-    let plan = lines("EXPLAIN SELECT COUNT(*) FROM p2 WHERE id = -1".into());
+    let plan = db.execute("EXPLAIN SELECT COUNT(*) FROM p2 WHERE id = -1").unwrap();
+    let plan: Vec<&str> = plan.rows.iter().map(|r| r[0].as_text().unwrap()).collect();
     assert!(
         plan[1].contains("filter=ID = -1; 1 residual conjunct(s) sel=0.333 each"),
         "the conjunct and its estimate render on the scan: {plan:#?}"
     );
+}
+
+/// One plan per statement: for every shape the planner draws, `EXPLAIN`
+/// and `EXPLAIN ANALYZE` show the same operators in the same tree, at
+/// dop 1 and at dop 4 with 8-row morsels (where the exchanges appear).
+/// A `DELETE` runs the plan of the `SELECT *` with its WHERE clause.
+#[test]
+fn explain_and_explain_analyze_draw_one_skeleton() {
+    let _morsel = morsel_rows(8);
+    let window = "SDO_RELATE(geom, SDO_GEOMETRY('POLYGON ((-110 30, -90 30, -90 45, -110 45, \
+                  -110 30))'), 'ANYINTERACT') = 'TRUE'";
+    let pairs = |dop: usize| {
+        format!(
+            "SPATIAL_JOIN(CURSOR(SELECT lnode, rnode FROM TABLE( \
+             SUBTREE_PAIRS('city_sidx', 'river_sidx', 1, 'intersect'))), \
+             'city_table', 'geom', 'river_table', 'geom', 'intersect', {dop})"
+        )
+    };
+    let selects = [
+        "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN( \
+         'city_table', 'geom', 'river_table', 'geom', 'intersect', 2))"
+            .to_string(),
+        "SELECT COUNT(*) FROM city_table WHERE id > 0".to_string(),
+        // kNN pushdown
+        "SELECT id FROM city_table ORDER BY SDO_DISTANCE(geom, SDO_POINT(-100, 38)) LIMIT 5"
+            .to_string(),
+        // nested loop: index probe, then build
+        "SELECT a.id, b.id FROM city_table a, river_table b \
+         WHERE SDO_RELATE(a.geom, b.geom, 'intersect') = 'TRUE'"
+            .to_string(),
+        "SELECT a.id, b.id FROM city_twin a, river_twin b \
+         WHERE SDO_RELATE(a.geom, b.geom, 'intersect') = 'TRUE' AND a.id < 30"
+            .to_string(),
+        // cartesian product
+        "SELECT a.id, b.id FROM city_twin a, river_twin b WHERE a.id = b.id".to_string(),
+        // rowid-pair semijoins: over a function, and over a scan whose
+        // plan depends on the dop
+        "SELECT a.id, b.id FROM city_table a, river_table b WHERE (a.rowid, b.rowid) IN \
+         (SELECT rid1, rid2 FROM TABLE(SPATIAL_JOIN( \
+          'city_table', 'geom', 'river_table', 'geom', 'intersect'))) AND a.id < 50"
+            .to_string(),
+        "SELECT a.id, b.id FROM city_twin a, city_twin b WHERE (a.rowid, b.rowid) IN \
+         (SELECT rowid, rowid FROM city_twin WHERE id >= 3)"
+            .to_string(),
+        // exchange scan and exchange sort (serial at dop 1)
+        "SELECT id FROM city_table WHERE id >= 0".to_string(),
+        "SELECT id FROM city_twin WHERE id >= 0 ORDER BY id DESC LIMIT 3".to_string(),
+        format!("SELECT id FROM city_table WHERE {window} ORDER BY id LIMIT 4"),
+        // CURSOR(...) argument, serial and parallel join
+        format!("SELECT COUNT(*) FROM TABLE({})", pairs(1)),
+        format!("SELECT COUNT(*) FROM TABLE({})", pairs(2)),
+    ];
+    for dop in [1, 4] {
+        let db = session_with_tables();
+        db.execute(&format!("ALTER SESSION SET parallel_dop = {dop}")).unwrap();
+        for sql in &selects {
+            let plan = plan_skeleton(&db, sql);
+            assert_eq!(run_skeleton(&db, sql), plan, "dop {dop}: {sql}");
+        }
+        // The index scan a DELETE collects its rows through.
+        let scan =
+            plan_skeleton(&db, &format!("SELECT * FROM city_table WHERE {window} AND id < 20"));
+        assert!(scan[0].1.starts_with("INDEX SCAN CITY_TABLE"), "dop {dop}: {scan:?}");
+        let delete = format!("DELETE FROM city_table WHERE {window} AND id < 20");
+        assert_eq!(run_skeleton(&db, &delete), scan, "dop {dop}: {delete}");
+    }
 }
 
 /// A morsel-parallel scan renders as an EXCHANGE with per-worker
