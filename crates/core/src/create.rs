@@ -1,35 +1,34 @@
 //! Serial and parallel spatial index creation (paper §5).
 //!
-//! Both builders drive the **same table-function machinery the paper
-//! describes**:
+//! Both builders run the paper's parallel stages as typed fan-outs: each
+//! stage is `dop` slaves on [`Fanout`], the engine's one fan-out
+//! runtime, pulling work from one shared work-stealing [`TaskQueue`],
+//! and each slave sends its whole output as one message of typed
+//! tuples, never SQL rows:
 //!
-//! * Quadtree (Figure 2): the geometry cursor is chunked into slot
-//!   ranges that `dop` tessellation slaves pull from a shared
-//!   work-stealing queue ([`sdo_tablefunc::scheduler`]); tile rows
-//!   funnel back and the B-tree over tile codes is bulk-packed from
-//!   the merged sorted run.
-//! * R-tree: stage 1 loads geometries and computes MBRs in parallel
-//!   (the same dynamically-scheduled cursor chunks); stage 2 spatially
-//!   slices the MBR stream and *clusters subtrees in parallel* — each
-//!   slave STR-packs its slice into a subtree — and the subtrees are
-//!   merged at the end ([`sdo_rtree::RTree::merge`]).
+//! * Quadtree (Figure 2): slaves pull slot ranges of the geometry
+//!   column, tessellate each row and emit `(tile code, rowid)` pairs;
+//!   the B-tree over tile codes is bulk-packed from their sorted merge.
+//! * R-tree: stage 1 (geometry loading / MBR extraction) emits each
+//!   row's cached MBR as `(Rect, rowid)`; the builder cuts the MBRs into
+//!   `dop` slices by x-center, stage 2 *clusters subtrees in parallel* —
+//!   each slave STR-packs a slice and returns the subtree — and the
+//!   subtrees are merged at the end ([`sdo_rtree::RTree::merge`]).
 //!
-//! Earlier versions RANGE-partitioned the cursor statically, one slice
-//! per slave, as Oracle does; with clustered data and variable-cost
-//! geometries that loads slaves unevenly, so both stages now pull
-//! chunks on demand instead. The chunk set covers the same slot space
-//! exactly once, so results are unchanged.
+//! Where Oracle RANGE-partitions the cursor once, one slice per slave,
+//! slaves here pull chunks on demand, so clustered data and
+//! variable-cost geometries cannot load one slave unevenly. The chunk
+//! set covers the slot space exactly once, so results are unchanged.
 
 use crate::params::SpatialIndexParams;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use sdo_dbms::DbError;
 use sdo_geom::{Geometry, Rect};
-use sdo_quadtree::QuadtreeIndex;
+use sdo_obs::ProfileNode;
+use sdo_quadtree::{QuadtreeIndex, TileApprox, TileCode};
 use sdo_rtree::{RTree, RTreeParams};
 use sdo_storage::{Counters, RowId, Snapshot, Table, Value};
-use sdo_tablefunc::scheduler::{TaskQueue, WorkStealingFn};
-use sdo_tablefunc::{execute_parallel, Row, TableFunction, TfError};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use sdo_tablefunc::{Fanout, Outbox, Row, TaskQueue, TfError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,7 +43,7 @@ pub struct CreationStats {
     pub parallel_stage: Duration,
     /// Wall-clock of the final merge/B-tree pack.
     pub merge_stage: Duration,
-    /// Rows produced by the parallel stage (tile rows or MBR rows).
+    /// Items produced by the first parallel stage (tiles or MBRs).
     pub stage_rows: usize,
     /// Input slots actually processed per slave. Under dynamic
     /// scheduling this reflects how the load really spread (a slave
@@ -52,73 +51,81 @@ pub struct CreationStats {
     pub partition_sizes: Vec<usize>,
 }
 
+/// Slots per table read lock in a scan stage.
+const BATCH_SLOTS: usize = 256;
+
 /// Chunk a table's slot space into work-stealing range tasks: several
 /// chunks per worker, so slaves pull often enough for load balancing
 /// without paying a queue pop per row.
-fn range_tasks(hwm: usize, dop: usize) -> Vec<(usize, usize)> {
-    let chunk = hwm.div_ceil(dop.max(1) * 8).max(1);
-    let mut tasks = Vec::new();
-    let mut lo = 0;
-    while lo < hwm {
-        let hi = (lo + chunk).min(hwm);
-        tasks.push((lo, hi));
-        lo = hi;
-    }
-    tasks
+fn range_tasks(table: &RwLock<Table>, dop: usize) -> Arc<TaskQueue<(usize, usize)>> {
+    let hwm = table.read().high_water_mark();
+    let chunk = hwm.div_ceil(dop * 8).max(1);
+    let tasks = (0..hwm).step_by(chunk).map(|lo| (lo, (lo + chunk).min(hwm))).collect();
+    TaskQueue::seed_round_robin(tasks, dop)
 }
 
-/// Build `dop` work-stealing slave instances over a geometry column:
-/// each slave pulls `(lo, hi)` slot ranges from a shared [`TaskQueue`]
-/// and hands every row's `(rowid, geometry)` to `body`, which appends
-/// its output rows. Each 256-slot batch's row handles are collected
-/// under one table read lock, which is released before `body` runs;
-/// rows with a NULL geometry are skipped. Returns the instances plus
-/// the per-worker processed-slot counters that become
-/// [`CreationStats::partition_sizes`].
-fn stealing_cursor_stage(
-    table: &Arc<RwLock<Table>>,
-    column: usize,
-    dop: usize,
-    body: impl Fn(RowId, &Geometry, &mut Vec<Row>) -> Result<(), TfError> + Send + Sync + 'static,
-) -> (Vec<Box<dyn TableFunction>>, Arc<Vec<AtomicUsize>>) {
-    let hwm = table.read().high_water_mark();
-    let queue = TaskQueue::seed_round_robin(range_tasks(hwm, dop), dop);
-    let processed: Arc<Vec<AtomicUsize>> =
-        Arc::new((0..dop).map(|_| AtomicUsize::new(0)).collect());
+/// One slave's output and the input units (slots, or MBRs clustered)
+/// it consumed.
+type SlaveOutput<I> = (Vec<I>, usize);
+
+/// Run one typed build stage: a slave per worker of `queue` on
+/// [`Fanout`], each popping tasks until the queue runs dry and folding
+/// them through `body`, which appends its items and returns the input
+/// units the task consumed. Each slave sends its whole output as one
+/// message; the outputs come back indexed by worker, or the first error.
+/// Under `stage`, slave `N` records its `rows` (`rows` of its items),
+/// `wall`, `tasks_executed` and `tasks_stolen`.
+fn fan_stage<T, I>(
+    stage: &Option<ProfileNode>,
+    queue: Arc<TaskQueue<T>>,
+    rows: fn(&[I]) -> usize,
+    body: impl Fn(T, &mut Vec<I>) -> Result<usize, TfError> + Send + Sync + 'static,
+) -> Result<Vec<SlaveOutput<I>>, DbError>
+where
+    T: Send + 'static,
+    I: Send + 'static,
+{
+    type Msg<I> = (usize, Result<SlaveOutput<I>, TfError>);
+    let dop = queue.dop();
+    if let Some(n) = stage {
+        n.set_attr("dop", dop.to_string());
+    }
     let body = Arc::new(body);
-    let instances = (0..dop)
-        .map(|worker| {
-            let table = Arc::clone(table);
-            let body = Arc::clone(&body);
-            let processed = Arc::clone(&processed);
-            Box::new(WorkStealingFn::new(
-                Arc::clone(&queue),
-                worker,
-                move |(lo, hi): (usize, usize)| {
-                    let mut out = Vec::new();
-                    let mut batch = Vec::with_capacity(256);
-                    for from in (lo..hi).step_by(256) {
-                        // Hold the read lock only to collect the batch's
-                        // row handles (Arc clones, no row copies); the
-                        // body runs after it is released so DML on the
-                        // table is not held up behind tessellation.
-                        let to = (from + 256).min(hi);
-                        table.read().scan_range_at(from, to, &Snapshot::LATEST, |rid, row| {
-                            batch.push((rid, Arc::clone(row)))
-                        });
-                        for (rid, row) in batch.drain(..) {
-                            if let Some(g) = row[column].as_geometry() {
-                                body(rid, g, &mut out)?;
-                            }
-                        }
-                    }
-                    processed[worker].fetch_add(hi - lo, Ordering::Relaxed);
-                    Ok(out)
-                },
-            )) as Box<dyn TableFunction>
-        })
-        .collect();
-    (instances, processed)
+    let bodies = (0..dop).map(|w| {
+        let (queue, body) = (Arc::clone(&queue), Arc::clone(&body));
+        let node = stage.as_ref().map(|n| n.child(format!("slave {w}")));
+        move |out: &Outbox<Msg<I>>| {
+            let t0 = Instant::now();
+            let (mut items, mut consumed) = (Vec::new(), 0);
+            let result = std::iter::from_fn(|| queue.pop(w))
+                .take_while(|_| !out.cancelled())
+                .try_for_each(|task| body(task, &mut items).map(|n| consumed += n));
+            note(&node, t0.elapsed(), rows(&items));
+            if let Some(n) = &node {
+                // set_metric: a zero must render — a slave that ran no
+                // task is the load-imbalance signal.
+                n.set_metric("tasks_executed", queue.executed(w));
+                n.set_metric("tasks_stolen", queue.stolen(w));
+            }
+            out.send((w, result.map(|()| (items, consumed))));
+        }
+    });
+    let fanout = Fanout::spawn(dop, bodies, |w| (w, Err(TfError::SlavePanic(w))));
+    let mut outputs: Vec<SlaveOutput<I>> = (0..dop).map(|_| (Vec::new(), 0)).collect();
+    while let Some((w, output)) = fanout.recv() {
+        // Returning early drops the fan-out, which cancels and joins
+        // the other slaves.
+        outputs[w] = output?;
+    }
+    Ok(outputs)
+}
+
+/// Record a stage's wall time and output rows on its profile node.
+fn note(node: &Option<ProfileNode>, wall: Duration, rows: usize) {
+    if let Some(n) = node {
+        n.add_wall(wall);
+        n.add_rows(rows as u64);
+    }
 }
 
 /// Compute (or adopt) the world extent for a quadtree, over the rows
@@ -165,7 +172,6 @@ pub fn build_quadtree(
     let _span = sdo_obs::span("create.quadtree");
     let world = world_extent_of(table, column, params, Snapshot::LATEST)?;
     let level = params.sdo_level;
-    let geometry_count = table.read().len();
     let prof = sdo_obs::current().map(|p| {
         let n = p.child("quadtree build");
         n.set_attr("dop", dop.to_string());
@@ -173,43 +179,75 @@ pub fn build_quadtree(
         n
     });
 
-    // Stage 1: parallel tessellation through work-stealing table
-    // functions pulling cursor chunks on demand.
+    // Stage 1: parallel tessellation.
     let t0 = Instant::now();
-    let (instances, processed) = stealing_cursor_stage(table, column, dop, move |rid, g, out| {
-        tessellate_row(rid, g, &world, level, &counters, out)
-    });
     let tess_node = prof.as_ref().map(|p| p.child("parallel tessellation"));
-    let tile_rows = {
-        let _scope = tess_node.clone().map(sdo_obs::enter);
-        execute_parallel(instances, 1024).map_err(DbError::from)?
-    };
-    let partition_sizes: Vec<usize> = processed.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-    let parallel_stage = t0.elapsed();
-    if let Some(n) = &tess_node {
-        n.add_wall(parallel_stage);
-        n.add_rows(tile_rows.len() as u64);
-    }
+    let slaves = tessellation_stage(table, column, dop, &tess_node, move |rid, g, out| {
+        out.extend(tiles(g, &world, level, &counters)?.into_iter().map(|t| (t.code, rid)));
+        Ok(())
+    })?;
+    let partition_sizes = slaves.iter().map(|s| s.1).collect();
+    let entries: Vec<(TileCode, RowId)> = slaves.into_iter().flat_map(|s| s.0).collect();
+    let (stage_rows, parallel_stage) = (entries.len(), t0.elapsed());
+    note(&tess_node, parallel_stage, stage_rows);
 
-    // Stage 2: decode, sort, build the tile map from the sorted run.
+    // Stage 2: sort the tiles and pack the B-tree from the sorted run.
     let t1 = Instant::now();
-    let entries: Vec<(u64, RowId)> = tile_rows
-        .iter()
-        .map(|r| (r[0].as_integer().unwrap_or(0) as u64, r[1].as_rowid().unwrap_or(RowId::new(0))))
-        .collect();
-    let stage_rows = entries.len();
-    let index = QuadtreeIndex::bulk_build(world, level, entries, geometry_count);
+    let index = QuadtreeIndex::bulk_build(world, level, entries, table.read().len());
     let merge_stage = t1.elapsed();
-    if let Some(p) = &prof {
-        let n = p.child("btree pack");
-        n.add_wall(merge_stage);
-        n.add_rows(stage_rows as u64);
-    }
+    note(&prof.as_ref().map(|p| p.child("btree pack")), merge_stage, stage_rows);
 
     Ok((index, CreationStats { dop, parallel_stage, merge_stage, stage_rows, partition_sizes }))
 }
 
-/// The tessellation table-function body: one row's `(rowid, geometry)`
+/// The quadtree's parallel stage: slaves pull slot ranges of the table
+/// and `tessellate` each row with a geometry. A batch's row handles are
+/// collected under one table read lock, which is released before the
+/// batch is tessellated, so DML is not held up behind tessellation.
+fn tessellation_stage(
+    table: &Arc<RwLock<Table>>,
+    column: usize,
+    dop: usize,
+    node: &Option<ProfileNode>,
+    tessellate: impl Fn(RowId, &Geometry, &mut Vec<(TileCode, RowId)>) -> Result<(), TfError>
+        + Send
+        + Sync
+        + 'static,
+) -> Result<Vec<SlaveOutput<(TileCode, RowId)>>, DbError> {
+    let table_ = Arc::clone(table);
+    fan_stage(node, range_tasks(table, dop), <[_]>::len, move |(lo, hi), out| {
+        let mut batch = Vec::with_capacity(BATCH_SLOTS);
+        for from in (lo..hi).step_by(BATCH_SLOTS) {
+            let to = (from + BATCH_SLOTS).min(hi);
+            table_.read().scan_range_at(from, to, &Snapshot::LATEST, |rid, row| {
+                if let Some(g) = row[column].as_geometry() {
+                    batch.push((rid, Arc::clone(g)));
+                }
+            });
+            for (rid, g) in batch.drain(..) {
+                tessellate(rid, &g, out)?;
+            }
+        }
+        Ok(hi - lo)
+    })
+}
+
+/// A geometry's tiles at `level` over `world`, or the error for one
+/// outside the extent.
+fn tiles(
+    g: &Geometry,
+    world: &Rect,
+    level: u32,
+    counters: &Counters,
+) -> Result<Vec<TileApprox>, TfError> {
+    if let Some(msg) = outside_extent(g, world) {
+        return Err(TfError::Execution(msg));
+    }
+    Counters::bump(&counters.tessellations);
+    Ok(sdo_quadtree::tessellate(g, world, level))
+}
+
+/// The `TESSELLATE` table-function body: one row's `(rowid, geometry)`
 /// in, its `(tile_code, rowid, interior)` rows appended to `out`.
 pub fn tessellate_row(
     rid: RowId,
@@ -219,11 +257,7 @@ pub fn tessellate_row(
     counters: &Counters,
     out: &mut Vec<Row>,
 ) -> Result<(), TfError> {
-    if let Some(msg) = outside_extent(g, world) {
-        return Err(TfError::Execution(msg));
-    }
-    Counters::bump(&counters.tessellations);
-    out.extend(sdo_quadtree::tessellate(g, world, level).into_iter().map(|t| {
+    out.extend(tiles(g, world, level, counters)?.into_iter().map(|t| {
         vec![
             Value::Integer(t.code as i64),
             Value::RowId(rid),
@@ -273,100 +307,62 @@ pub fn build_rtree(
         n
     });
 
-    // Stage 1: parallel geometry load + MBR computation, pulling
-    // cursor chunks from a shared work-stealing queue.
+    // Stage 1: parallel geometry load + MBR extraction. Each row's MBR
+    // is cached in its geometry, so it is read under the batch's lock.
     let t0 = Instant::now();
-    let (instances, processed) = stealing_cursor_stage(table, column, dop, |rid, g, out| {
-        let bb = g.bbox();
-        out.push(vec![
-            Value::RowId(rid),
-            Value::Double(bb.min_x),
-            Value::Double(bb.min_y),
-            Value::Double(bb.max_x),
-            Value::Double(bb.max_y),
-        ]);
-        Ok(())
-    });
     let load_node = prof.as_ref().map(|p| p.child("parallel mbr load"));
-    let mbr_rows = {
-        let _scope = load_node.clone().map(sdo_obs::enter);
-        execute_parallel(instances, 1024).map_err(DbError::from)?
-    };
-    let partition_sizes: Vec<usize> = processed.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-    let stage_rows = mbr_rows.len();
-    if let Some(n) = &load_node {
-        n.add_wall(t0.elapsed());
-        n.add_rows(stage_rows as u64);
-    }
+    let table_ = Arc::clone(table);
+    let slaves =
+        fan_stage(&load_node, range_tasks(table, dop), <[_]>::len, move |(lo, hi), out| {
+            for from in (lo..hi).step_by(BATCH_SLOTS) {
+                let to = (from + BATCH_SLOTS).min(hi);
+                table_.read().scan_range_at(from, to, &Snapshot::LATEST, |rid, row| {
+                    if let Some(g) = row[column].as_geometry() {
+                        out.push((g.bbox(), rid));
+                    }
+                });
+            }
+            Ok(hi - lo)
+        })?;
+    let partition_sizes = slaves.iter().map(|s| s.1).collect();
+    let mut items: Vec<(Rect, RowId)> = slaves.into_iter().flat_map(|s| s.0).collect();
+    let stage_rows = items.len();
+    note(&load_node, t0.elapsed(), stage_rows);
 
-    // Decode and spatially slice by x-center so per-slave subtrees have
-    // low mutual overlap (better merged tree quality).
-    let mut items: Vec<(Rect, RowId)> = mbr_rows
-        .iter()
-        .map(|r| {
-            let rect = Rect::new(
-                r[1].as_double().unwrap_or(0.0),
-                r[2].as_double().unwrap_or(0.0),
-                r[3].as_double().unwrap_or(0.0),
-                r[4].as_double().unwrap_or(0.0),
-            );
-            (rect, r[0].as_rowid().unwrap_or(RowId::new(0)))
-        })
-        .collect();
-    items.sort_by(|a, b| a.0.center().x.total_cmp(&b.0.center().x));
-    let chunk = items.len().div_ceil(dop).max(1);
-    let slices: Vec<Vec<(Rect, RowId)>> = items.chunks(chunk).map(|c| c.to_vec()).collect();
-
-    // Stage 2: cluster subtrees in parallel. Each slave is a table
-    // function whose payload is an STR bulk load; it reports one
-    // summary row and deposits the subtree in a shared slot.
-    let subtrees: Arc<Mutex<Vec<Option<RTree<RowId>>>>> =
-        Arc::new(Mutex::new((0..slices.len()).map(|_| None).collect()));
-    let build_instances: Vec<Box<dyn TableFunction>> = slices
-        .into_iter()
-        .enumerate()
-        .map(|(slot, slice)| {
-            let subtrees = Arc::clone(&subtrees);
-            Box::new(sdo_tablefunc::table_function::BufferedFn::new(move || {
-                let n = slice.len();
-                let tree = RTree::bulk_load(slice, rt_params);
-                let mbr = tree.mbr();
-                subtrees.lock()[slot] = Some(tree);
-                Ok(vec![vec![
-                    Value::Integer(slot as i64),
-                    Value::Integer(n as i64),
-                    Value::Double(mbr.min_x),
-                    Value::Double(mbr.min_y),
-                    Value::Double(mbr.max_x),
-                    Value::Double(mbr.max_y),
-                ]])
-            })) as Box<dyn TableFunction>
-        })
-        .collect();
-    let cluster_node = prof.as_ref().map(|p| p.child("parallel subtree cluster"));
+    // Stage 2: cut the MBRs into `dop` x-center slices so per-slave
+    // subtrees overlap little (better merged tree quality), then
+    // cluster one subtree per slice in parallel. Each slave's STR pass
+    // sorts its own slice, so the cut needs no global sort.
     let t_cluster = Instant::now();
-    {
-        let _scope = cluster_node.clone().map(sdo_obs::enter);
-        execute_parallel(build_instances, 16).map_err(DbError::from)?;
+    let cluster_node = prof.as_ref().map(|p| p.child("parallel subtree cluster"));
+    let chunk = stage_rows.div_ceil(dop).max(1);
+    let mut slices = Vec::with_capacity(dop);
+    for k in (1..dop).rev() {
+        let cut = (k * chunk).min(items.len());
+        if cut < items.len() {
+            items.select_nth_unstable_by(cut, |a, b| a.0.center().x.total_cmp(&b.0.center().x));
+        }
+        slices.push(items.split_off(cut));
     }
+    slices.push(items);
+    let queue = TaskQueue::seed_round_robin(slices, dop);
+    let subtree_rows = |trees: &[RTree<RowId>]| trees.iter().map(RTree::len).sum();
+    let clusters = fan_stage(&cluster_node, queue, subtree_rows, move |slice, out| {
+        let n = slice.len();
+        out.push(RTree::bulk_load(slice, rt_params));
+        Ok(n)
+    })?;
     let parallel_stage = t0.elapsed();
-    if let Some(n) = &cluster_node {
-        n.add_wall(t_cluster.elapsed());
-    }
+    note(&cluster_node, t_cluster.elapsed(), stage_rows);
 
     // Stage 3: merge subtrees.
     let t1 = Instant::now();
-    let trees: Vec<RTree<RowId>> = subtrees.lock().iter_mut().filter_map(|s| s.take()).collect();
-    let mut merged = RTree::merge(trees);
+    let mut merged = RTree::merge(clusters.into_iter().flat_map(|s| s.0).collect());
     if merged.counters().is_none() {
         merged = merged.with_counters(counters);
     }
     let merge_stage = t1.elapsed();
-    if let Some(p) = &prof {
-        let n = p.child("subtree merge");
-        n.add_wall(merge_stage);
-        n.add_rows(merged.len() as u64);
-    }
+    note(&prof.as_ref().map(|p| p.child("subtree merge")), merge_stage, merged.len());
 
     Ok((merged, CreationStats { dop, parallel_stage, merge_stage, stage_rows, partition_sizes }))
 }
@@ -423,18 +419,18 @@ mod tests {
 
     #[test]
     fn stage_body_runs_without_the_table_lock() {
-        // A writer must not wait out a batch's tessellations: the body
-        // runs after the batch's read lock is released. One worker, so
-        // no other batch holds the lock.
+        // A writer must not wait out a batch's tessellations: they run
+        // after the batch's read lock is released. One worker, so no
+        // other batch holds the lock.
         let table = geometry_table(300);
         let probe = Arc::clone(&table);
-        let (instances, processed) = stealing_cursor_stage(&table, 1, 1, move |rid, _, out| {
+        let slaves = tessellation_stage(&table, 1, 1, &None, move |rid, _, out| {
             assert!(probe.try_write().is_some(), "table locked while the body ran");
-            out.push(vec![Value::RowId(rid)]);
+            out.push((0, rid));
             Ok(())
-        });
-        assert_eq!(execute_parallel(instances, 64).unwrap().len(), 300);
-        assert_eq!(processed.iter().map(|p| p.load(Ordering::Relaxed)).sum::<usize>(), 300);
+        })
+        .unwrap();
+        assert_eq!((slaves[0].0.len(), slaves[0].1), (300, 300));
     }
 
     #[test]

@@ -202,6 +202,17 @@ pub(crate) fn note_batch(node: &Option<ProfileNode>, rows: usize, t0: Option<Ins
     }
 }
 
+/// Run `f`, adding its wall time to `node` when profiling: how a
+/// blocking operator charges its own work between pulls from its
+/// inputs, whose time their own nodes record.
+fn timed<T>(node: &Option<ProfileNode>, f: impl FnOnce() -> T) -> T {
+    let Some(n) = node else { return f() };
+    let t0 = Instant::now();
+    let out = f();
+    n.add_wall(t0.elapsed());
+    out
+}
+
 // ---------------------------------------------------------------------------
 // Leaf scans
 // ---------------------------------------------------------------------------
@@ -1285,14 +1296,17 @@ impl<'a> NestedLoopJoinExec<'a> {
             if batch.is_empty() {
                 break;
             }
-            self.build_resident.add(batch.len() as u64)?;
-            for mut jr in batch {
-                let r = std::mem::replace(
-                    &mut jr[self.inner_rel],
-                    RelRow { rid: None, values: Vec::new() },
-                );
-                rows.push((r.rid, r.values));
-            }
+            timed(&self.node, || {
+                self.build_resident.add(batch.len() as u64)?;
+                for mut jr in batch {
+                    let r = std::mem::replace(
+                        &mut jr[self.inner_rel],
+                        RelRow { rid: None, values: Vec::new() },
+                    );
+                    rows.push((r.rid, r.values));
+                }
+                Ok::<_, DbError>(())
+            })?;
         }
         op.close();
         *built = true;
@@ -1376,9 +1390,10 @@ impl BatchOp for NestedLoopJoinExec<'_> {
                 self.outer_done = true;
                 continue;
             }
+            // The build side's scan records its own time and counters.
+            self.ensure_built()?;
             let t0 = self.node.as_ref().map(|_| Instant::now());
             let before = self.node.as_ref().map(|_| self.db.counters().snapshot());
-            self.ensure_built()?;
             for jr in &obatch {
                 self.join_outer_row(jr)?;
             }
@@ -1454,13 +1469,16 @@ impl<'a> CrossJoinExec<'a> {
                 if batch.is_empty() {
                     break;
                 }
-                self.mat_resident.add(batch.len() as u64)?;
-                for mut jr in batch {
-                    rows.push(std::mem::replace(
-                        &mut jr[slot],
-                        RelRow { rid: None, values: Vec::new() },
-                    ));
-                }
+                timed(&self.node, || {
+                    self.mat_resident.add(batch.len() as u64)?;
+                    for mut jr in batch {
+                        rows.push(std::mem::replace(
+                            &mut jr[slot],
+                            RelRow { rid: None, values: Vec::new() },
+                        ));
+                    }
+                    Ok::<_, DbError>(())
+                })?;
             }
             op.close();
             self.mats.push((slot, rows));
@@ -1508,8 +1526,8 @@ impl BatchOp for CrossJoinExec<'_> {
                 self.first_done = true;
                 continue;
             }
-            let t0 = self.node.as_ref().map(|_| Instant::now());
             self.ensure_built()?;
+            let t0 = self.node.as_ref().map(|_| Instant::now());
             for jr in batch {
                 self.expand(jr)?;
             }
@@ -1561,24 +1579,25 @@ impl<'a> SortExec<'a> {
 impl BatchOp for SortExec<'_> {
     fn next_batch(&mut self) -> Result<JoinedBatch, DbError> {
         if self.sorted.is_none() {
-            let t0 = self.node.as_ref().map(|_| Instant::now());
             let mut keyed: Vec<(Vec<Value>, Vec<RelRow>)> = Vec::new();
             loop {
                 let batch = self.child.next_batch()?;
                 if batch.is_empty() {
                     break;
                 }
-                self.resident.add(batch.len() as u64)?;
-                for jr in batch {
-                    keyed.push((sort_values(&self.keys, &jr)?, jr));
-                }
+                timed(&self.node, || {
+                    self.resident.add(batch.len() as u64)?;
+                    for jr in batch {
+                        keyed.push((sort_values(&self.keys, &jr)?, jr));
+                    }
+                    Ok::<_, DbError>(())
+                })?;
             }
             let keys = &self.keys;
-            keyed.sort_by(|(a, _), (b, _)| cmp_sort_values(keys, a, b));
-            self.sorted = Some(keyed.into_iter().map(|(_, r)| r).collect());
-            if let (Some(n), Some(t0)) = (&self.node, t0) {
-                n.add_wall(t0.elapsed());
-            }
+            self.sorted = Some(timed(&self.node, || {
+                keyed.sort_by(|(a, _), (b, _)| cmp_sort_values(keys, a, b));
+                keyed.into_iter().map(|(_, r)| r).collect()
+            }));
         }
         let buf = self.sorted.as_mut().expect("sorted buffer");
         let n = buf.len().min(BATCH_ROWS);
@@ -1686,9 +1705,9 @@ impl SelectStream<'_> {
 
     fn run_inner(&mut self) -> Result<QueryResult, DbError> {
         if self.count_star {
-            let t0 = self.count_node.as_ref().map(|_| Instant::now());
+            // Counting is the input's work, timed on its own nodes.
             let n = self.root.count_rows()?;
-            note_batch(&self.count_node, 1, t0);
+            note_batch(&self.count_node, 1, None);
             return Ok(QueryResult {
                 columns: self.columns.clone(),
                 rows: vec![vec![Value::Integer(n as i64)]],

@@ -11,7 +11,9 @@
 //! * 2-dimensional simple features: [`Point`], [`LineString`],
 //!   [`Polygon`] (with holes) and their `Multi*` aggregates,
 //! * minimum bounding rectangles ([`Rect`]) with the MBR algebra used by
-//!   R-trees (union, intersection, `mindist`, distance expansion),
+//!   R-trees (union, intersection, `mindist`, distance expansion); each
+//!   geometry computes its MBR once, at construction, and `bbox()`
+//!   reads it,
 //! * exact geometry–geometry predicates (the paper's *secondary
 //!   filter*): `ANYINTERACT`, containment masks, and within-distance,
 //! * supporting computational geometry: robust-enough orientation

@@ -6,10 +6,12 @@ use crate::rect::Rect;
 use crate::segment::Segment;
 use serde::{Deserialize, Serialize};
 
-/// An open polyline with at least two vertices.
+/// An open polyline with at least two vertices. Its MBR is computed
+/// once, at construction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LineString {
     points: Vec<Point>,
+    bbox: Rect,
 }
 
 impl LineString {
@@ -19,10 +21,8 @@ impl LineString {
         if points.len() < 2 {
             return Err(GeomError::TooFewPoints { expected: 2, got: points.len() });
         }
-        if points.iter().any(|p| !p.is_finite()) {
-            return Err(GeomError::NonFiniteCoordinate);
-        }
-        Ok(LineString { points })
+        let bbox = Rect::of_finite(&points)?;
+        Ok(LineString { points, bbox })
     }
 
     /// The vertex sequence.
@@ -47,9 +47,10 @@ impl LineString {
         self.segments().map(|s| s.length()).sum()
     }
 
-    /// Bounding rectangle over every vertex.
+    /// Bounding rectangle over every vertex (cached).
+    #[inline]
     pub fn bbox(&self) -> Rect {
-        Rect::from_points(self.points.iter())
+        self.bbox
     }
 
     /// True when first and last vertices coincide.

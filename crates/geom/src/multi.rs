@@ -7,10 +7,11 @@ use crate::polygon::Polygon;
 use crate::rect::Rect;
 use serde::{Deserialize, Serialize};
 
-/// A collection of points.
+/// A collection of points. Its MBR is computed once, at construction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MultiPoint {
     points: Vec<Point>,
+    bbox: Rect,
 }
 
 impl MultiPoint {
@@ -19,10 +20,8 @@ impl MultiPoint {
         if points.is_empty() {
             return Err(GeomError::TooFewPoints { expected: 1, got: 0 });
         }
-        if points.iter().any(|p| !p.is_finite()) {
-            return Err(GeomError::NonFiniteCoordinate);
-        }
-        Ok(MultiPoint { points })
+        let bbox = Rect::of_finite(&points)?;
+        Ok(MultiPoint { points, bbox })
     }
 
     /// The member points.
@@ -31,9 +30,10 @@ impl MultiPoint {
         &self.points
     }
 
-    /// Bounding rectangle over every member.
+    /// Bounding rectangle over every member (cached).
+    #[inline]
     pub fn bbox(&self) -> Rect {
-        Rect::from_points(self.points.iter())
+        self.bbox
     }
 }
 
@@ -63,7 +63,7 @@ impl MultiLineString {
         self.lines.iter().map(|l| l.length()).sum()
     }
 
-    /// Bounding rectangle over every member.
+    /// Bounding rectangle: the union of the members' cached ones.
     pub fn bbox(&self) -> Rect {
         self.lines.iter().fold(Rect::EMPTY, |acc, l| acc.union(&l.bbox()))
     }
@@ -95,7 +95,7 @@ impl MultiPolygon {
         self.polygons.iter().map(|p| p.area()).sum()
     }
 
-    /// Bounding rectangle over every member.
+    /// Bounding rectangle: the union of the members' cached ones.
     pub fn bbox(&self) -> Rect {
         self.polygons.iter().fold(Rect::EMPTY, |acc, p| acc.union(&p.bbox()))
     }

@@ -22,10 +22,12 @@ pub enum PointLocation {
 /// Stored *without* the repeated closing vertex; the closing edge from
 /// the last vertex back to the first is implicit. Orientation is not
 /// normalized on construction — use [`Ring::signed_area`] /
-/// [`Ring::ensure_ccw`] when orientation matters.
+/// [`Ring::ensure_ccw`] when orientation matters. The MBR is computed
+/// once, at construction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Ring {
     points: Vec<Point>,
+    bbox: Rect,
 }
 
 impl Ring {
@@ -41,10 +43,8 @@ impl Ring {
         if points.len() < 3 {
             return Err(GeomError::TooFewPoints { expected: 3, got: points.len() });
         }
-        if points.iter().any(|p| !p.is_finite()) {
-            return Err(GeomError::NonFiniteCoordinate);
-        }
-        Ok(Ring { points })
+        let bbox = Rect::of_finite(&points)?;
+        Ok(Ring { points, bbox })
     }
 
     /// The ring's vertices (closing vertex implicit).
@@ -97,9 +97,10 @@ impl Ring {
         self.segments().map(|s| s.length()).sum()
     }
 
-    /// Bounding rectangle over the vertices.
+    /// Bounding rectangle over the vertices (cached).
+    #[inline]
     pub fn bbox(&self) -> Rect {
-        Rect::from_points(self.points.iter())
+        self.bbox
     }
 
     /// Ray-casting point location with an explicit boundary class.
@@ -219,7 +220,8 @@ impl Polygon {
         self.exterior.area() - self.holes.iter().map(|h| h.area()).sum::<f64>()
     }
 
-    /// Bounding rectangle (the exterior ring's).
+    /// Bounding rectangle (the exterior ring's, cached).
+    #[inline]
     pub fn bbox(&self) -> Rect {
         self.exterior.bbox()
     }

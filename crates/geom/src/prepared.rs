@@ -316,8 +316,6 @@ const SIMD_LOCATE_CUTOFF: usize = 1024;
 struct PrepElem {
     /// The element itself (points/linestring/polygon — never `Multi*`).
     geom: Geometry,
-    /// Element bbox.
-    bbox: Rect,
     /// Decoded edges: linestring segments, or polygon boundary segments
     /// in `boundary_segments()` order (exterior ring then holes).
     segs: Vec<Segment>,
@@ -349,7 +347,6 @@ struct Shape {
 /// stored rings.
 pub struct PreparedGeometry {
     geom: Arc<Geometry>,
-    bbox: Rect,
     /// Small enough for `intersects` to run the unprepared kernel.
     direct: bool,
     shape: OnceLock<Shape>,
@@ -364,9 +361,8 @@ impl PreparedGeometry {
     /// Wrap a shared geometry without cloning its coordinate data
     /// (buffer caches hand out `Arc<Geometry>`).
     pub fn from_arc(geom: Arc<Geometry>) -> Self {
-        let bbox = geom.bbox();
         let direct = geom.dim() != TopoDim::One && geom.num_points() <= DIRECT_MAX_VERTICES;
-        PreparedGeometry { geom, bbox, direct, shape: OnceLock::new() }
+        PreparedGeometry { geom, direct, shape: OnceLock::new() }
     }
 
     /// Wrap a geometry whose predicates always run on the segment index,
@@ -389,10 +385,10 @@ impl PreparedGeometry {
         &self.geom
     }
 
-    /// Cached bounding box.
+    /// The geometry's bounding box (cached at its construction).
     #[inline]
     pub fn bbox(&self) -> Rect {
-        self.bbox
+        self.geom.bbox()
     }
 
     fn shape(&self) -> &Shape {
@@ -414,7 +410,6 @@ impl PreparedGeometry {
                     }
                     let boxes: Vec<Rect> = segs.iter().map(|s| s.bbox()).collect();
                     PrepElem {
-                        bbox: e.bbox(),
                         index: SegIndex::build(&boxes),
                         soa: SegSoa::from_segs(&segs),
                         segs,
@@ -441,14 +436,9 @@ impl PreparedGeometry {
     /// Prepared `ANYINTERACT`: equals [`crate::relate::intersects`].
     pub fn intersects(&self, other: &PreparedGeometry) -> bool {
         if self.direct && other.direct {
-            return crate::relate::intersects_boxed(
-                &self.geom,
-                &self.bbox,
-                &other.geom,
-                &other.bbox,
-            );
+            return crate::relate::intersects(&self.geom, &other.geom);
         }
-        if !self.bbox.intersects(&other.bbox) {
+        if !self.bbox().intersects(&other.bbox()) {
             return false;
         }
         let (sa, sb) = (self.shape(), other.shape());
@@ -459,10 +449,8 @@ impl PreparedGeometry {
     /// Prepared covered-by: equals [`crate::relate::covered_by`]
     /// (`self ⊆ other`, closed sense).
     pub fn covered_by(&self, other: &PreparedGeometry) -> bool {
-        if self.bbox.is_empty() {
-            return false;
-        }
-        if !other.bbox.contains_rect(&self.bbox) {
+        let bbox = self.bbox();
+        if bbox.is_empty() || !other.bbox().contains_rect(&bbox) {
             return false;
         }
         let (sa, sb) = (self.shape(), other.shape());
@@ -504,7 +492,7 @@ impl PreparedGeometry {
         if d <= 0.0 {
             return self.intersects(other);
         }
-        if self.bbox.mindist(&other.bbox) > d + EPS {
+        if self.bbox().mindist(&other.bbox()) > d + EPS {
             return false;
         }
         let (sa, sb) = (self.shape(), other.shape());
@@ -563,7 +551,7 @@ impl PreparedGeometry {
 /// combined extent so degenerate edges degrade to a full scan, never a
 /// missed pair.
 fn join_pad(a: &PreparedGeometry, b: &PreparedGeometry) -> f64 {
-    let u = a.bbox.union(&b.bbox);
+    let u = a.bbox().union(&b.bbox());
     let extent = (u.width() + u.height()).max(1.0);
     let min_len = a.shape().min_len.min(b.shape().min_len).max(EPS);
     (EPS * 8.0 * (1.0 + extent) * (1.0 + 1.0 / min_len)).min(extent)
@@ -798,14 +786,15 @@ fn elem_intersects(ea: &PrepElem, eb: &PrepElem, pad: f64) -> bool {
             // vertices each way (only those in the other's probe box),
             // then the bbox-prefiltered boundary join (raw-bbox query —
             // identical pair set).
-            if !ea.bbox.intersects(&eb.bbox) {
+            let (ba, bb) = (p1.bbox(), p2.bbox());
+            if !ba.intersects(&bb) {
                 return false;
             }
-            if exterior_vertex_in(p1, &eb.bbox, |v| {
-                elem_locate_poly(eb, v) != PointLocation::Outside
-            }) || exterior_vertex_in(p2, &ea.bbox, |v| {
-                elem_locate_poly(ea, v) != PointLocation::Outside
-            }) {
+            if exterior_vertex_in(p1, &bb, |v| elem_locate_poly(eb, v) != PointLocation::Outside)
+                || exterior_vertex_in(p2, &ba, |v| {
+                    elem_locate_poly(ea, v) != PointLocation::Outside
+                })
+            {
                 return true;
             }
             seg_join_intersects(ea, eb, 0.0)

@@ -69,6 +69,20 @@ impl Rect {
         r
     }
 
+    /// [`Rect::from_points`] over finite points, failing on the first
+    /// NaN or infinite coordinate: the one pass in which the vertex-list
+    /// constructors validate their points and compute the MBR they cache.
+    pub(crate) fn of_finite(points: &[Point]) -> Result<Self, crate::GeomError> {
+        let mut r = Rect::EMPTY;
+        for p in points {
+            if !p.is_finite() {
+                return Err(crate::GeomError::NonFiniteCoordinate);
+            }
+            r.expand_point(p);
+        }
+        Ok(r)
+    }
+
     /// True when this is the empty rectangle (contains nothing).
     #[inline]
     pub fn is_empty(&self) -> bool {

@@ -136,23 +136,14 @@ pub fn within_distance(a: &Geometry, b: &Geometry, d: f64) -> bool {
 
 /// True when the geometries share at least one point.
 pub fn intersects(a: &Geometry, b: &Geometry) -> bool {
-    intersects_boxed(a, &a.bbox(), b, &b.bbox())
-}
-
-/// [`intersects`] given both geometries' bounding boxes, so a caller that
-/// caches them ([`crate::PreparedGeometry`]) computes none twice.
-pub(crate) fn intersects_boxed(a: &Geometry, abox: &Rect, b: &Geometry, bbox: &Rect) -> bool {
-    if !abox.intersects(bbox) {
+    if !a.bbox().intersects(&b.bbox()) {
         return false;
     }
-    match (a, b) {
-        (Geometry::Polygon(p1), Geometry::Polygon(p2)) => polygons_intersect(p1, abox, p2, bbox),
-        _ if a.is_multi() || b.is_multi() => {
-            let eb = b.elements();
-            a.elements().iter().any(|ea| eb.iter().any(|eb| intersects_simple(ea, eb)))
-        }
-        _ => intersects_simple(a, b),
+    if a.is_multi() || b.is_multi() {
+        let eb = b.elements();
+        return a.elements().iter().any(|ea| eb.iter().any(|eb| intersects_simple(ea, eb)));
     }
+    intersects_simple(a, b)
 }
 
 fn intersects_simple(a: &Geometry, b: &Geometry) -> bool {
@@ -165,7 +156,7 @@ fn intersects_simple(a: &Geometry, b: &Geometry) -> bool {
         (LineString(l), Polygon(poly)) | (Polygon(poly), LineString(l)) => {
             line_polygon_intersect(l, poly)
         }
-        (Polygon(p1), Polygon(p2)) => polygons_intersect(p1, &p1.bbox(), p2, &p2.bbox()),
+        (Polygon(p1), Polygon(p2)) => polygons_intersect(p1, p2),
         _ => unreachable!("multi geometries decomposed by caller"),
     }
 }
@@ -182,8 +173,7 @@ fn line_polygon_intersect(l: &LineString, poly: &Polygon) -> bool {
     l.segments().any(|s| boundary.iter().any(|t| s.intersects(t)))
 }
 
-/// Polygon–polygon `ANYINTERACT`; `b1` and `b2` are the polygons'
-/// bounding boxes. Allocates nothing.
+/// Polygon–polygon `ANYINTERACT`. Allocates nothing.
 ///
 /// Two skips keep it cheap, and both are exact. A vertex is located
 /// only when it lies in the other polygon's [`vertex_probe_box`], since
@@ -193,20 +183,21 @@ fn line_polygon_intersect(l: &LineString, poly: &Polygon) -> bool {
 /// exterior, as [`crate::validate`] requires) lies within its box, so a
 /// segment box that misses it misses each edge box, and the pair
 /// filter below would reject every pair anyway.
-fn polygons_intersect(p1: &Polygon, b1: &Rect, p2: &Polygon, b2: &Rect) -> bool {
-    if !b1.intersects(b2) {
+fn polygons_intersect(p1: &Polygon, p2: &Polygon) -> bool {
+    let (b1, b2) = (p1.bbox(), p2.bbox());
+    if !b1.intersects(&b2) {
         return false;
     }
     // Vertex of one on/in the other covers containment and most overlap.
-    if exterior_vertex_in(p1, b2, |v| p2.contains_point(v))
-        || exterior_vertex_in(p2, b1, |v| p1.contains_point(v))
+    if exterior_vertex_in(p1, &b2, |v| p2.contains_point(v))
+        || exterior_vertex_in(p2, &b1, |v| p1.contains_point(v))
     {
         return true;
     }
     // Remaining case: boundaries cross without exterior vertices inside.
     p1.boundary_segments().any(|s| {
         let sb = s.bbox();
-        sb.intersects(b2)
+        sb.intersects(&b2)
             && p2.boundary_segments().any(|t| sb.intersects(&t.bbox()) && s.intersects(&t))
     })
 }

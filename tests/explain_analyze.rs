@@ -5,8 +5,10 @@
 use sdo_datagen::{counties, US_EXTENT};
 use sdo_dbms::Database;
 use sdo_geom::{Geometry, Point, Polygon, Rect, Ring};
+use sdo_obs::OpProfile;
 use sdo_storage::Value;
 use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// The morsel size is process-global: tests whose plans depend on it
 /// hold this lock while it is set to what they need.
@@ -553,6 +555,15 @@ fn plan_skeleton(db: &Database, select: &str) -> Vec<(usize, String)> {
 fn run_skeleton(db: &Database, statement: &str) -> Vec<(usize, String)> {
     db.execute(&format!("EXPLAIN ANALYZE {statement}")).unwrap();
     let profile = db.last_profile().unwrap();
+    operators(&profile.root).into_iter().map(|(depth, n)| (depth - 1, n.name.clone())).collect()
+}
+
+/// The plan operators of a run's profile, `(depth, node)` in pre-order
+/// below the statement root, without the nodes only a run has (a
+/// parallel function's slaves, an exchange's workers, the spatial
+/// join's phases) and their subtrees: those time parts of their
+/// operator's work.
+fn operators(root: &OpProfile) -> Vec<(usize, &OpProfile)> {
     let run_time_only = |name: &str| {
         name.starts_with("slave ")
             || name.starts_with("worker ")
@@ -560,7 +571,7 @@ fn run_skeleton(db: &Database, statement: &str) -> Vec<(usize, String)> {
     };
     let mut out = Vec::new();
     let mut skip_below = usize::MAX;
-    for (depth, n) in profile.root.walk().into_iter().skip(1) {
+    for (depth, n) in root.walk().into_iter().skip(1) {
         if depth > skip_below {
             continue;
         }
@@ -569,9 +580,45 @@ fn run_skeleton(db: &Database, statement: &str) -> Vec<(usize, String)> {
             skip_below = depth;
             continue;
         }
-        out.push((depth - 1, n.name.clone()));
+        out.push((depth, n));
     }
     out
+}
+
+/// Each operator's `wall` is its own work, not its inputs': a blocking
+/// `SORT` does not time its input's drain, a nested-loop join does not
+/// time its build side's, and `AGGREGATE COUNT(*)` does not time the
+/// count of its input. So in a serial plan, whose operators run one at
+/// a time on one thread, their walls add up to no more than the
+/// statement took.
+#[test]
+fn operator_walls_are_self_time_and_sum_within_the_statement() {
+    let db = session_with_tables();
+    let cases = [
+        // Unindexed twins: the join builds its inner side from a scan.
+        (
+            "SELECT a.id, b.id FROM city_twin a, river_twin b \
+          WHERE SDO_RELATE(a.geom, b.geom, 'intersect') = 'TRUE' ORDER BY a.id, b.id",
+            ["SORT", "NESTED LOOP JOIN"],
+        ),
+        (
+            "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN( \
+          'city_table', 'geom', 'river_table', 'geom', 'intersect', 1))",
+            ["AGGREGATE COUNT(*)", "TABLE FUNCTION SCAN SPATIAL_JOIN"],
+        ),
+    ];
+    for (sql, names) in cases {
+        let t0 = Instant::now();
+        let text = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+        let elapsed = t0.elapsed();
+        let profile = db.last_profile().unwrap();
+        let ops = operators(&profile.root);
+        for name in names {
+            assert!(ops.iter().any(|(_, n)| n.name.starts_with(name)), "{name} in {text:#?}");
+        }
+        let walls: Duration = ops.iter().map(|(_, n)| n.wall).sum();
+        assert!(walls <= elapsed, "operator walls {walls:?} > elapsed {elapsed:?}: {text:#?}");
+    }
 }
 
 /// Plain `EXPLAIN` draws the operator tree `EXPLAIN ANALYZE` runs. For
