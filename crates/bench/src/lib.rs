@@ -20,7 +20,7 @@ use sdo_dbms::Database;
 use sdo_geom::{Geometry, RelateMask};
 use sdo_rtree::{RTree, RTreeParams};
 use sdo_storage::{Counters, DataType, RowId, Schema, Table, Value};
-use sdo_tablefunc::{execute_parallel, TableFunction, TaskQueue};
+use sdo_tablefunc::{collect_all, ParallelTableFunction, TableFunction, TaskQueue};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -142,7 +142,7 @@ pub fn modeled_join_speedup(geoms: &[Geometry], dop: usize) -> f64 {
             )) as Box<dyn TableFunction>
         })
         .collect();
-    let _ = execute_parallel(instances, 1024).unwrap();
+    collect_all(&mut ParallelTableFunction::new(instances), 1024).unwrap();
     let work: Vec<u64> = counters
         .iter()
         .map(|c| Counters::get(&c.exact_tests) + Counters::get(&c.mbr_tests))

@@ -69,7 +69,7 @@ fn range_tasks(table: &RwLock<Table>, dop: usize) -> Arc<TaskQueue<(usize, usize
 type SlaveOutput<I> = (Vec<I>, usize);
 
 /// Run one typed build stage: a slave per worker of `queue` on
-/// [`Fanout`], each popping tasks until the queue runs dry and folding
+/// [`Fanout`], each pulling unsplit tasks until the queue runs dry and folding
 /// them through `body`, which appends its items and returns the input
 /// units the task consumed. Each slave sends its whole output as one
 /// message; the outputs come back indexed by worker, or the first error.
@@ -97,7 +97,7 @@ where
         move |out: &Outbox<Msg<I>>| {
             let t0 = Instant::now();
             let (mut items, mut consumed) = (Vec::new(), 0);
-            let result = std::iter::from_fn(|| queue.pop(w))
+            let result = std::iter::from_fn(|| queue.next(w, |_| None))
                 .take_while(|_| !out.cancelled())
                 .try_for_each(|task| body(task, &mut items).map(|n| consumed += n));
             note(&node, t0.elapsed(), rows(&items));

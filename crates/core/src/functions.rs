@@ -185,18 +185,26 @@ fn spatial_join_factory(
 
     let (engine, reason) = resolve_engine(db, lt, lc, rt, rc);
     let mut metrics: Vec<(&'static str, u64)> = Vec::new();
-    let (func, chosen): (Box<dyn TableFunction>, &str) = match engine {
+    // Either engine runs `dop` slaves over one shared work-stealing
+    // queue: they pull on demand and steal across shards, so a dense
+    // cluster cannot pin a single slave.
+    let (func, chosen) = match engine {
         Engine::Tree(left, right) => {
-            let func = tree_join_func(
-                left,
-                right,
-                exact,
-                dop,
-                explicit_tasks,
-                forced_level,
-                config,
-                counters,
-            )?;
+            let tasks = tree_tasks(&left, &right, &exact, dop, explicit_tasks, forced_level)?;
+            let queue = TaskQueue::seed_round_robin(tasks, dop);
+            let func = join_slaves(dop, |worker| {
+                let (left, right, exact) = (left.clone(), right.clone(), exact.clone());
+                let (queue, counters) = (Arc::clone(&queue), Arc::clone(&counters));
+                SpatialJoin::with_shared_tasks(
+                    left,
+                    right,
+                    exact,
+                    config.clone(),
+                    counters,
+                    queue,
+                    worker,
+                )
+            });
             (func, "rtree")
         }
         Engine::Partition if explicit_tasks.is_some() || forced_level.is_some() => {
@@ -206,10 +214,26 @@ fn spatial_join_factory(
             )));
         }
         Engine::Partition => {
-            let (func, state) =
-                partition_join_func(db, lt, lc, rt, rc, &exact, dop, &config, &counters)?;
+            // No index needed: the base tables and geometry columns.
+            let resolve = |table: &str, column: &str| -> Result<_, DbError> {
+                let t = db.table(table)?;
+                let col = t.read().schema().column_index(column);
+                let col =
+                    col.ok_or_else(|| DbError::Plan(format!("no column {column} on {table}")))?;
+                Ok((t, col))
+            };
+            let ((ltab, lcol), (rtab, rcol)) = (resolve(lt, lc)?, resolve(rt, rc)?);
+            let state = PartitionState::build(&ltab, lcol, &rtab, rcol, &exact, dop, &snap);
             metrics.push(("partition_tiles", state.partition_tiles));
             metrics.push(("tile_max_occupancy", state.tile_max_occupancy));
+            let func = join_slaves(dop, |worker| {
+                PartitionJoin::new(
+                    Arc::clone(&state),
+                    config.clone(),
+                    Arc::clone(&counters),
+                    worker,
+                )
+            });
             (func, "partition")
         }
     };
@@ -220,71 +244,32 @@ fn spatial_join_factory(
     })
 }
 
-/// Build the partitioned join: resolve base tables and geometry
-/// columns (no index needed), build the shared [`PartitionState`],
-/// and spin up `dop` slave instances over its task queue.
-#[allow(clippy::too_many_arguments)]
-fn partition_join_func(
-    db: &Database,
-    lt: &str,
-    lc: &str,
-    rt: &str,
-    rc: &str,
-    exact: &ExactPredicate,
+/// `dop` join slaves built by `slave(worker)`: the one slave itself at
+/// `dop` 1, else all of them under a [`ParallelTableFunction`].
+fn join_slaves<F: TableFunction + 'static>(
     dop: usize,
-    config: &SpatialJoinConfig,
-    counters: &Arc<sdo_storage::Counters>,
-) -> Result<(Box<dyn TableFunction>, Arc<PartitionState>), DbError> {
-    let resolve = |table: &str, column: &str| -> Result<_, DbError> {
-        let t = db.table(table)?;
-        let col = t
-            .read()
-            .schema()
-            .column_index(column)
-            .ok_or_else(|| DbError::Plan(format!("no column {column} on {table}")))?;
-        Ok((t, col))
-    };
-    let (ltab, lcol) = resolve(lt, lc)?;
-    let (rtab, rcol) = resolve(rt, rc)?;
-    let state = PartitionState::build(&ltab, lcol, &rtab, rcol, exact, dop, &config.snapshot);
-    let mut instances: Vec<Box<dyn TableFunction>> = (0..dop)
-        .map(|worker| {
-            Box::new(PartitionJoin::new(
-                Arc::clone(&state),
-                Arc::clone(&ltab),
-                lcol,
-                Arc::clone(&rtab),
-                rcol,
-                exact.clone(),
-                config.clone(),
-                Arc::clone(counters),
-                worker,
-            )) as Box<dyn TableFunction>
-        })
-        .collect();
-    let func = if dop > 1 {
-        Box::new(ParallelTableFunction::new(instances)) as Box<dyn TableFunction>
-    } else {
-        instances.remove(0)
-    };
-    Ok((func, state))
+    slave: impl Fn(usize) -> F,
+) -> Box<dyn TableFunction> {
+    if dop == 1 {
+        return Box::new(slave(0));
+    }
+    let slaves = (0..dop).map(|w| Box::new(slave(w)) as Box<dyn TableFunction>).collect();
+    Box::new(ParallelTableFunction::new(slaves))
 }
 
-/// The paper's synchronized R-tree traversal: serial from the root
-/// pair (or from explicit subtree tasks), or `dop` work-stealing
-/// slaves over the subtree pairs at the chosen descent level.
-#[allow(clippy::too_many_arguments)]
-fn tree_join_func(
-    left: JoinSide,
-    right: JoinSide,
-    exact: ExactPredicate,
+/// The tree join's seed tasks: the explicit subtree pairs, else the
+/// pairs at the forced descent level, else at the chosen one (the root
+/// pair when serial).
+fn tree_tasks(
+    left: &JoinSide,
+    right: &JoinSide,
+    exact: &ExactPredicate,
     dop: usize,
     explicit_tasks: Option<Vec<(i64, i64)>>,
     forced_level: Option<u32>,
-    config: SpatialJoinConfig,
-    counters: Arc<sdo_storage::Counters>,
-) -> Result<Box<dyn TableFunction>, DbError> {
-    let tasks: Vec<(NodeId, NodeId)> = match (explicit_tasks, forced_level) {
+) -> Result<Vec<(NodeId, NodeId)>, DbError> {
+    let (ltree, rtree) = (&left.tree, &right.tree);
+    Ok(match (explicit_tasks, forced_level) {
         (Some(t), _) => {
             let node = |tree: &RTree<RowId>, id: i64| {
                 NodeId::try_from(id).ok().filter(|&n| tree.has_node(n)).ok_or_else(|| {
@@ -292,39 +277,14 @@ fn tree_join_func(
                 })
             };
             t.into_iter()
-                .map(|(l, r)| Ok((node(&left.tree, l)?, node(&right.tree, r)?)))
+                .map(|(l, r)| Ok((node(ltree, l)?, node(rtree, r)?)))
                 .collect::<Result<_, DbError>>()?
         }
-        (None, Some(level)) => SpatialJoin::parallel_tasks(&left.tree, &right.tree, &exact, level),
-        (None, None) if dop > 1 => choose_descent_level(&left.tree, &right.tree, &exact, dop).1,
-        // Serial: single root pair.
-        (None, None) => {
-            return Ok(Box::new(SpatialJoin::new(left, right, exact, config, counters)))
-        }
-    };
-
-    if dop <= 1 {
-        return Ok(Box::new(SpatialJoin::with_stack(left, right, exact, config, counters, tasks)));
-    }
-
-    // Parallel: dop slave instances share one work-stealing task queue —
-    // slaves pull on demand and steal across shards, so a dense cluster
-    // cannot pin a single slave.
-    let queue = TaskQueue::seed_round_robin(tasks, dop);
-    let instances: Vec<Box<dyn TableFunction>> = (0..dop)
-        .map(|worker| {
-            Box::new(SpatialJoin::with_shared_tasks(
-                left.clone(),
-                right.clone(),
-                exact.clone(),
-                config.clone(),
-                Arc::clone(&counters),
-                Arc::clone(&queue),
-                worker,
-            )) as Box<dyn TableFunction>
-        })
-        .collect();
-    Ok(Box::new(ParallelTableFunction::new(instances)))
+        (None, Some(level)) => SpatialJoin::parallel_tasks(ltree, rtree, exact, level),
+        (None, None) if dop > 1 => choose_descent_level(ltree, rtree, exact, dop).1,
+        // Serial: the root pair, which is level 0's one task.
+        (None, None) => SpatialJoin::parallel_tasks(ltree, rtree, exact, 0),
+    })
 }
 
 /// Wraps a join engine to stamp planner verdicts (`method_chosen`,

@@ -21,35 +21,42 @@
 //! memory-bounded candidate array. The in-memory form of the rowid
 //! sort is: after sorting, fetch each distinct rowid of the array once,
 //! in rowid order, under one table lock per side.
+//!
+//! Both join engines run as [`JoinSlave`]s: the tree join
+//! ([`SpatialJoin`], over [`TreePairs`]) and the partition join
+//! ([`crate::partjoin::PartitionJoin`]) differ only in their
+//! [`CandidateSource`] — the task type, the split rule, and how a task
+//! yields candidate arrays. Pulling tasks, the secondary filter and
+//! the profile are one code path.
 
 use parking_lot::RwLock;
 use sdo_geom::{PreparedGeometry, RelateMask};
 use sdo_obs::ProfileNode;
-use sdo_rtree::join::{subtree_pair_tasks, CandidatePair};
+use sdo_rtree::join::{estimate_pair_work, split_pair, subtree_pair_tasks, CandidatePair};
 use sdo_rtree::{JoinCursor, JoinPredicate, KernelStats, NodeId, RTree};
 use sdo_storage::{Counters, RowId, Snapshot, Table, Value};
-use sdo_tablefunc::{Row, TableFunction, TfError};
+use sdo_tablefunc::{Row, TableFunction, TaskQueue, TfError};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-phase profile nodes for one join instance — the four §4.2
-/// phases, reported under the operator (or slave) node when a
+/// Per-phase profile nodes for one join slave — the four §4.2 phases,
+/// reported under the operator (or slave) node when a
 /// [`sdo_obs::ProfileSession`] is active. Absent (`None`) otherwise,
-/// so the un-profiled path pays nothing. Shared with the partitioned
-/// join (`partjoin`), whose "mbr join" phase is the per-tile kernel
-/// pass instead of a tree traversal — the names stay identical so
-/// profiles compare across engines.
-pub(crate) struct JoinPhases {
-    pub(crate) node: ProfileNode,
-    pub(crate) mbr: ProfileNode,
-    pub(crate) sort: ProfileNode,
-    pub(crate) fetch: ProfileNode,
-    pub(crate) filter: ProfileNode,
+/// so the un-profiled path pays nothing. The partition join's
+/// "mbr join" phase is the per-tile kernel pass instead of a tree
+/// traversal; the names are the same for both engines, so profiles
+/// compare across them.
+struct JoinPhases {
+    node: ProfileNode,
+    mbr: ProfileNode,
+    sort: ProfileNode,
+    fetch: ProfileNode,
+    filter: ProfileNode,
 }
 
 impl JoinPhases {
-    pub(crate) fn new(node: ProfileNode) -> Self {
+    fn new(node: ProfileNode) -> Self {
         JoinPhases {
             mbr: node.child("mbr join"),
             sort: node.child("candidate sort"),
@@ -154,58 +161,39 @@ pub struct JoinSide {
     pub tree: Arc<RTree<RowId>>,
 }
 
-/// The shared secondary-filter engine — §4.2's second half. Sorts one
+/// The secondary-filter engine — §4.2's second half. Sorts one
 /// candidate array by rowid pair, fetches each side's distinct rowids
 /// once, in rowid order, with one [`Table::get_many_at`] per side,
 /// applies the exact predicate, and appends qualifying rowid pairs to
-/// `out`. Both join engines ([`SpatialJoin`]'s tree traversal and the
-/// partitioned join in [`crate::partjoin`]) funnel their MBR candidates
-/// through here, so fetch behavior and exact-test counting stay
-/// identical across engines.
+/// `out`. Every [`JoinSlave`] runs its candidate arrays through here,
+/// whichever engine produced them, so fetch behavior and exact-test
+/// counting are one code path.
 ///
 /// The fetched geometries live for one candidate array only: nothing
 /// is cached across arrays, so a geometry is fetched (and, when a
 /// predicate needs its segment index, prepared) once per array it
 /// appears in.
-pub(crate) struct SecondaryFilter<'a> {
-    pub(crate) left_table: &'a Arc<RwLock<Table>>,
-    pub(crate) left_column: usize,
-    pub(crate) right_table: &'a Arc<RwLock<Table>>,
-    pub(crate) right_column: usize,
-    pub(crate) exact: &'a ExactPredicate,
+struct SecondaryFilter {
+    /// Each side's table and geometry column.
+    inputs: [(Arc<RwLock<Table>>, usize); 2],
+    exact: ExactPredicate,
     /// MVCC read view: a rowid invisible to the snapshot (uncommitted
     /// insert, or committed after the join was pinned) skips its
     /// candidates, exactly like a deleted row.
-    pub(crate) snapshot: Snapshot,
-}
-
-/// A join slave's secondary-filter tallies, flushed to its profile
-/// node at close.
-#[derive(Debug, Default)]
-pub(crate) struct FilterTally {
+    snapshot: Snapshot,
     /// Distinct rows looked up (both sides, summed over arrays).
-    pub(crate) rows_fetched: u64,
+    rows_fetched: u64,
     /// Segment indexes the exact filter built on fetched geometries.
-    pub(crate) shapes_built: u64,
+    shapes_built: u64,
 }
 
-impl FilterTally {
-    /// Report on the phase nodes; `set_metric`, so a join that fetched
-    /// nothing (primary-only) still renders its zeros.
-    pub(crate) fn flush(&self, phases: &JoinPhases) {
-        phases.fetch.set_metric("rows_fetched", self.rows_fetched);
-        phases.filter.set_metric("shapes_built", self.shapes_built);
-    }
-}
-
-impl SecondaryFilter<'_> {
+impl SecondaryFilter {
     /// Filter one candidate array.
-    pub(crate) fn run(
-        &self,
+    fn run(
+        &mut self,
         mut candidates: Vec<CandidatePair<RowId, RowId>>,
         counters: &Counters,
         phases: Option<&JoinPhases>,
-        tally: &mut FilterTally,
         out: &mut VecDeque<Row>,
     ) {
         // §4.2: sort the candidate array by rowid before fetching
@@ -228,9 +216,9 @@ impl SecondaryFilter<'_> {
         let mut rrids: Vec<RowId> = candidates.iter().map(|&(_, _, _, r)| r).collect();
         rrids.sort_unstable();
         rrids.dedup();
-        let lgeoms = fetch_geometries(self.left_table, self.left_column, &lrids, &self.snapshot);
-        let rgeoms = fetch_geometries(self.right_table, self.right_column, &rrids, &self.snapshot);
-        tally.rows_fetched += (lrids.len() + rrids.len()) as u64;
+        let lgeoms = fetch_geometries(&self.inputs[0], &lrids, &self.snapshot);
+        let rgeoms = fetch_geometries(&self.inputs[1], &rrids, &self.snapshot);
+        self.rows_fetched += (lrids.len() + rrids.len()) as u64;
         if let (Some(p), Some(t0)) = (phases, t_fetch) {
             p.fetch.add_wall(t0.elapsed());
             p.fetch.add_batches(1);
@@ -263,13 +251,13 @@ impl SecondaryFilter<'_> {
             }
             tests += 1;
             let indexed = (lg.has_index(), rg.has_index());
-            let keep = match self.exact {
+            let keep = match &self.exact {
                 ExactPredicate::Masks(masks) => lg.relate_any(rg, masks),
                 ExactPredicate::Distance(d) => lg.within_distance(rg, *d),
                 ExactPredicate::PrimaryOnly => unreachable!(),
             };
-            tally.shapes_built += u64::from(!indexed.0 && lg.has_index());
-            tally.shapes_built += u64::from(!indexed.1 && rg.has_index());
+            self.shapes_built += u64::from(!indexed.0 && lg.has_index());
+            self.shapes_built += u64::from(!indexed.1 && rg.has_index());
             if keep {
                 out.push_back(vec![Value::RowId(lrid), Value::RowId(rrid)]);
             }
@@ -286,54 +274,252 @@ impl SecondaryFilter<'_> {
 /// geometries under one table read lock. `None` marks a row that is
 /// deleted, invisible to `snap`, or not a geometry.
 fn fetch_geometries(
-    table: &RwLock<Table>,
-    column: usize,
+    (table, column): &(Arc<RwLock<Table>>, usize),
     rids: &[RowId],
     snap: &Snapshot,
 ) -> Vec<Option<PreparedGeometry>> {
     let mut geoms = Vec::with_capacity(rids.len());
     table.read().get_many_at(rids, snap, |_, row| {
-        let g = row.and_then(|r| r.get(column)?.as_geometry().cloned());
+        let g = row.and_then(|r| r.get(*column)?.as_geometry().cloned());
         geoms.push(g.map(PreparedGeometry::from_arc));
     });
     geoms
 }
 
-/// A parallel slave's handle on the shared work-stealing task queue:
-/// where to pull the next subtree-pair task from. The queue keeps the
-/// slave's scheduling tallies for `EXPLAIN ANALYZE`.
-struct SharedTasks {
-    queue: Arc<sdo_tablefunc::TaskQueue<(NodeId, NodeId)>>,
-    worker: usize,
+/// What one join engine contributes to a [`JoinSlave`]: its task type,
+/// its split rule, and how one loaded task yields candidate arrays.
+/// The tree join ([`TreePairs`]) and the partition join
+/// ([`crate::partjoin::TileJoin`]) are the two implementations.
+pub trait CandidateSource: Send + 'static {
+    /// One unit of join work on the shared [`TaskQueue`].
+    type Task: Send + 'static;
+    /// The profile node a slave opens under the ambient profile when
+    /// no node is attached.
+    const NODE: &'static str;
+    /// The children of a task whose estimated work exceeds
+    /// `threshold`, or `None` to run it whole.
+    fn split(&self, task: &Self::Task, threshold: u64) -> Option<Vec<Self::Task>>;
+    /// Make `task` the one the following fills draw from.
+    fn load(&mut self, task: Self::Task, stats: &mut KernelStats);
+    /// Up to `cap` more candidates of the loaded task.
+    fn fill(&mut self, cap: usize, stats: &mut KernelStats) -> Vec<CandidatePair<RowId, RowId>>;
+    /// Whether the loaded task has no candidates left.
+    fn drained(&self) -> bool;
+    /// Drop whatever the loaded task still holds.
+    fn clear(&mut self);
 }
 
-/// The pipelined spatial join over two R-tree-indexed tables.
-pub struct SpatialJoin {
-    left: JoinSide,
-    right: JoinSide,
-    exact: ExactPredicate,
+/// One slave of a `SPATIAL_JOIN`, whichever engine feeds it: the
+/// paper's §4.2–4.3 loop of pulling a task from the shared
+/// [`TaskQueue`], filling a candidate array from it and running the
+/// array through the secondary filter, streamed out through
+/// `start`/`fetch`/`close`. A serial join is the one-worker case: one
+/// slave on a one-worker queue, where nothing is split.
+pub struct JoinSlave<E: CandidateSource> {
+    source: E,
+    filter: SecondaryFilter,
     config: SpatialJoinConfig,
     counters: Arc<Counters>,
-    /// Present in work-stealing parallel mode: tasks are pulled from
-    /// this shared queue instead of living on the private stack.
-    tasks: Option<SharedTasks>,
+    queue: Arc<TaskQueue<E::Task>>,
+    worker: usize,
+    /// Secondary-filtered rows awaiting delivery.
+    out: VecDeque<Row>,
+    started: bool,
+    exhausted: bool,
+    /// Peak candidate-array occupancy (pipelining-memory ablation).
+    peak_candidates: usize,
+    /// MBR-kernel accounting merged across every task.
+    kernel_stats: KernelStats,
+    attached: Option<ProfileNode>,
+    phases: Option<JoinPhases>,
+}
+
+impl<E: CandidateSource> JoinSlave<E> {
+    /// A slave pulling from `queue` as worker `worker`, joining the
+    /// geometry columns of `inputs` (left, then right).
+    pub(crate) fn on_queue(
+        source: E,
+        inputs: [(Arc<RwLock<Table>>, usize); 2],
+        exact: ExactPredicate,
+        config: SpatialJoinConfig,
+        counters: Arc<Counters>,
+        queue: Arc<TaskQueue<E::Task>>,
+        worker: usize,
+    ) -> Self {
+        let snapshot = config.snapshot;
+        JoinSlave {
+            source,
+            filter: SecondaryFilter { inputs, exact, snapshot, rows_fetched: 0, shapes_built: 0 },
+            config,
+            counters,
+            queue,
+            worker,
+            out: VecDeque::new(),
+            started: false,
+            exhausted: false,
+            peak_candidates: 0,
+            kernel_stats: KernelStats::default(),
+            attached: None,
+            phases: None,
+        }
+    }
+
+    /// Largest candidate array held at any point.
+    pub fn peak_candidates(&self) -> usize {
+        self.peak_candidates
+    }
+
+    /// MBR-kernel accounting accumulated across all tasks.
+    pub fn kernel_stats(&self) -> KernelStats {
+        self.kernel_stats
+    }
+
+    /// Fill one candidate array — pulling the next task first when the
+    /// loaded one is drained — and run the secondary filter over it.
+    /// An array never spans two tasks.
+    fn process_one_candidate_array(&mut self) {
+        let mut task = None;
+        if self.source.drained() {
+            let (source, threshold) = (&self.source, self.config.split_threshold);
+            task = self.queue.next(self.worker, |t| source.split(t, threshold));
+            if task.is_none() {
+                self.exhausted = true;
+                return;
+            }
+        }
+        let t_mbr = self.phases.as_ref().map(|_| Instant::now());
+        let tests_before = self.kernel_stats.tests;
+        if let Some(task) = task {
+            self.source.load(task, &mut self.kernel_stats);
+        }
+        let candidates = self.source.fill(self.config.candidate_array, &mut self.kernel_stats);
+        if let (Some(p), Some(t0)) = (&self.phases, t_mbr) {
+            p.mbr.add_wall(t0.elapsed());
+            p.mbr.add_batches(1);
+            p.mbr.add_rows(candidates.len() as u64);
+        }
+        // One atomic add per candidate array.
+        Counters::add(&self.counters.mbr_tests, self.kernel_stats.tests - tests_before);
+        if candidates.is_empty() {
+            return; // a task may produce no candidates; the next call pulls again
+        }
+        self.peak_candidates = self.peak_candidates.max(candidates.len());
+        self.filter.run(candidates, &self.counters, self.phases.as_ref(), &mut self.out);
+    }
+}
+
+impl<E: CandidateSource> TableFunction for JoinSlave<E> {
+    fn start(&mut self) -> Result<(), TfError> {
+        if self.started {
+            return Err(TfError::Protocol("start called twice"));
+        }
+        self.started = true;
+        // Resolve the profile target: an explicitly attached node (the
+        // executor's operator node, or a parallel slave's node), else a
+        // child of the ambient profile if a session is active.
+        if let Some(node) =
+            self.attached.clone().or_else(|| sdo_obs::current().map(|c| c.child(E::NODE)))
+        {
+            self.phases = Some(JoinPhases::new(node));
+        }
+        Ok(())
+    }
+
+    fn fetch(&mut self, max_rows: usize) -> Result<Vec<Row>, TfError> {
+        if !self.started {
+            return Err(TfError::Protocol("fetch before start"));
+        }
+        while self.out.len() < max_rows && !self.exhausted {
+            self.process_one_candidate_array();
+        }
+        let n = self.out.len().min(max_rows);
+        Ok(self.out.drain(..n).collect())
+    }
+
+    fn close(&mut self) {
+        self.source.clear();
+        self.out.clear();
+        // Flush once: close is idempotent, so take() the phases.
+        let Some(p) = self.phases.take() else { return };
+        p.fetch.set_metric("rows_fetched", self.filter.rows_fetched);
+        p.filter.set_metric("shapes_built", self.filter.shapes_built);
+        p.node.add_metric("peak_candidates", self.peak_candidates as u64);
+        // set_metric: zeros must render — a join that fetched nothing,
+        // never swept, or a slave at 0 tasks is what EXPLAIN ANALYZE
+        // exists to expose.
+        let (q, w) = (&self.queue, self.worker);
+        for (name, value) in [
+            ("kernel_sweeps", self.kernel_stats.sweeps),
+            ("kernel_scans", self.kernel_stats.scans),
+            ("kernel_tests", self.kernel_stats.tests),
+            ("tasks_executed", q.executed(w)),
+            ("tasks_stolen", q.stolen(w)),
+            ("tasks_split", q.split(w)),
+        ] {
+            p.node.set_metric(name, value);
+        }
+    }
+
+    fn attach_profile(&mut self, node: &ProfileNode) {
+        self.attached = Some(node.clone());
+    }
+}
+
+/// The tree join's [`CandidateSource`]: a task is a subtree-root pair,
+/// split one level by [`split_pair`] when its estimated work exceeds
+/// the threshold, and run by the synchronized traversal
+/// ([`JoinCursor`]) resumed from the saved stack and carry.
+pub struct TreePairs {
+    left: Arc<RTree<RowId>>,
+    right: Arc<RTree<RowId>>,
+    pred: JoinPredicate,
     /// Suspended traversal state: pending node pairs + undelivered MBR
     /// candidates.
     stack: Vec<(NodeId, NodeId)>,
     carry: VecDeque<CandidatePair<RowId, RowId>>,
-    /// Secondary-filtered rows awaiting delivery.
-    out: VecDeque<Row>,
-    tally: FilterTally,
-    started: bool,
-    mbr_exhausted: bool,
-    /// Peak candidate-array occupancy (pipelining-memory ablation).
-    peak_candidates: usize,
-    /// MBR-kernel accounting merged across every resumed cursor.
-    kernel_stats: KernelStats,
-    result_rows: usize,
-    attached: Option<ProfileNode>,
-    phases: Option<JoinPhases>,
 }
+
+impl CandidateSource for TreePairs {
+    type Task = (NodeId, NodeId);
+    const NODE: &'static str = "spatial join";
+
+    fn split(&self, &(l, r): &(NodeId, NodeId), threshold: u64) -> Option<Vec<(NodeId, NodeId)>> {
+        if estimate_pair_work(&self.left, &self.right, l, r) <= threshold {
+            return None;
+        }
+        split_pair(&self.left, &self.right, self.pred, l, r)
+    }
+
+    fn load(&mut self, task: (NodeId, NodeId), _: &mut KernelStats) {
+        self.stack.push(task);
+    }
+
+    fn fill(&mut self, cap: usize, stats: &mut KernelStats) -> Vec<CandidatePair<RowId, RowId>> {
+        let mut cursor = JoinCursor::from_parts(
+            &self.left,
+            &self.right,
+            self.pred,
+            std::mem::take(&mut self.stack),
+            std::mem::take(&mut self.carry),
+        );
+        let candidates = cursor.next_batch(cap);
+        stats.merge(&cursor.kernel_stats());
+        (self.stack, self.carry) = cursor.into_parts();
+        candidates
+    }
+
+    fn drained(&self) -> bool {
+        self.stack.is_empty() && self.carry.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.stack.clear();
+        self.carry.clear();
+    }
+}
+
+/// The pipelined spatial join over two R-tree-indexed tables.
+pub type SpatialJoin = JoinSlave<TreePairs>;
 
 impl SpatialJoin {
     /// Serial join: seeded with the two root nodes.
@@ -352,7 +538,9 @@ impl SpatialJoin {
     }
 
     /// Serial join seeded with explicit subtree-root pairs (the paper's
-    /// Figure 1 decomposition, e.g. from a `SUBTREE_PAIRS` cursor).
+    /// Figure 1 decomposition, e.g. from a `SUBTREE_PAIRS` cursor):
+    /// one worker over a one-worker queue, running the pairs from the
+    /// last to the first.
     pub fn with_stack(
         left: JoinSide,
         right: JoinSide,
@@ -361,73 +549,34 @@ impl SpatialJoin {
         counters: Arc<Counters>,
         stack: Vec<(NodeId, NodeId)>,
     ) -> Self {
-        SpatialJoin {
-            left,
-            right,
-            exact,
-            config,
-            counters,
-            tasks: None,
-            stack,
-            carry: VecDeque::new(),
-            out: VecDeque::new(),
-            tally: FilterTally::default(),
-            started: false,
-            mbr_exhausted: false,
-            peak_candidates: 0,
-            kernel_stats: KernelStats::default(),
-            result_rows: 0,
-            attached: None,
-            phases: None,
-        }
+        let queue = TaskQueue::seed_round_robin(stack, 1);
+        Self::with_shared_tasks(left, right, exact, config, counters, queue, 0)
     }
 
-    /// Work-stealing parallel slave: instead of owning a fixed task
-    /// stack, this instance pulls subtree-pair tasks from the shared
-    /// `queue` as worker `worker`, stealing from siblings when its own
-    /// shard runs dry. Oversized tasks (estimated work above
-    /// `config.split_threshold`) are split one level and re-queued so
-    /// a dense cluster spreads across slaves instead of pinning one.
+    /// Work-stealing parallel slave: pulls subtree-pair tasks from the
+    /// shared `queue` as worker `worker`, stealing from siblings when
+    /// its own shard runs dry. When a sibling could steal, an oversized
+    /// task (estimated work above `config.split_threshold`) is split
+    /// one level and re-queued, so a dense cluster spreads across
+    /// slaves instead of pinning one.
     pub fn with_shared_tasks(
         left: JoinSide,
         right: JoinSide,
         exact: ExactPredicate,
         config: SpatialJoinConfig,
         counters: Arc<Counters>,
-        queue: Arc<sdo_tablefunc::TaskQueue<(NodeId, NodeId)>>,
+        queue: Arc<TaskQueue<(NodeId, NodeId)>>,
         worker: usize,
     ) -> Self {
-        let mut join = Self::with_stack(left, right, exact, config, counters, Vec::new());
-        join.tasks = Some(SharedTasks { queue, worker });
-        join
-    }
-
-    /// Pull the next task from the shared queue onto the private stack,
-    /// splitting oversized tasks into re-queued children first. Returns
-    /// `false` when the queue is dry (or in serial mode, where there is
-    /// no queue).
-    fn pull_task(&mut self) -> bool {
-        let Some(ts) = &self.tasks else { return false };
-        let pred = self.exact.join_predicate();
-        loop {
-            let Some((l, r)) = ts.queue.pop(ts.worker) else { return false };
-            let work = sdo_rtree::join::estimate_pair_work(&self.left.tree, &self.right.tree, l, r);
-            if work > self.config.split_threshold {
-                if let Some(children) =
-                    sdo_rtree::join::split_pair(&self.left.tree, &self.right.tree, pred, l, r)
-                {
-                    // Children go to the own shard: this worker keeps
-                    // descending depth-first while idle siblings steal
-                    // the oldest (largest) children from the far end.
-                    for c in children {
-                        ts.queue.push(ts.worker, c);
-                    }
-                    continue;
-                }
-            }
-            self.stack.push((l, r));
-            return true;
-        }
+        let source = TreePairs {
+            left: left.tree,
+            right: right.tree,
+            pred: exact.join_predicate(),
+            stack: Vec::new(),
+            carry: VecDeque::new(),
+        };
+        let inputs = [(left.table, left.column), (right.table, right.column)];
+        Self::on_queue(source, inputs, exact, config, counters, queue, worker)
     }
 
     /// Compute the MBR-filtered subtree-root pair tasks for a parallel
@@ -439,142 +588,6 @@ impl SpatialJoin {
         levels_down: u32,
     ) -> Vec<(NodeId, NodeId)> {
         subtree_pair_tasks(left, right, exact.join_predicate(), levels_down)
-    }
-
-    /// Largest candidate array held at any point.
-    pub fn peak_candidates(&self) -> usize {
-        self.peak_candidates
-    }
-
-    /// MBR-kernel accounting accumulated across all resumed cursors.
-    pub fn kernel_stats(&self) -> KernelStats {
-        self.kernel_stats
-    }
-
-    /// Total result rows delivered so far.
-    pub fn rows_returned(&self) -> usize {
-        self.result_rows
-    }
-
-    /// Refill the candidate array by resuming the index-based join,
-    /// then run the secondary filter over it.
-    fn process_one_candidate_array(&mut self) -> Result<(), TfError> {
-        // Work-stealing mode: with no private work left, pull the next
-        // shared task; a dry queue means this slave is done.
-        if self.stack.is_empty()
-            && self.carry.is_empty()
-            && self.tasks.is_some()
-            && !self.pull_task()
-        {
-            self.mbr_exhausted = true;
-            return Ok(());
-        }
-        // Resume the synchronized traversal from the saved stack.
-        let mut cursor = JoinCursor::from_parts(
-            &self.left.tree,
-            &self.right.tree,
-            self.exact.join_predicate(),
-            std::mem::take(&mut self.stack),
-            std::mem::take(&mut self.carry),
-        );
-        let t_mbr = self.phases.as_ref().map(|_| Instant::now());
-        let candidates = cursor.next_batch(self.config.candidate_array);
-        let stats = cursor.kernel_stats();
-        self.kernel_stats.merge(&stats);
-        if let (Some(p), Some(t0)) = (&self.phases, t_mbr) {
-            p.mbr.add_wall(t0.elapsed());
-            p.mbr.add_batches(1);
-            p.mbr.add_rows(candidates.len() as u64);
-        }
-        // The cursor is fresh per call, so its stats are this array's
-        // delta: one atomic add per candidate array.
-        Counters::add(&self.counters.mbr_tests, stats.tests);
-        let (stack, carry) = cursor.into_parts();
-        self.stack = stack;
-        self.carry = carry;
-        if candidates.is_empty() && self.stack.is_empty() && self.carry.is_empty() {
-            // In work-stealing mode a task may legitimately produce no
-            // candidates; the next call pulls again and only a dry
-            // queue (above) ends the slave.
-            if self.tasks.is_none() {
-                self.mbr_exhausted = true;
-            }
-            return Ok(());
-        }
-        self.peak_candidates = self.peak_candidates.max(candidates.len());
-
-        let filter = SecondaryFilter {
-            left_table: &self.left.table,
-            left_column: self.left.column,
-            right_table: &self.right.table,
-            right_column: self.right.column,
-            exact: &self.exact,
-            snapshot: self.config.snapshot,
-        };
-        filter.run(
-            candidates,
-            &self.counters,
-            self.phases.as_ref(),
-            &mut self.tally,
-            &mut self.out,
-        );
-        Ok(())
-    }
-}
-
-impl TableFunction for SpatialJoin {
-    fn start(&mut self) -> Result<(), TfError> {
-        if self.started {
-            return Err(TfError::Protocol("start called twice"));
-        }
-        self.started = true;
-        // Resolve the profile target: an explicitly attached node (the
-        // executor's operator node, or a parallel slave's node), else a
-        // child of the ambient profile if a session is active.
-        if let Some(node) =
-            self.attached.clone().or_else(|| sdo_obs::current().map(|c| c.child("spatial join")))
-        {
-            self.phases = Some(JoinPhases::new(node));
-        }
-        Ok(())
-    }
-
-    fn fetch(&mut self, max_rows: usize) -> Result<Vec<Row>, TfError> {
-        if !self.started {
-            return Err(TfError::Protocol("fetch before start"));
-        }
-        while self.out.len() < max_rows && !self.mbr_exhausted {
-            self.process_one_candidate_array()?;
-        }
-        let n = self.out.len().min(max_rows);
-        self.result_rows += n;
-        Ok(self.out.drain(..n).collect())
-    }
-
-    fn close(&mut self) {
-        self.stack.clear();
-        self.carry.clear();
-        self.out.clear();
-        // Flush once: close is idempotent, so take() the phases.
-        if let Some(p) = self.phases.take() {
-            self.tally.flush(&p);
-            p.node.add_metric("peak_candidates", self.peak_candidates as u64);
-            // set_metric: a join that never swept (or never scanned)
-            // still renders its zero.
-            p.node.set_metric("kernel_sweeps", self.kernel_stats.sweeps);
-            p.node.set_metric("kernel_scans", self.kernel_stats.scans);
-            p.node.set_metric("kernel_tests", self.kernel_stats.tests);
-            if let Some(ts) = &self.tasks {
-                // set_metric: zeros must render — a slave at 0 tasks
-                // is the imbalance EXPLAIN ANALYZE exists to expose.
-                p.node.set_metric("tasks_executed", ts.queue.executed(ts.worker));
-                p.node.set_metric("tasks_stolen", ts.queue.stolen(ts.worker));
-            }
-        }
-    }
-
-    fn attach_profile(&mut self, node: &ProfileNode) {
-        self.attached = Some(node.clone());
     }
 }
 

@@ -47,31 +47,31 @@
 //! ## Execution
 //!
 //! Tiles with entries on both sides become [`TileTask`]s on the
-//! work-stealing [`TaskQueue`]. A pulled task whose occupancy product
-//! exceeds `split_threshold` is halved over its left-entry range and
-//! re-queued, so one hot tile spreads across slaves (skew handling
-//! beyond what static tile assignment could do). Each slave matches
-//! class runs with the tree join's batch kernels
-//! ([`sdo_rtree::join::match_pairs`]: the plane sweep at or above
-//! `SWEEP_THRESHOLD`, chunked scans below) into a candidate array
-//! that funnels through the *same* `SecondaryFilter` (rowid-sorted
-//! fetches of each array's distinct rows) as the tree join, and streams
-//! rowid pairs out of the ordinary `start`/`fetch`/`close` protocol,
-//! so `LIMIT` pushdown and memory accounting work unchanged.
+//! work-stealing [`TaskQueue`]. When a sibling slave could steal, a
+//! pulled task whose occupancy product exceeds `split_threshold` is
+//! halved over its left-entry range and re-queued, so one hot tile
+//! spreads across slaves (skew handling beyond what static tile
+//! assignment could do). Each slave matches class runs with the tree
+//! join's batch kernels ([`sdo_rtree::join::match_pairs`]: the plane
+//! sweep at or above `SWEEP_THRESHOLD`, chunked scans below). The
+//! slave itself is the tree join's [`JoinSlave`] loop with
+//! [`TileJoin`] as its candidate source: the same secondary filter
+//! (rowid-sorted fetches of each array's distinct rows), the same
+//! profile, and rowid pairs streamed out of the ordinary
+//! `start`/`fetch`/`close` protocol, so `LIMIT` pushdown and memory
+//! accounting work unchanged.
 
-use crate::join::{ExactPredicate, FilterTally, JoinPhases, SecondaryFilter, SpatialJoinConfig};
+use crate::join::{CandidateSource, ExactPredicate, JoinSlave, SpatialJoinConfig};
 use parking_lot::RwLock;
 use sdo_geom::Rect;
-use sdo_obs::ProfileNode;
 use sdo_rtree::join::{match_pairs, CandidatePair};
 use sdo_rtree::kernel::{SoaMbrs, SweepScratch};
 use sdo_rtree::{JoinPredicate, KernelStats};
 use sdo_storage::{Counters, RowId, Snapshot, SpatialSample, Table};
-use sdo_tablefunc::{Row, TableFunction, TaskQueue, TfError};
+use sdo_tablefunc::TaskQueue;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Rows sampled per side to size the grid.
 const SAMPLE_SIZE: usize = 1024;
@@ -86,11 +86,11 @@ const TARGET_OCCUPANCY: usize = 32;
 /// Upper bound on grid cells per axis.
 const MAX_AXIS_TILES: usize = 256;
 /// Floor on the left-entry range of a split task (see
-/// [`PartitionJoin::pull_task`] — kept in lockstep with the
-/// blocked right-side emission so each candidate array holds few
-/// distinct rows per side, and those rows are fetched once).
+/// [`TileJoin`]'s split rule — kept in lockstep with the blocked
+/// right-side emission so each candidate array holds few distinct rows
+/// per side, and those rows are fetched once).
 const MIN_SPLIT_LEFTS: u32 = 64;
-/// Right-side entries per emission block in [`PartitionJoin::join_tile`]:
+/// Right-side entries per emission block in [`TileJoin`]'s task load:
 /// keeps each candidate chunk's distinct right rows few.
 const RIGHT_BLOCK: usize = 256;
 
@@ -217,11 +217,6 @@ impl TileSide {
     }
 }
 
-/// One fully partitioned input: a [`TileSide`] per grid tile.
-struct PartitionedSide {
-    tiles: Vec<TileSide>,
-}
-
 #[inline]
 fn class_of(tx: usize, ty: usize, start_col: usize, start_row: usize) -> usize {
     match (tx == start_col, ty == start_row) {
@@ -233,16 +228,17 @@ fn class_of(tx: usize, ty: usize, start_col: usize, start_row: usize) -> usize {
 }
 
 /// Scan a table snapshot and replicate every valid MBR into its tiles
-/// with class tags. `expand` widens the *assignment* rect by a
-/// distance-join radius (stored rects stay exact); rows without a
-/// geometry or with an empty/NaN bbox are skipped — they never join.
+/// with class tags, one [`TileSide`] per grid tile. `expand` widens
+/// the *assignment* rect by a distance-join radius (stored rects stay
+/// exact); rows without a geometry or with an empty/NaN bbox are
+/// skipped — they never join.
 fn partition_side(
     table: &Table,
     column: usize,
     grid: &GridSpec,
     expand: f64,
     snap: &Snapshot,
-) -> PartitionedSide {
+) -> Vec<TileSide> {
     let mut items: Vec<(Rect, RowId)> = Vec::with_capacity(table.len());
     table.scan_range_at(0, usize::MAX, snap, |rid, row| {
         if let Some(b) = row.get(column).and_then(|v| v.as_geometry()).map(|g| g.bbox()) {
@@ -297,7 +293,7 @@ fn partition_side(
             }
         }
     }
-    PartitionedSide { tiles }
+    tiles
 }
 
 /// One unit of partitioned join work: a tile plus a range over its
@@ -310,14 +306,17 @@ pub struct TileTask {
     hi: u32,
 }
 
-/// The shared, immutable build product of a partitioned join: the
-/// grid, both partitioned sides, and the seeded task queue every
-/// slave pulls from. Built once in the table-function factory.
+/// The shared, immutable build product of a partitioned join: both
+/// partitioned sides, the seeded task queue every slave pulls from, and
+/// the inputs and predicate the slaves' secondary filter reads. Built
+/// once in the table-function factory.
 pub struct PartitionState {
-    grid: GridSpec,
-    left: PartitionedSide,
-    right: PartitionedSide,
+    left: Vec<TileSide>,
+    right: Vec<TileSide>,
     queue: Arc<TaskQueue<TileTask>>,
+    /// Each side's table and geometry column.
+    inputs: [(Arc<RwLock<Table>>, usize); 2],
+    exact: ExactPredicate,
     /// Tiles holding entries on both sides (= seeded tasks).
     pub partition_tiles: u64,
     /// Max entries (both sides) resident in any single tile — the
@@ -350,7 +349,7 @@ impl PartitionState {
 
         let mut tasks = Vec::new();
         let mut max_occupancy = 0u64;
-        for (i, (lt, rt)) in left.tiles.iter().zip(&right.tiles).enumerate() {
+        for (i, (lt, rt)) in left.iter().zip(&right).enumerate() {
             max_occupancy = max_occupancy.max((lt.len() + rt.len()) as u64);
             if lt.len() > 0 && rt.len() > 0 {
                 tasks.push(TileTask { tile: i as u32, lo: 0, hi: lt.len() as u32 });
@@ -359,131 +358,57 @@ impl PartitionState {
         let partition_tiles = tasks.len() as u64;
         let queue = TaskQueue::seed_round_robin(tasks, dop.max(1));
         Arc::new(PartitionState {
-            grid,
             left,
             right,
             queue,
+            inputs: [
+                (Arc::clone(left_table), left_column),
+                (Arc::clone(right_table), right_column),
+            ],
+            exact: exact.clone(),
             partition_tiles,
             tile_max_occupancy: max_occupancy,
         })
     }
-
-    /// The grid this state partitioned both sides on.
-    pub fn grid(&self) -> &GridSpec {
-        &self.grid
-    }
 }
 
-/// One slave of the partitioned join — a pipelined table function
-/// pulling [`TileTask`]s from the shared queue, matching class runs
-/// with the SoA kernels, and running candidates through the shared
-/// `SecondaryFilter`. Serial joins are just `dop = 1` with a single
-/// slave owning every task.
-pub struct PartitionJoin {
+/// The partition join's [`CandidateSource`]: a task is a [`TileTask`],
+/// halved over its left-entry range when its occupancy product exceeds
+/// the threshold, and matched class run by class run with the SoA
+/// kernels into a carry that the fills drain in candidate-array chunks.
+pub struct TileJoin {
     state: Arc<PartitionState>,
-    left_table: Arc<RwLock<Table>>,
-    left_column: usize,
-    right_table: Arc<RwLock<Table>>,
-    right_column: usize,
-    exact: ExactPredicate,
-    config: SpatialJoinConfig,
-    counters: Arc<Counters>,
-    worker: usize,
+    pred: JoinPredicate,
     soa_left: SoaMbrs,
     soa_right: SoaMbrs,
     sweep: SweepScratch,
     carry: VecDeque<CandidatePair<RowId, RowId>>,
-    out: VecDeque<Row>,
-    tally: FilterTally,
-    started: bool,
-    exhausted: bool,
-    peak_candidates: usize,
-    kernel_stats: KernelStats,
-    result_rows: usize,
-    attached: Option<ProfileNode>,
-    phases: Option<JoinPhases>,
 }
 
-impl PartitionJoin {
-    /// A slave pulling from `state`'s queue as `worker`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        state: Arc<PartitionState>,
-        left_table: Arc<RwLock<Table>>,
-        left_column: usize,
-        right_table: Arc<RwLock<Table>>,
-        right_column: usize,
-        exact: ExactPredicate,
-        config: SpatialJoinConfig,
-        counters: Arc<Counters>,
-        worker: usize,
-    ) -> Self {
-        PartitionJoin {
-            state,
-            left_table,
-            left_column,
-            right_table,
-            right_column,
-            exact,
-            config,
-            counters,
-            worker,
-            soa_left: SoaMbrs::new(),
-            soa_right: SoaMbrs::new(),
-            sweep: SweepScratch::new(),
-            carry: VecDeque::new(),
-            out: VecDeque::new(),
-            tally: FilterTally::default(),
-            started: false,
-            exhausted: false,
-            peak_candidates: 0,
-            kernel_stats: KernelStats::default(),
-            result_rows: 0,
-            attached: None,
-            phases: None,
+impl CandidateSource for TileJoin {
+    type Task = TileTask;
+    const NODE: &'static str = "partition join";
+
+    /// Tasks never shrink below `MIN_SPLIT_LEFTS` left entries:
+    /// narrower slivers make each sorted candidate chunk span many
+    /// right-side blocks (few lefts → few candidates per block),
+    /// defeating the blocked emission in [`CandidateSource::load`].
+    fn split(&self, t: &TileTask, threshold: u64) -> Option<Vec<TileTask>> {
+        let rlen = self.state.right[t.tile as usize].len() as u64;
+        let work = u64::from(t.hi - t.lo).saturating_mul(rlen);
+        if work <= threshold || t.hi - t.lo < 2 * MIN_SPLIT_LEFTS {
+            return None;
         }
+        let mid = t.lo + (t.hi - t.lo) / 2;
+        Some(vec![TileTask { tile: t.tile, lo: t.lo, hi: mid }, TileTask { lo: mid, ..*t }])
     }
 
-    /// Kernel accounting accumulated across all processed tiles.
-    pub fn kernel_stats(&self) -> KernelStats {
-        self.kernel_stats
-    }
-
-    /// Total result rows delivered so far.
-    pub fn rows_returned(&self) -> usize {
-        self.result_rows
-    }
-
-    /// Pull the next task, halving oversized ones (occupancy product
-    /// above `split_threshold`) back onto the own shard first so idle
-    /// siblings can steal the other half. Tasks never shrink below
-    /// [`MIN_SPLIT_LEFTS`] left entries: narrower slivers make each
-    /// sorted candidate chunk span many right-side blocks (few lefts
-    /// → few candidates per block), defeating the blocked emission in
-    /// [`Self::join_tile`].
-    fn pull_task(&mut self) -> Option<TileTask> {
-        loop {
-            let t = self.state.queue.pop(self.worker)?;
-            let rlen = self.state.right.tiles[t.tile as usize].len() as u64;
-            let work = u64::from(t.hi - t.lo).saturating_mul(rlen);
-            if work > self.config.split_threshold && t.hi - t.lo >= 2 * MIN_SPLIT_LEFTS {
-                let mid = t.lo + (t.hi - t.lo) / 2;
-                self.state.queue.push(self.worker, TileTask { tile: t.tile, lo: t.lo, hi: mid });
-                self.state.queue.push(self.worker, TileTask { tile: t.tile, lo: mid, hi: t.hi });
-                continue;
-            }
-            return Some(t);
-        }
-    }
-
-    /// MBR-match one task's left range against the tile's right side,
+    /// MBR-match the task's left range against the tile's right side,
     /// class combination by class combination, appending candidate
-    /// pairs to `carry`.
-    fn join_tile(&mut self, task: TileTask) {
-        let state = Arc::clone(&self.state);
-        let lt = &state.left.tiles[task.tile as usize];
-        let rt = &state.right.tiles[task.tile as usize];
-        let pred = self.exact.join_predicate();
+    /// pairs to the carry.
+    fn load(&mut self, task: TileTask, stats: &mut KernelStats) {
+        let lt = &self.state.left[task.tile as usize];
+        let rt = &self.state.right[task.tile as usize];
         let (lo, hi) = (task.lo as usize, task.hi as usize);
         for &(lclass, rclass) in &ALLOWED_COMBOS {
             let lr = lt.class_range(lclass);
@@ -513,95 +438,53 @@ impl PartitionJoin {
                 match_pairs(
                     &self.soa_left,
                     &self.soa_right,
-                    pred,
+                    self.pred,
                     &mut self.sweep,
-                    &mut self.kernel_stats,
+                    stats,
                     |i, j| carry.push_back((lrects[i], lrids[i], rrects[j], rrids[j])),
                 );
             }
         }
     }
 
-    /// Pull and process one task end to end: tile kernels into the
-    /// candidate array, then the shared secondary filter in
-    /// `candidate_array`-sized chunks.
-    fn process_next_task(&mut self) {
-        let Some(task) = self.pull_task() else {
-            self.exhausted = true;
-            return;
-        };
-        let t_mbr = self.phases.as_ref().map(|_| Instant::now());
-        let tests_before = self.kernel_stats.tests;
-        self.join_tile(task);
-        let produced = self.carry.len();
-        if let (Some(p), Some(t0)) = (&self.phases, t_mbr) {
-            p.mbr.add_wall(t0.elapsed());
-            p.mbr.add_batches(1);
-            p.mbr.add_rows(produced as u64);
-        }
-        Counters::add(&self.counters.mbr_tests, self.kernel_stats.tests - tests_before);
-        while !self.carry.is_empty() {
-            let n = self.carry.len().min(self.config.candidate_array);
-            self.peak_candidates = self.peak_candidates.max(n);
-            let batch: Vec<_> = self.carry.drain(..n).collect();
-            let filter = SecondaryFilter {
-                left_table: &self.left_table,
-                left_column: self.left_column,
-                right_table: &self.right_table,
-                right_column: self.right_column,
-                exact: &self.exact,
-                snapshot: self.config.snapshot,
-            };
-            filter.run(batch, &self.counters, self.phases.as_ref(), &mut self.tally, &mut self.out);
-        }
+    fn fill(&mut self, cap: usize, _: &mut KernelStats) -> Vec<CandidatePair<RowId, RowId>> {
+        let n = self.carry.len().min(cap);
+        self.carry.drain(..n).collect()
+    }
+
+    fn drained(&self) -> bool {
+        self.carry.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.carry.clear();
     }
 }
 
-impl TableFunction for PartitionJoin {
-    fn start(&mut self) -> Result<(), TfError> {
-        if self.started {
-            return Err(TfError::Protocol("start called twice"));
-        }
-        self.started = true;
-        if let Some(node) =
-            self.attached.clone().or_else(|| sdo_obs::current().map(|c| c.child("partition join")))
-        {
-            self.phases = Some(JoinPhases::new(node));
-        }
-        Ok(())
-    }
+/// One slave of the partitioned join, pulling [`TileTask`]s from the
+/// state's shared queue. A serial join is `dop = 1`: a single slave
+/// owning every task.
+pub type PartitionJoin = JoinSlave<TileJoin>;
 
-    fn fetch(&mut self, max_rows: usize) -> Result<Vec<Row>, TfError> {
-        if !self.started {
-            return Err(TfError::Protocol("fetch before start"));
-        }
-        while self.out.len() < max_rows && !self.exhausted {
-            self.process_next_task();
-        }
-        let n = self.out.len().min(max_rows);
-        self.result_rows += n;
-        Ok(self.out.drain(..n).collect())
-    }
-
-    fn close(&mut self) {
-        self.carry.clear();
-        self.out.clear();
-        if let Some(p) = self.phases.take() {
-            self.tally.flush(&p);
-            p.node.add_metric("peak_candidates", self.peak_candidates as u64);
-            // set_metric: a slave at 0 tasks (or a join that never
-            // swept) must still render — that imbalance is what
-            // EXPLAIN ANALYZE exists to expose.
-            p.node.set_metric("kernel_sweeps", self.kernel_stats.sweeps);
-            p.node.set_metric("kernel_scans", self.kernel_stats.scans);
-            p.node.set_metric("kernel_tests", self.kernel_stats.tests);
-            p.node.set_metric("tasks_executed", self.state.queue.executed(self.worker));
-            p.node.set_metric("tasks_stolen", self.state.queue.stolen(self.worker));
-        }
-    }
-
-    fn attach_profile(&mut self, node: &ProfileNode) {
-        self.attached = Some(node.clone());
+impl PartitionJoin {
+    /// A slave pulling from `state`'s queue as `worker`.
+    pub fn new(
+        state: Arc<PartitionState>,
+        config: SpatialJoinConfig,
+        counters: Arc<Counters>,
+        worker: usize,
+    ) -> Self {
+        let (queue, inputs, exact) =
+            (Arc::clone(&state.queue), state.inputs.clone(), state.exact.clone());
+        let source = TileJoin {
+            pred: exact.join_predicate(),
+            state,
+            soa_left: SoaMbrs::new(),
+            soa_right: SoaMbrs::new(),
+            sweep: SweepScratch::new(),
+            carry: VecDeque::new(),
+        };
+        Self::on_queue(source, inputs, exact, config, counters, queue, worker)
     }
 }
 
@@ -641,17 +524,8 @@ mod tests {
         let mut pairs = Vec::new();
         let mut stats = KernelStats::default();
         for worker in 0..dop {
-            let mut f = PartitionJoin::new(
-                Arc::clone(&state),
-                Arc::clone(left),
-                0,
-                Arc::clone(right),
-                0,
-                exact.clone(),
-                config.clone(),
-                Arc::new(Counters::new()),
-                worker,
-            );
+            let counters = Arc::new(Counters::new());
+            let mut f = PartitionJoin::new(Arc::clone(&state), config.clone(), counters, worker);
             for row in collect_all(&mut f, 777).unwrap() {
                 pairs.push((
                     row[0].as_rowid().unwrap().as_u64(),

@@ -9,7 +9,7 @@ use sdo_geom::{Geometry, Polygon, Rect, RelateMask};
 use sdo_rtree::{RTree, RTreeParams};
 use sdo_storage::{Counters, DataType, Schema, Table, Value};
 use sdo_tablefunc::collect_all;
-use sdo_tablefunc::{execute_parallel, TableFunction, TaskQueue};
+use sdo_tablefunc::{ParallelTableFunction, TableFunction, TaskQueue};
 use std::sync::Arc;
 
 fn arb_rect_poly() -> impl Strategy<Value = Geometry> {
@@ -195,7 +195,8 @@ proptest! {
                     )) as Box<dyn TableFunction>
                 })
                 .collect();
-            let mut got: Vec<(u64, u64)> = execute_parallel(instances, 64)
+            let mut parallel = ParallelTableFunction::new(instances);
+            let mut got: Vec<(u64, u64)> = collect_all(&mut parallel, 64)
                 .unwrap()
                 .iter()
                 .map(|row| {

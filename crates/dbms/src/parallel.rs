@@ -185,7 +185,7 @@ fn run_tasks<T>(
     mut run: impl FnMut(T, &mut GaugeCharge) -> (usize, Result<JoinedBatch, DbError>),
 ) {
     while !out.cancelled() {
-        let Some(task) = queue.pop(w) else { break };
+        let Some(task) = queue.next(w, |_| None) else { break };
         let t0 = node.as_ref().map(|_| Instant::now());
         let mut charge = gauge.charge();
         let (idx, rows) = run(task, &mut charge);
@@ -564,7 +564,7 @@ impl<'a> ParallelSortExec<'a> {
             let mut buf: Vec<SortedRow> = Vec::new();
             let mut run = || -> Result<(), DbError> {
                 while !out.cancelled() {
-                    let Some(m) = queue.pop(w) else { break };
+                    let Some(m) = queue.next(w, |_| None) else { break };
                     let idx = m.idx;
                     for (pos, jr) in scan.scan(m, &mut charge)?.into_iter().enumerate() {
                         // Serial scan order: morsel index, then surviving

@@ -36,10 +36,10 @@ pub mod scheduler;
 pub mod source;
 pub mod table_function;
 
-pub use parallel::{execute_parallel, Fanout, Outbox, ParallelTableFunction};
+pub use parallel::{Fanout, Outbox, ParallelTableFunction};
 pub use pool::{PoolStats, SlavePool};
 pub use row::Row;
-pub use scheduler::{TaskQueue, WorkStealingFn};
+pub use scheduler::TaskQueue;
 pub use source::{RowSource, VecSource};
 pub use table_function::{collect_all, TableFunction};
 

@@ -10,9 +10,9 @@
 //!
 //! [`ParallelTableFunction`] reproduces Oracle9i's parallel execution of
 //! a table function on top of it: the caller builds one function
-//! *instance per slave* — typically [`crate::scheduler::WorkStealingFn`]s
-//! sharing one task queue over chunks of the input cursor — and each
-//! slave drives its instance through the pipelined `start`/`fetch`/
+//! *instance per slave* — the `SPATIAL_JOIN` slaves, say, which pull
+//! their tasks from one shared [`crate::scheduler::TaskQueue`] — and
+//! each slave drives its instance through the pipelined `start`/`fetch`/
 //! `close` protocol, sending one message per fetch batch. Production and
 //! consumption overlap (pipelining survives parallelism) and a slow
 //! consumer back-pressures the slaves instead of buffering unboundedly.
@@ -125,6 +125,9 @@ impl<M> Drop for Fanout<M> {
 /// full result set never materializes.
 const CHANNEL_DEPTH: usize = 8;
 
+/// Rows each slave asks its instance for per `fetch`.
+const SLAVE_FETCH_SIZE: usize = 256;
+
 type SlaveMsg = Result<Vec<Row>, TfError>;
 
 /// A table function that executes `instances` in parallel and merges
@@ -140,7 +143,6 @@ type SlaveMsg = Result<Vec<Row>, TfError>;
 pub struct ParallelTableFunction {
     instances: Vec<Box<dyn TableFunction>>,
     dop: usize,
-    slave_fetch_size: usize,
     slaves: Option<Fanout<SlaveMsg>>,
     pending: VecDeque<Row>,
     failed: Option<TfError>,
@@ -155,18 +157,11 @@ impl ParallelTableFunction {
         ParallelTableFunction {
             dop: instances.len(),
             instances,
-            slave_fetch_size: 256,
             slaves: None,
             pending: VecDeque::new(),
             failed: None,
             profile: None,
         }
-    }
-
-    /// Batch size each slave uses when fetching from its instance.
-    pub fn with_slave_fetch_size(mut self, n: usize) -> Self {
-        self.slave_fetch_size = n.max(1);
-        self
     }
 
     /// Degree of parallelism. Recorded at construction, so it stays
@@ -179,12 +174,7 @@ impl ParallelTableFunction {
 
 /// One slave: drive `f` through `start`/`fetch`/`close`, sending each
 /// fetched batch, until it is exhausted or the consumer goes away.
-fn run_slave(
-    mut f: Box<dyn TableFunction>,
-    fetch_size: usize,
-    profile: Option<ProfileNode>,
-    out: &Outbox<SlaveMsg>,
-) {
+fn run_slave(mut f: Box<dyn TableFunction>, profile: Option<ProfileNode>, out: &Outbox<SlaveMsg>) {
     // Profiling: this slave's node becomes the thread's current
     // profile, so operators running inside the instance hang their
     // detail under "slave N". The guard drops before the worker
@@ -197,7 +187,7 @@ fn run_slave(
         f.start()?;
         while !out.cancelled() {
             let fetch_started = profile.as_ref().map(|_| Instant::now());
-            let batch = f.fetch(fetch_size)?;
+            let batch = f.fetch(SLAVE_FETCH_SIZE)?;
             if let (Some(node), Some(t0)) = (&profile, fetch_started) {
                 node.add_wall(t0.elapsed());
                 if !batch.is_empty() {
@@ -230,10 +220,9 @@ impl TableFunction for ParallelTableFunction {
         if let Some(p) = &parent {
             p.set_attr("dop", self.dop.to_string());
         }
-        let fetch_size = self.slave_fetch_size;
         let bodies = self.instances.drain(..).enumerate().map(|(id, f)| {
             let node = parent.as_ref().map(|p| p.child(format!("slave {id}")));
-            move |out: &Outbox<SlaveMsg>| run_slave(f, fetch_size, node, out)
+            move |out: &Outbox<SlaveMsg>| run_slave(f, node, out)
         });
         self.slaves = Some(Fanout::spawn(CHANNEL_DEPTH.max(self.dop), bodies, |id| {
             Err(TfError::SlavePanic(id))
@@ -271,27 +260,10 @@ impl TableFunction for ParallelTableFunction {
     }
 }
 
-/// Run per-slave instances to completion and collect every row.
-///
-/// Convenience wrapper over [`ParallelTableFunction`] +
-/// [`crate::table_function::collect_all`].
-pub fn execute_parallel(
-    instances: Vec<Box<dyn TableFunction>>,
-    fetch_size: usize,
-) -> Result<Vec<Row>, TfError> {
-    if instances.is_empty() {
-        // An empty input sliced dop ways yields no slave instances —
-        // e.g. building an index over a table with no rows yet.
-        return Ok(Vec::new());
-    }
-    let mut p = ParallelTableFunction::new(instances).with_slave_fetch_size(fetch_size);
-    crate::table_function::collect_all(&mut p, fetch_size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table_function::BufferedFn;
+    use crate::table_function::{collect_all, BufferedFn};
     use sdo_storage::Value;
     use std::sync::atomic::AtomicUsize;
 
@@ -370,7 +342,7 @@ mod tests {
             let per = 100i64;
             let instances: Vec<_> =
                 (0..dop as i64).map(|i| instance(i * per, (i + 1) * per)).collect();
-            let rows = execute_parallel(instances, 16).unwrap();
+            let rows = collect_all(&mut ParallelTableFunction::new(instances), 16).unwrap();
             assert_eq!(sorted_ints(rows), (0..dop as i64 * per).collect::<Vec<_>>());
         }
     }
@@ -438,7 +410,8 @@ mod tests {
             }
             fn close(&mut self) {}
         }
-        let err = execute_parallel(vec![Box::new(Panicking)], 4).unwrap_err();
+        let mut p = ParallelTableFunction::new(vec![Box::new(Panicking)]);
+        let err = collect_all(&mut p, 4).unwrap_err();
         assert_eq!(err, TfError::SlavePanic(0));
     }
 
@@ -470,7 +443,7 @@ mod tests {
         let node = session.root().child("PARALLEL TF");
         let mut p = ParallelTableFunction::new(vec![instance(0, 60), instance(60, 100)]);
         p.attach_profile(&node);
-        let rows = crate::table_function::collect_all(&mut p, 16).unwrap();
+        let rows = collect_all(&mut p, 16).unwrap();
         assert_eq!(rows.len(), 100);
         let profile = session.finish();
         let op = profile.root.find("PARALLEL TF").expect("operator node");
@@ -483,11 +456,11 @@ mod tests {
 
     #[test]
     fn pipelining_overlaps_with_consumption() {
-        // A slave that produces in many small batches; the consumer sees
+        // A slave that produces in many fetch batches; the consumer sees
         // rows before the slave finishes (bounded channel guarantees the
         // slave cannot have finished when the first fetch returns).
         let instances: Vec<_> = vec![instance(0, 1_000_000)];
-        let mut p = ParallelTableFunction::new(instances).with_slave_fetch_size(16);
+        let mut p = ParallelTableFunction::new(instances);
         p.start().unwrap();
         let first = p.fetch(1).unwrap();
         assert_eq!(first.len(), 1);

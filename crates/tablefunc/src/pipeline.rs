@@ -10,9 +10,9 @@ use crate::TfError;
 ///
 /// This is the shape of the paper's tessellation function (§5, Fig. 2):
 /// "a table function that takes as input a cursor for fetching the
-/// geometries and tessellates these geometries". The parallel path runs
-/// the same body in [`crate::scheduler::WorkStealingFn`] slaves that
-/// pull chunks of the cursor from a shared
+/// geometries and tessellates these geometries". `TESSELLATE` runs it
+/// serially; the parallel index build runs the same tessellation in
+/// slaves that pull cursor ranges from a shared
 /// [`crate::scheduler::TaskQueue`].
 pub struct CursorFn<S, F> {
     input: S,
@@ -138,47 +138,5 @@ mod tests {
             }
         }
         assert_eq!(err, Some(TfError::Execution("bad row".into())));
-    }
-
-    #[test]
-    fn parallel_cursor_fn_equals_serial() {
-        use crate::parallel::execute_parallel;
-        use crate::scheduler::{TaskQueue, WorkStealingFn};
-        use std::sync::Arc;
-
-        let square = |r: &Row| {
-            let v = r[0].as_integer().unwrap();
-            vec![Value::Integer(v * v)]
-        };
-        let rows: Vec<Row> = (0..200).map(|i| vec![Value::Integer(i)]).collect();
-        // serial
-        let mut serial = CursorFn::new(VecSource::new(rows.clone()), |r| Ok(vec![square(&r)]));
-        let mut expect: Vec<i64> = collect_all(&mut serial, 64)
-            .unwrap()
-            .iter()
-            .map(|r| r[0].as_integer().unwrap())
-            .collect();
-        expect.sort_unstable();
-
-        // parallel: 4 slaves pull 16-row chunks of the cursor
-        let rows = Arc::new(rows);
-        let chunks: Vec<(usize, usize)> =
-            (0..rows.len()).step_by(16).map(|lo| (lo, (lo + 16).min(rows.len()))).collect();
-        let queue = TaskQueue::seed_round_robin(chunks, 4);
-        let instances: Vec<Box<dyn TableFunction>> = (0..4)
-            .map(|worker| {
-                let rows = Arc::clone(&rows);
-                Box::new(WorkStealingFn::new(Arc::clone(&queue), worker, move |(lo, hi)| {
-                    Ok(rows[lo..hi].iter().map(square).collect())
-                })) as Box<dyn TableFunction>
-            })
-            .collect();
-        let mut got: Vec<i64> = execute_parallel(instances, 32)
-            .unwrap()
-            .iter()
-            .map(|r| r[0].as_integer().unwrap())
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, expect);
     }
 }

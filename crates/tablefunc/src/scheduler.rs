@@ -4,10 +4,11 @@
 //! cursor is partitioned once and each slave owns its slice. On skewed
 //! data one slave then drains a dense partition while the rest idle.
 //! [`TaskQueue`] is the one way slaves get work here instead: all
-//! slaves share one queue, each pulls its next task on demand, and a
-//! slave that runs dry *steals* from a busy sibling, so no slave idles
-//! while tasks remain anywhere. The paper's `PARTITION BY ANY` split is
-//! the queue's round-robin seed ([`TaskQueue::seed_round_robin`]).
+//! slaves share one queue, each pulls its next task on demand through
+//! [`TaskQueue::next`], and a slave that runs dry *steals* from a busy
+//! sibling, so no slave idles while tasks remain anywhere. The paper's
+//! `PARTITION BY ANY` split is the queue's round-robin seed
+//! ([`TaskQueue::seed_round_robin`]).
 //!
 //! Structure: one small deque shard per worker. A worker pushes and
 //! pops its own shard LIFO (cache-warm, no contention in the common
@@ -21,41 +22,57 @@
 //! results remain the multiset of the serial ones regardless of which
 //! worker executes what.
 
-use crate::row::Row;
-use crate::table_function::TableFunction;
-use crate::TfError;
 use parking_lot::Mutex;
-use sdo_obs::ProfileNode;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A shared work-stealing task queue for `dop` workers.
 ///
-/// Seed it once (round-robin or from pre-built partitions), hand an
-/// `Arc` to every slave, and let each slave `pop(worker_id)` until the
-/// queue is dry. Workers may `push` follow-up tasks (e.g. after
-/// splitting an oversized task) onto their own shard mid-run. The queue
-/// keeps the per-worker tallies ([`executed`](Self::executed),
-/// [`stolen`](Self::stolen)) that slaves report as `tasks_executed` /
-/// `tasks_stolen`; each worker id has one popper, so a worker's tally
-/// is final once it stops popping.
+/// Seed it once (round-robin, or by [`push`](Self::push) before the
+/// workers start), hand an `Arc` to every slave, and let each slave
+/// call [`next`](Self::next) until it returns `None`. A slave splits an
+/// oversized task inside `next`, whose split closure re-queues the
+/// children on the slave's own shard. The queue keeps the per-worker
+/// tallies ([`executed`](Self::executed), [`stolen`](Self::stolen),
+/// [`split`](Self::split)) that slaves report as `tasks_executed` /
+/// `tasks_stolen` / `tasks_split`; each worker id has one puller, so a
+/// worker's tally is final once its `next` has returned `None`.
 pub struct TaskQueue<T> {
     shards: Vec<Mutex<VecDeque<T>>>,
-    /// Per-worker count of tasks handed out via `pop(worker)`.
+    /// Per-worker count of tasks handed out, split ones included.
     executed: Vec<AtomicU64>,
     /// Per-worker count of those that were stolen from a sibling.
     stolen: Vec<AtomicU64>,
+    /// Per-worker count of tasks split into re-queued children.
+    split: Vec<AtomicU64>,
+    /// Tasks queued plus tasks held inside a `next` call. Zero means no
+    /// task can appear any more.
+    pending: AtomicUsize,
+}
+
+/// One task taken out of a shard but not yet given to the caller or
+/// replaced by its children. Dropping it (also on unwind from a
+/// panicking split) releases its count in `pending`.
+struct Held<'a>(&'a AtomicUsize);
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl<T> TaskQueue<T> {
     /// An empty queue for `dop` workers.
     pub fn new(dop: usize) -> Self {
         let dop = dop.max(1);
+        let tally = || (0..dop).map(|_| AtomicU64::new(0)).collect();
         TaskQueue {
             shards: (0..dop).map(|_| Mutex::new(VecDeque::new())).collect(),
-            executed: (0..dop).map(|_| AtomicU64::new(0)).collect(),
-            stolen: (0..dop).map(|_| AtomicU64::new(0)).collect(),
+            executed: tally(),
+            stolen: tally(),
+            split: tally(),
+            pending: AtomicUsize::new(0),
         }
     }
 
@@ -65,7 +82,7 @@ impl<T> TaskQueue<T> {
     pub fn seed_round_robin(tasks: Vec<T>, dop: usize) -> Arc<Self> {
         let q = Self::new(dop);
         for (i, t) in tasks.into_iter().enumerate() {
-            q.shards[i % q.shards.len()].lock().push_back(t);
+            q.push(i, t);
         }
         Arc::new(q)
     }
@@ -75,40 +92,64 @@ impl<T> TaskQueue<T> {
         self.shards.len()
     }
 
-    /// Tasks currently queued across all shards (racy snapshot; exact
-    /// only once all workers have stopped).
-    pub fn remaining(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Push a task onto `worker`'s own shard (LIFO end, so the worker
-    /// keeps working depth-first on what it just split).
+    /// Push a task onto `worker`'s shard (LIFO end). This seeds the
+    /// queue while no worker is pulling; a worker that splits a task
+    /// re-queues the children inside [`next`](Self::next) instead.
     pub fn push(&self, worker: usize, task: T) {
+        self.pending.fetch_add(1, Ordering::SeqCst);
         self.shards[worker % self.shards.len()].lock().push_back(task);
     }
 
     /// Pull the next task for `worker`: its own shard first (LIFO),
-    /// then steal FIFO from siblings, scanning from the next worker
-    /// up. Returns `None` only when every shard is empty — at which
-    /// point this worker is done (a sibling may still push split
-    /// children afterwards, but exactly-once execution is preserved:
-    /// whoever holds a task runs it).
-    pub fn pop(&self, worker: usize) -> Option<T> {
-        let n = self.shards.len();
-        let me = worker % n;
-        if let Some(task) = self.shards[me].lock().pop_back() {
-            self.executed[me].fetch_add(1, Ordering::Relaxed);
+    /// then steal FIFO from siblings, scanning from the next worker up.
+    ///
+    /// When a sibling could steal (`dop > 1`), `split` may break the
+    /// task up: its children go onto the worker's own shard, so the
+    /// worker keeps descending depth-first while idle siblings steal
+    /// the oldest (largest) children from the far end, and the pull
+    /// goes on. At `dop` 1 nothing is split.
+    ///
+    /// Returns `None` only when every shard is empty and no worker is
+    /// inside a split: a dry queue with a sibling still splitting waits
+    /// for that sibling's children. A worker holds a task inside this
+    /// call only, so workers driven in turn on one thread never wait on
+    /// each other.
+    pub fn next(&self, worker: usize, mut split: impl FnMut(&T) -> Option<Vec<T>>) -> Option<T> {
+        let me = worker % self.shards.len();
+        loop {
+            let Some(task) = self.take(me) else {
+                if self.pending.load(Ordering::SeqCst) == 0 {
+                    return None;
+                }
+                std::thread::yield_now();
+                continue;
+            };
+            let held = Held(&self.pending);
+            if self.dop() > 1 {
+                if let Some(children) = split(&task) {
+                    self.split[me].fetch_add(1, Ordering::Relaxed);
+                    for child in children {
+                        self.push(me, child);
+                    }
+                    continue; // `held` drops only after its children are queued
+                }
+            }
+            drop(held);
             return Some(task);
         }
-        for i in 1..n {
-            let victim = (me + i) % n;
-            if let Some(task) = self.shards[victim].lock().pop_front() {
-                self.executed[me].fetch_add(1, Ordering::Relaxed);
-                self.stolen[me].fetch_add(1, Ordering::Relaxed);
-                return Some(task);
-            }
-        }
-        None
+    }
+
+    /// Pop `me`'s own shard, else steal from a sibling.
+    fn take(&self, me: usize) -> Option<T> {
+        let n = self.shards.len();
+        let own = self.shards[me].lock().pop_back();
+        let task = own.or_else(|| {
+            let task = (1..n).find_map(|i| self.shards[(me + i) % n].lock().pop_front())?;
+            self.stolen[me].fetch_add(1, Ordering::Relaxed);
+            Some(task)
+        })?;
+        self.executed[me].fetch_add(1, Ordering::Relaxed);
+        Some(task)
     }
 
     /// Tasks executed by `worker` so far.
@@ -121,115 +162,66 @@ impl<T> TaskQueue<T> {
         self.stolen[worker % self.stolen.len()].load(Ordering::Relaxed)
     }
 
-    /// Total tasks handed out across all workers.
-    pub fn total_executed(&self) -> u64 {
-        self.executed.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Total steals across all workers.
-    pub fn total_stolen(&self) -> u64 {
-        self.stolen.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-}
-
-/// A table function that pulls tasks from a shared [`TaskQueue`] and
-/// maps each through a body closure — the parallel form of
-/// [`crate::pipeline::CursorFn`]: with tasks that are chunks of an
-/// input cursor, the slaves together map every input row exactly once.
-///
-/// Build one instance per slave (same queue, distinct `worker` ids) and
-/// run them under [`crate::parallel::ParallelTableFunction`]. Each
-/// instance stamps its worker's queue tallies as `tasks_executed` /
-/// `tasks_stolen` on its profile node at close, so `EXPLAIN ANALYZE`
-/// shows how the load actually spread.
-pub struct WorkStealingFn<T, F> {
-    queue: Arc<TaskQueue<T>>,
-    worker: usize,
-    body: F,
-    pending: VecDeque<Row>,
-    started: bool,
-    profile: Option<ProfileNode>,
-}
-
-impl<T, F> WorkStealingFn<T, F>
-where
-    T: Send,
-    F: FnMut(T) -> Result<Vec<Row>, TfError> + Send,
-{
-    /// A slave instance pulling from `queue` as worker `worker`.
-    pub fn new(queue: Arc<TaskQueue<T>>, worker: usize, body: F) -> Self {
-        WorkStealingFn {
-            queue,
-            worker,
-            body,
-            pending: VecDeque::new(),
-            started: false,
-            profile: None,
-        }
-    }
-}
-
-impl<T, F> TableFunction for WorkStealingFn<T, F>
-where
-    T: Send,
-    F: FnMut(T) -> Result<Vec<Row>, TfError> + Send,
-{
-    fn start(&mut self) -> Result<(), TfError> {
-        if self.started {
-            return Err(TfError::Protocol("start called twice"));
-        }
-        self.started = true;
-        Ok(())
-    }
-
-    fn fetch(&mut self, max_rows: usize) -> Result<Vec<Row>, TfError> {
-        if !self.started {
-            return Err(TfError::Protocol("fetch before start"));
-        }
-        while self.pending.len() < max_rows {
-            let Some(task) = self.queue.pop(self.worker) else { break };
-            self.pending.extend((self.body)(task)?);
-        }
-        let n = self.pending.len().min(max_rows);
-        Ok(self.pending.drain(..n).collect())
-    }
-
-    fn close(&mut self) {
-        self.pending.clear();
-        if let Some(node) = self.profile.take() {
-            // set_metric: a zero must render — a slave that executed
-            // nothing is the load-imbalance signal EXPLAIN ANALYZE
-            // exists to show.
-            node.set_metric("tasks_executed", self.queue.executed(self.worker));
-            node.set_metric("tasks_stolen", self.queue.stolen(self.worker));
-        }
-    }
-
-    fn attach_profile(&mut self, node: &ProfileNode) {
-        self.profile = Some(node.clone());
+    /// Tasks `worker` split into re-queued children so far.
+    pub fn split(&self, worker: usize) -> u64 {
+        self.split[worker % self.split.len()].load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::execute_parallel;
-    use sdo_storage::Value;
+    use crate::parallel::{Fanout, Outbox};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    fn whole<T>(_: &T) -> Option<Vec<T>> {
+        None
+    }
+
+    /// A per-worker tally summed over every worker.
+    fn total<T>(q: &TaskQueue<T>, tally: fn(&TaskQueue<T>, usize) -> u64) -> u64 {
+        (0..q.dop()).map(|w| tally(q, w)).sum()
+    }
+
+    /// Run one `Fanout` body per worker of `q`, each pulling through
+    /// `next` with `split` and sending every task it runs; returns the
+    /// tasks in arrival order. Worker 0 sleeps `lag` per task.
+    fn drain_in_parallel<T: Send + 'static>(
+        q: &Arc<TaskQueue<T>>,
+        split: fn(&T) -> Option<Vec<T>>,
+        lag: Duration,
+    ) -> Vec<T> {
+        let bodies = (0..q.dop()).map(|w| {
+            let q = Arc::clone(q);
+            move |out: &Outbox<Option<T>>| {
+                while let Some(t) = q.next(w, split) {
+                    if w == 0 {
+                        std::thread::sleep(lag);
+                    }
+                    out.send(Some(t));
+                }
+            }
+        });
+        // A panicking body sends `None`, which fails the unwrap below.
+        let fanout = Fanout::spawn(64, bodies, |_| None);
+        std::iter::from_fn(|| fanout.recv()).map(|t| t.expect("no worker panicked")).collect()
+    }
 
     #[test]
     fn every_task_handed_out_exactly_once() {
         let q = TaskQueue::seed_round_robin((0..100i64).collect(), 4);
         let mut got = Vec::new();
         // Single worker drains everything: its own shard, then steals.
-        while let Some(t) = q.pop(2) {
+        while let Some(t) = q.next(2, whole) {
             got.push(t);
         }
         got.sort_unstable();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
-        assert_eq!(q.total_executed(), 100);
+        assert_eq!(total(&q, TaskQueue::executed), 100);
         assert_eq!(q.executed(2), 100);
         assert_eq!(q.stolen(2), 75, "three sibling shards fully stolen");
-        assert_eq!(q.remaining(), 0);
+        assert_eq!(q.next(0, whole), None);
     }
 
     #[test]
@@ -238,43 +230,99 @@ mod tests {
         q.push(0, 1i64);
         q.push(0, 2);
         q.push(0, 3);
-        assert_eq!(q.pop(0), Some(3), "own shard is LIFO");
+        assert_eq!(q.next(0, whole), Some(3), "own shard is LIFO");
         assert_eq!(q.stolen(0), 0);
-        assert_eq!(q.pop(1), Some(1), "steals take the oldest");
-        assert_eq!(q.pop(1), Some(2));
+        assert_eq!(q.next(1, whole), Some(1), "steals take the oldest");
+        assert_eq!(q.next(1, whole), Some(2));
         assert_eq!((q.executed(1), q.stolen(1)), (2, 2), "both of worker 1's tasks were steals");
-        assert_eq!(q.pop(0), None);
+        assert_eq!(q.next(0, whole), None);
     }
 
     #[test]
     fn mid_run_pushes_are_executed() {
         let q = TaskQueue::seed_round_robin(vec![10i64], 3);
-        let t = q.pop(0).unwrap();
-        // Split the pulled task into two children on the own shard.
-        q.push(0, t + 1);
-        q.push(0, t + 2);
-        let mut rest: Vec<i64> = std::iter::from_fn(|| q.pop(1)).collect();
-        rest.sort_unstable();
-        assert_eq!(rest, vec![11, 12]);
+        // Worker 0 splits the pulled task into two children on its own
+        // shard and keeps the newest; a sibling steals the other.
+        let split = |&t: &i64| (t == 10).then(|| vec![t + 1, t + 2]);
+        assert_eq!(q.next(0, split), Some(12));
+        assert_eq!(q.next(1, whole), Some(11));
+        assert_eq!((q.next(1, whole), q.next(2, whole)), (None, None));
+        assert_eq!((q.split(0), total(&q, TaskQueue::executed)), (1, 3), "one split, three out");
+    }
+
+    #[test]
+    fn nothing_is_split_without_a_sibling() {
+        let q = TaskQueue::seed_round_robin(vec![10i64], 1);
+        assert_eq!(q.next(0, |&t| Some(vec![t + 1, t + 2])), Some(10));
+        assert_eq!((q.next(0, whole), q.split(0)), (None, 0));
+    }
+
+    #[test]
+    fn a_dry_queue_waits_for_a_sibling_mid_split() {
+        // Worker 0 pulls the only task and is held inside its split
+        // closure; worker 1 pulls from the now-empty queue meanwhile.
+        let q = TaskQueue::seed_round_robin(vec![10i64], 2);
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let splitter = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                q.next(0, |&t| {
+                    if t != 10 {
+                        return None;
+                    }
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Some(vec![11, 12])
+                })
+            })
+        };
+        entered.recv().unwrap();
+        let (asking_tx, asking) = mpsc::channel();
+        let thief = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                asking_tx.send(()).unwrap();
+                q.next(1, whole)
+            })
+        };
+        asking.recv().unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!thief.is_finished(), "worker 1 must wait while worker 0 may still push children");
+        release.send(()).unwrap();
+        let (mine, stolen) = (splitter.join().unwrap(), thief.join().unwrap());
+        assert_eq!(stolen, Some(11), "worker 1 receives a child, not the end of the queue");
+        assert_eq!(mine, Some(12));
+        assert_eq!(q.next(0, whole), None);
+    }
+
+    #[test]
+    fn a_panicking_split_does_not_strand_its_siblings() {
+        let q = TaskQueue::seed_round_robin(vec![1i64], 2);
+        let q2 = Arc::clone(&q);
+        let panicked = std::thread::spawn(move || q2.next(0, |_| panic!("split failed"))).join();
+        assert!(panicked.is_err());
+        assert_eq!(q.next(1, whole), None, "the lost task no longer counts as pending");
     }
 
     #[test]
     fn parallel_workers_cover_queue_exactly() {
+        // Range tasks split down to single values while the workers
+        // run: every value comes out exactly once at every dop.
+        let halve = |&(lo, hi): &(i64, i64)| {
+            (hi - lo > 1).then(|| vec![(lo, lo + (hi - lo) / 2), (lo + (hi - lo) / 2, hi)])
+        };
         for dop in [1usize, 2, 4] {
-            let q = TaskQueue::seed_round_robin((0..200i64).collect(), dop);
-            let instances: Vec<Box<dyn TableFunction>> = (0..dop)
-                .map(|w| {
-                    let q = Arc::clone(&q);
-                    Box::new(WorkStealingFn::new(Arc::clone(&q), w, move |t: i64| {
-                        Ok(vec![vec![Value::Integer(t)]])
-                    })) as Box<dyn TableFunction>
-                })
-                .collect();
-            let rows = execute_parallel(instances, 16).unwrap();
-            let mut got: Vec<i64> = rows.iter().map(|r| r[0].as_integer().unwrap()).collect();
+            let seeds = (0..200).step_by(25).map(|lo| (lo, lo + 25)).collect();
+            let q = TaskQueue::seed_round_robin(seeds, dop);
+            let ran = drain_in_parallel(&q, halve, Duration::ZERO);
+            let mut got: Vec<i64> = ran.iter().flat_map(|&(lo, hi)| lo..hi).collect();
             got.sort_unstable();
             assert_eq!(got, (0..200).collect::<Vec<_>>(), "dop={dop}");
-            assert_eq!(q.total_executed(), 200, "dop={dop}");
+            let splits = total(&q, TaskQueue::split);
+            let executed = total(&q, TaskQueue::executed);
+            assert_eq!(executed, 8 + 2 * splits, "dop={dop}: seeds plus children");
+            assert_eq!(q.next(0, whole), None);
         }
     }
 
@@ -286,46 +334,12 @@ mod tests {
         for t in 0..400 {
             q.push(0, t);
         }
-        let instances: Vec<Box<dyn TableFunction>> = (0..4)
-            .map(|w| {
-                let q = Arc::clone(&q);
-                Box::new(WorkStealingFn::new(Arc::clone(&q), w, move |t: i64| {
-                    if w == 0 {
-                        // The shard owner is the slowest worker.
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
-                    Ok(vec![vec![Value::Integer(t)]])
-                })) as Box<dyn TableFunction>
-            })
-            .collect();
-        let rows = execute_parallel(instances, 32).unwrap();
-        assert_eq!(rows.len(), 400);
-        assert_eq!(q.total_executed(), 400);
-        assert!(q.total_stolen() > 0, "siblings must have stolen from the loaded shard");
-    }
-
-    #[test]
-    fn profile_reports_task_metrics() {
-        let session = sdo_obs::ProfileSession::begin("steal");
-        let node = session.root().child("WORKER");
-        let q = TaskQueue::seed_round_robin((0..7i64).collect(), 1);
-        let mut f = WorkStealingFn::new(q, 0, move |t: i64| Ok(vec![vec![Value::Integer(t)]]));
-        f.attach_profile(&node);
-        let rows = crate::table_function::collect_all(&mut f, 4).unwrap();
-        assert_eq!(rows.len(), 7);
-        let profile = session.finish();
-        let op = profile.root.find("WORKER").unwrap();
-        assert_eq!(op.metric("tasks_executed"), Some(7));
-        assert_eq!(op.metric("tasks_stolen"), Some(0));
-    }
-
-    #[test]
-    fn body_error_propagates() {
-        let q = TaskQueue::seed_round_robin(vec![1i64], 1);
-        let mut f = WorkStealingFn::new(q, 0, |_t: i64| {
-            Err::<Vec<Row>, _>(TfError::Execution("boom".into()))
-        });
-        f.start().unwrap();
-        assert!(f.fetch(8).is_err());
+        let ran = drain_in_parallel(&q, whole, Duration::from_micros(200));
+        assert_eq!(ran.len(), 400);
+        assert_eq!(total(&q, TaskQueue::executed), 400);
+        assert!(
+            total(&q, TaskQueue::stolen) > 0,
+            "siblings must have stolen from the loaded shard"
+        );
     }
 }

@@ -30,12 +30,6 @@ pub trait RowSource: Send {
     }
 }
 
-impl RowSource for Box<dyn RowSource> {
-    fn next_batch(&mut self, max: usize) -> Vec<Row> {
-        (**self).next_batch(max)
-    }
-}
-
 /// A cursor over a pre-materialized vector of rows.
 pub struct VecSource {
     rows: std::vec::IntoIter<Row>,

@@ -4,12 +4,10 @@
 
 use proptest::prelude::*;
 use sdo_storage::Value;
-use sdo_tablefunc::parallel::execute_parallel;
 use sdo_tablefunc::pipeline::CursorFn;
 use sdo_tablefunc::source::VecSource;
 use sdo_tablefunc::table_function::collect_all;
-use sdo_tablefunc::{Row, TableFunction, TaskQueue, WorkStealingFn};
-use std::sync::Arc;
+use sdo_tablefunc::{ParallelTableFunction, Row, TableFunction, TaskQueue};
 
 fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec((0i64..50, any::<i64>()), 0..300).prop_map(|pairs| {
@@ -38,17 +36,19 @@ proptest! {
         dop in 1usize..9,
         pops in proptest::collection::vec(0usize..9, 0..400),
     ) {
-        // Workers pop in an arbitrary order, then worker 0 drains the
+        // Workers pull in an arbitrary order, then worker 0 drains the
         // rest by stealing: the seeded tasks come back exactly once.
         let queue = TaskQueue::seed_round_robin((0..n).collect(), dop);
-        let mut got: Vec<usize> = pops.into_iter().filter_map(|w| queue.pop(w % dop)).collect();
-        while let Some(t) = queue.pop(0) {
+        let whole = |_: &usize| None;
+        let mut got: Vec<usize> =
+            pops.into_iter().filter_map(|w| queue.next(w % dop, whole)).collect();
+        while let Some(t) = queue.next(0, whole) {
             got.push(t);
         }
         got.sort_unstable();
         prop_assert_eq!(got, (0..n).collect::<Vec<_>>());
-        prop_assert_eq!(queue.total_executed(), n as u64);
-        prop_assert_eq!(queue.remaining(), 0);
+        prop_assert_eq!((0..dop).map(|w| queue.executed(w)).sum::<u64>(), n as u64);
+        prop_assert_eq!(queue.next(0, whole), None);
     }
 
     #[test]
@@ -71,18 +71,20 @@ proptest! {
         let mut serial = CursorFn::new(VecSource::new(rows.clone()), |r: Row| Ok(body(&r)));
         let want = multiset(&collect_all(&mut serial, 128).unwrap());
 
-        // Slaves pull slot-range chunks of the cursor on demand.
-        let queue = TaskQueue::seed_round_robin(slot_chunks(rows.len(), chunk), dop);
-        let rows = Arc::new(rows);
-        let instances: Vec<Box<dyn TableFunction>> = (0..dop)
-            .map(|worker| {
-                let rows = Arc::clone(&rows);
-                Box::new(WorkStealingFn::new(Arc::clone(&queue), worker, move |(lo, hi)| {
-                    Ok(rows[lo..hi].iter().flat_map(body).collect())
-                })) as Box<dyn TableFunction>
+        // PARTITION BY ANY: slot-range chunks of the cursor are dealt
+        // round-robin, and each slave runs the body over its share.
+        let mut shares: Vec<Vec<Row>> = vec![Vec::new(); dop];
+        for (i, (lo, hi)) in slot_chunks(rows.len(), chunk).into_iter().enumerate() {
+            shares[i % dop].extend_from_slice(&rows[lo..hi]);
+        }
+        let instances: Vec<Box<dyn TableFunction>> = shares
+            .into_iter()
+            .map(|share| {
+                Box::new(CursorFn::new(VecSource::new(share), move |r: Row| Ok(body(&r))))
+                    as Box<dyn TableFunction>
             })
             .collect();
-        let got = multiset(&execute_parallel(instances, fetch).unwrap());
+        let got = multiset(&collect_all(&mut ParallelTableFunction::new(instances), fetch).unwrap());
         prop_assert_eq!(got, want);
     }
 

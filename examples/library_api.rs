@@ -1,6 +1,7 @@
-//! Using the crates as libraries, without the SQL layer: build R-trees
-//! and quadtrees directly, run window/kNN queries, drive the pipelined
-//! spatial join by hand, and execute a parallel table function.
+//! Using the crates as libraries: build R-trees and quadtrees directly,
+//! run window/kNN queries, drive the pipelined spatial join by hand, run
+//! a table function over an input cursor, and check the hand-driven join
+//! against the parallel one that `SPATIAL_JOIN(…, dop)` runs in SQL.
 //!
 //! ```sh
 //! cargo run --release --example library_api
@@ -9,13 +10,13 @@
 use parking_lot::RwLock;
 use sdo_core::join::{ExactPredicate, JoinSide, SpatialJoin, SpatialJoinConfig};
 use sdo_datagen::{counties, US_EXTENT};
+use sdo_dbms::Database;
 use sdo_geom::{Point, Rect, RelateMask};
 use sdo_quadtree::QuadtreeIndex;
 use sdo_rtree::{RTree, RTreeParams};
 use sdo_storage::{Counters, DataType, RowId, Schema, Table, Value};
-use sdo_tablefunc::parallel::execute_parallel;
 use sdo_tablefunc::pipeline::CursorFn;
-use sdo_tablefunc::{collect_all, Row, TableFunction, TaskQueue, WorkStealingFn};
+use sdo_tablefunc::{collect_all, Row, TableFunction};
 use std::sync::Arc;
 
 fn main() {
@@ -83,37 +84,43 @@ fn main() {
     join.close();
     println!("TOUCH self-join (pipelined, 256-row fetches): {touching_pairs} pairs");
 
-    // --- a parallel table function from scratch --------------------------
-    // Compute polygon areas in 4 parallel slaves that pull 32-county
-    // chunks from a shared work-stealing queue, then sum them.
-    let shared = Arc::new(geoms);
-    let chunks: Vec<(usize, usize)> =
-        (0..shared.len()).step_by(32).map(|lo| (lo, (lo + 32).min(shared.len()))).collect();
-    let queue = TaskQueue::seed_round_robin(chunks, 4);
-    let instances: Vec<Box<dyn TableFunction>> = (0..4)
-        .map(|worker| {
-            let geoms = Arc::clone(&shared);
-            Box::new(WorkStealingFn::new(Arc::clone(&queue), worker, move |(lo, hi)| {
-                Ok(geoms[lo..hi].iter().map(|g| vec![Value::Double(g.area())]).collect())
-            })) as Box<dyn TableFunction>
-        })
-        .collect();
-    let out = execute_parallel(instances, 128).unwrap();
-    let total: f64 = out.iter().map(|r| r[0].as_double().unwrap()).sum();
+    // --- the parallel join, through SQL ----------------------------------
+    // The same self-join at dop 4: four slaves pull subtree-pair tasks
+    // from one shared work-stealing queue, splitting oversized ones.
+    let db = Database::new();
+    sdo_core::register_spatial(&db);
+    db.execute("CREATE TABLE c (id NUMBER, geom SDO_GEOMETRY)").unwrap();
+    for (i, g) in geoms.iter().enumerate() {
+        db.insert_row("c", vec![Value::Integer(i as i64), Value::geometry(g.clone())]).unwrap();
+    }
+    db.execute(
+        "CREATE INDEX c_sidx ON c(geom) INDEXTYPE IS SPATIAL_INDEX \
+         PARAMETERS ('tree_fanout=32')",
+    )
+    .unwrap();
+    let parallel_pairs = db
+        .execute(
+            "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN('c', 'geom', 'c', 'geom', 'mask=TOUCH', 4))",
+        )
+        .unwrap()
+        .count()
+        .unwrap();
+    assert_eq!(parallel_pairs as usize, touching_pairs);
     println!(
-        "total county area via 4-slave parallel table function: {total:.1} \
-         (US extent area {:.1})",
-        US_EXTENT.area()
+        "TOUCH self-join through SPATIAL_JOIN(..., 4): {parallel_pairs} pairs, parallel == serial ✓"
     );
 
-    // single-instance sanity check through collect_all
-    let rows: Vec<Row> = shared.iter().map(|g| vec![Value::geometry(g.clone())]).collect();
-    let mut serial = CursorFn::new(sdo_tablefunc::VecSource::new(rows), |row: Row| {
+    // --- a table function over an input cursor ---------------------------
+    let rows: Vec<Row> = geoms.iter().map(|g| vec![Value::geometry(g.clone())]).collect();
+    let mut areas = CursorFn::new(sdo_tablefunc::VecSource::new(rows), |row: Row| {
         let g = row[0].as_geometry().unwrap();
         Ok(vec![vec![Value::Double(g.area())]])
     });
-    let serial_total: f64 =
-        collect_all(&mut serial, 128).unwrap().iter().map(|r| r[0].as_double().unwrap()).sum();
-    assert!((total - serial_total).abs() < 1e-6);
-    println!("parallel == serial ✓");
+    let total: f64 =
+        collect_all(&mut areas, 128).unwrap().iter().map(|r| r[0].as_double().unwrap()).sum();
+    println!(
+        "total county area via a CursorFn over {} rows: {total:.1} (US extent area {:.1})",
+        geoms.len(),
+        US_EXTENT.area()
+    );
 }

@@ -2,10 +2,14 @@
 //! must agree with the cardinality of the plain query, including the
 //! per-slave breakdown of a parallel table function.
 
+use sdo_core::join::SpatialJoinConfig;
+use sdo_core::RTreeSpatialIndex;
 use sdo_datagen::{counties, US_EXTENT};
 use sdo_dbms::Database;
 use sdo_geom::{Geometry, Point, Polygon, Rect, Ring};
 use sdo_obs::OpProfile;
+use sdo_rtree::join::{estimate_pair_work, split_pair};
+use sdo_rtree::JoinPredicate;
 use sdo_storage::Value;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -218,6 +222,54 @@ fn kernel_metrics_surface_in_explain_analyze() {
         }
         assert!(op.metric_sum("kernel_tests") > 0, "{method}: the join ran MBR tests");
     }
+}
+
+/// One root task at dop 2 (`SPATIAL_JOIN(…, 2, 0)`): a slave splits it
+/// rather than running it alone, each slave renders its `tasks_split`,
+/// and the slaves together execute the seeded task plus every child a
+/// split pushed. Replaying the split rule on the index's own tree says
+/// how many that is, whichever slave ran what.
+#[test]
+fn one_root_task_is_split_and_every_child_runs() {
+    let db = Database::new();
+    sdo_core::register_spatial(&db);
+    load_grid(&db, "grid", 3000);
+    db.execute(
+        "CREATE INDEX grid_sidx ON grid(geom) INDEXTYPE IS SPATIAL_INDEX \
+         PARAMETERS ('tree_fanout=8')",
+    )
+    .unwrap();
+    let sql = "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN( \
+               'grid', 'geom', 'grid', 'geom', 'intersect', 2, 0))";
+    db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+    let profile = db.last_profile().unwrap();
+    let op = profile.root.find("TABLE FUNCTION SCAN SPATIAL_JOIN").unwrap();
+    let slaves: Vec<_> = op.children.iter().filter(|c| c.name.starts_with("slave")).collect();
+    assert_eq!(slaves.len(), 2, "dop=2 must report two slave operators");
+    let sum = |metric: &str| -> u64 {
+        let on =
+            |s: &&OpProfile| s.metric(metric).unwrap_or_else(|| panic!("{metric}: {}", s.name));
+        slaves.iter().map(on).sum()
+    };
+
+    let inst = db.index_instance("grid_sidx").unwrap();
+    let tree = inst.read().as_any().downcast_ref::<RTreeSpatialIndex>().unwrap().tree_snapshot();
+    let threshold = SpatialJoinConfig::default().split_threshold;
+    let (mut splits, mut children) = (0u64, 0u64);
+    let mut tasks = vec![(tree.root_id(), tree.root_id())];
+    while let Some((l, r)) = tasks.pop() {
+        if estimate_pair_work(&tree, &tree, l, r) > threshold {
+            if let Some(kids) = split_pair(&tree, &tree, JoinPredicate::Intersects, l, r) {
+                splits += 1;
+                children += kids.len() as u64;
+                tasks.extend(kids);
+            }
+        }
+    }
+    assert!(sum("tasks_split") >= 1, "the root task must be split");
+    assert_eq!(sum("tasks_split"), splits);
+    assert_eq!(sum("tasks_executed"), 1 + children, "the seeded task plus every child");
+    assert_eq!(op.rows, db.execute(sql).unwrap().count().unwrap() as u64);
 }
 
 /// `n` 256-vertex circles of radius 0.45 on the grid of [`load_grid`]:
