@@ -151,6 +151,13 @@ fn main() {
             out.rejected,
         );
     }
+    // A connection releases its permit only after writing the last
+    // response, so the client can read it first: wait (boundedly) for
+    // the budget to drain.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.admission().stats().in_use != 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let final_stats = handle.admission().stats();
     assert_eq!(final_stats.in_use, 0, "budget must drain after the sweep");
     handle.shutdown();

@@ -122,6 +122,9 @@ trait IndexStructure: Send + Sync + 'static {
     /// Remove row `rid`'s entry for geometry `g`.
     fn remove(&mut self, rid: RowId, g: &Geometry);
 
+    /// Whether geometries `a` and `b` get the same entry.
+    fn same_entry(a: &Geometry, b: &Geometry) -> bool;
+
     /// Rows whose entries may interact with `q`'s bounding box.
     fn window(&self, q: &Geometry) -> Vec<RowId>;
 
@@ -148,6 +151,10 @@ impl IndexStructure for RTree<RowId> {
 
     fn remove(&mut self, rid: RowId, g: &Geometry) {
         self.delete(&g.bbox(), &rid);
+    }
+
+    fn same_entry(a: &Geometry, b: &Geometry) -> bool {
+        a.bbox() == b.bbox()
     }
 
     fn window(&self, q: &Geometry) -> Vec<RowId> {
@@ -187,6 +194,10 @@ impl IndexStructure for QuadtreeIndex {
 
     fn remove(&mut self, rid: RowId, g: &Geometry) {
         self.delete(rid, g);
+    }
+
+    fn same_entry(a: &Geometry, b: &Geometry) -> bool {
+        a == b
     }
 
     fn window(&self, q: &Geometry) -> Vec<RowId> {
@@ -388,6 +399,13 @@ impl<S: IndexStructure> DomainIndex for SpatialIndex<S> {
             self.structure.write().remove(rid, g);
         }
         Ok(())
+    }
+
+    fn entry_changes(&self, old: &[Value], new: &[Value]) -> bool {
+        match (self.geometry(old), self.geometry(new)) {
+            (Some(a), Some(b)) => !S::same_entry(a, b),
+            (a, b) => a.is_some() || b.is_some(),
+        }
     }
 
     fn evaluate(&self, call: &OperatorCall) -> Result<Vec<RowId>, DbError> {

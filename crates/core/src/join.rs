@@ -177,6 +177,8 @@ struct SecondaryFilter {
     /// Each side's table and geometry column.
     inputs: [(Arc<RwLock<Table>>, usize); 2],
     exact: ExactPredicate,
+    /// The source's [`CandidateSource::VISIBLE`].
+    visible: bool,
     /// MVCC read view: a rowid invisible to the snapshot (uncommitted
     /// insert, or committed after the join was pinned) skips its
     /// candidates, exactly like a deleted row.
@@ -203,7 +205,7 @@ impl SecondaryFilter {
         if let (Some(p), Some(t0)) = (phases, t_sort) {
             p.sort.add_wall(t0.elapsed());
         }
-        if matches!(self.exact, ExactPredicate::PrimaryOnly) {
+        if self.visible && matches!(self.exact, ExactPredicate::PrimaryOnly) {
             out.extend(
                 candidates.iter().map(|&(_, l, _, r)| vec![Value::RowId(l), Value::RowId(r)]),
             );
@@ -249,13 +251,15 @@ impl SecondaryFilter {
             if lg.bbox() != lrect || rg.bbox() != rrect {
                 continue;
             }
-            tests += 1;
             let indexed = (lg.has_index(), rg.has_index());
             let keep = match &self.exact {
                 ExactPredicate::Masks(masks) => lg.relate_any(rg, masks),
                 ExactPredicate::Distance(d) => lg.within_distance(rg, *d),
-                ExactPredicate::PrimaryOnly => unreachable!(),
+                // Index entries: a visible, current pair is all the
+                // primary filter asks.
+                ExactPredicate::PrimaryOnly => true,
             };
+            tests += u64::from(!matches!(self.exact, ExactPredicate::PrimaryOnly));
             self.shapes_built += u64::from(!indexed.0 && lg.has_index());
             self.shapes_built += u64::from(!indexed.1 && rg.has_index());
             if keep {
@@ -296,6 +300,12 @@ pub trait CandidateSource: Send + 'static {
     /// The profile node a slave opens under the ambient profile when
     /// no node is attached.
     const NODE: &'static str;
+    /// Whether every candidate pairs two rows the join's snapshot sees,
+    /// under their current MBRs: true for MBRs scanned under the
+    /// snapshot, false for index entries, which may belong to an
+    /// invisible or superseded version. Only then may a primary-only
+    /// join emit its candidates without fetching them.
+    const VISIBLE: bool;
     /// The children of a task whose estimated work exceeds
     /// `threshold`, or `None` to run it whole.
     fn split(&self, task: &Self::Task, threshold: u64) -> Option<Vec<Self::Task>>;
@@ -349,7 +359,14 @@ impl<E: CandidateSource> JoinSlave<E> {
         let snapshot = config.snapshot;
         JoinSlave {
             source,
-            filter: SecondaryFilter { inputs, exact, snapshot, rows_fetched: 0, shapes_built: 0 },
+            filter: SecondaryFilter {
+                inputs,
+                exact,
+                visible: E::VISIBLE,
+                snapshot,
+                rows_fetched: 0,
+                shapes_built: 0,
+            },
             config,
             counters,
             queue,
@@ -482,6 +499,7 @@ pub struct TreePairs {
 impl CandidateSource for TreePairs {
     type Task = (NodeId, NodeId);
     const NODE: &'static str = "spatial join";
+    const VISIBLE: bool = false;
 
     fn split(&self, &(l, r): &(NodeId, NodeId), threshold: u64) -> Option<Vec<(NodeId, NodeId)>> {
         if estimate_pair_work(&self.left, &self.right, l, r) <= threshold {
@@ -732,16 +750,18 @@ mod tests {
             SpatialJoin::new(l.clone(), r.clone(), exact.clone(), config, counters)
         };
 
-        // The primary-only join lists the candidates and fetches nothing.
+        // The primary-only join lists the candidates. Index entries may
+        // belong to versions its snapshot cannot see, so it fetches the
+        // rows too: one array, each side exactly its distinct rowids.
         let before = (row_fetches(&l), row_fetches(&r));
         let cands = run(&mut join(&ExactPredicate::PrimaryOnly, 4096), 256);
-        assert_eq!((row_fetches(&l), row_fetches(&r)), before, "primary-only fetches no row");
         let n = cands.len() as u64;
         assert!(n > 0 && n <= 4096, "one default array holds every candidate: {n}");
         let dl = distinct(cands.iter().map(|&(a, _)| a).collect());
         let dr = distinct(cands.iter().map(|&(_, b)| b).collect());
+        assert_eq!((row_fetches(&l) - before.0, row_fetches(&r) - before.1), (dl, dr));
 
-        // One array: each side fetches exactly its distinct rowids.
+        // So does the exact join.
         let before = (row_fetches(&l), row_fetches(&r));
         run(&mut join(&intersect, 4096), 256);
         assert_eq!((row_fetches(&l) - before.0, row_fetches(&r) - before.1), (dl, dr));

@@ -388,6 +388,7 @@ pub struct TileJoin {
 impl CandidateSource for TileJoin {
     type Task = TileTask;
     const NODE: &'static str = "partition join";
+    const VISIBLE: bool = true;
 
     /// Tasks never shrink below `MIN_SPLIT_LEFTS` left entries:
     /// narrower slivers make each sorted candidate chunk span many

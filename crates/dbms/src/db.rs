@@ -888,9 +888,13 @@ impl Database {
         }
         // The new entry goes in eagerly (undone on abort); the old
         // entry stays until no pinned snapshot can see the old version.
-        // The transient duplicate is harmless: index candidates
-        // re-check the heap under the reader's snapshot.
+        // Readers re-check each candidate against the heap under their
+        // snapshot, and the tree join emits only through the entry whose
+        // MBR matches the visible geometry.
         for idx in self.indexes_on_table(table) {
+            if !idx.read().entry_changes(&old, &row) {
+                continue;
+            }
             idx.write().on_insert(rid, &row)?;
             ctx.abort_index_ops.push((Arc::clone(&idx), rid, row.clone()));
             ctx.commit_index_ops.push((idx, rid, old.clone()));

@@ -446,6 +446,13 @@ pub fn apply_scalar_fn(name: &str, vals: &[Value]) -> Result<Value, DbError> {
             .ok_or_else(|| DbError::Plan(format!("{name}: argument {} must be a geometry", i + 1)))
     };
     match name.to_ascii_uppercase().as_str() {
+        // A function of a NULL argument is NULL, as in SQL.
+        "SDO_GEOMETRY" | "SDO_POINT" | "SDO_AREA" | "SDO_NUM_POINTS" | "SDO_DISTANCE"
+        | "SDO_CENTROID" | "SDO_MBR" | "SDO_WKT" | "SDO_LENGTH" | "SDO_VALIDATE"
+            if vals.iter().any(Value::is_null) =>
+        {
+            Ok(Value::Null)
+        }
         // SDO_GEOMETRY('<wkt>'): geometry literal constructor.
         "SDO_GEOMETRY" => {
             let wkt = vals
@@ -838,9 +845,15 @@ pub(crate) fn sort_values(keys: &[SortKey], jr: &[RelRow]) -> Result<Vec<Value>,
 }
 
 /// Compare two rows' key values in ORDER BY order (per-key direction).
+/// A NULL key sorts after every value, as in Oracle (last ascending,
+/// first descending), so that the kNN pushdown, which ranks the rows
+/// that have a geometry, agrees with a full sort.
 pub(crate) fn cmp_sort_values(keys: &[SortKey], a: &[Value], b: &[Value]) -> Ordering {
     for (i, key) in keys.iter().enumerate() {
-        let ord = a[i].sql_cmp(&b[i]);
+        let ord = match (a[i].is_null(), b[i].is_null()) {
+            (false, false) => a[i].sql_cmp(&b[i]),
+            nulls => nulls.0.cmp(&nulls.1),
+        };
         let ord = if key.descending { ord.reverse() } else { ord };
         if ord != Ordering::Equal {
             return ord;

@@ -44,6 +44,15 @@ pub trait DomainIndex: Send + Sync {
     /// Maintain the index before a row delete.
     fn on_delete(&mut self, rid: RowId, row: &[Value]) -> Result<(), DbError>;
 
+    /// Whether updating a row from `old` to `new` changes its entry.
+    /// When it does not, the one entry serves both versions and the
+    /// update leaves the index alone: a second, identical entry would
+    /// make an index join emit the row twice.
+    fn entry_changes(&self, old: &[Value], new: &[Value]) -> bool {
+        let _ = (old, new);
+        true
+    }
+
     /// Evaluate an operator against the index, returning the rowids of
     /// the indexed table that satisfy it **exactly** (the index runs
     /// both filter stages internally, like Oracle's operator

@@ -873,6 +873,15 @@ impl IndexAccess {
                 let mut rids: Vec<RowId> = list.into_iter().map(|(_, r)| r).collect();
                 if !ranked {
                     rids.sort_unstable();
+                } else if rids.len() < k {
+                    // ORDER BY sorts a NULL distance last: rows without a
+                    // geometry follow the ranked ones, in scan order.
+                    let t = table.read();
+                    t.scan_range_at(0, t.high_water_mark(), &snap, |rid, row| {
+                        if rids.len() < k && row[col].is_null() {
+                            rids.push(rid);
+                        }
+                    });
                 }
                 Ok((rids, Some(path)))
             }

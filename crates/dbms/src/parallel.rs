@@ -18,8 +18,8 @@
 //! for sorts, its position within the morsel), and the coordinator
 //! merges worker output through a reorder buffer in morsel order — so
 //! the row stream is **bit-identical to the serial plan at any degree
-//! of parallelism**, tie-breaks included. The equivalence suite pins
-//! this at dop 1/2/4.
+//! of parallelism**, tie-breaks included. The plan-space test pins
+//! this at dop 2 and 4 against dop 1.
 //!
 //! Memory accounting: workers charge the statement's shared
 //! [`MemoryGauge`] through RAII [`GaugeCharge`] accounts, enforcing

@@ -10,23 +10,3 @@ use sdo_storage::Value;
 /// [`sdo_storage::Value`]), so rows are cheap to move across the
 /// parallel executor's channels.
 pub type Row = Vec<Value>;
-
-/// Build a row from anything convertible to [`Value`].
-#[macro_export]
-macro_rules! row {
-    ($($v:expr),* $(,)?) => {
-        vec![$(sdo_storage::Value::from($v)),*]
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn row_macro_builds_values() {
-        let r: super::Row = row![1i64, 2.5f64, "x"];
-        assert_eq!(r.len(), 3);
-        assert_eq!(r[0].as_integer(), Some(1));
-        assert_eq!(r[1].as_double(), Some(2.5));
-        assert_eq!(r[2].as_text(), Some("x"));
-    }
-}
