@@ -9,6 +9,7 @@ use sdo_geom::{Geometry, Polygon, Rect, RelateMask};
 use sdo_quadtree::QuadtreeIndex;
 use sdo_rtree::RTree;
 use sdo_storage::{Counters, IndexKind, IndexMetadata, RowId, Snapshot, Table, Value};
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 /// The indextype registered as `SPATIAL_INDEX`.
@@ -74,12 +75,11 @@ impl IndexType for SpatialIndexType {
 // ---------------------------------------------------------------------------
 
 /// Decode an operator call into its query geometry and predicate.
+/// `SDO_NN` is not one: it ranks rows, through [`DomainIndex::nearest`].
 enum DecodedOp {
     Relate(Arc<Geometry>, Vec<RelateMask>),
     WithinDistance(Arc<Geometry>, f64),
     Filter(Arc<Geometry>),
-    /// k-nearest-neighbour (`SDO_NN(col, q, 'sdo_num_res=k')`).
-    Nn(Arc<Geometry>, usize),
 }
 
 fn decode_op(call: &OperatorCall) -> Result<DecodedOp, DbError> {
@@ -99,10 +99,6 @@ fn decode_op(call: &OperatorCall) -> Result<DecodedOp, DbError> {
             Ok(DecodedOp::WithinDistance(q, d))
         }
         "SDO_FILTER" => Ok(DecodedOp::Filter(q)),
-        "SDO_NN" => {
-            let k = sdo_dbms::exec::parse_num_res(&call.args[1..])?;
-            Ok(DecodedOp::Nn(q, k))
-        }
         other => Err(DbError::Index(format!("unsupported operator {other}"))),
     }
 }
@@ -113,23 +109,36 @@ fn decode_op(call: &OperatorCall) -> Result<DecodedOp, DbError> {
 
 /// What one index structure supplies to the shared operator body:
 /// maintenance, and candidate rowids for a query window. Candidates
-/// may repeat and may name versions a snapshot cannot see; the shared
-/// body refines them.
+/// may repeat and may name versions a snapshot cannot see; the caller
+/// of `evaluate` refines them.
+///
+/// Each `(key, rowid)` entry is held once, however many versions of
+/// the row map to it, and counts those versions: removing one version
+/// leaves the entry while another still needs it, and a join through
+/// the index meets the row once per entry.
 trait IndexStructure: Send + Sync + 'static {
-    /// Index row `rid`'s geometry `g`.
-    fn add(&mut self, rid: RowId, g: &Geometry, counters: &Counters) -> Result<(), DbError>;
+    /// Index row `rid`'s geometry `g`: add its entry, or count one
+    /// more version of it.
+    fn add(
+        &mut self,
+        shared: &mut SharedEntries,
+        rid: RowId,
+        g: &Geometry,
+        counters: &Counters,
+    ) -> Result<(), DbError>;
 
-    /// Remove row `rid`'s entry for geometry `g`.
-    fn remove(&mut self, rid: RowId, g: &Geometry);
-
-    /// Whether geometries `a` and `b` get the same entry.
-    fn same_entry(a: &Geometry, b: &Geometry) -> bool;
+    /// Uncount one version of row `rid`'s entry for geometry `g`; the
+    /// last version removes the entry.
+    fn remove(&mut self, shared: &mut SharedEntries, rid: RowId, g: &Geometry);
 
     /// Rows whose entries may interact with `q`'s bounding box.
     fn window(&self, q: &Geometry) -> Vec<RowId>;
 
     /// Rows whose entries may lie within distance `d` of `q`.
     fn within(&self, q: &Geometry, d: f64) -> Vec<RowId>;
+
+    /// Every indexed row.
+    fn all(&self) -> Vec<RowId>;
 
     /// `(lower bound, rowid)` in ascending lower-bound order of
     /// distance to `q`, or `None` when the structure has no
@@ -143,18 +152,49 @@ trait IndexStructure: Send + Sync + 'static {
     fn describe(&self, name: &str) -> String;
 }
 
+/// Shared entries of a structure that cannot count versions in place
+/// (the R-tree; quadtree tiles count their own): `(rowid, MBR bits)` →
+/// the versions beyond the first that map to that one entry. Empty
+/// unless a pinned snapshot defers the removal of a version whose MBR
+/// another version of the row repeats.
+type SharedEntries = HashMap<(RowId, [u64; 4]), u32>;
+
+fn entry_key(rid: RowId, r: &Rect) -> (RowId, [u64; 4]) {
+    (rid, [r.min_x.to_bits(), r.min_y.to_bits(), r.max_x.to_bits(), r.max_y.to_bits()])
+}
+
 impl IndexStructure for RTree<RowId> {
-    fn add(&mut self, rid: RowId, g: &Geometry, _: &Counters) -> Result<(), DbError> {
-        self.insert(g.bbox(), rid);
+    fn add(
+        &mut self,
+        shared: &mut SharedEntries,
+        rid: RowId,
+        g: &Geometry,
+        _: &Counters,
+    ) -> Result<(), DbError> {
+        let mbr = g.bbox();
+        let mut held = false;
+        self.query_window_visit(&mbr, &mut |r, &item| held |= item == rid && r == mbr);
+        if held {
+            *shared.entry(entry_key(rid, &mbr)).or_insert(0) += 1;
+        } else {
+            self.insert(mbr, rid);
+        }
         Ok(())
     }
 
-    fn remove(&mut self, rid: RowId, g: &Geometry) {
-        self.delete(&g.bbox(), &rid);
-    }
-
-    fn same_entry(a: &Geometry, b: &Geometry) -> bool {
-        a.bbox() == b.bbox()
+    fn remove(&mut self, shared: &mut SharedEntries, rid: RowId, g: &Geometry) {
+        let mbr = g.bbox();
+        match shared.entry(entry_key(rid, &mbr)) {
+            Entry::Occupied(mut e) => {
+                *e.get_mut() -= 1;
+                if *e.get() == 0 {
+                    e.remove();
+                }
+            }
+            Entry::Vacant(_) => {
+                self.delete(&mbr, &rid);
+            }
+        }
     }
 
     fn window(&self, q: &Geometry) -> Vec<RowId> {
@@ -165,6 +205,10 @@ impl IndexStructure for RTree<RowId> {
 
     fn within(&self, q: &Geometry, d: f64) -> Vec<RowId> {
         self.query_within_distance(&q.bbox(), d).into_iter().map(|(_, rid)| rid).collect()
+    }
+
+    fn all(&self) -> Vec<RowId> {
+        self.iter_items().map(|(_, &rid)| rid).collect()
     }
 
     fn nearest(&self, q: Rect) -> Option<Box<dyn Iterator<Item = (f64, RowId)> + '_>> {
@@ -183,7 +227,13 @@ impl IndexStructure for RTree<RowId> {
 }
 
 impl IndexStructure for QuadtreeIndex {
-    fn add(&mut self, rid: RowId, g: &Geometry, counters: &Counters) -> Result<(), DbError> {
+    fn add(
+        &mut self,
+        _: &mut SharedEntries,
+        rid: RowId,
+        g: &Geometry,
+        counters: &Counters,
+    ) -> Result<(), DbError> {
         if let Some(msg) = create::outside_extent(g, self.world()) {
             return Err(DbError::Index(msg));
         }
@@ -192,12 +242,8 @@ impl IndexStructure for QuadtreeIndex {
         Ok(())
     }
 
-    fn remove(&mut self, rid: RowId, g: &Geometry) {
+    fn remove(&mut self, _: &mut SharedEntries, rid: RowId, g: &Geometry) {
         self.delete(rid, g);
-    }
-
-    fn same_entry(a: &Geometry, b: &Geometry) -> bool {
-        a == b
     }
 
     fn window(&self, q: &Geometry) -> Vec<RowId> {
@@ -207,6 +253,10 @@ impl IndexStructure for QuadtreeIndex {
     fn within(&self, q: &Geometry, d: f64) -> Vec<RowId> {
         // Expand the query window by d for the tile-level filter.
         self.query_window(&Geometry::Polygon(Polygon::from_rect(&q.bbox().expanded(d))))
+    }
+
+    fn all(&self) -> Vec<RowId> {
+        self.iter_entries().map(|(_, rid)| rid).collect()
     }
 
     fn describe(&self, name: &str) -> String {
@@ -231,6 +281,7 @@ pub struct SpatialIndex<S> {
     table: Arc<RwLock<Table>>,
     column: usize,
     structure: Arc<RwLock<S>>,
+    shared: SharedEntries,
     counters: Arc<Counters>,
 }
 
@@ -253,6 +304,7 @@ impl<S> SpatialIndex<S> {
             table: Arc::clone(table),
             column,
             structure: Arc::new(RwLock::new(structure)),
+            shared: SharedEntries::new(),
             counters,
         }
     }
@@ -269,48 +321,6 @@ impl<S> SpatialIndex<S> {
 
     fn geometry<'r>(&self, row: &'r [Value]) -> Option<&'r Geometry> {
         row.get(self.column).and_then(|v| v.as_geometry()).map(|g| &**g)
-    }
-
-    /// The versions `snap` sees of the distinct `candidates`, in rowid
-    /// order. The index may hold entries for versions the snapshot
-    /// cannot see (eager maintenance of in-flight transactions), and an
-    /// updated row can have two entries while a snapshot pin defers the
-    /// old one, so candidates are sorted by rowid and merged first
-    /// (paper §1 item 3: sort by rowid before fetching) and fetched in
-    /// one [`Table::get_many_at`]. Each row is cloned out of the
-    /// callback, so no geometry test runs under the status lock.
-    fn visible_rows(
-        &self,
-        mut candidates: Vec<RowId>,
-        snap: &Snapshot,
-    ) -> Vec<(RowId, Arc<[Value]>)> {
-        candidates.sort_unstable();
-        candidates.dedup();
-        let mut rows = Vec::with_capacity(candidates.len());
-        self.table.read().get_many_at(&candidates, snap, |rid, row| {
-            if let Some(row) = row {
-                rows.push((rid, Arc::clone(row)));
-            }
-        });
-        rows
-    }
-
-    /// Exact secondary filter: the rowids of `rows` whose geometry
-    /// passes `keep`. Index evidence alone never proves a hit.
-    fn exact(
-        &self,
-        rows: Vec<(RowId, Arc<[Value]>)>,
-        keep: impl Fn(&Geometry) -> bool,
-    ) -> Vec<RowId> {
-        rows.into_iter()
-            .filter(|(_, row)| {
-                self.geometry(row).is_some_and(|g| {
-                    Counters::bump(&self.counters.exact_tests);
-                    keep(g)
-                })
-            })
-            .map(|(rid, _)| rid)
-            .collect()
     }
 }
 
@@ -389,69 +399,28 @@ impl<S: IndexStructure> DomainIndex for SpatialIndex<S> {
 
     fn on_insert(&mut self, rid: RowId, row: &[Value]) -> Result<(), DbError> {
         match self.geometry(row) {
-            Some(g) => self.structure.write().add(rid, g, &self.counters),
+            Some(g) => self.structure.write().add(&mut self.shared, rid, g, &self.counters),
             None => Ok(()),
         }
     }
 
     fn on_delete(&mut self, rid: RowId, row: &[Value]) -> Result<(), DbError> {
         if let Some(g) = self.geometry(row) {
-            self.structure.write().remove(rid, g);
+            self.structure.write().remove(&mut self.shared, rid, g);
         }
         Ok(())
     }
 
-    fn entry_changes(&self, old: &[Value], new: &[Value]) -> bool {
-        match (self.geometry(old), self.geometry(new)) {
-            (Some(a), Some(b)) => !S::same_entry(a, b),
-            (a, b) => a.is_some() || b.is_some(),
-        }
-    }
-
     fn evaluate(&self, call: &OperatorCall) -> Result<Vec<RowId>, DbError> {
-        let snap = call.snap;
-        match decode_op(call)? {
-            DecodedOp::Filter(q) => {
-                // Primary filter only, per Oracle SDO_FILTER semantics
-                // — but answered for the statement's snapshot: each
-                // candidate's MBR test repeats against the version the
-                // snapshot actually sees (quadtree tiles over-approximate
-                // besides).
-                let qbb = q.bbox();
-                let candidates = self.structure.read().window(&q);
-                let rows = self.visible_rows(candidates, &snap);
-                Ok(rows
-                    .into_iter()
-                    .filter(|(_, row)| {
-                        self.geometry(row).is_some_and(|g| g.bbox().intersects(&qbb))
-                    })
-                    .map(|(rid, _)| rid)
-                    .collect())
-            }
-            DecodedOp::Relate(q, masks) => {
-                let rows = if masks.contains(&RelateMask::Disjoint) {
-                    // DISJOINT cannot use an intersection-based index:
-                    // test every row the snapshot sees.
-                    self.table.read().scan_at(snap).collect()
-                } else {
-                    let candidates = self.structure.read().window(&q);
-                    self.visible_rows(candidates, &snap)
-                };
-                Ok(self.exact(rows, |g| sdo_geom::relate::relate_any(g, &q, &masks)))
-            }
-            DecodedOp::WithinDistance(q, d) => {
-                let candidates = self.structure.read().within(&q, d);
-                let rows = self.visible_rows(candidates, &snap);
-                Ok(self.exact(rows, |g| sdo_geom::within_distance(g, &q, d)))
-            }
-            DecodedOp::Nn(q, k) => knn(self, &q, k, &snap)
-                .map(|best| best.into_iter().map(|(_, rid)| rid).collect())
-                .ok_or_else(|| {
-                    DbError::Index(
-                        "SDO_NN requires an R-tree index (create with 'layer_gtype=RTREE')".into(),
-                    )
-                }),
-        }
+        // Candidates only: the caller fetches each one at its snapshot
+        // and runs the exact test.
+        let structure = self.structure.read();
+        Ok(match decode_op(call)? {
+            // DISJOINT cannot use an intersection-based index.
+            DecodedOp::Relate(_, masks) if masks.contains(&RelateMask::Disjoint) => structure.all(),
+            DecodedOp::Relate(q, _) | DecodedOp::Filter(q) => structure.window(&q),
+            DecodedOp::WithinDistance(q, d) => structure.within(&q, d),
+        })
     }
 
     fn nearest(

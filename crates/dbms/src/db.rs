@@ -855,7 +855,7 @@ impl Database {
                 row: row.clone(),
             })?;
         }
-        for idx in self.indexes_on_table(&tname) {
+        for (_, idx) in self.indexes_on_table(&tname) {
             idx.write().on_insert(rid, &row)?;
             ctx.abort_index_ops.push((Arc::clone(&idx), rid, row.clone()));
         }
@@ -886,13 +886,15 @@ impl Database {
                 row: row.clone(),
             })?;
         }
-        // The new entry goes in eagerly (undone on abort); the old
-        // entry stays until no pinned snapshot can see the old version.
-        // Readers re-check each candidate against the heap under their
-        // snapshot, and the tree join emits only through the entry whose
-        // MBR matches the visible geometry.
-        for idx in self.indexes_on_table(table) {
-            if !idx.read().entry_changes(&old, &row) {
+        // An update that leaves an index's column equal leaves that
+        // index alone. Otherwise the new entry goes in eagerly (undone on
+        // abort); the old entry stays until no pinned snapshot can see
+        // the old version. Readers re-check each candidate against the
+        // heap under their snapshot, and the tree join emits only through
+        // the entry whose MBR matches the visible geometry.
+        for (column, idx) in self.indexes_on_table(table) {
+            let col = t.read().schema().column_index(&column);
+            if col.is_some_and(|c| old.get(c) == row.get(c)) {
                 continue;
             }
             idx.write().on_insert(rid, &row)?;
@@ -919,7 +921,7 @@ impl Database {
         }
         // Deferred: the index entry must outlive the commit for as long
         // as a pinned snapshot can still see the row.
-        for idx in self.indexes_on_table(table) {
+        for (_, idx) in self.indexes_on_table(table) {
             ctx.commit_index_ops.push((idx, rid, old.clone()));
         }
         let w = ctx.writes.entry(tname).or_default();
@@ -1095,17 +1097,15 @@ impl Database {
         Some((meta, inst))
     }
 
-    fn indexes_on_table(&self, table: &str) -> Vec<IndexHandle> {
+    /// The domain indexes on `table`, each with its indexed column.
+    fn indexes_on_table(&self, table: &str) -> Vec<(String, IndexHandle)> {
         let indexes = self.indexes.read();
         indexes
             .iter()
-            .filter(|(name, _)| {
-                self.catalog
-                    .index_metadata(name)
-                    .map(|m| m.table_name.eq_ignore_ascii_case(table))
-                    .unwrap_or(false)
+            .filter_map(|(name, v)| {
+                let m = self.catalog.index_metadata(name).ok()?;
+                m.table_name.eq_ignore_ascii_case(table).then(|| (m.column_name, Arc::clone(v)))
             })
-            .map(|(_, v)| Arc::clone(v))
             .collect()
     }
 

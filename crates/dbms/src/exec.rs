@@ -384,6 +384,14 @@ impl SpatialPred {
     pub(crate) fn is_join(&self) -> bool {
         matches!(self.other, SpatialOperand::Column(..))
     }
+
+    /// The `(outer, inner)` `(relation, column)` of a column-column
+    /// predicate run as a nested loop; `swap` makes the second
+    /// argument's relation the outer side.
+    pub(crate) fn loop_sides(&self, swap: bool) -> Option<((usize, usize), (usize, usize))> {
+        let SpatialOperand::Column(r, c) = self.other else { return None };
+        Some(if swap { ((r, c), self.target) } else { (self.target, (r, c)) })
+    }
 }
 
 pub(crate) fn classify_spatial(
@@ -529,25 +537,6 @@ pub fn eval_spatial_fn(
         )),
         other => Err(DbError::Plan(format!("unknown spatial operator {other}"))),
     }
-}
-
-/// Transpose operator arguments for a swapped-operand index probe:
-/// `SDO_RELATE` masks transpose (INSIDE ⇄ CONTAINS, COVERS ⇄
-/// COVEREDBY); distance and filter predicates are symmetric.
-pub(crate) fn transpose_spatial_extra(name: &str, extra: &[Value]) -> Result<Vec<Value>, DbError> {
-    if !name.eq_ignore_ascii_case("SDO_RELATE") {
-        return Ok(extra.to_vec());
-    }
-    let mask = extra.first().and_then(|v| v.as_text()).unwrap_or("ANYINTERACT");
-    let masks = RelateMask::parse_list(mask)?;
-    let transposed = masks
-        .iter()
-        .map(|m| format!("{:?}", m.transpose()).to_ascii_uppercase())
-        .collect::<Vec<_>>()
-        .join("+");
-    let mut out = vec![Value::text(transposed)];
-    out.extend(extra.iter().skip(1).cloned());
-    Ok(out)
 }
 
 /// Accept both `SDO_WITHIN_DISTANCE(a, b, 0.5)` and Oracle's

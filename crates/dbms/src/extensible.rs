@@ -25,12 +25,6 @@ pub struct OperatorCall {
     /// Evaluated non-column arguments (query geometry, mask string,
     /// distance...).
     pub args: Vec<Value>,
-    /// The calling statement's MVCC read view. An index's internal
-    /// structure may hold entries for versions this snapshot cannot
-    /// see (eager maintenance of in-flight transactions); any heap
-    /// fetch the index performs while evaluating must use this
-    /// snapshot so the answer matches what the statement reads.
-    pub snap: sdo_storage::Snapshot,
 }
 
 /// A live domain index instance attached to one `(table, column)`.
@@ -44,19 +38,14 @@ pub trait DomainIndex: Send + Sync {
     /// Maintain the index before a row delete.
     fn on_delete(&mut self, rid: RowId, row: &[Value]) -> Result<(), DbError>;
 
-    /// Whether updating a row from `old` to `new` changes its entry.
-    /// When it does not, the one entry serves both versions and the
-    /// update leaves the index alone: a second, identical entry would
-    /// make an index join emit the row twice.
-    fn entry_changes(&self, old: &[Value], new: &[Value]) -> bool {
-        let _ = (old, new);
-        true
-    }
-
-    /// Evaluate an operator against the index, returning the rowids of
-    /// the indexed table that satisfy it **exactly** (the index runs
-    /// both filter stages internally, like Oracle's operator
-    /// evaluation with `query_type = FILTER + EXACT`).
+    /// The primary filter of an operator: candidate rowids of the
+    /// indexed table, a superset of the rows that satisfy it. They may
+    /// repeat and may name versions the caller's snapshot cannot see
+    /// (eager maintenance of in-flight transactions, deferred removal
+    /// of superseded entries). The caller fetches each distinct
+    /// candidate once at its snapshot and runs the exact test — the
+    /// secondary filter — the way a table scan does, so no plan
+    /// answers differently.
     fn evaluate(&self, call: &OperatorCall) -> Result<Vec<RowId>, DbError>;
 
     /// Implementation-specific statistics line for `EXPLAIN`-style

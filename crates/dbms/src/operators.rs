@@ -56,7 +56,7 @@ use crate::sql::ast::{Expr, FromItem, Predicate, Select, SelectItem};
 use parking_lot::RwLock;
 use sdo_geom::Geometry;
 use sdo_obs::{MemoryGauge, ProfileNode};
-use sdo_storage::{RowId, Snapshot, Table, Value};
+use sdo_storage::{Counters, RowId, Snapshot, Table, Value};
 use sdo_tablefunc::{Row, TableFunction};
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -246,7 +246,6 @@ impl<'a> TableScanExec<'a> {
         width: usize,
         node: Option<ProfileNode>,
     ) -> Self {
-        note_filter(&node, &filter);
         let end = table.read().high_water_mark();
         TableScanExec {
             db: ctx.db,
@@ -425,8 +424,8 @@ fn pre_passing(
 }
 
 /// Show the conjuncts pushed into a scan as its `filter` attribute.
-fn note_filter(node: &Option<ProfileNode>, filter: &Option<FilterInputs>) {
-    if let (Some(n), Some((metas, f))) = (node, filter) {
+fn note_filter(node: &Option<ProfileNode>, metas: &[RelMeta], filter: Option<&Filter>) {
+    if let (Some(n), Some(f)) = (node, filter) {
         n.set_attr("filter", filter_text(metas, &f.spatial, &f.residual));
     }
 }
@@ -621,6 +620,8 @@ pub(crate) struct FilterEval {
     keep_sets: Vec<KeepSet>,
     spatial: Vec<SpatialPred>,
     costly: Vec<Cond>,
+    /// Where the exact tests of `spatial` are counted.
+    counters: Arc<Counters>,
 }
 
 impl FilterEval {
@@ -644,21 +645,26 @@ impl FilterEval {
         let keep = build_prefilters(db, &metas, &spatial, &use_index, snap)?;
         let (mut keep_sets, mut functional) = (Vec::new(), Vec::new());
         for (p, k) in spatial.into_iter().zip(keep) {
-            match k {
-                Some(set) => keep_sets.push(set),
-                None => functional.push(p),
+            // An index keep-set holds candidates: the exact test still
+            // runs on the rows it keeps. An SDO_NN ranking is exact.
+            let ranked = k.is_some() && p.name == "SDO_NN";
+            keep_sets.extend(k);
+            if !ranked {
+                functional.push(p);
             }
         }
-        Ok(FilterEval { plain, keep_sets, spatial: functional, costly })
+        let counters = Arc::clone(db.counters());
+        Ok(FilterEval { plain, keep_sets, spatial: functional, costly, counters })
     }
 
     /// An evaluator every row passes.
-    pub(crate) fn none() -> Self {
+    pub(crate) fn none(db: &Database) -> Self {
         FilterEval {
             plain: Vec::new(),
             keep_sets: Vec::new(),
             spatial: Vec::new(),
             costly: Vec::new(),
+            counters: Arc::clone(db.counters()),
         }
     }
 
@@ -691,7 +697,11 @@ impl FilterEval {
                 }
                 SpatialOperand::Const(qg) => Some(qg),
             };
-            if !b.is_some_and(|b| eval_spatial_fn(&p.name, a, b, &p.extra).unwrap_or(false)) {
+            // A bad mask or distance is the statement's error, as it is
+            // through an index scan, not a row that fails.
+            let Some(b) = b else { return Ok(false) };
+            Counters::bump(&self.counters.exact_tests);
+            if !eval_spatial_fn(&p.name, a, b, &p.extra)? {
                 return Ok(false);
             }
         }
@@ -730,15 +740,14 @@ impl LazyFilter {
         if let Some(inputs) = self.inputs.take() {
             self.eval = Some(FilterEval::build(db, inputs, snap)?);
         }
-        Ok(self.eval.get_or_insert_with(FilterEval::none))
+        Ok(self.eval.get_or_insert_with(|| FilterEval::none(db)))
     }
 }
 
-/// Resolve each spatial predicate to its open-time fast path: the
-/// rowid keep-set `(relation, rowids)` of a domain-index evaluation
-/// when the plan chose it (or of an SDO_NN ranking), else `None` for
-/// per-row functional evaluation. Only predicates no index scan
-/// consumed get here.
+/// Resolve each spatial predicate to its open-time pre-pass: the rowid
+/// keep-set `(relation, rowids)` of a domain index's candidates when
+/// the plan chose it (or of an SDO_NN ranking), else `None`. Only
+/// predicates no index scan consumed get here.
 fn build_prefilters(
     db: &Database,
     metas: &[RelMeta],
@@ -769,7 +778,7 @@ fn build_prefilters(
         }
         match index.filter(|_| use_index[pi]) {
             Some((_, inst)) => {
-                let call = operator_call(p, qg, snap);
+                let call = operator_call(p, qg);
                 out.push(Some((ri, inst.read().evaluate(&call)?.into_iter().collect())));
             }
             None => out.push(None),
@@ -778,12 +787,11 @@ fn build_prefilters(
     Ok(out)
 }
 
-/// The domain-index call for a constant spatial predicate
-/// `OP(col, qg, extra…)` under the statement snapshot.
-fn operator_call(p: &SpatialPred, qg: &Arc<Geometry>, snap: Snapshot) -> OperatorCall {
+/// The domain-index call for a spatial predicate `OP(col, qg, extra…)`.
+fn operator_call(p: &SpatialPred, qg: &Arc<Geometry>) -> OperatorCall {
     let mut args = vec![Value::Geometry(Arc::clone(qg))];
     args.extend(p.extra.iter().cloned());
-    OperatorCall { name: p.name.clone(), args, snap }
+    OperatorCall { name: p.name.clone(), args }
 }
 
 /// `(distance, rowid)` pairs, ascending.
@@ -826,8 +834,9 @@ fn rank_nearest(
 /// How an [`IndexScanExec`] (or an index-driven exchange) gets the
 /// rowids it fetches.
 pub(crate) enum IndexAccess {
-    /// A constant operator evaluated by the domain index: its exact
-    /// answer, fetched in rowid order (a table scan's order).
+    /// A constant operator's candidates from the domain index, fetched
+    /// once each in rowid order (a table scan's order) and decided by
+    /// the predicate the scan's filter carries.
     Operator { index: IndexHandle, call: OperatorCall },
     /// The `k` rows nearest to `query` in column `col`: in
     /// `(distance, rowid)` order when `ranked` (the ORDER BY pushdown),
@@ -837,11 +846,7 @@ pub(crate) enum IndexAccess {
 
 impl IndexAccess {
     /// The access a constant spatial predicate gets through `index`.
-    pub(crate) fn for_predicate(
-        p: &SpatialPred,
-        index: IndexHandle,
-        snap: Snapshot,
-    ) -> Result<Self, DbError> {
+    pub(crate) fn for_predicate(p: &SpatialPred, index: IndexHandle) -> Result<Self, DbError> {
         let SpatialOperand::Const(qg) = &p.other else {
             return Err(DbError::Plan("an index scan needs a constant operand".into()));
         };
@@ -849,7 +854,7 @@ impl IndexAccess {
             let k = crate::exec::parse_num_res(&p.extra)?;
             IndexAccess::Nearest { index, query: Arc::clone(qg), k, col: p.target.1, ranked: false }
         } else {
-            IndexAccess::Operator { index, call: operator_call(p, qg, snap) }
+            IndexAccess::Operator { index, call: operator_call(p, qg) }
         })
     }
 
@@ -863,7 +868,7 @@ impl IndexAccess {
         match self {
             IndexAccess::Operator { index, call } => {
                 let mut rids = index.read().evaluate(&call)?;
-                // Custom indextypes may answer unsorted or repeat a rowid.
+                // Candidates may come unsorted and repeat a rowid.
                 rids.sort_unstable();
                 rids.dedup();
                 Ok((rids, None))
@@ -896,10 +901,12 @@ fn qerror(est: f64, act: u64) -> f64 {
     (e / a).max(a / e)
 }
 
-/// Index scan: the domain index answers once, and only its rowids are
-/// fetched from the heap — sorted and deduplicated, at the statement
-/// snapshot, one table lock per batch, the other conjuncts pushed into
-/// the scan tested on each fetched row as [`read_span`] tests them.
+/// Index scan: the domain index answers once, and only its candidate
+/// rowids are fetched from the heap — sorted and deduplicated, each
+/// once, at the statement snapshot, one table lock per batch. The
+/// scan's filter carries the index predicate's exact test before the
+/// other conjuncts pushed into the scan, and [`read_span`] tests them
+/// on each fetched row.
 /// Replaces a table scan whose filter would keep the same rows, in the
 /// same (rowid) order; for the kNN pushdown the order is the ranking's
 /// `(distance, rowid)`, which is exactly what a stable full sort over a
@@ -932,7 +939,6 @@ impl<'a> IndexScanExec<'a> {
         est_rows: f64,
         node: Option<ProfileNode>,
     ) -> Self {
-        note_filter(&node, &filter);
         if let Some(n) = &node {
             n.set_attr("est_rows", format!("{est_rows:.0}"));
         }
@@ -1238,7 +1244,10 @@ pub(crate) enum InnerSide<'a> {
 pub(crate) struct NestedLoopJoinExec<'a> {
     db: &'a Database,
     outer: Box<dyn BatchOp + 'a>,
+    /// `OP(target, other, extra)`; the outer side is `other`'s when
+    /// `swap`.
     pred: SpatialPred,
+    swap: bool,
     outer_rel: usize,
     outer_col: usize,
     inner_rel: usize,
@@ -1259,12 +1268,12 @@ impl<'a> NestedLoopJoinExec<'a> {
         ctx: &ExecCtx<'a>,
         outer: Box<dyn BatchOp + 'a>,
         pred: SpatialPred,
+        swap: bool,
         inner: InnerSide<'a>,
         width: usize,
         node: Option<ProfileNode>,
     ) -> Result<Self, DbError> {
-        let (outer_rel, outer_col) = pred.target;
-        let SpatialOperand::Column(inner_rel, inner_col) = pred.other else {
+        let Some(((outer_rel, outer_col), (inner_rel, inner_col))) = pred.loop_sides(swap) else {
             return Err(DbError::Plan("nested-loop join needs a column-column predicate".into()));
         };
         if outer_rel == inner_rel {
@@ -1274,6 +1283,7 @@ impl<'a> NestedLoopJoinExec<'a> {
             db: ctx.db,
             outer,
             pred,
+            swap,
             outer_rel,
             outer_col,
             inner_rel,
@@ -1322,6 +1332,14 @@ impl<'a> NestedLoopJoinExec<'a> {
         Ok(())
     }
 
+    /// The predicate on the outer row's geometry `g` and an inner row's
+    /// `ig`, in the SQL's argument order, counted as an exact test.
+    fn passes(&self, g: &Geometry, ig: &Geometry) -> Result<bool, DbError> {
+        Counters::bump(&self.db.counters().exact_tests);
+        let (a, b) = if self.swap { (ig, g) } else { (g, ig) };
+        eval_spatial_fn(&self.pred.name, a, b, &self.pred.extra)
+    }
+
     fn join_outer_row(&mut self, jr: &[RelRow]) -> Result<(), DbError> {
         let orow = &jr[self.outer_rel];
         let Some(g) = orow.values.get(self.outer_col).and_then(|v| v.as_geometry()) else {
@@ -1332,25 +1350,24 @@ impl<'a> NestedLoopJoinExec<'a> {
             InnerSide::Probe { table, index, node } => {
                 let t0 = node.as_ref().map(|_| Instant::now());
                 let queued = self.queue.len();
-                // The SQL predicate is OP(outer, inner, extra); the
-                // index evaluates OP(inner_data, query, extra), so
-                // asymmetric SDO_RELATE masks are transposed.
-                let mut args = vec![Value::Geometry(Arc::clone(&g))];
-                args.extend(crate::exec::transpose_spatial_extra(
-                    &self.pred.name,
-                    &self.pred.extra,
-                )?);
-                let call = OperatorCall { name: self.pred.name.clone(), args, snap: self.snap };
-                let rids = index.read().evaluate(&call)?;
-                for rid in rids {
-                    // The index may hold entries for rows this snapshot
-                    // cannot see (uncommitted inserts, pre-commit
-                    // deletes): the heap re-check under the statement
-                    // snapshot is the visibility filter.
-                    let ivals = match table.read().get_at(rid, &self.snap) {
-                        Ok(v) => v,
-                        Err(_) => continue,
+                // The index's candidates, each fetched once at the
+                // statement snapshot (the visibility filter: the index
+                // may hold entries for versions it cannot see) and
+                // tested in the SQL's argument order, like the build arm.
+                let mut rids = index.read().evaluate(&operator_call(&self.pred, &g))?;
+                rids.sort_unstable();
+                rids.dedup();
+                let mut rows = Vec::with_capacity(rids.len());
+                table.read().get_many_at(&rids, &self.snap, |rid, row| {
+                    rows.extend(row.map(|row| (rid, Arc::clone(row))));
+                });
+                for (rid, ivals) in rows {
+                    let Some(ig) = ivals.get(self.inner_col).and_then(|v| v.as_geometry()) else {
+                        continue;
                     };
+                    if !self.passes(&g, ig)? {
+                        continue;
+                    }
                     let mut out = empty_joined(self.width);
                     out[self.outer_rel] = orow.clone();
                     out[self.inner_rel] = RelRow { rid: Some(rid), values: ivals.to_vec() };
@@ -1360,15 +1377,10 @@ impl<'a> NestedLoopJoinExec<'a> {
             }
             InnerSide::Build { rows, .. } => {
                 for (irid, ivals) in rows {
-                    let keep = ivals
-                        .get(self.inner_col)
-                        .and_then(|v| v.as_geometry())
-                        .map(|ig| {
-                            eval_spatial_fn(&self.pred.name, &g, ig, &self.pred.extra)
-                                .unwrap_or(false)
-                        })
-                        .unwrap_or(false);
-                    if keep {
+                    let Some(ig) = ivals.get(self.inner_col).and_then(|v| v.as_geometry()) else {
+                        continue;
+                    };
+                    if self.passes(&g, ig)? {
                         let mut out = empty_joined(self.width);
                         out[self.outer_rel] = orow.clone();
                         out[self.inner_rel] = RelRow { rid: *irid, values: ivals.clone() };
@@ -1773,6 +1785,19 @@ impl<'a> Builder<'_, 'a> {
         filter.map(|f| (Arc::clone(&self.metas), f))
     }
 
+    /// An index scan's filter: its own predicate's exact test first,
+    /// for the candidates the index returns, then `filter`. An SDO_NN
+    /// ranking is exact and adds no test.
+    fn index_filter(&self, pred: SpatialPred, filter: Option<Filter>) -> Option<FilterInputs> {
+        if pred.name == "SDO_NN" {
+            return self.inputs(filter);
+        }
+        let mut f = filter.unwrap_or_default();
+        f.spatial.insert(0, pred);
+        f.use_index.insert(0, false);
+        self.inputs(Some(f))
+    }
+
     /// The operator of an operator's only input, under `node`.
     fn input(
         &mut self,
@@ -1807,14 +1832,16 @@ impl<'a> Builder<'_, 'a> {
         Ok(match op {
             Op::TableScan { slot, filter } => {
                 let table = self.table(slot)?;
+                note_filter(&node, &self.metas, filter.as_ref());
                 let filter = self.inputs(filter);
                 Box::new(TableScanExec::new(ctx, table, filter, slot, width, node))
             }
             Op::IndexScan { slot, pred, filter } => {
                 let index = self.index(slot, pred.target.1)?;
-                let access = IndexAccess::for_predicate(&pred, index, ctx.snap)?;
+                let access = IndexAccess::for_predicate(&pred, index)?;
                 note_reason(&node, reason);
-                let (table, filter) = (self.table(slot)?, self.inputs(filter));
+                note_filter(&node, &self.metas, filter.as_ref());
+                let (table, filter) = (self.table(slot)?, self.index_filter(pred, filter));
                 Box::new(IndexScanExec::new(
                     ctx, table, access, filter, slot, width, est_rows, node,
                 ))
@@ -1840,7 +1867,7 @@ impl<'a> Builder<'_, 'a> {
                 let (lt, rt) = (self.table(left)?, self.table(right)?);
                 Box::new(RowidSemiJoinExec::new(ctx, sub, left, right, lt, rt, width, node)?)
             }
-            Op::NestedLoop { pred } => {
+            Op::NestedLoop { pred, swap } => {
                 if let Some(n) = &node {
                     n.set_attr("plan_reason", reason);
                     n.set_attr("est_pairs", format!("{est_rows:.0}"));
@@ -1851,15 +1878,15 @@ impl<'a> Builder<'_, 'a> {
                 let outer_node = child_node(&node, &outer);
                 let outer = self.build(outer, outer_node)?;
                 let inner_node = child_node(&node, &inner);
-                let inner = match (&inner.op, &pred.other) {
-                    (Op::IndexProbe, SpatialOperand::Column(slot, col)) => InnerSide::Probe {
-                        table: self.table(*slot)?,
-                        index: self.index(*slot, *col)?,
+                let inner = match (&inner.op, pred.loop_sides(swap)) {
+                    (Op::IndexProbe, Some((_, (slot, col)))) => InnerSide::Probe {
+                        table: self.table(slot)?,
+                        index: self.index(slot, col)?,
                         node: inner_node,
                     },
                     _ => NestedLoopJoinExec::build(self.build(inner, inner_node)?),
                 };
-                Box::new(NestedLoopJoinExec::new(ctx, outer, pred, inner, width, node)?)
+                Box::new(NestedLoopJoinExec::new(ctx, outer, pred, swap, inner, width, node)?)
             }
             Op::Cartesian => {
                 note_reason(&node, reason);
@@ -1941,15 +1968,18 @@ impl<'a> Builder<'_, 'a> {
             op => (None, op, None, under),
         };
         let (slot, access, filter) = match leaf {
-            Op::TableScan { slot, filter } => (slot, None, filter),
+            Op::TableScan { slot, filter } => {
+                note_filter(&leaf_node, &self.metas, filter.as_ref());
+                (slot, None, self.inputs(filter))
+            }
             Op::IndexScan { slot, pred, filter } => {
                 let index = self.index(slot, pred.target.1)?;
-                (slot, Some(IndexAccess::for_predicate(&pred, index, ctx.snap)?), filter)
+                let access = IndexAccess::for_predicate(&pred, index)?;
+                note_filter(&leaf_node, &self.metas, filter.as_ref());
+                (slot, Some(access), self.index_filter(pred, filter))
             }
             _ => return Err(DbError::Plan("exchange requires a base table".into())),
         };
-        let filter = self.inputs(filter);
-        note_filter(&leaf_node, &filter);
         let inputs = filter.unwrap_or_else(|| (Arc::clone(&self.metas), Filter::default()));
         let table = self.table(slot)?;
         Ok(match (site, keys) {

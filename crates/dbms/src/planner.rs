@@ -368,8 +368,8 @@ pub(crate) enum Op {
     RowidSemiJoin { left: usize, right: usize, sub: Box<PlanInput> },
     /// Spatial nested loop: the outer side (child 0) streams, the inner
     /// (child 1) is an [`Op::IndexProbe`] or a scan to materialize.
-    /// `pred`'s target is the outer side.
-    NestedLoop { pred: SpatialPred },
+    /// `pred`'s target is the outer side unless `swap`.
+    NestedLoop { pred: SpatialPred, swap: bool },
     /// A nested loop's inner side answered by its domain index.
     IndexProbe,
     /// Cross product: child 0 streams, the rest are materialized.
@@ -662,8 +662,8 @@ fn indexed(db: &Database, metas: &[RelMeta], rel: usize, col: usize) -> Option<S
 fn nlj_cost(outer_rows: f64, inner_rows: f64, pairs: f64, probe: bool) -> f64 {
     if probe {
         // Stream the outer, one index probe per outer row, fetch+emit
-        // each resulting pair (the index refines internally; its exact
-        // tests are folded into the pair term).
+        // each resulting pair (each candidate's exact test is folded
+        // into the pair term).
         outer_rows * (C_ROW + C_PROBE) + pairs * (C_EXACT + C_FETCH + C_ROW)
     } else {
         // Materialize the inner once, then exact-test the full cross
@@ -691,11 +691,10 @@ fn choose_join(
     let (pairs, pairs_src) = join_pairs(&ests[tr], tc, &ests[or], oc);
     let share = |s: usize| scan_rows[s] / ests[s].rows.max(1.0);
 
-    // SDO_NN is asymmetric (ranks rows of its first argument) and must
-    // not be transposed; SDO_RELATE masks transpose cleanly, distance
-    // and filter predicates are symmetric.
-    let swappable =
-        jp.name != "SDO_NN" && crate::exec::transpose_spatial_extra(&jp.name, &jp.extra).is_ok();
+    // SDO_NN is asymmetric (ranks rows of its first argument); either
+    // side of any other predicate may drive, which still tests
+    // OP(target, other, extra).
+    let swappable = jp.name != "SDO_NN";
 
     // Candidates: (swap, probe, outer slot, inner slot, inner index).
     type Cand = (bool, bool, usize, usize, Option<String>);
@@ -992,14 +991,14 @@ pub(crate) fn plan_select(
     let join = match join_pred {
         Some((jp, other)) => {
             let c = choose_join(db, &metas, &ests, &scan_rows, &jp, other);
-            Some((if c.swap { transpose_pred(jp)? } else { jp }, c))
+            Some((jp, c))
         }
         None => None,
     };
     // A probed inner side is not a scan leaf: its constant predicates
     // stay in the filter stage.
-    if let Some((jp, JoinChoice { probe: true, .. })) = &join {
-        if let SpatialOperand::Column(inner, _) = jp.other {
+    if let Some((jp, JoinChoice { probe: true, swap, .. })) = &join {
+        if let Some((_, (inner, _))) = jp.loop_sides(*swap) {
             slot_scans[inner] = None;
         }
     }
@@ -1035,10 +1034,10 @@ pub(crate) fn plan_select(
             Op::RowidSemiJoin { left: l_rel, right: r_rel, sub: Box::new(input) },
         );
     } else if let Some((jp, c)) = join {
-        let (outer, _) = jp.target;
-        let SpatialOperand::Column(inner, ic) = jp.other else { unreachable!("join predicate") };
+        let ((outer, _), (inner, ic)) = jp.loop_sides(c.swap).expect("a join predicate");
         let label = format!("NESTED LOOP JOIN ({})", jp.name);
-        core = PlanNode::new(label, c.est_pairs, c.est_cost, c.reason, Op::NestedLoop { pred: jp });
+        let op = Op::NestedLoop { pred: jp, swap: c.swap };
+        core = PlanNode::new(label, c.est_pairs, c.est_cost, c.reason, op);
         core.children.push(leaf(outer));
         core.children.push(if c.probe {
             let ix = indexed(db, &metas, inner, ic).unwrap_or_default();
@@ -1092,7 +1091,7 @@ pub(crate) fn plan_select(
         let has_index = matches!(sp.other, SpatialOperand::Const(_))
             && indexed(db, &metas, sp.target.0, sp.target.1).is_some();
         // The index's rowid set pays one probe plus per-candidate exact
-        // tests inside the index; the functional path pays an exact
+        // tests; the functional path pays an exact
         // test per input row. When the window keeps most of the table,
         // the probe is overhead on top of the same exact work.
         let index_cost = C_PROBE + out * C_EXACT + rows * C_ROW;
@@ -1206,20 +1205,4 @@ pub(crate) fn plan_select(
 
     let input = PlanInput { metas: Arc::new(metas), funcs, projection: sel.projection.clone() };
     Ok(SelectPlan { root: core, input })
-}
-
-/// Transpose a column-column spatial predicate so its second relation
-/// drives the loop: `OP(a, b, extra)` becomes `OP(b, a, extra')` with
-/// asymmetric `SDO_RELATE` masks transposed.
-fn transpose_pred(jp: SpatialPred) -> Result<SpatialPred, DbError> {
-    let SpatialOperand::Column(or, oc) = jp.other else {
-        return Err(DbError::Plan("cannot transpose a constant-operand predicate".into()));
-    };
-    let extra = crate::exec::transpose_spatial_extra(&jp.name, &jp.extra)?;
-    Ok(SpatialPred {
-        name: jp.name,
-        target: (or, oc),
-        other: SpatialOperand::Column(jp.target.0, jp.target.1),
-        extra,
-    })
 }

@@ -504,3 +504,73 @@ fn sdo_join_alias_matches_spatial_join() {
         .count();
     assert_eq!(a, b);
 }
+
+/// A bad `SDO_RELATE` mask or `SDO_WITHIN_DISTANCE` distance is the
+/// statement's error whichever plan reads the rows: a table scan, an
+/// index scan, either nested-loop arm, a filter above the rowid-pair
+/// semijoin, and the scans of `UPDATE` and `DELETE`. None of them may
+/// answer it as a predicate no row passes.
+#[test]
+fn bad_spatial_argument_errors_under_every_plan() {
+    let db = session();
+    load_counties(&db, "t", 40, 3);
+    load_counties(&db, "u", 40, 4);
+    load_counties(&db, "v", 40, 5);
+    for tab in ["t", "v"] {
+        db.execute(&format!(
+            "CREATE INDEX {tab}_sidx ON {tab}(geom) INDEXTYPE IS SPATIAL_INDEX \
+             PARAMETERS ('tree_fanout=8')"
+        ))
+        .unwrap();
+    }
+    let window = "SDO_GEOMETRY('POLYGON ((-100 30, -99 30, -99 31, -100 31, -100 30))')";
+    let explain = |sql: &str| -> String {
+        let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+        plan.rows.iter().map(|r| r[0].as_text().unwrap().to_string()).collect::<Vec<_>>().join("\n")
+    };
+    for bad in
+        ["SDO_RELATE({a}, {b}, 'mask=BOGUS')", "SDO_WITHIN_DISTANCE({a}, {b}, 'distance=abc')"]
+    {
+        let op = |a: &str, b: &str| bad.replace("{a}", a).replace("{b}", b);
+        let cases = [
+            (format!("SELECT id FROM u WHERE {} = 'TRUE'", op("geom", window)), "TABLE SCAN U"),
+            (format!("SELECT id FROM t WHERE {} = 'TRUE'", op("geom", window)), "INDEX SCAN T"),
+            (
+                format!(
+                    "SELECT a.id, b.id FROM u a, u b WHERE {} = 'TRUE'",
+                    op("a.geom", "b.geom")
+                ),
+                "NESTED LOOP JOIN",
+            ),
+            (
+                format!(
+                    "SELECT a.id, b.id FROM u a, t b WHERE {} = 'TRUE'",
+                    op("a.geom", "b.geom")
+                ),
+                "INDEX PROBE",
+            ),
+            (
+                format!(
+                    "SELECT a.id, b.id FROM t a, v b WHERE (a.rowid, b.rowid) IN \
+                     (SELECT rid1, rid2 FROM TABLE(SPATIAL_JOIN('t', 'geom', 'v', 'geom', \
+                     'intersect'))) AND {} = 'TRUE'",
+                    op("a.geom", "b.geom")
+                ),
+                "ROWID-PAIR SEMIJOIN",
+            ),
+        ];
+        for (sql, plan) in cases {
+            assert!(explain(&sql).contains(plan), "{sql}\n{}", explain(&sql));
+            assert!(db.execute(&sql).is_err(), "{sql}");
+        }
+        for dml in [
+            format!("DELETE FROM u WHERE {} = 'TRUE'", op("geom", window)),
+            format!("UPDATE u SET id = 0 WHERE {} = 'TRUE'", op("geom", window)),
+            format!("DELETE FROM t WHERE {} = 'TRUE'", op("geom", window)),
+        ] {
+            assert!(db.execute(&dml).is_err(), "{dml}");
+        }
+    }
+    let n = db.execute("SELECT COUNT(*) FROM u").unwrap();
+    assert_eq!(n.rows, vec![vec![Value::Integer(40)]], "no DML went through");
+}

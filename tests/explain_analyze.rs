@@ -931,3 +931,30 @@ fn counters_snapshot_diff_tracks_txn_and_wal_activity() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The domain index is the primary filter only: an index scan fetches
+/// each candidate the index returns once, at the statement snapshot,
+/// and runs the one exact test on it. A window whose four candidates
+/// all hit costs four row fetches and four exact tests.
+#[test]
+fn index_scan_fetches_and_tests_each_candidate_once() {
+    let _morsel = morsel_rows(4096);
+    let db = Database::new();
+    sdo_core::register_spatial(&db);
+    load_grid(&db, "g4", 400);
+    db.execute("CREATE INDEX g4_sidx ON g4(geom) INDEXTYPE IS SPATIAL_INDEX").unwrap();
+    let sql = "SELECT id FROM g4 WHERE SDO_RELATE(geom, \
+               SDO_GEOMETRY('POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))'), 'ANYINTERACT') = 'TRUE'";
+    let out = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+    let text: Vec<String> = out.rows.iter().map(|r| r[0].as_text().unwrap().to_string()).collect();
+    let profile = db.last_profile().unwrap();
+    let scan = profile.root.find("INDEX SCAN G4").unwrap_or_else(|| panic!("{text:?}"));
+    assert_eq!(scan.rows, 4, "{text:?}");
+    assert_eq!(scan.metric("row_fetches"), Some(4), "{:?}", scan.metrics);
+    assert_eq!(scan.metric("exact_tests"), Some(4), "{:?}", scan.metrics);
+    assert!(
+        !scan.attrs.iter().any(|(k, _)| k == "filter"),
+        "the index predicate stays in the label: {:?}",
+        scan.attrs
+    );
+}
