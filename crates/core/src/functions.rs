@@ -162,7 +162,7 @@ fn spatial_join_factory(
     let lc = rest[1].text()?;
     let rt = rest[2].text()?;
     let rc = rest[3].text()?;
-    let exact = ExactPredicate::parse(rest[4].text()?).map_err(DbError::from)?;
+    let exact = ExactPredicate::parse(rest[4].text()?)?;
     let dop = rest.get(5).map(|a| a.integer()).transpose()?.unwrap_or(1).max(1);
     if dop > MAX_PARALLEL_DOP as i64 {
         return Err(DbError::Plan(format!(
@@ -384,7 +384,7 @@ fn subtree_pairs_factory(
             "SUBTREE_PAIRS(left_index, right_index, levels_down, interaction)".into(),
         ));
     }
-    let exact = ExactPredicate::parse(args[3].text()?).map_err(DbError::from)?;
+    let exact = ExactPredicate::parse(args[3].text()?)?;
     let levels = levels_down(args[2].integer()?);
     let mut trees = Vec::new();
     for a in &args[..2] {

@@ -3,7 +3,7 @@
 use crate::create;
 use crate::params::{IndexKindParam, SpatialIndexParams};
 use parking_lot::RwLock;
-use sdo_dbms::extensible::{DomainIndex, IndexType, OperatorCall};
+use sdo_dbms::extensible::{DomainIndex, ExactPredicate, IndexType};
 use sdo_dbms::{Database, DbError};
 use sdo_geom::{Geometry, Polygon, Rect, RelateMask};
 use sdo_quadtree::QuadtreeIndex;
@@ -67,39 +67,6 @@ impl IndexType for SpatialIndexType {
 
     fn operators(&self) -> &[&'static str] {
         &["SDO_RELATE", "SDO_WITHIN_DISTANCE", "SDO_FILTER", "SDO_NN"]
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared operator plumbing
-// ---------------------------------------------------------------------------
-
-/// Decode an operator call into its query geometry and predicate.
-/// `SDO_NN` is not one: it ranks rows, through [`DomainIndex::nearest`].
-enum DecodedOp {
-    Relate(Arc<Geometry>, Vec<RelateMask>),
-    WithinDistance(Arc<Geometry>, f64),
-    Filter(Arc<Geometry>),
-}
-
-fn decode_op(call: &OperatorCall) -> Result<DecodedOp, DbError> {
-    let q = call
-        .args
-        .first()
-        .and_then(|v| v.as_geometry())
-        .cloned()
-        .ok_or_else(|| DbError::Index(format!("{}: missing query geometry", call.name)))?;
-    match call.name.to_ascii_uppercase().as_str() {
-        "SDO_RELATE" => {
-            let mask = call.args.get(1).and_then(|v| v.as_text()).unwrap_or("ANYINTERACT");
-            Ok(DecodedOp::Relate(q, RelateMask::parse_list(mask)?))
-        }
-        "SDO_WITHIN_DISTANCE" => {
-            let d = sdo_dbms::exec::parse_distance(&call.args[1..])?;
-            Ok(DecodedOp::WithinDistance(q, d))
-        }
-        "SDO_FILTER" => Ok(DecodedOp::Filter(q)),
-        other => Err(DbError::Index(format!("unsupported operator {other}"))),
     }
 }
 
@@ -411,15 +378,15 @@ impl<S: IndexStructure> DomainIndex for SpatialIndex<S> {
         Ok(())
     }
 
-    fn evaluate(&self, call: &OperatorCall) -> Result<Vec<RowId>, DbError> {
+    fn evaluate(&self, query: &Geometry, op: &ExactPredicate) -> Result<Vec<RowId>, DbError> {
         // Candidates only: the caller fetches each one at its snapshot
         // and runs the exact test.
         let structure = self.structure.read();
-        Ok(match decode_op(call)? {
+        Ok(match op {
             // DISJOINT cannot use an intersection-based index.
-            DecodedOp::Relate(_, masks) if masks.contains(&RelateMask::Disjoint) => structure.all(),
-            DecodedOp::Relate(q, _) | DecodedOp::Filter(q) => structure.window(&q),
-            DecodedOp::WithinDistance(q, d) => structure.within(&q, d),
+            ExactPredicate::Masks(m) if m.contains(&RelateMask::Disjoint) => structure.all(),
+            ExactPredicate::Masks(_) | ExactPredicate::PrimaryOnly => structure.window(query),
+            ExactPredicate::Distance(d) => structure.within(query, *d),
         })
     }
 

@@ -30,7 +30,7 @@
 //! the profile are one code path.
 
 use parking_lot::RwLock;
-use sdo_geom::{PreparedGeometry, RelateMask};
+use sdo_geom::PreparedGeometry;
 use sdo_obs::ProfileNode;
 use sdo_rtree::join::{estimate_pair_work, split_pair, subtree_pair_tasks, CandidatePair};
 use sdo_rtree::{JoinCursor, JoinPredicate, KernelStats, NodeId, RTree};
@@ -67,50 +67,13 @@ impl JoinPhases {
     }
 }
 
-/// The exact predicate applied by the secondary filter.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExactPredicate {
-    /// `SDO_RELATE`-style mask union.
-    Masks(Vec<RelateMask>),
-    /// Within-distance join.
-    Distance(f64),
-    /// Primary filter only: emit every MBR candidate (mask `FILTER`).
-    PrimaryOnly,
-}
+pub use sdo_dbms::extensible::ExactPredicate;
 
-impl ExactPredicate {
-    /// Parse the paper's interaction argument: `'intersect'`,
-    /// `'mask=...'` masks, or `'distance=d'`.
-    pub fn parse(s: &str) -> Result<ExactPredicate, TfError> {
-        let t = s.trim();
-        if t.eq_ignore_ascii_case("filter") {
-            return Ok(ExactPredicate::PrimaryOnly);
-        }
-        // Prefix match is case-insensitive, like Oracle keyword syntax
-        // ('Distance=2.5' must not fall through to mask parsing).
-        let dist_prefix = "distance=".len();
-        if t.len() >= dist_prefix
-            && t.is_char_boundary(dist_prefix)
-            && t[..dist_prefix].eq_ignore_ascii_case("distance=")
-        {
-            let d = &t[dist_prefix..];
-            return d
-                .trim()
-                .parse()
-                .map(ExactPredicate::Distance)
-                .map_err(|_| TfError::Execution(format!("bad distance '{d}'")));
-        }
-        RelateMask::parse_list(t)
-            .map(ExactPredicate::Masks)
-            .map_err(|e| TfError::Execution(e.to_string()))
-    }
-
-    /// The MBR-level predicate implied by this exact predicate.
-    pub fn join_predicate(&self) -> JoinPredicate {
-        match self {
-            ExactPredicate::Distance(d) => JoinPredicate::WithinDistance(*d),
-            _ => JoinPredicate::Intersects,
-        }
+/// The MBR-level predicate of the join's primary filter for `exact`.
+pub(crate) fn join_predicate(exact: &ExactPredicate) -> JoinPredicate {
+    match exact {
+        ExactPredicate::Distance(d) => JoinPredicate::WithinDistance(*d),
+        _ => JoinPredicate::Intersects,
     }
 }
 
@@ -252,13 +215,7 @@ impl SecondaryFilter {
                 continue;
             }
             let indexed = (lg.has_index(), rg.has_index());
-            let keep = match &self.exact {
-                ExactPredicate::Masks(masks) => lg.relate_any(rg, masks),
-                ExactPredicate::Distance(d) => lg.within_distance(rg, *d),
-                // Index entries: a visible, current pair is all the
-                // primary filter asks.
-                ExactPredicate::PrimaryOnly => true,
-            };
+            let keep = self.exact.test_prepared(lg, rg);
             tests += u64::from(!matches!(self.exact, ExactPredicate::PrimaryOnly));
             self.shapes_built += u64::from(!indexed.0 && lg.has_index());
             self.shapes_built += u64::from(!indexed.1 && rg.has_index());
@@ -589,7 +546,7 @@ impl SpatialJoin {
         let source = TreePairs {
             left: left.tree,
             right: right.tree,
-            pred: exact.join_predicate(),
+            pred: join_predicate(&exact),
             stack: Vec::new(),
             carry: VecDeque::new(),
         };
@@ -605,16 +562,14 @@ impl SpatialJoin {
         exact: &ExactPredicate,
         levels_down: u32,
     ) -> Vec<(NodeId, NodeId)> {
-        subtree_pair_tasks(left, right, exact.join_predicate(), levels_down)
+        subtree_pair_tasks(left, right, join_predicate(exact), levels_down)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdo_geom::Geometry;
-    use sdo_geom::Polygon;
-    use sdo_geom::Rect;
+    use sdo_geom::{Geometry, Polygon, Rect, RelateMask};
     use sdo_rtree::RTreeParams;
     use sdo_storage::{DataType, Schema};
     use sdo_tablefunc::collect_all;
@@ -640,12 +595,7 @@ mod tests {
         let mut out = Vec::new();
         for (i, ga) in a.iter().enumerate() {
             for (j, gb) in b.iter().enumerate() {
-                let keep = match exact {
-                    ExactPredicate::Masks(m) => sdo_geom::relate::relate_any(ga, gb, m),
-                    ExactPredicate::Distance(d) => sdo_geom::within_distance(ga, gb, *d),
-                    ExactPredicate::PrimaryOnly => ga.bbox().intersects(&gb.bbox()),
-                };
-                if keep {
+                if exact.test(ga, gb) {
                     out.push((i as u64, j as u64));
                 }
             }
@@ -923,7 +873,7 @@ mod tests {
         assert!(ExactPredicate::parse("distance=abc").is_err());
         assert!(ExactPredicate::parse("nonsense").is_err());
         assert_eq!(
-            ExactPredicate::Distance(1.0).join_predicate(),
+            join_predicate(&ExactPredicate::Distance(1.0)),
             JoinPredicate::WithinDistance(1.0)
         );
     }

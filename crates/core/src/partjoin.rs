@@ -61,7 +61,7 @@
 //! `start`/`fetch`/`close` protocol, so `LIMIT` pushdown and memory
 //! accounting work unchanged.
 
-use crate::join::{CandidateSource, ExactPredicate, JoinSlave, SpatialJoinConfig};
+use crate::join::{join_predicate, CandidateSource, ExactPredicate, JoinSlave, SpatialJoinConfig};
 use parking_lot::RwLock;
 use sdo_geom::Rect;
 use sdo_rtree::join::{match_pairs, CandidatePair};
@@ -340,9 +340,9 @@ impl PartitionState {
         let ls = SpatialSample::collect(&left_table.read(), left_column, SAMPLE_SIZE);
         let rs = SpatialSample::collect(&right_table.read(), right_column, SAMPLE_SIZE);
         let grid = GridSpec::from_samples(&ls, &rs, dop);
-        let expand = match exact.join_predicate() {
-            JoinPredicate::WithinDistance(d) => d.max(0.0),
-            JoinPredicate::Intersects => 0.0,
+        let expand = match exact {
+            ExactPredicate::Distance(d) => d.max(0.0),
+            _ => 0.0,
         };
         let left = partition_side(&left_table.read(), left_column, &grid, expand, snap);
         let right = partition_side(&right_table.read(), right_column, &grid, 0.0, snap);
@@ -478,7 +478,7 @@ impl PartitionJoin {
         let (queue, inputs, exact) =
             (Arc::clone(&state.queue), state.inputs.clone(), state.exact.clone());
         let source = TileJoin {
-            pred: exact.join_predicate(),
+            pred: join_predicate(&exact),
             state,
             soa_left: SoaMbrs::new(),
             soa_right: SoaMbrs::new(),
@@ -560,7 +560,7 @@ mod tests {
         let configs = [1usize, 3, 7, 4096]
             .map(|candidate_array| SpatialJoinConfig { candidate_array, ..Default::default() });
         for exact in [ExactPredicate::PrimaryOnly, ExactPredicate::Distance(3.0)] {
-            let want = brute(&ra, &rb, exact.join_predicate());
+            let want = brute(&ra, &rb, join_predicate(&exact));
             for dop in [1usize, 3] {
                 for cfg in &configs {
                     let (mut got, _) = run_join(&ta, &tb, exact.clone(), dop, cfg.clone());

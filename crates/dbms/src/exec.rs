@@ -13,11 +13,12 @@
 
 use crate::db::{Database, QueryResult};
 use crate::error::DbError;
+use crate::extensible::ExactPredicate;
 use crate::operators::{self, ExecCtx};
 use crate::session::SessionState;
 use crate::sql::ast::*;
 use parking_lot::RwLock;
-use sdo_geom::{Geometry, RelateMask};
+use sdo_geom::Geometry;
 use sdo_obs::ProfileSession;
 use sdo_storage::{ColumnDef, CountersSnapshot, RowId, Schema, Table, Value};
 use sdo_tablefunc::Row;
@@ -364,15 +365,67 @@ fn run_select_top(
 // Spatial predicate classification
 // ---------------------------------------------------------------------------
 
+/// `OP(target, other, …) = 'TRUE'` over a spatial operator, its
+/// arguments compiled once per statement.
 pub(crate) struct SpatialPred {
-    /// Operator name, uppercased.
-    pub(crate) name: String,
+    pub(crate) op: SpatialOp,
     /// `(relation index, column index)` of the target geometry column.
     pub(crate) target: (usize, usize),
     /// Second argument: another column (join) or a constant geometry.
     pub(crate) other: SpatialOperand,
-    /// Remaining evaluated arguments (mask / distance).
-    pub(crate) extra: Vec<Value>,
+}
+
+/// What a spatial operator asks of its target rows.
+pub(crate) enum SpatialOp {
+    /// A pairwise test: `SDO_RELATE`, `SDO_WITHIN_DISTANCE`,
+    /// `SDO_FILTER`.
+    Exact(ExactPredicate),
+    /// `SDO_NN`'s result count: the `k` rows nearest the operand, a
+    /// ranking with no per-row form.
+    Nearest(usize),
+}
+
+impl SpatialOp {
+    /// Compile spatial operator `name`'s arguments after its two
+    /// geometries; `Ok(None)` when `name` is a scalar function.
+    pub(crate) fn compile(name: &str, args: &[Expr]) -> Result<Option<SpatialOp>, DbError> {
+        let values = || args.iter().map(eval_const).collect::<Result<Vec<_>, _>>();
+        Ok(Some(match name.to_ascii_uppercase().as_str() {
+            "SDO_NN" => SpatialOp::Nearest(num_res(values()?.first())?),
+            op @ ("SDO_RELATE" | "SDO_WITHIN_DISTANCE" | "SDO_FILTER") => {
+                SpatialOp::Exact(ExactPredicate::from_operator(op, &values()?)?)
+            }
+            _ => return Ok(None),
+        }))
+    }
+
+    /// The pairwise test, which `SDO_NN` does not have.
+    pub(crate) fn into_exact(self) -> Result<ExactPredicate, DbError> {
+        match self {
+            SpatialOp::Exact(p) => Ok(p),
+            SpatialOp::Nearest(_) => Err(DbError::Plan(
+                "SDO_NN ranks rows and cannot be evaluated pairwise; \
+                 use it as a single-table predicate = 'TRUE'"
+                    .into(),
+            )),
+        }
+    }
+}
+
+/// `SDO_NN`'s result count: a bare integer or Oracle's
+/// `'sdo_num_res=k'` parameter string (default 1).
+fn num_res(arg: Option<&Value>) -> Result<usize, DbError> {
+    use crate::extensible::{param, parse_params};
+    let k = match arg.map(|v| (v.as_integer(), v.as_text().map(parse_params))) {
+        None => 1,
+        Some((Some(k), _)) => k,
+        Some((None, p)) => {
+            let k = p.as_deref().and_then(|p| param(p, "sdo_num_res")).unwrap_or_default();
+            k.parse().map_err(|_| DbError::Plan(format!("bad sdo_num_res '{k}'")))?
+        }
+    };
+    let k = usize::try_from(k).ok().filter(|&k| k >= 1);
+    k.ok_or_else(|| DbError::Plan("SDO_NN result count must be >= 1".into()))
 }
 
 pub(crate) enum SpatialOperand {
@@ -381,6 +434,14 @@ pub(crate) enum SpatialOperand {
 }
 
 impl SpatialPred {
+    /// The operator's name, as `EXPLAIN` shows it.
+    pub(crate) fn name(&self) -> &'static str {
+        match &self.op {
+            SpatialOp::Exact(p) => p.operator(),
+            SpatialOp::Nearest(_) => "SDO_NN",
+        }
+    }
+
     pub(crate) fn is_join(&self) -> bool {
         matches!(self.other, SpatialOperand::Column(..))
     }
@@ -394,6 +455,9 @@ impl SpatialPred {
     }
 }
 
+/// Classify `name(args…) = 'TRUE'`, `name` a registered operator: its
+/// arguments compiled (a bad one is the statement's error), its column
+/// and operand resolved.
 pub(crate) fn classify_spatial(
     metas: &[RelMeta],
     name: &str,
@@ -402,6 +466,8 @@ pub(crate) fn classify_spatial(
     if args.len() < 2 {
         return Err(DbError::Plan(format!("{name} needs at least 2 arguments")));
     }
+    let op = SpatialOp::compile(name, &args[2..])?
+        .ok_or_else(|| DbError::Plan(format!("{name} is not a spatial operator")))?;
     let target = match &args[0] {
         Expr::Column(cr) => resolve_column_meta(metas, cr)?,
         _ => return Err(DbError::Plan(format!("{name}: first argument must be a column"))),
@@ -416,11 +482,11 @@ pub(crate) fn classify_spatial(
             let g = v.as_geometry().cloned().ok_or_else(|| {
                 DbError::Plan(format!("{name}: second argument must be a geometry"))
             })?;
-            SpatialOperand::Const(g)
+            return Ok(SpatialPred { op, target, other: SpatialOperand::Const(g) });
         }
     };
-    let extra = args[2..].iter().map(eval_const).collect::<Result<Vec<_>, _>>()?;
-    Ok(SpatialPred { name: name.to_ascii_uppercase(), target, other, extra })
+    // A join tests pairs.
+    Ok(SpatialPred { op: SpatialOp::Exact(op.into_exact()?), target, other })
 }
 
 // ---------------------------------------------------------------------------
@@ -506,75 +572,6 @@ pub fn apply_scalar_fn(name: &str, vals: &[Value]) -> Result<Value, DbError> {
         }),
         other => Err(DbError::Plan(format!("unknown function {other}"))),
     }
-}
-
-/// The operators [`eval_spatial_fn`] evaluates; every other `SDO_*`
-/// call is a scalar function.
-const SPATIAL_OPERATORS: [&str; 4] = ["SDO_RELATE", "SDO_WITHIN_DISTANCE", "SDO_FILTER", "SDO_NN"];
-
-/// Evaluate the exact (functional) form of a spatial operator.
-pub fn eval_spatial_fn(
-    name: &str,
-    a: &Geometry,
-    b: &Geometry,
-    extra: &[Value],
-) -> Result<bool, DbError> {
-    match name.to_ascii_uppercase().as_str() {
-        "SDO_RELATE" => {
-            let mask = extra.first().and_then(|v| v.as_text()).unwrap_or("ANYINTERACT");
-            let masks = RelateMask::parse_list(mask)?;
-            Ok(sdo_geom::relate::relate_any(a, b, &masks))
-        }
-        "SDO_WITHIN_DISTANCE" => {
-            let d = parse_distance(extra)?;
-            Ok(sdo_geom::within_distance(a, b, d))
-        }
-        "SDO_FILTER" => Ok(a.bbox().intersects(&b.bbox())),
-        "SDO_NN" => Err(DbError::Plan(
-            "SDO_NN ranks rows and cannot be evaluated pairwise; \
-             use it as a single-table predicate"
-                .into(),
-        )),
-        other => Err(DbError::Plan(format!("unknown spatial operator {other}"))),
-    }
-}
-
-/// Accept both `SDO_WITHIN_DISTANCE(a, b, 0.5)` and Oracle's
-/// `SDO_WITHIN_DISTANCE(a, b, 'distance=0.5')`.
-pub fn parse_distance(extra: &[Value]) -> Result<f64, DbError> {
-    let v = extra
-        .first()
-        .ok_or_else(|| DbError::Plan("SDO_WITHIN_DISTANCE needs a distance".into()))?;
-    if let Some(d) = v.as_double() {
-        return Ok(d);
-    }
-    if let Some(s) = v.as_text() {
-        let params = crate::extensible::parse_params(s);
-        if let Some(d) = crate::extensible::param(&params, "distance") {
-            return d.parse().map_err(|_| DbError::Plan(format!("bad distance '{d}'")));
-        }
-    }
-    Err(DbError::Plan("SDO_WITHIN_DISTANCE needs a numeric distance".into()))
-}
-
-/// Parse `SDO_NN`'s result-count argument: a bare integer or Oracle's
-/// `'sdo_num_res=k'` parameter string (default 1).
-pub fn parse_num_res(extra: &[Value]) -> Result<usize, DbError> {
-    let Some(v) = extra.first() else { return Ok(1) };
-    let k = if let Some(k) = v.as_integer() {
-        k
-    } else if let Some(k) = v.as_text().and_then(|s| {
-        crate::extensible::param(&crate::extensible::parse_params(s), "sdo_num_res")
-            .map(str::to_string)
-    }) {
-        k.parse::<i64>().map_err(|_| DbError::Index(format!("bad sdo_num_res '{k}'")))?
-    } else {
-        return Err(DbError::Index("SDO_NN needs a result count (k or 'sdo_num_res=k')".into()));
-    };
-    if k < 1 {
-        return Err(DbError::Index("SDO_NN result count must be >= 1".into()));
-    }
-    Ok(k as usize)
 }
 
 pub(crate) fn resolve_column_meta(
@@ -741,10 +738,10 @@ fn unbound_param(ordinal: usize) -> DbError {
 pub(crate) enum Cond {
     /// `left <op> right` under SQL's NULL rule: a NULL operand fails.
     Compare { left: Scalar, op: CmpOp, right: Scalar },
-    /// `OP(a, b, extra…) <op> want`: a spatial operator's exact form
+    /// `OP(a, b, …) <op> want`: a spatial operator's exact test
     /// compared with `'TRUE'`/`'FALSE'` (a residual after a join, or
     /// an operator the index path does not take).
-    Spatial { name: String, a: Scalar, b: Scalar, extra: Vec<Value>, op: CmpOp, want: Scalar },
+    Spatial { pred: ExactPredicate, a: Scalar, b: Scalar, op: CmpOp, want: Scalar },
 }
 
 impl Cond {
@@ -755,15 +752,16 @@ impl Cond {
             ));
         };
         if let Expr::FnCall { name, args } = left {
-            if SPATIAL_OPERATORS.iter().any(|o| o.eq_ignore_ascii_case(name)) && args.len() >= 2 {
-                return Ok(Cond::Spatial {
-                    name: name.clone(),
-                    a: Scalar::compile(metas, &args[0])?,
-                    b: Scalar::compile(metas, &args[1])?,
-                    extra: args[2..].iter().map(eval_const).collect::<Result<_, _>>()?,
-                    op: *op,
-                    want: Scalar::compile(metas, right)?,
-                });
+            if let [a, b, args @ ..] = args.as_slice() {
+                if let Some(spatial) = SpatialOp::compile(name, args)? {
+                    return Ok(Cond::Spatial {
+                        pred: spatial.into_exact()?,
+                        a: Scalar::compile(metas, a)?,
+                        b: Scalar::compile(metas, b)?,
+                        op: *op,
+                        want: Scalar::compile(metas, right)?,
+                    });
+                }
             }
         }
         Ok(Cond::Compare {
@@ -790,15 +788,15 @@ impl Cond {
                 };
                 Ok(!l.is_null() && !r.is_null() && op.eval(l.sql_cmp(&r)))
             }
-            Cond::Spatial { name, a, b, extra, op, want } => {
+            Cond::Spatial { pred, a, b, op, want } => {
                 let (a, b) = (a.eval(row)?, b.eval(row)?);
                 if a.is_null() || b.is_null() {
                     return Ok(false);
                 }
                 let (Some(ga), Some(gb)) = (a.as_geometry(), b.as_geometry()) else {
-                    return Err(DbError::Plan(format!("{name} needs two geometries")));
+                    return Err(DbError::Plan(format!("{} needs two geometries", pred.operator())));
                 };
-                let result = eval_spatial_fn(name, ga, gb, extra)?;
+                let result = pred.test(ga, gb);
                 Ok(match want.eval(row)?.as_text() {
                     Some("TRUE") => result == (*op == CmpOp::Eq),
                     Some("FALSE") => result != (*op == CmpOp::Eq),

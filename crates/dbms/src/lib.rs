@@ -37,6 +37,6 @@ pub mod sql;
 
 pub use db::{Database, Durability, QueryResult, SessionOptions, TfArg, Txn};
 pub use error::DbError;
-pub use extensible::{DomainIndex, IndexType, OperatorCall};
+pub use extensible::{DomainIndex, ExactPredicate, IndexType};
 pub use parallel::set_morsel_rows;
 pub use session::Session;

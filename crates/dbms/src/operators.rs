@@ -44,10 +44,10 @@
 use crate::db::{Database, IndexHandle, QueryResult};
 use crate::error::DbError;
 use crate::exec::{
-    cmp_sort_values, eval_spatial_fn, projection_columns, sort_values, Columns, Cond, HeapRow,
-    Projection, RelMeta, RelRow, SortKey, SpatialOperand, SpatialPred,
+    cmp_sort_values, projection_columns, sort_values, Columns, Cond, HeapRow, Projection, RelMeta,
+    RelRow, SortKey, SpatialOp, SpatialOperand, SpatialPred,
 };
-use crate::extensible::OperatorCall;
+use crate::extensible::ExactPredicate;
 use crate::planner::{
     plan_select, Binding, BoundFunction, ExchangeSite, Filter, Op, PlanEnv, PlanInput, PlanNode,
     SelectPlan,
@@ -439,7 +439,7 @@ pub(crate) fn filter_text<'p>(
 ) -> String {
     let spatial = spatial.iter().map(|p| {
         let (r, c) = p.target;
-        format!("{}({}.{}, …)", p.name, metas[r].binding, metas[r].columns[c])
+        format!("{}({}.{}, …)", p.name(), metas[r].binding, metas[r].columns[c])
     });
     let residual = residual.into_iter().map(|p| match p {
         Predicate::Compare { left, op, right } => {
@@ -642,19 +642,11 @@ impl FilterEval {
                 costly.push(c);
             }
         }
-        let keep = build_prefilters(db, &metas, &spatial, &use_index, snap)?;
-        let (mut keep_sets, mut functional) = (Vec::new(), Vec::new());
-        for (p, k) in spatial.into_iter().zip(keep) {
-            // An index keep-set holds candidates: the exact test still
-            // runs on the rows it keeps. An SDO_NN ranking is exact.
-            let ranked = k.is_some() && p.name == "SDO_NN";
-            keep_sets.extend(k);
-            if !ranked {
-                functional.push(p);
-            }
-        }
+        // An index keep-set holds candidates: the exact test still runs
+        // on the rows it keeps.
+        let keep_sets = build_prefilters(db, &metas, &spatial, &use_index, snap)?;
         let counters = Arc::clone(db.counters());
-        Ok(FilterEval { plain, keep_sets, spatial: functional, costly, counters })
+        Ok(FilterEval { plain, keep_sets, spatial, costly, counters })
     }
 
     /// An evaluator every row passes.
@@ -687,6 +679,8 @@ impl FilterEval {
     /// residuals that call functions.
     pub(crate) fn post_passes<R: Columns + ?Sized>(&self, row: &R) -> Result<bool, DbError> {
         for p in &self.spatial {
+            // An SDO_NN ranking is exact: its keep-set is its test.
+            let SpatialOp::Exact(pred) = &p.op else { continue };
             let (ri, ci) = p.target;
             let Some(a) = row.column(ri, ci).and_then(|v| v.as_geometry()) else {
                 return Ok(false);
@@ -697,11 +691,9 @@ impl FilterEval {
                 }
                 SpatialOperand::Const(qg) => Some(qg),
             };
-            // A bad mask or distance is the statement's error, as it is
-            // through an index scan, not a row that fails.
             let Some(b) = b else { return Ok(false) };
             Counters::bump(&self.counters.exact_tests);
-            if !eval_spatial_fn(&p.name, a, b, &p.extra)? {
+            if !pred.test(a, b) {
                 return Ok(false);
             }
         }
@@ -744,54 +736,41 @@ impl LazyFilter {
     }
 }
 
-/// Resolve each spatial predicate to its open-time pre-pass: the rowid
-/// keep-set `(relation, rowids)` of a domain index's candidates when
-/// the plan chose it (or of an SDO_NN ranking), else `None`. Only
-/// predicates no index scan consumed get here.
+/// The open-time pre-passes of the spatial predicates no index scan
+/// consumed: the rowid keep-set `(relation, rowids)` of a domain
+/// index's candidates where the plan chose it, and of every SDO_NN
+/// ranking.
 fn build_prefilters(
     db: &Database,
     metas: &[RelMeta],
     spatial: &[SpatialPred],
     use_index: &[bool],
     snap: Snapshot,
-) -> Result<Vec<Option<KeepSet>>, DbError> {
-    let mut out = Vec::with_capacity(spatial.len());
-    for (pi, p) in spatial.iter().enumerate() {
-        let SpatialOperand::Const(qg) = &p.other else {
-            out.push(None);
-            continue;
-        };
+) -> Result<Vec<KeepSet>, DbError> {
+    let mut out = Vec::new();
+    for (p, &use_index) in spatial.iter().zip(use_index) {
+        let SpatialOperand::Const(qg) = &p.other else { continue };
         let (ri, ci) = p.target;
         let m = &metas[ri];
         let index = m.table_name.as_deref().and_then(|t| db.index_on(t, &m.columns[ci]));
-        if p.name.eq_ignore_ascii_case("SDO_NN") {
+        match (&p.op, index) {
             // SDO_NN has no per-row form: rank the relation, through
             // its index when it has one.
-            let table = m.table.clone().ok_or_else(|| {
-                DbError::Plan("SDO_NN needs a base table or a domain index".into())
-            })?;
-            let k = crate::exec::parse_num_res(&p.extra)?;
-            let (ranked, _) =
-                rank_nearest(index.map(|(_, i)| i).as_ref(), &table, ci, qg, k, snap)?;
-            out.push(Some((ri, ranked.into_iter().map(|(_, r)| r).collect())));
-            continue;
-        }
-        match index.filter(|_| use_index[pi]) {
-            Some((_, inst)) => {
-                let call = operator_call(p, qg);
-                out.push(Some((ri, inst.read().evaluate(&call)?.into_iter().collect())));
+            (SpatialOp::Nearest(k), index) => {
+                let table = m.table.clone().ok_or_else(|| {
+                    DbError::Plan("SDO_NN needs a base table or a domain index".into())
+                })?;
+                let (ranked, _) =
+                    rank_nearest(index.map(|(_, i)| i).as_ref(), &table, ci, qg, *k, snap)?;
+                out.push((ri, ranked.into_iter().map(|(_, r)| r).collect()));
             }
-            None => out.push(None),
+            (SpatialOp::Exact(pred), Some((_, inst))) if use_index => {
+                out.push((ri, inst.read().evaluate(qg, pred)?.into_iter().collect()));
+            }
+            _ => {}
         }
     }
     Ok(out)
-}
-
-/// The domain-index call for a spatial predicate `OP(col, qg, extra…)`.
-fn operator_call(p: &SpatialPred, qg: &Arc<Geometry>) -> OperatorCall {
-    let mut args = vec![Value::Geometry(Arc::clone(qg))];
-    args.extend(p.extra.iter().cloned());
-    OperatorCall { name: p.name.clone(), args }
 }
 
 /// `(distance, rowid)` pairs, ascending.
@@ -837,7 +816,7 @@ pub(crate) enum IndexAccess {
     /// A constant operator's candidates from the domain index, fetched
     /// once each in rowid order (a table scan's order) and decided by
     /// the predicate the scan's filter carries.
-    Operator { index: IndexHandle, call: OperatorCall },
+    Operator { index: IndexHandle, query: Arc<Geometry>, pred: ExactPredicate },
     /// The `k` rows nearest to `query` in column `col`: in
     /// `(distance, rowid)` order when `ranked` (the ORDER BY pushdown),
     /// else in rowid order (`WHERE SDO_NN(…) = 'TRUE'`).
@@ -850,11 +829,12 @@ impl IndexAccess {
         let SpatialOperand::Const(qg) = &p.other else {
             return Err(DbError::Plan("an index scan needs a constant operand".into()));
         };
-        Ok(if p.name.eq_ignore_ascii_case("SDO_NN") {
-            let k = crate::exec::parse_num_res(&p.extra)?;
-            IndexAccess::Nearest { index, query: Arc::clone(qg), k, col: p.target.1, ranked: false }
-        } else {
-            IndexAccess::Operator { index, call: operator_call(p, qg) }
+        let query = Arc::clone(qg);
+        Ok(match &p.op {
+            SpatialOp::Nearest(k) => {
+                IndexAccess::Nearest { index, query, k: *k, col: p.target.1, ranked: false }
+            }
+            SpatialOp::Exact(pred) => IndexAccess::Operator { index, query, pred: pred.clone() },
         })
     }
 
@@ -866,8 +846,8 @@ impl IndexAccess {
         snap: Snapshot,
     ) -> Result<(Vec<RowId>, Option<&'static str>), DbError> {
         match self {
-            IndexAccess::Operator { index, call } => {
-                let mut rids = index.read().evaluate(&call)?;
+            IndexAccess::Operator { index, query, pred } => {
+                let mut rids = index.read().evaluate(&query, &pred)?;
                 // Candidates may come unsorted and repeat a rowid.
                 rids.sort_unstable();
                 rids.dedup();
@@ -1244,9 +1224,9 @@ pub(crate) enum InnerSide<'a> {
 pub(crate) struct NestedLoopJoinExec<'a> {
     db: &'a Database,
     outer: Box<dyn BatchOp + 'a>,
-    /// `OP(target, other, extra)`; the outer side is `other`'s when
-    /// `swap`.
-    pred: SpatialPred,
+    /// `OP(target, other, …)`'s test; the outer side is `other`'s
+    /// when `swap`.
+    exact: ExactPredicate,
     swap: bool,
     outer_rel: usize,
     outer_col: usize,
@@ -1282,7 +1262,7 @@ impl<'a> NestedLoopJoinExec<'a> {
         Ok(NestedLoopJoinExec {
             db: ctx.db,
             outer,
-            pred,
+            exact: pred.op.into_exact()?,
             swap,
             outer_rel,
             outer_col,
@@ -1334,10 +1314,10 @@ impl<'a> NestedLoopJoinExec<'a> {
 
     /// The predicate on the outer row's geometry `g` and an inner row's
     /// `ig`, in the SQL's argument order, counted as an exact test.
-    fn passes(&self, g: &Geometry, ig: &Geometry) -> Result<bool, DbError> {
+    fn passes(&self, g: &Geometry, ig: &Geometry) -> bool {
         Counters::bump(&self.db.counters().exact_tests);
         let (a, b) = if self.swap { (ig, g) } else { (g, ig) };
-        eval_spatial_fn(&self.pred.name, a, b, &self.pred.extra)
+        self.exact.test(a, b)
     }
 
     fn join_outer_row(&mut self, jr: &[RelRow]) -> Result<(), DbError> {
@@ -1354,7 +1334,7 @@ impl<'a> NestedLoopJoinExec<'a> {
                 // statement snapshot (the visibility filter: the index
                 // may hold entries for versions it cannot see) and
                 // tested in the SQL's argument order, like the build arm.
-                let mut rids = index.read().evaluate(&operator_call(&self.pred, &g))?;
+                let mut rids = index.read().evaluate(&g, &self.exact)?;
                 rids.sort_unstable();
                 rids.dedup();
                 let mut rows = Vec::with_capacity(rids.len());
@@ -1365,7 +1345,7 @@ impl<'a> NestedLoopJoinExec<'a> {
                     let Some(ig) = ivals.get(self.inner_col).and_then(|v| v.as_geometry()) else {
                         continue;
                     };
-                    if !self.passes(&g, ig)? {
+                    if !self.passes(&g, ig) {
                         continue;
                     }
                     let mut out = empty_joined(self.width);
@@ -1380,7 +1360,7 @@ impl<'a> NestedLoopJoinExec<'a> {
                     let Some(ig) = ivals.get(self.inner_col).and_then(|v| v.as_geometry()) else {
                         continue;
                     };
-                    if self.passes(&g, ig)? {
+                    if self.passes(&g, ig) {
                         let mut out = empty_joined(self.width);
                         out[self.outer_rel] = orow.clone();
                         out[self.inner_rel] = RelRow { rid: *irid, values: ivals.clone() };
@@ -1789,7 +1769,7 @@ impl<'a> Builder<'_, 'a> {
     /// for the candidates the index returns, then `filter`. An SDO_NN
     /// ranking is exact and adds no test.
     fn index_filter(&self, pred: SpatialPred, filter: Option<Filter>) -> Option<FilterInputs> {
-        if pred.name == "SDO_NN" {
+        if let SpatialOp::Nearest(_) = pred.op {
             return self.inputs(filter);
         }
         let mut f = filter.unwrap_or_default();

@@ -36,8 +36,10 @@
 use crate::db::{Database, TfArg};
 use crate::error::DbError;
 use crate::exec::{
-    classify_spatial, eval_const, resolve_column_meta, RelMeta, SpatialOperand, SpatialPred,
+    classify_spatial, eval_const, resolve_column_meta, Cond, RelMeta, SpatialOp, SpatialOperand,
+    SpatialPred,
 };
+use crate::extensible::ExactPredicate;
 use crate::operators::ExecCtx;
 use crate::sql::ast::{
     CmpOp, ColumnRef, Expr, FromItem, OrderKey, Predicate, Select, SelectItem, TfArgAst,
@@ -558,15 +560,13 @@ fn filter_rows(est: &RelEstimate, pred: &SpatialPred) -> (f64, &'static str) {
     };
     let (_, ci) = pred.target;
     let rows_u = est.rows.max(0.0) as u64;
-    if pred.name == "SDO_NN" {
-        let k = crate::exec::parse_num_res(&pred.extra).unwrap_or(1) as f64;
-        return (k.min(est.rows), "k of SDO_NN");
+    if let SpatialOp::Nearest(k) = pred.op {
+        return ((k as f64).min(est.rows), "k of SDO_NN");
     }
     if let Some(h) = est.histogram(ci) {
         let window = qg.bbox();
-        let out = match pred.name.as_str() {
-            "SDO_WITHIN_DISTANCE" => {
-                let d = crate::exec::parse_distance(&pred.extra).unwrap_or(0.0);
+        let out = match pred.op {
+            SpatialOp::Exact(ExactPredicate::Distance(d)) => {
                 h.estimate_within_distance(&window, d, rows_u)
             }
             // SDO_FILTER is exactly the MBR test the histogram models;
@@ -640,6 +640,12 @@ fn classify_conjuncts<'a>(
                     Err(e) => return Err(e),
                 }
             }
+            // Compiled now only to check it: a spatial operator's bad
+            // argument fails the statement whichever plan runs it.
+            Predicate::Compare { left: Expr::FnCall { .. }, .. } if bound => {
+                Cond::compile(metas, p)?;
+                out.residual.push(p.clone());
+            }
             _ => out.residual.push(p.clone()),
         }
     }
@@ -691,11 +697,7 @@ fn choose_join(
     let (pairs, pairs_src) = join_pairs(&ests[tr], tc, &ests[or], oc);
     let share = |s: usize| scan_rows[s] / ests[s].rows.max(1.0);
 
-    // SDO_NN is asymmetric (ranks rows of its first argument); either
-    // side of any other predicate may drive, which still tests
-    // OP(target, other, extra).
-    let swappable = jp.name != "SDO_NN";
-
+    // Either side may drive; the loop still tests OP(target, other, …).
     // Candidates: (swap, probe, outer slot, inner slot, inner index).
     type Cand = (bool, bool, usize, usize, Option<String>);
     let mut cands: Vec<Cand> = Vec::new();
@@ -705,12 +707,10 @@ fn choose_join(
         cands.push((false, true, tr, or, Some(ix.clone())));
     }
     cands.push((false, false, tr, or, None));
-    if swappable {
-        if let Some(ix) = &t_idx {
-            cands.push((true, true, or, tr, Some(ix.clone())));
-        }
-        cands.push((true, false, or, tr, None));
+    if let Some(ix) = &t_idx {
+        cands.push((true, true, or, tr, Some(ix.clone())));
     }
+    cands.push((true, false, or, tr, None));
 
     // (cost, pairs out of the join) per candidate.
     let price = |c: &Cand| -> (f64, f64) {
@@ -784,7 +784,7 @@ fn choose_index_scan(
         let cost = C_PROBE + out * (C_EXACT + C_FETCH);
         // SDO_NN has no per-row form: without the index it ranks the
         // whole table anyway, so its index always drives.
-        if (cost >= scan_cost && sp.name != "SDO_NN")
+        if (cost >= scan_cost && matches!(sp.op, SpatialOp::Exact(_)))
             || best.as_ref().is_some_and(|b| b.est_rows <= out)
         {
             continue;
@@ -792,7 +792,7 @@ fn choose_index_scan(
         best = Some(IndexScanChoice {
             slot,
             pred: pi,
-            label: format!("INDEX SCAN {table} ({} via {})", sp.name, imeta.index_name),
+            label: format!("INDEX SCAN {table} ({} via {})", sp.name(), imeta.index_name),
             est_rows: out,
             est_cost: cost,
             reason: format!(
@@ -1035,7 +1035,7 @@ pub(crate) fn plan_select(
         );
     } else if let Some((jp, c)) = join {
         let ((outer, _), (inner, ic)) = jp.loop_sides(c.swap).expect("a join predicate");
-        let label = format!("NESTED LOOP JOIN ({})", jp.name);
+        let label = format!("NESTED LOOP JOIN ({})", jp.name());
         let op = Op::NestedLoop { pred: jp, swap: c.swap };
         core = PlanNode::new(label, c.est_pairs, c.est_cost, c.reason, op);
         core.children.push(leaf(outer));
@@ -1109,7 +1109,7 @@ pub(crate) fn plan_select(
         } else {
             "functional evaluation (no index)".to_string()
         };
-        notes.push(format!("{} sel={:.3} [{}] via {}", sp.name, sel_frac, src, path));
+        notes.push(format!("{} sel={:.3} [{}] via {}", sp.name(), sel_frac, src, path));
         cost += if by_index { index_cost } else { scan_cost };
         rows *= sel_frac;
     }

@@ -2,20 +2,18 @@
 //! MBR-list domain index to exercise the extensible-indexing seam
 //! without depending on the spatial crates above this one.
 
-use parking_lot::RwLock;
-use sdo_dbms::{Database, DbError, DomainIndex, IndexType, OperatorCall};
-use sdo_geom::Rect;
+use sdo_dbms::{Database, DbError, DomainIndex, ExactPredicate, IndexType};
+use sdo_geom::{Geometry, Rect, RelateMask};
 use sdo_storage::{IndexKind, RowId, Value};
 use sdo_tablefunc::table_function::BufferedFn;
 use std::sync::Arc;
 
 use sdo_storage::catalog::IndexMetadata;
 
-/// A trivially simple domain index: a list of (rowid, mbr) pairs with
-/// exact secondary filtering against stored geometries.
+/// A trivially simple domain index: a list of (rowid, mbr) pairs whose
+/// candidates the executor refines with the exact test.
 struct MbrListIndex {
     name: String,
-    table: Arc<RwLock<sdo_storage::Table>>,
     column: usize,
     entries: Vec<(RowId, Rect)>,
 }
@@ -37,28 +35,15 @@ impl DomainIndex for MbrListIndex {
         Ok(())
     }
 
-    fn evaluate(&self, call: &OperatorCall) -> Result<Vec<RowId>, DbError> {
-        let q = call.args[0]
-            .as_geometry()
-            .ok_or_else(|| DbError::Index("expected query geometry".into()))?;
-        let mut qbb = q.bbox();
-        if call.name.eq_ignore_ascii_case("SDO_WITHIN_DISTANCE") {
-            qbb = qbb.expanded(sdo_dbms::exec::parse_distance(&call.args[1..])?);
-        }
-        let mut out = Vec::new();
-        let table = self.table.read();
-        for (rid, mbr) in &self.entries {
-            if !mbr.intersects(&qbb) {
-                continue;
-            }
-            let row = table.get(*rid).map_err(DbError::from)?;
-            let Some(g) = row[self.column].as_geometry() else { continue };
-            let extra: Vec<Value> = call.args[1..].to_vec();
-            if sdo_dbms::exec::eval_spatial_fn(&call.name, g, q, &extra)? {
-                out.push(*rid);
-            }
-        }
-        Ok(out)
+    fn evaluate(&self, query: &Geometry, op: &ExactPredicate) -> Result<Vec<RowId>, DbError> {
+        // DISJOINT rows lie outside the window: every entry is one.
+        let all = matches!(op, ExactPredicate::Masks(m) if m.contains(&RelateMask::Disjoint));
+        let window = match op {
+            ExactPredicate::Distance(d) => query.bbox().expanded(*d),
+            _ => query.bbox(),
+        };
+        let hits = self.entries.iter().filter(|(_, mbr)| all || mbr.intersects(&window));
+        Ok(hits.map(|(rid, _)| *rid).collect())
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -101,12 +86,7 @@ impl IndexType for MbrListType {
             create_dop: dop,
             parameters: String::new(),
         })?;
-        Ok(Box::new(MbrListIndex {
-            name: index_name.to_string(),
-            table: Arc::clone(&t),
-            column: col,
-            entries,
-        }))
+        Ok(Box::new(MbrListIndex { name: index_name.to_string(), column: col, entries }))
     }
 
     fn operators(&self) -> &[&'static str] {

@@ -505,36 +505,65 @@ fn sdo_join_alias_matches_spatial_join() {
     assert_eq!(a, b);
 }
 
-/// A bad `SDO_RELATE` mask or `SDO_WITHIN_DISTANCE` distance is the
-/// statement's error whichever plan reads the rows: a table scan, an
-/// index scan, either nested-loop arm, a filter above the rowid-pair
-/// semijoin, and the scans of `UPDATE` and `DELETE`. None of them may
-/// answer it as a predicate no row passes.
+/// A bad `SDO_RELATE` mask, `SDO_WITHIN_DISTANCE` distance or `SDO_NN`
+/// result count is the statement's error whichever plan would read the
+/// rows — a table scan, an index scan, either nested-loop arm, a filter
+/// above the rowid-pair semijoin, a residual `= 'FALSE'`, the scans of
+/// `UPDATE` and `DELETE`, `SPATIAL_JOIN` — on populated and on empty
+/// tables alike. None of them may answer it as a predicate no row
+/// passes. Each case's plan is the one `EXPLAIN` shows for its twin
+/// with a good argument on the populated tables; the bad statement
+/// fails to plan.
 #[test]
 fn bad_spatial_argument_errors_under_every_plan() {
-    let db = session();
-    load_counties(&db, "t", 40, 3);
-    load_counties(&db, "u", 40, 4);
-    load_counties(&db, "v", 40, 5);
-    for tab in ["t", "v"] {
-        db.execute(&format!(
-            "CREATE INDEX {tab}_sidx ON {tab}(geom) INDEXTYPE IS SPATIAL_INDEX \
-             PARAMETERS ('tree_fanout=8')"
-        ))
-        .unwrap();
+    for rows in [40, 0] {
+        let db = session();
+        for (tab, seed) in [("t", 3), ("u", 4), ("v", 5)] {
+            match rows {
+                0 => {
+                    drop(db.execute(&format!("CREATE TABLE {tab} (id NUMBER, geom SDO_GEOMETRY)")))
+                }
+                n => load_counties(&db, tab, n, seed),
+            }
+        }
+        for tab in ["t", "v"] {
+            db.execute(&format!(
+                "CREATE INDEX {tab}_sidx ON {tab}(geom) INDEXTYPE IS SPATIAL_INDEX \
+                 PARAMETERS ('tree_fanout=8')"
+            ))
+            .unwrap();
+        }
+        bad_arguments_error(&db, rows);
+        let n = db.execute("SELECT COUNT(*) FROM u").unwrap();
+        assert_eq!(n.rows, vec![vec![Value::Integer(rows as i64)]], "no DML went through");
     }
+}
+
+fn bad_arguments_error(db: &Database, rows: usize) {
     let window = "SDO_GEOMETRY('POLYGON ((-100 30, -99 30, -99 31, -100 31, -100 30))')";
     let explain = |sql: &str| -> String {
         let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
         plan.rows.iter().map(|r| r[0].as_text().unwrap().to_string()).collect::<Vec<_>>().join("\n")
     };
-    for bad in
-        ["SDO_RELATE({a}, {b}, 'mask=BOGUS')", "SDO_WITHIN_DISTANCE({a}, {b}, 'distance=abc')"]
-    {
-        let op = |a: &str, b: &str| bad.replace("{a}", a).replace("{b}", b);
+    let fails = |sql: &str| {
+        assert!(db.execute(sql).is_err(), "{sql} ({rows} rows)");
+        assert!(db.execute(&format!("EXPLAIN {sql}")).is_err(), "EXPLAIN {sql} ({rows} rows)");
+    };
+    // (operator call, its bad argument, a good one)
+    let calls = [
+        ("SDO_RELATE({a}, {b}, 'mask=BOGUS')", "'mask=BOGUS'", "'ANYINTERACT'"),
+        ("SDO_WITHIN_DISTANCE({a}, {b}, 'distance=abc')", "'distance=abc'", "'distance=1'"),
+    ];
+    for (call, bad, good) in calls {
+        let op = |a: &str, b: &str| call.replace("{a}", a).replace("{b}", b);
+        let semijoin = "SELECT a.id, b.id FROM t a, v b WHERE (a.rowid, b.rowid) IN \
+                        (SELECT rid1, rid2 FROM TABLE(SPATIAL_JOIN('t', 'geom', 'v', 'geom', \
+                        'intersect')))";
         let cases = [
             (format!("SELECT id FROM u WHERE {} = 'TRUE'", op("geom", window)), "TABLE SCAN U"),
             (format!("SELECT id FROM t WHERE {} = 'TRUE'", op("geom", window)), "INDEX SCAN T"),
+            (format!("SELECT id FROM u WHERE {} = 'FALSE'", op("geom", window)), "TABLE SCAN U"),
+            (format!("SELECT id FROM t WHERE {} = 'FALSE'", op("geom", window)), "TABLE SCAN T"),
             (
                 format!(
                     "SELECT a.id, b.id FROM u a, u b WHERE {} = 'TRUE'",
@@ -549,28 +578,39 @@ fn bad_spatial_argument_errors_under_every_plan() {
                 ),
                 "INDEX PROBE",
             ),
-            (
-                format!(
-                    "SELECT a.id, b.id FROM t a, v b WHERE (a.rowid, b.rowid) IN \
-                     (SELECT rid1, rid2 FROM TABLE(SPATIAL_JOIN('t', 'geom', 'v', 'geom', \
-                     'intersect'))) AND {} = 'TRUE'",
-                    op("a.geom", "b.geom")
-                ),
-                "ROWID-PAIR SEMIJOIN",
-            ),
+            (format!("{semijoin} AND {} = 'TRUE'", op("a.geom", "b.geom")), "ROWID-PAIR SEMIJOIN"),
+            (format!("{semijoin} AND {} = 'FALSE'", op("a.geom", "b.geom")), "ROWID-PAIR SEMIJOIN"),
         ];
         for (sql, plan) in cases {
-            assert!(explain(&sql).contains(plan), "{sql}\n{}", explain(&sql));
-            assert!(db.execute(&sql).is_err(), "{sql}");
+            // Empty tables plan as scans; the error comes before any
+            // choice.
+            let twin = sql.replace(bad, good);
+            assert!(rows == 0 || explain(&twin).contains(plan), "{twin}\n{}", explain(&twin));
+            fails(&sql);
         }
         for dml in [
             format!("DELETE FROM u WHERE {} = 'TRUE'", op("geom", window)),
             format!("UPDATE u SET id = 0 WHERE {} = 'TRUE'", op("geom", window)),
             format!("DELETE FROM t WHERE {} = 'TRUE'", op("geom", window)),
+            format!("DELETE FROM t WHERE {} = 'FALSE'", op("geom", window)),
         ] {
-            assert!(db.execute(&dml).is_err(), "{dml}");
+            assert!(db.execute(&dml).is_err(), "{dml} ({rows} rows)");
         }
+        let join =
+            format!("SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN('t', 'geom', 'v', 'geom', {bad}))");
+        assert!(db.execute(&join).is_err(), "{join} ({rows} rows)");
     }
-    let n = db.execute("SELECT COUNT(*) FROM u").unwrap();
-    assert_eq!(n.rows, vec![vec![Value::Integer(40)]], "no DML went through");
+    // SDO_NN: a bad result count, through the index or a ranking of the
+    // whole table, and the forms that test pairs, which it cannot.
+    for tab in ["t", "u"] {
+        fails(&format!(
+            "SELECT id FROM {tab} WHERE SDO_NN(geom, {window}, 'sdo_num_res=abc') = 'TRUE'"
+        ));
+        fails(&format!("SELECT id FROM {tab} WHERE SDO_NN(geom, {window}, 0) = 'TRUE'"));
+        fails(&format!("SELECT id FROM {tab} WHERE SDO_NN(geom, {window}, 1) = 'FALSE'"));
+        fails(&format!("SELECT a.id FROM u a, {tab} b WHERE SDO_NN(a.geom, b.geom, 1) = 'TRUE'"));
+        let dml =
+            format!("DELETE FROM {tab} WHERE SDO_NN(geom, {window}, 'sdo_num_res=abc') = 'TRUE'");
+        assert!(db.execute(&dml).is_err(), "{dml} ({rows} rows)");
+    }
 }

@@ -152,47 +152,6 @@ fn quadtree_inputs_at_dop_1_equal_brute_force() {
 }
 
 #[test]
-fn touch_mask_join_via_table_function() {
-    // Counties share borders: a TOUCH self-join is non-trivial.
-    let a = counties::generate(36, &US_EXTENT, 77);
-    let db = session_with("c", &a);
-    db.execute("CREATE INDEX c_x ON c(geom) INDEXTYPE IS SPATIAL_INDEX").unwrap();
-    let got = pair_set(
-        &db,
-        "SELECT rid1, rid2 FROM TABLE(SPATIAL_JOIN('c','geom','c','geom','mask=TOUCH'))",
-    );
-    let mut want = Vec::new();
-    for (i, ga) in a.iter().enumerate() {
-        for (j, gb) in a.iter().enumerate() {
-            if sdo_geom::relate(ga, gb, sdo_geom::RelateMask::Touch) {
-                want.push((i as u64, j as u64));
-            }
-        }
-    }
-    want.sort_unstable();
-    assert_eq!(got, want);
-    assert!(!got.is_empty(), "adjacent counties must TOUCH");
-    assert!(got.iter().all(|(i, j)| i != j), "a county cannot TOUCH itself");
-}
-
-#[test]
-fn filter_interaction_returns_mbr_candidates() {
-    let a = counties::generate(30, &US_EXTENT, 88);
-    let db = session_with("c", &a);
-    db.execute("CREATE INDEX c_x ON c(geom) INDEXTYPE IS SPATIAL_INDEX").unwrap();
-    let primary =
-        pair_set(&db, "SELECT rid1, rid2 FROM TABLE(SPATIAL_JOIN('c','geom','c','geom','FILTER'))");
-    let exact = pair_set(
-        &db,
-        "SELECT rid1, rid2 FROM TABLE(SPATIAL_JOIN('c','geom','c','geom','intersect'))",
-    );
-    // primary candidates are a superset of exact results
-    let exact_set: std::collections::HashSet<_> = exact.iter().collect();
-    assert!(exact.len() <= primary.len());
-    assert!(exact_set.iter().all(|p| primary.binary_search(p).is_ok()));
-}
-
-#[test]
 fn removed_join_options_are_rejected_at_parse_time() {
     // SPATIAL_JOIN takes no options argument: the inputs' indexes pick
     // the engine and SQL always runs the paper's fetch order and

@@ -7,7 +7,9 @@
 //! nested-loop and cartesian joins, and `UPDATE`/`DELETE`. Every answer
 //! must equal a brute-force oracle over the case's model as a multiset,
 //! so a duplicate row fails; an ordered answer must also equal the
-//! dop-1 run tie for tie.
+//! dop-1 run tie for tie. Last, each case runs those shapes with a bad
+//! mask, distance or `SDO_NN` result count, which every plan must
+//! reject with the argument's own error.
 //!
 //! The oracle has two special cases:
 //! - `SDO_FILTER` through a quadtree returns at least the exact
@@ -66,6 +68,26 @@ const MASKS: [&str; 8] = [
     "OVERLAPBDYINTERSECT",
     "EQUAL",
     "COVERS+TOUCH",
+];
+
+/// Bad spatial operator arguments: `(operator, SQL argument, the error
+/// it raises)`. `SDO_RELATE(…, 'distance=1')` takes no distance.
+const BAD_ARGS: [(&str, &str, &str); 8] = [
+    ("SDO_RELATE", "'mask=BOGUS'", "bad mask"),
+    ("SDO_RELATE", "'TOUCH+'", "bad mask"),
+    ("SDO_RELATE", "'distance=1'", "bad mask"),
+    ("SDO_WITHIN_DISTANCE", "'distance=abc'", "bad distance"),
+    ("SDO_WITHIN_DISTANCE", "'unit=M'", "bad distance"),
+    ("SDO_NN", "'sdo_num_res=abc'", "bad sdo_num_res"),
+    ("SDO_NN", "0", "result count must be >= 1"),
+    ("SDO_NN", "'sdo_num_res=-2'", "result count must be >= 1"),
+];
+
+/// Bad `SPATIAL_JOIN` interactions and the error each raises.
+const BAD_INTERACTIONS: [(&str, &str); 3] = [
+    ("'mask=BOGUS'", "bad mask"),
+    ("'distance=abc'", "bad distance"),
+    ("'distance=0.5 unit=M'", "bad distance"),
 ];
 
 // ---------------------------------------------------------------------------
@@ -1108,6 +1130,65 @@ impl Case {
     }
 }
 
+/// Statements of the generated shapes with a bad operator argument,
+/// written in place or bound to a `?`, and a bad `SPATIAL_JOIN`
+/// interaction: each must fail with its argument's error, whatever
+/// plan (exchanges at the case's dop included) its good twin gets.
+fn bad_arguments(rng: &mut Rng) -> Vec<Stmt> {
+    let mut out = Vec::new();
+    for _ in 0..4 {
+        let (op, arg, err) = rng.pick(&BAD_ARGS);
+        let (t, w) = (rng.below(2), lit(&window(rng)));
+        let tab = TABLES[t];
+        let (arg, binds) = match rng.chance(0.3) {
+            true => ("?", vec![bind_value(arg)]),
+            false => (arg, vec![]),
+        };
+        let call = |a: &str, b: &str| format!("{op}({a}, {b}, {arg})");
+        let one = call("geom", &w);
+        let sql = match rng.below(9) {
+            0 => format!("SELECT id FROM {tab} WHERE {one} = 'TRUE'"),
+            1 => format!("SELECT id, name FROM {tab} WHERE {one} = 'TRUE' ORDER BY name, id"),
+            2 => format!("SELECT COUNT(*) FROM {tab} WHERE {one} = 'TRUE'"),
+            3 => format!("SELECT id FROM {tab} WHERE score > 3 AND {one} = 'FALSE'"),
+            4 => format!("DELETE FROM {tab} WHERE {one} = 'TRUE'"),
+            5 => format!("UPDATE {tab} SET name = 'bad' WHERE {one} = 'FALSE'"),
+            6 => format!(
+                "SELECT x.id, y.id FROM a x, b y WHERE {} = 'TRUE'",
+                call(["x.geom", "y.geom"][t], ["y.geom", "x.geom"][t])
+            ),
+            7 => format!(
+                "SELECT x.id, y.id FROM a x, b y WHERE (x.ROWID, y.ROWID) IN \
+                 (SELECT rid1, rid2 FROM TABLE(SPATIAL_JOIN('a','geom','b','geom','intersect'))) \
+                 AND {} = 'TRUE'",
+                call("x.geom", "y.geom")
+            ),
+            _ => format!(
+                "SELECT x.id, y.id FROM a x, b y WHERE x.id < 20 AND {} = 'TRUE'",
+                call("y.geom", &w)
+            ),
+        };
+        out.push(stmt(sql, binds, move |_| Want::Error(err)));
+    }
+    let (arg, err) = rng.pick(&BAD_INTERACTIONS);
+    let (l, r, dop) = (rng.below(2), rng.below(2), rng.pick(&[1, 2, 4]));
+    let sql = format!(
+        "SELECT COUNT(*) FROM TABLE(SPATIAL_JOIN('{}','geom','{}','geom',{arg}, {dop}))",
+        TABLES[l], TABLES[r]
+    );
+    out.push(stmt(sql, vec![], move |_| Want::Error(err)));
+    out
+}
+
+/// The value a bind carries for an argument written as SQL: a quoted
+/// string or an integer.
+fn bind_value(sql: &str) -> Value {
+    match sql.strip_prefix('\'').and_then(|t| t.strip_suffix('\'')) {
+        Some(text) => Value::text(text),
+        None => Value::Integer(sql.parse().expect("an integer argument")),
+    }
+}
+
 fn create_index(db: &Database, t: usize, index: Index) {
     let tab = TABLES[t];
     let (params, parallel) = match index {
@@ -1160,7 +1241,11 @@ fn run_case(seed: u64, cov: &mut Coverage) {
         for st in &stmts {
             case.check(&a, "autocommit", st, &base, Some(cov));
         }
-        return case.dml(&a, &mut base, cov);
+        case.dml(&a, &mut base, cov);
+        for st in bad_arguments(&mut case.rng) {
+            case.check(&a, "bad argument", &st, &base, None);
+        }
+        return;
     }
     cov.note("open transaction");
     let b = case.db.session();
@@ -1187,6 +1272,9 @@ fn run_case(seed: u64, cov: &mut Coverage) {
     b.execute("COMMIT").unwrap();
     for st in &some {
         case.check(&b, &format!("after {end}"), st, after, None);
+    }
+    for st in bad_arguments(&mut case.rng) {
+        case.check(&a, "bad argument", &st, after, None);
     }
 }
 
